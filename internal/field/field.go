@@ -199,10 +199,37 @@ func BlockFromBytes(b grid.Box, nc int, blob []byte) (*Block, error) {
 			len(blob), want, b, nc)
 	}
 	bl := NewBlock(b, nc)
-	for i := range bl.Data {
-		bl.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(blob[4*i:]))
-	}
+	bl.DecodeFrom(blob, b)
 	return bl, nil
+}
+
+// DecodeFrom decodes into bl the part of a blob that lies inside bl.Bounds,
+// straight from the serialized payload: no intermediate Block and no
+// allocation. blob is the Bytes form of a block over src with bl's
+// component count, and src is given in bl's coordinates — a periodic halo
+// tile passes its unwrapped box. The caller has checked that
+// len(blob) == ByteSize(src, bl.NComp).
+//
+//turbdb:rowkernel
+func (bl *Block) DecodeFrom(blob []byte, src grid.Box) {
+	r := src.Intersect(bl.Bounds)
+	if r.Empty() {
+		return
+	}
+	snx, sny, _ := src.Size()
+	rowLen := (r.Hi.X - r.Lo.X) * bl.NComp
+	for z := r.Lo.Z; z < r.Hi.Z; z++ {
+		for y := r.Lo.Y; y < r.Hi.Y; y++ {
+			di := bl.index(grid.Point{X: r.Lo.X, Y: y, Z: z}, 0)
+			si := (((z-src.Lo.Z)*sny+(y-src.Lo.Y))*snx + (r.Lo.X - src.Lo.X)) * bl.NComp
+			dst := bl.Data[di : di+rowLen]
+			row := blob[4*si : 4*(si+rowLen)]
+			for i := range dst {
+				b := row[4*i : 4*i+4 : 4*i+4]
+				dst[i] = math.Float32frombits(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+			}
+		}
+	}
 }
 
 // ByteSize returns the serialized size in bytes of a block over box b with

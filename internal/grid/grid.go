@@ -11,6 +11,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/turbdb/turbdb/internal/morton"
 )
@@ -73,6 +74,8 @@ func (b Box) ContainsBox(inner Box) bool {
 }
 
 // Intersect returns the intersection of two boxes (possibly empty).
+//
+//turbdb:rowkernel
 func (b Box) Intersect(o Box) Box {
 	r := Box{
 		Lo: Point{max(b.Lo.X, o.Lo.X), max(b.Lo.Y, o.Lo.Y), max(b.Lo.Z, o.Lo.Z)},
@@ -205,42 +208,39 @@ func (g Grid) AtomsCovering(b Box) ([]morton.Code, error) {
 	if nx > g.N || ny > g.N || nz > g.N {
 		return nil, fmt.Errorf("grid: box %v exceeds domain side %d", b, g.N)
 	}
-	seen := make(map[morton.Code]struct{})
 	var out []morton.Code
-	for az := floorDiv(b.Lo.Z, g.AtomSide); az*g.AtomSide < b.Hi.Z; az++ {
-		for ay := floorDiv(b.Lo.Y, g.AtomSide); ay*g.AtomSide < b.Hi.Y; ay++ {
-			for ax := floorDiv(b.Lo.X, g.AtomSide); ax*g.AtomSide < b.Hi.X; ax++ {
-				p := g.WrapPoint(Point{ax * g.AtomSide, ay * g.AtomSide, az * g.AtomSide})
-				c := g.AtomCode(p)
-				if _, dup := seen[c]; !dup {
-					seen[c] = struct{}{}
-					out = append(out, c)
+	g.ForEachTile(b, func(_ Box, c morton.Code) bool {
+		out = append(out, c)
+		return true
+	})
+	// Tiles come x-fastest, and a box that leaves the domain can reach one
+	// atom through two tiles (the far side wraps onto the near one).
+	slices.Sort(out)
+	return slices.Compact(out), nil
+}
+
+// ForEachTile calls fn for every atom-sized tile that intersects box b, x
+// fastest, with the tile's *unwrapped* box (b may extend beyond the domain,
+// as halo boxes do) and the code of the stored atom that supplies its data
+// after periodic wrapping: the atom's points land in the tile unchanged, so
+// the tile box is all a periodic halo assembly needs. It stops early and
+// returns false when fn does.
+func (g Grid) ForEachTile(b Box, fn func(tile Box, code morton.Code) bool) bool {
+	if b.Empty() {
+		return true
+	}
+	s := g.AtomSide
+	for az := floorDiv(b.Lo.Z, s); az*s < b.Hi.Z; az++ {
+		for ay := floorDiv(b.Lo.Y, s); ay*s < b.Hi.Y; ay++ {
+			for ax := floorDiv(b.Lo.X, s); ax*s < b.Hi.X; ax++ {
+				o := Point{ax * s, ay * s, az * s}
+				if !fn(Box{Lo: o, Hi: o.Add(s, s, s)}, g.AtomCode(o)) {
+					return false
 				}
 			}
 		}
 	}
-	sortCodes(out)
-	return out, nil
-}
-
-// AtomOriginsCovering returns the *unwrapped* lower-left origins of every
-// atom-sized tile that intersects box b (which may extend beyond the domain,
-// as halo boxes do). Pair each origin with WrapPoint + AtomCode to find the
-// stored atom that supplies its data; the difference between the unwrapped
-// and wrapped origins is the copy offset for periodic halo assembly.
-func (g Grid) AtomOriginsCovering(b Box) []Point {
-	if b.Empty() {
-		return nil
-	}
-	var out []Point
-	for az := floorDiv(b.Lo.Z, g.AtomSide); az*g.AtomSide < b.Hi.Z; az++ {
-		for ay := floorDiv(b.Lo.Y, g.AtomSide); ay*g.AtomSide < b.Hi.Y; ay++ {
-			for ax := floorDiv(b.Lo.X, g.AtomSide); ax*g.AtomSide < b.Hi.X; ax++ {
-				out = append(out, Point{ax * g.AtomSide, ay * g.AtomSide, az * g.AtomSide})
-			}
-		}
-	}
-	return out
+	return true
 }
 
 // floorDiv divides rounding toward negative infinity.
@@ -250,32 +250,4 @@ func floorDiv(a, b int) int {
 		q--
 	}
 	return q
-}
-
-// sortCodes sorts a small code slice ascending (insertion sort keeps this
-// allocation-free; covers are typically tens to thousands of atoms).
-func sortCodes(cs []morton.Code) {
-	for i := 1; i < len(cs); i++ {
-		v := cs[i]
-		j := i - 1
-		for j >= 0 && cs[j] > v {
-			cs[j+1] = cs[j]
-			j--
-		}
-		cs[j+1] = v
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,8 +3,6 @@ package grid
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/turbdb/turbdb/internal/morton"
 )
 
 func mustGrid(t testing.TB, n, atom int) Grid {
@@ -270,12 +268,20 @@ func TestAtomCodesAreAtomGranular(t *testing.T) {
 	}
 }
 
-func TestSortCodes(t *testing.T) {
-	cs := []morton.Code{5, 3, 9, 1, 1, 7}
-	sortCodes(cs)
-	for i := 1; i < len(cs); i++ {
-		if cs[i] < cs[i-1] {
-			t.Fatalf("not sorted: %v", cs)
+// A box that leaves the domain on both sides of an axis reaches the same
+// atom through two tiles: the cover must list it once, in ascending order.
+func TestAtomsCoveringWrappedDuplicatesAscending(t *testing.T) {
+	g := mustGrid(t, 16, 8)
+	codes, err := g.AtomsCovering(Box{Lo: Point{-4, -4, 0}, Hi: Point{12, 12, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(codes) != 4 {
+		t.Fatalf("expected the 4 atoms of the z=0 layer once each, got %v", codes)
+	}
+	for i := 1; i < len(codes); i++ {
+		if codes[i] <= codes[i-1] {
+			t.Fatalf("codes not strictly ascending: %v", codes)
 		}
 	}
 }

@@ -48,9 +48,9 @@ var RowKernel = &Analyzer{
 var mustAnnotateRowKernels = map[string][]string{
 	"internal/stencil": {"Stencil.DerivRow", "Stencil.GradientRow", "Stencil.derivRow"},
 	"internal/derived": {"rawEvalRow", "curlRow", "gradScalarRow", "Field.NormRow"},
-	"internal/field":   {"Block.At", "Block.Offset", "Block.Strides", "Block.index"},
-	"internal/grid":    {"Box.Size"},
-	"internal/node":    {"floorDiv"},
+	"internal/field":   {"Block.At", "Block.Offset", "Block.Strides", "Block.index", "Block.DecodeFrom"},
+	"internal/grid":    {"Box.Size", "Box.Intersect"},
+	"internal/node":    {"slabScan.rows"},
 	"internal/obs":     {"Counter.Inc", "Counter.Add", "Gauge.Set", "Gauge.Add", "Histogram.Observe"},
 }
 

@@ -185,26 +185,35 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 	var alive atomic.Int64
 	alive.Store(int64(len(active)))
 	perWorker := make([][][]query.ResultPoint, n.Processes())
-	visitFor := func(worker int) func(grid.Point, float64) bool {
+	consumerFor := func(worker int) rowConsumer {
 		rows := make([][]query.ResultPoint, len(active))
 		perWorker[worker] = rows
-		return func(pt grid.Point, norm float64) bool {
+		return func(p grid.Point, norms []float64) bool {
 			for ai, qi := range active {
 				q := &nqs[qi]
-				if norm < q.Threshold || dead[qi].Load() || !q.Box.Contains(pt) {
+				// The row's y and z are tested once; its x-run is cut to
+				// the member's box before any point is looked at.
+				if dead[qi].Load() || p.Y < q.Box.Lo.Y || p.Y >= q.Box.Hi.Y || p.Z < q.Box.Lo.Z || p.Z >= q.Box.Hi.Z {
 					continue
 				}
-				rows[ai] = append(rows[ai], query.PointFor(pt, norm))
-				if int(totals[qi].Add(1)) > q.Limit {
-					if !dead[qi].Swap(true) {
-						alive.Add(-1)
+				lo, hi := max(q.Box.Lo.X-p.X, 0), min(q.Box.Hi.X-p.X, len(norms))
+				for i := lo; i < hi; i++ {
+					if norms[i] < q.Threshold {
+						continue
+					}
+					rows[ai] = append(rows[ai], query.PointFor(p.Add(i, 0, 0), norms[i]))
+					if int(totals[qi].Add(1)) > q.Limit {
+						if !dead[qi].Swap(true) {
+							alive.Add(-1)
+						}
+						break
 					}
 				}
 			}
 			return alive.Load() > 0
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, nqs[0].Timestep, ub, scan, hw, visitFor)
+	bd, err := n.evalPhases(ctx, p, f, st, nqs[0].Timestep, ub, scan, hw, consumerFor)
 	if err != nil {
 		return nil, err
 	}

@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"github.com/turbdb/turbdb/internal/derived"
+	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/synth"
 )
 
 // BenchmarkThresholdScan drives a full cacheless node-local threshold
-// evaluation (gather + assembly + row-wise kernel scan) over one time-step
+// evaluation (gather + slab assembly + row-wise kernel scan) over one time-step
 // and reports ns/point of the end-to-end compute path. The threshold is
 // +Inf so no results accumulate: the number measures the engine, not the
 // result pipeline.
@@ -39,11 +40,11 @@ func BenchmarkThresholdScan(b *testing.B) {
 	}
 }
 
-// BenchmarkAssembleExtended isolates the halo-assembly path (pooled
-// extended blocks + row-wise CopyFrom), the per-atom fixed cost of every
-// stencil evaluation.
-func BenchmarkAssembleExtended(b *testing.B) {
-	nodes, gen := buildCluster(b, 1, 16, synth.Isotropic, false, 1)
+// BenchmarkAssembleSlab isolates halo assembly (decoding the blobs under a
+// slab's halo-extended box straight into its pooled block), the fixed cost
+// of every slab ahead of its row kernels; ns/point is per useful point.
+func BenchmarkAssembleSlab(b *testing.B) {
+	nodes, gen := buildCluster(b, 1, 32, synth.Isotropic, false, 1)
 	n := nodes[0]
 	g := gen.Grid()
 	f, err := derived.Standard().Lookup(derived.Vorticity)
@@ -59,15 +60,15 @@ func BenchmarkAssembleExtended(b *testing.B) {
 	if data.err != nil {
 		b.Fatal(data.err)
 	}
-	blocks := data.blocks[f.Raws[0].Name]
+	s := slabScan{g: g, f: f, hw: hw, blobs: data.blobs, slabs: []*field.Block{n.getSlab()}}
+	side, _ := slabAt(codes)
+	roi := slabROI(g, codes[0], side, g.Domain())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := codes[i%len(codes)]
-		ext, err := n.assembleExtended(g, blocks, g.AtomBox(c).Expand(hw), 3)
-		if err != nil {
-			b.Fatal(err)
+		if !s.assemble(roi) {
+			b.Fatal("atom missing")
 		}
-		n.extPool.put(ext)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*roi.NumPoints()), "ns/point")
 }

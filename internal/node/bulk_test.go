@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/turbdb/turbdb/internal/derived"
+	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/query"
@@ -138,18 +139,17 @@ func TestPartialHaloSkipPathMatchesBruteForceExactly(t *testing.T) {
 	exactPoints(t, got, wantTotal, "partial-halo survivors")
 }
 
-// Steady-state allocation regression: once the block pool is warm, scanning
-// more atoms must not allocate more — the per-atom cost of the compute loop
-// is zero heap allocations (pooled extended blocks, reused row buffers).
-func TestScanShardSteadyStateZeroAllocsPerAtom(t *testing.T) {
+// Steady-state allocation regression: once the slab pool is warm, scanning
+// more slabs must not allocate more — the per-slab cost of the compute loop
+// (slab walk, blob decode, row kernels, and a consumer fed rows with no
+// qualifying point) is zero heap allocations.
+func TestScanShardSteadyStateZeroAllocsPerSlab(t *testing.T) {
 	if raceEnabled {
 		// sync.Pool deliberately drops a fraction of Puts under the race
 		// detector, so steady-state allocation counts are meaningless there.
 		t.Skip("allocation counts are not stable under -race")
 	}
-	nodes, gen := buildCluster(t, 1, 16, synth.Isotropic, false, 1)
-	n := nodes[0]
-	g := gen.Grid()
+	n := clusterOver(t, 64, map[string]*field.Block{derived.Velocity: noise(64, 3, 4)}, 1, 1)[0]
 	f, err := derived.Standard().Lookup(derived.Vorticity)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,9 @@ func TestScanShardSteadyStateZeroAllocsPerAtom(t *testing.T) {
 	const order = 4
 	st := stencil.MustGet(order)
 	hw := st.HalfWidth
-	qbox := g.Domain()
+	// Clips the slabs it touches and leaves lone atoms at the edges, so
+	// every slab size takes part.
+	qbox := grid.Box{Lo: grid.Point{X: 3, Y: 3, Z: 3}, Hi: grid.Point{X: 61, Y: 61, Z: 61}}
 	codes, err := n.scanAtomsCovering(qbox, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -166,21 +168,33 @@ func TestScanShardSteadyStateZeroAllocsPerAtom(t *testing.T) {
 	if data.err != nil {
 		t.Fatal(data.err)
 	}
-	visit := func(grid.Point, float64) bool { return true }
+	var results []query.ResultPoint
+	consume := func(p grid.Point, norms []float64) bool {
+		for i, norm := range norms {
+			if norm >= math.Inf(1) {
+				results = append(results, query.PointFor(p.Add(i, 0, 0), norm))
+			}
+		}
+		return true
+	}
 	scan := func(shard []morton.Code) {
-		if _, _, err := n.scanShard(context.Background(), nil, f, st, 0, shard, data.blocks, qbox, hw, visit); err != nil {
+		if _, _, err := n.scanShard(context.Background(), nil, f, st, shard, data.blobs, qbox, hw, consume); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Warm the extended-block pool, then freeze GC so pooled blocks cannot
-	// be collected mid-measurement.
+	_, first := slabAt(codes)
+	if first == len(codes) {
+		t.Fatalf("the shard is a single slab of %d atoms; nothing to compare", first)
+	}
+	// Warm the slab pool, then freeze GC so pooled blocks cannot be
+	// collected mid-measurement.
 	scan(codes)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	one := testing.AllocsPerRun(10, func() { scan(codes[:1]) })
+	one := testing.AllocsPerRun(10, func() { scan(codes[:first]) })
 	all := testing.AllocsPerRun(10, func() { scan(codes) })
 	if all > one {
-		t.Errorf("scanShard allocates per atom: %v allocs for %d atoms vs %v for 1",
-			all, len(codes), one)
+		t.Errorf("scanShard allocates per slab: %v allocs for %d atoms vs %v for the first slab of %d",
+			all, len(codes), one, first)
 	}
 }

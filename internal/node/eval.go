@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -78,15 +77,49 @@ func (b *Breakdown) Max(o Breakdown) {
 	b.AtomsSkipped += o.AtomsSkipped
 }
 
-// errAtomMissing marks an atom block absent at assembly time — after a
-// degraded halo fetch this is expected, and partial-halo mode skips just
-// the affected shard atom instead of failing the query.
-var errAtomMissing = faulttol.Permanent("node: atom missing")
+// slabSide is the edge, in atoms, of the largest slab the scan assembles at
+// once: 4×4×4 atoms are 64 consecutive Morton codes, a 32³ region of
+// interest inside a (32+2hw)³ halo-extended block — 1.42× the useful points
+// at order 4 where a lone atom's (8+2hw)³ is 3.4× — and rows of 32 points
+// for the kernels. A constant, not a knob: BenchmarkThresholdScan reads
+// 54 / 35 / 29 ns per vorticity point at sides 1 / 2 / 4, and side 8 would
+// hold 3.8 MB per raw field and worker to reach 1.2×.
+const slabSide = 4
 
-// workerData is the outcome of one worker's I/O phase: per raw field, the
-// atom blocks the shard's kernel computations need.
+// rowConsumer receives the norms of one x-run of grid points: norms[i]
+// belongs to (p.X+i, p.Y, p.Z). Rows arrive in no particular order, so a
+// consumer's final answer must not depend on it; it allocates only to grow
+// its result, and returns false to stop the scan.
+type rowConsumer func(p grid.Point, norms []float64) bool
+
+// slabAt returns the largest aligned slab starting at shard[0], as its edge
+// in atoms and its atom count: slabSide where the next side³ codes of the
+// Morton-sorted shard are one aligned cube, halving down to a lone atom
+// where the shard edge, the scan ranges or the query box cut the cube.
+func slabAt(shard []morton.Code) (side, count int) {
+	for side = slabSide; side > 1; side /= 2 {
+		count = side * side * side
+		if uint64(shard[0])%uint64(count) == 0 && count <= len(shard) &&
+			shard[count-1] == shard[0]+morton.Code(count-1) {
+			return side, count
+		}
+	}
+	return 1, 1
+}
+
+// slabROI is the part of the slab of the given edge at atom first that the
+// query box selects. Both the I/O phase's halo cover and the compute
+// phase's assembly box derive from it (expanded by the kernel half-width),
+// so they cannot disagree on a box that clips its atoms.
+func slabROI(g grid.Grid, first morton.Code, side int, qbox grid.Box) grid.Box {
+	o, w := g.AtomOrigin(first), side*g.AtomSide
+	return grid.Box{Lo: o, Hi: o.Add(w, w, w)}.Intersect(qbox)
+}
+
+// workerData is the outcome of one worker's I/O phase: per raw input field
+// (in Field.Raws order), the blob of every atom the shard's slabs touch.
 type workerData struct {
-	blocks    map[string]map[morton.Code]*field.Block
+	blobs     []map[morton.Code][]byte
 	atomsRead int
 	haloAtoms int
 	err       error
@@ -130,74 +163,58 @@ func (b *bufferPool) admit(fieldName string, codes []morton.Code) (cold, warm []
 	return cold, warm
 }
 
-// gather is the I/O phase of one worker: for every raw input field, read
-// every atom the shard's kernel computations touch — the shard itself plus
-// a halo band of one kernel half-width, with halo atoms owned by other
-// nodes fetched from peers.
+// gather is the I/O phase of one worker: for every raw input field, fetch
+// the blob of every atom the shard's slabs touch — each slab's region of
+// interest plus a halo band of one kernel half-width, with atoms held by
+// other nodes fetched from peers. Nothing is decoded here; the compute
+// phase decodes the rows it needs straight into its slab blocks.
 func (n *Node) gather(ctx context.Context, wp *sim.Proc, rawFields []derived.RawInput, step int, shard []morton.Code, qbox grid.Box, hw int, pool *bufferPool) workerData {
-	out := workerData{blocks: make(map[string]map[morton.Code]*field.Block, len(rawFields))}
+	g := n.store.Grid()
+	var needed []morton.Code
+	for rest := shard; len(rest) > 0; {
+		side, count := slabAt(rest)
+		g.ForEachTile(slabROI(g, rest[0], side, qbox).Expand(hw), func(_ grid.Box, c morton.Code) bool {
+			needed = append(needed, c)
+			return true
+		})
+		rest = rest[count:]
+	}
+	slices.Sort(needed)
+	needed = slices.Compact(needed) // neighboring slabs share halo atoms
+
+	var out workerData
 	for _, rf := range rawFields {
-		if err := ctx.Err(); err != nil {
+		err := ctx.Err()
+		if err == nil {
+			err = n.gatherField(ctx, wp, rf, step, needed, pool, &out)
+		}
+		if err != nil {
 			return workerData{err: err}
 		}
-		one := n.gatherField(ctx, wp, rf.Name, step, shard, qbox, hw, pool)
-		if one.err != nil {
-			return one
-		}
-		for name, blocks := range one.blocks {
-			out.blocks[name] = blocks
-		}
-		out.atomsRead += one.atomsRead
-		out.haloAtoms += one.haloAtoms
 	}
 	return out
 }
 
-// gatherField is gather for one raw field.
-func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rawField string, step int, shard []morton.Code, qbox grid.Box, hw int, pool *bufferPool) workerData {
-	g := n.store.Grid()
-	meta, err := n.store.FieldMeta(rawField)
-	if err != nil {
-		return workerData{err: err}
-	}
-
-	needed := make(map[morton.Code]struct{}, len(shard)*2)
-	for _, c := range shard {
-		roi := g.AtomBox(c).Intersect(qbox)
-		if roi.Empty() {
-			continue
-		}
-		if hw == 0 {
-			needed[c] = struct{}{}
-			continue
-		}
-		covers, err := g.AtomsCovering(roi.Expand(hw))
-		if err != nil {
-			return workerData{err: err}
-		}
-		for _, cc := range covers {
-			needed[cc] = struct{}{}
-		}
-	}
-
+// gatherField is gather for one raw field over the sorted atom set needed;
+// it appends the field's blobs to out and adds its read counts.
+func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInput, step int, needed []morton.Code, pool *bufferPool, out *workerData) error {
+	rawField := rf.Name
 	// Replica ranges count as local: a halo atom this node also holds as a
 	// replica is served from its own store instead of a peer fetch. The
 	// data-presence check matters mid-rebalance — an adopted range whose
 	// atoms are still streaming in is fetched from a peer, not read from
 	// the (empty) local store.
 	var local, remote []morton.Code
-	for c := range needed {
+	for _, c := range needed {
 		if n.store.Owns(c) && n.store.HasAtom(rawField, step, c) {
 			local = append(local, c)
 		} else {
 			remote = append(remote, c)
 		}
 	}
-	sortCodes(local)
-	sortCodes(remote)
 
 	if len(remote) > 0 && n.peers == nil {
-		return workerData{err: faulttol.Permanentf("node %d: %d halo atoms not owned and no peer fetcher configured", n.id, len(remote))}
+		return faulttol.Permanentf("node %d: %d halo atoms not owned and no peer fetcher configured", n.id, len(remote))
 	}
 	// Atoms another worker already pulled in this query come from the
 	// buffer pool: local ones skip the disk charge, remote ones skip the
@@ -207,7 +224,7 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rawField string, s
 
 	// Disk reads and halo fetches proceed concurrently, as the production
 	// system's asynchronous requests to adjacent nodes do.
-	var blobs, warmBlobs, remoteBlobs map[morton.Code][]byte
+	var blobs, warmBlobs, coldRemote, warmRemote map[morton.Code][]byte
 	var localErr, warmErr, remoteErr error
 	n.exec.Fork(wp, 2, func(i int, fp *sim.Proc) {
 		if i == 0 {
@@ -218,27 +235,19 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rawField string, s
 		} else if len(remote) > 0 {
 			_, hsp := obs.StartSpan(ctx, "halo_fetch")
 			defer hsp.End()
-			var coldBlobs, warmRemote map[morton.Code][]byte
 			if len(remoteCold) > 0 {
-				coldBlobs, remoteErr = n.peers.FetchAtoms(ctx, fp, rawField, step, remoteCold)
+				coldRemote, remoteErr = n.peers.FetchAtoms(ctx, fp, rawField, step, remoteCold)
 			}
 			if remoteErr == nil && len(remoteWarm) > 0 {
 				warmRemote, remoteErr = n.peers.FetchAtoms(ctx, nil, rawField, step, remoteWarm)
 			}
-			remoteBlobs = make(map[morton.Code][]byte, len(remote))
-			for c, b := range coldBlobs {
-				remoteBlobs[c] = b
-			}
-			for c, b := range warmRemote {
-				remoteBlobs[c] = b
-			}
 		}
 	})
 	if localErr != nil {
-		return workerData{err: localErr}
+		return localErr
 	}
 	if warmErr != nil {
-		return workerData{err: warmErr}
+		return warmErr
 	}
 	if remoteErr != nil {
 		// Partial-halo degradation: with unreachable peers, proceed with
@@ -246,235 +255,175 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rawField string, s
 		// counts) exactly the shard atoms whose band stayed incomplete.
 		// Cancellation is the caller giving up, never a degradation.
 		if !n.partialHalo || ctx.Err() != nil {
-			return workerData{err: fmt.Errorf("node %d: halo fetch: %w", n.id, remoteErr)}
+			return fmt.Errorf("node %d: halo fetch: %w", n.id, remoteErr)
 		}
 	}
-	for c, b := range warmBlobs {
-		blobs[c] = b
-	}
-	for c, b := range remoteBlobs {
-		blobs[c] = b
-	}
-
-	blocks := make(map[morton.Code]*field.Block, len(blobs))
-	for c, blob := range blobs {
-		bl, err := field.BlockFromBytes(g.AtomBox(c), meta.NComp, blob)
-		if err != nil {
-			return workerData{err: err}
+	for _, more := range []map[morton.Code][]byte{warmBlobs, coldRemote, warmRemote} {
+		for c, b := range more {
+			blobs[c] = b
 		}
-		blocks[c] = bl
 	}
-	return workerData{
-		blocks:    map[string]map[morton.Code]*field.Block{rawField: blocks},
-		atomsRead: len(cold), haloAtoms: len(remoteCold),
+	// Blobs cross a trust boundary (disk, peers); the decode kernel does not
+	// re-check their length per slab.
+	want := field.ByteSize(n.store.Grid().AtomBox(0), rf.NComp)
+	for c, b := range blobs {
+		if len(b) != want {
+			return faulttol.Permanentf("node %d: atom %v of %q is %d bytes, want %d", n.id, c, rawField, len(b), want)
+		}
 	}
+	out.blobs = append(out.blobs, blobs)
+	out.atomsRead += len(cold)
+	out.haloAtoms += len(remoteCold)
+	return nil
 }
 
-// blockPool recycles halo-extended computation blocks across atoms, queries
-// and workers, bucketed by payload size (the element count is uniform
-// within one query — atom box expanded by the kernel half-width — but
-// varies across component counts, halo widths and atom-size ablations).
-// Without it assembleExtended allocates a fresh multi-KB block per atom per
-// raw field per worker, which dominates steady-state garbage.
-type blockPool struct {
-	//turbdb:lockrank node.blockpool 65
-	mu    sync.Mutex
-	pools map[int]*sync.Pool // guarded by mu
+// slabScan is the compute phase of one worker: it walks the worker's shard
+// slab by slab, decodes each slab's blobs into one pooled halo-extended
+// block per raw field, evaluates the derived field's norm over whole rows
+// of the slab's region of interest and hands each row to the consumer. Its
+// buffers are sized once per worker, so the walk performs zero heap
+// allocations per slab in steady state.
+type slabScan struct {
+	n        *Node
+	wp       *sim.Proc
+	g        grid.Grid
+	f        *derived.Field
+	st       stencil.Stencil
+	qbox     grid.Box
+	hw       int
+	perPoint time.Duration
+	blobs    []map[morton.Code][]byte
+	slabs    []*field.Block // one per raw field, re-shaped for every slab
+	consume  rowConsumer
+
+	norms, vals, scratch []float64
+
+	examined, skipped int
+	stopped           bool // the consumer asked to stop
 }
 
-func newBlockPool() *blockPool {
-	return &blockPool{pools: make(map[int]*sync.Pool)}
-}
-
-// get returns a block shaped over box with nc components; contents are
-// undefined (assembly overwrites every point: the atom tiles partition the
-// box).
-func (bp *blockPool) get(box grid.Box, nc int) *field.Block {
-	n := box.NumPoints() * nc
-	bp.mu.Lock()
-	p := bp.pools[n]
-	if p == nil {
-		p = &sync.Pool{}
-		bp.pools[n] = p
+// scanShard runs the compute phase of one worker over its Morton-sorted
+// shard.
+func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st stencil.Stencil, shard []morton.Code, blobs []map[morton.Code][]byte, qbox grid.Box, hw int, consume rowConsumer) (pointsExamined, atomsSkipped int, err error) {
+	g := n.store.Grid()
+	rowW := slabSide * g.AtomSide
+	s := slabScan{
+		n: n, wp: wp, g: g, f: f, st: st, qbox: qbox, hw: hw,
+		perPoint: n.costs.Cost(f.Name), blobs: blobs, consume: consume,
+		slabs:   make([]*field.Block, len(f.Raws)),
+		norms:   make([]float64, rowW),
+		vals:    make([]float64, rowW*f.OutComp),
+		scratch: make([]float64, rowW*f.RowScratchPerPoint),
 	}
-	bp.mu.Unlock()
+	for i := range s.slabs {
+		s.slabs[i] = n.getSlab()
+	}
+	defer func() {
+		for _, bl := range s.slabs {
+			mPoolPuts.Inc()
+			n.slabPool.Put(bl)
+		}
+	}()
+	for len(shard) > 0 && err == nil && !s.stopped {
+		side, count := slabAt(shard)
+		if err = ctx.Err(); err == nil {
+			err = s.scanSlab(shard[:count], side)
+		}
+		shard = shard[count:]
+	}
+	return s.examined, s.skipped, err
+}
+
+// getSlab draws a slab block from the node's pool; its shape and contents
+// are undefined until assemble resets and fills it.
+func (n *Node) getSlab() *field.Block {
 	mPoolGets.Inc()
-	if v := p.Get(); v != nil {
-		if bl, ok := v.(*field.Block); ok {
-			bl.Reset(box, nc)
-			return bl
-		}
+	if bl, ok := n.slabPool.Get().(*field.Block); ok {
+		return bl
 	}
 	mPoolNews.Inc()
-	return field.NewBlock(box, nc)
+	return &field.Block{}
 }
 
-// put returns a block obtained from get for reuse. nil is ignored.
-func (bp *blockPool) put(bl *field.Block) {
-	if bl == nil {
-		return
-	}
-	bp.mu.Lock()
-	p := bp.pools[len(bl.Data)]
-	bp.mu.Unlock()
-	if p != nil {
-		mPoolPuts.Inc()
-		p.Put(bl)
-	}
-}
-
-// assembleExtended stitches the atoms covering box (with periodic wrapping)
-// into one dense block for kernel evaluation. The block comes from the
-// node's pool; the caller must return it with extPool.put when done. The
-// tile walk is inlined (rather than grid.AtomOriginsCovering) so the
-// steady-state path performs no per-atom allocations.
-func (n *Node) assembleExtended(g grid.Grid, blocks map[morton.Code]*field.Block, box grid.Box, nc int) (*field.Block, error) {
-	ext := n.extPool.get(box, nc)
-	side := g.AtomSide
-	for az := floorDiv(box.Lo.Z, side); az*side < box.Hi.Z; az++ {
-		for ay := floorDiv(box.Lo.Y, side); ay*side < box.Hi.Y; ay++ {
-			for ax := floorDiv(box.Lo.X, side); ax*side < box.Hi.X; ax++ {
-				origin := grid.Point{X: ax * side, Y: ay * side, Z: az * side}
-				wrapped := g.WrapPoint(origin)
-				code := g.AtomCode(wrapped)
-				bl, ok := blocks[code]
-				if !ok {
-					n.extPool.put(ext)
-					return nil, fmt.Errorf("%w: atom %v during assembly of %v", errAtomMissing, code, box)
-				}
-				offset := grid.Point{X: origin.X - wrapped.X, Y: origin.Y - wrapped.Y, Z: origin.Z - wrapped.Z}
-				if err := ext.CopyFrom(bl, offset); err != nil {
-					n.extPool.put(ext)
-					return nil, err
+// scanSlab evaluates one aligned slab: codes are its side³ atoms. A lone
+// atom is a slab of side 1 through the same code.
+func (s *slabScan) scanSlab(codes []morton.Code, side int) error {
+	roi := slabROI(s.g, codes[0], side, s.qbox)
+	if !s.assemble(roi) {
+		// The halo band stayed incomplete after a degraded peer fetch. A
+		// slab with a hole degrades to its eight half-size slabs and in the
+		// end to its atoms, so exactly the atoms whose own band touches a
+		// missing blob are skipped — not the query, and not the slab.
+		switch {
+		case !s.n.partialHalo:
+			return faulttol.Permanentf("node: atom missing during assembly of %v", roi.Expand(s.hw))
+		case side == 1:
+			s.skipped++
+		default:
+			for sub := len(codes) / 8; len(codes) > 0 && !s.stopped; codes = codes[sub:] {
+				if err := s.scanSlab(codes[:sub], side/2); err != nil {
+					return err
 				}
 			}
 		}
+		return nil
 	}
-	return ext, nil
+	// Simulated CPU time keeps its per-atom grain, so virtual-time results
+	// do not depend on how atoms are grouped into slabs.
+	for _, c := range codes {
+		s.n.exec.ChargeCompute(s.wp, s.perPoint*time.Duration(s.g.AtomBox(c).Intersect(s.qbox).NumPoints()))
+	}
+	s.examined += roi.NumPoints()
+	s.stopped = !s.rows(roi)
+	return nil
 }
 
-// floorDiv divides rounding toward negative infinity (halo boxes have
-// negative coordinates before wrapping).
+// assemble decodes the blobs covering roi and its halo band — the atoms
+// under roi.Expand(hw), periodically wrapped — into the slab block of every
+// raw field: each tile's rows go straight from its float32 blob to their
+// place in the block. It reports false when a blob is missing.
+func (s *slabScan) assemble(roi grid.Box) bool {
+	ext := roi.Expand(s.hw)
+	for i, rf := range s.f.Raws {
+		bl, blobs := s.slabs[i], s.blobs[i]
+		bl.Reset(ext, rf.NComp)
+		complete := s.g.ForEachTile(ext, func(tile grid.Box, c morton.Code) bool {
+			blob, ok := blobs[c]
+			if ok {
+				bl.DecodeFrom(blob, tile)
+			}
+			return ok
+		})
+		if !complete {
+			return false
+		}
+	}
+	return true
+}
+
+// rows evaluates the norm over every x-run of roi in one NormRow call each
+// and feeds the consumer; false means the consumer stopped the scan.
 //
 //turbdb:rowkernel
-func floorDiv(a, b int) int {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-// scanShard is the compute phase of one worker: evaluate the derived field's
-// norm at every grid point of the shard's atoms inside qbox, invoking visit
-// for each. visit returning false aborts the scan (result-limit
-// enforcement). Compute time is charged to the simulated CPU per atom.
-//
-// Evaluation is row-wise: each x-fastest run of the ROI is computed in one
-// derived.NormRow call into a reusable norms buffer, and visit then walks
-// that buffer. All working buffers are sized once per call (rows never
-// exceed the atom side) and extended blocks come from the node's pool, so
-// the steady-state loop performs zero heap allocations per atom.
-func (n *Node) scanShard(
-	ctx context.Context,
-	wp *sim.Proc,
-	f *derived.Field,
-	st stencil.Stencil,
-	step int,
-	shard []morton.Code,
-	blocks map[string]map[morton.Code]*field.Block,
-	qbox grid.Box,
-	hw int,
-	visit func(pt grid.Point, norm float64) bool,
-) (pointsExamined, atomsSkipped int, err error) {
-	g := n.store.Grid()
-	dx := g.Dx
-	perPoint := n.costs.Cost(f.Name)
-	// Row buffers: an ROI is contained in one atom box, so rows are at most
-	// AtomSide points wide.
-	rowW := g.AtomSide
-	norms := make([]float64, rowW)
-	vals := make([]float64, rowW*f.OutComp)
-	var scratch []float64
-	if f.RowScratchPerPoint > 0 {
-		scratch = make([]float64, rowW*f.RowScratchPerPoint)
-	}
-	exts := make([]*field.Block, len(f.Raws))
-	pooled := make([]*field.Block, len(f.Raws))
-	release := func() {
-		for i, bl := range pooled {
-			if bl != nil {
-				n.extPool.put(bl)
-				pooled[i] = nil
+func (s *slabScan) rows(roi grid.Box) bool {
+	nx := roi.Hi.X - roi.Lo.X
+	norms := s.norms[:nx]
+	p := roi.Lo
+	for p.Z = roi.Lo.Z; p.Z < roi.Hi.Z; p.Z++ {
+		for p.Y = roi.Lo.Y; p.Y < roi.Hi.Y; p.Y++ {
+			s.f.NormRow(s.st, s.slabs, p, nx, s.g.Dx, norms, s.vals, s.scratch)
+			if !s.consume(p, norms) {
+				return false
 			}
 		}
 	}
-	defer release()
-scan:
-	for _, c := range shard {
-		if err := ctx.Err(); err != nil {
-			return pointsExamined, atomsSkipped, err
-		}
-		abox := g.AtomBox(c)
-		roi := abox.Intersect(qbox)
-		if roi.Empty() {
-			continue
-		}
-		for i, rf := range f.Raws {
-			fieldBlocks := blocks[rf.Name]
-			if hw == 0 {
-				exts[i] = fieldBlocks[c]
-				if exts[i] == nil {
-					return pointsExamined, atomsSkipped, faulttol.Permanentf("node: atom %v of %q missing", c, rf.Name)
-				}
-			} else {
-				exts[i], err = n.assembleExtended(g, fieldBlocks, abox.Expand(hw), rf.NComp)
-				if err != nil {
-					release()
-					if n.partialHalo && errors.Is(err, errAtomMissing) {
-						// The halo band of this atom stayed incomplete
-						// after a degraded peer fetch: fail this atom
-						// only, not the query.
-						atomsSkipped++
-						continue scan
-					}
-					return pointsExamined, atomsSkipped, err
-				}
-				pooled[i] = exts[i]
-			}
-		}
-		n.exec.ChargeCompute(wp, perPoint*time.Duration(roi.NumPoints()))
-		nx := roi.Hi.X - roi.Lo.X
-		var pt grid.Point
-		for pt.Z = roi.Lo.Z; pt.Z < roi.Hi.Z; pt.Z++ {
-			for pt.Y = roi.Lo.Y; pt.Y < roi.Hi.Y; pt.Y++ {
-				pt.X = roi.Lo.X
-				f.NormRow(st, exts, pt, nx, dx, norms, vals, scratch)
-				for i := 0; i < nx; i++ {
-					pointsExamined++
-					if !visit(grid.Point{X: roi.Lo.X + i, Y: pt.Y, Z: pt.Z}, norms[i]) {
-						return pointsExamined, atomsSkipped, nil
-					}
-				}
-			}
-		}
-		release()
-	}
-	return pointsExamined, atomsSkipped, nil
-}
-
-// sortCodes sorts Morton codes ascending. Gathers sort the cold/warm code
-// lists of every worker on every query — potentially thousands of codes —
-// so this is pdqsort via the standard library, not an insertion sort.
-func sortCodes(cs []morton.Code) {
-	slices.Sort(cs)
+	return true
 }
 
 // evalPhases runs the two-phase (I/O then compute) data-parallel evaluation
 // over this node's shard of qbox and reports phase timings. scan restricts
 // the shard to the given atom ranges (replica routing); empty means the
-// node's primary range. makeVisitor builds a per-worker visit callback plus
-// a completion hook.
+// node's primary range. consumerFor builds each worker's row consumer.
 func (n *Node) evalPhases(
 	ctx context.Context,
 	p *sim.Proc,
@@ -484,7 +433,7 @@ func (n *Node) evalPhases(
 	qbox grid.Box,
 	scan []morton.Range,
 	hw int,
-	visitFor func(worker int) func(pt grid.Point, norm float64) bool,
+	consumerFor func(worker int) rowConsumer,
 ) (Breakdown, error) {
 	var bd Breakdown
 	procs := n.Processes()
@@ -494,7 +443,7 @@ func (n *Node) evalPhases(
 	}
 	shards := splitWork(codes, procs)
 
-	// Phase 1: I/O — every worker reads its shard plus halo into memory.
+	// Phase 1: I/O — every worker fetches the blobs of its shard plus halo.
 	// Workers share a per-query buffer pool so each atom record pays disk
 	// time once per node per query.
 	pool := newBufferPool()
@@ -515,14 +464,14 @@ func (n *Node) evalPhases(
 		bd.HaloAtoms += d.haloAtoms
 	}
 
-	// Phase 2: compute — evaluate the kernel at every point and visit.
+	// Phase 2: compute — decode, evaluate and consume slab by slab.
 	compStart := n.exec.Now()
 	compCtx, compSp := obs.StartSpan(ctx, "scan_compute")
 	errs := make([]error, procs)
 	examined := make([]int, procs)
 	skipped := make([]int, procs)
 	n.exec.Fork(p, procs, func(i int, wp *sim.Proc) {
-		examined[i], skipped[i], errs[i] = n.scanShard(compCtx, wp, f, st, step, shards[i], data[i].blocks, qbox, hw, visitFor(i))
+		examined[i], skipped[i], errs[i] = n.scanShard(compCtx, wp, f, st, shards[i], data[i].blobs, qbox, hw, consumerFor(i))
 	})
 	compSp.End()
 	bd.Compute = n.exec.Now() - compStart

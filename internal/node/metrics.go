@@ -6,7 +6,7 @@ import "github.com/turbdb/turbdb/internal/obs"
 // durations in seconds of the node's time base — wall-clock in real mode,
 // virtual time in the cluster simulation — i.e. exactly the per-node inputs
 // to the paper's Fig. 8/9 breakdowns, live instead of post-hoc. Pool
-// counters expose the churn of the halo-extended block pool: new/get is the
+// counters expose the churn of the workers' slab-block pool: new/get is the
 // pool miss rate, get−put is the leak indicator.
 var (
 	mScanIO       = obs.Default().Histogram("turbdb_node_scan_io_seconds", obs.DurationBuckets)

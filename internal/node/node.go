@@ -93,7 +93,7 @@ type Node struct {
 	exec        *Exec
 	costs       CostModel
 	partialHalo bool
-	extPool     *blockPool
+	slabPool    sync.Pool // of *field.Block: the workers' slab buffers
 
 	//turbdb:lockrank node.state 20
 	mu sync.Mutex
@@ -130,7 +130,6 @@ func New(cfg Config) (*Node, error) {
 		exec:        cfg.Exec,
 		costs:       cfg.Costs,
 		partialHalo: cfg.AllowPartialHalo,
-		extPool:     newBlockPool(),
 	}, nil
 }
 

@@ -77,15 +77,17 @@ func (n *Node) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*PDFResult
 		}
 	}
 	perWorker := make([][]int64, n.Processes())
-	visitFor := func(worker int) func(grid.Point, float64) bool {
+	consumerFor := func(worker int) rowConsumer {
 		perWorker[worker] = make([]int64, q.Bins)
 		counts := perWorker[worker]
-		return func(_ grid.Point, norm float64) bool {
-			counts[q.Bin(norm)]++
+		return func(_ grid.Point, norms []float64) bool {
+			for _, norm := range norms {
+				counts[q.Bin(norm)]++
+			}
 			return true
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, visitFor)
+	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, consumerFor)
 	if err != nil {
 		return nil, err
 	}
@@ -112,12 +114,23 @@ type TopKResult struct {
 	Breakdown Breakdown
 }
 
-// minHeap keeps the k largest points seen so far (the root is the smallest
-// retained norm).
+// ranksBefore is the total order of top-k answers: larger value first, and
+// at a float32 tie the smaller Morton code. Retention and the final sort
+// both rank by it, so which of several tied points make the cut never
+// depends on the order a scan visits them in.
+func ranksBefore(a, b query.ResultPoint) bool {
+	if a.Value != b.Value { //lint:allow floateq exact tie-break keeps the order total and deterministic
+		return a.Value > b.Value
+	}
+	return a.Code < b.Code
+}
+
+// minHeap keeps the k best-ranked points seen so far (the root is the
+// worst-ranked point retained).
 type minHeap []query.ResultPoint
 
 func (h minHeap) Len() int            { return len(h) }
-func (h minHeap) Less(i, j int) bool  { return h[i].Value < h[j].Value }
+func (h minHeap) Less(i, j int) bool  { return ranksBefore(h[j], h[i]) }
 func (h minHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *minHeap) Push(x interface{}) { *h = append(*h, x.(query.ResultPoint)) }
 func (h *minHeap) Pop() interface{} {
@@ -161,19 +174,26 @@ func (n *Node) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*TopKRes
 
 	start := n.exec.Now()
 	heaps := make([]minHeap, n.Processes())
-	visitFor := func(worker int) func(grid.Point, float64) bool {
-		return func(pt grid.Point, norm float64) bool {
-			h := &heaps[worker]
-			if h.Len() < q.K {
-				heap.Push(h, query.PointFor(pt, norm))
-			} else if float32(norm) > (*h)[0].Value {
-				(*h)[0] = query.PointFor(pt, norm)
-				heap.Fix(h, 0)
+	consumerFor := func(worker int) rowConsumer {
+		h := &heaps[worker]
+		return func(p grid.Point, norms []float64) bool {
+			for i, norm := range norms {
+				// Most points fall below a full heap's root: skip them
+				// before paying for their Morton code.
+				if h.Len() == q.K && float32(norm) < (*h)[0].Value {
+					continue
+				}
+				if pt := query.PointFor(p.Add(i, 0, 0), norm); h.Len() < q.K {
+					heap.Push(h, pt)
+				} else if ranksBefore(pt, (*h)[0]) {
+					(*h)[0] = pt
+					heap.Fix(h, 0)
+				}
 			}
 			return true
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, visitFor)
+	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, consumerFor)
 	if err != nil {
 		return nil, err
 	}
@@ -182,12 +202,7 @@ func (n *Node) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*TopKRes
 	for _, h := range heaps {
 		all = append(all, h...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Value != all[j].Value { //lint:allow floateq exact tie-break keeps the order total and deterministic
-			return all[i].Value > all[j].Value
-		}
-		return all[i].Code < all[j].Code
-	})
+	sort.Slice(all, func(i, j int) bool { return ranksBefore(all[i], all[j]) })
 	if len(all) > q.K {
 		all = all[:q.K]
 	}

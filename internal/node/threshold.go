@@ -144,21 +144,23 @@ func (n *Node) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold)
 
 	// Algorithm 1, lines 29–36: evaluate from the raw data.
 	var total atomic.Int64
-	var overLimit atomic.Bool // visitors from every worker process race on it
+	var overLimit atomic.Bool // consumers from every worker process race on it
 	results := make([][]query.ResultPoint, n.Processes())
-	visitFor := func(worker int) func(grid.Point, float64) bool {
-		return func(pt grid.Point, norm float64) bool {
-			if norm >= q.Threshold {
-				results[worker] = append(results[worker], query.PointFor(pt, norm))
-				if int(total.Add(1)) > q.Limit {
-					overLimit.Store(true)
-					return false
+	consumerFor := func(worker int) rowConsumer {
+		return func(p grid.Point, norms []float64) bool {
+			for i, norm := range norms {
+				if norm >= q.Threshold {
+					results[worker] = append(results[worker], query.PointFor(p.Add(i, 0, 0), norm))
+					if int(total.Add(1)) > q.Limit {
+						overLimit.Store(true)
+						return false
+					}
 				}
 			}
 			return true
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, visitFor)
+	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, consumerFor)
 	res.Breakdown.IO = bd.IO
 	res.Breakdown.Compute = bd.Compute
 	res.Breakdown.AtomsRead = bd.AtomsRead

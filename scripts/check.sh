@@ -94,6 +94,16 @@ lane 'benchmark smoke (kernel + scheduler packages, 1 iteration)'
 go test -run=NONE -bench=. -benchtime=1x ./internal/stencil ./internal/field ./internal/derived ./internal/node ./internal/sched
 lane_done
 
+# Benchmark-harness lane: bench/ is a module of its own, so none of the
+# lanes above builds or tests it. Its gate vets it, runs turbdb-vet over it
+# and runs its tests: a 32³ smoke run of every workload checked against the
+# brute-force oracle, the BENCHMARK.json drift guard, the exact-count
+# repeatability test and the -compare checker. A change that breaks a symbol
+# the benchmark drives, or an answer it verifies, fails here.
+lane 'benchmark harness gate (bench/check.sh)'
+bash bench/check.sh
+lane_done
+
 # Binary wire-protocol lane: the golden-frame fixtures (committed bytes must
 # decode to the pinned structs and re-encode byte-identically) and the
 # differential cross-encoding matrix (every JSON/frame client–server pairing
