@@ -85,7 +85,8 @@ type Config struct {
 	// fetched instead of failing their whole shard. Real mode only.
 	AllowPartial bool
 	// Replication is k, the number of nodes holding each Morton range.
-	// 0 and 1 keep the legacy one-owner-per-shard layout; k ≥ 2 enables
+	// 0 and 1 keep the one-owner-per-shard layout (the mediator's k = 1
+	// topology, fixed for the cluster's life); k ≥ 2 enables
 	// membership-driven placement, replica failover in the mediator and
 	// halo fetchers, and Join/Leave elasticity. Clamped to Nodes.
 	Replication int
@@ -132,7 +133,7 @@ type peerFetcher struct {
 
 // holders returns the peers able to serve an atom, in failover order:
 // under replica placement, the code's serving owners (Alive before
-// Suspect/Leaving) excluding self; legacy layout has exactly one.
+// Suspect/Leaving) excluding self; the unreplicated layout has exactly one.
 func (f *peerFetcher) holders(code morton.Code) []int {
 	pl := f.c.placementSnapshot()
 	if pl == nil {
@@ -308,7 +309,7 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 	}
 	c.cfg = cfg
 
-	// Resolve the data layout: legacy equal split, or k-way replica
+	// Resolve the data layout: the equal split, or k-way replica
 	// placement over the initial membership.
 	ranges := g.AtomRange().Split(cfg.Nodes, 1)
 	replicated := cfg.Replication >= 2

@@ -64,11 +64,9 @@ func (c *NodeClient) GetThreshold(ctx context.Context, p *sim.Proc, q query.Thre
 	return c.NodeClient.GetThreshold(ctx, p, q)
 }
 
-// GetThresholdBatch implements mediator.BatchNodeClient: a shared-scan
-// batch counts as one "threshold" call against the plan, so kill/flap rules
-// hit batches and solo queries alike. A wrapped client without batch
-// support is served member-by-member, keeping the wrapper usable over the
-// test stubs.
+// GetThresholdBatch implements mediator.NodeClient: a shared-scan batch
+// counts as one "threshold" call against the plan, so kill/flap rules hit
+// batches and solo queries alike.
 func (c *NodeClient) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -76,10 +74,7 @@ func (c *NodeClient) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []qu
 	if err := c.apply(ctx, "threshold"); err != nil {
 		return nil, err
 	}
-	if bc, ok := c.NodeClient.(mediator.BatchNodeClient); ok {
-		return bc.GetThresholdBatch(ctx, p, qs)
-	}
-	return mediator.SequentialThresholdBatch(ctx, c.NodeClient, p, qs)
+	return c.NodeClient.GetThresholdBatch(ctx, p, qs)
 }
 
 // GetPDF implements mediator.NodeClient.

@@ -18,6 +18,11 @@ func (s *stubNode) GetThreshold(ctx context.Context, p *sim.Proc, q query.Thresh
 	return &node.ThresholdResult{}, nil
 }
 
+func (s *stubNode) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
+	s.threshold++
+	return &node.ThresholdBatchResult{}, nil
+}
+
 func (s *stubNode) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*node.PDFResult, error) {
 	s.pdf++
 	return &node.PDFResult{}, nil

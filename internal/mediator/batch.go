@@ -10,60 +10,19 @@ package mediator
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"time"
 
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/morton"
-	"github.com/turbdb/turbdb/internal/netmodel"
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
 )
 
-// BatchNodeClient is the optional NodeClient extension for shared-scan
-// batching. *node.Node and the wire client implement it; a client that does
-// not is served by SequentialThresholdBatch, so batching degrades to the
-// exact per-query calls it replaced rather than failing.
-type BatchNodeClient interface {
-	NodeClient
-	GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error)
-}
-
-// SequentialThresholdBatch answers a threshold batch member-by-member with
-// plain GetThreshold calls — the compatibility path for node clients without
-// batch support. A transient (availability-class) error fails the whole call
-// so the caller's failover can re-route; a per-member rejection (e.g. over
-// the point limit) lands in Errs like the batched entry point would.
-func SequentialThresholdBatch(ctx context.Context, cli NodeClient, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
-	out := &node.ThresholdBatchResult{
-		Results: make([]*node.ThresholdResult, len(qs)),
-		Errs:    make([]error, len(qs)),
-	}
-	for i, q := range qs {
-		r, err := cli.GetThreshold(ctx, p, q)
-		if err != nil {
-			if faulttol.Transient(err) {
-				return nil, err
-			}
-			out.Errs[i] = err
-			continue
-		}
-		out.Results[i] = r
-	}
-	return out, nil
-}
-
-// callThresholdBatch dispatches a batch to one node client, preferring the
-// shared-scan entry point.
-func callThresholdBatch(ctx context.Context, cli NodeClient, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
-	if bc, ok := cli.(BatchNodeClient); ok {
-		return bc.GetThresholdBatch(ctx, p, qs)
-	}
-	return SequentialThresholdBatch(ctx, cli, p, qs)
-}
+// BatchNodeClient is NodeClient under the name of the optional extension
+// GetThresholdBatch used to be; code written against that name still
+// compiles.
+type BatchNodeClient = NodeClient
 
 // BatchAnswer is one member's result of a batched fan-out: exactly the
 // (points, stats, error) triple the member's solo Threshold call would have
@@ -77,20 +36,10 @@ type BatchAnswer struct {
 }
 
 // batchCompatible reports whether two normalized members may share a scan.
+// Scan is not compared: the mediator assigns it per node.
 func batchCompatible(a, b query.Threshold) bool {
-	if a.Dataset != b.Dataset || a.Field != b.Field ||
-		a.FDOrder != b.FDOrder || a.Timestep != b.Timestep {
-		return false
-	}
-	if len(a.Scan) != len(b.Scan) {
-		return false
-	}
-	for i := range a.Scan {
-		if a.Scan[i] != b.Scan[i] {
-			return false
-		}
-	}
-	return true
+	return a.Dataset == b.Dataset && a.Field == b.Field &&
+		a.FDOrder == b.FDOrder && a.Timestep == b.Timestep
 }
 
 // batchPoints is the modeled response size of one node's batch answer.
@@ -133,135 +82,70 @@ func (m *Mediator) ThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.T
 		if i > 0 && !batchCompatible(nqs[0], nqs[i]) {
 			psp.End()
 			mQueryErrs.Add(int64(len(qs)))
-			return nil, faulttol.Permanentf("mediator: batch member %d disagrees with member 0 on (field, order, step, scan)", i)
+			return nil, faulttol.Permanentf("mediator: batch member %d disagrees with member 0 on (field, order, step)", i)
 		}
 	}
 	psp.End()
 
 	start := m.exec.Now()
-	if m.replicated() {
-		return m.thresholdBatchReplicated(ctx, p, nqs, start)
-	}
-
-	results := make([]*node.ThresholdBatchResult, len(m.nodes))
-	errs := make([]error, len(m.nodes))
-	m.exec.Fork(p, len(m.nodes), func(i int, wp *sim.Proc) {
-		nctx, nsp := obs.StartSpan(ctx, fmt.Sprintf("node[%d]", i))
-		defer nsp.End()
-		if m.kernel != nil {
-			m.nodeLinks[i].Transfer(wp, RequestWireBytes)
-		}
-		errs[i] = m.callNode(nctx, i, func(ctx context.Context) error {
-			r, err := callThresholdBatch(ctx, m.nodes[i], wp, nqs)
-			results[i] = r
-			return err
-		})
-		if m.kernel != nil && errs[i] == nil {
-			m.nodeLinks[i].Transfer(wp, query.WireBytes(batchPoints(results[i])))
-		}
-	})
-	fanout := m.exec.Now() - start
+	// cov is the batch-wide availability picture (coverage, failures,
+	// reroutes) every member's stats share.
 	cov := &QueryStats{}
-	if err := m.collectFailures(errs, cov); err != nil {
-		mQueryErrs.Add(int64(len(nqs)))
-		return nil, err
-	}
-	ok := results[:0:0]
-	for i, r := range results {
-		if errs[i] == nil && r != nil {
-			ok = append(ok, r)
-		}
-	}
-	return m.mergeBatch(ctx, nqs, ok, cov, fanout, start), nil
-}
-
-// thresholdBatchReplicated is the batch fan-out under replica routing: the
-// whole batch targets ranges, and a failed range fails over to the next
-// replica carrying all members with it.
-func (m *Mediator) thresholdBatchReplicated(ctx context.Context, p *sim.Proc, nqs []query.Threshold, start time.Duration) ([]BatchAnswer, error) {
-	fr, err := fanoutReplicated(m, ctx, p, func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (*node.ThresholdBatchResult, error) {
-		if link != nil {
-			link.Transfer(wp, RequestWireBytes)
-		}
+	results, fanout, err := fanoutReplicated(m, ctx, p, cov, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.ThresholdBatchResult, int, error) {
 		qq := make([]query.Threshold, len(nqs))
 		for i := range nqs {
 			qq[i] = nqs[i]
 			qq[i].Scan = scan
 		}
-		r, err := callThresholdBatch(ctx, cli, wp, qq)
-		if link != nil && err == nil {
-			link.Transfer(wp, query.WireBytes(batchPoints(r)))
+		r, err := cli.GetThresholdBatch(ctx, wp, qq)
+		if err != nil {
+			return nil, 0, err
 		}
-		return r, err
+		return r, query.WireBytes(batchPoints(r)), nil
 	})
 	if err != nil {
 		mQueryErrs.Add(int64(len(nqs)))
 		return nil, err
 	}
-	fanout := m.exec.Now() - start
-	cov := &QueryStats{}
-	if err := m.collectRangeFailures(fr.failed, fr.total, fr.ranges, cov); err != nil {
-		mQueryErrs.Add(int64(len(nqs)))
-		return nil, err
-	}
-	cov.Reroutes = fr.reroutes
-	return m.mergeBatch(ctx, nqs, fr.results, cov, fanout, start), nil
-}
 
-// mergeBatch assembles per-member answers from the per-node batch results.
-// cov carries the batch-wide availability picture (coverage, failures,
-// reroutes) every member's stats share.
-func (m *Mediator) mergeBatch(ctx context.Context, nqs []query.Threshold, results []*node.ThresholdBatchResult, cov *QueryStats, fanout, start time.Duration) []BatchAnswer {
 	_, msp := obs.StartSpan(ctx, "merge")
 	defer msp.End()
 	answers := make([]BatchAnswer, len(nqs))
 	for j := range nqs {
 		st := &QueryStats{
-			Trace:    obs.TraceFrom(ctx),
-			Coverage: cov.Coverage,
-			Failures: cov.Failures,
-			Reroutes: cov.Reroutes,
+			Trace:       obs.TraceFrom(ctx),
+			Coverage:    cov.Coverage,
+			Failures:    cov.Failures,
+			Reroutes:    cov.Reroutes,
+			NodeAnswers: cov.NodeAnswers,
 		}
-		var pts []query.ResultPoint
-		var memberErr error
-		for _, r := range results {
-			if j >= len(r.Results) {
-				memberErr = faulttol.Permanentf("mediator: node batch answer has %d members, want %d", len(r.Results), len(nqs))
-				break
-			}
-			if r.Errs[j] != nil {
-				memberErr = r.Errs[j]
-				break
-			}
-			rr := r.Results[j]
-			pts = append(pts, rr.Points...)
-			st.NodeCritical.Max(rr.Breakdown)
-			if rr.FromCache {
-				st.CacheHits++
-			}
-			if rr.Shared > 1 {
-				st.SharedScan = true
-			}
-			st.ScansSaved += rr.ScansSaved
-			st.ResponseBytes += query.WireBytes(len(rr.Points))
-		}
-		if memberErr == nil && len(pts) > nqs[j].Limit {
-			memberErr = &query.ErrTooManyPoints{Limit: nqs[j].Limit, Seen: len(pts)}
-		}
-		if memberErr != nil {
+		pts, err := mergeMember(st, results, nqs, j)
+		if err != nil {
 			mQueryErrs.Inc()
-			answers[j] = BatchAnswer{Err: memberErr}
+			answers[j] = BatchAnswer{Err: err}
 			continue
 		}
-		sort.Slice(pts, func(a, b int) bool { return pts[a].Code < pts[b].Code })
-		st.MediatorDBComm = fanout - st.NodeCritical.Total
-		if st.MediatorDBComm < 0 {
-			st.MediatorDBComm = 0
-		}
+		st.MediatorDBComm = max(fanout-st.NodeCritical.Total, 0)
 		st.Points = len(pts)
 		st.Total = m.exec.Now() - start
 		m.noteQuery(st)
 		answers[j] = BatchAnswer{Points: pts, Stats: st}
 	}
-	return answers
+	return answers, nil
+}
+
+// mergeMember merges member j's share of every node's batch answer, exactly
+// as the member's solo Threshold call merges its node answers.
+func mergeMember(st *QueryStats, results []*node.ThresholdBatchResult, nqs []query.Threshold, j int) ([]query.ResultPoint, error) {
+	member := make([]*node.ThresholdResult, len(results))
+	for i, r := range results {
+		if j >= len(r.Results) {
+			return nil, faulttol.Permanentf("mediator: node batch answer has %d members, want %d", len(r.Results), len(nqs))
+		}
+		if r.Errs[j] != nil {
+			return nil, r.Errs[j]
+		}
+		member[i] = r.Results[j]
+	}
+	return mergeThreshold(st, member, nqs[j].Limit)
 }

@@ -10,9 +10,7 @@ import (
 	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/netmodel"
-	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/obs"
-	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
 )
 
@@ -23,10 +21,11 @@ var (
 	mTopoVersion = obs.Default().Gauge("turbdb_topology_version")
 )
 
-// Topology is the mediator's routing table under k-way replication: the
+// Topology is the mediator's routing table under k-way placement: the
 // Morton ranges of the current placement and, per range, the nodes holding
 // it (primary first). Derived from membership.Placement by cluster
-// assembly; installed atomically via UpdateTopology on every rebalance.
+// assembly and installed atomically via UpdateTopology on every rebalance,
+// or synthesised by New as the k = 1 table of an unreplicated cluster.
 type Topology struct {
 	// Version identifies the placement (bumped on every rebalance).
 	Version uint64
@@ -59,121 +58,113 @@ func (e errReplicasDown) Error() string {
 // Transient marks the failure as availability-class.
 func (e errReplicasDown) Transient() bool { return true }
 
-// topoSnapshot is a consistent view of the routing state, taken once per
-// query so a concurrent rebalance never splits one fan-out across two
-// placements.
-type topoSnapshot struct {
-	topo    *Topology
-	clients map[int]NodeClient
-	fts     map[int]*faulttol.Executor
-	links   map[int]*netmodel.Link
+// peer is one registered node: its client, the range it scans when a
+// request carries no Scan, and the transport the fan-out reaches it over.
+type peer struct {
+	client NodeClient
+	owned  morton.Range       // the node's default scan, as it described itself
+	ft     *faulttol.Executor // retry policy and breaker; nil in simulation mode
+	link   *netmodel.Link     // mediator↔node transfers; nil in real mode
 }
 
-// replicated reports whether topology routing is enabled.
-func (m *Mediator) replicated() bool {
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	return m.topo != nil
+// routing is the state a fan-out routes by: the placement table and the
+// registered nodes. A published value is immutable — UpdateTopology and
+// RegisterNode install a modified copy — so the one pointer a query loads
+// is a consistent view for all its rounds and a concurrent rebalance never
+// splits one fan-out across two placements.
+type routing struct {
+	topo  Topology
+	peers map[int]*peer
 }
 
-// snapshotTopo copies the routing state under the topology lock.
-func (m *Mediator) snapshotTopo() topoSnapshot {
+// routing returns the routing state in effect.
+func (m *Mediator) routing() *routing {
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
-	s := topoSnapshot{
-		topo:    m.topo,
-		clients: make(map[int]NodeClient, len(m.clients)),
-		fts:     make(map[int]*faulttol.Executor, len(m.fts)),
-		links:   make(map[int]*netmodel.Link, len(m.links)),
+	return m.route
+}
+
+// newPeer builds the routing entry for node id; in real mode the node gets
+// its own breaker and retry executor.
+func (m *Mediator) newPeer(id int, c NodeClient, owned morton.Range, link *netmodel.Link) *peer {
+	pr := &peer{client: c, owned: owned, link: link}
+	if m.kernel == nil {
+		pr.ft = m.newExecutor(id)
 	}
-	for id, c := range m.clients {
-		s.clients[id] = c
-	}
-	for id, ft := range m.fts {
-		s.fts[id] = ft
-	}
-	for id, l := range m.links {
-		s.links[id] = l
-	}
-	return s
+	return pr
 }
 
 // UpdateTopology atomically installs a new routing table (a rebalance
 // flip). Queries already in flight finish on the placement they started
 // with; every owner must already be registered.
 func (m *Mediator) UpdateTopology(t Topology) error {
-	nt := t.clone()
-	if len(nt.Ranges) != len(nt.Owners) {
-		return faulttol.Permanentf("mediator: topology has %d ranges but %d owner lists", len(nt.Ranges), len(nt.Owners))
+	if m.members == nil {
+		return faulttol.Permanent("mediator: not assembled with a topology")
+	}
+	return m.setTopology(t)
+}
+
+// setTopology validates t against the registered nodes and publishes it.
+func (m *Mediator) setTopology(t Topology) error {
+	if len(t.Ranges) != len(t.Owners) {
+		return faulttol.Permanentf("mediator: topology has %d ranges but %d owner lists", len(t.Ranges), len(t.Owners))
 	}
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
-	if m.clients == nil {
-		return faulttol.Permanent("mediator: not assembled with a topology")
-	}
-	for ri, owners := range nt.Owners {
-		if len(owners) == 0 && !nt.Ranges[ri].Empty() {
+	for ri, owners := range t.Owners {
+		if len(owners) == 0 && !t.Ranges[ri].Empty() {
 			return faulttol.Permanentf("mediator: range %d has no owners", ri)
 		}
 		for _, id := range owners {
-			if _, ok := m.clients[id]; !ok {
+			if m.route.peers[id] == nil {
 				return faulttol.Permanentf("mediator: topology owner %d of range %d is not registered", id, ri)
 			}
 		}
 	}
-	m.topo = &nt
-	mTopoVersion.Set(int64(nt.Version))
+	m.route = &routing{topo: t.clone(), peers: m.route.peers}
+	mTopoVersion.Set(int64(t.Version))
 	return nil
 }
 
-// RegisterNode adds (or replaces) a node client for topology routing — a
-// joining node is registered before the topology referencing it is
-// installed. In real mode the node gets its own breaker and retry
-// executor; in simulation mode link carries its mediator↔node transfers.
-// ctx bounds the validation round-trip to the node.
+// RegisterNode adds (or replaces) a node client — a joining node is
+// registered before the topology referencing it is installed. In
+// simulation mode link carries its mediator↔node transfers. ctx bounds the
+// validation round-trip to the node.
 func (m *Mediator) RegisterNode(ctx context.Context, id int, c NodeClient, link *netmodel.Link) error {
-	if !m.replicated() {
+	if m.members == nil {
 		return faulttol.Permanent("mediator: not assembled with a topology")
 	}
 	d, err := c.Describe(ctx)
 	if err != nil {
 		return fmt.Errorf("mediator: node %d unreachable: %w", id, err)
 	}
-	if d.Dataset != m.Dataset() {
-		return faulttol.Permanentf("mediator: node %d serves dataset %q, not %q", id, d.Dataset, m.Dataset())
+	if d.Dataset != m.dataset {
+		return faulttol.Permanentf("mediator: node %d serves dataset %q, not %q", id, d.Dataset, m.dataset)
 	}
-	var ft *faulttol.Executor
-	if m.kernel == nil {
-		ft = m.newExecutor(id)
-	}
+	pr := m.newPeer(id, c, d.Owned, link)
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
-	m.clients[id] = c
-	if ft != nil {
-		m.fts[id] = ft
+	peers := make(map[int]*peer, len(m.route.peers)+1)
+	for k, v := range m.route.peers {
+		peers[k] = v
 	}
-	if link != nil {
-		m.links[id] = link
-	}
+	peers[id] = pr
+	m.route = &routing{topo: m.route.topo, peers: peers}
 	return nil
 }
 
 // clientList returns the management fan-out targets (DropCache,
-// SetProcesses): topology-registered clients in id order, or the legacy
-// fixed node slice.
+// SetProcesses): the registered clients in id order.
 func (m *Mediator) clientList() []NodeClient {
-	if !m.replicated() {
-		return m.nodes
-	}
-	snap := m.snapshotTopo()
-	ids := make([]int, 0, len(snap.clients))
-	for id := range snap.clients {
+	rt := m.routing()
+	ids := make([]int, 0, len(rt.peers))
+	for id := range rt.peers {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	out := make([]NodeClient, len(ids))
 	for i, id := range ids {
-		out[i] = snap.clients[id]
+		out[i] = rt.peers[id].client
 	}
 	return out
 }
@@ -181,8 +172,9 @@ func (m *Mediator) clientList() []NodeClient {
 // routeOrder returns the failover order for one range's owner list: Alive
 // members in placement order first, then Suspect/Leaving ones, with
 // open-breaker nodes pushed to the back of their class. Non-serving
-// members (Joining, Left) are excluded entirely.
-func (m *Mediator) routeOrder(snap topoSnapshot, owners []int) []int {
+// members (Joining, Left) are excluded entirely. Without a membership
+// table every owner is Alive.
+func (m *Mediator) routeOrder(rt *routing, owners []int) []int {
 	type cand struct{ id, pri, idx int }
 	cands := make([]cand, 0, len(owners))
 	for idx, id := range owners {
@@ -197,7 +189,7 @@ func (m *Mediator) routeOrder(snap topoSnapshot, owners []int) []int {
 		if st != membership.Alive {
 			pri = 1
 		}
-		if ft := snap.fts[id]; ft != nil && ft.Breaker != nil && ft.Breaker.State() == faulttol.Open {
+		if pr := rt.peers[id]; pr != nil && pr.ft != nil && pr.ft.Breaker != nil && pr.ft.Breaker.State() == faulttol.Open {
 			pri += 2
 		}
 		cands = append(cands, cand{id: id, pri: pri, idx: idx})
@@ -215,37 +207,31 @@ func (m *Mediator) routeOrder(snap topoSnapshot, owners []int) []int {
 	return out
 }
 
-// fanResult is the outcome of one replicated fan-out.
-type fanResult[T any] struct {
-	// results are the successful per-RPC answers, each covering one or more
-	// ranges exactly once — merging them never double-counts a cell.
-	results []T
-	// failed are the ranges every replica was down for.
-	failed []NodeFailure
-	// reroutes counts range re-assignments to a replica after a failure.
-	reroutes int
-	// total is the cell count across all non-empty topology ranges; ranges
-	// is how many there are.
-	total  uint64
-	ranges int
-}
-
-// fanoutReplicated runs one query's replica-aware fan-out: every non-empty
-// topology range is routed to its first live owner, ranges are grouped per
-// node into one scan-restricted RPC, and on a transient (or
-// retries-exhausted) failure the affected ranges advance to their next
-// untried replica in further rounds. A range ends up in failed only when
-// every replica is down; a non-transient error fails the whole query, as
-// in the legacy fan-out.
+// fanoutReplicated runs one query's fan-out: every non-empty topology range
+// is routed to its first live owner, ranges are grouped per node into one
+// RPC, and on a transient (or retries-exhausted) failure the affected
+// ranges advance to their next untried replica in further rounds. call
+// issues the RPC and reports the modeled size of the response. A request
+// carries a Scan only when the routed set differs from the node's default:
+// a group that is exactly the range the node described as Owned is sent
+// with none, so the node's whole-shard cache keys are shared by every
+// placement that routes it its own shard — k = 1 above all.
+//
+// The successful answers are returned with the fan-out's duration; each
+// covers one or more ranges exactly once, so merging them never
+// double-counts a cell. A range every replica was down for is folded into
+// stats by collectRangeFailures (coverage in partial mode, the query's
+// error in strict mode); a non-transient error fails the whole query.
 func fanoutReplicated[T any](
 	m *Mediator,
 	ctx context.Context,
 	p *sim.Proc,
-	call func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (T, error),
-) (fanResult[T], error) {
-	snap := m.snapshotTopo()
-	t := snap.topo
-	var fr fanResult[T]
+	stats *QueryStats,
+	call func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (T, int, error),
+) ([]T, time.Duration, error) {
+	start := m.exec.Now()
+	rt := m.routing()
+	t := rt.topo
 
 	type assignment struct {
 		ri     int   // index into t.Ranges
@@ -253,24 +239,26 @@ func fanoutReplicated[T any](
 		next   int   // next owner to try
 		err    error // last failure
 	}
+	var (
+		answers []T
+		failed  []NodeFailure
+		total   uint64 // cells across the non-empty ranges
+		ranges  int    // how many there are
+	)
 	pending := make([]*assignment, 0, len(t.Ranges))
 	for i, r := range t.Ranges {
 		if r.Empty() {
 			continue
 		}
-		fr.total += r.CellCount()
-		fr.ranges++
-		pending = append(pending, &assignment{ri: i, owners: m.routeOrder(snap, t.Owners[i])})
+		total += r.CellCount()
+		ranges++
+		pending = append(pending, &assignment{ri: i, owners: m.routeOrder(rt, t.Owners[i])})
 	}
 
-	round := 0
-	for len(pending) > 0 {
+	for round := 0; len(pending) > 0; round++ {
 		groups := make(map[int][]*assignment)
 		for _, a := range pending {
-			for a.next < len(a.owners) {
-				if _, ok := snap.clients[a.owners[a.next]]; ok {
-					break
-				}
+			for a.next < len(a.owners) && rt.peers[a.owners[a.next]] == nil {
 				a.next++
 			}
 			if a.next >= len(a.owners) {
@@ -282,7 +270,7 @@ func fanoutReplicated[T any](
 				if n := len(a.owners); n > 0 {
 					last = a.owners[n-1]
 				}
-				fr.failed = append(fr.failed, NodeFailure{Node: last, Owned: t.Ranges[a.ri], Err: err})
+				failed = append(failed, NodeFailure{Node: last, Owned: t.Ranges[a.ri], Err: err})
 				continue
 			}
 			groups[a.owners[a.next]] = append(groups[a.owners[a.next]], a)
@@ -300,64 +288,76 @@ func fanoutReplicated[T any](
 		errs := make([]error, len(ids))
 		m.exec.Fork(p, len(ids), func(gi int, wp *sim.Proc) {
 			id := ids[gi]
+			pr := rt.peers[id]
 			name := fmt.Sprintf("node[%d]", id)
 			if round > 0 {
 				name = fmt.Sprintf("failover[%d]", id)
 			}
 			nctx, nsp := obs.StartSpan(ctx, name)
 			defer nsp.End()
-			scan := make([]morton.Range, 0, len(groups[id]))
-			for _, a := range groups[id] {
-				scan = append(scan, t.Ranges[a.ri])
+			var scan []morton.Range
+			if g := groups[id]; len(g) != 1 || t.Ranges[g[0].ri] != pr.owned {
+				for _, a := range g {
+					scan = append(scan, t.Ranges[a.ri])
+				}
+				// Canonical scan order keeps node-side cache keys stable across
+				// rounds and placements.
+				sort.Slice(scan, func(i, j int) bool { return scan[i].Lo < scan[j].Lo })
 			}
-			// Canonical scan order keeps node-side cache keys stable across
-			// rounds and placements.
-			sort.Slice(scan, func(i, j int) bool { return scan[i].Lo < scan[j].Lo })
+			if pr.link != nil {
+				pr.link.Transfer(wp, RequestWireBytes)
+			}
+			var respBytes int
 			do := func(c context.Context) error {
 				var err error
-				results[gi], err = call(c, wp, snap.clients[id], snap.links[id], scan)
+				results[gi], respBytes, err = call(c, wp, pr.client, scan)
 				return err
 			}
-			if ft := snap.fts[id]; ft != nil {
-				errs[gi] = ft.Do(nctx, do)
+			if pr.ft != nil {
+				errs[gi] = pr.ft.Do(nctx, do)
 			} else {
 				errs[gi] = do(nctx)
 			}
+			if pr.link != nil && errs[gi] == nil {
+				pr.link.Transfer(wp, respBytes)
+			}
 		})
 
-		var next []*assignment
+		pending = pending[:0]
 		for gi, id := range ids {
 			if errs[gi] == nil {
-				fr.results = append(fr.results, results[gi])
+				answers = append(answers, results[gi])
 				continue
 			}
 			if !faulttol.Transient(errs[gi]) {
-				return fr, fmt.Errorf("mediator: node %d: %w", id, errs[gi])
+				return nil, 0, fmt.Errorf("mediator: node %d: %w", id, errs[gi])
 			}
 			for _, a := range groups[id] {
 				a.err = errs[gi]
 				a.next++
 				if a.next < len(a.owners) {
-					fr.reroutes++
+					stats.Reroutes++
 				}
-				next = append(next, a)
+				pending = append(pending, a)
 			}
 		}
-		pending = next
-		round++
 	}
-	if fr.reroutes > 0 {
-		mReroutes.Add(int64(fr.reroutes))
+	fanout := m.exec.Now() - start
+	if stats.Reroutes > 0 {
+		mReroutes.Add(int64(stats.Reroutes))
 	}
-	return fr, nil
+	if err := m.collectRangeFailures(failed, total, ranges, stats); err != nil {
+		return nil, 0, err
+	}
+	stats.NodeAnswers = len(answers)
+	return answers, fanout, nil
 }
 
-// collectRangeFailures is the replicated counterpart of collectFailures:
-// failures are ranges with every replica down. Strict mode (or a
-// non-degradable failure) fails the query; partial mode computes coverage
-// from the missing cells. A replica absorbing a primary failure never
-// reaches this function — the range simply is not in failures and coverage
-// stays 1.
+// collectRangeFailures folds the ranges every replica was down for into
+// stats. Strict mode (or a non-degradable failure) fails the query; partial
+// mode computes coverage from the missing cells. A replica absorbing a
+// primary failure never reaches this function — the range simply is not in
+// failures and coverage stays 1.
 func (m *Mediator) collectRangeFailures(failures []NodeFailure, total uint64, ranges int, stats *QueryStats) error {
 	stats.Coverage = 1
 	if len(failures) == 0 {
@@ -383,170 +383,4 @@ func (m *Mediator) collectRangeFailures(failures []NodeFailure, total uint64, ra
 	}
 	stats.Failures = failures
 	return nil
-}
-
-// thresholdReplicated is Threshold's replica-aware fan-out and merge.
-func (m *Mediator) thresholdReplicated(ctx context.Context, p *sim.Proc, q query.Threshold, stats *QueryStats, start time.Duration) ([]query.ResultPoint, *QueryStats, error) {
-	fr, err := fanoutReplicated(m, ctx, p, func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (*node.ThresholdResult, error) {
-		if link != nil {
-			link.Transfer(wp, RequestWireBytes)
-		}
-		qq := q
-		qq.Scan = scan
-		r, err := cli.GetThreshold(ctx, wp, qq)
-		if link != nil && err == nil {
-			link.Transfer(wp, query.WireBytes(len(r.Points)))
-		}
-		return r, err
-	})
-	if err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	fanout := m.exec.Now() - start
-	if err := m.collectRangeFailures(fr.failed, fr.total, fr.ranges, stats); err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	stats.Reroutes = fr.reroutes
-
-	_, msp := obs.StartSpan(ctx, "merge")
-	parts := make([][]query.ResultPoint, 0, len(fr.results))
-	total := 0
-	for _, r := range fr.results {
-		parts = append(parts, r.Points)
-		total += len(r.Points)
-		stats.NodeCritical.Max(r.Breakdown)
-		if r.FromCache {
-			stats.CacheHits++
-		}
-		stats.ResponseBytes += query.WireBytes(len(r.Points))
-	}
-	if total > q.Limit {
-		msp.End()
-		mQueryErrs.Inc()
-		return nil, nil, &query.ErrTooManyPoints{Limit: q.Limit, Seen: total}
-	}
-	// Re-routed scans make one node's result span several disjoint ranges,
-	// so the k-way merge (merge.go) does real interleaving here.
-	pts := mergeSortedPoints(parts)
-	msp.End()
-
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	_, dsp := obs.StartSpan(ctx, "deliver")
-	if m.kernel != nil {
-		m.userLink.Transfer(p, query.WireBytes(len(pts)))
-	}
-	dsp.End()
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Points = len(pts)
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
-	return pts, stats, nil
-}
-
-// pdfReplicated is PDF's replica-aware fan-out and merge.
-func (m *Mediator) pdfReplicated(ctx context.Context, p *sim.Proc, q query.PDF, stats *QueryStats, start time.Duration) ([]int64, *QueryStats, error) {
-	fr, err := fanoutReplicated(m, ctx, p, func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (*node.PDFResult, error) {
-		if link != nil {
-			link.Transfer(wp, RequestWireBytes)
-		}
-		qq := q
-		qq.Scan = scan
-		r, err := cli.GetPDF(ctx, wp, qq)
-		if link != nil && err == nil {
-			link.Transfer(wp, 16*q.Bins)
-		}
-		return r, err
-	})
-	if err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	fanout := m.exec.Now() - start
-	if err := m.collectRangeFailures(fr.failed, fr.total, fr.ranges, stats); err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	stats.Reroutes = fr.reroutes
-
-	_, msp := obs.StartSpan(ctx, "merge")
-	counts := make([]int64, q.Bins)
-	for _, r := range fr.results {
-		for j, c := range r.Counts {
-			counts[j] += c
-		}
-		stats.NodeCritical.Max(r.Breakdown)
-	}
-	msp.End()
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	if m.kernel != nil {
-		m.userLink.Transfer(p, 16*q.Bins)
-	}
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
-	return counts, stats, nil
-}
-
-// topKReplicated is TopK's replica-aware fan-out and merge.
-func (m *Mediator) topKReplicated(ctx context.Context, p *sim.Proc, q query.TopK, stats *QueryStats, start time.Duration) ([]query.ResultPoint, *QueryStats, error) {
-	fr, err := fanoutReplicated(m, ctx, p, func(ctx context.Context, wp *sim.Proc, cli NodeClient, link *netmodel.Link, scan []morton.Range) (*node.TopKResult, error) {
-		if link != nil {
-			link.Transfer(wp, RequestWireBytes)
-		}
-		qq := q
-		qq.Scan = scan
-		r, err := cli.GetTopK(ctx, wp, qq)
-		if link != nil && err == nil {
-			link.Transfer(wp, query.WireBytes(len(r.Points)))
-		}
-		return r, err
-	})
-	if err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	fanout := m.exec.Now() - start
-	if err := m.collectRangeFailures(fr.failed, fr.total, fr.ranges, stats); err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	stats.Reroutes = fr.reroutes
-
-	var all []query.ResultPoint
-	for _, r := range fr.results {
-		all = append(all, r.Points...)
-		stats.NodeCritical.Max(r.Breakdown)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Value != all[j].Value { //lint:allow floateq exact tie-break keeps the order total and deterministic
-			return all[i].Value > all[j].Value
-		}
-		return all[i].Code < all[j].Code
-	})
-	if len(all) > q.K {
-		all = all[:q.K]
-	}
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	if m.kernel != nil {
-		m.userLink.Transfer(p, query.WireBytes(len(all)))
-	}
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Points = len(all)
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
-	return all, stats, nil
 }

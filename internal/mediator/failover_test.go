@@ -159,7 +159,4 @@ func TestTopologyValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "not assembled with a topology") {
 		t.Fatalf("UpdateTopology on a legacy mediator: %v", err)
 	}
-	if m.replicated() {
-		t.Fatal("legacy mediator claims to be replicated")
-	}
 }

@@ -56,6 +56,9 @@ const RequestWireBytes = 512
 // cancellation and deadlines.
 type NodeClient interface {
 	GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold) (*node.ThresholdResult, error)
+	// GetThresholdBatch answers several threshold queries over the same
+	// (field, order, step) from one shared scan.
+	GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error)
 	GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*node.PDFResult, error)
 	GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*node.TopKResult, error)
 	DropCacheEntry(ctx context.Context, fieldName string, order, step int) error
@@ -94,12 +97,12 @@ type Config struct {
 	// means context.Background().
 	DescribeCtx context.Context
 
-	// Topology enables replica-aware routing: the fan-out targets ranges
-	// (not nodes), each range is sent to its first live owner, and a
-	// failed range fails over to the next replica before partial mode is
-	// even considered. Node i of Nodes is registered under id i; further
-	// nodes join via RegisterNode. nil keeps the legacy one-node-per-shard
-	// fan-out.
+	// Topology is the routing table: the fan-out targets ranges (not
+	// nodes), each range is sent to its first live owner, and a failed
+	// range fails over to the next replica before partial mode is even
+	// considered. Node i of Nodes is registered under id i; further nodes
+	// join via RegisterNode. nil means the k = 1 table the nodes describe:
+	// node i is the sole owner of the range it reports as Owned.
 	Topology *Topology
 	// Members tracks node lifecycle and health for topology routing;
 	// required when Topology is set. Breaker transitions feed back into it
@@ -109,29 +112,26 @@ type Config struct {
 
 // Mediator is the query front end. Safe for concurrent use in real mode.
 type Mediator struct {
-	nodes     []NodeClient
-	descs     []node.Description
-	kernel    *sim.Kernel
-	nodeLinks []*netmodel.Link
-	userLink  *netmodel.Link
-	exec      *node.Exec
+	grid     grid.Grid
+	dataset  string
+	kernel   *sim.Kernel
+	userLink *netmodel.Link
+	exec     *node.Exec
 
 	allowPartial bool
-	ft           []*faulttol.Executor // nil in simulation mode
 
-	members *membership.Table // nil outside topology routing
-	policy  faulttol.Policy   // retry/breaker tuning for late-registered nodes
+	// members is nil for a mediator assembled without a topology: its
+	// k = 1 table is then fixed for life.
+	members *membership.Table
+	policy  faulttol.Policy // retry/breaker tuning, real mode only
 	bcfg    faulttol.BreakerConfig
 
-	// Topology routing state. nil maps mean the mediator was assembled
-	// without a topology and the legacy fixed fan-out is in effect.
+	// route is replaced, never mutated: a query loads the pointer once and
+	// runs every round of its fan-out on that value.
 	//
 	//turbdb:lockrank mediator.topology 12
-	topoMu  sync.Mutex
-	topo    *Topology                  // guarded by topoMu
-	clients map[int]NodeClient         // guarded by topoMu
-	fts     map[int]*faulttol.Executor // guarded by topoMu
-	links   map[int]*netmodel.Link     // guarded by topoMu
+	topoMu sync.Mutex
+	route  *routing // guarded by topoMu
 }
 
 // New validates the config, contacts every node for its description
@@ -162,6 +162,9 @@ func New(cfg Config) (*Mediator, error) {
 			return nil, faulttol.Permanentf("mediator: nodes serve different datasets (%q vs %q)", ds, d.Dataset)
 		}
 	}
+	if cfg.Topology != nil && cfg.Members == nil {
+		return nil, faulttol.Permanent("mediator: a topology requires a membership table")
+	}
 	if cfg.Kernel != nil {
 		if len(cfg.NodeLinks) != len(cfg.Nodes) {
 			return nil, faulttol.Permanentf("mediator: %d node links for %d nodes", len(cfg.NodeLinks), len(cfg.Nodes))
@@ -171,10 +174,9 @@ func New(cfg Config) (*Mediator, error) {
 		}
 	}
 	m := &Mediator{
-		nodes:        cfg.Nodes,
-		descs:        descs,
+		grid:         descs[0].Grid,
+		dataset:      ds,
 		kernel:       cfg.Kernel,
-		nodeLinks:    cfg.NodeLinks,
 		userLink:     cfg.UserLink,
 		exec:         &node.Exec{Kernel: cfg.Kernel},
 		allowPartial: cfg.AllowPartial,
@@ -191,32 +193,30 @@ func New(cfg Config) (*Mediator, error) {
 		if cfg.Breaker != nil {
 			m.bcfg = *cfg.Breaker
 		}
-		m.ft = make([]*faulttol.Executor, len(cfg.Nodes))
-		for i := range m.ft {
-			m.ft[i] = m.newExecutor(i)
+	}
+	peers := make(map[int]*peer, len(cfg.Nodes))
+	for i, n := range cfg.Nodes {
+		var link *netmodel.Link
+		if cfg.Kernel != nil {
+			link = cfg.NodeLinks[i]
+		}
+		peers[i] = m.newPeer(i, n, descs[i].Owned, link)
+	}
+	m.topoMu.Lock()
+	m.route = &routing{peers: peers}
+	m.topoMu.Unlock()
+	topo := cfg.Topology
+	if topo == nil {
+		// k = 1 is a topology: every node is the sole owner of the range it
+		// describes.
+		topo = &Topology{}
+		for i, d := range descs {
+			topo.Ranges = append(topo.Ranges, d.Owned)
+			topo.Owners = append(topo.Owners, []int{i})
 		}
 	}
-	if cfg.Topology != nil {
-		if cfg.Members == nil {
-			return nil, faulttol.Permanent("mediator: a topology requires a membership table")
-		}
-		m.topoMu.Lock()
-		m.clients = make(map[int]NodeClient, len(cfg.Nodes))
-		m.fts = make(map[int]*faulttol.Executor, len(cfg.Nodes))
-		m.links = make(map[int]*netmodel.Link, len(cfg.Nodes))
-		for i, n := range cfg.Nodes {
-			m.clients[i] = n
-			if m.ft != nil {
-				m.fts[i] = m.ft[i]
-			}
-			if cfg.Kernel != nil {
-				m.links[i] = cfg.NodeLinks[i]
-			}
-		}
-		m.topoMu.Unlock()
-		if err := m.UpdateTopology(*cfg.Topology); err != nil {
-			return nil, err
-		}
+	if err := m.setTopology(*topo); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -246,11 +246,8 @@ func (m *Mediator) newExecutor(id int) *faulttol.Executor {
 	return &faulttol.Executor{Policy: m.policy, Breaker: faulttol.NewBreaker(nbcfg)}
 }
 
-// Nodes returns the mediator's node clients.
-func (m *Mediator) Nodes() []NodeClient { return m.nodes }
-
-// NodeCount returns the number of node clients in the fan-out.
-func (m *Mediator) NodeCount() int { return len(m.nodes) }
+// NodeCount returns the number of registered node clients.
+func (m *Mediator) NodeCount() int { return len(m.routing().peers) }
 
 // Simulated reports whether the mediator runs on a DES kernel (virtual
 // time). The concurrent scheduler refuses simulated mediators: its batching
@@ -258,23 +255,16 @@ func (m *Mediator) NodeCount() int { return len(m.nodes) }
 func (m *Mediator) Simulated() bool { return m.kernel != nil }
 
 // Grid returns the dataset geometry (cached at assembly time).
-func (m *Mediator) Grid() grid.Grid { return m.descs[0].Grid }
+func (m *Mediator) Grid() grid.Grid { return m.grid }
 
 // Dataset returns the dataset name served (cached at assembly time).
-func (m *Mediator) Dataset() string { return m.descs[0].Dataset }
+func (m *Mediator) Dataset() string { return m.dataset }
 
 // BreakerState reports node i's circuit-breaker state (Closed in
-// simulation mode, where breakers are disabled). Nodes registered after
-// assembly are looked up in the topology routing state.
+// simulation mode, where breakers are disabled).
 func (m *Mediator) BreakerState(i int) faulttol.State {
-	if m.ft != nil && i < len(m.ft) && m.ft[i].Breaker != nil {
-		return m.ft[i].Breaker.State()
-	}
-	m.topoMu.Lock()
-	ft := m.fts[i]
-	m.topoMu.Unlock()
-	if ft != nil && ft.Breaker != nil {
-		return ft.Breaker.State()
+	if pr := m.routing().peers[i]; pr != nil && pr.ft != nil && pr.ft.Breaker != nil {
+		return pr.ft.Breaker.State()
 	}
 	return faulttol.Closed
 }
@@ -309,6 +299,10 @@ type QueryStats struct {
 	Points int
 	// CacheHits counts nodes that answered from their semantic cache.
 	CacheHits int
+	// NodeAnswers counts the node answers merged into the result: one per
+	// node that served at least one range. The answer came entirely from
+	// cache when CacheHits equals it (see FromCache).
+	NodeAnswers int
 	// ResponseBytes is the total modeled size of node responses.
 	ResponseBytes int
 
@@ -345,57 +339,15 @@ type QueryStats struct {
 // Partial reports whether this answer is missing part of the domain.
 func (s *QueryStats) Partial() bool { return len(s.Failures) > 0 }
 
-// callNode runs one node RPC under the node's breaker and retry policy
-// (a direct call in simulation mode).
-func (m *Mediator) callNode(ctx context.Context, i int, op func(context.Context) error) error {
-	if m.ft == nil {
-		return op(ctx)
-	}
-	return m.ft[i].Do(ctx, op)
-}
-
-// collectFailures partitions per-node fan-out errors into a fatal error
-// (strict mode, or a non-degradable failure) and the recorded partial-
-// mode failures, and computes the Morton-space coverage of the answer.
-func (m *Mediator) collectFailures(errs []error, stats *QueryStats) error {
-	stats.Coverage = 1
-	var failures []NodeFailure
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !m.allowPartial || !faulttol.Transient(err) {
-			return fmt.Errorf("mediator: node %d: %w", i, err)
-		}
-		failures = append(failures, NodeFailure{Node: i, Owned: m.descs[i].Owned, Err: err})
-	}
-	if len(failures) == 0 {
-		return nil
-	}
-	if len(failures) == len(m.nodes) {
-		return fmt.Errorf("mediator: all %d nodes failed, first: %w", len(m.nodes), failures[0].Err)
-	}
-	var total, missing uint64
-	for i := range m.nodes {
-		total += m.descs[i].Owned.CellCount()
-	}
-	for _, f := range failures {
-		missing += f.Owned.CellCount()
-	}
-	if total > 0 {
-		stats.Coverage = 1 - float64(missing)/float64(total)
-	} else {
-		// Degenerate topology (unknown ranges): fall back to node counts.
-		stats.Coverage = 1 - float64(len(failures))/float64(len(m.nodes))
-	}
-	stats.Failures = failures
-	return nil
-}
+// FromCache reports whether every node answer merged into a threshold
+// result was served from the node's semantic cache.
+func (s *QueryStats) FromCache() bool { return s.CacheHits == s.NodeAnswers }
 
 // Threshold evaluates a threshold query across the cluster: the query is
-// submitted to every node asynchronously, per-node results are merged and
-// ordered, the global result limit is enforced, and the result is delivered
-// to the user. ctx bounds the whole fan-out, including retries.
+// submitted to the nodes owning the data asynchronously, per-node results
+// are merged and ordered, the global result limit is enforced, and the
+// result is delivered to the user. ctx bounds the whole fan-out, including
+// retries.
 func (m *Mediator) Threshold(ctx context.Context, p *sim.Proc, q query.Threshold) ([]query.ResultPoint, *QueryStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -403,7 +355,7 @@ func (m *Mediator) Threshold(ctx context.Context, p *sim.Proc, q query.Threshold
 	ctx, qsp := obs.StartSpan(ctx, "threshold")
 	defer qsp.End()
 	_, psp := obs.StartSpan(ctx, "plan")
-	domain := m.Grid().Domain()
+	domain := m.grid.Domain()
 	q = q.Normalize(domain)
 	err := q.Validate(domain)
 	psp.End()
@@ -411,78 +363,74 @@ func (m *Mediator) Threshold(ctx context.Context, p *sim.Proc, q query.Threshold
 		mQueryErrs.Inc()
 		return nil, nil, err
 	}
-
 	stats := &QueryStats{Trace: obs.TraceFrom(ctx)}
 	start := m.exec.Now()
-	if m.replicated() {
-		return m.thresholdReplicated(ctx, p, q, stats, start)
-	}
-
-	results := make([]*node.ThresholdResult, len(m.nodes))
-	errs := make([]error, len(m.nodes))
-	m.exec.Fork(p, len(m.nodes), func(i int, wp *sim.Proc) {
-		nctx, nsp := obs.StartSpan(ctx, fmt.Sprintf("node[%d]", i))
-		defer nsp.End()
-		if m.kernel != nil {
-			m.nodeLinks[i].Transfer(wp, RequestWireBytes)
+	results, fanout, err := fanoutReplicated(m, ctx, p, stats, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.ThresholdResult, int, error) {
+		qq := q
+		qq.Scan = scan
+		r, err := cli.GetThreshold(ctx, wp, qq)
+		if err != nil {
+			return nil, 0, err
 		}
-		errs[i] = m.callNode(nctx, i, func(ctx context.Context) error {
-			r, err := m.nodes[i].GetThreshold(ctx, wp, q)
-			results[i] = r
-			return err
-		})
-		if m.kernel != nil && errs[i] == nil {
-			m.nodeLinks[i].Transfer(wp, query.WireBytes(len(results[i].Points)))
-		}
+		return r, query.WireBytes(len(r.Points)), nil
 	})
-	fanout := m.exec.Now() - start
-	if err := m.collectFailures(errs, stats); err != nil {
+	if err != nil {
 		mQueryErrs.Inc()
 		return nil, nil, err
 	}
-
 	_, msp := obs.StartSpan(ctx, "merge")
+	pts, err := mergeThreshold(stats, results, q.Limit)
+	msp.End()
+	if err != nil {
+		mQueryErrs.Inc()
+		return nil, nil, err
+	}
+	stats.Points = len(pts)
+	m.deliver(ctx, p, stats, fanout, start, query.WireBytes(len(pts)))
+	return pts, stats, nil
+}
+
+// mergeThreshold folds the node answers to one threshold query into its
+// stats and merges their points, enforcing the global result limit. Each
+// answer covers its Morton ranges exactly once, so no cell is counted
+// twice; re-routed scans make one node's answer span several disjoint
+// ranges, so the k-way merge (merge.go) does real interleaving.
+func mergeThreshold(stats *QueryStats, results []*node.ThresholdResult, limit int) ([]query.ResultPoint, error) {
 	parts := make([][]query.ResultPoint, 0, len(results))
 	total := 0
-	for i, r := range results {
-		if errs[i] != nil {
-			continue
-		}
+	for _, r := range results {
 		parts = append(parts, r.Points)
 		total += len(r.Points)
 		stats.NodeCritical.Max(r.Breakdown)
 		if r.FromCache {
 			stats.CacheHits++
 		}
+		if r.Shared > 1 {
+			stats.SharedScan = true
+		}
+		stats.ScansSaved += r.ScansSaved
 		stats.ResponseBytes += query.WireBytes(len(r.Points))
 	}
-	if total > q.Limit {
-		msp.End()
-		mQueryErrs.Inc()
-		return nil, nil, &query.ErrTooManyPoints{Limit: q.Limit, Seen: total}
+	if total > limit {
+		return nil, &query.ErrTooManyPoints{Limit: limit, Seen: total}
 	}
-	// Per-node results arrive code-sorted, so a streaming k-way merge
-	// replaces concatenate-and-resort (see merge.go).
-	pts := mergeSortedPoints(parts)
-	msp.End()
+	return mergeSortedPoints(parts), nil
+}
 
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-
-	// deliver to the user
+// deliver charges the result's transfer to the user and closes the query's
+// accounting: what the fan-out took beyond the node critical path is
+// mediator↔DB communication.
+func (m *Mediator) deliver(ctx context.Context, p *sim.Proc, stats *QueryStats, fanout, start time.Duration, userBytes int) {
+	stats.MediatorDBComm = max(fanout-stats.NodeCritical.Total, 0)
 	userStart := m.exec.Now()
 	_, dsp := obs.StartSpan(ctx, "deliver")
 	if m.kernel != nil {
-		m.userLink.Transfer(p, query.WireBytes(len(pts)))
+		m.userLink.Transfer(p, userBytes)
 	}
 	dsp.End()
 	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Points = len(pts)
 	stats.Total = m.exec.Now() - start
 	m.noteQuery(stats)
-	return pts, stats, nil
 }
 
 // noteQuery records the cluster-level metrics of one completed query.
@@ -503,7 +451,7 @@ func (m *Mediator) PDF(ctx context.Context, p *sim.Proc, q query.PDF) ([]int64, 
 	}
 	ctx, qsp := obs.StartSpan(ctx, "pdf")
 	defer qsp.End()
-	domain := m.Grid().Domain()
+	domain := m.grid.Domain()
 	q = q.Normalize(domain)
 	if err := q.Validate(domain); err != nil {
 		mQueryErrs.Inc()
@@ -511,54 +459,26 @@ func (m *Mediator) PDF(ctx context.Context, p *sim.Proc, q query.PDF) ([]int64, 
 	}
 	stats := &QueryStats{Trace: obs.TraceFrom(ctx)}
 	start := m.exec.Now()
-	if m.replicated() {
-		return m.pdfReplicated(ctx, p, q, stats, start)
-	}
-	results := make([]*node.PDFResult, len(m.nodes))
-	errs := make([]error, len(m.nodes))
-	m.exec.Fork(p, len(m.nodes), func(i int, wp *sim.Proc) {
-		nctx, nsp := obs.StartSpan(ctx, fmt.Sprintf("node[%d]", i))
-		defer nsp.End()
-		if m.kernel != nil {
-			m.nodeLinks[i].Transfer(wp, RequestWireBytes)
-		}
-		errs[i] = m.callNode(nctx, i, func(ctx context.Context) error {
-			r, err := m.nodes[i].GetPDF(ctx, wp, q)
-			results[i] = r
-			return err
-		})
-		if m.kernel != nil && errs[i] == nil {
-			m.nodeLinks[i].Transfer(wp, 16*q.Bins)
-		}
+	results, fanout, err := fanoutReplicated(m, ctx, p, stats, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.PDFResult, int, error) {
+		qq := q
+		qq.Scan = scan
+		r, err := cli.GetPDF(ctx, wp, qq)
+		return r, 16 * q.Bins, err
 	})
-	fanout := m.exec.Now() - start
-	if err := m.collectFailures(errs, stats); err != nil {
+	if err != nil {
 		mQueryErrs.Inc()
 		return nil, nil, err
 	}
 	_, msp := obs.StartSpan(ctx, "merge")
 	counts := make([]int64, q.Bins)
-	for i, r := range results {
-		if errs[i] != nil {
-			continue
-		}
+	for _, r := range results {
 		for j, c := range r.Counts {
 			counts[j] += c
 		}
 		stats.NodeCritical.Max(r.Breakdown)
 	}
 	msp.End()
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	if m.kernel != nil {
-		m.userLink.Transfer(p, 16*q.Bins)
-	}
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
+	m.deliver(ctx, p, stats, fanout, start, 16*q.Bins)
 	return counts, stats, nil
 }
 
@@ -570,7 +490,7 @@ func (m *Mediator) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query
 	}
 	ctx, qsp := obs.StartSpan(ctx, "topk")
 	defer qsp.End()
-	domain := m.Grid().Domain()
+	domain := m.grid.Domain()
 	q = q.Normalize(domain)
 	if err := q.Validate(domain); err != nil {
 		mQueryErrs.Inc()
@@ -578,61 +498,38 @@ func (m *Mediator) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query
 	}
 	stats := &QueryStats{Trace: obs.TraceFrom(ctx)}
 	start := m.exec.Now()
-	if m.replicated() {
-		return m.topKReplicated(ctx, p, q, stats, start)
-	}
-	results := make([]*node.TopKResult, len(m.nodes))
-	errs := make([]error, len(m.nodes))
-	m.exec.Fork(p, len(m.nodes), func(i int, wp *sim.Proc) {
-		nctx, nsp := obs.StartSpan(ctx, fmt.Sprintf("node[%d]", i))
-		defer nsp.End()
-		if m.kernel != nil {
-			m.nodeLinks[i].Transfer(wp, RequestWireBytes)
+	results, fanout, err := fanoutReplicated(m, ctx, p, stats, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.TopKResult, int, error) {
+		qq := q
+		qq.Scan = scan
+		r, err := cli.GetTopK(ctx, wp, qq)
+		if err != nil {
+			return nil, 0, err
 		}
-		errs[i] = m.callNode(nctx, i, func(ctx context.Context) error {
-			r, err := m.nodes[i].GetTopK(ctx, wp, q)
-			results[i] = r
-			return err
-		})
-		if m.kernel != nil && errs[i] == nil {
-			m.nodeLinks[i].Transfer(wp, query.WireBytes(len(results[i].Points)))
-		}
+		return r, query.WireBytes(len(r.Points)), nil
 	})
-	fanout := m.exec.Now() - start
-	if err := m.collectFailures(errs, stats); err != nil {
+	if err != nil {
 		mQueryErrs.Inc()
 		return nil, nil, err
 	}
-	var all []query.ResultPoint
-	for i, r := range results {
-		if errs[i] != nil {
-			continue
-		}
-		all = append(all, r.Points...)
+	_, msp := obs.StartSpan(ctx, "merge")
+	var top []query.ResultPoint
+	for _, r := range results {
+		top = append(top, r.Points...)
 		stats.NodeCritical.Max(r.Breakdown)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Value != all[j].Value { //lint:allow floateq exact tie-break keeps the order total and deterministic
-			return all[i].Value > all[j].Value
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].Value != top[j].Value { //lint:allow floateq exact tie-break keeps the order total and deterministic
+			return top[i].Value > top[j].Value
 		}
-		return all[i].Code < all[j].Code
+		return top[i].Code < top[j].Code
 	})
-	if len(all) > q.K {
-		all = all[:q.K]
+	if len(top) > q.K {
+		top = top[:q.K]
 	}
-	stats.MediatorDBComm = fanout - stats.NodeCritical.Total
-	if stats.MediatorDBComm < 0 {
-		stats.MediatorDBComm = 0
-	}
-	userStart := m.exec.Now()
-	if m.kernel != nil {
-		m.userLink.Transfer(p, query.WireBytes(len(all)))
-	}
-	stats.MediatorUserComm = m.exec.Now() - userStart
-	stats.Points = len(all)
-	stats.Total = m.exec.Now() - start
-	m.noteQuery(stats)
-	return all, stats, nil
+	msp.End()
+	stats.Points = len(top)
+	m.deliver(ctx, p, stats, fanout, start, query.WireBytes(len(top)))
+	return top, stats, nil
 }
 
 // DropCache removes cached results for (field, order, step) on every node —

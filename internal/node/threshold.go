@@ -46,8 +46,8 @@ func cacheFieldKey(fieldName string, order int) string {
 
 // scanCacheSuffix makes replica-routed scans cache-distinct: the same box
 // over different assigned ranges yields different point sets, so the scan
-// signature joins the cache key. Empty for the legacy whole-shard scan,
-// keeping those keys byte-identical to before.
+// signature joins the cache key. Empty for the whole-shard scan (a request
+// without Scan), so those keys do not depend on the placement.
 func scanCacheSuffix(scan []morton.Range) string {
 	if len(scan) == 0 {
 		return ""

@@ -80,7 +80,7 @@ type Threshold struct {
 	// Scan restricts the node-side scan to these atom-code ranges — the
 	// mediator's replica routing under k-way placement assigns each node
 	// exactly the ranges it answers for. Empty means the node's primary
-	// range (the legacy one-shard-per-node fan-out).
+	// range, which is what the mediator sends a node routed its own shard.
 	Scan []morton.Range
 	// Tenant names the resource pool the query is admitted under
 	// (internal/sched); empty means the default pool. It does not affect

@@ -243,11 +243,10 @@ func statsForBreakdown(b node.Breakdown) binproto.Stats {
 }
 
 // statsForQuery maps the mediator's QueryStats to frame stats, mirroring
-// the JSON response fields exactly (nodeCount feeds the FromCache
-// aggregate the JSON threshold response reports).
-func statsForQuery(stats *mediator.QueryStats, nodeCount int) binproto.Stats {
+// the JSON response fields exactly.
+func statsForQuery(stats *mediator.QueryStats) binproto.Stats {
 	st := statsForBreakdown(stats.NodeCritical)
-	st.FromCache = stats.CacheHits == nodeCount
+	st.FromCache = stats.FromCache()
 	st.Coverage = stats.Coverage
 	st.Failed = len(stats.Failures)
 	st.SharedScan = stats.SharedScan

@@ -409,12 +409,12 @@ func (s *MediatorServer) handleThreshold(w http.ResponseWriter, r *http.Request)
 	}
 	obs.Traces().Record(tr)
 	if frames {
-		writeSoloFrames(w, pts, nil, statsForQuery(stats, s.q.NodeCount()))
+		writeSoloFrames(w, pts, nil, statsForQuery(stats))
 		return
 	}
 	resp := ThresholdResponse{
 		Points:     toDTO(pts),
-		FromCache:  stats.CacheHits == s.q.NodeCount(),
+		FromCache:  stats.FromCache(),
 		Breakdown:  breakdownToDTO(stats.NodeCritical),
 		Coverage:   stats.Coverage,
 		Failed:     len(stats.Failures),
@@ -443,7 +443,7 @@ func (s *MediatorServer) handlePDF(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.Traces().Record(tr)
 	if frames {
-		writeSoloFrames(w, nil, counts, statsForQuery(stats, s.q.NodeCount()))
+		writeSoloFrames(w, nil, counts, statsForQuery(stats))
 		return
 	}
 	writeQueryJSON(w, PDFResponse{
@@ -468,7 +468,7 @@ func (s *MediatorServer) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.Traces().Record(tr)
 	if frames {
-		writeSoloFrames(w, pts, nil, statsForQuery(stats, s.q.NodeCount()))
+		writeSoloFrames(w, pts, nil, statsForQuery(stats))
 		return
 	}
 	writeQueryJSON(w, TopKResponse{

@@ -71,7 +71,7 @@ lane_done
 # and failover test ends in obs.VerifyNoLeaks, so a leaked goroutine in the
 # fan-out or streaming paths fails this lane.
 lane 'replica failover chaos (-race)'
-go test -race -run 'Failover|Elastic|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown' \
+go test -race -run 'Failover|Elastic|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath' \
 	./internal/membership/... ./internal/mediator/... ./internal/cluster/... ./internal/wire/...
 lane_done
 
