@@ -36,8 +36,8 @@ concurrent scheduler; over-quota queries fail with HTTP 429 — back off
 and retry.
 
 -proto frame negotiates the binary streaming response encoding (smaller,
-faster to parse); services without it transparently answer JSON. Traced
-queries always ride JSON.
+faster to parse); services without it transparently answer JSON. -trace
+keeps the encoding: the span tree rides a spans frame.
 `)
 	os.Exit(2)
 }

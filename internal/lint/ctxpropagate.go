@@ -25,7 +25,8 @@ import (
 //     detected as a call whose callee accepts a context.Context, or one of
 //     the known blocking operations above — while accepting no
 //     context.Context parameter itself. Such a function is a dead end for
-//     cancellation: its callers cannot bound it.
+//     cancellation: its callers cannot bound it. (A function literal in
+//     it that declares its own context is not: it is checked under rule 1.)
 //
 // The forwarding check is a per-function dataflow approximation: a context
 // counts as forwarded when the argument is (derived from) any context in
@@ -304,6 +305,15 @@ func checkExportedNeedsCtx(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if reported {
 			return false
+		}
+		// A literal that declares its own context is bounded by whoever
+		// calls it (a handler registered on a mux), not by fd's callers: it
+		// gets the forwarding check instead.
+		if lit, ok := n.(*ast.FuncLit); ok {
+			if own := ctxParams(pass, lit.Type); len(own) > 0 {
+				checkCtxFlow(pass, lit.Body, fd.Name.Name+" (func literal)", own)
+				return false
+			}
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {

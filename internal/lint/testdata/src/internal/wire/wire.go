@@ -29,6 +29,15 @@ func Drain(ch chan int) int { // want `exported Drain performs blocking I/O \(ti
 	return len(ch)
 }
 
+// Routes hands out a closure that is given its own context: the closure
+// must forward it, and Routes itself is not charged with the closure's I/O.
+func Routes() func(context.Context) error {
+	return func(ctx context.Context) error {
+		_ = call(ctx, "ok")
+		return call(context.Background(), "detached") // want `context.Background\(\)`
+	}
+}
+
 // --- negative cases -------------------------------------------------------
 
 // PingCtx accepts and forwards a context: the blocking call is bounded.

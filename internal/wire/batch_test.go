@@ -95,11 +95,11 @@ func TestThresholdBatchMemberErrorOverWire(t *testing.T) {
 // 429 + kind "over_quota" and comes back as the same typed, transient error.
 func TestOverQuotaOverWire(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, &sched.ErrOverQuota{Tenant: "batch", Queued: 64, Limit: 64})
+		jsonCodec{}.encode(w, PathThreshold, nil, &sched.ErrOverQuota{Tenant: "batch", Queued: 64, Limit: 64})
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
-	err := c.call(context.Background(), PathThreshold, ThresholdRequest{}, nil)
+	_, err := c.exchange(context.Background(), PathThreshold, ThresholdRequest{})
 	var oq *sched.ErrOverQuota
 	if !errors.As(err, &oq) {
 		t.Fatalf("err = %v, want typed ErrOverQuota", err)

@@ -7,7 +7,7 @@ package wire
 //	go test -run=NONE -bench BenchmarkWire ./internal/wire
 //
 // The frame path runs the exact server/client code (ChunkPoints → frame
-// writer, decodeFrames → response DTO); the JSON path runs the same
+// writer, frameCodec.decode → result envelope); the JSON path runs the same
 // encoding/json round trip the handlers use. Codes are sorted with small
 // deltas, the shape a node's scan emits, which is what the delta-varint
 // plane is tuned for.
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"github.com/turbdb/turbdb/internal/morton"
@@ -101,11 +102,11 @@ func BenchmarkWireDecode(b *testing.B) {
 		return len(resp.Points), nil
 	}
 	decodeFrame := func(data []byte) (int, error) {
-		var resp ThresholdResponse
-		if err := decodeFrames(PathThreshold, bytes.NewReader(data), &resp); err != nil {
+		res, err := frameCodec{}.decode(PathThreshold, http.StatusOK, bytes.NewReader(data))
+		if err != nil {
 			return 0, err
 		}
-		return len(resp.Points), nil
+		return res.points(), nil
 	}
 
 	for _, bc := range []struct {

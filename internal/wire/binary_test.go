@@ -14,18 +14,25 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/faultinject"
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/mediator"
 	"github.com/turbdb/turbdb/internal/membership"
+	"github.com/turbdb/turbdb/internal/morton"
+	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sched"
 	"github.com/turbdb/turbdb/internal/wire/binproto"
@@ -162,9 +169,170 @@ func TestDifferentialEncodingMatrix(t *testing.T) {
 	}
 }
 
+// ctRecorder is a round tripper that notes, per request path, the
+// Content-Type of every response: what encoding a hop really used.
+type ctRecorder struct {
+	mu   sync.Mutex
+	seen map[string][]string
+}
+
+func (r *ctRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := sharedTransport.RoundTrip(req)
+	if err == nil {
+		r.mu.Lock()
+		r.seen[req.URL.Path] = append(r.seen[req.URL.Path], resp.Header.Get("Content-Type"))
+		r.mu.Unlock()
+	}
+	return resp, err
+}
+
+// recordedClients re-dials each node service with protocol p through rec.
+func recordedClients(clients []*Client, p Proto) ([]*Client, *ctRecorder) {
+	rec := &ctRecorder{seen: make(map[string][]string)}
+	out := make([]*Client, len(clients))
+	for i, c := range clients {
+		out[i] = NewClient(baseURL(c), WithProto(p), WithTransport(rec))
+	}
+	return out, rec
+}
+
+// allFrames reports whether the recorder saw responses on path and every
+// one was a frame stream.
+func (r *ctRecorder) allFrames(path string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ct := range r.seen[path] {
+		if !strings.HasPrefix(ct, binproto.MediaType) {
+			return false
+		}
+	}
+	return len(r.seen[path]) > 0
+}
+
+// spanForest renders a span tree as the sorted list of its root-to-span
+// name paths: the shape of the tree without IDs or times.
+func spanForest(spans []SpanDTO) []string {
+	byID := make(map[uint64]SpanDTO, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	paths := make([]string, 0, len(spans))
+	for _, s := range spans {
+		path := s.Name
+		for p, hops := s.Parent, 0; p != 0 && hops < len(spans); p, hops = byID[p].Parent, hops+1 {
+			path = byID[p].Name + " > " + path
+		}
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// TestDifferentialTracedMatrix is the encoding matrix with tracing on: a
+// user Trace=true on the first hop, TraceID joins on the second. Asking for
+// a trace must not change the path it measures — frames stay frames — and
+// every pairing must return the untraced JSON↔JSON baseline's points and
+// the same span tree.
+func TestDifferentialTracedMatrix(t *testing.T) {
+	ctx := context.Background()
+	nodes, _ := startNodes(t, 2)
+	tq := wireChaosQuery()
+
+	warm := NewClient(serveMediator(t, wireMediator(t, nodes, false)))
+	basePts, baseResp, err := warm.ThresholdStats(ctx, tq, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(basePts) == 0 || baseResp.Trace != nil || baseResp.Spans != nil {
+		t.Fatalf("untraced baseline: %d points, trace %v, spans %v", len(basePts), baseResp.Trace, baseResp.Spans)
+	}
+
+	var baseForest []string
+	for _, cell := range []struct{ user, node Proto }{
+		{ProtoJSON, ProtoJSON}, {ProtoFrame, ProtoJSON}, {ProtoJSON, ProtoFrame}, {ProtoFrame, ProtoFrame},
+	} {
+		t.Run(string(cell.user)+"User_"+string(cell.node)+"Nodes", func(t *testing.T) {
+			ncs, nodeHop := recordedClients(nodes, cell.node)
+			userHop := &ctRecorder{seen: make(map[string][]string)}
+			user := NewClient(serveMediator(t, wireMediator(t, ncs, false)), WithProto(cell.user), WithTransport(userHop))
+
+			pts, resp, err := user.ThresholdStats(ctx, tq, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePoints(t, "traced threshold", pts, basePts)
+			if userHop.allFrames(PathThreshold) != (cell.user == ProtoFrame) || nodeHop.allFrames(PathThreshold) != (cell.node == ProtoFrame) {
+				t.Errorf("tracing changed an encoding: user hop %v, node hop %v", userHop.seen, nodeHop.seen)
+			}
+			if resp.Trace == nil || resp.Trace.ID == "" {
+				t.Fatalf("Trace=true returned no tree: %+v", resp.Trace)
+			}
+			forest := spanForest(resp.Trace.Spans)
+			// Two hops deep: the node's stages under the mediator's RPC span,
+			// the peer's halo service under the node's.
+			joined := "threshold > node[0] > rpc:" + PathThreshold + " > threshold > scan_io > rpc:" + PathAtoms + " > serve_atoms"
+			if i := sort.SearchStrings(forest, joined); i == len(forest) || forest[i] != joined {
+				t.Errorf("remote spans not grafted under their RPC spans; tree:\n%s", strings.Join(forest, "\n"))
+			}
+			if baseForest == nil {
+				baseForest = forest
+			} else if !reflect.DeepEqual(forest, baseForest) {
+				t.Errorf("span tree differs from the JSON↔JSON one:\n%s\nvs\n%s",
+					strings.Join(forest, "\n"), strings.Join(baseForest, "\n"))
+			}
+
+			// PDF and top-k ride the same pipeline: traced, same answers.
+			pq := query.PDF{Dataset: "mhd", Field: derived.Magnetic, Bins: 4, Width: 1}
+			want, err := warm.GetPDF(ctx, nil, pq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTrace(obs.NewTraceID(), nil)
+			got, err := user.GetPDF(obs.ContextWithTrace(ctx, tr), nil, pq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Counts, want.Counts) {
+				t.Errorf("traced pdf = %v, want %v", got.Counts, want.Counts)
+			}
+			if f := spanForest(SpansToDTO(tr.Spans())); len(f) < 2 || f[0] != "rpc:"+PathPDF {
+				t.Errorf("the mediator's spans were not grafted under the user's RPC span: %v", f)
+			}
+		})
+	}
+
+	// The scheduler attaches a trace to every batch context, so every node
+	// request it causes carries a TraceID: the node hop must still be frames
+	// when the mediator was told frames.
+	t.Run("sched_frameNodes", func(t *testing.T) {
+		ncs, nodeHop := recordedClients(nodes, ProtoFrame)
+		s, err := sched.New(wireMediator(t, ncs, false), sched.Config{BatchWindow: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		pts, _, err := s.Threshold(ctx, nil, tq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePoints(t, "scheduled threshold", pts, basePts)
+		if !nodeHop.allFrames(PathThreshold) {
+			t.Errorf("node hop behind the scheduler did not ride frames: %v", nodeHop.seen)
+		}
+	})
+}
+
+// serveMediator serves m over httptest and returns the base URL.
+func serveMediator(t *testing.T, m *mediator.Mediator, opts ...ServerOption) string {
+	t.Helper()
+	srv := httptest.NewServer(NewMediatorServer(m, opts...).Handler())
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
 // TestFrameNegotiationHeaders pins the negotiation contract at the HTTP
-// level: frames only when the client asks AND the server allows AND the
-// request is untraced; everything else answers JSON.
+// level: frames when the client asks AND the server allows, traced or not;
+// everything else answers JSON.
 func TestFrameNegotiationHeaders(t *testing.T) {
 	nodes, _ := startNodes(t, 1)
 	m := wireMediator(t, protoClients(nodes, ProtoJSON), false)
@@ -217,8 +385,8 @@ func TestFrameNegotiationHeaders(t *testing.T) {
 	if ct := post(jsonOnly.URL, plain, binproto.MediaType); !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("JSON-only server ignored its policy: Content-Type %q", ct)
 	}
-	if ct := post(srv.URL, traced, binproto.MediaType); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("traced request negotiated frames: Content-Type %q (traces must ride JSON)", ct)
+	if ct := post(srv.URL, traced, binproto.MediaType); !strings.HasPrefix(ct, binproto.MediaType) {
+		t.Errorf("traced request with frame Accept → Content-Type %q, want frames (a trace must not change the path it measures)", ct)
 	}
 }
 
@@ -403,11 +571,11 @@ func TestFrameTypedErrors(t *testing.T) {
 
 	// over_quota over frames: typed, transient, detail-preserving.
 	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeNegotiatedError(w, acceptsFrames(r), &sched.ErrOverQuota{Tenant: "batch", Queued: 64, Limit: 64})
+		serverConfig{}.codecFor(r).encode(w, PathThreshold, nil, &sched.ErrOverQuota{Tenant: "batch", Queued: 64, Limit: 64})
 	}))
 	t.Cleanup(shed.Close)
 	sc := NewClient(shed.URL, WithProto(ProtoFrame))
-	err = sc.exchange(ctx, PathThreshold, ThresholdRequest{}, nil, true)
+	_, err = sc.exchange(ctx, PathThreshold, ThresholdRequest{})
 	var oq *sched.ErrOverQuota
 	if !errors.As(err, &oq) {
 		t.Fatalf("err = %v, want typed ErrOverQuota", err)
@@ -419,30 +587,38 @@ func TestFrameTypedErrors(t *testing.T) {
 		t.Error("over-quota shed must classify transient over frames")
 	}
 
-	// Errors without a dedicated kind carry their class explicitly: the
-	// client-side classification equals the server's, no status heuristic.
+	// Errors without a dedicated kind keep the server's retry class on both
+	// encodings: explicitly in the error frame, as 503 vs 400 over JSON. A
+	// node's own transient failure (a halo peer down on every replica) must
+	// not reach a JSON mediator as permanent.
 	for _, tc := range []struct {
 		name      string
 		err       error
 		transient bool
 	}{
 		{"transient", faulttol.Transientf("node melting"), true},
+		{"wrapped transient", fmt.Errorf("wire: halo atom 7 unavailable on every replica peer: %w", faulttol.Transientf("peer down")), true},
 		{"permanent", errors.New("bad geometry"), false},
 	} {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			writeFrameError(w, tc.err)
+			serverConfig{}.codecFor(r).encode(w, PathThreshold, nil, tc.err)
 		}))
-		c := NewClient(srv.URL, WithProto(ProtoFrame))
-		err := c.exchange(ctx, PathThreshold, ThresholdRequest{}, nil, true)
+		for _, p := range []Proto{ProtoFrame, ProtoJSON} {
+			_, err := NewClient(srv.URL, WithProto(p)).exchange(ctx, PathThreshold, ThresholdRequest{})
+			var re *RemoteError
+			var se *StatusError
+			if p == ProtoFrame && !errors.As(err, &re) {
+				t.Fatalf("%s/%s: err = %v, want RemoteError", tc.name, p, err)
+			}
+			if p == ProtoJSON && !errors.As(err, &se) {
+				t.Fatalf("%s/%s: err = %v, want StatusError", tc.name, p, err)
+			}
+			if faulttol.Transient(err) != tc.transient {
+				t.Errorf("%s/%s: Transient() = %v, want %v (class must survive the wire)",
+					tc.name, p, faulttol.Transient(err), tc.transient)
+			}
+		}
 		srv.Close()
-		var re *RemoteError
-		if !errors.As(err, &re) {
-			t.Fatalf("%s: err = %v, want RemoteError", tc.name, err)
-		}
-		if faulttol.Transient(err) != tc.transient {
-			t.Errorf("%s: Transient() = %v, want %v (class must survive the wire)",
-				tc.name, faulttol.Transient(err), tc.transient)
-		}
 	}
 }
 
@@ -456,17 +632,82 @@ func TestFrameStreamErrorClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No stats or end frame: the stream just stops.
-	err := decodeFrames(PathThreshold, &cut, &ThresholdResponse{})
+	_, err := frameCodec{}.decode(PathThreshold, http.StatusOK, &cut)
 	if err == nil || !faulttol.Transient(err) {
 		t.Errorf("truncated-at-boundary err = %v, want transient (retry reaches a healthy stream)", err)
 	}
 
-	err = decodeFrames(PathThreshold, strings.NewReader("not a frame stream"), &ThresholdResponse{})
+	_, err = frameCodec{}.decode(PathThreshold, http.StatusOK, strings.NewReader("not a frame stream"))
 	var ferr *binproto.FormatError
 	if !errors.As(err, &ferr) {
 		t.Fatalf("malformed stream err = %v, want FormatError", err)
 	}
 	if faulttol.Transient(err) {
 		t.Error("malformed stream classified transient; retrying corruption is useless")
+	}
+}
+
+// TestFrameStreamRejectsMalformed pins the stream-level rules the frame
+// codec adds on top of binproto's per-frame strictness.
+func TestFrameStreamRejectsMalformed(t *testing.T) {
+	stream := func(write func(w *binproto.Writer) error) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := write(binproto.NewWriter(&buf)); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	first := func(errs ...error) error {
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	blob := [][]byte{{1, 2, 3}}
+	for _, tc := range []struct {
+		name   string
+		body   *bytes.Buffer
+		substr string
+	}{
+		{"duplicate atom code across chunks", stream(func(w *binproto.Writer) error {
+			return first(w.Atoms([]uint64{7}, blob), w.Atoms([]uint64{7}, blob), w.Stats(binproto.Stats{}), w.End(binproto.End{Items: 1}))
+		}), "twice"},
+		{"spans after End", stream(func(w *binproto.Writer) error {
+			return first(w.Stats(binproto.Stats{}), w.End(binproto.End{Items: 1}), w.Spans("", []binproto.Span{{ID: 1, Name: "late"}}))
+		}), "after the end frame"},
+		{"unterminated item", stream(func(w *binproto.Writer) error {
+			return first(w.Atoms([]uint64{7}, blob), w.End(binproto.End{Items: 0}))
+		}), "unterminated"},
+		{"item count mismatch", stream(func(w *binproto.Writer) error {
+			return first(w.Stats(binproto.Stats{}), w.End(binproto.End{Items: 2}))
+		}), "declares 2 items"},
+	} {
+		_, err := frameCodec{}.decode(PathAtoms, http.StatusOK, tc.body)
+		if err == nil || !strings.Contains(err.Error(), tc.substr) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.substr)
+		}
+		if faulttol.Transient(err) {
+			t.Errorf("%s: a malformed stream classified transient", tc.name)
+		}
+	}
+
+	// The well-formed shape of the same streams decodes: atoms, grafted
+	// spans and a requested tree side by side.
+	res, err := frameCodec{}.decode(PathAtoms, http.StatusOK, stream(func(w *binproto.Writer) error {
+		return first(w.Atoms([]uint64{7}, blob), w.Atoms([]uint64{9}, blob), w.Stats(binproto.Stats{}),
+			w.Spans("", []binproto.Span{{ID: 1, Name: "serve_atoms", DurUS: 5}}),
+			w.Spans("tid", []binproto.Span{{ID: 1, Name: "root"}}), w.End(binproto.End{Items: 1}))
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := res.solo(PathAtoms)
+	if err != nil || len(it.atoms) != 2 || !bytes.Equal(it.atoms[morton.Code(9)], blob[0]) {
+		t.Errorf("atoms = %v (err %v), want codes 7 and 9", it.atoms, err)
+	}
+	if len(res.spans) != 1 || res.spans[0].Name != "serve_atoms" || res.trace == nil || res.trace.ID != "tid" {
+		t.Errorf("spans = %+v, trace = %+v", res.spans, res.trace)
 	}
 }

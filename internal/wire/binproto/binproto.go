@@ -19,7 +19,10 @@
 // body; a stats (or error) frame closes each logical result and an end
 // frame closes the stream. Shared-scan batch responses reuse the same
 // vocabulary — one points*+stats (or error) group per batch member, in
-// request order, then the end frame carrying the member count.
+// request order, then the end frame carrying the member count. Halo
+// exchange answers with atoms frames (raw blobs, no base64) in place of
+// points, and a traced request gets its spans in spans frames between the
+// last result and the end frame; nothing may follow the end frame.
 //
 // The layout is pinned byte-for-byte by the golden fixtures in testdata/
 // (the binary analogue of the //turbdb:wire-baseline directives freezing
@@ -54,8 +57,13 @@ const (
 	MaxFrameBytes = 1 << 24
 	// MaxChunk caps the points (and PDF counts) per frame. Encoders split
 	// larger results across frames; decoders reject bigger declared counts
-	// before allocating.
+	// before allocating. It also caps the spans and atoms of one frame.
 	MaxChunk = 8192
+	// MaxName caps a span name and a trace ID.
+	MaxName = 256
+	// atomsFrameBytes is the blob payload an encoder aims to stay under per
+	// atoms frame; a single larger blob still gets a frame to itself.
+	atomsFrameBytes = 1 << 20
 )
 
 // Frame type bytes. New frame types append to this list and require a
@@ -66,6 +74,8 @@ const (
 	TypeCounts byte = 0x03
 	TypeError  byte = 0x04
 	TypeEnd    byte = 0x05
+	TypeSpans  byte = 0x06
+	TypeAtoms  byte = 0x07
 )
 
 // Class is the retry class an error frame carries end-to-end, so a
@@ -130,6 +140,31 @@ type ErrorFrame struct {
 	Tenant string
 	Seen   int
 	Limit  int
+}
+
+// Span is one trace span in the wire time base, field for field the JSON
+// SpanDTO: microsecond offsets from the recording service's trace epoch.
+type Span struct {
+	ID      uint64
+	Parent  uint64
+	Name    string
+	StartUS int64
+	DurUS   int64
+}
+
+// Spans is one chunk of the spans a traced request recorded. TraceID is
+// set when they are the whole tree of a request that asked for one, and
+// empty when the caller grafts them under its own RPC span.
+type Spans struct {
+	TraceID string
+	Spans   []Span
+}
+
+// Atoms is one chunk of raw atom blobs (halo exchange): parallel code and
+// blob planes of equal length.
+type Atoms struct {
+	Codes []uint64
+	Blobs [][]byte
 }
 
 // End closes a stream: the number of logical results (stats or error
@@ -224,10 +259,7 @@ func (w *Writer) Points(codes []uint64, values []float32) error {
 		return errf("points planes disagree: %d codes, %d values", len(codes), len(values))
 	}
 	for len(codes) > 0 {
-		n := len(codes)
-		if n > MaxChunk {
-			n = MaxChunk
-		}
+		n := min(len(codes), MaxChunk)
 		if err := w.pointsChunk(codes[:n], values[:n]); err != nil {
 			return err
 		}
@@ -286,10 +318,7 @@ func (w *Writer) Stats(s Stats) error {
 // MaxChunk bins each.
 func (w *Writer) Counts(counts []int64) error {
 	for len(counts) > 0 {
-		n := len(counts)
-		if n > MaxChunk {
-			n = MaxChunk
-		}
+		n := min(len(counts), MaxChunk)
 		buf := w.grow(binary.MaxVarintLen64 * (n + 1))
 		buf = binary.AppendUvarint(buf, uint64(n))
 		for _, c := range counts[:n] {
@@ -305,6 +334,11 @@ func (w *Writer) Counts(counts []int64) error {
 	return nil
 }
 
+// appendStr appends a length-prefixed string.
+func appendStr(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
 // Error emits a typed error frame.
 func (w *Writer) Error(e ErrorFrame) error {
 	if e.Class > ClassOverQuota {
@@ -313,13 +347,71 @@ func (w *Writer) Error(e ErrorFrame) error {
 	buf := w.grow(32 + len(e.Kind) + len(e.Msg) + len(e.Tenant))
 	buf = append(buf, byte(e.Class))
 	for _, s := range [...]string{e.Kind, e.Msg, e.Tenant} {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+		buf = appendStr(buf, s)
 	}
 	buf = binary.AppendVarint(buf, int64(e.Seen))
 	buf = binary.AppendVarint(buf, int64(e.Limit))
 	w.buf = buf
 	return w.writeFrame(TypeError, buf)
+}
+
+// Spans emits trace spans as one or more frames of at most MaxChunk spans
+// each, every one carrying traceID. Zero spans emit no frame.
+func (w *Writer) Spans(traceID string, spans []Span) error {
+	if len(traceID) > MaxName {
+		return errf("trace ID of %d bytes exceeds MaxName", len(traceID))
+	}
+	for len(spans) > 0 {
+		n := min(len(spans), MaxChunk)
+		buf := w.grow(len(traceID) + 48*n)
+		buf = appendStr(buf, traceID)
+		buf = binary.AppendUvarint(buf, uint64(n))
+		for _, s := range spans[:n] {
+			if len(s.Name) > MaxName {
+				return errf("span name of %d bytes exceeds MaxName", len(s.Name))
+			}
+			buf = binary.AppendUvarint(buf, s.ID)
+			buf = binary.AppendUvarint(buf, s.Parent)
+			buf = appendStr(buf, s.Name)
+			buf = binary.AppendVarint(buf, s.StartUS)
+			buf = binary.AppendVarint(buf, s.DurUS)
+		}
+		w.buf = buf
+		if err := w.writeFrame(TypeSpans, buf); err != nil {
+			return err
+		}
+		spans = spans[n:]
+	}
+	return nil
+}
+
+// Atoms emits raw atom blobs, each as its code and a length-prefixed byte
+// run, split across frames of at most MaxChunk atoms and about
+// atomsFrameBytes of blob each. Zero atoms emit no frame.
+func (w *Writer) Atoms(codes []uint64, blobs [][]byte) error {
+	if len(codes) != len(blobs) {
+		return errf("atoms planes disagree: %d codes, %d blobs", len(codes), len(blobs))
+	}
+	for len(codes) > 0 {
+		n, size := 0, 0
+		for n < len(codes) && n < MaxChunk && (n == 0 || size+len(blobs[n]) <= atomsFrameBytes) {
+			size += len(blobs[n])
+			n++
+		}
+		buf := w.grow(size + 2*binary.MaxVarintLen64*(n+1))
+		buf = binary.AppendUvarint(buf, uint64(n))
+		for i, c := range codes[:n] {
+			buf = binary.AppendUvarint(buf, c)
+			buf = binary.AppendUvarint(buf, uint64(len(blobs[i])))
+			buf = append(buf, blobs[i]...)
+		}
+		w.buf = buf
+		if err := w.writeFrame(TypeAtoms, buf); err != nil {
+			return err
+		}
+		codes, blobs = codes[n:], blobs[n:]
+	}
+	return nil
 }
 
 // End emits the stream-closing end frame.
@@ -337,6 +429,7 @@ func (w *Writer) End(e End) error {
 type Reader struct {
 	r       io.Reader
 	started bool
+	ended   bool
 	payload bytes.Buffer
 	bytes   int
 }
@@ -348,9 +441,10 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 func (r *Reader) BytesRead() int { return r.bytes }
 
 // Next decodes the next frame, returning *Points, *Stats, *Counts,
-// *ErrorFrame or *End. At a clean end of input it returns io.EOF; a
-// stream truncated mid-frame returns a FormatError. Decoded slices and
-// strings are freshly allocated and remain valid after further calls.
+// *ErrorFrame, *Spans, *Atoms or *End. At a clean end of input it returns
+// io.EOF; a stream truncated mid-frame, or one that carries anything
+// after its end frame, returns a FormatError. Decoded slices and strings
+// are freshly allocated and remain valid after further calls.
 func (r *Reader) Next() (any, error) {
 	if !r.started {
 		var m [4]byte
@@ -370,6 +464,9 @@ func (r *Reader) Next() (any, error) {
 		}
 		return nil, errf("reading frame length: %v", err)
 	}
+	if r.ended {
+		return nil, errf("frame after the end frame")
+	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n == 0 || n > MaxFrameBytes {
 		return nil, errf("frame length %d out of range (1..%d)", n, MaxFrameBytes)
@@ -382,27 +479,29 @@ func (r *Reader) Next() (any, error) {
 	}
 	r.bytes += len(hdr) + int(n)
 	p := payload{b: r.payload.Bytes()}
-	typ, err := p.byte()
-	if err != nil {
-		return nil, err
-	}
+	typ := p.byte()
 	var frame any
 	switch typ {
 	case TypePoints:
-		frame, err = decodePoints(&p)
+		frame = decodePoints(&p)
 	case TypeStats:
-		frame, err = decodeStats(&p)
+		frame = decodeStats(&p)
 	case TypeCounts:
-		frame, err = decodeCounts(&p)
+		frame = decodeCounts(&p)
 	case TypeError:
-		frame, err = decodeError(&p)
+		frame = decodeError(&p)
 	case TypeEnd:
-		frame, err = decodeEnd(&p)
+		frame = decodeEnd(&p)
+		r.ended = true
+	case TypeSpans:
+		frame = decodeSpans(&p)
+	case TypeAtoms:
+		frame = decodeAtoms(&p)
 	default:
 		return nil, errf("unknown frame type 0x%02x", typ)
 	}
-	if err != nil {
-		return nil, err
+	if p.err != nil {
+		return nil, p.err
 	}
 	if p.off != len(p.b) {
 		return nil, errf("frame type 0x%02x has %d trailing payload bytes", typ, len(p.b)-p.off)
@@ -410,195 +509,208 @@ func (r *Reader) Next() (any, error) {
 	return frame, nil
 }
 
-// payload is a strict cursor over one frame's payload bytes.
+// payload is a strict cursor over one frame's payload bytes. The first
+// violation sticks in err and every later read returns zero, so a decoder
+// reads its fields straight through and Next checks once.
 type payload struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (p *payload) byte() (byte, error) {
-	if p.off >= len(p.b) {
-		return 0, errf("payload truncated reading byte")
+func (p *payload) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = errf(format, args...)
 	}
-	b := p.b[p.off]
-	p.off++
-	return b, nil
 }
 
-func (p *payload) uvarint() (uint64, error) {
+// take returns the next n payload bytes (aliasing the payload), or nil
+// once the cursor has failed or fewer than n are left.
+func (p *payload) take(n int, what string) []byte {
+	if p.err == nil && n > len(p.b)-p.off {
+		p.fail("payload truncated reading %s", what)
+	}
+	if p.err != nil {
+		return nil
+	}
+	p.off += n
+	return p.b[p.off-n : p.off]
+}
+
+func (p *payload) byte() byte {
+	if b := p.take(1, "byte"); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (p *payload) uvarint() uint64 {
+	if p.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(p.b[p.off:])
 	if n <= 0 {
-		return 0, errf("payload truncated or overlong uvarint")
+		p.fail("payload truncated or overlong uvarint")
+		return 0
 	}
 	p.off += n
-	return v, nil
+	return v
 }
 
-func (p *payload) varint() (int64, error) {
+func (p *payload) varint() int64 {
+	if p.err != nil {
+		return 0
+	}
 	v, n := binary.Varint(p.b[p.off:])
 	if n <= 0 {
-		return 0, errf("payload truncated or overlong varint")
+		p.fail("payload truncated or overlong varint")
+		return 0
 	}
 	p.off += n
-	return v, nil
+	return v
 }
 
-func (p *payload) f64() (float64, error) {
-	if p.off+8 > len(p.b) {
-		return 0, errf("payload truncated reading float64")
+func (p *payload) f64() float64 {
+	if b := p.take(8, "float64"); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.b[p.off:]))
-	p.off += 8
-	return v, nil
+	return 0
 }
 
-func (p *payload) str() (string, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
+// run reads a length-prefixed byte run, aliasing the payload; the length
+// is checked against what is left before anything is sliced.
+func (p *payload) run(what string) []byte {
+	n := p.uvarint()
+	if p.err == nil && n > uint64(len(p.b)-p.off) {
+		p.fail("%s length %d exceeds remaining payload %d", what, n, len(p.b)-p.off)
 	}
-	if n > uint64(len(p.b)-p.off) {
-		return "", errf("string length %d exceeds remaining payload %d", n, len(p.b)-p.off)
+	return p.take(int(n), what)
+}
+
+func (p *payload) str() string { return string(p.run("string")) }
+
+// name reads a string bounded by MaxName.
+func (p *payload) name(what string) string {
+	b := p.run(what)
+	if len(b) > MaxName {
+		p.fail("%s of %d bytes exceeds MaxName", what, len(b))
 	}
-	s := string(p.b[p.off : p.off+int(n)])
-	p.off += int(n)
-	return s, nil
+	return string(b)
 }
 
 // intField decodes a varint-encoded int field, rejecting values outside
 // the int range on 32-bit builds.
-func (p *payload) intField() (int, error) {
-	v, err := p.varint()
-	if err != nil {
-		return 0, err
-	}
+func (p *payload) intField() int {
+	v := p.varint()
 	if int64(int(v)) != v {
-		return 0, errf("integer field %d overflows int", v)
+		p.fail("integer field %d overflows int", v)
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func decodePoints(p *payload) (*Points, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return nil, err
+// count reads a chunk's element count, rejecting — before anything is
+// allocated — one over MaxChunk or one the remaining payload cannot hold
+// at minBytes per element.
+func (p *payload) count(what string, minBytes uint64) int {
+	n := p.uvarint()
+	if p.err == nil && n > MaxChunk {
+		p.fail("%s chunk declares %d entries (max %d)", what, n, MaxChunk)
 	}
-	if n > MaxChunk {
-		return nil, errf("points chunk declares %d points (max %d)", n, MaxChunk)
+	if p.err == nil && uint64(len(p.b)-p.off) < minBytes*n {
+		p.fail("%s chunk declares %d entries but has %d payload bytes", what, n, len(p.b)-p.off)
 	}
-	// The value plane needs 4 bytes per point and each delta at least one:
-	// reject impossible counts before allocating.
-	if uint64(len(p.b)-p.off) < 5*n {
-		return nil, errf("points chunk declares %d points but has %d payload bytes", n, len(p.b)-p.off)
+	if p.err != nil {
+		return 0
 	}
+	return int(n)
+}
+
+func decodePoints(p *payload) *Points {
+	// The value plane needs 4 bytes per point and each delta at least one.
+	n := p.count("points", 5)
 	f := &Points{Codes: make([]uint64, n), Values: make([]float32, n)}
 	prev := uint64(0)
 	for i := range f.Codes {
-		d, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		prev += uint64(d)
+		prev += uint64(p.varint())
 		f.Codes[i] = prev
 	}
-	for i := range f.Values {
-		if p.off+4 > len(p.b) {
-			return nil, errf("points value plane truncated at %d of %d", i, n)
+	// The value plane in one bounds check: this loop runs once per point.
+	if plane := p.take(4*n, "value plane"); plane != nil {
+		for i := range f.Values {
+			f.Values[i] = math.Float32frombits(binary.LittleEndian.Uint32(plane[4*i:]))
 		}
-		f.Values[i] = math.Float32frombits(binary.LittleEndian.Uint32(p.b[p.off:]))
-		p.off += 4
 	}
-	return f, nil
+	return f
 }
 
-func decodeStats(p *payload) (*Stats, error) {
-	flags, err := p.byte()
-	if err != nil {
-		return nil, err
-	}
+func decodeStats(p *payload) *Stats {
+	flags := p.byte()
 	if flags > 3 {
-		return nil, errf("stats frame has unknown flag bits 0x%02x", flags)
+		p.fail("stats frame has unknown flag bits 0x%02x", flags)
 	}
 	s := &Stats{FromCache: flags&1 != 0, SharedScan: flags&2 != 0}
 	for _, dst := range [...]*float64{&s.CacheLookupMS, &s.IOMS, &s.ComputeMS, &s.CacheUpdateMS, &s.TotalMS} {
-		if *dst, err = p.f64(); err != nil {
-			return nil, err
-		}
+		*dst = p.f64()
 	}
 	for _, dst := range [...]*int{&s.AtomsRead, &s.HaloAtoms, &s.PointsExamined, &s.AtomsSkipped} {
-		if *dst, err = p.intField(); err != nil {
-			return nil, err
-		}
+		*dst = p.intField()
 	}
-	if s.Coverage, err = p.f64(); err != nil {
-		return nil, err
-	}
-	if s.Failed, err = p.intField(); err != nil {
-		return nil, err
-	}
-	if s.QueueWaitMS, err = p.f64(); err != nil {
-		return nil, err
-	}
-	if s.ScansSaved, err = p.intField(); err != nil {
-		return nil, err
-	}
-	if s.Shared, err = p.intField(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.Coverage = p.f64()
+	s.Failed = p.intField()
+	s.QueueWaitMS = p.f64()
+	s.ScansSaved = p.intField()
+	s.Shared = p.intField()
+	return s
 }
 
-func decodeCounts(p *payload) (*Counts, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxChunk {
-		return nil, errf("counts chunk declares %d bins (max %d)", n, MaxChunk)
-	}
-	if uint64(len(p.b)-p.off) < n {
-		return nil, errf("counts chunk declares %d bins but has %d payload bytes", n, len(p.b)-p.off)
-	}
-	f := &Counts{Counts: make([]int64, n)}
+func decodeCounts(p *payload) *Counts {
+	f := &Counts{Counts: make([]int64, p.count("counts", 1))}
 	for i := range f.Counts {
-		if f.Counts[i], err = p.varint(); err != nil {
-			return nil, err
-		}
+		f.Counts[i] = p.varint()
 	}
-	return f, nil
+	return f
 }
 
-func decodeError(p *payload) (*ErrorFrame, error) {
-	cls, err := p.byte()
-	if err != nil {
-		return nil, err
-	}
+func decodeError(p *payload) *ErrorFrame {
+	cls := p.byte()
 	if Class(cls) > ClassOverQuota {
-		return nil, errf("unknown error class %d", cls)
+		p.fail("unknown error class %d", cls)
 	}
-	e := &ErrorFrame{Class: Class(cls)}
-	for _, dst := range [...]*string{&e.Kind, &e.Msg, &e.Tenant} {
-		if *dst, err = p.str(); err != nil {
-			return nil, err
-		}
+	return &ErrorFrame{
+		Class: Class(cls), Kind: p.str(), Msg: p.str(), Tenant: p.str(),
+		Seen: p.intField(), Limit: p.intField(),
 	}
-	if e.Seen, err = p.intField(); err != nil {
-		return nil, err
-	}
-	if e.Limit, err = p.intField(); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
-func decodeEnd(p *payload) (*End, error) {
-	e := &End{}
-	var err error
-	if e.Items, err = p.intField(); err != nil {
-		return nil, err
+func decodeSpans(p *payload) *Spans {
+	f := &Spans{TraceID: p.name("trace ID")}
+	// A span is at least five bytes: two IDs, a name length, two offsets.
+	f.Spans = make([]Span, p.count("spans", 5))
+	for i := range f.Spans {
+		f.Spans[i] = Span{
+			ID: p.uvarint(), Parent: p.uvarint(), Name: p.name("span name"),
+			StartUS: p.varint(), DurUS: p.varint(),
+		}
 	}
-	if e.AtomsScanned, err = p.intField(); err != nil {
-		return nil, err
+	return f
+}
+
+func decodeAtoms(p *payload) *Atoms {
+	// An atom is at least two bytes: its code and its blob length.
+	n := p.count("atoms", 2)
+	f := &Atoms{Codes: make([]uint64, n), Blobs: make([][]byte, n)}
+	// One copy of the frame's blob bytes backs every blob: the payload
+	// buffer is reused by the next frame, and the copy is no larger than it.
+	backing := make([]byte, 0, len(p.b)-p.off)
+	for i := range f.Codes {
+		f.Codes[i] = p.uvarint()
+		blob := p.run("atom blob")
+		backing = append(backing, blob...)
+		f.Blobs[i] = backing[len(backing)-len(blob) : len(backing) : len(backing)]
 	}
-	return e, nil
+	return f
+}
+
+func decodeEnd(p *payload) *End {
+	return &End{Items: p.intField(), AtomsScanned: p.intField()}
 }

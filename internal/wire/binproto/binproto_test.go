@@ -208,6 +208,75 @@ func TestWriterRejectsInvalid(t *testing.T) {
 	if err := w.Error(ErrorFrame{Class: 9}); err == nil {
 		t.Fatal("Error with unknown class: want error")
 	}
+	if err := w.Atoms([]uint64{1}, nil); err == nil {
+		t.Fatal("Atoms with mismatched planes: want error")
+	}
+	if err := w.Spans("", []Span{{ID: 1, Name: strings.Repeat("n", MaxName+1)}}); err == nil {
+		t.Fatal("Spans with an over-long name: want error")
+	}
+	if err := w.Atoms([]uint64{1}, [][]byte{make([]byte, MaxFrameBytes)}); err == nil {
+		t.Fatal("Atoms with a blob no frame can hold: want error")
+	}
+}
+
+// TestSpansAndAtomsRoundTripAcrossChunks drives both new frame types past
+// their per-frame bounds: spans split by count, atoms by count and by blob
+// bytes, an empty blob and one larger than the frame budget included.
+func TestSpansAndAtomsRoundTripAcrossChunks(t *testing.T) {
+	spans := make([]Span, MaxChunk+3)
+	for i := range spans {
+		spans[i] = Span{ID: uint64(i + 1), Parent: uint64(i), Name: "s", StartUS: int64(i) - 7, DurUS: int64(i)}
+	}
+	codes := make([]uint64, MaxChunk+2)
+	blobs := make([][]byte, len(codes))
+	for i := range codes {
+		codes[i] = uint64(len(codes) - i) // unsorted on purpose
+		blobs[i] = []byte{byte(i), byte(i >> 8)}
+	}
+	blobs[1] = nil
+	blobs[2] = bytes.Repeat([]byte{0xab}, atomsFrameBytes+1)
+	blobs[3] = bytes.Repeat([]byte{0xcd}, atomsFrameBytes/2)
+	blobs[4] = bytes.Repeat([]byte{0xef}, atomsFrameBytes/2+1)
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Atoms(codes, blobs); err != nil {
+		t.Fatalf("Atoms: %v", err)
+	}
+	atomFrames := w.Frames()
+	if atomFrames < 4 {
+		t.Fatalf("atoms went out in %d frames, want the count and byte bounds to split them", atomFrames)
+	}
+	if err := w.Spans("tid", spans); err != nil {
+		t.Fatalf("Spans: %v", err)
+	}
+	if got := w.Frames() - atomFrames; got != 2 {
+		t.Fatalf("spans went out in %d frames, want 2", got)
+	}
+
+	var gotCodes []uint64
+	var gotBlobs [][]byte
+	var gotSpans []Span
+	for _, f := range readAll(t, buf.Bytes()) {
+		switch fr := f.(type) {
+		case *Atoms:
+			gotCodes = append(gotCodes, fr.Codes...)
+			gotBlobs = append(gotBlobs, fr.Blobs...)
+		case *Spans:
+			if fr.TraceID != "tid" {
+				t.Fatalf("spans chunk carries trace ID %q", fr.TraceID)
+			}
+			gotSpans = append(gotSpans, fr.Spans...)
+		}
+	}
+	if !reflect.DeepEqual(gotCodes, codes) || !reflect.DeepEqual(gotSpans, spans) {
+		t.Fatal("codes or spans did not round-trip")
+	}
+	for i := range blobs {
+		if !bytes.Equal(gotBlobs[i], blobs[i]) {
+			t.Fatalf("blob %d did not round-trip (%d bytes, want %d)", i, len(gotBlobs[i]), len(blobs[i]))
+		}
+	}
 }
 
 func TestReaderRejectsMalformed(t *testing.T) {
@@ -249,6 +318,15 @@ func TestReaderRejectsMalformed(t *testing.T) {
 		{"counts over MaxChunk", rawStream(rawFrame(TypeCounts, binary.AppendUvarint(nil, MaxChunk+1))), "max"},
 		{"string overruns payload", rawStream(rawFrame(TypeError, []byte{0x00, 0x20, 'x'})), "exceeds remaining"},
 		{"unknown error class", rawStream(rawFrame(TypeError, []byte{0x03})), "class"},
+		// one atom, code 5, blob declared 100 bytes long with 1 present
+		{"atom length past the payload", rawStream(rawFrame(TypeAtoms, []byte{0x01, 0x05, 100, 'x'})), "exceeds remaining"},
+		{"atoms over MaxChunk", rawStream(rawFrame(TypeAtoms, binary.AppendUvarint(nil, MaxChunk+1))), "max"},
+		{"atom count exceeds payload", rawStream(rawFrame(TypeAtoms, []byte{100, 0x05})), "payload bytes"},
+		// no trace ID, one span, IDs 1 and 0, then a name of MaxName+1 bytes
+		{"span name over MaxName", rawStream(rawFrame(TypeSpans, append(append([]byte{0x00, 0x01, 0x01, 0x00}, binary.AppendUvarint(nil, MaxName+1)...), make([]byte, MaxName+3)...))), "exceeds MaxName"},
+		{"trace ID over MaxName", rawStream(rawFrame(TypeSpans, append(binary.AppendUvarint(nil, MaxName+1), make([]byte, MaxName+2)...))), "exceeds MaxName"},
+		{"span count exceeds payload", rawStream(rawFrame(TypeSpans, []byte{0x00, 100, 0x01})), "payload bytes"},
+		{"spans after End", append(append([]byte(nil), valid...), rawStream(rawFrame(TypeSpans, []byte{0x00, 0x00}))[len(magic):]...), "after the end frame"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,7 +15,8 @@ import (
 // never panic, never allocate past the frame caps, and any frame that
 // decodes successfully must re-encode and decode back to the same
 // struct (decode→encode→decode fixpoint). Seeds are the golden fixtures
-// plus targeted corruptions of the length prefix.
+// (spans and atoms frames among them) plus targeted corruptions of the
+// length prefix.
 func FuzzFrameDecode(f *testing.F) {
 	for _, tc := range goldenCases {
 		data, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -47,6 +48,22 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(multi.Bytes())
+	// A traced halo answer: atoms + stats + grafted spans + end.
+	var halo bytes.Buffer
+	w = NewWriter(&halo)
+	if err := w.Atoms(goldenAtomCodes, goldenAtomBlobs); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Stats(Stats{}); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Spans("", goldenSpans); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.End(End{Items: 1}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(halo.Bytes())
 	f.Add([]byte("TBF\x01"))
 	f.Add([]byte{})
 
@@ -93,6 +110,16 @@ func reencodeAndCompare(t *testing.T, frame any) {
 		err = w.Error(*fr)
 	case *End:
 		err = w.End(*fr)
+	case *Spans:
+		err = w.Spans(fr.TraceID, fr.Spans)
+		if len(fr.Spans) == 0 {
+			return // like zero points, zero spans re-encode to no frame
+		}
+	case *Atoms:
+		err = w.Atoms(fr.Codes, fr.Blobs)
+		if len(fr.Codes) == 0 {
+			return
+		}
 	default:
 		t.Fatalf("unknown frame type %T", frame)
 	}

@@ -94,7 +94,37 @@ var goldenCases = []struct {
 			return w.End(End{Items: 4, AtomsScanned: 123456})
 		},
 	},
+	{
+		// A requested tree (trace ID set): a root, a child, and a grafted
+		// remote span whose re-aligned start is negative.
+		file:  "spans.frame",
+		frame: &Spans{TraceID: goldenTraceID, Spans: goldenSpans},
+		write: func(w *Writer) error {
+			return w.Spans(goldenTraceID, goldenSpans)
+		},
+	},
+	{
+		// Raw blobs, not base64: every byte value must survive, and codes
+		// need not be sorted.
+		file:  "atoms.frame",
+		frame: &Atoms{Codes: goldenAtomCodes, Blobs: goldenAtomBlobs},
+		write: func(w *Writer) error {
+			return w.Atoms(goldenAtomCodes, goldenAtomBlobs)
+		},
+	},
 }
+
+const goldenTraceID = "a1b2c3d4e5f60718"
+
+var (
+	goldenSpans = []Span{
+		{ID: 1, Name: "threshold", StartUS: 0, DurUS: 1500},
+		{ID: 2, Parent: 1, Name: "scan_io", StartUS: 250, DurUS: 1000},
+		{ID: 7, Parent: 2, Name: "rpc:/v1/atoms", StartUS: -3, DurUS: 1 << 33},
+	}
+	goldenAtomCodes = []uint64{9, 1 << 40, 3}
+	goldenAtomBlobs = [][]byte{{0x00, 0xff, 0x7f, 0x80}, {'T', 'B', 'F', 1, '\n'}, {0x2a}}
+)
 
 func TestGoldenFrames(t *testing.T) {
 	update := os.Getenv("TURBDB_UPDATE_GOLDEN") != ""

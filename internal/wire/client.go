@@ -17,23 +17,9 @@ import (
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
-	"github.com/turbdb/turbdb/internal/sched"
 	"github.com/turbdb/turbdb/internal/sim"
 	"github.com/turbdb/turbdb/internal/wire/binproto"
 )
-
-// startRPC opens a client-side span for one RPC and stamps the outgoing
-// request with the context's trace ID, so the serving node records its
-// stage spans under the same distributed trace. No-op (zero handle, empty
-// ID) when ctx carries no trace.
-func startRPC(ctx context.Context, traceID *string, path string) (context.Context, obs.ActiveSpan) {
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		return ctx, obs.ActiveSpan{}
-	}
-	*traceID = tr.ID()
-	return obs.StartSpan(ctx, "rpc:"+path)
-}
 
 // DefaultRequestTimeout bounds a single request when the caller's context
 // carries no deadline. Threshold scans over cold data are minutes-long, so
@@ -145,77 +131,60 @@ func drainClose(body io.ReadCloser) {
 	_ = body.Close()                                               //lint:allow droppederr close error on a read body is unactionable
 }
 
-// call POSTs req and decodes the JSON response into resp, honoring ctx
-// for cancellation and deadline.
-func (c *Client) call(ctx context.Context, path string, req, resp interface{}) error {
-	return c.exchange(ctx, path, req, resp, false)
-}
-
-// frameEligible reports whether a query RPC may negotiate the frame
-// encoding: the client is in frame mode and the request is untraced
-// (frames carry no span trees; traced requests ride JSON).
-func (c *Client) frameEligible(traceID string, mint bool) bool {
-	return c.proto == ProtoFrame && traceID == "" && !mint
-}
-
-// exchange POSTs req and decodes the response into resp. With frames set
-// it offers the binary frame encoding (Accept header) and dispatches on
-// the response Content-Type, so a JSON-only server transparently falls
-// back to the JSON path.
-func (c *Client) exchange(ctx context.Context, path string, req, resp interface{}, frames bool) error {
+// exchange is the one client round trip: POST req as JSON, offering frames
+// when the client is in frame mode — and always on the halo hop, whose
+// blobs nobody reads — then decode with the codec the response
+// Content-Type names, so a server that declines falls back transparently.
+func (c *Client) exchange(ctx context.Context, path string, req any) (*result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+		return nil, fmt.Errorf("wire: marshal: %w", err)
 	}
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("wire: %s: %w", path, err)
+		return nil, fmt.Errorf("wire: %s: %w", path, err)
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
-	if frames {
+	if c.proto == ProtoFrame || path == PathAtoms {
 		httpReq.Header.Set("Accept", binproto.MediaType)
 	}
 	httpResp, err := c.http.Do(httpReq)
 	if err != nil {
-		return fmt.Errorf("wire: %s: %w", path, err)
+		return nil, fmt.Errorf("wire: %s: %w", path, err)
 	}
 	defer drainClose(httpResp.Body)
-	if frames && httpResp.StatusCode == http.StatusOK &&
-		strings.HasPrefix(httpResp.Header.Get("Content-Type"), binproto.MediaType) {
-		return decodeFrames(path, httpResp.Body, resp)
+	var cd codec = jsonCodec{}
+	if strings.HasPrefix(httpResp.Header.Get("Content-Type"), binproto.MediaType) {
+		cd = frameCodec{}
 	}
-	if httpResp.StatusCode != http.StatusOK {
-		data, err := io.ReadAll(io.LimitReader(httpResp.Body, maxErrorBody))
-		if err != nil {
-			return &StatusError{Path: path, Status: httpResp.StatusCode, Msg: fmt.Sprintf("unreadable error body: %v", err)}
-		}
-		var e ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			switch e.Kind {
-			case "threshold_too_low":
-				return &query.ErrTooManyPoints{Limit: e.Limit, Seen: e.Seen}
-			case "over_quota":
-				return &sched.ErrOverQuota{Tenant: e.Tenant, Queued: e.Seen, Limit: e.Limit}
-			}
-			return &StatusError{Path: path, Status: httpResp.StatusCode, Msg: e.Error}
-		}
-		return &StatusError{Path: path, Status: httpResp.StatusCode}
+	return cd.decode(path, httpResp.StatusCode, httpResp.Body)
+}
+
+// rpc is exchange under a client-side span: the request is stamped with
+// the context's trace ID (through traceID, a field of req), so the serving
+// node records its stage spans under the same distributed trace, and the
+// spans it answers with are grafted under the RPC span. A no-op when ctx
+// carries no trace.
+func (c *Client) rpc(ctx context.Context, path string, req any, traceID *string) (*result, error) {
+	*traceID = obs.TraceFrom(ctx).ID()
+	ctx, sp := obs.StartSpan(ctx, "rpc:"+path)
+	defer sp.End()
+	res, err := c.exchange(ctx, path, req)
+	if err == nil {
+		sp.Graft(SpansFromDTO(res.spans))
 	}
-	if resp != nil {
-		start := time.Now()
-		cr := &countingReader{r: httpResp.Body}
-		if err := json.NewDecoder(cr).Decode(resp); err != nil {
-			return fmt.Errorf("wire: %s: decode: %w", path, err)
-		}
-		if n := pointCount(resp); n >= 0 {
-			mDecNSJSON.Add(time.Since(start).Nanoseconds())
-			mDecPointsJSON.Add(int64(n))
-			mDecBytesJSON.Add(int64(cr.n))
-		}
+	return res, err
+}
+
+// soloRPC is rpc for the calls that answer with exactly one item.
+func (c *Client) soloRPC(ctx context.Context, path string, req any, traceID *string) (*item, error) {
+	res, err := c.rpc(ctx, path, req, traceID)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return res.solo(path)
 }
 
 // Info fetches and caches the service's dataset description.
@@ -253,9 +222,8 @@ func (c *Client) Info(ctx context.Context) (InfoResponse, error) {
 }
 
 // Describe implements mediator.NodeClient: the service's dataset, grid
-// geometry and owned range, fetched (and cached) from /info. Unlike the
-// panicking Grid()/Dataset() accessors it replaces, an unreachable service
-// is an ordinary error the caller handles at assembly time.
+// geometry and owned range, fetched (and cached) from /info; an unreachable
+// service is an ordinary error the caller handles at assembly time.
 func (c *Client) Describe(ctx context.Context) (node.Description, error) {
 	info, err := c.Info(ctx)
 	if err != nil {
@@ -282,18 +250,11 @@ func (c *Client) Describe(ctx context.Context) (node.Description, error) {
 // ignored: wire transports run in real mode.
 func (c *Client) GetThreshold(ctx context.Context, _ *sim.Proc, q query.Threshold) (*node.ThresholdResult, error) {
 	req := ThresholdRequestFor(q)
-	ctx, sp := startRPC(ctx, &req.TraceID, PathThreshold)
-	defer sp.End()
-	var resp ThresholdResponse
-	if err := c.exchange(ctx, PathThreshold, req, &resp, c.frameEligible(req.TraceID, req.Trace)); err != nil {
+	it, err := c.soloRPC(ctx, PathThreshold, &req, &req.TraceID)
+	if err != nil {
 		return nil, err
 	}
-	sp.Graft(SpansFromDTO(resp.Spans))
-	return &node.ThresholdResult{
-		Points:    fromDTO(resp.Points),
-		FromCache: resp.FromCache,
-		Breakdown: breakdownFromDTO(resp.Breakdown),
-	}, nil
+	return &it.ThresholdResult, nil
 }
 
 // GetThresholdBatch implements mediator.NodeClient over HTTP: the
@@ -305,36 +266,21 @@ func (c *Client) GetThresholdBatch(ctx context.Context, _ *sim.Proc, qs []query.
 	for i, q := range qs {
 		req.Queries[i] = ThresholdRequestFor(q)
 	}
-	ctx, sp := startRPC(ctx, &req.TraceID, PathThresholdBatch)
-	defer sp.End()
-	var resp ThresholdBatchResponse
-	if err := c.exchange(ctx, PathThresholdBatch, req, &resp, c.frameEligible(req.TraceID, false)); err != nil {
+	res, err := c.rpc(ctx, PathThresholdBatch, &req, &req.TraceID)
+	if err != nil {
 		return nil, err
 	}
-	if len(resp.Items) != len(qs) {
-		return nil, faulttol.Permanentf("wire: batch response has %d items, want %d", len(resp.Items), len(qs))
+	if len(res.items) != len(qs) {
+		return nil, faulttol.Permanentf("wire: batch response has %d items, want %d", len(res.items), len(qs))
 	}
-	sp.Graft(SpansFromDTO(resp.Spans))
 	out := &node.ThresholdBatchResult{
 		Results:      make([]*node.ThresholdResult, len(qs)),
 		Errs:         make([]error, len(qs)),
-		AtomsScanned: resp.AtomsScanned,
+		AtomsScanned: res.atomsScanned,
 	}
-	for i, item := range resp.Items {
-		if item.Error != "" {
-			if item.Kind == "threshold_too_low" {
-				out.Errs[i] = &query.ErrTooManyPoints{Limit: item.Limit, Seen: item.Seen}
-			} else {
-				out.Errs[i] = faulttol.Permanentf("wire: batch member %d: %s", i, item.Error)
-			}
-			continue
-		}
-		out.Results[i] = &node.ThresholdResult{
-			Points:     fromDTO(item.Points),
-			FromCache:  item.FromCache,
-			Breakdown:  breakdownFromDTO(item.Breakdown),
-			Shared:     item.Shared,
-			ScansSaved: item.ScansSaved,
+	for i := range res.items {
+		if out.Errs[i] = res.items[i].err; out.Errs[i] == nil {
+			out.Results[i] = &res.items[i].ThresholdResult
 		}
 	}
 	return out, nil
@@ -343,41 +289,42 @@ func (c *Client) GetThresholdBatch(ctx context.Context, _ *sim.Proc, qs []query.
 // GetPDF implements mediator.NodeClient over HTTP.
 func (c *Client) GetPDF(ctx context.Context, _ *sim.Proc, q query.PDF) (*node.PDFResult, error) {
 	req := PDFRequestFor(q)
-	ctx, sp := startRPC(ctx, &req.TraceID, PathPDF)
-	defer sp.End()
-	var resp PDFResponse
-	if err := c.exchange(ctx, PathPDF, req, &resp, c.frameEligible(req.TraceID, req.Trace)); err != nil {
+	it, err := c.soloRPC(ctx, PathPDF, &req, &req.TraceID)
+	if err != nil {
 		return nil, err
 	}
-	sp.Graft(SpansFromDTO(resp.Spans))
-	return &node.PDFResult{Counts: resp.Counts, Breakdown: breakdownFromDTO(resp.Breakdown)}, nil
+	return &node.PDFResult{Counts: it.counts, Breakdown: it.Breakdown}, nil
 }
 
 // GetTopK implements mediator.NodeClient over HTTP.
 func (c *Client) GetTopK(ctx context.Context, _ *sim.Proc, q query.TopK) (*node.TopKResult, error) {
 	req := TopKRequestFor(q)
-	ctx, sp := startRPC(ctx, &req.TraceID, PathTopK)
-	defer sp.End()
-	var resp TopKResponse
-	if err := c.exchange(ctx, PathTopK, req, &resp, c.frameEligible(req.TraceID, req.Trace)); err != nil {
+	it, err := c.soloRPC(ctx, PathTopK, &req, &req.TraceID)
+	if err != nil {
 		return nil, err
 	}
-	sp.Graft(SpansFromDTO(resp.Spans))
-	return &node.TopKResult{Points: fromDTO(resp.Points), Breakdown: breakdownFromDTO(resp.Breakdown)}, nil
+	return &node.TopKResult{Points: it.Points, Breakdown: it.Breakdown}, nil
 }
 
 // ThresholdStats runs a threshold query against a mediator service and
-// also returns the coverage annotation of the answer (1 for complete).
-// With trace set, the service mints a distributed trace and the response
+// also returns the answer's annotations — coverage (1 for complete),
+// breakdown, scheduler accounting — as the response DTO, whatever encoding
+// carried them (its Points stay nil: they are the first result). With
+// trace set, the service mints a distributed trace and the response
 // carries the assembled span tree (Trace field).
 func (c *Client) ThresholdStats(ctx context.Context, q query.Threshold, trace bool) ([]query.ResultPoint, *ThresholdResponse, error) {
 	req := ThresholdRequestFor(q)
 	req.Trace = trace
-	var resp ThresholdResponse
-	if err := c.exchange(ctx, PathThreshold, req, &resp, c.frameEligible("", trace)); err != nil {
+	res, err := c.exchange(ctx, PathThreshold, req)
+	if err != nil {
 		return nil, nil, err
 	}
-	return fromDTO(resp.Points), &resp, nil
+	it, err := res.solo(PathThreshold)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp := thresholdDTO(res, it)
+	return it.Points, &resp, nil
 }
 
 // FetchAtoms implements node.PeerFetcher over HTTP (remote halo exchange).
@@ -386,56 +333,38 @@ func (c *Client) FetchAtoms(ctx context.Context, _ *sim.Proc, rawField string, s
 	for i, code := range codes {
 		req.Codes[i] = uint64(code)
 	}
-	ctx, sp := startRPC(ctx, &req.TraceID, PathAtoms)
-	defer sp.End()
-	var resp AtomsResponse
-	if err := c.call(ctx, PathAtoms, req, &resp); err != nil {
+	it, err := c.soloRPC(ctx, PathAtoms, &req, &req.TraceID)
+	if err != nil {
 		return nil, err
 	}
-	sp.Graft(SpansFromDTO(resp.Spans))
-	out := make(map[morton.Code][]byte, len(resp.Atoms))
-	for code, blob := range resp.Atoms {
-		out[morton.Code(code)] = blob
-	}
-	return out, nil
+	return it.atoms, nil
 }
 
 // DropCacheEntry implements mediator.NodeClient over HTTP. ctx bounds the
 // round-trip on top of the client's default request timeout.
 func (c *Client) DropCacheEntry(ctx context.Context, fieldName string, order, step int) error {
-	return c.call(ctx, PathDropCache, DropCacheRequest{Field: fieldName, FDOrder: order, Timestep: step}, nil)
+	_, err := c.exchange(ctx, PathDropCache, DropCacheRequest{Field: fieldName, FDOrder: order, Timestep: step})
+	return err
 }
 
 // SetProcesses implements mediator.NodeClient over HTTP. ctx bounds the
 // round-trip on top of the client's default request timeout.
 func (c *Client) SetProcesses(ctx context.Context, p int) error {
-	return c.call(ctx, PathSetProcesses, SetProcessesRequest{Processes: p}, nil)
+	_, err := c.exchange(ctx, PathSetProcesses, SetProcessesRequest{Processes: p})
+	return err
 }
 
 // Owned returns the node's primary atom range (nodes only).
 func (c *Client) Owned(ctx context.Context) (morton.Range, error) {
-	info, err := c.Info(ctx)
-	if err != nil {
-		return morton.Range{}, err
-	}
-	return morton.Range{Lo: morton.Code(info.OwnedLo), Hi: morton.Code(info.OwnedHi)}, nil
+	d, err := c.Describe(ctx)
+	return d.Owned, err
 }
 
 // Held returns every atom range the node's store holds — the primary plus
 // any adopted replica ranges (nodes only).
 func (c *Client) Held(ctx context.Context) ([]morton.Range, error) {
-	info, err := c.Info(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if held := rangesFromDTO(info.Held); held != nil {
-		return held, nil
-	}
-	owned, err := c.Owned(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return []morton.Range{owned}, nil
+	d, err := c.Describe(ctx)
+	return d.Held, err
 }
 
 // PeerSet routes halo-atom fetches to the holding nodes of a cluster of

@@ -1,12 +1,12 @@
-// Package wire provides the HTTP + JSON transport of the analysis service:
-// a service wrapper for database nodes (threshold/PDF/top-k evaluation and
-// peer halo fetches), a service wrapper for the mediator (the user-facing
-// Web-services of the paper's Fig. 1), and clients for both.
-//
-// The production JHTDB exposes SOAP Web-services; JSON over HTTP carries
-// the same information with the same proportional-to-result-size transfer
-// behaviour. Wire services always run in real mode (wall-clock); the
-// simulated experiments use the in-process transport instead.
+// Package wire provides the HTTP transport of the analysis service: a
+// service wrapper for database nodes (threshold/PDF/top-k evaluation and
+// peer halo fetches), one for the mediator (the user-facing Web-services of
+// the paper's Fig. 1), and clients for both. This file is the frozen v1
+// JSON vocabulary: every request, and the responses of the JSON codec;
+// codec.go puts it and the binary frames of binproto behind one server
+// pipeline and one client exchange. Either encoding carries what the
+// production JHTDB's SOAP Web-services do, with the same proportional-to-
+// result-size transfer behaviour. Wire services always run in real mode.
 package wire
 
 import (

@@ -82,7 +82,7 @@ func TestScanRequestRoundTrip(t *testing.T) {
 // startReplicatedNodes is startNodes with a k=2 ring layout: node i holds
 // its primary range plus a replica of node (i+1)'s, adopted before ingest
 // so both are populated.
-func startReplicatedNodes(t *testing.T, nNodes int) ([]*Client, []morton.Range) {
+func startReplicatedNodes(t *testing.T, nNodes int, opts ...ServerOption) ([]*Client, []morton.Range) {
 	t.Helper()
 	gen, err := synth.New(synth.Params{N: 16, Seed: 21, Kind: synth.MHD})
 	if err != nil {
@@ -114,7 +114,7 @@ func startReplicatedNodes(t *testing.T, nNodes int) ([]*Client, []morton.Range) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewNodeServer(nodes[i]).Handler())
+		srv := httptest.NewServer(NewNodeServer(nodes[i], opts...).Handler())
 		t.Cleanup(srv.Close)
 		clients[i] = NewClient(srv.URL)
 	}
@@ -167,38 +167,45 @@ func TestInfoHeldRoundTrip(t *testing.T) {
 
 // TestPeerSetFailoverToReplica kills one peer's atom path: a halo fetch
 // for atoms it primarily holds fails over to the replica holder instead of
-// failing the query.
+// failing the query — over the frame halo hop of default servers and the
+// JSON fallback of JSON-only ones alike, with byte-identical blobs.
 func TestPeerSetFailoverToReplica(t *testing.T) {
-	clients, ranges := startReplicatedNodes(t, 3)
-	// Node 1's atom service is dead; node 0 replicates node 1's range.
-	plan := faultinject.NewPlan(7, &faultinject.Rule{Match: PathAtoms, Mode: faultinject.ModeError})
-	clients[1] = NewClient(baseURL(clients[1]), WithTransport(faultinject.NewTransport(nil, plan)))
-	ps := NewPeerSet(clients, 2)
+	failover := func(opts ...ServerOption) map[morton.Code][]byte {
+		clients, ranges := startReplicatedNodes(t, 3, opts...)
+		// Node 1's atom service is dead; node 0 replicates node 1's range.
+		plan := faultinject.NewPlan(7, &faultinject.Rule{Match: PathAtoms, Mode: faultinject.ModeError})
+		clients[1] = NewClient(baseURL(clients[1]), WithTransport(faultinject.NewTransport(nil, plan)))
+		ps := NewPeerSet(clients, 2)
 
-	codes := []morton.Code{ranges[1].Lo, ranges[1].Lo + 1}
-	blobs, err := ps.FetchAtoms(context.Background(), nil, "velocity", 0, codes)
-	if err != nil {
-		t.Fatalf("fetch did not fail over to the replica holder: %v", err)
-	}
-	for _, c := range codes {
-		if len(blobs[c]) == 0 {
-			t.Fatalf("atom %v missing from failover fetch", c)
+		codes := []morton.Code{ranges[1].Lo, ranges[1].Lo + 1}
+		blobs, err := ps.FetchAtoms(context.Background(), nil, "velocity", 0, codes)
+		if err != nil {
+			t.Fatalf("fetch did not fail over to the replica holder: %v", err)
 		}
-	}
-	if plan.Fired() == 0 {
-		t.Fatal("plan never fired: the test did not exercise the dead primary")
-	}
+		for _, c := range codes {
+			if len(blobs[c]) == 0 {
+				t.Fatalf("atom %v missing from failover fetch", c)
+			}
+		}
+		if plan.Fired() == 0 {
+			t.Fatal("plan never fired: the test did not exercise the dead primary")
+		}
 
-	// Both holders of range 1 dead (nodes 0 and 1) → the fetch must fail
-	// and name the unavailable atom.
-	clients[0] = NewClient(baseURL(clients[0]), WithTransport(faultinject.NewTransport(nil, plan)))
-	ps = NewPeerSet(clients, 2)
-	_, err = ps.FetchAtoms(context.Background(), nil, "velocity", 0, codes)
-	if err == nil {
-		t.Fatal("fetch succeeded with every holder down")
+		// Both holders of range 1 dead (nodes 0 and 1) → the fetch must fail
+		// and name the unavailable atom.
+		clients[0] = NewClient(baseURL(clients[0]), WithTransport(faultinject.NewTransport(nil, plan)))
+		ps = NewPeerSet(clients, 2)
+		_, err = ps.FetchAtoms(context.Background(), nil, "velocity", 0, codes)
+		if err == nil {
+			t.Fatal("fetch succeeded with every holder down")
+		}
+		if !strings.Contains(err.Error(), "unavailable on every replica peer") {
+			t.Fatalf("err = %v, want every-replica-down failure", err)
+		}
+		return blobs
 	}
-	if !strings.Contains(err.Error(), "unavailable on every replica peer") {
-		t.Fatalf("err = %v, want every-replica-down failure", err)
+	if framed, fallback := failover(), failover(WithJSONOnly()); !reflect.DeepEqual(framed, fallback) {
+		t.Error("the frame and the JSON halo hop failed over to different blobs")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -179,6 +181,44 @@ func TestWireDistributedTrace(t *testing.T) {
 	tree := obs.TraceFromSpans(resp.Trace.ID, spans).Tree()
 	if !strings.Contains(tree, "threshold") || !strings.Contains(tree, "node[0]") {
 		t.Errorf("rendered tree incomplete:\n%s", tree)
+	}
+}
+
+// TestFailedQueryTraceRecorded: the trace of a query that failed is the one
+// an operator goes looking for, so a traced request rejected with
+// threshold_too_low must be listed by the debug handler under its trace ID
+// and show the stage that ran — on both encodings.
+func TestFailedQueryTraceRecorded(t *testing.T) {
+	clients, _ := startNodes(t, 1)
+	dbg := httptest.NewServer(DebugHandler())
+	defer dbg.Close()
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	for _, p := range []Proto{ProtoJSON, ProtoFrame} {
+		tr := obs.NewTrace(obs.NewTraceID(), nil)
+		_, err := NewClient(baseURL(clients[0]), WithProto(p)).GetThreshold(
+			obs.ContextWithTrace(context.Background(), tr), nil,
+			query.Threshold{Dataset: "mhd", Field: derived.Magnetic, Threshold: 0, Limit: 10})
+		if !errors.Is(err, query.ErrThresholdTooLow) {
+			t.Fatalf("%s: err = %v, want threshold_too_low", p, err)
+		}
+		if list := get(dbg.URL + "/debug/trace"); !strings.Contains(list, tr.ID()) {
+			t.Errorf("%s: failed query's trace %s is not listed:\n%s", p, tr.ID(), list)
+		}
+		if tree := get(dbg.URL + "/debug/trace?id=" + tr.ID()); !strings.Contains(tree, "threshold") {
+			t.Errorf("%s: stored trace of the failed query shows no threshold span:\n%s", p, tree)
+		}
 	}
 }
 

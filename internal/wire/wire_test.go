@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http/httptest"
@@ -21,7 +22,7 @@ import (
 // startNodes builds nNodes database nodes, serves each over httptest, and
 // wires their halo exchange through HTTP clients — an end-to-end test of
 // the remote transport.
-func startNodes(t *testing.T, nNodes int) ([]*Client, *synth.Generator) {
+func startNodes(t *testing.T, nNodes int, opts ...ServerOption) ([]*Client, *synth.Generator) {
 	t.Helper()
 	gen, err := synth.New(synth.Params{N: 16, Seed: 21, Kind: synth.MHD})
 	if err != nil {
@@ -54,7 +55,7 @@ func startNodes(t *testing.T, nNodes int) ([]*Client, *synth.Generator) {
 		}
 	}
 	for i, n := range nodes {
-		srv := httptest.NewServer(NewNodeServer(n).Handler())
+		srv := httptest.NewServer(NewNodeServer(n, opts...).Handler())
 		t.Cleanup(srv.Close)
 		clients[i] = NewClient(srv.URL)
 	}
@@ -178,19 +179,32 @@ func TestMediatorService(t *testing.T) {
 	}
 }
 
+// TestFetchAtomsOverWire fetches an atom from a default server, where the
+// halo hop rides raw-blob frames whatever the client's protocol, and from
+// a JSON-only one, where it falls back to base64: byte-identical blobs.
 func TestFetchAtomsOverWire(t *testing.T) {
-	clients, gen := startNodes(t, 2)
-	owned, err := clients[0].Owned(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	fetch := func(expectFrames bool, opts ...ServerOption) []byte {
+		clients, gen := startNodes(t, 2, opts...)
+		owned, err := clients[0].Owned(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, hop := recordedClients(clients[:1], ProtoJSON)
+		blobs, err := peer[0].FetchAtoms(context.Background(), nil, derived.Velocity, 0, []morton.Code{owned.Lo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := gen.Grid().PointsPerAtom() * 3 * 4
+		if len(blobs[owned.Lo]) != want {
+			t.Errorf("atom blob %d bytes, want %d", len(blobs[owned.Lo]), want)
+		}
+		if hop.allFrames(PathAtoms) != expectFrames {
+			t.Errorf("halo hop encodings %v, want frames: %v", hop.seen[PathAtoms], expectFrames)
+		}
+		return blobs[owned.Lo]
 	}
-	blobs, err := clients[0].FetchAtoms(context.Background(), nil, derived.Velocity, 0, []morton.Code{owned.Lo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := gen.Grid().PointsPerAtom() * 3 * 4
-	if len(blobs[owned.Lo]) != want {
-		t.Errorf("atom blob %d bytes, want %d", len(blobs[owned.Lo]), want)
+	if framed, fallback := fetch(true), fetch(false, WithJSONOnly()); !bytes.Equal(framed, fallback) {
+		t.Error("the frame and the JSON halo hop returned different blobs")
 	}
 }
 

@@ -108,12 +108,14 @@ lane_done
 # decode to the pinned structs and re-encode byte-identically) and the
 # differential cross-encoding matrix (every JSON/frame client–server pairing
 # must answer Float32bits-identically to the JSON baseline, including the
-# dead-node partial-coverage and replica-failover cases) by name, under the
-# race detector. The suites also run in the package lanes above; naming them
+# dead-node partial-coverage and replica-failover cases, traced and behind
+# the scheduler), plus the halo hop over frames and over its JSON fallback
+# and the recorded trace of a failed query, by name, under the race
+# detector. The suites also run in the package lanes above; naming them
 # keeps a future filter from silently dropping the protocol's conformance
 # evidence.
 lane 'binary wire protocol: golden frames + differential matrix (-race)'
-go test -race -run 'TestGoldenFrames|TestDifferential|TestFrame' ./internal/wire/...
+go test -race -run 'TestGoldenFrames|TestDifferential|TestFrame|TestSpansAndAtoms|TestFetchAtomsOverWire|TestPeerSetFailoverToReplica|TestFailedQueryTraceRecorded' ./internal/wire/...
 lane_done
 
 # Fuzz smoke lane: a short coverage-guided run of each fuzz target beyond its

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -289,6 +291,22 @@ func TestOpenRemote(t *testing.T) {
 	}
 	if len(top) != 3 {
 		t.Errorf("remote topk = %d", len(top))
+	}
+	// A traced query over the frame protocol: same points, and the span
+	// tree comes back (it rides a spans frame, not a JSON fallback).
+	fdb, err := OpenRemote(srv.URL, WithProtocol("frame"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracedPts, st, err := fdb.Threshold(ThresholdQuery{Field: FieldCurrent, Threshold: 2, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tracedPts, remotePts) {
+		t.Errorf("traced frame query returned %d points, JSON %d", len(tracedPts), len(remotePts))
+	}
+	if !strings.Contains(st.TraceTree, "threshold") {
+		t.Errorf("traced frame query returned no span tree: %q", st.TraceTree)
 	}
 	if _, err := OpenRemote("http://127.0.0.1:1"); err == nil {
 		t.Error("OpenRemote to dead endpoint succeeded")
