@@ -77,8 +77,8 @@ type Field struct {
 	// add one for the same severalfold speedup.
 	EvalRow EvalRowFunc
 	// RowScratchPerPoint is the scratch space EvalRow needs, in float64s
-	// per point of the run (9 for the gradient-tensor fields, 1 for the
-	// curls, 0 for raw copy-through). Zero when EvalRow is nil.
+	// per point of the run (9 for the gradient-tensor fields, 0 for the
+	// curls and for raw copy-through). Zero when EvalRow is nil.
 	RowScratchPerPoint int
 }
 
@@ -118,7 +118,7 @@ func (f *Field) Norm(st stencil.Stencil, bls []*field.Block, p grid.Point, dx fl
 	default:
 		var s float64
 		for c := 0; c < f.OutComp; c++ {
-			s += scratch[c] * scratch[c]
+			s += float64(scratch[c] * scratch[c])
 		}
 		return math.Sqrt(s)
 	}
@@ -143,28 +143,29 @@ func (f *Field) NormRow(st stencil.Stencil, bls []*field.Block, p grid.Point, n 
 		}
 	}
 	// The reductions replay Norm's operation order exactly (abs for
-	// scalars, x²+y²+z² left-to-right for vectors).
+	// scalars, x²+y²+z² left-to-right for vectors), each square rounded
+	// before it is added as in mathx.Vec3.Dot, so that a fusing compiler
+	// (arm64, ppc64le, s390x) cannot round the two shapes differently.
+	norms = norms[:n]
 	switch f.OutComp {
 	case 1:
-		for i := 0; i < n; i++ {
-			v := vals[i]
+		for i, v := range vals[:n] {
 			if v < 0 {
 				v = -v
 			}
 			norms[i] = v
 		}
 	case 3:
-		for i := 0; i < n; i++ {
-			x, y, z := vals[3*i], vals[3*i+1], vals[3*i+2]
-			norms[i] = math.Sqrt(x*x + y*y + z*z)
+		for i := range norms {
+			v := vals[3*i : 3*i+3 : 3*i+3]
+			norms[i] = math.Sqrt(float64(v[0]*v[0]) + float64(v[1]*v[1]) + float64(v[2]*v[2]))
 		}
 	default:
 		oc := f.OutComp
-		for i := 0; i < n; i++ {
+		for i := range norms {
 			var s float64
-			for c := 0; c < oc; c++ {
-				v := vals[i*oc+c]
-				s += v * v
+			for _, v := range vals[i*oc : (i+1)*oc] {
+				s += float64(v * v)
 			}
 			norms[i] = math.Sqrt(s)
 		}
@@ -274,59 +275,32 @@ func rawEvalRow(nc int) EvalRowFunc {
 		bl := bls[0]
 		base := bl.Offset(p, 0)
 		src := bl.Data[base : base+n*nc]
+		out = out[:len(src)]
 		for i, v := range src {
 			out[i] = float64(v)
 		}
 	}
 }
 
-// curlRow is the row kernel for ∇×(raw field): six row derivatives, each
-// combined into the interleaved output with the same minuend−subtrahend
-// order as curlEval. Needs one scratch row (RowScratchPerPoint = 1).
+// curlRow is the row kernel for ∇×(raw field): one pass of Stencil.CurlRow,
+// which writes the three components where NormRow reads them.
 //
 //turbdb:rowkernel
-func curlRow(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx float64, out, scratch []float64) {
-	bl := bls[0]
-	row := scratch[:n]
-	// (∇×u)_x = ∂u_z/∂y − ∂u_y/∂z, and cyclic permutations.
-	type term struct {
-		c    int
-		axis stencil.Axis
-	}
-	for o, pair := range [3][2]term{
-		{{2, stencil.AxisY}, {1, stencil.AxisZ}},
-		{{0, stencil.AxisZ}, {2, stencil.AxisX}},
-		{{1, stencil.AxisX}, {0, stencil.AxisY}},
-	} {
-		st.DerivRow(bl, p, n, pair[0].c, pair[0].axis, dx, row)
-		for i := 0; i < n; i++ {
-			out[3*i+o] = row[i]
-		}
-		st.DerivRow(bl, p, n, pair[1].c, pair[1].axis, dx, row)
-		for i := 0; i < n; i++ {
-			out[3*i+o] -= row[i]
-		}
-	}
+func curlRow(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx float64, out, _ []float64) {
+	st.CurlRow(bls[0], p, n, dx, out)
 }
 
 // gradScalarRow builds the row kernel for the scalar gradient-tensor fields
-// (Q-criterion, R invariant, gradient norm): one shared row-gradient pass
-// through GradientRow, then the per-point tensor reduction. Needs a 9-wide
-// scratch row (RowScratchPerPoint = 9).
+// (Q-criterion, R invariant, gradient norm): one GradientRow pass into a
+// 9-wide scratch row (RowScratchPerPoint = 9), then one pass of the row
+// reducer, which writes out[i] from grad[9·i : 9·i+9] for the whole run.
 //
 //turbdb:rowkernel
-func gradScalarRow(reduce func(g mathx.Mat3) float64) EvalRowFunc {
+func gradScalarRow(reduce func(grad, out []float64)) EvalRowFunc {
 	return func(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx float64, out, scratch []float64) {
 		grad := scratch[:9*n]
 		st.GradientRow(bls[0], p, n, dx, grad)
-		for i := 0; i < n; i++ {
-			var g mathx.Mat3
-			gi := grad[9*i : 9*i+9]
-			g[0] = [3]float64{gi[0], gi[1], gi[2]}
-			g[1] = [3]float64{gi[3], gi[4], gi[5]}
-			g[2] = [3]float64{gi[6], gi[7], gi[8]}
-			out[i] = reduce(g)
-		}
+		reduce(grad, out[:n])
 	}
 }
 
@@ -349,12 +323,12 @@ func standardCatalog() []*Field {
 			// Vorticity ω = ∇×v: 3 components, examines 6 of the 9 gradient
 			// components in pairs (paper Sec. 5.4).
 			Name: Vorticity, Raws: []RawInput{{Velocity, 3}}, OutComp: 3, NeedsStencil: true,
-			Eval: curlEval, EvalRow: curlRow, RowScratchPerPoint: 1,
+			Eval: curlEval, EvalRow: curlRow,
 		},
 		{
 			// Electric current j = ∇×B (MHD datasets).
 			Name: Current, Raws: []RawInput{{Magnetic, 3}}, OutComp: 3, NeedsStencil: true,
-			Eval: curlEval, EvalRow: curlRow, RowScratchPerPoint: 1,
+			Eval: curlEval, EvalRow: curlRow,
 		},
 		{
 			// Q-criterion: non-linear combination of all 9 gradient
@@ -365,7 +339,7 @@ func standardCatalog() []*Field {
 				g := mathx.Mat3(st.Gradient(bls[0], p, dx))
 				out[0] = g.QCriterion()
 			},
-			EvalRow:            gradScalarRow(mathx.Mat3.QCriterion),
+			EvalRow:            gradScalarRow(mathx.QCriterionRow),
 			RowScratchPerPoint: 9,
 		},
 		{
@@ -376,10 +350,7 @@ func standardCatalog() []*Field {
 				_, _, r := g.Invariants()
 				out[0] = r
 			},
-			EvalRow: gradScalarRow(func(g mathx.Mat3) float64 {
-				_, _, r := g.Invariants()
-				return r
-			}),
+			EvalRow:            gradScalarRow(mathx.RInvariantRow),
 			RowScratchPerPoint: 9,
 		},
 		{
@@ -389,7 +360,7 @@ func standardCatalog() []*Field {
 				g := mathx.Mat3(st.Gradient(bls[0], p, dx))
 				out[0] = g.FrobeniusNorm()
 			},
-			EvalRow:            gradScalarRow(mathx.Mat3.FrobeniusNorm),
+			EvalRow:            gradScalarRow(mathx.FrobeniusNormRow),
 			RowScratchPerPoint: 9,
 		},
 	}

@@ -208,7 +208,9 @@ func BlockFromBytes(b grid.Box, nc int, blob []byte) (*Block, error) {
 // allocation. blob is the Bytes form of a block over src with bl's
 // component count, and src is given in bl's coordinates — a periodic halo
 // tile passes its unwrapped box. The caller has checked that
-// len(blob) == ByteSize(src, bl.NComp).
+// len(blob) == ByteSize(src, bl.NComp). Rows are 6 to 24 floats long in a
+// slab scan, so the two flat offsets are computed once and then walked by
+// the blocks' y and z strides, not recomputed per row.
 //
 //turbdb:rowkernel
 func (bl *Block) DecodeFrom(blob []byte, src grid.Box) {
@@ -216,12 +218,16 @@ func (bl *Block) DecodeFrom(blob []byte, src grid.Box) {
 	if r.Empty() {
 		return
 	}
+	nx, ny, nz := r.Size()
 	snx, sny, _ := src.Size()
-	rowLen := (r.Hi.X - r.Lo.X) * bl.NComp
-	for z := r.Lo.Z; z < r.Hi.Z; z++ {
-		for y := r.Lo.Y; y < r.Hi.Y; y++ {
-			di := bl.index(grid.Point{X: r.Lo.X, Y: y, Z: z}, 0)
-			si := (((z-src.Lo.Z)*sny+(y-src.Lo.Y))*snx + (r.Lo.X - src.Lo.X)) * bl.NComp
+	_, dsy, dsz := bl.Strides()
+	ssy := snx * bl.NComp
+	ssz := sny * ssy
+	rowLen := nx * bl.NComp
+	dz := bl.index(r.Lo, 0)
+	sz := (r.Lo.Z-src.Lo.Z)*ssz + (r.Lo.Y-src.Lo.Y)*ssy + (r.Lo.X-src.Lo.X)*bl.NComp
+	for z := 0; z < nz; z, dz, sz = z+1, dz+dsz, sz+ssz {
+		for y, di, si := 0, dz, sz; y < ny; y, di, si = y+1, di+dsy, si+ssy {
 			dst := bl.Data[di : di+rowLen]
 			row := blob[4*si : 4*(si+rowLen)]
 			for i := range dst {

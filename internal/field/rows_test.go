@@ -108,3 +108,38 @@ func TestCopyFromRowwiseMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// DecodeFrom walks both flat offsets by strides instead of recomputing them
+// per row; decoding a blob straight into a block must equal materializing
+// the source block and copying the intersection, for boxes that overlap in
+// any way (partially, not at all, one inside the other) and leave the rest
+// of the destination untouched.
+func TestDecodeFromMatchesCopyFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	randBox := func() grid.Box {
+		lo := grid.Point{X: rng.Intn(11) - 5, Y: rng.Intn(11) - 5, Z: rng.Intn(11) - 5}
+		return grid.Box{Lo: lo, Hi: lo.Add(1+rng.Intn(7), 1+rng.Intn(7), 1+rng.Intn(7))}
+	}
+	for trial := 0; trial < 300; trial++ {
+		nc := 1 + rng.Intn(3)
+		src := NewBlock(randBox(), nc)
+		for i := range src.Data {
+			src.Data[i] = float32(rng.NormFloat64())
+		}
+		box := randBox()
+		got, want := NewBlock(box, nc), NewBlock(box, nc)
+		for i := range got.Data {
+			v := float32(rng.NormFloat64())
+			got.Data[i], want.Data[i] = v, v
+		}
+		got.DecodeFrom(src.Bytes(), src.Bounds)
+		if err := want.CopyFrom(src, grid.Point{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] { //lint:allow floateq differential test wants exact copy semantics
+				t.Fatalf("trial %d (%v into %v): Data[%d] = %g, CopyFrom gives %g", trial, src.Bounds, box, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}

@@ -46,8 +46,12 @@ var RowKernel = &Analyzer{
 // source of truth for what constitutes the row path; extend it when a new
 // kernel joins.
 var mustAnnotateRowKernels = map[string][]string{
-	"internal/stencil": {"Stencil.DerivRow", "Stencil.GradientRow", "Stencil.derivRow"},
+	"internal/stencil": {
+		"Stencil.DerivRow", "Stencil.GradientRow", "Stencil.CurlRow", "Stencil.row",
+		"row1", "row2", "row3", "row4", "tap1", "tap2", "tap3", "tap4", "rows3",
+	},
 	"internal/derived": {"rawEvalRow", "curlRow", "gradScalarRow", "Field.NormRow"},
+	"internal/mathx":   {"QCriterionRow", "RInvariantRow", "FrobeniusNormRow", "symSq", "antiSq"},
 	"internal/field":   {"Block.At", "Block.Offset", "Block.Strides", "Block.index", "Block.DecodeFrom"},
 	"internal/grid":    {"Box.Size", "Box.Intersect"},
 	"internal/node":    {"slabScan.rows"},

@@ -82,8 +82,10 @@ func (b *Breakdown) Max(o Breakdown) {
 // interest inside a (32+2hw)³ halo-extended block — 1.42× the useful points
 // at order 4 where a lone atom's (8+2hw)³ is 3.4× — and rows of 32 points
 // for the kernels. A constant, not a knob: BenchmarkThresholdScan reads
-// 54 / 35 / 29 ns per vorticity point at sides 1 / 2 / 4, and side 8 would
-// hold 3.8 MB per raw field and worker to reach 1.2×.
+// 53 / 39 / 31 ns per vorticity point at sides 1 / 2 / 4 (93 / 51 / 38 on
+// the same host before the row kernels were fused into one pass; the
+// ordering did not move), and side 8 would hold 3.8 MB per raw field and
+// worker to reach 1.2×.
 const slabSide = 4
 
 // rowConsumer receives the norms of one x-run of grid points: norms[i]

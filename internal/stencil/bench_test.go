@@ -61,3 +61,23 @@ func BenchmarkGradientRow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCurlRow measures the single-pass curl row kernel (6 derivatives
+// and 3 subtractions per point), the whole of a vorticity or current row
+// but for the norm.
+func BenchmarkCurlRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	for _, order := range Orders() {
+		s := MustGet(order)
+		inner := grid.Box{Hi: grid.Point{X: benchRun, Y: 1, Z: 1}}
+		bl := randomBlock(rng, inner.Expand(s.HalfWidth), 3)
+		out := make([]float64, 3*benchRun)
+		b.Run(fmt.Sprintf("o%d", order), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.CurlRow(bl, grid.Point{}, benchRun, 0.01, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*benchRun), "ns/point")
+		})
+	}
+}

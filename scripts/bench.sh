@@ -175,7 +175,7 @@ benchtime=${BENCHTIME:-100ms}
 
 echo ">> go test -bench (benchtime $benchtime)" >&2
 go test -run=NONE \
-	-bench='BenchmarkNorm|BenchmarkDerivRow|BenchmarkGradientRow|BenchmarkThresholdScan' \
+	-bench='BenchmarkNorm|BenchmarkDerivRow|BenchmarkGradientRow|BenchmarkCurlRow|BenchmarkThresholdScan' \
 	-benchtime "$benchtime" \
 	./internal/stencil ./internal/derived ./internal/node | tee "$tmp" >&2
 

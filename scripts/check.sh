@@ -86,6 +86,19 @@ lane 'scheduler stress (-race)'
 go test -race -run 'Sched|Concurrent' ./internal/sched/... ./internal/workload/...
 lane_done
 
+# Row-kernel lanes (scripts/kernels.sh): the bounds-check ratchet — the
+# compiler may report no more unproven index checks in stencil.go and
+# derived.go than the number committed in that script — and the arm64
+# cross-compile that must contain no fused multiply-add, so a rewrite of a
+# kernel cannot quietly change what it rounds.
+lane 'row kernels: bounds-check ratchet'
+sh scripts/kernels.sh bce
+lane_done
+
+lane 'row kernels: no fused multiply-add on arm64'
+sh scripts/kernels.sh fma
+lane_done
+
 # Benchmark smoke lane: one iteration of every kernel microbenchmark plus
 # the scheduler workload lane, so a change that breaks a benchmark (or its
 # setup) fails the gate instead of surfacing the next time someone runs
