@@ -35,7 +35,7 @@ func main() {
 		gridN      = flag.Int("grid", 64, "grid side (power of two)")
 		steps      = flag.Int("steps", 4, "time-steps")
 		seed       = flag.Int64("seed", 2015, "dataset seed")
-		fig        = flag.String("fig", "all", `which experiment: all, 2, 3, 4, 6, 7a, 7b, 8, 9, local, ablations`)
+		fig        = flag.String("fig", "all", `which experiment: all, 2, 3, 4, 6, synopsis, 7a, 7b, 8, 9, local, ablations`)
 		step       = flag.Int("step", 0, "time-step the per-step experiments use")
 		trace      = flag.Bool("trace", false, "trace one threshold query (cold + warm cache) and print the span trees instead of running experiments")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -114,6 +114,7 @@ func main() {
 		{"3", func() (fmt.Stringer, error) { return env.Fig3Worms() }},
 		{"4", func() (fmt.Stringer, error) { return env.Fig4Count(*step) }},
 		{"6", func() (fmt.Stringer, error) { return env.Table1CacheEffectiveness(*step) }},
+		{"synopsis", func() (fmt.Stringer, error) { return env.SynopsisMiss(*step) }},
 		{"7a", func() (fmt.Stringer, error) { return env.Fig7aScaleUp(*step) }},
 		{"7b", func() (fmt.Stringer, error) { return env.Fig7bScaleOut(*step) }},
 		{"8", func() (fmt.Stringer, error) { return env.Fig8IOBreakdown(*step) }},
@@ -151,7 +152,7 @@ func main() {
 	}
 
 	if ran == 0 {
-		log.Fatalf("unknown -fig %q (want all, 2, 3, 4, 6, 7a, 7b, 8, 9, local, ablations)", *fig)
+		log.Fatalf("unknown -fig %q (want all, 2, 3, 4, 6, synopsis, 7a, 7b, 8, 9, local, ablations)", *fig)
 	}
 	fmt.Printf("%s\ncompleted %d experiment(s) in %v\n", strings.Repeat("-", 60), ran, time.Since(start).Round(time.Millisecond))
 }

@@ -90,6 +90,10 @@ type Config struct {
 	// membership-driven placement, replica failover in the mediator and
 	// halo fetchers, and Join/Leave elasticity. Clamped to Nodes.
 	Replication int
+	// NoSynopsis builds every node without its max-norm synopsis
+	// (node.Config.NoSynopsis): a threshold miss scans its whole box, as in
+	// the paper's system.
+	NoSynopsis bool
 }
 
 // Cluster is an assembled analysis cluster over one synthetic dataset.
@@ -447,6 +451,7 @@ func (c *Cluster) buildNode(i int, primary morton.Range) (*node.Node, *netmodel.
 		Store: st, Cache: ca, Registry: cfg.Registry,
 		Processes: cfg.Processes, Exec: exec, Costs: cfg.Costs,
 		AllowPartialHalo: cfg.AllowPartial && !cfg.Simulate,
+		NoSynopsis:       cfg.NoSynopsis,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -171,8 +171,16 @@ type ClusterOpts struct {
 	AtomSide  int // 0 = the setup's atom side
 }
 
-// Cluster builds a simulated cluster over the environment's dataset.
+// Cluster builds a simulated cluster over the environment's dataset. The
+// nodes keep no max-norm synopsis: the experiments reproduce the paper's
+// system, whose every miss reads and derives its whole box.
 func (e *Env) Cluster(o ClusterOpts) (*cluster.Cluster, error) {
+	return e.build(o, true)
+}
+
+// build is Cluster with the nodes' synopsis switchable (SynopsisMiss, this
+// repository's extension, measures with it on).
+func (e *Env) build(o ClusterOpts, noSynopsis bool) (*cluster.Cluster, error) {
 	if o.Nodes == 0 {
 		o.Nodes = e.Setup.Nodes
 	}
@@ -190,7 +198,7 @@ func (e *Env) Cluster(o ClusterOpts) (*cluster.Cluster, error) {
 	return cluster.Build(src, cluster.Config{
 		Nodes: o.Nodes, Processes: o.Processes,
 		WithCache: o.WithCache, CacheCapacity: o.CacheCap,
-		Simulate: true, Costs: e.costs,
+		Simulate: true, Costs: e.costs, NoSynopsis: noSynopsis,
 	})
 }
 

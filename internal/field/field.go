@@ -230,9 +230,18 @@ func (bl *Block) DecodeFrom(blob []byte, src grid.Box) {
 		for y, di, si := 0, dz, sz; y < ny; y, di, si = y+1, di+dsy, si+ssy {
 			dst := bl.Data[di : di+rowLen]
 			row := blob[4*si : 4*(si+rowLen)]
-			for i := range dst {
-				b := row[4*i : 4*i+4 : 4*i+4]
-				dst[i] = math.Float32frombits(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+			// Two floats per step: the eight ORs below compile to one
+			// 64-bit load, where a float at a time pays a load and a
+			// bounds check each.
+			for len(dst) >= 2 && len(row) >= 8 {
+				w := uint64(row[0]) | uint64(row[1])<<8 | uint64(row[2])<<16 | uint64(row[3])<<24 |
+					uint64(row[4])<<32 | uint64(row[5])<<40 | uint64(row[6])<<48 | uint64(row[7])<<56
+				dst[0] = math.Float32frombits(uint32(w))
+				dst[1] = math.Float32frombits(uint32(w >> 32))
+				dst, row = dst[2:], row[8:]
+			}
+			if len(dst) == 1 && len(row) >= 4 {
+				dst[0] = math.Float32frombits(uint32(row[0]) | uint32(row[1])<<8 | uint32(row[2])<<16 | uint32(row[3])<<24)
 			}
 		}
 	}

@@ -28,7 +28,8 @@ type ThresholdBatchResult struct {
 	Results []*ThresholdResult
 	Errs    []error
 	// AtomsScanned is the size of the single union pass that served every
-	// non-cached member (0 when all members hit the cache).
+	// non-cached member: the atoms it evaluated, after the synopsis pruned
+	// (0 when all members hit the cache).
 	AtomsScanned int
 }
 
@@ -160,21 +161,26 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 		ub = unionBox(ub, nqs[i].Box)
 	}
 
-	// Scan-cost accounting: what each member would have read alone, versus
-	// the one union pass they share.
-	unionCodes, err := n.scanAtomsCovering(ub, scan)
-	if err != nil {
-		return nil, err
-	}
-	res.AtomsScanned = len(unionCodes)
+	// Scan-cost accounting: what each member would have scanned alone, to
+	// set against the one union pass they share. Both sides count the atoms
+	// left after the synopsis has pruned, so the difference is what sharing
+	// saved and not what pruning did.
+	syn := n.openSynopsis(f, st, nqs[0].Timestep)
+	preds := make([]atomPred, len(active))
 	wouldScan := make([]int, k)
-	for _, i := range active {
-		codes, err := n.scanAtomsCovering(nqs[i].Box, scan)
+	for pos, i := range active {
+		preds[pos] = atomPred{nqs[i].Box, nqs[i].Threshold}
+		codes, _, err := n.scanSet(syn, nqs[i].Box, scan, preds[pos:pos+1])
 		if err != nil {
 			return nil, err
 		}
 		wouldScan[i] = len(codes)
 	}
+	unionCodes, _, err := n.scanSet(syn, ub, scan, preds)
+	if err != nil {
+		return nil, err
+	}
+	res.AtomsScanned = len(unionCodes)
 
 	// One evaluation pass; every point is tested against all live member
 	// predicates. A member that exceeds its point limit goes dead (its
@@ -213,7 +219,7 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 			return alive.Load() > 0
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, nqs[0].Timestep, ub, scan, hw, consumerFor)
+	bd, err := n.evalPhases(ctx, p, f, st, nqs[0].Timestep, ub, scan, hw, preds, consumerFor)
 	if err != nil {
 		return nil, err
 	}

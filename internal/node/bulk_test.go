@@ -178,7 +178,7 @@ func TestScanShardSteadyStateZeroAllocsPerSlab(t *testing.T) {
 		return true
 	}
 	scan := func(shard []morton.Code) {
-		if _, _, err := n.scanShard(context.Background(), nil, f, st, shard, data.blobs, qbox, hw, consume); err != nil {
+		if _, err := n.scanShard(context.Background(), nil, f, st, shard, data.blobs, qbox, hw, math.Inf(-1), consume); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -38,6 +39,11 @@ type Breakdown struct {
 	// band was unreachable (partial-halo degradation). Non-zero means the
 	// result is partial and must not be cached.
 	AtomsSkipped int
+	// AtomsPruned counts atoms of the query box a threshold scan left out —
+	// not read, not evaluated, not in PointsExamined — because the node's
+	// max-norm synopsis proves none of their points can qualify. The answer
+	// is complete all the same.
+	AtomsPruned int
 }
 
 // Add accumulates another breakdown (used by the mediator for summaries).
@@ -51,6 +57,7 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.HaloAtoms += o.HaloAtoms
 	b.PointsExamined += o.PointsExamined
 	b.AtomsSkipped += o.AtomsSkipped
+	b.AtomsPruned += o.AtomsPruned
 }
 
 // Max keeps the element-wise maximum of phase durations (used to form the
@@ -75,6 +82,7 @@ func (b *Breakdown) Max(o Breakdown) {
 	b.HaloAtoms += o.HaloAtoms
 	b.PointsExamined += o.PointsExamined
 	b.AtomsSkipped += o.AtomsSkipped
+	b.AtomsPruned += o.AtomsPruned
 }
 
 // slabSide is the edge, in atoms, of the largest slab the scan assembles at
@@ -279,12 +287,29 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInpu
 	return nil
 }
 
+// atomMax is what a scan learned about one atom it evaluated whole: the
+// largest norm of its points.
+type atomMax struct {
+	code morton.Code
+	max  float64
+}
+
+// shardResult is the outcome of one worker's compute phase. learned lists
+// the atoms the synopsis may record: every point evaluated — not clipped by
+// the query box, not skipped for a halo hole, not in the slab the consumer
+// stopped in.
+type shardResult struct {
+	examined, skipped int
+	learned           []atomMax
+}
+
 // slabScan is the compute phase of one worker: it walks the worker's shard
 // slab by slab, decodes each slab's blobs into one pooled halo-extended
 // block per raw field, evaluates the derived field's norm over whole rows
-// of the slab's region of interest and hands each row to the consumer. Its
-// buffers are sized once per worker, so the walk performs zero heap
-// allocations per slab in steady state.
+// of the slab's region of interest, folds the norms into per-atom maxima
+// and hands the consumer each row whose maximum reaches floor. Its buffers
+// are sized once per worker, so the walk performs zero heap allocations per
+// slab in steady state.
 type slabScan struct {
 	n        *Node
 	wp       *sim.Proc
@@ -297,25 +322,40 @@ type slabScan struct {
 	blobs    []map[morton.Code][]byte
 	slabs    []*field.Block // one per raw field, re-shaped for every slab
 	consume  rowConsumer
+	floor    float64 // no consumer wants a point below it
 
 	norms, vals, scratch []float64
 
-	examined, skipped int
-	stopped           bool // the consumer asked to stop
+	// maxes[i] is the running maximum, as an orderKey, of atom codes[0]+i of
+	// the slab being scanned; spread[o] is the Morton x-interleave of
+	// o/AtomSide, so the atom under offset (ox, oy, oz) from the slab's
+	// origin is spread[ox] | spread[oy]<<1 | spread[oz]<<2.
+	maxes  [slabSide * slabSide * slabSide]int64
+	spread []int
+
+	shardResult
+	stopped bool // the consumer asked to stop
 }
 
 // scanShard runs the compute phase of one worker over its Morton-sorted
-// shard.
-func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st stencil.Stencil, shard []morton.Code, blobs []map[morton.Code][]byte, qbox grid.Box, hw int, consume rowConsumer) (pointsExamined, atomsSkipped int, err error) {
+// shard. floor is a lower bound of what consume looks for: rows whose
+// largest norm is below it are folded into the atoms' maxima and not handed
+// over (−Inf hands over every row).
+func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st stencil.Stencil, shard []morton.Code, blobs []map[morton.Code][]byte, qbox grid.Box, hw int, floor float64, consume rowConsumer) (shardResult, error) {
 	g := n.store.Grid()
 	rowW := slabSide * g.AtomSide
 	s := slabScan{
 		n: n, wp: wp, g: g, f: f, st: st, qbox: qbox, hw: hw,
-		perPoint: n.costs.Cost(f.Name), blobs: blobs, consume: consume,
+		perPoint: n.costs.Cost(f.Name), blobs: blobs, consume: consume, floor: floor,
 		slabs:   make([]*field.Block, len(f.Raws)),
 		norms:   make([]float64, rowW),
 		vals:    make([]float64, rowW*f.OutComp),
 		scratch: make([]float64, rowW*f.RowScratchPerPoint),
+		spread:  make([]int, rowW),
+	}
+	s.learned = make([]atomMax, 0, len(shard))
+	for o := range s.spread {
+		s.spread[o] = int(morton.Encode(uint32(o/g.AtomSide), 0, 0))
 	}
 	for i := range s.slabs {
 		s.slabs[i] = n.getSlab()
@@ -326,6 +366,7 @@ func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st
 			n.slabPool.Put(bl)
 		}
 	}()
+	var err error
 	for len(shard) > 0 && err == nil && !s.stopped {
 		side, count := slabAt(shard)
 		if err = ctx.Err(); err == nil {
@@ -333,7 +374,7 @@ func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st
 		}
 		shard = shard[count:]
 	}
-	return s.examined, s.skipped, err
+	return s.shardResult, err
 }
 
 // getSlab draws a slab block from the node's pool; its shape and contents
@@ -376,7 +417,18 @@ func (s *slabScan) scanSlab(codes []morton.Code, side int) error {
 		s.n.exec.ChargeCompute(s.wp, s.perPoint*time.Duration(s.g.AtomBox(c).Intersect(s.qbox).NumPoints()))
 	}
 	s.examined += roi.NumPoints()
-	s.stopped = !s.rows(roi)
+	least := orderKey(math.Inf(-1))
+	for i := range codes {
+		s.maxes[i] = least
+	}
+	if s.stopped = !s.rows(roi, s.g.AtomOrigin(codes[0])); s.stopped {
+		return nil
+	}
+	for i, c := range codes {
+		if s.qbox.ContainsBox(s.g.AtomBox(c)) {
+			s.learned = append(s.learned, atomMax{c, normOf(s.maxes[i])})
+		}
+	}
 	return nil
 }
 
@@ -403,18 +455,43 @@ func (s *slabScan) assemble(roi grid.Box) bool {
 	return true
 }
 
-// rows evaluates the norm over every x-run of roi in one NormRow call each
-// and feeds the consumer; false means the consumer stopped the scan.
+// orderKey maps a norm to an integer that orders as norms do (−0 below +0,
+// a NaN beyond the infinity of its sign) and normOf maps it back. The fold
+// keeps its maxima as keys because an integer maximum compiles to a
+// conditional move, where the float one is a branch the data decides — one
+// misprediction per few points of a turbulent row. A maximum that comes out
+// NaN compares below no threshold, so its atom is never pruned.
 //
 //turbdb:rowkernel
-func (s *slabScan) rows(roi grid.Box) bool {
+func orderKey(v float64) int64 { return flipNegative(int64(math.Float64bits(v))) }
+
+func normOf(k int64) float64 { return math.Float64frombits(uint64(flipNegative(k))) }
+
+// flipNegative inverts the magnitude bits of a negative value — its own
+// inverse — which turns sign-magnitude order into two's-complement order.
+//
+//turbdb:rowkernel
+func flipNegative(k int64) int64 { return k ^ int64(uint64(k>>63)>>1) }
+
+// rows evaluates the norm over every x-run of roi — a region of the slab
+// at origin — in one NormRow call each, folds the run into the maxima of
+// the atoms it crosses and feeds the consumer the runs that hold a norm of
+// at least floor: the fold's one compare per point is the only one a run
+// with no candidate pays. false means the consumer stopped the scan.
+//
+//turbdb:rowkernel
+func (s *slabScan) rows(roi grid.Box, origin grid.Point) bool {
 	nx := roi.Hi.X - roi.Lo.X
 	norms := s.norms[:nx]
+	x0 := roi.Lo.X - origin.X
+	first := s.g.AtomSide - x0%s.g.AtomSide // a clipped run starts inside its first atom
+	floor := orderKey(s.floor)
 	p := roi.Lo
 	for p.Z = roi.Lo.Z; p.Z < roi.Hi.Z; p.Z++ {
+		iz := s.spread[p.Z-origin.Z] << 2
 		for p.Y = roi.Lo.Y; p.Y < roi.Hi.Y; p.Y++ {
 			s.f.NormRow(s.st, s.slabs, p, nx, s.g.Dx, norms, s.vals, s.scratch)
-			if !s.consume(p, norms) {
+			if s.fold(norms, x0, first, iz|s.spread[p.Y-origin.Y]<<1) >= floor && !s.consume(p, norms) {
 				return false
 			}
 		}
@@ -422,10 +499,72 @@ func (s *slabScan) rows(roi grid.Box) bool {
 	return true
 }
 
+// fold raises the maxima of the atoms under one x-run of norms, segment by
+// segment, and returns the run's own maximum; the run starts x0 points into
+// the slab, first points before the end of an atom, in the atom row whose y
+// and z index bits are iyz.
+//
+//turbdb:rowkernel
+func (s *slabScan) fold(norms []float64, x0, first, iyz int) int64 {
+	least := orderKey(math.Inf(-1))
+	rowMax := least
+	for hi := min(first, len(norms)); len(norms) > 0; hi = min(s.g.AtomSide, len(norms)) {
+		// Norms are almost always non-negative, and the bit patterns of
+		// non-negative floats are their own order keys: take the maximum
+		// of the raw bits, and redo the segment through orderKey only if
+		// a sign bit (a negative norm, −0, a NaN of that sign) won.
+		var bits uint64
+		for _, v := range norms[:hi] {
+			bits = max(bits, math.Float64bits(v))
+		}
+		m := int64(bits)
+		if m < 0 {
+			m = least
+			for _, v := range norms[:hi] {
+				m = max(m, orderKey(v))
+			}
+		}
+		i := iyz | s.spread[x0]
+		s.maxes[i] = max(s.maxes[i], m)
+		rowMax = max(rowMax, m)
+		norms, x0 = norms[hi:], x0+hi
+	}
+	return rowMax
+}
+
+// openSynopsis returns the node's max-norm table for (field, order, step),
+// nil when the node keeps none.
+func (n *Node) openSynopsis(f *derived.Field, st stencil.Stencil, step int) *synEntry {
+	if n.synopsis == nil {
+		return nil
+	}
+	return n.synopsis.open(synKey{cacheFieldKey(f.Name, st.Order), step})
+}
+
+// scanSet returns the atoms an evaluation of preds over qbox has to scan
+// (see scanAtomsCovering) and how many more the synopsis pruned. Nil preds
+// — a scan that wants every point — and a nil syn prune nothing.
+func (n *Node) scanSet(syn *synEntry, qbox grid.Box, scan []morton.Range, preds []atomPred) (codes []morton.Code, pruned int, err error) {
+	codes, err = n.scanAtomsCovering(qbox, scan)
+	if err != nil || syn == nil || preds == nil {
+		return codes, 0, err
+	}
+	kept := syn.filter(n.store.Grid(), codes, preds)
+	return kept, len(codes) - len(kept), nil
+}
+
 // evalPhases runs the two-phase (I/O then compute) data-parallel evaluation
 // over this node's shard of qbox and reports phase timings. scan restricts
 // the shard to the given atom ranges (replica routing); empty means the
 // node's primary range. consumerFor builds each worker's row consumer.
+//
+// preds are the threshold predicates the consumers evaluate, nil for a scan
+// that wants every point (PDF, top-k). With predicates, the node's synopsis
+// first removes the atoms that cannot hold a qualifying point — they are
+// not read, not fetched halo for, not decoded, not evaluated — and a
+// consumer sees only the rows that reach the lowest threshold. Every scan
+// teaches the synopsis the maxima of the atoms it evaluated whole, unless
+// it failed or had to skip atoms.
 func (n *Node) evalPhases(
 	ctx context.Context,
 	p *sim.Proc,
@@ -435,13 +574,25 @@ func (n *Node) evalPhases(
 	qbox grid.Box,
 	scan []morton.Range,
 	hw int,
+	preds []atomPred,
 	consumerFor func(worker int) rowConsumer,
 ) (Breakdown, error) {
 	var bd Breakdown
 	procs := n.Processes()
-	codes, err := n.scanAtomsCovering(qbox, scan)
+	syn := n.openSynopsis(f, st, step)
+	codes, pruned, err := n.scanSet(syn, qbox, scan, preds)
 	if err != nil {
 		return bd, err
+	}
+	bd.AtomsPruned = pruned
+	floor := math.Inf(-1)
+	if preds != nil {
+		floor = math.Inf(1)
+		for _, pr := range preds {
+			if pr.threshold < floor { // a NaN threshold matches nothing and lowers nothing
+				floor = pr.threshold
+			}
+		}
 	}
 	shards := splitWork(codes, procs)
 
@@ -451,6 +602,9 @@ func (n *Node) evalPhases(
 	pool := newBufferPool()
 	ioStart := n.exec.Now()
 	ioCtx, ioSp := obs.StartSpan(ctx, "scan_io")
+	if syn != nil {
+		ioSp.SetAttr("atoms_pruned", int64(bd.AtomsPruned))
+	}
 	data := make([]workerData, procs)
 	n.exec.Fork(p, procs, func(i int, wp *sim.Proc) {
 		data[i] = n.gather(ioCtx, wp, f.Raws, step, shards[i], qbox, hw, pool)
@@ -470,10 +624,9 @@ func (n *Node) evalPhases(
 	compStart := n.exec.Now()
 	compCtx, compSp := obs.StartSpan(ctx, "scan_compute")
 	errs := make([]error, procs)
-	examined := make([]int, procs)
-	skipped := make([]int, procs)
+	results := make([]shardResult, procs)
 	n.exec.Fork(p, procs, func(i int, wp *sim.Proc) {
-		examined[i], skipped[i], errs[i] = n.scanShard(compCtx, wp, f, st, shards[i], data[i].blobs, qbox, hw, consumerFor(i))
+		results[i], errs[i] = n.scanShard(compCtx, wp, f, st, shards[i], data[i].blobs, qbox, hw, floor, consumerFor(i))
 	})
 	compSp.End()
 	bd.Compute = n.exec.Now() - compStart
@@ -482,10 +635,18 @@ func (n *Node) evalPhases(
 		if e != nil {
 			return bd, e
 		}
-		bd.PointsExamined += examined[i]
-		bd.AtomsSkipped += skipped[i]
+		bd.PointsExamined += results[i].examined
+		bd.AtomsSkipped += results[i].skipped
+	}
+	if syn != nil && bd.AtomsSkipped == 0 {
+		for _, r := range results {
+			for _, am := range r.learned {
+				syn.learn(am.code, am.max)
+			}
+		}
 	}
 	mPointsExam.Add(int64(bd.PointsExamined))
 	mAtomsSkipped.Add(int64(bd.AtomsSkipped))
+	mAtomsPruned.Add(int64(bd.AtomsPruned))
 	return bd, nil
 }

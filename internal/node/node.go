@@ -73,6 +73,11 @@ type Config struct {
 	// (counted in Breakdown.AtomsSkipped) instead of failing the whole
 	// shard evaluation. Partial results are never cached.
 	AllowPartialHalo bool
+	// NoSynopsis turns off the max-norm synopsis, with which threshold
+	// scans leave out atoms already known to hold no qualifying point: every
+	// miss then reads and evaluates its whole box, as the paper's system
+	// does (the reproduction experiments set it).
+	NoSynopsis bool
 	// Exec supplies the execution environment (simulated or real).
 	Exec *Exec
 	// Costs models per-point compute durations for simulation charging;
@@ -94,6 +99,7 @@ type Node struct {
 	costs       CostModel
 	partialHalo bool
 	slabPool    sync.Pool // of *field.Block: the workers' slab buffers
+	synopsis    *synopsis // nil with Config.NoSynopsis
 
 	//turbdb:lockrank node.state 20
 	mu sync.Mutex
@@ -119,6 +125,10 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Exec == nil {
 		cfg.Exec = RealExec()
 	}
+	var syn *synopsis
+	if !cfg.NoSynopsis {
+		syn = newSynopsis(cfg.Store.Grid())
+	}
 	return &Node{
 		id:          cfg.ID,
 		dataset:     cfg.Dataset,
@@ -130,6 +140,7 @@ func New(cfg Config) (*Node, error) {
 		exec:        cfg.Exec,
 		costs:       cfg.Costs,
 		partialHalo: cfg.AllowPartialHalo,
+		synopsis:    syn,
 	}, nil
 }
 

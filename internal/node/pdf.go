@@ -87,7 +87,7 @@ func (n *Node) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*PDFResult
 			return true
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, consumerFor)
+	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, nil, consumerFor)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func (n *Node) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*TopKRes
 			return true
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, consumerFor)
+	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, nil, consumerFor)
 	if err != nil {
 		return nil, err
 	}

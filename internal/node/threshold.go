@@ -33,8 +33,8 @@ type ThresholdResult struct {
 	// shared-scan batch).
 	Shared int
 	// ScansSaved counts the atom scans this query avoided because the pass
-	// was shared: the atoms a solo evaluation would have read minus this
-	// query's share of the union pass.
+	// was shared: the atoms a solo evaluation would have scanned (after the
+	// synopsis pruned) minus this query's share of the union pass.
 	ScansSaved int
 }
 
@@ -160,13 +160,15 @@ func (n *Node) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold)
 			return true
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, consumerFor)
+	preds := []atomPred{{q.Box, q.Threshold}}
+	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, preds, consumerFor)
 	res.Breakdown.IO = bd.IO
 	res.Breakdown.Compute = bd.Compute
 	res.Breakdown.AtomsRead = bd.AtomsRead
 	res.Breakdown.HaloAtoms = bd.HaloAtoms
 	res.Breakdown.PointsExamined = bd.PointsExamined
 	res.Breakdown.AtomsSkipped = bd.AtomsSkipped
+	res.Breakdown.AtomsPruned = bd.AtomsPruned
 	if err != nil {
 		return nil, err
 	}
@@ -201,21 +203,26 @@ func (n *Node) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold)
 	return res, nil
 }
 
-// DropCacheEntry removes cached results for (field, order, step), used to
-// force cold-cache runs in experiments. The in-process drop is quick; ctx
-// matters for the mediator.NodeClient contract (the wire implementation
-// blocks on the network) and is still honored if already canceled.
+// DropCacheEntry removes what the node remembers of (field, order, step) —
+// cached results under any scan routing and the max-norm synopsis — so the
+// next query is a first touch; used to force cold runs in experiments. The
+// in-process drop is quick; ctx matters for the mediator.NodeClient
+// contract (the wire implementation blocks on the network) and is still
+// honored if already canceled.
 func (n *Node) DropCacheEntry(ctx context.Context, fieldName string, order, step int) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if n.cache == nil {
-		return nil
 	}
 	if order == 0 {
 		order = query.DefaultFDOrder
 	}
 	base := cacheFieldKey(fieldName, order)
+	if n.synopsis != nil {
+		n.synopsis.drop(synKey{base, step})
+	}
+	if n.cache == nil {
+		return nil
+	}
 	if err := n.cache.Drop(n.dataset, base, step); err != nil {
 		return err
 	}

@@ -26,6 +26,16 @@ type Span struct {
 	// Start > 0 can only mean the span was never finished.
 	Start time.Duration
 	End   time.Duration
+	// Attr is the one count a stage may attach to its span (scan_io carries
+	// atoms_pruned); the zero value is none. It stays in the recording
+	// process: the wire's span DTOs do not carry it.
+	Attr Attr
+}
+
+// Attr is a named count attached to a span.
+type Attr struct {
+	Key   string
+	Value int64
 }
 
 // Duration returns the span's elapsed time.
@@ -112,6 +122,18 @@ func (t *Trace) end(id uint64) {
 	for i := range t.spans {
 		if t.spans[i].ID == id {
 			t.spans[i].End = at
+			return
+		}
+	}
+}
+
+// setAttr attaches a count to the open span id.
+func (t *Trace) setAttr(id uint64, a Attr) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.spans {
+		if t.spans[i].ID == id {
+			t.spans[i].Attr = a
 			return
 		}
 	}
@@ -206,7 +228,11 @@ func (t *Trace) Tree() string {
 				connector, childPrefix = "└─ ", prefix+"   "
 			}
 			label := prefix + connector + s.Name
-			fmt.Fprintf(&b, "%-40s %12s\n", label, s.Duration().Round(time.Microsecond))
+			fmt.Fprintf(&b, "%-40s %12s", label, s.Duration().Round(time.Microsecond))
+			if s.Attr.Key != "" {
+				fmt.Fprintf(&b, "  %s=%d", s.Attr.Key, s.Attr.Value)
+			}
+			b.WriteByte('\n')
 			walk(s.ID, childPrefix)
 		}
 	}
@@ -261,6 +287,13 @@ type ActiveSpan struct {
 func (a ActiveSpan) End() {
 	if a.t != nil {
 		a.t.end(a.id)
+	}
+}
+
+// SetAttr attaches a named count to the span (no-op on the zero handle).
+func (a ActiveSpan) SetAttr(key string, value int64) {
+	if a.t != nil {
+		a.t.setAttr(a.id, Attr{Key: key, Value: value})
 	}
 }
 

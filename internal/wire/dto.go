@@ -137,6 +137,7 @@ func SpansToDTO(spans []obs.Span) []SpanDTO {
 	}
 	out := make([]SpanDTO, len(spans))
 	for i, s := range spans {
+		_ = s.Attr // stays in the recording process: the frozen span DTO has no place for it
 		out[i] = SpanDTO{
 			ID: s.ID, Parent: s.Parent, Name: s.Name,
 			StartUS: s.Start.Microseconds(),
@@ -158,6 +159,7 @@ func SpansFromDTO(d []SpanDTO) []obs.Span {
 			ID: s.ID, Parent: s.Parent, Name: s.Name,
 			Start: start,
 			End:   start + time.Duration(s.DurUS)*time.Microsecond,
+			Attr:  obs.Attr{}, // not on the wire
 		}
 	}
 	return out
@@ -233,6 +235,7 @@ type BreakdownDTO struct {
 
 func breakdownToDTO(b node.Breakdown) BreakdownDTO {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	_ = b.AtomsPruned // stays on the node (metrics, in-process stats): the frozen v1 breakdown has no place for it
 	return BreakdownDTO{
 		CacheLookupMS: ms(b.CacheLookup), IOMS: ms(b.IO), ComputeMS: ms(b.Compute),
 		CacheUpdateMS: ms(b.CacheUpdate), TotalMS: ms(b.Total),
@@ -251,6 +254,7 @@ func breakdownFromDTO(d BreakdownDTO) node.Breakdown {
 		CacheUpdate: dur(d.CacheUpdateMS), Total: dur(d.TotalMS),
 		AtomsRead: d.AtomsRead, HaloAtoms: d.HaloAtoms, PointsExamined: d.PointsExamined,
 		AtomsSkipped: d.AtomsSkipped,
+		AtomsPruned:  0, // not on the wire
 	}
 }
 

@@ -86,6 +86,18 @@ lane 'scheduler stress (-race)'
 go test -race -run 'Sched|Concurrent' ./internal/sched/... ./internal/workload/...
 lane_done
 
+# Synopsis lane: the max-norm synopsis suites by name under the race
+# detector, and not -short, so the differential runs its full 64³ schedule:
+# pruned threshold scans against a twin that never prunes (solo, batch, PDF,
+# top-k; aligned and clipped boxes; three scan routings), what must never
+# reach the table, the filter's rules, budget eviction, concurrent scans
+# learning one key, and the degraded-pass / DropCache case through the
+# mediator. -count=10 on the concurrent suite, per the Go guide.
+lane 'max-norm synopsis (-race)'
+go test -race -run 'TestSynopsis|TestOrderKey' ./internal/node/... ./internal/cluster/...
+go test -race -count=10 -run 'TestSynopsisConcurrentScansOneKey' ./internal/node/...
+lane_done
+
 # Row-kernel lanes (scripts/kernels.sh): the bounds-check ratchet — the
 # compiler may report no more unproven index checks in stencil.go and
 # derived.go than the number committed in that script — and the arm64
