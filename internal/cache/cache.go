@@ -26,6 +26,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"github.com/turbdb/turbdb/internal/diskmodel"
@@ -402,37 +403,57 @@ func (c *Cache) deleteEntry(tx *txn.Tx, id txn.RowID) error {
 	return tx.Delete(TableInfo, id)
 }
 
-// Drop removes every cached entry for (dataset, field, timestep) — used by
-// the experiment harness to force cache misses, mirroring how the paper
-// dropped cache entries for the queried time-step before cache-miss runs.
+// Drop removes every cached entry for (dataset, field, timestep), threshold
+// results and aggregates alike, under fieldName and under every
+// fieldName+"@…" key (the scan-routed variants a node keys replica scans
+// by) — used by the experiment harness to force cache misses, mirroring how
+// the paper dropped cache entries for the queried time-step before
+// cache-miss runs.
 func (c *Cache) Drop(dataset, fieldName string, step int) error {
 	for attempt := 0; attempt < maxStoreRetries; attempt++ {
-		tx := c.db.Begin()
-		var ids []txn.RowID
-		err := tx.Scan(TableInfo, func(id txn.RowID, data interface{}) bool {
-			r := data.(InfoRow)
-			if r.Dataset == dataset && r.Field == fieldName && r.Timestep == step {
-				ids = append(ids, id)
-			}
-			return true
-		})
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-		for _, id := range ids {
-			if err := c.deleteEntry(tx, id); err != nil {
-				tx.Abort()
-				return err
-			}
-		}
-		if err := tx.Commit(); err == nil {
-			return nil
-		} else if !errors.Is(err, txn.ErrConflict) {
+		if err := c.tryDrop(dataset, fieldName, step); !errors.Is(err, txn.ErrConflict) {
 			return err
 		}
 	}
 	return fmt.Errorf("cache: drop kept conflicting")
+}
+
+// tryDrop runs one optimistic attempt of Drop.
+func (c *Cache) tryDrop(dataset, fieldName string, step int) error {
+	match := func(ds, f string, s int) bool {
+		return ds == dataset && s == step && (f == fieldName || strings.HasPrefix(f, fieldName+"@"))
+	}
+	tx := c.db.Begin()
+	defer tx.Abort()
+	var ids, aggIDs []txn.RowID
+	err := tx.Scan(TableInfo, func(id txn.RowID, data interface{}) bool {
+		if r := data.(InfoRow); match(r.Dataset, r.Field, r.Timestep) {
+			ids = append(ids, id)
+		}
+		return true
+	})
+	if err == nil {
+		err = tx.Scan(TableAgg, func(id txn.RowID, data interface{}) bool {
+			if r := data.(AggRow); match(r.Dataset, r.Field, r.Timestep) {
+				aggIDs = append(aggIDs, id)
+			}
+			return true
+		})
+	}
+	for _, id := range ids {
+		if err == nil {
+			err = c.deleteEntry(tx, id)
+		}
+	}
+	for _, id := range aggIDs {
+		if err == nil {
+			err = tx.Delete(TableAgg, id)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return tx.Commit()
 }
 
 // Entries returns a snapshot of the cacheInfo table (for inspection and

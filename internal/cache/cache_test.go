@@ -228,6 +228,40 @@ func TestDrop(t *testing.T) {
 	}
 }
 
+// Drop covers aggregates as well as threshold entries, under the key and
+// under its scan-routed "@" variants, and nothing else.
+func TestDropCoversAggregatesAndScanKeys(t *testing.T) {
+	c, err := New(Config{AggEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := box(0, 8)
+	keys := []struct {
+		field   string
+		step    int
+		dropped bool
+	}{{"f", 0, true}, {"f@0-8", 0, true}, {"f", 1, false}, {"f@0-8", 1, false}, {"fx", 0, false}}
+	for _, k := range keys {
+		if err := c.Store(nil, "d", k.field, k.step, 5, region, pointsIn(region, 5, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.StoreAgg(nil, "d", k.field, k.step, "pdf", []int64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Drop("d", "f", 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if _, ok, _ := c.Lookup(nil, "d", k.field, k.step, 5, region); ok == k.dropped {
+			t.Errorf("%s step %d: threshold entry resident = %v", k.field, k.step, ok)
+		}
+		if _, ok, _ := c.LookupAgg(nil, "d", k.field, k.step, "pdf"); ok == k.dropped {
+			t.Errorf("%s step %d: aggregate resident = %v", k.field, k.step, ok)
+		}
+	}
+}
+
 func TestChunkingLargeEntry(t *testing.T) {
 	c := newCache(t, 0)
 	region := box(0, 32)

@@ -64,9 +64,6 @@ func (m *Mediator) ThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.T
 	if len(qs) == 0 {
 		return nil, faulttol.Permanent("mediator: empty threshold batch")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, qsp := obs.StartSpan(ctx, "threshold_batch")
 	defer qsp.End()
 	_, psp := obs.StartSpan(ctx, "plan")

@@ -349,9 +349,6 @@ func (s *QueryStats) FromCache() bool { return s.CacheHits == s.NodeAnswers }
 // result is delivered to the user. ctx bounds the whole fan-out, including
 // retries.
 func (m *Mediator) Threshold(ctx context.Context, p *sim.Proc, q query.Threshold) ([]query.ResultPoint, *QueryStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, qsp := obs.StartSpan(ctx, "threshold")
 	defer qsp.End()
 	_, psp := obs.StartSpan(ctx, "plan")
@@ -446,9 +443,6 @@ func (m *Mediator) noteQuery(stats *QueryStats) {
 // PDF evaluates a histogram query across the cluster and merges per-node
 // bin counts.
 func (m *Mediator) PDF(ctx context.Context, p *sim.Proc, q query.PDF) ([]int64, *QueryStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, qsp := obs.StartSpan(ctx, "pdf")
 	defer qsp.End()
 	domain := m.grid.Domain()
@@ -485,9 +479,6 @@ func (m *Mediator) PDF(ctx context.Context, p *sim.Proc, q query.PDF) ([]int64, 
 // TopK evaluates a top-k query across the cluster: every node returns its k
 // best candidates and the mediator keeps the global k largest.
 func (m *Mediator) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query.ResultPoint, *QueryStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, qsp := obs.StartSpan(ctx, "topk")
 	defer qsp.End()
 	domain := m.grid.Domain()

@@ -558,8 +558,8 @@ func (n *Node) scanSet(syn *synEntry, qbox grid.Box, scan []morton.Range, preds 
 // the shard to the given atom ranges (replica routing); empty means the
 // node's primary range. consumerFor builds each worker's row consumer.
 //
-// preds are the threshold predicates the consumers evaluate, nil for a scan
-// that wants every point (PDF, top-k). With predicates, the node's synopsis
+// preds are the predicates the consumers evaluate; nil, or a −Inf threshold
+// (PDF, top-k), wants every point. With predicates, the node's synopsis
 // first removes the atoms that cannot hold a qualifying point — they are
 // not read, not fetched halo for, not decoded, not evaluated — and a
 // consumer sees only the rows that reach the lowest threshold. Every scan

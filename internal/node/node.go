@@ -259,10 +259,8 @@ func splitWork(codes []morton.Code, nParts int) [][]morton.Code {
 // from a larger buffer pool, which reduces the I/O time"). The requesting
 // peer charges the inter-node network transfer instead.
 func (n *Node) FetchAtoms(ctx context.Context, _ *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return n.store.ReadAtoms(nil, rawField, step, codes)
 }

@@ -4,13 +4,13 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
-	"github.com/turbdb/turbdb/internal/faulttol"
+	"github.com/turbdb/turbdb/internal/cache"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
-	"github.com/turbdb/turbdb/internal/stencil"
 )
 
 // PDFResult is one node's contribution to a histogram query.
@@ -27,84 +27,68 @@ func pdfCacheKey(q query.PDF) string {
 	return fmt.Sprintf("pdf/%v/%d/%g/%g", q.Box, q.Bins, q.Min, q.Width)
 }
 
-// GetPDF histograms the norm of the requested field over this node's shard
-// of the query box, using the same data-parallel strategy as threshold
-// queries (paper Sec. 4: the probability density function "is computed
-// using a similar strategy to threshold queries").
-//
-// The production cache stores only threshold results, but the paper notes
-// it "can easily be extended to cache the results of other query types";
-// when the node's cache is configured with an aggregate budget
-// (cache.Config.AggEntries), per-node PDF histograms are cached under an
-// exact parameter key.
-func (n *Node) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*PDFResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// pdfMember histograms the norms of its box. The production cache stores
+// only threshold results, but the paper notes it "can easily be extended to
+// cache the results of other query types"; when the node's cache is
+// configured with an aggregate budget (cache.Config.AggEntries), per-node
+// histograms are cached under an exact parameter key.
+type pdfMember struct {
+	q      query.PDF
+	parts  [][]int64 // per worker
+	counts []int64
+}
+
+func (m *pdfMember) pred() atomPred { return atomPred{m.q.Box, math.Inf(-1)} }
+
+func (m *pdfMember) consumer() rowConsumer {
+	counts := make([]int64, m.q.Bins)
+	m.parts = append(m.parts, counts)
+	return func(p grid.Point, norms []float64) bool {
+		lo, hi := rowSpan(m.q.Box, p, len(norms))
+		for i := lo; i < hi; i++ {
+			counts[m.q.Bin(norms[i])]++
+		}
+		return true
 	}
+}
+
+func (m *pdfMember) finish() error {
+	for _, part := range m.parts {
+		for i, c := range part {
+			m.counts[i] += c
+		}
+	}
+	return nil
+}
+
+func (m *pdfMember) lookup(p *sim.Proc, c *cache.Cache, dataset, key string, step int) (bool, error) {
+	counts, ok, err := c.LookupAgg(p, dataset, key, step, pdfCacheKey(m.q))
+	if ok {
+		m.counts = counts
+	}
+	return ok, err
+}
+
+func (m *pdfMember) store(p *sim.Proc, c *cache.Cache, dataset, key string, step int) error {
+	return c.StoreAgg(p, dataset, key, step, pdfCacheKey(m.q), m.counts)
+}
+
+// GetPDF histograms the norm of the requested field over this node's shard
+// of the query box, as one member of a node scan (paper Sec. 4: the
+// probability density function "is computed using a similar strategy to
+// threshold queries").
+func (n *Node) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*PDFResult, error) {
 	domain := n.Grid().Domain()
 	q = q.Normalize(domain)
 	if err := q.Validate(domain); err != nil {
 		return nil, err
 	}
-	if q.Dataset != n.dataset {
-		return nil, faulttol.Permanentf("node: serves dataset %q, not %q", n.dataset, q.Dataset)
-	}
-	f, err := n.resolveField(q.Field)
+	m := &pdfMember{q: q, counts: make([]int64, q.Bins)}
+	bd, err := n.scanOne(ctx, p, scanKey{q.Dataset, q.Field, q.FDOrder, q.Timestep, q.Scan}, m)
 	if err != nil {
 		return nil, err
 	}
-	hw, err := f.HalfWidth(q.FDOrder)
-	if err != nil {
-		return nil, err
-	}
-	st, err := stencil.Get(q.FDOrder)
-	if err != nil {
-		return nil, err
-	}
-
-	start := n.exec.Now()
-	ckey := cacheFieldKey(q.Field, q.FDOrder) + scanCacheSuffix(q.Scan)
-	if n.cache != nil {
-		counts, ok, err := n.cache.LookupAgg(p, q.Dataset, ckey, q.Timestep, pdfCacheKey(q))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			res := &PDFResult{Counts: counts}
-			res.Breakdown.CacheLookup = n.exec.Now() - start
-			res.Breakdown.Total = res.Breakdown.CacheLookup
-			return res, nil
-		}
-	}
-	perWorker := make([][]int64, n.Processes())
-	consumerFor := func(worker int) rowConsumer {
-		perWorker[worker] = make([]int64, q.Bins)
-		counts := perWorker[worker]
-		return func(_ grid.Point, norms []float64) bool {
-			for _, norm := range norms {
-				counts[q.Bin(norm)]++
-			}
-			return true
-		}
-	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, nil, consumerFor)
-	if err != nil {
-		return nil, err
-	}
-	res := &PDFResult{Counts: make([]int64, q.Bins), Breakdown: bd}
-	for _, counts := range perWorker {
-		for i, c := range counts {
-			res.Counts[i] += c
-		}
-	}
-	// A degraded (partial-halo) histogram is never cached.
-	if n.cache != nil && bd.AtomsSkipped == 0 {
-		if err := n.cache.StoreAgg(p, q.Dataset, ckey, q.Timestep, pdfCacheKey(q), res.Counts); err != nil {
-			return nil, err
-		}
-	}
-	res.Breakdown.Total = n.exec.Now() - start
-	return res, nil
+	return &PDFResult{Counts: m.counts, Breakdown: bd}, nil
 }
 
 // TopKResult is one node's top-k candidates.
@@ -141,6 +125,49 @@ func (h *minHeap) Pop() interface{} {
 	return x
 }
 
+// topKMember keeps the k largest norms of its box in one heap per worker.
+// It has no cache entry.
+type topKMember struct {
+	q     query.TopK
+	heaps []*minHeap // per worker
+	pts   []query.ResultPoint
+}
+
+func (m *topKMember) pred() atomPred { return atomPred{m.q.Box, math.Inf(-1)} }
+
+func (m *topKMember) consumer() rowConsumer {
+	h := &minHeap{}
+	m.heaps = append(m.heaps, h)
+	return func(p grid.Point, norms []float64) bool {
+		lo, hi := rowSpan(m.q.Box, p, len(norms))
+		for i := lo; i < hi; i++ {
+			// Most points fall below a full heap's root: skip them before
+			// paying for their Morton code.
+			if h.Len() == m.q.K && float32(norms[i]) < (*h)[0].Value {
+				continue
+			}
+			if pt := query.PointFor(p.Add(i, 0, 0), norms[i]); h.Len() < m.q.K {
+				heap.Push(h, pt)
+			} else if ranksBefore(pt, (*h)[0]) {
+				(*h)[0] = pt
+				heap.Fix(h, 0)
+			}
+		}
+		return true
+	}
+}
+
+func (m *topKMember) finish() error {
+	for _, h := range m.heaps {
+		m.pts = append(m.pts, *h...)
+	}
+	sort.Slice(m.pts, func(i, j int) bool { return ranksBefore(m.pts[i], m.pts[j]) })
+	if len(m.pts) > m.q.K {
+		m.pts = m.pts[:m.q.K]
+	}
+	return nil
+}
+
 // GetTopK returns this node's k largest field norms within the query box.
 // The mediator merges per-node candidate lists into the global top-k. As
 // the paper notes, generic top-k pruning techniques do not apply because
@@ -148,65 +175,15 @@ func (h *minHeap) Pop() interface{} {
 // neighborhoods — so the node evaluates its full shard and keeps a k-sized
 // heap.
 func (n *Node) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*TopKResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	domain := n.Grid().Domain()
 	q = q.Normalize(domain)
 	if err := q.Validate(domain); err != nil {
 		return nil, err
 	}
-	if q.Dataset != n.dataset {
-		return nil, faulttol.Permanentf("node: serves dataset %q, not %q", n.dataset, q.Dataset)
-	}
-	f, err := n.resolveField(q.Field)
+	m := &topKMember{q: q}
+	bd, err := n.scanOne(ctx, p, scanKey{q.Dataset, q.Field, q.FDOrder, q.Timestep, q.Scan}, m)
 	if err != nil {
 		return nil, err
 	}
-	hw, err := f.HalfWidth(q.FDOrder)
-	if err != nil {
-		return nil, err
-	}
-	st, err := stencil.Get(q.FDOrder)
-	if err != nil {
-		return nil, err
-	}
-
-	start := n.exec.Now()
-	heaps := make([]minHeap, n.Processes())
-	consumerFor := func(worker int) rowConsumer {
-		h := &heaps[worker]
-		return func(p grid.Point, norms []float64) bool {
-			for i, norm := range norms {
-				// Most points fall below a full heap's root: skip them
-				// before paying for their Morton code.
-				if h.Len() == q.K && float32(norm) < (*h)[0].Value {
-					continue
-				}
-				if pt := query.PointFor(p.Add(i, 0, 0), norm); h.Len() < q.K {
-					heap.Push(h, pt)
-				} else if ranksBefore(pt, (*h)[0]) {
-					(*h)[0] = pt
-					heap.Fix(h, 0)
-				}
-			}
-			return true
-		}
-	}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, nil, consumerFor)
-	if err != nil {
-		return nil, err
-	}
-
-	var all []query.ResultPoint
-	for _, h := range heaps {
-		all = append(all, h...)
-	}
-	sort.Slice(all, func(i, j int) bool { return ranksBefore(all[i], all[j]) })
-	if len(all) > q.K {
-		all = all[:q.K]
-	}
-	res := &TopKResult{Points: all, Breakdown: bd}
-	res.Breakdown.Total = n.exec.Now() - start
-	return res, nil
+	return &TopKResult{Points: m.pts, Breakdown: bd}, nil
 }

@@ -2,8 +2,8 @@ package node
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -13,10 +13,8 @@ import (
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/morton"
-	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
-	"github.com/turbdb/turbdb/internal/stencil"
 )
 
 // ThresholdResult is one node's answer to a threshold query.
@@ -29,13 +27,28 @@ type ThresholdResult struct {
 	// Breakdown gives the phase timings of this node's evaluation.
 	Breakdown Breakdown
 	// Shared is the number of queries that shared the node-side scan that
-	// produced this answer (0 or 1 for a solo evaluation, ≥ 2 inside a
-	// shared-scan batch).
+	// produced this answer: 0 for a solo evaluation (a batch of one), else
+	// the batch members the cache missed.
 	Shared int
 	// ScansSaved counts the atom scans this query avoided because the pass
 	// was shared: the atoms a solo evaluation would have scanned (after the
 	// synopsis pruned) minus this query's share of the union pass.
 	ScansSaved int
+}
+
+// ThresholdBatchResult is one node's answer to a shared-scan batch of
+// threshold queries. Results and Errs are indexed like the request slice;
+// exactly one of Results[i] / Errs[i] is set per member. A member error
+// (e.g. over its point limit) never fails the other members — only
+// batch-wide problems (bad field, I/O failure, cancellation) surface as
+// the call's error.
+type ThresholdBatchResult struct {
+	Results []*ThresholdResult
+	Errs    []error
+	// AtomsScanned is the size of the single union pass that served every
+	// non-cached member: the atoms it evaluated, after the synopsis pruned
+	// (0 when all members hit the cache, and for a batch of one).
+	AtomsScanned int
 }
 
 // cacheFieldKey builds the cache key component for a field: results depend
@@ -75,131 +88,129 @@ func (n *Node) resolveField(fieldName string) (*derived.Field, error) {
 	return f, nil
 }
 
-// GetThreshold evaluates a threshold query over this node's shard of the
-// data, implementing the paper's Algorithm 1:
-//
-//  1. interrogate the local cache: an entry for (dataset, field, time-step)
-//     whose region contains the query box and whose stored threshold is ≤
-//     the requested one answers the query by an index scan;
-//  2. otherwise read the raw data (plus halo) into memory, derive the field
-//     at every grid location, keep the locations whose norm is ≥ the
-//     threshold, and store the result in the cache.
-//
-// The result-point limit is enforced: queries that would return more than
-// q.Limit points fail with *query.ErrTooManyPoints, and nothing is cached.
-//
-// ctx bounds the evaluation: cancellation or an expired deadline aborts
-// both the I/O and compute phases between atoms. A nil ctx means no
-// deadline (accepted for in-process convenience).
-func (n *Node) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold) (*ThresholdResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// unionBox returns the bounding box of two half-open boxes.
+func unionBox(a, b grid.Box) grid.Box {
+	if a.Empty() {
+		return b
 	}
-	domain := n.Grid().Domain()
-	q = q.Normalize(domain)
-	if err := q.Validate(domain); err != nil {
-		return nil, err
+	if b.Empty() {
+		return a
 	}
-	if q.Dataset != n.dataset {
-		return nil, faulttol.Permanentf("node: serves dataset %q, not %q", n.dataset, q.Dataset)
+	return grid.Box{
+		Lo: grid.Point{X: min(a.Lo.X, b.Lo.X), Y: min(a.Lo.Y, b.Lo.Y), Z: min(a.Lo.Z, b.Lo.Z)},
+		Hi: grid.Point{X: max(a.Hi.X, b.Hi.X), Y: max(a.Hi.Y, b.Hi.Y), Z: max(a.Hi.Z, b.Hi.Z)},
 	}
-	f, err := n.resolveField(q.Field)
-	if err != nil {
-		return nil, err
-	}
-	hw, err := f.HalfWidth(q.FDOrder)
-	if err != nil {
-		return nil, err
-	}
-	st, err := stencil.Get(q.FDOrder)
-	if err != nil {
-		return nil, err
-	}
+}
 
-	res := &ThresholdResult{}
-	start := n.exec.Now()
-	ckey := cacheFieldKey(q.Field, q.FDOrder) + scanCacheSuffix(q.Scan)
+// thresholdMember is the paper's threshold query as a scan member: the
+// points of its box whose norm is ≥ its threshold, at most q.Limit of them.
+// The cache entry it looks up and stores is Algorithm 1's: an entry whose
+// region contains the box and whose threshold is ≤ the requested one
+// answers it by an index scan.
+type thresholdMember struct {
+	q     query.Threshold
+	parts [][]query.ResultPoint // per worker
+	total atomic.Int64          // points found by every worker; past q.Limit the member is done
+	pts   []query.ResultPoint
+}
 
-	// Algorithm 1, lines 4–28: cache interrogation.
-	if n.cache != nil {
-		_, sp := obs.StartSpan(ctx, "cache_lookup")
-		pts, ok, err := n.cache.Lookup(p, q.Dataset, ckey, q.Timestep, q.Threshold, q.Box)
-		sp.End()
-		res.Breakdown.CacheLookup = n.exec.Now() - start
-		mCacheLookup.Observe(res.Breakdown.CacheLookup.Seconds())
-		if err != nil {
-			return nil, err
+func (m *thresholdMember) pred() atomPred { return atomPred{m.q.Box, m.q.Threshold} }
+
+func (m *thresholdMember) consumer() rowConsumer {
+	w := len(m.parts)
+	m.parts = append(m.parts, nil)
+	return func(p grid.Point, norms []float64) bool {
+		if int(m.total.Load()) > m.q.Limit {
+			return false
 		}
-		if ok {
-			if len(pts) > q.Limit {
-				return nil, &query.ErrTooManyPoints{Limit: q.Limit, Seen: len(pts)}
-			}
-			sort.Slice(pts, func(i, j int) bool { return pts[i].Code < pts[j].Code })
-			res.Points = pts
-			res.FromCache = true
-			res.Breakdown.Total = n.exec.Now() - start
-			return res, nil
-		}
-	}
-
-	// Algorithm 1, lines 29–36: evaluate from the raw data.
-	var total atomic.Int64
-	var overLimit atomic.Bool // consumers from every worker process race on it
-	results := make([][]query.ResultPoint, n.Processes())
-	consumerFor := func(worker int) rowConsumer {
-		return func(p grid.Point, norms []float64) bool {
-			for i, norm := range norms {
-				if norm >= q.Threshold {
-					results[worker] = append(results[worker], query.PointFor(p.Add(i, 0, 0), norm))
-					if int(total.Add(1)) > q.Limit {
-						overLimit.Store(true)
-						return false
-					}
+		lo, hi := rowSpan(m.q.Box, p, len(norms))
+		for i := lo; i < hi; i++ {
+			if norms[i] >= m.q.Threshold {
+				m.parts[w] = append(m.parts[w], query.PointFor(p.Add(i, 0, 0), norms[i]))
+				if int(m.total.Add(1)) > m.q.Limit {
+					return false
 				}
 			}
-			return true
 		}
+		return true
 	}
-	preds := []atomPred{{q.Box, q.Threshold}}
-	bd, err := n.evalPhases(ctx, p, f, st, q.Timestep, q.Box, q.Scan, hw, preds, consumerFor)
-	res.Breakdown.IO = bd.IO
-	res.Breakdown.Compute = bd.Compute
-	res.Breakdown.AtomsRead = bd.AtomsRead
-	res.Breakdown.HaloAtoms = bd.HaloAtoms
-	res.Breakdown.PointsExamined = bd.PointsExamined
-	res.Breakdown.AtomsSkipped = bd.AtomsSkipped
-	res.Breakdown.AtomsPruned = bd.AtomsPruned
+}
+
+// finish fails with *query.ErrTooManyPoints over the limit; nothing is then
+// cached.
+func (m *thresholdMember) finish() error {
+	for _, part := range m.parts {
+		m.pts = append(m.pts, part...)
+	}
+	if len(m.pts) > m.q.Limit {
+		return &query.ErrTooManyPoints{Limit: m.q.Limit, Seen: len(m.pts)}
+	}
+	sort.Slice(m.pts, func(i, j int) bool { return m.pts[i].Code < m.pts[j].Code })
+	return nil
+}
+
+func (m *thresholdMember) lookup(p *sim.Proc, c *cache.Cache, dataset, key string, step int) (ok bool, err error) {
+	m.pts, ok, err = c.Lookup(p, dataset, key, step, m.q.Threshold, m.q.Box)
+	return ok, err
+}
+
+func (m *thresholdMember) store(p *sim.Proc, c *cache.Cache, dataset, key string, step int) error {
+	return c.Store(p, dataset, key, step, m.q.Threshold, m.q.Box, m.pts)
+}
+
+// GetThreshold evaluates a threshold query over this node's shard of the
+// data, implementing the paper's Algorithm 1 (see Node.scan) as a batch of
+// one. A query that would return more than q.Limit points fails with
+// *query.ErrTooManyPoints, and nothing is cached.
+func (n *Node) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold) (*ThresholdResult, error) {
+	res, err := n.GetThresholdBatch(ctx, p, []query.Threshold{q})
 	if err != nil {
 		return nil, err
 	}
-	if overLimit.Load() {
-		return nil, &query.ErrTooManyPoints{Limit: q.Limit, Seen: int(total.Load())}
-	}
+	return res.Results[0], res.Errs[0]
+}
 
-	var pts []query.ResultPoint
-	for _, r := range results {
-		pts = append(pts, r...)
+// GetThresholdBatch evaluates several threshold queries over the same
+// (dataset, field, FD order, time-step, scan) in ONE pass over the union of
+// their boxes — the shared-scan entry point behind the mediator scheduler's
+// batching window. Every member gets exactly the points, in the same order,
+// that it would have got alone. The cache keeps its usual role: members
+// whose answer is already cached are served from it and excluded from the
+// scan; members evaluated by the scan are stored back individually, so a
+// batch warms the cache exactly like the equivalent solo queries would have.
+func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*ThresholdBatchResult, error) {
+	if len(qs) == 0 {
+		return nil, faulttol.Permanent("node: empty threshold batch")
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Code < pts[j].Code })
-
-	// Algorithm 1, line 37: update the cacheInfo and cacheData tables.
-	// Caching is best-effort: a result too large for the cache is simply
-	// served uncached. A degraded (partial-halo) result is never cached —
-	// it would poison later complete queries.
-	if n.cache != nil && bd.AtomsSkipped == 0 {
-		t0 := n.exec.Now()
-		_, sp := obs.StartSpan(ctx, "cache_update")
-		err := n.cache.Store(p, q.Dataset, ckey, q.Timestep, q.Threshold, q.Box, pts)
-		sp.End()
-		if err != nil && !errors.Is(err, cache.ErrEntryTooLarge) {
-			return nil, fmt.Errorf("node: cache update: %w", err)
+	domain := n.Grid().Domain()
+	ms := make([]member, len(qs))
+	var q0 query.Threshold
+	for i, q := range qs {
+		q = q.Normalize(domain)
+		if err := q.Validate(domain); err != nil {
+			return nil, err
 		}
-		res.Breakdown.CacheUpdate = n.exec.Now() - t0
-		mCacheUpdate.Observe(res.Breakdown.CacheUpdate.Seconds())
+		if i == 0 {
+			q0 = q
+		} else if q.Dataset != q0.Dataset || q.Field != q0.Field || q.FDOrder != q0.FDOrder ||
+			q.Timestep != q0.Timestep || !slices.Equal(q.Scan, q0.Scan) {
+			return nil, faulttol.Permanentf("node: batch member %d disagrees with member 0 on (dataset, field, order, step, scan)", i)
+		}
+		ms[i] = &thresholdMember{q: q}
 	}
-
-	res.Points = pts
-	res.Breakdown.Total = n.exec.Now() - start
+	out, atomsScanned, err := n.scan(ctx, p, scanKey{q0.Dataset, q0.Field, q0.FDOrder, q0.Timestep, q0.Scan}, ms)
+	if err != nil {
+		return nil, err
+	}
+	res := &ThresholdBatchResult{Results: make([]*ThresholdResult, len(qs)), Errs: make([]error, len(qs)), AtomsScanned: atomsScanned}
+	for i, o := range out {
+		if res.Errs[i] = o.err; o.err == nil {
+			res.Results[i] = &ThresholdResult{
+				Points: ms[i].(*thresholdMember).pts, FromCache: o.fromCache,
+				Breakdown: o.bd, Shared: o.shared, ScansSaved: o.scansSaved,
+			}
+		}
+	}
 	return res, nil
 }
 
@@ -223,17 +234,5 @@ func (n *Node) DropCacheEntry(ctx context.Context, fieldName string, order, step
 	if n.cache == nil {
 		return nil
 	}
-	if err := n.cache.Drop(n.dataset, base, step); err != nil {
-		return err
-	}
-	// Replica-routed scans cache under scan-suffixed keys; drop those too so
-	// a cold-cache request stays cold regardless of the routing in effect.
-	for _, row := range n.cache.Entries() {
-		if row.Dataset == n.dataset && row.Timestep == step && strings.HasPrefix(row.Field, base+"@") {
-			if err := n.cache.Drop(n.dataset, row.Field, step); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return n.cache.Drop(n.dataset, base, step)
 }

@@ -418,9 +418,6 @@ func (s *Scheduler) Close() {
 // backend alone would return; stats gain QueueWait and, for batched
 // queries, SharedScan/ScansSaved.
 func (s *Scheduler) Threshold(ctx context.Context, p *sim.Proc, q query.Threshold) ([]query.ResultPoint, *mediator.QueryStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	start := time.Now()
 	wait, release, err := s.admit(ctx, q.Tenant)
 	if err != nil {
@@ -443,9 +440,6 @@ func (s *Scheduler) Threshold(ctx context.Context, p *sim.Proc, q query.Threshol
 
 // PDF runs a histogram query under admission control (no batching).
 func (s *Scheduler) PDF(ctx context.Context, p *sim.Proc, q query.PDF) ([]int64, *mediator.QueryStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	start := time.Now()
 	wait, release, err := s.admit(ctx, q.Tenant)
 	if err != nil {
@@ -462,9 +456,6 @@ func (s *Scheduler) PDF(ctx context.Context, p *sim.Proc, q query.PDF) ([]int64,
 
 // TopK runs a top-k query under admission control (no batching).
 func (s *Scheduler) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query.ResultPoint, *mediator.QueryStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	start := time.Now()
 	wait, release, err := s.admit(ctx, q.Tenant)
 	if err != nil {

@@ -98,6 +98,17 @@ go test -race -run 'TestSynopsis|TestOrderKey' ./internal/node/... ./internal/cl
 go test -race -count=10 -run 'TestSynopsisConcurrentScansOneKey' ./internal/node/...
 lane_done
 
+# Node scan lane: the one node query procedure (Node.scan) under the race
+# detector — what each entry point reports per member (FromCache, Shared,
+# ScansSaved, AtomsScanned, Breakdown counts, typed member errors, span
+# names) with two workers building and running every member's consumers
+# (-count=10, per the Go guide), and the drop that must forget every cached answer, threshold entries and
+# PDF histograms under any scan routing.
+lane 'node scan (-race)'
+go test -race -count=10 -run 'TestScanContract' ./internal/node/...
+go test -race -run 'TestDropCacheForgetsPDF|TestDropCoversAggregatesAndScanKeys' . ./internal/cache/...
+lane_done
+
 # Row-kernel lanes (scripts/kernels.sh): the bounds-check ratchet — the
 # compiler may report no more unproven index checks in stencil.go and
 # derived.go than the number committed in that script — and the arm64

@@ -334,26 +334,14 @@ func (db *DB) fineHistogram(field string, step int) (*hist.Histogram, error) {
 
 // DropCache removes cached results for (field, step) on every node, forcing
 // the next query to re-evaluate from the raw data. order 0 means the
-// default finite-difference order. The unbounded convenience form of
-// DropCacheContext.
+// default finite-difference order.
 func (db *DB) DropCache(field string, order, step int) error {
-	return db.DropCacheContext(context.Background(), field, order, step)
+	return db.c.Mediator.DropCache(context.Background(), field, order, step)
 }
 
-// DropCacheContext is DropCache with the fan-out bounded by ctx.
-func (db *DB) DropCacheContext(ctx context.Context, field string, order, step int) error {
-	return db.c.Mediator.DropCache(ctx, field, order, step)
-}
-
-// SetProcesses changes the per-query worker count on every node. The
-// unbounded convenience form of SetProcessesContext.
+// SetProcesses changes the per-query worker count on every node.
 func (db *DB) SetProcesses(n int) error {
-	return db.SetProcessesContext(context.Background(), n)
-}
-
-// SetProcessesContext is SetProcesses with the fan-out bounded by ctx.
-func (db *DB) SetProcessesContext(ctx context.Context, n int) error {
-	return db.c.Mediator.SetProcesses(ctx, n)
+	return db.c.Mediator.SetProcesses(context.Background(), n)
 }
 
 // CacheStats aggregates hit/miss/store/eviction counters across the nodes'

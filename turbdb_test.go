@@ -509,6 +509,26 @@ func TestCachePDFExtension(t *testing.T) {
 	}
 }
 
+// A dropped cache forgets cached histograms too: the PDF after DropCache is
+// evaluated again, not answered from the aggregate table.
+func TestDropCacheForgetsPDF(t *testing.T) {
+	db := openTest(t, Config{Kind: MHD, Cache: true, CachePDF: 16, Seed: 41, Simulate: true, GridN: 32})
+	q := PDFQuery{Field: FieldVorticity, Bins: 8, Width: 2}
+	if _, _, err := db.PDF(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropCache(FieldVorticity, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := db.PDF(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.IO == 0 || stats.Compute == 0 {
+		t.Errorf("PDF after a drop paid I/O %v, compute %v: served from the cache", stats.IO, stats.Compute)
+	}
+}
+
 // TestFieldsRegisterRace exercises concurrent RegisterField and Fields calls;
 // run with -race to catch unsynchronized access to the custom-field list
 // (Fields previously read db.custom without db.mu).
