@@ -9,6 +9,7 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -133,11 +134,21 @@ func diffAnswers(t *testing.T, got, want []answer) {
 
 // TestSchedDifferentialHealthy is the tentpole acceptance check: 32
 // concurrent overlapping threshold queries through the scheduler are
-// Float32bits-identical to sequential evaluation, with scans actually
-// shared (ScansSaved > 0).
+// Float32bits-identical to sequential evaluation, with followers batched
+// (SharedScan). With a cache, the first query's solo scan fills it and its
+// followers are answered from it; without one, they share scans
+// (ScansSaved > 0).
 func TestSchedDifferentialHealthy(t *testing.T) {
+	for _, cache := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+			schedDifferentialHealthy(t, cache)
+		})
+	}
+}
+
+func schedDifferentialHealthy(t *testing.T, withCache bool) {
 	defer obs.VerifyNoLeaks(t)
-	cfg := cluster.Config{Nodes: 4, WithCache: true}
+	cfg := cluster.Config{Nodes: 4, WithCache: withCache}
 	seq := buildCluster(t, cfg)
 	con := buildCluster(t, cfg)
 	s, err := New(con.Mediator, Config{
@@ -166,7 +177,7 @@ func TestSchedDifferentialHealthy(t *testing.T) {
 			t.Fatalf("healthy cluster coverage %v", a.stats.Coverage)
 		}
 	}
-	if saved == 0 {
+	if !withCache && saved == 0 {
 		t.Error("32 overlapping concurrent queries shared no scans (ScansSaved == 0)")
 	}
 	if shared == 0 {
