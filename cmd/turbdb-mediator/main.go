@@ -23,9 +23,10 @@
 //
 // The concurrent query scheduler (on by default, -sched=false for the bare
 // mediator) adds admission control and shared-scan batching in front of the
-// fan-out: -sched-concurrent caps in-flight queries, -sched-window sets the
-// batching window merging concurrent threshold queries over the same
-// (field, order, step) into one node pass, and -sched-pools carves
+// fan-out: -sched-concurrent caps in-flight queries, -sched-window bounds
+// how long a threshold query that arrives while its (field, order, step) is
+// already being scanned waits to share the next node pass with others (a
+// query on an idle key runs at once), and -sched-pools carves
 // per-tenant resource pools, e.g.
 //
 //	-sched-pools 'viz=8:32:10,batch=4:16:0'
@@ -141,7 +142,7 @@ func main() {
 
 		schedOn    = flag.Bool("sched", true, "run the concurrent query scheduler (admission control + shared-scan batching)")
 		schedConc  = flag.Int("sched-concurrent", 0, "global concurrent-query cap (0 = 4×GOMAXPROCS)")
-		schedWin   = flag.Duration("sched-window", 2*time.Millisecond, "shared-scan batching window (0 disables batching)")
+		schedWin   = flag.Duration("sched-window", 2*time.Millisecond, "longest a follower of an in-flight scan waits to batch; an idle key runs at once (0 disables batching)")
 		schedQueue = flag.Int("sched-queue", 0, "default per-tenant queue quota before shedding (0 = built-in default)")
 		schedPools = flag.String("sched-pools", "", "per-tenant pools, name=running:queued:priority[,...]")
 	)

@@ -1,11 +1,14 @@
 package sched
 
-// Shared-scan batching: the first threshold query of a (dataset, field,
-// order, step, scan) key opens a batch and waits Config.BatchWindow for
-// sharers; compatible queries admitted inside the window join it. When the
-// window closes — or Close flushes it, or every member gives up — the batch
-// executes as ONE backend call (Mediator.ThresholdBatch → one node-side
-// pass over the union of the members' boxes) and each member receives
+// Shared-scan batching, group-commit shaped: a threshold query whose
+// (dataset, field, order, step, scan) key is idle — no open batch, nothing
+// in flight — runs now, alone, on its caller's goroutine. Queries arriving
+// while the key is in flight open or join a batch, which executes when the
+// key's in-flight work drains to zero (the handoff) or when its
+// Config.BatchWindow timer fires, whichever is first — or when Close
+// flushes it, or every member gives up. A batch executes as ONE backend
+// call (Mediator.ThresholdBatch → one node-side pass over the union of the
+// members' boxes), counts as in flight itself, and each member receives
 // exactly the answer its solo call would have produced.
 //
 // The seal race is settled under the scheduler mutex: the executor marks
@@ -22,6 +25,7 @@ import (
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
+	"github.com/turbdb/turbdb/internal/sim"
 )
 
 // batchKey groups queries that may share a node-side scan. Boxes,
@@ -81,15 +85,17 @@ type batch struct {
 	// same-struct guards): joins, seals and the live countdown all happen
 	// under it, and the executor reads members only after the seal.
 	flush   chan struct{} // closed by Close: execute now
+	handoff chan struct{} // closed (once, under mu) when the key drains: execute now
 	sealed  bool
 	live    int       // members still waiting on the fanned-out result
 	members []*member // append-only until sealed
 }
 
-// runBatched evaluates one admitted threshold query through the batching
-// window. The member holds its admission slot for the whole wait, so
-// MaxConcurrent bounds in-flight queries whether or not they share scans.
-func (s *Scheduler) runBatched(ctx context.Context, q query.Threshold) ([]query.ResultPoint, *mediator.QueryStats, error) {
+// runBatched evaluates one admitted threshold query: at once when its key
+// is idle, else through a batch. The member holds its admission slot for
+// the whole wait, so MaxConcurrent bounds in-flight queries whether or not
+// they share scans.
+func (s *Scheduler) runBatched(ctx context.Context, p *sim.Proc, q query.Threshold) ([]query.ResultPoint, *mediator.QueryStats, error) {
 	// Normalize and validate up front: an invalid query must be rejected
 	// alone, never poison a batch.
 	domain := s.backend.Grid().Domain()
@@ -101,17 +107,22 @@ func (s *Scheduler) runBatched(ctx context.Context, q query.Threshold) ([]query.
 		dataset: nq.Dataset, field: nq.Field, fdOrder: nq.FDOrder,
 		step: nq.Timestep, scanSig: scanSig(nq.Scan),
 	}
-	m := &member{q: nq, done: make(chan memberResult, 1)}
-
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
 	b := s.batches[key]
+	if b == nil && s.inflight[key] == 0 {
+		s.inflight[key]++
+		s.mu.Unlock()
+		defer s.drain(key) // a cancelled or failing leader still hands off
+		return s.backend.Threshold(ctx, p, nq)
+	}
 	if b == nil || b.sealed || len(b.members) >= s.cfg.MaxBatch {
 		b = s.newBatchLocked(ctx, key)
 	}
+	m := &member{q: nq, done: make(chan memberResult, 1)}
 	b.members = append(b.members, m)
 	b.live++
 	s.mu.Unlock()
@@ -143,7 +154,7 @@ func (s *Scheduler) newBatchLocked(ctx context.Context, key batchKey) *batch {
 	bctx, cancel := context.WithCancel(obs.ContextWithTrace(context.WithoutCancel(ctx), btr))
 	b := &batch{
 		key: key, ctx: bctx, cancel: cancel, trace: btr,
-		flush: make(chan struct{}),
+		flush: make(chan struct{}), handoff: make(chan struct{}),
 	}
 	s.batches[key] = b
 	s.wg.Add(1)
@@ -164,12 +175,34 @@ func (s *Scheduler) leaveBatch(b *batch) {
 	}
 }
 
-// sealBatch closes the batch to joiners and snapshots its members; the
-// joiner check (b.sealed under mu) makes arrive-while-sealing queries open
-// a fresh batch instead.
+// drain ends one unit of the key's in-flight work. The last one out hands
+// off to the key's open batch, if any, which then executes without waiting
+// out its window.
+func (s *Scheduler) drain(key batchKey) {
+	s.mu.Lock()
+	s.inflight[key]--
+	if s.inflight[key] == 0 {
+		delete(s.inflight, key)
+		if b := s.batches[key]; b != nil {
+			// b may already be handed off: a full batch it replaced can
+			// seal and drain before b's executor seals b.
+			select {
+			case <-b.handoff:
+			default:
+				close(b.handoff)
+			}
+		}
+	}
+	s.mu.Unlock()
+}
+
+// sealBatch closes the batch to joiners, snapshots its members and counts
+// its execution in flight; the joiner check (b.sealed under mu) makes
+// arrive-while-sealing queries open a fresh batch instead.
 func (s *Scheduler) sealBatch(b *batch) []*member {
 	s.mu.Lock()
 	b.sealed = true
+	s.inflight[b.key]++
 	if s.batches[b.key] == b {
 		delete(s.batches, b.key)
 	}
@@ -178,9 +211,9 @@ func (s *Scheduler) sealBatch(b *batch) []*member {
 	return members
 }
 
-// runBatchExec waits out the batching window, then evaluates the batch and
-// fans results back out. Singleton batches take the solo backend path, so
-// an idle system pays only the window latency, never a batch fan-out.
+// runBatchExec waits for the handoff (at most the batching window), then
+// evaluates the batch and fans results back out. Singleton batches take the
+// solo backend path, never a batch fan-out.
 func (s *Scheduler) runBatchExec(b *batch) {
 	defer s.wg.Done()
 	defer b.cancel()
@@ -189,9 +222,11 @@ func (s *Scheduler) runBatchExec(b *batch) {
 	select {
 	case <-timer.C:
 	case <-b.flush: // Close: execute what joined so far
+	case <-b.handoff: // the key's in-flight work drained
 	case <-b.ctx.Done(): // every member gave up
 	}
 	members := s.sealBatch(b)
+	defer s.drain(b.key)
 	if err := b.ctx.Err(); err != nil {
 		for _, m := range members {
 			m.done <- memberResult{err: err}

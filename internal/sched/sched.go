@@ -99,9 +99,10 @@ type Config struct {
 	DefaultPool Pool
 	// Pools maps tenant name → resource pool.
 	Pools map[string]Pool
-	// BatchWindow is how long the first threshold query of a batch key
-	// waits for sharers before executing; 0 disables shared-scan batching
-	// (admission control still applies).
+	// BatchWindow is the longest a follower of an in-flight scan waits
+	// before its batch executes; a query whose batch key is idle never
+	// waits. 0 disables shared-scan batching (admission control still
+	// applies).
 	BatchWindow time.Duration
 	// MaxBatch caps members per batch; 0 = 64.
 	MaxBatch int
@@ -167,13 +168,14 @@ type Scheduler struct {
 	// impossible by construction.
 	//
 	//turbdb:lockrank sched.state 11
-	mu      sync.Mutex
-	closed  bool                    // guarded by mu
-	running int                     // guarded by mu
-	seq     uint64                  // guarded by mu
-	tenants map[string]*tenantState // guarded by mu
-	queue   []*waiter               // guarded by mu; arrival (seq) order
-	batches map[batchKey]*batch     // guarded by mu; open, unsealed batches
+	mu       sync.Mutex
+	closed   bool                    // guarded by mu
+	running  int                     // guarded by mu
+	seq      uint64                  // guarded by mu
+	tenants  map[string]*tenantState // guarded by mu
+	queue    []*waiter               // guarded by mu; arrival (seq) order
+	batches  map[batchKey]*batch     // guarded by mu; open, unsealed batches
+	inflight map[batchKey]int        // guarded by mu; running solo scans + sealed batches per key
 
 	wg sync.WaitGroup // batch executors; joined by Close
 }
@@ -198,10 +200,11 @@ func New(b Backend, cfg Config) (*Scheduler, error) {
 		cfg.MaxBypass = 16
 	}
 	return &Scheduler{
-		backend: b,
-		cfg:     cfg,
-		tenants: make(map[string]*tenantState),
-		batches: make(map[batchKey]*batch),
+		backend:  b,
+		cfg:      cfg,
+		tenants:  make(map[string]*tenantState),
+		batches:  make(map[batchKey]*batch),
+		inflight: make(map[batchKey]int),
 	}, nil
 }
 
@@ -427,7 +430,7 @@ func (s *Scheduler) Threshold(ctx context.Context, p *sim.Proc, q query.Threshol
 	var pts []query.ResultPoint
 	var stats *mediator.QueryStats
 	if s.cfg.BatchWindow > 0 {
-		pts, stats, err = s.runBatched(ctx, q)
+		pts, stats, err = s.runBatched(ctx, p, q)
 	} else {
 		pts, stats, err = s.backend.Threshold(ctx, p, q)
 	}
