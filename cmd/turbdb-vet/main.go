@@ -1,13 +1,13 @@
 // Command turbdb-vet runs the repository's custom static-analysis suite
-// (internal/lint): lockcheck, droppederr, floateq, magicatom, ctxpropagate,
-// rowkernel, poolcheck, the concurrency-safety trio lockorder, goroutinelife
-// and atomichygiene, and the protocol-readiness trio wirecompat, errclass
-// and metrichygiene. It is part of the standard check gate
-// (scripts/check.sh, CI) and exits non-zero when any finding is reported.
+// (internal/lint): lockcheck, droppederr, magicatom, ctxpropagate,
+// rowkernel, the concurrency pair lockorder and goroutinelife, and the
+// protocol pair wirecompat and errclass. It is part of the standard check
+// gate (scripts/check.sh, CI) and exits non-zero when any finding is
+// reported: 1 for findings, 2 for type errors or bad flags.
 //
 // Usage:
 //
-//	turbdb-vet [-checks lockcheck,droppederr] [-tests] [-json] [-timings] [-budget 300s] [packages]
+//	turbdb-vet [-checks lockcheck,droppederr] [-tests] [-json] [-timings] [packages]
 //
 // Packages default to ./... relative to the enclosing module. Suppress a
 // deliberate finding with a `//lint:allow <check> <reason>` comment on the
@@ -23,10 +23,6 @@
 //
 // -timings prints a per-analyzer wall-clock table (CPU time summed across
 // packages, slowest first) plus the end-to-end load and analysis times.
-// -budget fails the run (exit 3) when end-to-end wall clock exceeds the
-// given duration — the gate's latency is a contract, and a new analyzer
-// that blows it should fail loudly in CI rather than slow every developer
-// down quietly.
 //
 // Analysis note: type-checking is sequential (packages type-check in
 // dependency order through one shared loader), but the analyzers themselves
@@ -89,7 +85,6 @@ func main() {
 	list := flag.Bool("list", false, "list available checks and exit")
 	jsonOut := flag.Bool("json", false, "write a machine-readable report to stdout (human log moves to stderr)")
 	timings := flag.Bool("timings", false, "print a per-analyzer timing table to stderr")
-	budget := flag.Duration("budget", 0, "fail (exit 3) when the whole run exceeds this wall-clock duration (0 = no budget)")
 	flag.Parse()
 	start := time.Now()
 
@@ -188,10 +183,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %-14s %8v\n", name, perCheck[name].Round(time.Millisecond))
 		}
 	}
-	if *budget > 0 && elapsed > *budget {
-		fmt.Fprintf(os.Stderr, "turbdb-vet: run took %v, over the %v budget\n", elapsed.Round(time.Millisecond), *budget)
-		exit = 3
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -218,7 +209,7 @@ func analyzeParallel(pkgs []*lint.Package, analyzers []*lint.Analyzer) []pkgResu
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			active, suppressed, timings := lint.AnalyzeAllTimed(pkg, analyzers)
+			active, suppressed, timings := lint.Analyze(pkg, analyzers)
 			results[i] = pkgResult{
 				importPath: pkg.ImportPath,
 				typeErrors: pkg.TypeErrors,

@@ -167,9 +167,6 @@ func (f *peerFetcher) holders(code morton.Code) []int {
 // failure of one holder re-routes the affected atoms to the next replica;
 // the fetch fails only when an atom has no live holder left.
 func (f *peerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	type asg struct {
 		code    morton.Code
 		holders []int

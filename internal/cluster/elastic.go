@@ -27,9 +27,6 @@ func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
 	if c.table == nil {
 		return 0, fmt.Errorf("cluster: Join requires a replicated cluster (Config.Replication ≥ 2)")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	id := len(c.nodes)
 	if err := c.table.Join(id); err != nil {
 		return 0, err
@@ -74,9 +71,6 @@ func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
 func (c *Cluster) Leave(ctx context.Context, p *sim.Proc, id int) error {
 	if c.table == nil {
 		return fmt.Errorf("cluster: Leave requires a replicated cluster (Config.Replication ≥ 2)")
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	if err := c.table.Leave(id); err != nil {
 		return err

@@ -290,9 +290,6 @@ func NewPeerFetcher(next node.PeerFetcher, plan *Plan) *PeerFetcher {
 
 // FetchAtoms implements node.PeerFetcher.
 func (f *PeerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	rule, call := f.plan.evaluate(rawField)
 	if rule == nil {
 		return f.next.FetchAtoms(ctx, p, rawField, step, codes)

@@ -55,9 +55,6 @@ func (c *NodeClient) apply(ctx context.Context, op string) error {
 
 // GetThreshold implements mediator.NodeClient.
 func (c *NodeClient) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold) (*node.ThresholdResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := c.apply(ctx, "threshold"); err != nil {
 		return nil, err
 	}
@@ -68,9 +65,6 @@ func (c *NodeClient) GetThreshold(ctx context.Context, p *sim.Proc, q query.Thre
 // counts as one "threshold" call against the plan, so kill/flap rules hit
 // batches and solo queries alike.
 func (c *NodeClient) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := c.apply(ctx, "threshold"); err != nil {
 		return nil, err
 	}
@@ -79,9 +73,6 @@ func (c *NodeClient) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []qu
 
 // GetPDF implements mediator.NodeClient.
 func (c *NodeClient) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*node.PDFResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := c.apply(ctx, "pdf"); err != nil {
 		return nil, err
 	}
@@ -90,9 +81,6 @@ func (c *NodeClient) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*nod
 
 // GetTopK implements mediator.NodeClient.
 func (c *NodeClient) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*node.TopKResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := c.apply(ctx, "topk"); err != nil {
 		return nil, err
 	}

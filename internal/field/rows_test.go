@@ -102,7 +102,7 @@ func TestCopyFromRowwiseMatchesReference(t *testing.T) {
 		}
 		copyFromRef(want, src, offset)
 		for i := range want.Data {
-			if got.Data[i] != want.Data[i] { //lint:allow floateq differential test wants exact copy semantics
+			if got.Data[i] != want.Data[i] { // differential test wants exact copy semantics
 				t.Fatalf("trial %d: Data[%d] = %g, reference %g", trial, i, got.Data[i], want.Data[i])
 			}
 		}
@@ -137,7 +137,7 @@ func TestDecodeFromMatchesCopyFrom(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range want.Data {
-			if got.Data[i] != want.Data[i] { //lint:allow floateq differential test wants exact copy semantics
+			if got.Data[i] != want.Data[i] { // differential test wants exact copy semantics
 				t.Fatalf("trial %d (%v into %v): Data[%d] = %g, CopyFrom gives %g", trial, src.Bounds, box, i, got.Data[i], want.Data[i])
 			}
 		}

@@ -174,7 +174,7 @@ func typeBinary(kind binKind, name string, a, b node) (node, error) {
 			return nil, fmt.Errorf("fieldexpr: comp index must be a literal number")
 		}
 		idx := int(lit.v)
-		//lint:allow floateq exact integrality check on a user-written literal
+		// exact integrality check on a user-written literal
 		if float64(idx) != lit.v || idx < 0 || idx >= na {
 			return nil, fmt.Errorf("fieldexpr: comp index %v out of range [0,%d)", lit.v, na)
 		}

@@ -58,7 +58,7 @@ func (h *Histogram) Add(v float64) { h.Counts[h.Bin(v)]++ }
 
 // Merge accumulates another histogram with identical geometry.
 func (h *Histogram) Merge(o *Histogram) error {
-	//lint:allow floateq geometry fields are copied verbatim, not recomputed, so exact match is the contract
+	// geometry fields are copied verbatim, not recomputed, so exact match is the contract
 	if o.Min != h.Min || o.Width != h.Width || len(o.Counts) != len(h.Counts) {
 		return fmt.Errorf("hist: geometry mismatch")
 	}

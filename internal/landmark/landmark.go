@@ -193,7 +193,7 @@ func (d *DB) Query(f Filter) ([]Landmark, error) {
 		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].PeakValue != out[j].PeakValue { //lint:allow floateq exact tie-break keeps the order total and deterministic
+		if out[i].PeakValue != out[j].PeakValue { // exact tie-break keeps the order total and deterministic
 			return out[i].PeakValue > out[j].PeakValue
 		}
 		return out[i].ID < out[j].ID

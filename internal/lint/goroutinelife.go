@@ -36,16 +36,13 @@ var GoroutineLife = &Analyzer{
 }
 
 // isWaitGroupType reports whether t is sync.WaitGroup (through pointers).
-func isWaitGroupType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+func isWaitGroupType(t types.Type) bool { return isNamedType(t, "sync", "WaitGroup") }
+
+func defOrUse(pass *Pass, id *ast.Ident) types.Object {
+	if obj := pass.Info.Defs[id]; obj != nil {
+		return obj
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
+	return pass.Info.Uses[id]
 }
 
 // waitGroupCallee matches a call `wg.<method>(...)` on a sync.WaitGroup and
@@ -270,12 +267,7 @@ func checkWaitUnderLock(pass *Pass, fd *ast.FuncDecl, trackedLocks map[*types.Va
 			op := ops[oi]
 			switch {
 			case op.mu != nil && op.release:
-				for i := len(held) - 1; i >= 0; i-- {
-					if held[i] == op.mu {
-						held = append(held[:i], held[i+1:]...)
-						break
-					}
-				}
+				held = releaseLast(held, op.mu)
 			case op.mu != nil:
 				held = append(held, op.mu)
 			}

@@ -1,6 +1,6 @@
 // Package lint implements turbdb-vet, the repository's custom static-
 // analysis suite. It is built directly on the standard library's go/parser
-// and go/types (no golang.org/x/tools dependency) and ships thirteen
+// and go/types (no golang.org/x/tools dependency) and ships nine
 // repo-specific analyzers:
 //
 //	lockcheck    — fields annotated `// guarded by <mu>` may only be accessed
@@ -8,9 +8,6 @@
 //	droppederr   — error results may not be silently discarded (`_ = f()`,
 //	               bare calls, blank assignments, defer/go of error-returning
 //	               calls) outside an explicit allowlist;
-//	floateq      — `==`/`!=` on float operands in numeric code, where a
-//	               tolerance comparison is almost always intended (comparisons
-//	               against an exact-zero sentinel are exempt);
 //	magicatom    — hard-coded 8/512 atom-geometry literals outside the
 //	               grid/morton constant definitions, keeping the atom size a
 //	               single source of truth (grid.DefaultAtomSide);
@@ -21,24 +18,18 @@
 //	               allocation-free: no make/append/new, no map operations, no
 //	               defer, no interface conversions, and direct calls only to
 //	               other annotated kernels (or the math package);
-//	poolcheck    — sync.Pool hygiene: comma-ok type assertions on Get, no use
-//	               of a value after Put, no capacity-dropping reslices of
-//	               pooled slices;
 //	lockorder    — mutexes annotated `//turbdb:lockrank <name> <level>` must
 //	               be acquired in strictly increasing level order; the
 //	               module-wide acquisition graph (propagated through static
 //	               calls) is also checked for re-acquisition and cycles, with
-//	               the full acquisition path in the diagnostic;
+//	               the full acquisition path in the diagnostic (lockcheck and
+//	               lockorder read the one lock model of locks.go);
 //	goroutinelife — every `go` statement needs a statically provable
 //	               termination/ownership story: the body watches a context
 //	               Done channel or is tracked by a sync.WaitGroup whose Wait
 //	               is called; WaitGroup misuse (Add inside the tracked
 //	               goroutine, Wait under a lock the goroutine needs) is
 //	               flagged too;
-//	atomichygiene — variables accessed via sync/atomic (or annotated
-//	               //turbdb:atomic) must never be read or written plainly,
-//	               and a field may not mix a `// guarded by` mutex regime
-//	               with atomic access;
 //	wirecompat   — json-tagged DTOs in internal/wire declare their frozen v1
 //	               field set with `//turbdb:wire-baseline <keys>`; fields
 //	               added after the baseline must carry omitempty and a fuzz
@@ -48,11 +39,7 @@
 //	               node, sched, faulttol) must be classified: a typed error
 //	               implementing Transient()/OverQuota(), or a %w wrap of
 //	               one; bare errors.New/fmt.Errorf and %v/%s reformatting
-//	               that discards the class are findings;
-//	metrichygiene — metric names match turbdb_[a-z0-9_]+ and are unique
-//	               module-wide; registrations are hoisted to package-level
-//	               vars (never per-call in //turbdb:rowkernel or scan/merge
-//	               hot paths); counters are never decremented.
+//	               that discards the class are findings.
 //
 // Findings are suppressed with a `//lint:allow <check>[,<check>] reason`
 // comment on the flagged line or on the line directly above it, or with the
@@ -88,17 +75,12 @@ type Package struct {
 	// one Loader loads (dependencies load first), so analyzers can resolve
 	// annotations on callees defined in other packages of the module.
 	RowKernels map[types.Object]bool
-	// Locks is the module-wide lock model (declared //turbdb:lockrank
-	// hierarchy, per-function acquisition summaries, held→acquired edges).
-	// Like RowKernels it is shared across every package one Loader loads and
-	// populated sequentially at load time, so parallel analysis only reads it.
+	// Locks is the module-wide lock model (guarded fields, declared
+	// //turbdb:lockrank hierarchy, per-function lock ops and acquisition
+	// summaries, held→acquired edges). Like RowKernels it is shared across
+	// every package one Loader loads and populated sequentially at load
+	// time, so parallel analysis only reads it.
 	Locks *LockGraph
-	// Metrics is the module-wide index of constant-name metric
-	// registrations (obs registry Counter/Gauge/Histogram calls), shared
-	// and populated at load time like RowKernels and Locks, so
-	// metrichygiene can report a name collision with the other package
-	// named even though packages analyze in parallel.
-	Metrics *MetricRegistry
 }
 
 // Diagnostic is one finding of one analyzer.
@@ -145,7 +127,7 @@ type Analyzer struct {
 
 // Analyzers returns the full turbdb-vet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockCheck, DroppedErr, FloatEq, MagicAtom, CtxPropagate, RowKernel, PoolCheck, LockOrder, GoroutineLife, AtomicHygiene, WireCompat, ErrClass, MetricHygiene}
+	return []*Analyzer{LockCheck, DroppedErr, MagicAtom, CtxPropagate, RowKernel, LockOrder, GoroutineLife, WireCompat, ErrClass}
 }
 
 // allowRe matches suppression directives: //lint:allow check1[,check2] reason
@@ -215,42 +197,14 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 	return sup
 }
 
-// allowedLines is the legacy view of collectSuppressions kept for the
-// directive-scope tests: per check name, the covered source lines.
-func allowedLines(fset *token.FileSet, files []*ast.File) map[string]map[int]bool {
-	sup := collectSuppressions(fset, files)
-	out := make(map[string]map[int]bool)
-	for check, lines := range sup.byLine {
-		out[check] = make(map[int]bool, len(lines))
-		for line := range lines {
-			out[check][line] = true
-		}
-	}
-	return out
-}
-
-// Analyze runs the given analyzers over one package and returns the
-// unsuppressed findings sorted by position. Malformed suppression
-// directives (a //turbdb:ignore without a reason) count as findings.
-func Analyze(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	active, _ := AnalyzeAll(pkg, analyzers)
-	return active
-}
-
-// AnalyzeAll runs the given analyzers over one package and returns both the
-// active findings (which fail the gate) and the suppressed ones (silenced
-// by a directive, carried into machine-readable reports with their reasons).
-// Both slices are sorted by position.
-func AnalyzeAll(pkg *Package, analyzers []*Analyzer) (active, suppressed []Diagnostic) {
-	active, suppressed, _ = AnalyzeAllTimed(pkg, analyzers)
-	return active, suppressed
-}
-
-// AnalyzeAllTimed is AnalyzeAll plus per-analyzer wall-clock timing for this
-// package, keyed by check name. The driver sums timings across packages to
-// attribute gate latency to individual analyzers (-timings) and to enforce
-// the suite's wall-clock budget (-budget).
-func AnalyzeAllTimed(pkg *Package, analyzers []*Analyzer) (active, suppressed []Diagnostic, timings map[string]time.Duration) {
+// Analyze runs the given analyzers over one package. It returns the active
+// findings, which fail the gate (malformed suppression directives — a
+// //turbdb:ignore without a reason — among them); the suppressed ones,
+// silenced by a directive and carried into machine-readable reports with
+// their reasons; and each analyzer's wall-clock time on this package, keyed
+// by check name, which the driver sums across packages for -timings. Both
+// finding slices are sorted by position.
+func Analyze(pkg *Package, analyzers []*Analyzer) (active, suppressed []Diagnostic, timings map[string]time.Duration) {
 	sup := collectSuppressions(pkg.Fset, pkg.Files)
 	active = append(active, sup.malformed...)
 	timings = make(map[string]time.Duration, len(analyzers))

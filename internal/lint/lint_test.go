@@ -99,29 +99,26 @@ func TestAnalyzers(t *testing.T) {
 		dir  string // fixture package, relative to testdata/src
 	}{
 		{"lockcheck", "lockcheck"},
+		{"lockcheck", "lockatomic"},
 		{"droppederr", "droppederr"},
-		{"floateq", "floateq"},
 		{"magicatom", "magicatom"},
 		{"ctxpropagate", "ctxpropagate"},
 		{"ctxpropagate", filepath.Join("internal", "wire")},
 		{"rowkernel", "rowkernel"},
 		{"rowkernel", filepath.Join("internal", "stencil")},
 		{"rowkernel", filepath.Join("internal", "obs")},
-		{"poolcheck", "poolcheck"},
 		{"lockorder", "lockorder"},
 		{"goroutinelife", "goroutinelife"},
-		{"atomichygiene", "atomichygiene"},
 		{"wirecompat", filepath.Join("internal", "wire", "compat")},
 		{"errclass", filepath.Join("internal", "mediator")},
 		{"errclass", filepath.Join("internal", "faulttol")},
-		{"metrichygiene", "metrichygiene"},
 	}
 	for _, tc := range cases {
 		name := tc.name
 		t.Run(name+"/"+filepath.Base(tc.dir), func(t *testing.T) {
 			dir := filepath.Join(root, tc.dir)
 			pkg := loadFixture(t, tc.dir)
-			diags := Analyze(pkg, []*Analyzer{analyzerByName(t, name)})
+			diags, _, _ := Analyze(pkg, []*Analyzer{analyzerByName(t, name)})
 			wants := fixtureExpectations(t, dir)
 			matched := make(map[string]int)
 			for _, d := range diags {
@@ -161,23 +158,23 @@ func TestAnalyzers(t *testing.T) {
 // suppresses nothing.
 func TestIgnoreDirective(t *testing.T) {
 	pkg := loadFixture(t, "ignorefix")
-	active, suppressed := AnalyzeAll(pkg, []*Analyzer{analyzerByName(t, "floateq")})
+	active, suppressed, _ := Analyze(pkg, []*Analyzer{analyzerByName(t, "droppederr")})
 
 	if len(suppressed) != 1 {
 		t.Fatalf("suppressed = %v, want exactly one finding", suppressed)
 	}
 	s := suppressed[0]
-	if !s.Suppressed || s.Check != "floateq" {
-		t.Errorf("suppressed finding = %+v, want Suppressed floateq", s)
+	if !s.Suppressed || s.Check != "droppederr" {
+		t.Errorf("suppressed finding = %+v, want Suppressed droppederr", s)
 	}
-	if want := "exact bit equality intended for dedup keys"; s.SuppressReason != want {
+	if want := "best-effort cleanup, a failure changes nothing"; s.SuppressReason != want {
 		t.Errorf("SuppressReason = %q, want %q", s.SuppressReason, want)
 	}
 
 	if len(active) != 2 {
-		t.Fatalf("active = %v, want the malformed directive plus the unsuppressed comparison", active)
+		t.Fatalf("active = %v, want the malformed directive plus the unsuppressed dropped error", active)
 	}
-	var sawMalformed, sawFloatEq bool
+	var sawMalformed, sawDropped bool
 	for _, d := range active {
 		switch d.Check {
 		case "ignore":
@@ -185,12 +182,12 @@ func TestIgnoreDirective(t *testing.T) {
 			if !strings.Contains(d.Message, "missing its mandatory reason") {
 				t.Errorf("malformed-directive message = %q", d.Message)
 			}
-		case "floateq":
-			sawFloatEq = true
+		case "droppederr":
+			sawDropped = true
 		}
 	}
-	if !sawMalformed || !sawFloatEq {
-		t.Errorf("active findings %v missing malformed directive or floateq", active)
+	if !sawMalformed || !sawDropped {
+		t.Errorf("active findings %v missing malformed directive or droppederr", active)
 	}
 }
 
@@ -198,28 +195,28 @@ func TestIgnoreDirective(t *testing.T) {
 // its own line and the line directly below, nothing else.
 func TestAllowDirectiveScope(t *testing.T) {
 	pkg := loadFixture(t, "droppederr")
-	allowed := allowedLines(pkg.Fset, pkg.Files)
-	lines := allowed["droppederr"]
+	sup := collectSuppressions(pkg.Fset, pkg.Files)
+	lines := sup.byLine["droppederr"]
 	if len(lines) == 0 {
 		t.Fatal("no droppederr allow directives found in fixture")
 	}
 	for line := range lines {
-		if !lines[line] {
+		if _, ok := sup.lookup("droppederr", line); !ok {
 			t.Errorf("line %d marked but not allowed", line)
 		}
 	}
-	if allowed["lockcheck"] != nil {
+	if sup.byLine["lockcheck"] != nil {
 		t.Error("droppederr directives leaked into lockcheck's allow set")
 	}
 }
 
 // TestAnalyzeAllTimed pins the timing contract the driver's -timings table
-// and -budget gate build on: every analyzer that ran gets a timing entry
-// (even a zero-cost one), and the findings are identical to AnalyzeAll's.
+// builds on: every analyzer that ran gets a timing entry, even a zero-cost
+// one.
 func TestAnalyzeAllTimed(t *testing.T) {
 	pkg := loadFixture(t, "ignorefix")
 	analyzers := Analyzers()
-	active, suppressed, timings := AnalyzeAllTimed(pkg, analyzers)
+	_, _, timings := Analyze(pkg, analyzers)
 	if len(timings) != len(analyzers) {
 		t.Fatalf("timings has %d entries, want one per analyzer (%d)", len(timings), len(analyzers))
 	}
@@ -229,10 +226,5 @@ func TestAnalyzeAllTimed(t *testing.T) {
 		} else if d < 0 {
 			t.Errorf("negative timing for %s: %v", a.Name, d)
 		}
-	}
-	active2, suppressed2 := AnalyzeAll(pkg, analyzers)
-	if len(active) != len(active2) || len(suppressed) != len(suppressed2) {
-		t.Errorf("timed run found %d/%d findings, untimed %d/%d — they must agree",
-			len(active), len(suppressed), len(active2), len(suppressed2))
 	}
 }

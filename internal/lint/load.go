@@ -31,8 +31,7 @@ type Loader struct {
 	std        types.Importer
 	pkgs       map[string]*Package
 	rowKernels map[types.Object]bool // //turbdb:rowkernel functions, module-wide
-	locks      *LockGraph            // //turbdb:lockrank hierarchy + acquisition graph, module-wide
-	metrics    *MetricRegistry       // constant-name metric registrations, module-wide
+	locks      *LockGraph            // the lock model, module-wide
 }
 
 // NewLoader locates the module enclosing dir (by walking up to go.mod).
@@ -65,7 +64,6 @@ func NewLoader(dir string) (*Loader, error) {
 		pkgs:       make(map[string]*Package),
 		rowKernels: make(map[types.Object]bool),
 		locks:      NewLockGraph(),
-		metrics:    NewMetricRegistry(),
 	}, nil
 }
 
@@ -304,8 +302,6 @@ func (l *Loader) load(importPath string) (*Package, error) {
 	l.recordRowKernels(pkg)
 	pkg.Locks = l.locks
 	recordLockGraph(pkg, l.locks)
-	pkg.Metrics = l.metrics
-	recordMetricSites(pkg, l.metrics)
 	l.pkgs[importPath] = pkg
 	return pkg, nil
 }

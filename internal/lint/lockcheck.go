@@ -1,9 +1,7 @@
 package lint
 
 import (
-	"go/ast"
 	"go/types"
-	"regexp"
 	"strings"
 )
 
@@ -11,13 +9,17 @@ import (
 // struct field carrying that comment may only be read or written through a
 // selector inside a function that demonstrably holds the named mutex.
 //
-// A function is considered to hold a guard when its body (not counting
-// nested function literals) calls Lock/RLock/TryLock — or defers
-// Unlock/RUnlock — on that mutex field, or when the function's name ends in
-// "Locked" (the repository convention for helpers whose callers hold the
-// lock). Function literals inherit the enclosing function's guards only
-// when invoked or deferred in place; a literal launched with `go` starts
-// with no guards, because it runs concurrently with its creator.
+// A function is considered to hold a guard when its body locks or unlocks
+// that mutex field, or when the function's name ends in "Locked" (the
+// repository convention for helpers whose callers hold the lock). The body
+// is the lock model's: function literals invoked or deferred in place are
+// part of it, a deferred Unlock is not, and a literal launched with `go` (or
+// stored) is a body of its own, starting with no guards, because it runs
+// concurrently with or later than its creator.
+//
+// The annotation must name a sync.Mutex or sync.RWMutex field of the same
+// struct, and must not sit on a typed atomic (atomic.Int64, …): atomic
+// access bypasses the mutex, so the guard would be a lie.
 //
 // This is a syntactic approximation, not a lock-set dataflow analysis: it
 // does not distinguish instances (locking a.mu while touching b.field
@@ -29,217 +31,23 @@ var LockCheck = &Analyzer{
 	Run:  runLockCheck,
 }
 
-var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
-
-// lockMethods on a guard mutex that count as evidence of holding it.
-var lockMethods = map[string]bool{
-	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true,
-	"Unlock": true, "RUnlock": true,
-}
-
 func runLockCheck(pass *Pass) {
-	guards := collectGuards(pass)
-	if len(guards) == 0 {
-		return
-	}
-	allGuards := make(map[*types.Var]bool)
-	for _, mu := range guards {
-		allGuards[mu] = true
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			held := heldGuards(pass, fd.Body, allGuards)
-			if strings.HasSuffix(fd.Name.Name, "Locked") {
-				for mu := range allGuards {
-					held[mu] = true
-				}
-			}
-			checkGuardedAccesses(pass, fd.Body, guards, allGuards, held, fd.Name.Name)
-		}
-	}
-}
-
-// collectGuards maps each annotated field variable to its mutex field
-// variable, validating the annotations as it goes.
-func collectGuards(pass *Pass) map[*types.Var]*types.Var {
-	guards := make(map[*types.Var]*types.Var)
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			fieldVars := make(map[string]*types.Var)
-			for _, f := range st.Fields.List {
-				for _, name := range f.Names {
-					if v, ok := pass.Info.Defs[name].(*types.Var); ok {
-						fieldVars[name.Name] = v
-					}
-				}
-			}
-			for _, f := range st.Fields.List {
-				guardName := guardAnnotation(f)
-				if guardName == "" {
-					continue
-				}
-				mu, ok := fieldVars[guardName]
-				if !ok {
-					pass.Reportf(f.Pos(), "guard %q named in annotation is not a field of %s", guardName, ts.Name.Name)
-					continue
-				}
-				if !isMutexType(mu.Type()) {
-					pass.Reportf(f.Pos(), "guard %s.%s is not a sync.Mutex or sync.RWMutex", ts.Name.Name, guardName)
-					continue
-				}
-				for _, name := range f.Names {
-					if v, ok := fieldVars[name.Name]; ok {
-						guards[v] = mu
-					}
-				}
-			}
-			return true
-		})
-	}
-	return guards
-}
-
-// guardAnnotation extracts the mutex name from a field's doc or trailing
-// comment, if any.
-func guardAnnotation(f *ast.Field) string {
-	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
-		if cg == nil {
+	g := pass.Locks
+	pass.reportDeclFindings()
+	for _, b := range g.bodies[pass.ImportPath] {
+		if !b.spawned && strings.HasSuffix(b.decl.Name.Name, "Locked") {
 			continue
 		}
-		if m := guardedByRe.FindStringSubmatch(cg.Text()); m != nil {
-			return m[1]
-		}
-	}
-	return ""
-}
-
-// isMutexType reports whether t is sync.Mutex, sync.RWMutex, or a pointer
-// to either.
-func isMutexType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// heldGuards scans a function body (excluding nested function literals) for
-// lock operations on guard mutexes.
-func heldGuards(pass *Pass, body ast.Node, allGuards map[*types.Var]bool) map[*types.Var]bool {
-	held := make(map[*types.Var]bool)
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // its own context
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok || !lockMethods[sel.Sel.Name] {
-				return true
-			}
-			if mu := mutexFieldOf(pass, sel.X); mu != nil && allGuards[mu] {
-				held[mu] = true
+		held := make(map[*types.Var]bool)
+		for _, op := range b.ops {
+			if op.mu != nil {
+				held[op.mu] = true
 			}
 		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	return held
-}
-
-// mutexFieldOf resolves an expression like `s.mu` (or `tx.db.mu`) to the
-// mutex field variable it denotes, or nil.
-func mutexFieldOf(pass *Pass, x ast.Expr) *types.Var {
-	sel, ok := x.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if v, ok := pass.Info.Uses[sel.Sel].(*types.Var); ok && isMutexType(v.Type()) {
-		return v
-	}
-	return nil
-}
-
-// checkGuardedAccesses walks a function body flagging selector accesses to
-// guarded fields when the guard is not held. Nested function literals get
-// their own context: they inherit held guards when invoked or deferred in
-// place, and start empty when launched with `go`.
-func checkGuardedAccesses(pass *Pass, body ast.Node, guards map[*types.Var]*types.Var, allGuards map[*types.Var]bool, held map[*types.Var]bool, funcName string) {
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				enterFuncLit(pass, lit, guards, allGuards, nil, funcName)
-				for _, arg := range n.Call.Args {
-					ast.Inspect(arg, walk)
-				}
-				return false
-			}
-		case *ast.DeferStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				enterFuncLit(pass, lit, guards, allGuards, held, funcName)
-				for _, arg := range n.Call.Args {
-					ast.Inspect(arg, walk)
-				}
-				return false
-			}
-		case *ast.CallExpr:
-			if lit, ok := n.Fun.(*ast.FuncLit); ok {
-				enterFuncLit(pass, lit, guards, allGuards, held, funcName)
-				for _, arg := range n.Args {
-					ast.Inspect(arg, walk)
-				}
-				return false
-			}
-		case *ast.FuncLit:
-			// not invoked in place: no guard inheritance
-			enterFuncLit(pass, n, guards, allGuards, nil, funcName)
-			return false
-		case *ast.SelectorExpr:
-			obj := pass.Info.Uses[n.Sel]
-			if sel, ok := pass.Info.Selections[n]; ok {
-				obj = sel.Obj()
-			}
-			v, ok := obj.(*types.Var)
-			if !ok {
-				return true
-			}
-			mu, guarded := guards[v]
-			if guarded && !held[mu] {
-				pass.Reportf(n.Sel.Pos(), "%s accessed without holding %s (in %s)", v.Name(), mu.Name(), funcName)
+		for _, op := range b.ops {
+			if mu := g.guards[op.field]; op.field != nil && !held[mu] {
+				pass.Reportf(op.pos, "%s accessed without holding %s (in %s)", op.field.Name(), mu.Name(), b.name())
 			}
 		}
-		return true
 	}
-	ast.Inspect(body, walk)
-}
-
-// enterFuncLit analyzes a function literal body with inherited guards (nil
-// for none) plus whatever the literal locks itself.
-func enterFuncLit(pass *Pass, lit *ast.FuncLit, guards map[*types.Var]*types.Var, allGuards map[*types.Var]bool, inherited map[*types.Var]bool, funcName string) {
-	held := heldGuards(pass, lit.Body, allGuards)
-	for mu := range inherited {
-		held[mu] = true
-	}
-	checkGuardedAccesses(pass, lit.Body, guards, allGuards, held, funcName+" (func literal)")
 }

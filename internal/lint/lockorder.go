@@ -2,12 +2,8 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
-	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -44,403 +40,16 @@ var LockOrder = &Analyzer{
 	Run:  runLockOrder,
 }
 
-// lockrankRe parses the declaration directive. The operand group is
-// permissive so a malformed directive can be reported instead of silently
-// ignored.
-var lockrankRe = regexp.MustCompile(`^turbdb:lockrank(?:\s+(.*))?$`)
-
-// LockRank is one parsed //turbdb:lockrank declaration.
-type LockRank struct {
-	Name  string
-	Level int
-	Pos   token.Pos
-}
-
-// LockEdge records that To was (possibly transitively) acquired while From
-// was held. Pkg is the import path of the package whose function body
-// produced the edge; Path is the static call chain from the holding function
-// to the acquiring one.
-type LockEdge struct {
-	From, To *types.Var
-	Pos      token.Pos
-	Pkg      string
-	Path     []string
-}
-
-// LockGraph is the module-wide lock model, shared across every package one
-// Loader loads (the same sharing pattern as Package.RowKernels). The loader
-// populates it sequentially during Load — dependencies first, so callee
-// summaries exist before their importers are walked — and analyzers only
-// read it, keeping parallel per-package analysis race-free.
-type LockGraph struct {
-	// Ranks maps mutex variables to their declared hierarchy rank.
-	Ranks map[*types.Var]LockRank
-	// Names maps every mutex variable seen at a declaration to a display
-	// name ("Struct.field" or "pkg.var") for diagnostics.
-	Names map[*types.Var]string
-	// Acquires maps each function to the locks it may take, directly or
-	// through static callees, with a sample call path per lock.
-	Acquires map[types.Object]map[*types.Var][]string
-	// Edges is the deduplicated held→acquired relation.
-	Edges    []LockEdge
-	edgeSeen map[[2]*types.Var]map[string]bool
-	opsCache map[*ast.FuncDecl][]lockOp
-}
-
-// NewLockGraph creates an empty graph.
-func NewLockGraph() *LockGraph {
-	return &LockGraph{
-		Ranks:    make(map[*types.Var]LockRank),
-		Names:    make(map[*types.Var]string),
-		Acquires: make(map[types.Object]map[*types.Var][]string),
-		edgeSeen: make(map[[2]*types.Var]map[string]bool),
-		opsCache: make(map[*ast.FuncDecl][]lockOp),
-	}
-}
-
-// lockName returns the diagnostic label of a mutex variable: its hierarchy
-// name when ranked, its declared display name otherwise.
-func (g *LockGraph) lockName(v *types.Var) string {
-	if r, ok := g.Ranks[v]; ok {
-		return r.Name
-	}
-	if n, ok := g.Names[v]; ok {
-		return n
-	}
-	return v.Name()
-}
-
-// lockrankDirective extracts the raw operand text of a lockrank directive
-// from a comment group, with found=false when no directive is present.
-func lockrankDirective(cgs ...*ast.CommentGroup) (operands string, pos token.Pos, found bool) {
-	for _, cg := range cgs {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if m := lockrankRe.FindStringSubmatch(text); m != nil {
-				return strings.TrimSpace(m[1]), c.Pos(), true
-			}
-		}
-	}
-	return "", token.NoPos, false
-}
-
-// parseLockRank validates directive operands: exactly "<name> <level>" with
-// an integer level.
-func parseLockRank(operands string, pos token.Pos) (LockRank, error) {
-	parts := strings.Fields(operands)
-	if len(parts) != 2 {
-		return LockRank{}, fmt.Errorf("//turbdb:lockrank wants `<name> <level>`, got %q", operands)
-	}
-	level, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return LockRank{}, fmt.Errorf("//turbdb:lockrank level %q is not an integer", parts[1])
-	}
-	return LockRank{Name: parts[0], Level: level, Pos: pos}, nil
-}
-
-// forEachMutexDecl visits every mutex-typed struct field and package-level
-// variable declaration of the package, handing the visitor the variable, a
-// display name, and the field/spec comment groups carrying its directives.
-func forEachMutexDecl(pkg *Package, visit func(v *types.Var, display string, isMutex bool, doc, comment *ast.CommentGroup)) {
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				st, ok := n.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, f := range st.Fields.List {
-					for _, name := range f.Names {
-						v, ok := pkg.Info.Defs[name].(*types.Var)
-						if !ok {
-							continue
-						}
-						visit(v, n.Name.Name+"."+name.Name, isMutexType(v.Type()), f.Doc, f.Comment)
-					}
-				}
-			case *ast.GenDecl:
-				if n.Tok != token.VAR {
-					return true
-				}
-				for _, spec := range n.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					doc := vs.Doc
-					if doc == nil && len(n.Specs) == 1 {
-						doc = n.Doc
-					}
-					for _, name := range vs.Names {
-						v, ok := pkg.Info.Defs[name].(*types.Var)
-						if !ok || v.IsField() {
-							continue
-						}
-						// package-level variables only; locals have no docs
-						if pkg.Types != nil && v.Parent() != pkg.Types.Scope() {
-							continue
-						}
-						visit(v, pkg.Types.Name()+"."+name.Name, isMutexType(v.Type()), doc, vs.Comment)
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// lockOp is one ordered event of a function body: a direct acquisition or
-// release of a mutex, or a call to a statically resolved function.
-type lockOp struct {
-	pos     token.Pos
-	mu      *types.Var  // acquire/release
-	fn      *types.Func // call
-	release bool
-}
-
-// acquireMethods / releaseMethods split the lockcheck evidence set into the
-// two directions lockorder needs.
-var acquireMethods = map[string]bool{"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true}
-var releaseMethods = map[string]bool{"Unlock": true, "RUnlock": true}
-
-// mutexVarOf resolves an expression (s.mu, pkgvar) to the mutex variable it
-// denotes, or nil.
-func mutexVarOf(pkg *Package, x ast.Expr) *types.Var {
-	switch x := ast.Unparen(x).(type) {
-	case *ast.SelectorExpr:
-		if v, ok := pkg.Info.Uses[x.Sel].(*types.Var); ok && isMutexType(v.Type()) {
-			return v
-		}
-	case *ast.Ident:
-		if v, ok := pkg.Info.Uses[x].(*types.Var); ok && isMutexType(v.Type()) {
-			return v
-		}
-	}
-	return nil
-}
-
-// staticCallee resolves a call to its *types.Func via the package's type
-// info (nil for dynamic calls, conversions and builtins).
-func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pkg.Info.Uses[id].(*types.Func)
-	return fn
-}
-
-// collectLockOps walks a body in source order and returns its lock events.
-// Function literals invoked or deferred in place run on the creator's lock
-// state and are walked inline; literals launched with `go` (or merely
-// stored) run concurrently or later and are collected into spawned for an
-// independent walk with an empty held set. Deferred Unlock calls are
-// dropped: the lock stays held to the end of the function.
-func collectLockOps(pkg *Package, body ast.Node, spawned *[]*ast.FuncLit) []lockOp {
-	var ops []lockOp
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				*spawned = append(*spawned, lit)
-			}
-			for _, arg := range n.Call.Args {
-				ast.Inspect(arg, walk)
-			}
-			return false
-		case *ast.DeferStmt:
-			if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok && releaseMethods[sel.Sel.Name] {
-				if mutexVarOf(pkg, sel.X) != nil {
-					return false // release at function end: lock held until return
-				}
-			}
-			return true // deferred literals and calls: walk as if in place
-		case *ast.FuncLit:
-			// Reached outside a go/defer/call-in-place context: the literal
-			// is stored and may run at any time, on its own lock state.
-			*spawned = append(*spawned, n)
-			return false
-		case *ast.CallExpr:
-			if lit, ok := n.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, walk) // invoked in place: runs inline
-				for _, arg := range n.Args {
-					ast.Inspect(arg, walk)
-				}
-				return false
-			}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && (acquireMethods[sel.Sel.Name] || releaseMethods[sel.Sel.Name]) {
-				if mu := mutexVarOf(pkg, sel.X); mu != nil {
-					ops = append(ops, lockOp{pos: n.Pos(), mu: mu, release: releaseMethods[sel.Sel.Name]})
-					return true
-				}
-			}
-			if fn := staticCallee(pkg, n); fn != nil {
-				ops = append(ops, lockOp{pos: n.Pos(), fn: fn})
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].pos < ops[j].pos })
-	return ops
-}
-
-// funcDecls returns the package's function declarations with bodies, in
-// file/source order.
-func funcDecls(pkg *Package) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
-}
-
-// recordLockGraph registers a freshly loaded package in the module-wide
-// graph: mutex declarations (names + ranks), per-function acquisition
-// summaries (fixed point over the package's internal call graph; callees in
-// dependency packages are already summarized), and held→acquired edges.
-// Called by the loader, sequentially, before any analysis runs.
-func recordLockGraph(pkg *Package, g *LockGraph) {
-	forEachMutexDecl(pkg, func(v *types.Var, display string, isMutex bool, doc, comment *ast.CommentGroup) {
-		if !isMutex {
-			return
-		}
-		g.Names[v] = display
-		if operands, pos, ok := lockrankDirective(doc, comment); ok {
-			if rank, err := parseLockRank(operands, pos); err == nil {
-				g.Ranks[v] = rank
-			}
-		}
-	})
-
-	decls := funcDecls(pkg)
-	ops := func(fd *ast.FuncDecl) []lockOp {
-		cached, ok := g.opsCache[fd]
-		if !ok {
-			var spawned []*ast.FuncLit
-			cached = collectLockOps(pkg, fd.Body, &spawned)
-			g.opsCache[fd] = cached
-		}
-		return cached
-	}
-
-	// Fixed point: a function may acquire its direct locks plus everything
-	// its static callees may acquire. Spawned literals are excluded — their
-	// acquisitions happen on another goroutine's (or a later) lock state.
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range decls {
-			obj := pkg.Info.Defs[fd.Name]
-			if obj == nil {
-				continue
-			}
-			acq := g.Acquires[obj]
-			if acq == nil {
-				acq = make(map[*types.Var][]string)
-				g.Acquires[obj] = acq
-			}
-			for _, op := range ops(fd) {
-				switch {
-				case op.mu != nil && !op.release:
-					if acq[op.mu] == nil {
-						acq[op.mu] = []string{fd.Name.Name}
-						changed = true
-					}
-				case op.fn != nil:
-					for mu, path := range g.Acquires[op.fn] {
-						if acq[mu] == nil {
-							acq[mu] = append([]string{fd.Name.Name}, path...)
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-
-	for _, fd := range decls {
-		var spawned []*ast.FuncLit
-		body := collectLockOps(pkg, fd.Body, &spawned)
-		g.emitEdges(pkg, body, fd.Name.Name)
-		for i := 0; i < len(spawned); i++ { // spawned literals can nest further ones
-			var more []*ast.FuncLit
-			inner := collectLockOps(pkg, spawned[i].Body, &more)
-			g.emitEdges(pkg, inner, fd.Name.Name+" (goroutine)")
-			spawned = append(spawned, more...)
-		}
-	}
-}
-
-// emitEdges simulates one op list in source order, recording a held→acquired
-// edge for every direct acquisition and every call to a lock-taking function
-// made while at least one lock is held.
-func (g *LockGraph) emitEdges(pkg *Package, ops []lockOp, funcName string) {
-	var held []*types.Var
-	releaseLast := func(mu *types.Var) {
-		for i := len(held) - 1; i >= 0; i-- {
-			if held[i] == mu {
-				held = append(held[:i], held[i+1:]...)
-				return
-			}
-		}
-	}
-	for _, op := range ops {
-		switch {
-		case op.mu != nil && op.release:
-			releaseLast(op.mu)
-		case op.mu != nil:
-			for _, h := range held {
-				g.addEdge(h, op.mu, op.pos, pkg.ImportPath, []string{funcName})
-			}
-			held = append(held, op.mu)
-		case op.fn != nil && len(held) > 0:
-			for mu, path := range g.Acquires[op.fn] {
-				for _, h := range held {
-					g.addEdge(h, mu, op.pos, pkg.ImportPath, append([]string{funcName}, path...))
-				}
-			}
-		}
-	}
-}
-
-// addEdge records one held→acquired pair, deduplicated per package (the
-// first site found in walk order wins, which is deterministic: files and ops
-// are both walked in source order).
-func (g *LockGraph) addEdge(from, to *types.Var, pos token.Pos, pkgPath string, path []string) {
-	key := [2]*types.Var{from, to}
-	if g.edgeSeen[key] == nil {
-		g.edgeSeen[key] = make(map[string]bool)
-	}
-	if g.edgeSeen[key][pkgPath] {
-		return
-	}
-	g.edgeSeen[key][pkgPath] = true
-	g.Edges = append(g.Edges, LockEdge{From: from, To: to, Pos: pos, Pkg: pkgPath, Path: path})
-}
-
 func runLockOrder(pass *Pass) {
 	g := pass.Locks
-	if g == nil {
-		return
-	}
-	checkLockRankDecls(pass, g)
+	pass.reportDeclFindings()
+	checkLockRankNames(pass, g)
 
 	// Rank inversions and re-acquisitions on this package's edges.
-	for _, e := range pass.edgesOf(g) {
+	for _, e := range g.Edges {
+		if e.Pkg != pass.ImportPath {
+			continue
+		}
 		path := strings.Join(e.Path, " → ")
 		if e.From == e.To {
 			pass.Reportf(e.Pos, "acquires %s while already holding it (self-deadlock); path: %s", g.lockName(e.To), path)
@@ -457,22 +66,11 @@ func runLockOrder(pass *Pass) {
 	checkLockCycles(pass, g)
 }
 
-// edgesOf filters the shared edge set down to edges whose source lies in the
-// pass's package.
-func (p *Pass) edgesOf(g *LockGraph) []LockEdge {
-	var out []LockEdge
-	for _, e := range g.Edges {
-		if e.Pkg == p.ImportPath {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// checkLockRankDecls validates this package's lockrank directives: operand
-// shape, attachment to an actual mutex, and hierarchy-name consistency
-// across the whole module (one name, one level).
-func checkLockRankDecls(pass *Pass, g *LockGraph) {
+// checkLockRankNames checks hierarchy-name consistency across the whole
+// module (one name, one level) for the ranks this package declares. It runs
+// at analysis time, when every package's ranks are recorded, because the
+// first declaration of a name is the one with the lowest position.
+func checkLockRankNames(pass *Pass, g *LockGraph) {
 	byName := make(map[string]LockRank)
 	for _, r := range g.Ranks {
 		prev, ok := byName[r.Name]
@@ -480,26 +78,11 @@ func checkLockRankDecls(pass *Pass, g *LockGraph) {
 			byName[r.Name] = r
 		}
 	}
-	// Findings anchor to the field declaration, not the directive comment,
-	// so fixtures can carry their want markers as trailing comments.
-	forEachMutexDecl(pass.Package, func(v *types.Var, display string, isMutex bool, doc, comment *ast.CommentGroup) {
-		operands, pos, ok := lockrankDirective(doc, comment)
-		if !ok {
-			return
+	for v, r := range g.Ranks {
+		if first := byName[r.Name]; v.Pkg() == pass.Types && first.Pos != r.Pos && first.Level != r.Level {
+			pass.Reportf(v.Pos(), "lockrank name %q redeclared with level %d (first declared with level %d)", r.Name, r.Level, first.Level)
 		}
-		if !isMutex {
-			pass.Reportf(v.Pos(), "//turbdb:lockrank on %s, which is not a sync.Mutex or sync.RWMutex", display)
-			return
-		}
-		rank, err := parseLockRank(operands, pos)
-		if err != nil {
-			pass.Reportf(v.Pos(), "%v", err)
-			return
-		}
-		if first, ok := byName[rank.Name]; ok && first.Pos != pos && first.Level != rank.Level {
-			pass.Reportf(v.Pos(), "lockrank name %q redeclared with level %d (first declared with level %d)", rank.Name, rank.Level, first.Level)
-		}
-	})
+	}
 }
 
 // checkLockCycles finds cycles in the module-wide acquisition graph

@@ -4,14 +4,18 @@
 // suppresses nothing.
 package ignorefix
 
-// eqSuppressed is silenced by a well-formed directive.
-func eqSuppressed(a, b float64) bool {
-	return a == b //turbdb:ignore floateq exact bit equality intended for dedup keys
+import "errors"
+
+func mayFail() error { return errors.New("x") }
+
+// dropSuppressed is silenced by a well-formed directive.
+func dropSuppressed() {
+	mayFail() //turbdb:ignore droppederr best-effort cleanup, a failure changes nothing
 }
 
-// eqMalformed: the directive below is missing its mandatory reason, so it is
-// reported itself and the float comparison stays an active finding.
-func eqMalformed(a, b float64) bool {
-	//turbdb:ignore floateq
-	return a == b
+// dropMalformed: the directive below is missing its mandatory reason, so it
+// is reported itself and the dropped error stays an active finding.
+func dropMalformed() {
+	//turbdb:ignore droppederr
+	mayFail()
 }

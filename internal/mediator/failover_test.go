@@ -125,7 +125,7 @@ func TestCollectRangeFailures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("collectRangeFailures: %v", err)
 			}
-			if stats.Coverage != tc.wantCoverage { //lint:allow floateq coverage values here are exact binary fractions
+			if stats.Coverage != tc.wantCoverage { // coverage values here are exact binary fractions
 				t.Errorf("Coverage = %v, want %v", stats.Coverage, tc.wantCoverage)
 			}
 			if len(stats.Failures) != tc.wantFailures {

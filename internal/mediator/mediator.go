@@ -509,7 +509,7 @@ func (m *Mediator) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query
 		stats.NodeCritical.Max(r.Breakdown)
 	}
 	sort.Slice(top, func(i, j int) bool {
-		if top[i].Value != top[j].Value { //lint:allow floateq exact tie-break keeps the order total and deterministic
+		if top[i].Value != top[j].Value { // exact tie-break keeps the order total and deterministic
 			return top[i].Value > top[j].Value
 		}
 		return top[i].Code < top[j].Code

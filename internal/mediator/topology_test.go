@@ -267,7 +267,7 @@ func sameAnswer(t *testing.T, label string, got, want answer) {
 	}
 	for j, w := range want.stats {
 		g := got.stats[j]
-		if g.Coverage != w.Coverage || g.CacheHits != w.CacheHits || g.NodeAnswers != w.NodeAnswers || g.Points != w.Points { //lint:allow floateq both sides compute coverage from the same cell counts
+		if g.Coverage != w.Coverage || g.CacheHits != w.CacheHits || g.NodeAnswers != w.NodeAnswers || g.Points != w.Points { // both sides compute coverage from the same cell counts
 			t.Errorf("%s[%d]: Coverage/CacheHits/NodeAnswers/Points = %v/%d/%d/%d, want %v/%d/%d/%d", label, j,
 				g.Coverage, g.CacheHits, g.NodeAnswers, g.Points, w.Coverage, w.CacheHits, w.NodeAnswers, w.Points)
 		}

@@ -103,7 +103,7 @@ type TopKResult struct {
 // both rank by it, so which of several tied points make the cut never
 // depends on the order a scan visits them in.
 func ranksBefore(a, b query.ResultPoint) bool {
-	if a.Value != b.Value { //lint:allow floateq exact tie-break keeps the order total and deterministic
+	if a.Value != b.Value { // exact tie-break keeps the order total and deterministic
 		return a.Value > b.Value
 	}
 	return a.Code < b.Code

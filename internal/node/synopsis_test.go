@@ -501,7 +501,7 @@ func TestFoldMatchesFloatMaximum(t *testing.T) {
 			if _, ok := want[atom]; !ok {
 				want[atom] = math.Inf(-1)
 			}
-			if v != v { //lint:allow floateq NaN test
+			if v != v { // NaN test
 				nan = true
 				continue // a NaN may or may not surface; checked below
 			}
@@ -516,12 +516,12 @@ func TestFoldMatchesFloatMaximum(t *testing.T) {
 			}
 			// With a NaN in the row a maximum may come out NaN (which never
 			// prunes), but it must never understate the numbers.
-			exact := got == w || (got == 0 && w == 0) //lint:allow floateq exact maximum; the zeros tie
+			exact := got == w || (got == 0 && w == 0) // exact maximum; the zeros tie
 			if (!nan || !touched) && !exact || got < w {
 				t.Fatalf("trial %d: atom %d maximum %v, want %v (row %v from %d)", trial, i, got, w, norms, x0)
 			}
 		}
-		if rowMax == rowMax && rowMax < wantRow { //lint:allow floateq NaN test
+		if rowMax == rowMax && rowMax < wantRow { // NaN test
 			t.Fatalf("trial %d: row maximum %v, want at least %v", trial, rowMax, wantRow)
 		}
 	}
@@ -550,7 +550,7 @@ func TestSynopsisBudgetEviction(t *testing.T) {
 			t.Errorf("key %d resident = %v, want %v", i, ok, want)
 		}
 	}
-	if m, ok := s.open(key(0)).known(0); !ok || m != 0 { //lint:allow floateq the stored bits come back unchanged
+	if m, ok := s.open(key(0)).known(0); !ok || m != 0 { // the stored bits come back unchanged
 		t.Errorf("key 0 lost what it had learned: %v %v", m, ok)
 	}
 	if _, ok := s.open(key(1)).known(0); ok {

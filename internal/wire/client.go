@@ -115,9 +115,6 @@ func NewClient(base string, opts ...ClientOption) *Client {
 // withDeadline applies the client's default request timeout when ctx has
 // no deadline of its own. The returned cancel must always be called.
 func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if _, ok := ctx.Deadline(); !ok && c.reqTimeout > 0 {
 		return context.WithTimeout(ctx, c.reqTimeout)
 	}
@@ -416,9 +413,6 @@ func (ps *PeerSet) holdersOf(code morton.Code, held [][]morton.Range) []int {
 // holder; a transient failure re-routes the holder's batch to each atom's
 // next replica, and only an atom with every holder down fails the fetch.
 func (ps *PeerSet) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	held := make([][]morton.Range, len(ps.clients))
 	for i, c := range ps.clients {
 		if i == ps.self {

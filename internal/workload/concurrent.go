@@ -158,9 +158,6 @@ func Concurrent(ctx context.Context, qr Querier, stream []Query, clients int) (*
 	if clients < 1 {
 		return nil, fmt.Errorf("workload: clients must be ≥ 1")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
 	type sample struct {
 		tenant string
