@@ -251,7 +251,14 @@ func (jsonCodec) encode(w http.ResponseWriter, path string, res *result, err err
 		writeJSON(w, status, ErrorResponse{Error: ef.Msg, Kind: ef.Kind, Seen: ef.Seen, Limit: ef.Limit, Tenant: ef.Tenant})
 		return
 	}
-	encJSON.note(start, res, writeJSON(w, http.StatusOK, jsonBody(path, res)))
+	var n int
+	switch body := jsonBody(path, res); body.(type) {
+	case ThresholdResponse, TopKResponse:
+		n = writePointsJSON(w, body, res.items[0].Points)
+	default:
+		n = writeJSON(w, http.StatusOK, body)
+	}
+	encJSON.note(start, res, n)
 }
 
 // writeJSON writes one JSON response and returns its body size.
@@ -282,7 +289,8 @@ func thresholdDTO(res *result, it *item) ThresholdResponse {
 	}
 }
 
-// jsonBody builds the response DTO of path.
+// jsonBody builds the response DTO of path. A solo threshold or top-k DTO
+// leaves its Points nil: writePointsJSON splices them in.
 func jsonBody(path string, res *result) any {
 	if path == PathThresholdBatch {
 		out := ThresholdBatchResponse{
@@ -305,13 +313,11 @@ func jsonBody(path string, res *result) any {
 	if len(res.items) == 1 {
 		switch it := &res.items[0]; path {
 		case PathThreshold:
-			out := thresholdDTO(res, it)
-			out.Points = toDTO(it.Points)
-			return out
+			return thresholdDTO(res, it)
 		case PathTopK:
 			return TopKResponse{
-				Points: toDTO(it.Points), Breakdown: breakdownToDTO(it.Breakdown),
-				Coverage: it.coverage, Failed: it.failed, Spans: res.spans, Trace: res.trace,
+				Breakdown: breakdownToDTO(it.Breakdown),
+				Coverage:  it.coverage, Failed: it.failed, Spans: res.spans, Trace: res.trace,
 			}
 		case PathPDF:
 			return PDFResponse{
@@ -341,17 +347,18 @@ func (jsonCodec) decode(path string, status int, body io.Reader) (*result, error
 		return nil, &StatusError{Path: path, Status: status, Msg: e.Error}
 	}
 	start := time.Now()
-	dec := json.NewDecoder(body)
 	res := &result{}
+	var n int64
 	var err error
 	switch path {
 	case PathThreshold, PathTopK:
 		// A top-k response is a threshold response minus cache and scheduler keys.
 		var in ThresholdResponse
-		err = dec.Decode(&in)
+		var pts []query.ResultPoint
+		pts, n, err = decodePoints(body, &in)
 		res = soloResult(item{
 			ThresholdResult: node.ThresholdResult{
-				Points: fromDTO(in.Points), FromCache: in.FromCache,
+				Points: pts, FromCache: in.FromCache,
 				Breakdown: breakdownFromDTO(in.Breakdown), ScansSaved: in.ScansSaved,
 			},
 			coverage: in.Coverage, failed: in.Failed, queueWaitMS: in.QueueWaitMS, sharedScan: in.SharedScan,
@@ -359,13 +366,13 @@ func (jsonCodec) decode(path string, status int, body io.Reader) (*result, error
 		res.spans, res.trace = in.Spans, in.Trace
 	case PathPDF:
 		var in PDFResponse
-		err = dec.Decode(&in)
+		n, err = decodeJSON(body, &in)
 		res = soloResult(item{counts: in.Counts, coverage: in.Coverage, failed: in.Failed})
 		res.items[0].Breakdown = breakdownFromDTO(in.Breakdown)
 		res.spans, res.trace = in.Spans, in.Trace
 	case PathAtoms:
 		var in AtomsResponse
-		err = dec.Decode(&in)
+		n, err = decodeJSON(body, &in)
 		atoms := make(map[morton.Code][]byte, len(in.Atoms))
 		for c, b := range in.Atoms {
 			atoms[morton.Code(c)] = b
@@ -374,7 +381,7 @@ func (jsonCodec) decode(path string, status int, body io.Reader) (*result, error
 		res.spans = in.Spans
 	case PathThresholdBatch:
 		var in ThresholdBatchResponse
-		err = dec.Decode(&in)
+		n, err = decodeJSON(body, &in)
 		res.atomsScanned = in.AtomsScanned
 		res.spans = in.Spans
 		res.items = make([]item, len(in.Items))
@@ -395,7 +402,7 @@ func (jsonCodec) decode(path string, status int, body io.Reader) (*result, error
 	if err != nil {
 		return nil, fmt.Errorf("wire: %s: decode: %w", path, err)
 	}
-	decJSON.note(start, res, int(dec.InputOffset()))
+	decJSON.note(start, res, int(n))
 	return res, nil
 }
 

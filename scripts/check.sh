@@ -139,8 +139,10 @@ lane 'benchmark harness gate (bench/check.sh)'
 bash bench/check.sh
 lane_done
 
-# Binary wire-protocol lane: the golden-frame fixtures (committed bytes must
-# decode to the pinned structs and re-encode byte-identically) and the
+# Wire-protocol lane: the golden-frame fixtures and the JSON golden bodies
+# (committed bytes must decode to the pinned values and re-encode
+# byte-identically), the JSON points codec's differential against
+# encoding/json, and the
 # differential cross-encoding matrix (every JSON/frame client–server pairing
 # must answer Float32bits-identically to the JSON baseline, including the
 # dead-node partial-coverage and replica-failover cases, traced and behind
@@ -149,8 +151,8 @@ lane_done
 # detector. The suites also run in the package lanes above; naming them
 # keeps a future filter from silently dropping the protocol's conformance
 # evidence.
-lane 'binary wire protocol: golden frames + differential matrix (-race)'
-go test -race -run 'TestGoldenFrames|TestDifferential|TestFrame|TestSpansAndAtoms|TestFetchAtomsOverWire|TestPeerSetFailoverToReplica|TestFailedQueryTraceRecorded' ./internal/wire/...
+lane 'wire protocol: golden frames and JSON bodies + differential matrix (-race)'
+go test -race -run 'TestGoldenFrames|TestGoldenJSON|TestJSONPoints|TestDifferential|TestFrame|TestSpansAndAtoms|TestFetchAtomsOverWire|TestPeerSetFailoverToReplica|TestFailedQueryTraceRecorded' ./internal/wire/...
 lane_done
 
 # Fuzz smoke lane: a short coverage-guided run of each fuzz target beyond its
@@ -165,6 +167,7 @@ else
 	go test -run=NONE -fuzz='^FuzzCodeRoundTrip$' -fuzztime=10s ./internal/morton
 	go test -run=NONE -fuzz='^FuzzRequestDecode$' -fuzztime=10s ./internal/wire
 	go test -run=NONE -fuzz='^FuzzResponseDecode$' -fuzztime=10s ./internal/wire
+	go test -run=NONE -fuzz='^FuzzJSONPointsDecode$' -fuzztime=10s ./internal/wire
 	go test -run=NONE -fuzz='^FuzzFrameDecode$' -fuzztime=10s ./internal/wire/binproto
 	go test -run=NONE -fuzz='^FuzzPointsRoundTrip$' -fuzztime=10s ./internal/wire/binproto
 	lane_done
