@@ -16,6 +16,11 @@
 // (threshold-dominance + region-containment — the semantic-caching match
 // rule). Hits skip both the raw-data I/O and the derived-field computation.
 //
+// A hit is an ordered read: Lookup returns an entry's points in the order
+// Store was given them (the node stores them in Morton order), so a hit
+// needs no sort. Store's precondition is that every point lies inside the
+// stored region; a lookup of exactly that region then tests only values.
+//
 // All reads and modifications run in snapshot-isolation transactions
 // (internal/txn), so parallel queries never block each other or deadlock.
 // Entries are evicted least-recently-used across all quantities when the
@@ -24,8 +29,10 @@
 package cache
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -185,9 +192,9 @@ func entrySize(n int) int64 { return infoDiskSize + int64(n)*PointDiskSize }
 
 // Lookup implements the cache-interrogation half of Algorithm 1: find a
 // cacheInfo row for (dataset, field, timestep) whose stored threshold is ≤ k
-// and whose region contains q; on a hit, scan its cacheData rows and return
-// the points with value ≥ k inside q. ok reports whether the query was
-// answerable from the cache.
+// and whose region contains q; on a hit, read its cacheData rows in order and
+// return the points with value ≥ k inside q, in the order they were stored.
+// ok reports whether the query was answerable from the cache.
 func (c *Cache) Lookup(p *sim.Proc, dataset, fieldName string, step int, k float64, q grid.Box) (pts []query.ResultPoint, ok bool, err error) {
 	tx := c.db.Begin()
 	defer tx.Abort()
@@ -225,22 +232,31 @@ func (c *Cache) Lookup(p *sim.Proc, dataset, fieldName string, step int, k float
 		return nil, false, nil
 	}
 
-	// SELECT * FROM cacheData WHERE cacheInfoOrdinal = ordinal
+	// SELECT * FROM cacheData WHERE cacheInfoOrdinal = ordinal ORDER BY seq
 	c.chargeRead(p, int64(hit.Points)*PointDiskSize)
+	chunks := make([]DataRow, 0, (hit.Points+chunkPoints-1)/chunkPoints)
 	err = tx.Scan(TableData, func(_ txn.RowID, data interface{}) bool {
-		row := data.(DataRow)
-		if row.InfoOrdinal != hitID {
-			return true
-		}
-		for _, pt := range row.Points {
-			if float64(pt.Value) >= k && q.Contains(pt.Coords()) {
-				pts = append(pts, pt)
-			}
+		if row := data.(DataRow); row.InfoOrdinal == hitID {
+			chunks = append(chunks, row)
 		}
 		return true
 	})
 	if err != nil {
 		return nil, false, err
+	}
+	slices.SortFunc(chunks, func(a, b DataRow) int { return cmp.Compare(a.Seq, b.Seq) })
+	// Every stored point lies inside the stored region (Store's
+	// precondition), so a lookup of exactly that region skips the per-point
+	// containment test. The value test stays: a float32 value can round
+	// below a k the stored threshold dominates.
+	whole := q == hit.Region
+	pts = make([]query.ResultPoint, 0, hit.Points)
+	for _, row := range chunks {
+		for _, pt := range row.Points {
+			if float64(pt.Value) >= k && (whole || q.Contains(pt.Coords())) {
+				pts = append(pts, pt)
+			}
+		}
 	}
 	c.hits.Add(1)
 	mHits.Inc()
@@ -273,6 +289,10 @@ const maxStoreRetries = 10
 // of a threshold query (threshold k over region) for (dataset, field,
 // timestep), replacing any previous entry for the same key and region, and
 // evicting least-recently-used entries if capacity would be exceeded.
+//
+// Every point of pts must lie inside region, as the points of a scan
+// clipped to region do: Lookup returns them unfiltered by coordinates when
+// it is asked for exactly region. Lookup returns them in the order given.
 func (c *Cache) Store(p *sim.Proc, dataset, fieldName string, step int, k float64, region grid.Box, pts []query.ResultPoint) error {
 	size := entrySize(len(pts))
 	if c.capacity > 0 && size > c.capacity {

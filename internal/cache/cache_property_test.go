@@ -181,3 +181,76 @@ func TestPropertyConcurrentWithEvictions(t *testing.T) {
 		t.Fatalf("no hits during the concurrent workload (stats %+v)", s)
 	}
 }
+
+// TestPropertyHitIsOrderedRead pins what a hit returns and in which order.
+// Entries span more than eight cacheData chunks and are stored in code order,
+// as a node stores them. Every hit must equal the stored points filtered by
+// value ≥ k and by q, in stored order — compared unsorted, so reading the
+// chunks out of sequence fails it — and a lookup of exactly the stored region
+// must equal the per-point containment filter.
+func TestPropertyHitIsOrderedRead(t *testing.T) {
+	c := newCache(t, 0)
+	rng := rand.New(rand.NewSource(30))
+	for step := 0; step < 3; step++ {
+		lo := grid.Point{X: rng.Intn(8), Y: rng.Intn(8), Z: rng.Intn(8)}
+		region := grid.Box{Lo: lo, Hi: lo.Add(36+rng.Intn(5), 36+rng.Intn(5), 36+rng.Intn(5))}
+		k0 := float64(rng.Intn(8)) * 0.25
+		var stored []query.ResultPoint
+		var p grid.Point
+		for p.Z = region.Lo.Z; p.Z < region.Hi.Z; p.Z++ {
+			for p.Y = region.Lo.Y; p.Y < region.Hi.Y; p.Y++ {
+				for p.X = region.Lo.X; p.X < region.Hi.X; p.X++ {
+					if v := float64(rng.Intn(256)) * 0.25; v >= k0 {
+						stored = append(stored, query.PointFor(p, v))
+					}
+				}
+			}
+		}
+		sortPoints(stored)
+		if len(stored) <= 8*chunkPoints {
+			t.Fatalf("step %d: entry of %d points spans ≤ 8 chunks", step, len(stored))
+		}
+		if err := c.Store(nil, "d", "f", step, k0, region, stored); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			k := k0 + float64(rng.Intn(64))*0.25
+			q := region
+			if i%4 != 0 {
+				q = randSubBox(rng, region)
+			}
+			got, ok, err := c.Lookup(nil, "d", "f", step, k, q)
+			if err != nil || !ok {
+				t.Fatalf("step %d: lookup k=%g q=%v: ok=%v err=%v", step, k, q, ok, err)
+			}
+			var want []query.ResultPoint
+			for _, pt := range stored {
+				if float64(pt.Value) >= k && q.Contains(pt.Coords()) {
+					want = append(want, pt)
+				}
+			}
+			if err := samePointsBitwise(got, want); err != nil {
+				t.Fatalf("step %d: hit k=%g q=%v (region %v) is not the stored points filtered in order: %v",
+					step, k, q, region, err)
+			}
+		}
+	}
+}
+
+// randSubBox returns a non-empty box inside region other than region
+// itself, so some of region's points lie outside it.
+func randSubBox(rng *rand.Rand, region grid.Box) grid.Box {
+	span := func(lo, hi int) (int, int) {
+		a := lo + rng.Intn(hi-lo)
+		return a, a + 1 + rng.Intn(hi-a)
+	}
+	for {
+		var b grid.Box
+		b.Lo.X, b.Hi.X = span(region.Lo.X, region.Hi.X)
+		b.Lo.Y, b.Hi.Y = span(region.Lo.Y, region.Hi.Y)
+		b.Lo.Z, b.Hi.Z = span(region.Lo.Z, region.Hi.Z)
+		if b != region {
+			return b
+		}
+	}
+}

@@ -324,13 +324,17 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 	}
 }
 
+// BenchmarkLookupHit reads a 26 214-point entry (seven cacheData chunks),
+// stored in code order as a node stores it, over exactly its region.
 func BenchmarkLookupHit(b *testing.B) {
 	c := newCache(b, 0)
 	region := box(0, 32)
-	pts := pointsIn(region, 5, 10000)
+	pts := pointsIn(region, 5, 26214)
+	sortPoints(pts)
 	if err := c.Store(nil, "d", "f", 0, 5, region, pts); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok, _ := c.Lookup(nil, "d", "f", 0, 50, region); !ok {

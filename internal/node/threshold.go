@@ -1,10 +1,10 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -145,7 +145,12 @@ func (m *thresholdMember) finish() error {
 	if len(m.pts) > m.q.Limit {
 		return &query.ErrTooManyPoints{Limit: m.q.Limit, Seen: len(m.pts)}
 	}
-	sort.Slice(m.pts, func(i, j int) bool { return m.pts[i].Code < m.pts[j].Code })
+	// A cache hit arrives in code order already; a miss's worker parts do
+	// not. Codes are unique, so an unstable sort is the one order.
+	byCode := func(a, b query.ResultPoint) int { return cmp.Compare(a.Code, b.Code) }
+	if !slices.IsSortedFunc(m.pts, byCode) {
+		slices.SortFunc(m.pts, byCode)
+	}
 	return nil
 }
 

@@ -61,6 +61,10 @@ const (
 	MaxChunk = 8192
 	// MaxName caps a span name and a trace ID.
 	MaxName = 256
+	// maxPrealloc caps how much of a frame's declared length a decoder
+	// allocates before the bytes arrive: a points frame fits, and a corrupt
+	// prefix costs at most this much beyond what the stream carries.
+	maxPrealloc = 64 << 10
 	// atomsFrameBytes is the blob payload an encoder aims to stay under per
 	// atoms frame; a single larger blob still gets a frame to itself.
 	atomsFrameBytes = 1 << 20
@@ -471,9 +475,13 @@ func (r *Reader) Next() (any, error) {
 	if n == 0 || n > MaxFrameBytes {
 		return nil, errf("frame length %d out of range (1..%d)", n, MaxFrameBytes)
 	}
-	// CopyN grows the buffer only as bytes actually arrive, so a corrupt
-	// length prefix on a truncated stream never allocates the claimed size.
+	// The buffer is grown once up front to the declared length, capped at
+	// maxPrealloc; beyond that CopyN grows it only as bytes actually arrive,
+	// so a corrupt length prefix on a truncated stream never allocates the
+	// claimed size. The extra MinRead keeps CopyN's final read, the one that
+	// sees the limit reached, from growing a buffer filled to capacity.
 	r.payload.Reset()
+	r.payload.Grow(min(int(n), maxPrealloc) + bytes.MinRead)
 	if _, err := io.CopyN(&r.payload, r.r, int64(n)); err != nil {
 		return nil, errf("frame truncated: declared %d bytes: %v", n, err)
 	}

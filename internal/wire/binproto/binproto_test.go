@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -362,6 +363,29 @@ func errorsAs(err error, target **FormatError) bool {
 		*target = fe
 	}
 	return ok
+}
+
+// TestReaderAllocationBoundOnCorruptLength: a length prefix declaring
+// MaxFrameBytes on a stream that ends 10 bytes later fails as truncated and
+// allocates a bounded prefix, never the declared 16 MiB.
+func TestReaderAllocationBoundOnCorruptLength(t *testing.T) {
+	stream := append([]byte(nil), magic[:]...)
+	stream = binary.LittleEndian.AppendUint32(stream, MaxFrameBytes)
+	stream = append(stream, TypeEnd, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, err := NewReader(bytes.NewReader(stream)).Next()
+		var fe *FormatError
+		if !errorsAs(err, &fe) || !strings.Contains(err.Error(), "frame truncated") {
+			t.Fatalf("Next = %v, want the truncation FormatError", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 256<<10 {
+		t.Fatalf("a truncated %d-byte frame allocated %d bytes per read, want < 256 KiB", MaxFrameBytes, perRun)
+	}
 }
 
 func TestSoloStreamGrammar(t *testing.T) {

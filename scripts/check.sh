@@ -108,6 +108,15 @@ go test -race -count=10 -run 'TestScanContract' ./internal/node/...
 go test -race -run 'TestDropCacheForgetsPDF|TestDropCoversAggregatesAndScanKeys' . ./internal/cache/...
 lane_done
 
+# Ordered-hit lane: a cache hit is an ordered read. The cache returns a
+# multi-chunk entry's points in stored order, filtered exactly as a
+# recompute would be, and the mediator concatenates disjoint node answers
+# where it used to heap-merge them, bit for bit what the heap gives; by
+# name under the race detector, seeds of the merge fuzz target included.
+lane 'cache hit order + mediator merge (-race)'
+go test -race -run 'TestPropertyHitIsOrderedRead|TestPropertyHitEqualsRecompute|TestMergeSortedPoints|FuzzMergeSortedPoints' ./internal/cache/... ./internal/mediator/...
+lane_done
+
 # Row-kernel lanes (scripts/kernels.sh): the bounds-check ratchet — the
 # compiler may report no more unproven index checks in stencil.go and
 # derived.go than the number committed in that script — and the arm64
@@ -170,6 +179,7 @@ else
 	go test -run=NONE -fuzz='^FuzzJSONPointsDecode$' -fuzztime=10s ./internal/wire
 	go test -run=NONE -fuzz='^FuzzFrameDecode$' -fuzztime=10s ./internal/wire/binproto
 	go test -run=NONE -fuzz='^FuzzPointsRoundTrip$' -fuzztime=10s ./internal/wire/binproto
+	go test -run=NONE -fuzz='^FuzzMergeSortedPoints$' -fuzztime=10s ./internal/mediator
 	lane_done
 fi
 
