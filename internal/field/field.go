@@ -247,6 +247,23 @@ func (bl *Block) DecodeFrom(blob []byte, src grid.Box) {
 	}
 }
 
+// AppendPart appends to dst the Bytes form of the block over part cut out
+// of blob, the Bytes form of a block over src with nc components: the rows
+// of part, copied as they are. part must lie inside src and the caller has
+// checked that len(blob) == ByteSize(src, nc). DecodeFrom of the result
+// over part reads what DecodeFrom of blob over src reads there.
+func AppendPart(dst, blob []byte, src, part grid.Box, nc int) []byte {
+	snx, sny, _ := src.Size()
+	row := (part.Hi.X - part.Lo.X) * nc * 4
+	for z := part.Lo.Z; z < part.Hi.Z; z++ {
+		for y := part.Lo.Y; y < part.Hi.Y; y++ {
+			i := (((z-src.Lo.Z)*sny+y-src.Lo.Y)*snx + part.Lo.X - src.Lo.X) * nc * 4
+			dst = append(dst, blob[i:i+row]...)
+		}
+	}
+	return dst
+}
+
 // ByteSize returns the serialized size in bytes of a block over box b with
 // nc components, without materializing it.
 func ByteSize(b grid.Box, nc int) int { return b.NumPoints() * nc * 4 }

@@ -211,6 +211,45 @@ func TestBlockFromBytesLengthCheck(t *testing.T) {
 	}
 }
 
+// A part cut out of a blob decodes, over the part, to exactly what the
+// whole blob decodes to there — for parts touching every face of the
+// block, parts of one row or one point, and the whole block.
+func TestAppendPartDecodesAsTheWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	src := grid.Box{Lo: grid.Point{X: -8, Y: 16, Z: 0}, Hi: grid.Point{X: 0, Y: 24, Z: 8}}
+	for _, nc := range []int{1, 3} {
+		bl := NewBlock(src, nc)
+		for i := range bl.Data {
+			bl.Data[i] = float32(rng.NormFloat64())
+		}
+		blob := bl.Bytes()
+		parts := []grid.Box{src, {Lo: src.Lo, Hi: src.Lo.Add(1, 1, 1)}, {Lo: src.Hi.Add(-1, -1, -1), Hi: src.Hi}}
+		for len(parts) < 40 {
+			var lo, hi [3]int
+			for a := range lo {
+				lo[a] = rng.Intn(8)
+				hi[a] = lo[a] + 1 + rng.Intn(8-lo[a])
+			}
+			parts = append(parts, grid.Box{Lo: src.Lo.Add(lo[0], lo[1], lo[2]), Hi: src.Lo.Add(hi[0], hi[1], hi[2])})
+		}
+		for _, part := range parts {
+			prefix := []byte{0xAB}
+			cut := AppendPart(prefix, blob, src, part, nc)
+			if len(cut) != 1+ByteSize(part, nc) || cut[0] != 0xAB {
+				t.Fatalf("part %v: %d bytes after a 1-byte prefix, want %d", part, len(cut)-1, ByteSize(part, nc))
+			}
+			got, want := NewBlock(part, nc), NewBlock(part, nc)
+			got.DecodeFrom(cut[1:], part)
+			want.DecodeFrom(blob, src)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("part %v × %d: value %d is %v, the whole blob's %v", part, nc, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestByteSizeMatchesPaper(t *testing.T) {
 	// An 8³ atom of a 3-component field is 8³·3·4 = 6144 bytes.
 	if got := ByteSize(box(0, 8), 3); got != 6144 {

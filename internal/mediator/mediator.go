@@ -508,12 +508,7 @@ func (m *Mediator) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query
 		top = append(top, r.Points...)
 		stats.NodeCritical.Max(r.Breakdown)
 	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].Value != top[j].Value { // exact tie-break keeps the order total and deterministic
-			return top[i].Value > top[j].Value
-		}
-		return top[i].Code < top[j].Code
-	})
+	sort.Slice(top, func(i, j int) bool { return query.RanksBefore(top[i], top[j]) })
 	if len(top) > q.K {
 		top = top[:q.K]
 	}

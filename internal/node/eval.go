@@ -39,10 +39,11 @@ type Breakdown struct {
 	// band was unreachable (partial-halo degradation). Non-zero means the
 	// result is partial and must not be cached.
 	AtomsSkipped int
-	// AtomsPruned counts atoms of the query box a threshold scan left out —
-	// not read, not evaluated, not in PointsExamined — because the node's
-	// max-norm synopsis proves none of their points can qualify. The answer
-	// is complete all the same.
+	// AtomsPruned counts atoms of the query box a scan left out — not read,
+	// not evaluated, not in PointsExamined — because the node's max-norm
+	// synopsis proves none of their points can qualify for a threshold, or
+	// enter a top-k beside the points already found. The answer is complete
+	// all the same.
 	AtomsPruned int
 }
 
@@ -127,9 +128,13 @@ func slabROI(g grid.Grid, first morton.Code, side int, qbox grid.Box) grid.Box {
 }
 
 // workerData is the outcome of one worker's I/O phase: per raw input field
-// (in Field.Raws order), the blob of every atom the shard's slabs touch.
+// (in Field.Raws order), the blob of every atom the shard's slabs touch, and
+// per atom the atom-local box the slabs read of it. A peer may answer with
+// just that part of a halo atom: a blob that is not the whole atom's length
+// holds exactly its part.
 type workerData struct {
 	blobs     []map[morton.Code][]byte
+	parts     map[morton.Code]grid.Box
 	atomsRead int
 	haloAtoms int
 	err       error
@@ -176,23 +181,33 @@ func (b *bufferPool) admit(fieldName string, codes []morton.Code) (cold, warm []
 // gather is the I/O phase of one worker: for every raw input field, fetch
 // the blob of every atom the shard's slabs touch — each slab's region of
 // interest plus a halo band of one kernel half-width, with atoms held by
-// other nodes fetched from peers. Nothing is decoded here; the compute
-// phase decodes the rows it needs straight into its slab blocks.
+// other nodes fetched from peers. It records, per atom, the bounding box of
+// what the slabs read of it, and hands those boxes to the peer fetcher
+// through ctx (WithHaloParts), so a remote peer can ship the band instead of
+// the atom. Nothing is decoded here; the compute phase decodes the rows it
+// needs straight into its slab blocks.
 func (n *Node) gather(ctx context.Context, wp *sim.Proc, rawFields []derived.RawInput, step int, shard []morton.Code, qbox grid.Box, hw int, pool *bufferPool) workerData {
 	g := n.store.Grid()
-	var needed []morton.Code
+	out := workerData{parts: make(map[morton.Code]grid.Box)}
 	for rest := shard; len(rest) > 0; {
 		side, count := slabAt(rest)
-		g.ForEachTile(slabROI(g, rest[0], side, qbox).Expand(hw), func(_ grid.Box, c morton.Code) bool {
-			needed = append(needed, c)
+		ext := slabROI(g, rest[0], side, qbox).Expand(hw)
+		g.ForEachTile(ext, func(tile grid.Box, c morton.Code) bool {
+			o := tile.Lo
+			r := tile.Intersect(ext)
+			part := grid.Box{Lo: r.Lo.Add(-o.X, -o.Y, -o.Z), Hi: r.Hi.Add(-o.X, -o.Y, -o.Z)}
+			out.parts[c] = unionBox(out.parts[c], part) // neighboring slabs share halo atoms
 			return true
 		})
 		rest = rest[count:]
 	}
+	needed := make([]morton.Code, 0, len(out.parts))
+	for c := range out.parts {
+		needed = append(needed, c)
+	}
 	slices.Sort(needed)
-	needed = slices.Compact(needed) // neighboring slabs share halo atoms
+	ctx = WithHaloParts(ctx, g.AtomSide, out.parts)
 
-	var out workerData
 	for _, rf := range rawFields {
 		err := ctx.Err()
 		if err == nil {
@@ -251,6 +266,14 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInpu
 			if remoteErr == nil && len(remoteWarm) > 0 {
 				warmRemote, remoteErr = n.peers.FetchAtoms(ctx, nil, rawField, step, remoteWarm)
 			}
+			haloBytes := 0
+			for _, more := range []map[morton.Code][]byte{coldRemote, warmRemote} {
+				for _, b := range more {
+					haloBytes += len(b)
+				}
+			}
+			hsp.SetAttr("halo_bytes", int64(haloBytes))
+			mHaloBytes.Add(int64(haloBytes))
 		}
 	})
 	if localErr != nil {
@@ -274,11 +297,14 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInpu
 		}
 	}
 	// Blobs cross a trust boundary (disk, peers); the decode kernel does not
-	// re-check their length per slab.
-	want := field.ByteSize(n.store.Grid().AtomBox(0), rf.NComp)
+	// re-check their length per slab. A blob is the whole atom or exactly
+	// the part of it the slabs read.
+	whole := field.ByteSize(n.store.Grid().AtomBox(0), rf.NComp)
 	for c, b := range blobs {
-		if len(b) != want {
-			return faulttol.Permanentf("node %d: atom %v of %q is %d bytes, want %d", n.id, c, rawField, len(b), want)
+		part, ok := out.parts[c]
+		if len(b) != whole && (!ok || len(b) != field.ByteSize(part, rf.NComp)) {
+			return faulttol.Permanentf("node %d: atom %v of %q is %d bytes, want %d (the atom) or %d (its part %v)",
+				n.id, c, rawField, len(b), whole, field.ByteSize(part, rf.NComp), part)
 		}
 	}
 	out.blobs = append(out.blobs, blobs)
@@ -320,7 +346,8 @@ type slabScan struct {
 	hw       int
 	perPoint time.Duration
 	blobs    []map[morton.Code][]byte
-	slabs    []*field.Block // one per raw field, re-shaped for every slab
+	parts    map[morton.Code]grid.Box // what a blob shorter than its atom holds
+	slabs    []*field.Block           // one per raw field, re-shaped for every slab
 	consume  rowConsumer
 	floor    float64 // no consumer wants a point below it
 
@@ -338,15 +365,15 @@ type slabScan struct {
 }
 
 // scanShard runs the compute phase of one worker over its Morton-sorted
-// shard. floor is a lower bound of what consume looks for: rows whose
-// largest norm is below it are folded into the atoms' maxima and not handed
-// over (−Inf hands over every row).
-func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st stencil.Stencil, shard []morton.Code, blobs []map[morton.Code][]byte, qbox grid.Box, hw int, floor float64, consume rowConsumer) (shardResult, error) {
+// shard and the data its I/O phase gathered. floor is a lower bound of what
+// consume looks for: rows whose largest norm is below it are folded into
+// the atoms' maxima and not handed over (−Inf hands over every row).
+func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st stencil.Stencil, shard []morton.Code, data workerData, qbox grid.Box, hw int, floor float64, consume rowConsumer) (shardResult, error) {
 	g := n.store.Grid()
 	rowW := slabSide * g.AtomSide
 	s := slabScan{
 		n: n, wp: wp, g: g, f: f, st: st, qbox: qbox, hw: hw,
-		perPoint: n.costs.Cost(f.Name), blobs: blobs, consume: consume, floor: floor,
+		perPoint: n.costs.Cost(f.Name), blobs: data.blobs, parts: data.parts, consume: consume, floor: floor,
 		slabs:   make([]*field.Block, len(f.Raws)),
 		norms:   make([]float64, rowW),
 		vals:    make([]float64, rowW*f.OutComp),
@@ -435,7 +462,8 @@ func (s *slabScan) scanSlab(codes []morton.Code, side int) error {
 // assemble decodes the blobs covering roi and its halo band — the atoms
 // under roi.Expand(hw), periodically wrapped — into the slab block of every
 // raw field: each tile's rows go straight from its float32 blob to their
-// place in the block. It reports false when a blob is missing.
+// place in the block. A blob that holds only its atom's part is that part
+// shifted onto the tile. It reports false when a blob is missing.
 func (s *slabScan) assemble(roi grid.Box) bool {
 	ext := roi.Expand(s.hw)
 	for i, rf := range s.f.Raws {
@@ -443,10 +471,16 @@ func (s *slabScan) assemble(roi grid.Box) bool {
 		bl.Reset(ext, rf.NComp)
 		complete := s.g.ForEachTile(ext, func(tile grid.Box, c morton.Code) bool {
 			blob, ok := blobs[c]
-			if ok {
-				bl.DecodeFrom(blob, tile)
+			if !ok {
+				return false
 			}
-			return ok
+			src := tile
+			if len(blob) != field.ByteSize(tile, rf.NComp) {
+				p, o := s.parts[c], tile.Lo
+				src = grid.Box{Lo: p.Lo.Add(o.X, o.Y, o.Z), Hi: p.Hi.Add(o.X, o.Y, o.Z)}
+			}
+			bl.DecodeFrom(blob, src)
+			return true
 		})
 		if !complete {
 			return false
@@ -553,61 +587,55 @@ func (n *Node) scanSet(syn *synEntry, qbox grid.Box, scan []morton.Range, preds 
 	return kept, len(codes) - len(kept), nil
 }
 
-// evalPhases runs the two-phase (I/O then compute) data-parallel evaluation
-// over this node's shard of qbox and reports phase timings. scan restricts
-// the shard to the given atom ranges (replica routing); empty means the
-// node's primary range. consumerFor builds each worker's row consumer.
-//
-// preds are the predicates the consumers evaluate; nil, or a −Inf threshold
-// (PDF, top-k), wants every point. With predicates, the node's synopsis
-// first removes the atoms that cannot hold a qualifying point — they are
-// not read, not fetched halo for, not decoded, not evaluated — and a
-// consumer sees only the rows that reach the lowest threshold. Every scan
-// teaches the synopsis the maxima of the atoms it evaluated whole, unless
-// it failed or had to skip atoms.
-func (n *Node) evalPhases(
-	ctx context.Context,
-	p *sim.Proc,
-	f *derived.Field,
-	st stencil.Stencil,
-	step int,
-	qbox grid.Box,
-	scan []morton.Range,
-	hw int,
-	preds []atomPred,
-	consumerFor func(worker int) rowConsumer,
-) (Breakdown, error) {
-	var bd Breakdown
-	procs := n.Processes()
-	syn := n.openSynopsis(f, st, step)
-	codes, pruned, err := n.scanSet(syn, qbox, scan, preds)
-	if err != nil {
-		return bd, err
-	}
-	bd.AtomsPruned = pruned
-	floor := math.Inf(-1)
-	if preds != nil {
-		floor = math.Inf(1)
-		for _, pr := range preds {
-			if pr.threshold < floor { // a NaN threshold matches nothing and lowers nothing
-				floor = pr.threshold
-			}
+// pass is what every evalPhases round of one node scan shares.
+type pass struct {
+	f     *derived.Field
+	st    stencil.Stencil
+	step  int
+	qbox  grid.Box // the bounding box of the live members
+	hw    int
+	floor float64       // no consumer wants a norm below it
+	syn   *synEntry     // learns what a round evaluates whole; nil keeps no synopsis
+	pool  *bufferPool   // the atoms the scan has read, over all its rounds
+	rows  []rowConsumer // one per worker
+}
+
+// lowestThreshold is the least norm any of preds wants: −Inf when one of
+// them wants every point.
+func lowestThreshold(preds []atomPred) float64 {
+	floor := math.Inf(1)
+	for _, pr := range preds {
+		if pr.threshold < floor { // a NaN threshold matches nothing and lowers nothing
+			floor = pr.threshold
 		}
 	}
+	return floor
+}
+
+// evalPhases runs the two-phase (I/O then compute) data-parallel evaluation
+// of codes, Morton-sorted atoms of the pass's box, over the pass's workers
+// and reports phase timings and counts. An atom of the box not in codes —
+// one the synopsis pruned — is not read, not fetched halo for, not decoded,
+// not evaluated; pruned, how many the scan leaves out so far, labels the
+// I/O span. A consumer sees only the rows that reach the pass's floor.
+// Every round teaches the synopsis the maxima of the atoms it evaluated
+// whole, unless it failed or had to skip atoms.
+func (n *Node) evalPhases(ctx context.Context, p *sim.Proc, ps *pass, codes []morton.Code, pruned int) (Breakdown, error) {
+	var bd Breakdown
+	procs := len(ps.rows)
 	shards := splitWork(codes, procs)
 
 	// Phase 1: I/O — every worker fetches the blobs of its shard plus halo.
 	// Workers share a per-query buffer pool so each atom record pays disk
 	// time once per node per query.
-	pool := newBufferPool()
 	ioStart := n.exec.Now()
 	ioCtx, ioSp := obs.StartSpan(ctx, "scan_io")
-	if syn != nil {
-		ioSp.SetAttr("atoms_pruned", int64(bd.AtomsPruned))
+	if ps.syn != nil {
+		ioSp.SetAttr("atoms_pruned", int64(pruned))
 	}
 	data := make([]workerData, procs)
 	n.exec.Fork(p, procs, func(i int, wp *sim.Proc) {
-		data[i] = n.gather(ioCtx, wp, f.Raws, step, shards[i], qbox, hw, pool)
+		data[i] = n.gather(ioCtx, wp, ps.f.Raws, ps.step, shards[i], ps.qbox, ps.hw, ps.pool)
 	})
 	ioSp.End()
 	bd.IO = n.exec.Now() - ioStart
@@ -626,7 +654,7 @@ func (n *Node) evalPhases(
 	errs := make([]error, procs)
 	results := make([]shardResult, procs)
 	n.exec.Fork(p, procs, func(i int, wp *sim.Proc) {
-		results[i], errs[i] = n.scanShard(compCtx, wp, f, st, shards[i], data[i].blobs, qbox, hw, floor, consumerFor(i))
+		results[i], errs[i] = n.scanShard(compCtx, wp, ps.f, ps.st, shards[i], data[i], ps.qbox, ps.hw, ps.floor, ps.rows[i])
 	})
 	compSp.End()
 	bd.Compute = n.exec.Now() - compStart
@@ -638,15 +666,14 @@ func (n *Node) evalPhases(
 		bd.PointsExamined += results[i].examined
 		bd.AtomsSkipped += results[i].skipped
 	}
-	if syn != nil && bd.AtomsSkipped == 0 {
+	if ps.syn != nil && bd.AtomsSkipped == 0 {
 		for _, r := range results {
 			for _, am := range r.learned {
-				syn.learn(am.code, am.max)
+				ps.syn.learn(am.code, am.max)
 			}
 		}
 	}
 	mPointsExam.Add(int64(bd.PointsExamined))
 	mAtomsSkipped.Add(int64(bd.AtomsSkipped))
-	mAtomsPruned.Add(int64(bd.AtomsPruned))
 	return bd, nil
 }

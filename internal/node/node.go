@@ -30,8 +30,36 @@ import (
 // PeerFetcher retrieves atom blobs owned by other nodes of the cluster (the
 // halo band of a kernel computation). Implementations charge any transfer
 // costs themselves and honor ctx cancellation for remote transports.
+//
+// A fetcher may answer an atom with its whole blob or with exactly the part
+// of it a scan reads, when ctx names one (HaloParts): the blob's length
+// says which.
 type PeerFetcher interface {
 	FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error)
+}
+
+type haloPartsKey struct{}
+
+// haloParts is what WithHaloParts puts on a context.
+type haloParts struct {
+	atomSide int
+	boxes    map[morton.Code]grid.Box
+}
+
+// WithHaloParts returns ctx carrying, per atom code, the atom-local box a
+// worker's slabs read of that atom — the halo band, where the atom is not
+// the worker's own — on a grid of the given atom side. A PeerFetcher that
+// ships parts reads it with HaloParts; one that ships whole atoms ignores
+// it.
+func WithHaloParts(ctx context.Context, atomSide int, boxes map[morton.Code]grid.Box) context.Context {
+	return context.WithValue(ctx, haloPartsKey{}, haloParts{atomSide, boxes})
+}
+
+// HaloParts returns what WithHaloParts put on ctx; boxes is nil when
+// nothing was.
+func HaloParts(ctx context.Context) (atomSide int, boxes map[morton.Code]grid.Box) {
+	hp, _ := ctx.Value(haloPartsKey{}).(haloParts)
+	return hp.atomSide, hp.boxes
 }
 
 // Description is what a mediator needs to know about a node at assembly

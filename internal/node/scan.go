@@ -72,7 +72,9 @@ func rowSpan(box grid.Box, p grid.Point, n int) (lo, hi int) {
 //     every row to each member's consumer — per-point norms do not depend
 //     on the enclosing scan box (the row kernels are row-start independent,
 //     proven bit-for-bit in the kernel differential tests), so each member
-//     gets exactly the answer a scan of its own box would give;
+//     gets exactly the answer a scan of its own box would give; a lone
+//     top-k on a node with a synopsis walks its box in at most two rounds
+//     instead (topKWalk);
 //  3. store each member's answer in the cache.
 //
 // It returns each member's report and, for more than one member, how many
@@ -133,6 +135,7 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 		preds[j] = ms[i].pred()
 		ub = unionBox(ub, preds[j].box)
 	}
+	syn := n.openSynopsis(f, st, k.step)
 	atomsScanned := 0
 	if len(ms) > 1 {
 		// Scan-cost accounting: what each member would have scanned alone, to
@@ -140,7 +143,6 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 		// atoms left after the synopsis has pruned, so the difference is what
 		// sharing saved and not what pruning did. The union pass is charged
 		// to the first member; everyone else saves their whole solo scan.
-		syn := n.openSynopsis(f, st, k.step)
 		for j, i := range live {
 			codes, _, err := n.scanSet(syn, preds[j].box, k.scan, preds[j:j+1])
 			if err != nil {
@@ -157,13 +159,16 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 	}
 	// evalPhases asks for the workers' consumers concurrently: build them
 	// all first.
-	consumers := make([]rowConsumer, n.Processes())
-	for w := range consumers {
+	ps := &pass{
+		f: f, st: st, step: k.step, qbox: ub, hw: hw, floor: lowestThreshold(preds),
+		syn: syn, pool: newBufferPool(), rows: make([]rowConsumer, n.Processes()),
+	}
+	for w := range ps.rows {
 		cs := make([]rowConsumer, len(live))
 		for j, i := range live {
 			cs[j] = ms[i].consumer()
 		}
-		consumers[w] = func(p grid.Point, norms []float64) bool {
+		ps.rows[w] = func(p grid.Point, norms []float64) bool {
 			more := false
 			for _, c := range cs {
 				more = c(p, norms) || more
@@ -171,10 +176,19 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 			return more
 		}
 	}
-	bd, err := n.evalPhases(ctx, p, f, st, k.step, ub, k.scan, hw, preds, func(w int) rowConsumer { return consumers[w] })
+	var bd Breakdown
+	if tk, ok := ms[live[0]].(*topKMember); ok && len(live) == 1 && syn != nil {
+		bd, err = n.topKWalk(ctx, p, ps, k.scan, tk)
+	} else if codes, pruned, serr := n.scanSet(syn, ub, k.scan, preds); serr != nil {
+		err = serr
+	} else {
+		bd, err = n.evalPhases(ctx, p, ps, codes, pruned)
+		bd.AtomsPruned = pruned
+	}
 	if err != nil {
 		return nil, 0, err
 	}
+	mAtomsPruned.Add(int64(bd.AtomsPruned))
 
 	for _, i := range live {
 		o := &out[i]

@@ -143,6 +143,10 @@ func TestScanContract(t *testing.T) {
 		want    []memberView
 		scanned int
 		spans   string
+		// walk marks a top-k, whose walk may leave atoms out: its points
+		// examined plus the points of the atoms it pruned must be the
+		// whole scan's.
+		walk bool
 	}{
 		{
 			name: "threshold/no-cache", cache: noCache,
@@ -232,19 +236,22 @@ func TestScanContract(t *testing.T) {
 			spans: "cache_lookup",
 		},
 		{
-			name: "topk/no-cache", cache: noCache, call: runTopK,
+			name: "topk/no-cache", cache: noCache, call: runTopK, walk: true,
 			want:  []memberView{{counts: scan, timed: "ic"}},
 			spans: "scan_io halo_fetch halo_fetch scan_compute",
 		},
 		{
-			name: "topk/cold", cache: plain, call: runTopK,
+			name: "topk/cold", cache: plain, call: runTopK, walk: true,
 			want:  []memberView{{counts: scan, timed: "ic"}},
 			spans: "scan_io halo_fetch halo_fetch scan_compute",
 		},
 		{
-			name: "topk/warm", cache: agg, warm: warmTopK, call: runTopK,
-			want:  []memberView{{counts: scan, timed: "ic"}},
-			spans: "scan_io halo_fetch halo_fetch scan_compute",
+			// The top-k that warmed the node taught its synopsis every atom:
+			// the walk's first round takes the three atoms of largest maximum
+			// and its second the five the k-th value does not outrank.
+			name: "topk/warm", cache: agg, warm: warmTopK, call: runTopK, walk: true,
+			want:  []memberView{{counts: [5]int{32, 32, 4096, 0, 24}, timed: "ic"}},
+			spans: "scan_io halo_fetch halo_fetch scan_compute scan_io halo_fetch halo_fetch scan_compute",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -272,6 +279,9 @@ func TestScanContract(t *testing.T) {
 			for i, w := range tc.want {
 				if got.members[i] != w {
 					t.Errorf("member %d: %+v, want %+v", i, got.members[i], w)
+				}
+				if c := got.members[i].counts; tc.walk && c[2]+c[4]*n.Grid().PointsPerAtom() != scan[2] {
+					t.Errorf("member %d: examined %d points and pruned %d atoms of a %d-point scan", i, c[2], c[4], scan[2])
 				}
 			}
 			if got.scanned != tc.scanned {

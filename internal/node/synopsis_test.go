@@ -99,7 +99,8 @@ func prunedPoints(t *testing.T, n *Node, f *derived.Field, order int, box grid.B
 // A seeded interleaving of solo and batch threshold, PDF and top-k queries
 // — aligned and unaligned boxes, three scan routings — against a twin
 // cluster without the synopsis: every answer is bit-identical, and what the
-// synopsis saved is exactly the points of the atoms it pruned.
+// synopsis saved is exactly the points of the atoms it pruned (for a top-k,
+// the atoms its walk left out, predicted from the oracle's norms).
 func TestSynopsisDifferential(t *testing.T) {
 	gridN, ops := 64, 160
 	if testing.Short() {
@@ -118,8 +119,9 @@ func TestSynopsisDifferential(t *testing.T) {
 		field  string
 		order  int
 		levels []float64
+		norms  []float64 // the oracle's, computed for the first top-k
 	}
-	classes := []class{{derived.Velocity, 4, nil}, {derived.Vorticity, 4, nil}, {derived.QCriterion, 6, nil}, {derived.Vorticity, 8, nil}}
+	classes := []class{{field: derived.Velocity, order: 4}, {field: derived.Vorticity, order: 4}, {field: derived.QCriterion, order: 6}, {field: derived.Vorticity, order: 8}}
 	for i := range classes {
 		c := &classes[i]
 		top, err := twins[0].GetTopK(ctx, nil, query.TopK{Dataset: "noise", Field: c.field, FDOrder: c.order, K: 1})
@@ -175,7 +177,7 @@ func TestSynopsisDifferential(t *testing.T) {
 
 	pruned := 0
 	for op := 0; op < ops; op++ {
-		c := classes[rng.Intn(len(classes))]
+		c := &classes[rng.Intn(len(classes))]
 		f, err := derived.Standard().Lookup(c.field)
 		if err != nil {
 			t.Fatal(err)
@@ -251,16 +253,22 @@ func TestSynopsisDifferential(t *testing.T) {
 				}
 			case 5:
 				q := query.TopK{Dataset: "noise", Field: c.field, FDOrder: c.order, Box: box, Scan: scan, K: 1 + rng.Intn(50)}
+				if c.norms == nil {
+					c.norms = oracleNorms(t, g, raws, f, c.order)
+				}
+				wantAtoms, wantPoints := walkPrediction(t, n, f, q, c.norms)
 				got, gerr := n.GetTopK(ctx, nil, q)
 				want, werr := twin.GetTopK(ctx, nil, q)
 				if sameErr(where, gerr, werr) {
 					continue
 				}
 				exactPoints(t, got.Points, want.Points, where)
-				if got.Breakdown.AtomsPruned != 0 || got.Breakdown.PointsExamined != want.Breakdown.PointsExamined {
-					t.Fatalf("%s: a top-k pruned %d atoms, examined %d of %d points", where,
-						got.Breakdown.AtomsPruned, got.Breakdown.PointsExamined, want.Breakdown.PointsExamined)
+				if bd, tbd := got.Breakdown, want.Breakdown; bd.AtomsPruned != wantAtoms || tbd.AtomsPruned != 0 ||
+					bd.PointsExamined+wantPoints != tbd.PointsExamined {
+					t.Fatalf("%s: a top-k pruned %d atoms / examined %d points; predicted %d atoms, %d points of the twin's %d",
+						where, bd.AtomsPruned, bd.PointsExamined, wantAtoms, wantPoints, tbd.PointsExamined)
 				}
+				pruned += wantAtoms
 			default:
 				q := members[0]
 				q.Box, q.Scan = box, scan
@@ -344,9 +352,16 @@ func TestSynopsisNeverFed(t *testing.T) {
 		// 40 codes are five slabs of 2×2×2 atoms; the consumer cancels in
 		// the first, which completes, and the walk stops before the second.
 		scan := []morton.Range{{Lo: 0, Hi: 40}}
-		_, err = n.evalPhases(ctx, nil, f, st, 0, n.Grid().Domain(), scan, st.HalfWidth, nil, func(int) rowConsumer {
-			return func(grid.Point, []float64) bool { cancel(); return true }
-		})
+		codes, err := n.scanAtomsCovering(n.Grid().Domain(), scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := &pass{
+			f: f, st: st, qbox: n.Grid().Domain(), hw: st.HalfWidth, floor: math.Inf(-1),
+			syn: n.openSynopsis(f, st, 0), pool: newBufferPool(),
+			rows: []rowConsumer{func(grid.Point, []float64) bool { cancel(); return true }},
+		}
+		_, err = n.evalPhases(ctx, nil, ps, codes, 0)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled scan: %v", err)
 		}

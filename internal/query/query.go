@@ -9,6 +9,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/turbdb/turbdb/internal/grid"
@@ -141,6 +142,48 @@ type ResultPoint struct {
 func (p ResultPoint) Coords() grid.Point {
 	x, y, z := p.Code.Decode()
 	return grid.Point{X: int(x), Y: int(y), Z: int(z)}
+}
+
+// RanksBefore is the total order of top-k answers: the larger value first,
+// a NaN beyond the infinity of its sign (as a node's max-norm synopsis
+// orders its maxima), and at a tie — equal numbers, or two NaNs of one
+// sign — the smaller Morton code. Nodes retain and sort by it, and the
+// mediator merges by it, so which of several tied points make the cut
+// never depends on the order a scan visits them in.
+func RanksBefore(a, b ResultPoint) bool {
+	sa, sb := nanSign(a.Value), nanSign(b.Value)
+	if sa != sb {
+		return sa > sb
+	}
+	if a.Value != b.Value && sa == 0 {
+		return a.Value > b.Value
+	}
+	return a.Code < b.Code
+}
+
+// Outranked reports whether every point of an atom whose norms are at most
+// max, a number, ranks after kth: then none of them can enter a top-k
+// answer of which kth is the last point. A point at kth's value may still
+// enter it with a smaller code, so the test is strict.
+func Outranked(max float64, kth ResultPoint) bool {
+	switch nanSign(kth.Value) {
+	case 1:
+		return true
+	case -1:
+		return false
+	}
+	return float32(max) < kth.Value
+}
+
+// nanSign is 0 for a number, and +1 or −1 for a NaN by its sign bit.
+func nanSign(v float32) int {
+	switch {
+	case v == v:
+		return 0
+	case math.Float32bits(v)>>31 == 0:
+		return 1
+	}
+	return -1
 }
 
 // PointFor builds a ResultPoint from coordinates and a value.

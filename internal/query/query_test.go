@@ -2,6 +2,8 @@ package query
 
 import (
 	"errors"
+	"math"
+	"sort"
 	"testing"
 
 	"github.com/turbdb/turbdb/internal/grid"
@@ -139,4 +141,67 @@ func TestPointWireSizeKnob(t *testing.T) {
 	if PointWireSize() != SerializedPointSize {
 		t.Fatalf("reset PointWireSize = %d, want %d", PointWireSize(), SerializedPointSize)
 	}
+}
+
+// RanksBefore is a strict total order over every float32 a norm can be: a
+// NaN beyond the infinity of its sign, equal numbers (±0 too) and NaNs of
+// one sign tied and broken by code, larger values first. Outranked holds
+// exactly when a number at most max ranks after the k-th point.
+func TestRanksBeforeIsTotalAndOutrankedAgrees(t *testing.T) {
+	nan := float32(math.NaN())
+	negNaN := float32(math.Copysign(math.NaN(), -1))
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	values := []float32{nan, negNaN, inf, -inf, 0, negZero, 1, 2, -1, math.MaxFloat32}
+	var pts []ResultPoint
+	for _, v := range values {
+		pts = append(pts, ResultPoint{Code: 9, Value: v}, ResultPoint{Code: 3, Value: v})
+	}
+	for _, a := range pts {
+		if RanksBefore(a, a) {
+			t.Fatalf("%v ranks before itself", a)
+		}
+		for _, b := range pts {
+			if a != b && RanksBefore(a, b) == RanksBefore(b, a) && !(a.Code == b.Code && sameRank(a.Value, b.Value)) {
+				t.Fatalf("%v and %v are not ordered", a, b)
+			}
+			for _, c := range pts {
+				if RanksBefore(a, b) && RanksBefore(b, c) && !RanksBefore(a, c) {
+					t.Fatalf("%v < %v < %v but not %v < %v", a, b, c, a, c)
+				}
+			}
+		}
+	}
+	sort.Slice(pts, func(i, j int) bool { return RanksBefore(pts[i], pts[j]) })
+	if first, last := pts[0], pts[len(pts)-1]; nanSign(first.Value) != 1 || first.Code != 3 || nanSign(last.Value) != -1 || last.Code != 9 {
+		t.Fatalf("order runs from %v to %v, want +NaN (code 3) to −NaN (code 9)", first, last)
+	}
+	if RanksBefore(ResultPoint{Code: 9, Value: negZero}, ResultPoint{Code: 3, Value: 0}) {
+		t.Error("−0 outranks +0 of a smaller code")
+	}
+
+	for _, tc := range []struct {
+		max  float64
+		kth  float32
+		want bool
+	}{
+		{1, 2, true},
+		{2, 2, false}, // a point at the k-th value may have the smaller code
+		{math.Nextafter(2, 3), 2, false},
+		{3, 2, false},
+		{math.Inf(1), nan, true}, // every number ranks after a +NaN
+		{math.Inf(-1), negNaN, false},
+		{math.Inf(1), inf, false},
+		{-1, 0, true},
+		{0, negZero, false},
+	} {
+		if got := Outranked(tc.max, ResultPoint{Value: tc.kth}); got != tc.want {
+			t.Errorf("Outranked(%v, %v) = %v, want %v", tc.max, tc.kth, got, tc.want)
+		}
+	}
+}
+
+// sameRank reports whether two values tie under RanksBefore.
+func sameRank(a, b float32) bool {
+	return nanSign(a) == nanSign(b) && (a == b || a != a)
 }

@@ -325,10 +325,24 @@ func (c *Client) ThresholdStats(ctx context.Context, q query.Threshold, trace bo
 }
 
 // FetchAtoms implements node.PeerFetcher over HTTP (remote halo exchange).
+// When ctx names the parts a scan reads (node.HaloParts), it asks for just
+// those: the node answers each atom with its band, and a node that ignores
+// the boxes with the whole atom.
 func (c *Client) FetchAtoms(ctx context.Context, _ *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
 	req := AtomsRequest{Field: rawField, Timestep: step, Codes: make([]uint64, len(codes))}
 	for i, code := range codes {
 		req.Codes[i] = uint64(code)
+	}
+	if side, parts := node.HaloParts(ctx); parts != nil && side <= maxBoxSide {
+		whole := grid.Box{Hi: grid.Point{X: side, Y: side, Z: side}}
+		req.Boxes = make([]byte, 0, boxBytes*len(codes))
+		for _, code := range codes {
+			b, ok := parts[code]
+			if !ok {
+				b = whole
+			}
+			req.Boxes = appendBox(req.Boxes, b)
+		}
 	}
 	it, err := c.soloRPC(ctx, PathAtoms, &req, &req.TraceID)
 	if err != nil {

@@ -12,6 +12,7 @@ package wire
 import (
 	"time"
 
+	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/node"
@@ -445,7 +446,9 @@ type TopKResponse struct {
 
 // AtomsRequest asks a node for raw atom blobs (peer halo exchange).
 // TraceID joins the fetch to the distributed trace of the query that
-// triggered it.
+// triggered it. Boxes, when present, names per code the atom-local box the
+// asking scan reads — its halo band — in boxBytes bytes each, and the node
+// answers each atom with just that part of it.
 //
 //turbdb:wire-baseline field,timestep,codes
 type AtomsRequest struct {
@@ -453,6 +456,49 @@ type AtomsRequest struct {
 	Timestep int      `json:"timestep"`
 	Codes    []uint64 `json:"codes"`
 	TraceID  string   `json:"traceId,omitempty"`
+	Boxes    []byte   `json:"boxes,omitempty"`
+}
+
+// boxBytes is the wire size of one box of AtomsRequest.Boxes: its low and
+// high corners, x, y, z, one byte each. It expresses the boxes of atoms of
+// side up to maxBoxSide; a client on a grid of larger atoms sends none.
+const (
+	boxBytes   = 6
+	maxBoxSide = 255
+)
+
+// appendBox appends the wire form of an atom-local box.
+func appendBox(dst []byte, b grid.Box) []byte {
+	return append(dst, byte(b.Lo.X), byte(b.Lo.Y), byte(b.Lo.Z), byte(b.Hi.X), byte(b.Hi.Y), byte(b.Hi.Z))
+}
+
+// boxesFromDTO decodes the Boxes of a request for n atoms of the given
+// side: nil when it has none, and a permanent error unless it holds n
+// non-empty boxes inside the atom.
+func boxesFromDTO(raw []byte, n, atomSide int) ([]grid.Box, error) {
+	if raw == nil {
+		return nil, nil
+	}
+	if atomSide > maxBoxSide {
+		return nil, faulttol.Permanentf("wire: boxes for atoms of side %d; at most %d can be expressed", atomSide, maxBoxSide)
+	}
+	if len(raw) != boxBytes*n {
+		return nil, faulttol.Permanentf("wire: %d bytes of boxes for %d atoms, want %d", len(raw), n, boxBytes*n)
+	}
+	atom := grid.Box{Hi: grid.Point{X: atomSide, Y: atomSide, Z: atomSide}}
+	boxes := make([]grid.Box, n)
+	for i := range boxes {
+		r := raw[boxBytes*i : boxBytes*(i+1)]
+		b := grid.Box{
+			Lo: grid.Point{X: int(r[0]), Y: int(r[1]), Z: int(r[2])},
+			Hi: grid.Point{X: int(r[3]), Y: int(r[4]), Z: int(r[5])},
+		}
+		if b.Empty() || !atom.ContainsBox(b) {
+			return nil, faulttol.Permanentf("wire: box %d %v is empty or leaves its atom %v", i, b, atom)
+		}
+		boxes[i] = b
+	}
+	return boxes, nil
 }
 
 // AtomsResponse returns the blobs, base64-encoded by encoding/json.

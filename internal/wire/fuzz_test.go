@@ -33,6 +33,8 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add(mustJSON(f, PDFRequest{Dataset: "mhd", Field: "qcriterion", Timestep: 1, Bins: 64, Min: -1, Width: 0.125, Box: box}))
 	f.Add(mustJSON(f, TopKRequest{Dataset: "mhd", Field: "norm", Timestep: 0, K: 16, FDOrder: 6}))
 	f.Add(mustJSON(f, AtomsRequest{Field: "u", Timestep: 2, Codes: []uint64{0, 9, 511}}))
+	f.Add(mustJSON(f, AtomsRequest{Field: "u", Codes: []uint64{0, 9}, Boxes: []byte{0, 0, 0, 8, 8, 8, 6, 0, 6, 8, 2, 8}}))
+	f.Add([]byte(`{"field":"u","codes":[3],"boxes":"AAAACAgI"}`))
 	f.Add(mustJSON(f, DropCacheRequest{Field: "vorticity", FDOrder: 4, Timestep: 3}))
 	f.Add(mustJSON(f, SetProcessesRequest{Processes: 8}))
 	f.Add([]byte(`{"box":{"lo":[1,2,3]}}`))
@@ -61,7 +63,9 @@ func FuzzRequestDecode(f *testing.F) {
 			_ = TopKRequestFor(q)
 		}
 		var ar AtomsRequest
-		_ = json.Unmarshal(data, &ar)
+		if json.Unmarshal(data, &ar) == nil {
+			_, _ = boxesFromDTO(ar.Boxes, len(ar.Codes), 8) //lint:allow droppederr hostile boxes must fail, never panic
+		}
 		var dr DropCacheRequest
 		_ = json.Unmarshal(data, &dr)
 		var sr SetProcessesRequest

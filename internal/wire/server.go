@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/turbdb/turbdb/internal/faulttol"
+	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/mediator"
 	"github.com/turbdb/turbdb/internal/morton"
@@ -149,11 +151,18 @@ func (s *NodeServer) Handler() http.Handler {
 		return soloResult(item{ThresholdResult: node.ThresholdResult{Points: res.Points, Breakdown: res.Breakdown}}), nil
 	}))
 	mux.HandleFunc(endpoint(s.cfg, PathAtoms, "serve_atoms", func(ctx context.Context, req *AtomsRequest) (*result, error) {
+		boxes, err := boxesFromDTO(req.Boxes, len(req.Codes), s.n.Grid().AtomSide)
+		if err != nil {
+			return nil, err
+		}
 		codes := make([]morton.Code, len(req.Codes))
 		for i, c := range req.Codes {
 			codes[i] = morton.Code(c)
 		}
 		blobs, err := s.n.FetchAtoms(ctx, nil, req.Field, req.Timestep, codes)
+		if err == nil && boxes != nil {
+			blobs, err = s.bands(req.Field, codes, blobs, boxes)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -179,6 +188,39 @@ func (s *NodeServer) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, info)
 	})
 	return mux
+}
+
+// bands cuts out of the whole atoms blobs of codes the part of each that
+// boxes names — what the asking scan reads of it — copying its rows out of
+// the store's slice. An atom the scan reads whole ships as that slice.
+func (s *NodeServer) bands(rawField string, codes []morton.Code, blobs map[morton.Code][]byte, boxes []grid.Box) (map[morton.Code][]byte, error) {
+	meta, err := s.n.Store().FieldMeta(rawField)
+	if err != nil {
+		return nil, err
+	}
+	atom := s.n.Grid().AtomBox(0)
+	size := 0
+	for _, b := range boxes {
+		if b != atom {
+			size += field.ByteSize(b, meta.NComp)
+		}
+	}
+	buf := make([]byte, 0, size)
+	out := make(map[morton.Code][]byte, len(codes))
+	for i, c := range codes {
+		blob := blobs[c]
+		if len(blob) != field.ByteSize(atom, meta.NComp) {
+			return nil, faulttol.Permanentf("wire: atom %v of %q is %d bytes in the store", c, rawField, len(blob))
+		}
+		if boxes[i] == atom {
+			out[c] = blob
+			continue
+		}
+		start := len(buf)
+		buf = field.AppendPart(buf, blob, atom, boxes[i], meta.NComp)
+		out[c] = buf[start:len(buf):len(buf)]
+	}
+	return out, nil
 }
 
 // Querier is the query surface the mediator HTTP endpoint serves: the bare

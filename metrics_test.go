@@ -43,7 +43,7 @@ func TestMetricNames(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"turbdb_breaker_state", "turbdb_sched_tenant_running", "turbdb_cache_hits_total"} {
+	for _, want := range []string{"turbdb_breaker_state", "turbdb_sched_tenant_running", "turbdb_cache_hits_total", "turbdb_node_halo_bytes_total"} {
 		if !seen[want] {
 			t.Errorf("family %s is not registered; the test no longer covers what it claims", want)
 		}

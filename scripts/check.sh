@@ -90,10 +90,12 @@ lane_done
 # pruned threshold scans against a twin that never prunes (solo, batch, PDF,
 # top-k; aligned and clipped boxes; three scan routings), what must never
 # reach the table, the filter's rules, budget eviction, concurrent scans
-# learning one key, and the degraded-pass / DropCache case through the
-# mediator. -count=10 on the concurrent suite, per the Go guide.
+# learning one key, the degraded-pass / DropCache case through the
+# mediator, and the top-k walk against a twin that never prunes (ties at
+# the k-th value, NaN and ±Inf, replica routes, a second round). -count=10
+# on the concurrent suite, per the Go guide.
 lane 'max-norm synopsis (-race)'
-go test -race -run 'TestSynopsis|TestOrderKey' ./internal/node/... ./internal/cluster/...
+go test -race -run 'TestSynopsis|TestOrderKey|TestTopKWalk' ./internal/node/... ./internal/cluster/...
 go test -race -count=10 -run 'TestSynopsisConcurrentScansOneKey' ./internal/node/...
 lane_done
 
@@ -159,12 +161,15 @@ lane_done
 # must answer Float32bits-identically to the JSON baseline, including the
 # dead-node partial-coverage and replica-failover cases, traced and behind
 # the scheduler), plus the halo hop over frames and over its JSON fallback
-# and the recorded trace of a failed query, by name, under the race
-# detector. The suites also run in the package lanes above; naming them
-# keeps a future filter from silently dropping the protocol's conformance
-# evidence.
+# and the recorded trace of a failed query, and the halo band — a
+# loopback cluster shipping bands against an in-process twin shipping
+# whole atoms, hostile boxes on /atoms, and the node's and field's band
+# decode and length checks — by name, under the race detector. The suites
+# also run in the package lanes above; naming them keeps a future filter
+# from silently dropping the protocol's conformance evidence.
 lane 'wire protocol: golden frames and JSON bodies + differential matrix (-race)'
-go test -race -run 'TestGoldenFrames|TestGoldenJSON|TestJSONPoints|TestDifferential|TestFrame|TestSpansAndAtoms|TestFetchAtomsOverWire|TestPeerSetFailoverToReplica|TestFailedQueryTraceRecorded' ./internal/wire/...
+go test -race -run 'TestGoldenFrames|TestGoldenJSON|TestJSONPoints|TestDifferential|TestFrame|TestSpansAndAtoms|TestFetchAtomsOverWire|TestPeerSetFailoverToReplica|TestFailedQueryTraceRecorded|TestHaloBandDifferential|TestAtomsRejectsHostileBoxes' ./internal/wire/...
+go test -race -run 'TestHaloBand|TestHaloBlob|TestHaloFetchSpan|TestAppendPart' ./internal/node/... ./internal/field/...
 lane_done
 
 # Fuzz smoke lane: a short coverage-guided run of each fuzz target beyond its
