@@ -25,20 +25,19 @@ type aggEntry struct {
 // aggDiskSize models the SSD footprint of an aggregate entry.
 func aggDiskSize(bins int) int64 { return infoDiskSize + int64(bins)*16 }
 
-// LookupAgg returns a cached aggregate for the exact key, if present. The
-// error is always nil.
-func (c *Cache) LookupAgg(p *sim.Proc, dataset, fieldName string, step int, key string) ([]int64, bool, error) {
+// LookupAgg returns a cached aggregate for the exact key, if present.
+func (c *Cache) LookupAgg(p *sim.Proc, dataset, fieldName string, step int, key string) ([]int64, bool) {
 	if c.aggEntries <= 0 {
-		return nil, false, nil
+		return nil, false
 	}
 	hit := c.findAgg(dataset, fieldName, step, key)
 	c.chargeRead(p, infoDiskSize)
 	if hit == nil {
-		return nil, false, nil
+		return nil, false
 	}
 	c.chargeRead(p, aggDiskSize(len(hit.counts)))
 	c.touch(&hit.lastUsed)
-	return slices.Clone(hit.counts), true, nil
+	return slices.Clone(hit.counts), true
 }
 
 // findAgg returns the aggregate stored under the exact key, or nil; a miss
@@ -57,15 +56,14 @@ func (c *Cache) findAgg(dataset, fieldName string, step int, key string) *aggEnt
 
 // StoreAgg records an aggregate result under its exact key, replacing any
 // previous entry and evicting the least recently used aggregates beyond the
-// configured entry budget. The error is always nil.
-func (c *Cache) StoreAgg(p *sim.Proc, dataset, fieldName string, step int, key string, counts []int64) error {
+// configured entry budget.
+func (c *Cache) StoreAgg(p *sim.Proc, dataset, fieldName string, step int, key string, counts []int64) {
 	if c.aggEntries <= 0 {
-		return nil
+		return
 	}
 	a := &aggEntry{dataset: dataset, field: fieldName, step: step, key: key, counts: slices.Clone(counts)}
 	c.insertAgg(a)
 	c.chargeWrite(p, aggDiskSize(len(counts)))
-	return nil
 }
 
 // insertAgg adds a, first removing the aggregate it replaces and then

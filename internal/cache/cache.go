@@ -296,8 +296,8 @@ func (c *Cache) insert(e *entry) {
 // fieldName+"@…" key (the scan-routed variants a node keys replica scans
 // by) — used by the experiment harness to force cache misses, mirroring how
 // the paper dropped cache entries for the queried time-step before
-// cache-miss runs. The error is always nil.
-func (c *Cache) Drop(dataset, fieldName string, step int) error {
+// cache-miss runs.
+func (c *Cache) Drop(dataset, fieldName string, step int) {
 	match := func(ds, f string, s int) bool {
 		return ds == dataset && s == step && (f == fieldName || strings.HasPrefix(f, fieldName+"@"))
 	}
@@ -305,7 +305,6 @@ func (c *Cache) Drop(dataset, fieldName string, step int) error {
 	defer c.mu.Unlock()
 	c.entries = slices.DeleteFunc(c.entries, func(e *entry) bool { return match(e.Dataset, e.Field, e.Timestep) })
 	c.aggs = slices.DeleteFunc(c.aggs, func(a *aggEntry) bool { return match(a.dataset, a.field, a.step) })
-	return nil
 }
 
 // Entries returns a snapshot of the cacheInfo rows (for inspection and

@@ -220,9 +220,7 @@ func TestDrop(t *testing.T) {
 	region := box(0, 8)
 	_ = c.Store(nil, "d", "f", 0, 5, region, pointsIn(region, 5, 10))
 	_ = c.Store(nil, "d", "f", 1, 5, region, pointsIn(region, 5, 10))
-	if err := c.Drop("d", "f", 0); err != nil {
-		t.Fatal(err)
-	}
+	c.Drop("d", "f", 0)
 	if _, ok, _ := c.Lookup(nil, "d", "f", 0, 5, region); ok {
 		t.Error("dropped entry still hit")
 	}
@@ -248,18 +246,14 @@ func TestDropCoversAggregatesAndScanKeys(t *testing.T) {
 		if err := c.Store(nil, "d", k.field, k.step, 5, region, pointsIn(region, 5, 10)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.StoreAgg(nil, "d", k.field, k.step, "pdf", []int64{1, 2}); err != nil {
-			t.Fatal(err)
-		}
+		c.StoreAgg(nil, "d", k.field, k.step, "pdf", []int64{1, 2})
 	}
-	if err := c.Drop("d", "f", 0); err != nil {
-		t.Fatal(err)
-	}
+	c.Drop("d", "f", 0)
 	for _, k := range keys {
 		if _, ok, _ := c.Lookup(nil, "d", k.field, k.step, 5, region); ok == k.dropped {
 			t.Errorf("%s step %d: threshold entry resident = %v", k.field, k.step, ok)
 		}
-		if _, ok, _ := c.LookupAgg(nil, "d", k.field, k.step, "pdf"); ok == k.dropped {
+		if _, ok := c.LookupAgg(nil, "d", k.field, k.step, "pdf"); ok == k.dropped {
 			t.Errorf("%s step %d: aggregate resident = %v", k.field, k.step, ok)
 		}
 	}
@@ -420,10 +414,8 @@ func BenchmarkStore(b *testing.B) {
 
 func TestAggCacheDisabledByDefault(t *testing.T) {
 	c := newCache(t, 0)
-	if err := c.StoreAgg(nil, "d", "f", 0, "k", []int64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := c.LookupAgg(nil, "d", "f", 0, "k"); ok {
+	c.StoreAgg(nil, "d", "f", 0, "k", []int64{1, 2})
+	if _, ok := c.LookupAgg(nil, "d", "f", 0, "k"); ok {
 		t.Error("aggregate cache served entries while disabled")
 	}
 }
@@ -434,12 +426,10 @@ func TestAggCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := []int64{10, 20, 30}
-	if err := c.StoreAgg(nil, "d", "f", 2, "pdf/x", counts); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := c.LookupAgg(nil, "d", "f", 2, "pdf/x")
-	if err != nil || !ok {
-		t.Fatalf("lookup: ok=%v err=%v", ok, err)
+	c.StoreAgg(nil, "d", "f", 2, "pdf/x", counts)
+	got, ok := c.LookupAgg(nil, "d", "f", 2, "pdf/x")
+	if !ok {
+		t.Fatal("lookup missed")
 	}
 	for i := range counts {
 		if got[i] != counts[i] {
@@ -447,26 +437,24 @@ func TestAggCacheRoundTrip(t *testing.T) {
 		}
 	}
 	// exact-key semantics: different key, step or field misses
-	if _, ok, _ := c.LookupAgg(nil, "d", "f", 2, "pdf/y"); ok {
+	if _, ok := c.LookupAgg(nil, "d", "f", 2, "pdf/y"); ok {
 		t.Error("different key hit")
 	}
-	if _, ok, _ := c.LookupAgg(nil, "d", "f", 3, "pdf/x"); ok {
+	if _, ok := c.LookupAgg(nil, "d", "f", 3, "pdf/x"); ok {
 		t.Error("different step hit")
 	}
-	if _, ok, _ := c.LookupAgg(nil, "d", "g", 2, "pdf/x"); ok {
+	if _, ok := c.LookupAgg(nil, "d", "g", 2, "pdf/x"); ok {
 		t.Error("different field hit")
 	}
 	// replacement under the same key
-	if err := c.StoreAgg(nil, "d", "f", 2, "pdf/x", []int64{7}); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, _ = c.LookupAgg(nil, "d", "f", 2, "pdf/x")
+	c.StoreAgg(nil, "d", "f", 2, "pdf/x", []int64{7})
+	got, ok = c.LookupAgg(nil, "d", "f", 2, "pdf/x")
 	if !ok || len(got) != 1 || got[0] != 7 {
 		t.Errorf("replaced entry = %v", got)
 	}
 	// returned slice is a copy: mutating it must not corrupt the cache
 	got[0] = 99
-	again, _, _ := c.LookupAgg(nil, "d", "f", 2, "pdf/x")
+	again, _ := c.LookupAgg(nil, "d", "f", 2, "pdf/x")
 	if again[0] != 7 {
 		t.Error("cache entry aliased caller slice")
 	}
@@ -477,17 +465,17 @@ func TestAggCacheLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = c.StoreAgg(nil, "d", "f", 0, "a", []int64{1})
-	_ = c.StoreAgg(nil, "d", "f", 1, "b", []int64{2})
+	c.StoreAgg(nil, "d", "f", 0, "a", []int64{1})
+	c.StoreAgg(nil, "d", "f", 1, "b", []int64{2})
 	// touch "a" so "b" is LRU
-	if _, ok, _ := c.LookupAgg(nil, "d", "f", 0, "a"); !ok {
+	if _, ok := c.LookupAgg(nil, "d", "f", 0, "a"); !ok {
 		t.Fatal("warm lookup missed")
 	}
-	_ = c.StoreAgg(nil, "d", "f", 2, "c", []int64{3})
-	if _, ok, _ := c.LookupAgg(nil, "d", "f", 1, "b"); ok {
+	c.StoreAgg(nil, "d", "f", 2, "c", []int64{3})
+	if _, ok := c.LookupAgg(nil, "d", "f", 1, "b"); ok {
 		t.Error("LRU aggregate survived")
 	}
-	if _, ok, _ := c.LookupAgg(nil, "d", "f", 0, "a"); !ok {
+	if _, ok := c.LookupAgg(nil, "d", "f", 0, "a"); !ok {
 		t.Error("recently used aggregate evicted")
 	}
 }

@@ -15,7 +15,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,62 +148,33 @@ func (f *peerFetcher) holders(code morton.Code) []int {
 		}
 		return nil
 	}
-	var alive, degraded []int
-	for _, id := range pl.OwnersOf(code) {
-		if id == f.self {
-			continue
-		}
-		switch st := f.c.table.State(id); {
-		case st == membership.Alive:
-			alive = append(alive, id)
-		case st.Serving():
-			degraded = append(degraded, id)
-		}
+	hs := f.c.table.FailoverOrder(pl.OwnersOf(code), nil)
+	if i := slices.Index(hs, f.self); i >= 0 {
+		hs = slices.Delete(hs, i, i+1)
 	}
-	return append(alive, degraded...)
+	return hs
 }
 
 // FetchAtoms implements node.PeerFetcher. Under replication a transient
-// failure of one holder re-routes the affected atoms to the next replica;
-// the fetch fails only when an atom has no live holder left.
+// failure of one holder re-routes the affected atoms to the next replica
+// (faulttol.Failover runs the rounds); the fetch fails when an atom has no
+// live holder left.
 func (f *peerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	type asg struct {
-		code    morton.Code
-		holders []int
-		next    int
-		err     error
-	}
-	pending := make([]*asg, 0, len(codes))
-	for _, code := range codes {
-		hs := f.holders(code)
-		if len(hs) == 0 {
+	holders := make([][]int, len(codes))
+	for i, code := range codes {
+		if holders[i] = f.holders(code); len(holders[i]) == 0 {
 			return nil, fmt.Errorf("cluster: atom %v owned by no peer of node %d", code, f.self)
 		}
-		pending = append(pending, &asg{code: code, holders: hs})
 	}
 	out := make(map[morton.Code][]byte, len(codes))
-	for len(pending) > 0 {
-		byOwner := make(map[int][]*asg)
-		for _, a := range pending {
-			if a.next >= len(a.holders) {
-				return nil, fmt.Errorf("cluster: atom %v unavailable on every replica peer of node %d: %w", a.code, f.self, a.err)
-			}
-			byOwner[a.holders[a.next]] = append(byOwner[a.holders[a.next]], a)
-		}
-		// Requests to different owners are issued asynchronously, as the
-		// production system submits its boundary requests.
-		owners := make([]int, 0, len(byOwner))
-		for owner := range byOwner {
-			owners = append(owners, owner)
-		}
-		sort.Ints(owners)
-		results := make([]map[morton.Code][]byte, len(owners))
-		errs := make([]error, len(owners))
+	spent, _, err := faulttol.Failover(holders, func(groups []faulttol.Group) []error {
+		results := make([]map[morton.Code][]byte, len(groups))
+		errs := make([]error, len(groups))
 		fetchOne := func(i int, fp *sim.Proc) {
-			owner := owners[i]
-			want := make([]morton.Code, len(byOwner[owner]))
-			for j, a := range byOwner[owner] {
-				want[j] = a.code
+			owner := groups[i].Holder
+			want := make([]morton.Code, len(groups[i].Keys))
+			for j, k := range groups[i].Keys {
+				want[j] = codes[k]
 			}
 			blobs, err := f.c.nodes[owner].FetchAtoms(ctx, fp, rawField, step, want)
 			if err != nil {
@@ -219,40 +190,28 @@ func (f *peerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField stri
 			}
 			results[i] = blobs
 		}
+		// In simulation, requests to different owners are issued
+		// asynchronously, as the production system submits its boundary
+		// requests.
 		if f.c.Kernel != nil && p != nil {
-			l := f.c.Kernel.NewLatch(0)
-			for i := range owners {
-				i := i
-				l.Add(1)
-				f.c.Kernel.Go("halo-fetch", func(fp *sim.Proc) {
-					fetchOne(i, fp)
-					l.Done()
-				})
-			}
-			p.Wait(l)
+			(&node.Exec{Kernel: f.c.Kernel}).Fork(p, len(groups), fetchOne)
 		} else {
-			for i := range owners {
+			for i := range groups {
 				fetchOne(i, nil)
 			}
 		}
-		var retry []*asg
-		for i, owner := range owners {
-			if errs[i] == nil {
-				for code, b := range results[i] {
-					out[code] = b
-				}
-				continue
-			}
-			if !faulttol.Transient(errs[i]) {
-				return nil, errs[i]
-			}
-			for _, a := range byOwner[owner] {
-				a.err = errs[i]
-				a.next++
-				retry = append(retry, a)
+		for _, blobs := range results {
+			for code, b := range blobs {
+				out[code] = b
 			}
 		}
-		pending = retry
+		return errs
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(spent) > 0 {
+		return nil, fmt.Errorf("cluster: atom %v unavailable on every replica peer of node %d: %w", codes[spent[0].Key], f.self, spent[0].Err)
 	}
 	return out, nil
 }

@@ -1,8 +1,9 @@
 // Package faulttol provides the fault-tolerance building blocks of the
 // distributed query path: a retry policy with exponential backoff and
 // jitter, a transient/permanent error classifier for wire errors, a
-// per-node circuit breaker, and a deadline budget that keeps retries
-// inside the caller's context deadline.
+// per-node circuit breaker, a deadline budget that keeps retries inside
+// the caller's context deadline, and the replica failover loop
+// (Failover) both hops of a query run.
 //
 // The mediator wraps every node RPC in an Executor (policy + breaker);
 // the wire peer set does the same for halo fetches. All waiting is

@@ -111,8 +111,8 @@ func union(b grid.Box, p fof.Point) grid.Box {
 }
 
 // Insert records landmarks atomically and returns them with IDs assigned,
-// from 1 in insertion order. The error is always nil.
-func (d *DB) Insert(ls []Landmark) ([]Landmark, error) {
+// from 1 in insertion order.
+func (d *DB) Insert(ls []Landmark) []Landmark {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]Landmark, len(ls))
@@ -121,7 +121,7 @@ func (d *DB) Insert(ls []Landmark) ([]Landmark, error) {
 		d.landmarks = append(d.landmarks, l)
 		out[i] = l
 	}
-	return out, nil
+	return out
 }
 
 // Filter selects landmarks in queries; zero values mean "any".
@@ -162,8 +162,8 @@ func (f Filter) matches(l Landmark) bool {
 }
 
 // Query returns matching landmarks sorted by descending peak value. Pass
-// Filter{Step: -1} for no step constraint. The error is always nil.
-func (d *DB) Query(f Filter) ([]Landmark, error) {
+// Filter{Step: -1} for no step constraint.
+func (d *DB) Query(f Filter) []Landmark {
 	d.mu.Lock()
 	var out []Landmark
 	for _, l := range d.landmarks {
@@ -178,7 +178,7 @@ func (d *DB) Query(f Filter) ([]Landmark, error) {
 		}
 		return out[i].ID < out[j].ID
 	})
-	return out, nil
+	return out
 }
 
 // Count returns the number of stored landmarks.
@@ -203,5 +203,5 @@ func (d *DB) BuildFromPoints(dataset, fieldName string, threshold float64, pts [
 		}
 		ls = append(ls, FromCluster(dataset, fieldName, threshold, c))
 	}
-	return d.Insert(ls)
+	return d.Insert(ls), nil
 }

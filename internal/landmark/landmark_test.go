@@ -87,38 +87,38 @@ func TestQueryFilters(t *testing.T) {
 	d, _ := buildTwo(t)
 	any := Filter{Step: -1}
 
-	all, err := d.Query(any)
-	if err != nil || len(all) != 2 {
-		t.Fatalf("query all: %d, %v", len(all), err)
+	all := d.Query(any)
+	if len(all) != 2 {
+		t.Fatalf("query all: %d", len(all))
 	}
 	// by intensity
-	strong, _ := d.Query(Filter{MinPeak: 8, Step: -1})
+	strong := d.Query(Filter{MinPeak: 8, Step: -1})
 	if len(strong) != 1 || strong[0].PeakValue != 9 {
 		t.Errorf("MinPeak filter: %+v", strong)
 	}
 	// by size
-	big, _ := d.Query(Filter{MinSize: 2, Step: -1})
+	big := d.Query(Filter{MinSize: 2, Step: -1})
 	if len(big) != 1 || big[0].Size != 4 {
 		t.Errorf("MinSize filter: %+v", big)
 	}
 	// by region
-	near, _ := d.Query(Filter{Region: grid.Box{
+	near := d.Query(Filter{Region: grid.Box{
 		Lo: grid.Point{X: 0, Y: 0, Z: 0}, Hi: grid.Point{X: 10, Y: 10, Z: 10},
 	}, Step: -1})
 	if len(near) != 1 || near[0].PeakValue != 9 {
 		t.Errorf("Region filter: %+v", near)
 	}
 	// by step: only event A is alive at step 1
-	atStep1, _ := d.Query(Filter{Step: 1})
+	atStep1 := d.Query(Filter{Step: 1})
 	if len(atStep1) != 1 || atStep1[0].PeakValue != 9 {
 		t.Errorf("Step filter: %+v", atStep1)
 	}
 	// by dataset/field isolation
-	none, _ := d.Query(Filter{Dataset: "other", Step: -1})
+	none := d.Query(Filter{Dataset: "other", Step: -1})
 	if len(none) != 0 {
 		t.Errorf("dataset filter leaked: %+v", none)
 	}
-	none, _ = d.Query(Filter{Field: "other", Step: -1})
+	none = d.Query(Filter{Field: "other", Step: -1})
 	if len(none) != 0 {
 		t.Errorf("field filter leaked: %+v", none)
 	}
@@ -126,9 +126,8 @@ func TestQueryFilters(t *testing.T) {
 
 func TestEmptyDatabase(t *testing.T) {
 	d := New()
-	ls, err := d.Query(Filter{Step: -1})
-	if err != nil || len(ls) != 0 {
-		t.Errorf("empty query: %v %v", ls, err)
+	if ls := d.Query(Filter{Step: -1}); len(ls) != 0 {
+		t.Errorf("empty query: %v", ls)
 	}
 	if d.Count() != 0 {
 		t.Errorf("Count = %d", d.Count())
@@ -152,25 +151,22 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
-				if _, err := d.Insert(make([]Landmark, batch)); err != nil {
-					t.Error(err)
-					return
-				}
+				d.Insert(make([]Landmark, batch))
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
-				if ls, err := d.Query(Filter{Step: -1}); err != nil || len(ls)%batch != 0 {
-					t.Errorf("query saw %d landmarks (err %v): a batch landed in part", len(ls), err)
+				if ls := d.Query(Filter{Step: -1}); len(ls)%batch != 0 {
+					t.Errorf("query saw %d landmarks: a batch landed in part", len(ls))
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	all, err := d.Query(Filter{Step: -1})
-	if err != nil || len(all) != writers*batches*batch || d.Count() != len(all) {
-		t.Fatalf("query %d landmarks, Count %d, err %v; want %d", len(all), d.Count(), err, writers*batches*batch)
+	all := d.Query(Filter{Step: -1})
+	if len(all) != writers*batches*batch || d.Count() != len(all) {
+		t.Fatalf("query %d landmarks, Count %d; want %d", len(all), d.Count(), writers*batches*batch)
 	}
 	seen := make(map[uint64]bool)
 	for _, l := range all {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/turbdb/turbdb/internal/faulttol"
-	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/netmodel"
 	"github.com/turbdb/turbdb/internal/obs"
@@ -169,53 +168,24 @@ func (m *Mediator) clientList() []NodeClient {
 	return out
 }
 
-// routeOrder returns the failover order for one range's owner list: Alive
-// members in placement order first, then Suspect/Leaving ones, with
-// open-breaker nodes pushed to the back of their class. Non-serving
-// members (Joining, Left) are excluded entirely. Without a membership
-// table every owner is Alive.
-func (m *Mediator) routeOrder(rt *routing, owners []int) []int {
-	type cand struct{ id, pri, idx int }
-	cands := make([]cand, 0, len(owners))
-	for idx, id := range owners {
-		st := membership.Alive
-		if m.members != nil {
-			st = m.members.State(id)
-		}
-		if !st.Serving() {
-			continue
-		}
-		pri := 0
-		if st != membership.Alive {
-			pri = 1
-		}
-		if pr := rt.peers[id]; pr != nil && pr.ft != nil && pr.ft.Breaker != nil && pr.ft.Breaker.State() == faulttol.Open {
-			pri += 2
-		}
-		cands = append(cands, cand{id: id, pri: pri, idx: idx})
+// breakerState reports node id's circuit-breaker state (Closed for an
+// unregistered node and in simulation mode, where breakers are disabled).
+func (rt *routing) breakerState(id int) faulttol.State {
+	if pr := rt.peers[id]; pr != nil && pr.ft != nil {
+		return pr.ft.Breaker.State()
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].pri != cands[j].pri {
-			return cands[i].pri < cands[j].pri
-		}
-		return cands[i].idx < cands[j].idx
-	})
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
-	}
-	return out
+	return faulttol.Closed
 }
 
 // fanoutReplicated runs one query's fan-out: every non-empty topology range
 // is routed to its first live owner, ranges are grouped per node into one
 // RPC, and on a transient (or retries-exhausted) failure the affected
-// ranges advance to their next untried replica in further rounds. call
-// issues the RPC and reports the modeled size of the response. A request
-// carries a Scan only when the routed set differs from the node's default:
-// a group that is exactly the range the node described as Owned is sent
-// with none, so the node's whole-shard cache keys are shared by every
-// placement that routes it its own shard — k = 1 above all.
+// ranges advance to their next replica in further rounds (faulttol.Failover
+// runs the rounds). call issues the RPC and reports the modeled size of the
+// response. A request carries a Scan only when the routed set differs from
+// the node's default: a group that is exactly the range the node described
+// as Owned is sent with none, so the node's whole-shard cache keys are
+// shared by every placement that routes it its own shard — k = 1 above all.
 //
 // The successful answers are returned with the fan-out's duration; each
 // covers one or more ranges exactly once, so merging them never
@@ -233,72 +203,40 @@ func fanoutReplicated[T any](
 	rt := m.routing()
 	t := rt.topo
 
-	type assignment struct {
-		ri     int   // index into t.Ranges
-		owners []int // failover order
-		next   int   // next owner to try
-		err    error // last failure
-	}
 	var (
 		answers []T
-		failed  []NodeFailure
 		total   uint64 // cells across the non-empty ranges
-		ranges  int    // how many there are
 	)
-	pending := make([]*assignment, 0, len(t.Ranges))
+	// An owner whose breaker is open is tried after every other.
+	breakerOpen := func(id int) bool { return rt.breakerState(id) == faulttol.Open }
+	ris := make([]int, 0, len(t.Ranges)) // the non-empty ranges, by index into t.Ranges
+	holders := make([][]int, 0, len(t.Ranges))
 	for i, r := range t.Ranges {
 		if r.Empty() {
 			continue
 		}
 		total += r.CellCount()
-		ranges++
-		pending = append(pending, &assignment{ri: i, owners: m.routeOrder(rt, t.Owners[i])})
+		ris = append(ris, i)
+		holders = append(holders, m.members.FailoverOrder(t.Owners[i], breakerOpen))
 	}
 
-	for round := 0; len(pending) > 0; round++ {
-		groups := make(map[int][]*assignment)
-		for _, a := range pending {
-			for a.next < len(a.owners) && rt.peers[a.owners[a.next]] == nil {
-				a.next++
-			}
-			if a.next >= len(a.owners) {
-				err := a.err
-				if err == nil {
-					err = errReplicasDown{ri: a.ri}
-				}
-				last := -1
-				if n := len(a.owners); n > 0 {
-					last = a.owners[n-1]
-				}
-				failed = append(failed, NodeFailure{Node: last, Owned: t.Ranges[a.ri], Err: err})
-				continue
-			}
-			groups[a.owners[a.next]] = append(groups[a.owners[a.next]], a)
-		}
-		if len(groups) == 0 {
-			break
-		}
-		ids := make([]int, 0, len(groups))
-		for id := range groups {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-
-		results := make([]T, len(ids))
-		errs := make([]error, len(ids))
-		m.exec.Fork(p, len(ids), func(gi int, wp *sim.Proc) {
-			id := ids[gi]
-			pr := rt.peers[id]
-			name := fmt.Sprintf("node[%d]", id)
+	round := 0
+	spent, reroutes, err := faulttol.Failover(holders, func(groups []faulttol.Group) []error {
+		results := make([]T, len(groups))
+		errs := make([]error, len(groups))
+		m.exec.Fork(p, len(groups), func(gi int, wp *sim.Proc) {
+			g := groups[gi]
+			pr := rt.peers[g.Holder]
+			name := fmt.Sprintf("node[%d]", g.Holder)
 			if round > 0 {
-				name = fmt.Sprintf("failover[%d]", id)
+				name = fmt.Sprintf("failover[%d]", g.Holder)
 			}
 			nctx, nsp := obs.StartSpan(ctx, name)
 			defer nsp.End()
 			var scan []morton.Range
-			if g := groups[id]; len(g) != 1 || t.Ranges[g[0].ri] != pr.owned {
-				for _, a := range g {
-					scan = append(scan, t.Ranges[a.ri])
+			if len(g.Keys) != 1 || t.Ranges[ris[g.Keys[0]]] != pr.owned {
+				for _, k := range g.Keys {
+					scan = append(scan, t.Ranges[ris[k]])
 				}
 				// Canonical scan order keeps node-side cache keys stable across
 				// rounds and placements.
@@ -308,45 +246,39 @@ func fanoutReplicated[T any](
 				pr.link.Transfer(wp, RequestWireBytes)
 			}
 			var respBytes int
-			do := func(c context.Context) error {
+			errs[gi] = pr.ft.Do(nctx, func(c context.Context) error { // a nil ft makes one plain call
 				var err error
 				results[gi], respBytes, err = call(c, wp, pr.client, scan)
 				return err
-			}
-			if pr.ft != nil {
-				errs[gi] = pr.ft.Do(nctx, do)
-			} else {
-				errs[gi] = do(nctx)
-			}
+			})
 			if pr.link != nil && errs[gi] == nil {
 				pr.link.Transfer(wp, respBytes)
 			}
 		})
-
-		pending = pending[:0]
-		for gi, id := range ids {
-			if errs[gi] == nil {
+		round++
+		for gi, err := range errs {
+			if err == nil {
 				answers = append(answers, results[gi])
-				continue
-			}
-			if !faulttol.Transient(errs[gi]) {
-				return nil, 0, fmt.Errorf("mediator: node %d: %w", id, errs[gi])
-			}
-			for _, a := range groups[id] {
-				a.err = errs[gi]
-				a.next++
-				if a.next < len(a.owners) {
-					stats.Reroutes++
-				}
-				pending = append(pending, a)
+			} else if !faulttol.Transient(err) {
+				errs[gi] = fmt.Errorf("mediator: node %d: %w", groups[gi].Holder, err)
 			}
 		}
+		return errs
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	fanout := m.exec.Now() - start
-	if stats.Reroutes > 0 {
-		mReroutes.Add(int64(stats.Reroutes))
+	stats.Reroutes += reroutes
+	mReroutes.Add(int64(reroutes))
+	failed := make([]NodeFailure, len(spent))
+	for i, s := range spent {
+		if s.Err == nil {
+			s.Err = errReplicasDown{ri: ris[s.Key]}
+		}
+		failed[i] = NodeFailure{Node: s.Holder, Owned: t.Ranges[ris[s.Key]], Err: s.Err}
 	}
-	if err := m.collectRangeFailures(failed, total, ranges, stats); err != nil {
+	if err := m.collectRangeFailures(failed, total, len(ris), stats); err != nil {
 		return nil, 0, err
 	}
 	stats.NodeAnswers = len(answers)

@@ -262,12 +262,7 @@ func (m *Mediator) Dataset() string { return m.dataset }
 
 // BreakerState reports node i's circuit-breaker state (Closed in
 // simulation mode, where breakers are disabled).
-func (m *Mediator) BreakerState(i int) faulttol.State {
-	if pr := m.routing().peers[i]; pr != nil && pr.ft != nil && pr.ft.Breaker != nil {
-		return pr.ft.Breaker.State()
-	}
-	return faulttol.Closed
-}
+func (m *Mediator) BreakerState(i int) faulttol.State { return m.routing().breakerState(i) }
 
 // NodeFailure records one node the mediator degraded around in a partial
 // answer.

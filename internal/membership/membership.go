@@ -199,6 +199,41 @@ func (t *Table) State(id int) State {
 	return s
 }
 
+// FailoverOrder returns the serving members of owners in failover order:
+// Alive before Suspect/Leaving, placement order within each class, and the
+// members demoted reports true for behind all the others. A nil table
+// counts every owner Alive; a nil demoted demotes no one.
+func (t *Table) FailoverOrder(owners []int, demoted func(id int) bool) []int {
+	var buf [8]int
+	ranks := buf[:0] // 0 Alive, 1 Suspect/Leaving, +2 demoted; -1 not serving
+	for _, id := range owners {
+		st := Alive
+		if t != nil {
+			st = t.State(id)
+		}
+		r := -1
+		if st.Serving() {
+			r = 0
+			if st != Alive {
+				r = 1
+			}
+			if demoted != nil && demoted(id) {
+				r += 2
+			}
+		}
+		ranks = append(ranks, r)
+	}
+	out := make([]int, 0, len(owners))
+	for want := 0; want < 4; want++ {
+		for i, r := range ranks {
+			if r == want {
+				out = append(out, owners[i])
+			}
+		}
+	}
+	return out
+}
+
 // Version returns the state-change counter; it increments on every
 // transition, so equal versions imply identical tables.
 func (t *Table) Version() uint64 {

@@ -174,3 +174,38 @@ func TestPlacementErrors(t *testing.T) {
 		t.Fatalf("k not clamped: %v", p.Owners[0])
 	}
 }
+
+// TestFailoverOrder pins the one membership-based replica order the
+// mediator's fan-out and the cluster's halo fetcher route by.
+func TestFailoverOrder(t *testing.T) {
+	tb := NewTable(0, 1, 2, 3, 4, 5)
+	tb.MarkSuspect(1)
+	if err := tb.Leave(2); err != nil {
+		t.Fatal(err)
+	}
+	tb.Remove(3)
+	if err := tb.Join(6); err != nil {
+		t.Fatal(err)
+	}
+	demote4 := func(id int) bool { return id == 4 }
+	tests := []struct {
+		name    string
+		table   *Table
+		owners  []int
+		demoted func(int) bool
+		want    []int
+	}{
+		{"no table: every owner Alive, in placement order", nil, []int{5, 0, 4}, nil, []int{5, 0, 4}},
+		{"Alive before Suspect and Leaving, placement order within each", tb, []int{2, 1, 5, 0}, nil, []int{5, 0, 2, 1}},
+		{"Left and Joining members do not serve", tb, []int{3, 6, 0}, nil, []int{0}},
+		{"a demoted member goes behind every other", tb, []int{4, 1, 0}, demote4, []int{0, 1, 4}},
+		{"demotion keeps the class order", tb, []int{1, 2, 0}, func(int) bool { return true }, []int{0, 1, 2}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := tt.table.FailoverOrder(tt.owners, tt.demoted); !reflect.DeepEqual(got, tt.want) {
+				t.Errorf("FailoverOrder(%v) = %v, want %v", tt.owners, got, tt.want)
+			}
+		})
+	}
+}

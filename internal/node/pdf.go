@@ -60,15 +60,16 @@ func (m *pdfMember) finish() error {
 }
 
 func (m *pdfMember) lookup(p *sim.Proc, c *cache.Cache, dataset, key string, step int) (bool, error) {
-	counts, ok, err := c.LookupAgg(p, dataset, key, step, pdfCacheKey(m.q))
+	counts, ok := c.LookupAgg(p, dataset, key, step, pdfCacheKey(m.q))
 	if ok {
 		m.counts = counts
 	}
-	return ok, err
+	return ok, nil
 }
 
 func (m *pdfMember) store(p *sim.Proc, c *cache.Cache, dataset, key string, step int) error {
-	return c.StoreAgg(p, dataset, key, step, pdfCacheKey(m.q), m.counts)
+	c.StoreAgg(p, dataset, key, step, pdfCacheKey(m.q), m.counts)
+	return nil
 }
 
 // GetPDF histograms the norm of the requested field over this node's shard

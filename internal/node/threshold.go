@@ -236,8 +236,8 @@ func (n *Node) DropCacheEntry(ctx context.Context, fieldName string, order, step
 	if n.synopsis != nil {
 		n.synopsis.drop(synKey{base, step})
 	}
-	if n.cache == nil {
-		return nil
+	if n.cache != nil {
+		n.cache.Drop(n.dataset, base, step)
 	}
-	return n.cache.Drop(n.dataset, base, step)
+	return nil
 }

@@ -210,11 +210,9 @@ func New(b Backend, cfg Config) (*Scheduler, error) {
 
 // Grid, Dataset and NodeCount delegate to the backend so the scheduler
 // satisfies the wire layer's Querier surface.
-func (s *Scheduler) Grid() grid.Grid       { return s.backend.Grid() }
-func (s *Scheduler) Dataset() string       { return s.backend.Dataset() }
-func (s *Scheduler) NodeCount() int        { return s.backend.NodeCount() }
-func (s *Scheduler) Backend() Backend      { return s.backend }
-func (s *Scheduler) Window() time.Duration { return s.cfg.BatchWindow }
+func (s *Scheduler) Grid() grid.Grid { return s.backend.Grid() }
+func (s *Scheduler) Dataset() string { return s.backend.Dataset() }
+func (s *Scheduler) NodeCount() int  { return s.backend.NodeCount() }
 
 // tenantStateLocked resolves (or creates) the tenant's pool state.
 func (s *Scheduler) tenantStateLocked(tenant string) *tenantState {

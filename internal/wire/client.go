@@ -425,78 +425,73 @@ func (ps *PeerSet) holdersOf(code morton.Code, held [][]morton.Range) []int {
 
 // FetchAtoms implements node.PeerFetcher over HTTP. Atoms are batched per
 // holder; a transient failure re-routes the holder's batch to each atom's
-// next replica, and only an atom with every holder down fails the fetch.
+// next replica (faulttol.Failover runs the rounds), and only an atom with
+// every holder down fails the fetch. A peer whose holdings cannot be read
+// holds nothing for this fetch.
 func (ps *PeerSet) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
 	held := make([][]morton.Range, len(ps.clients))
+	var unreadable error // the first peer whose holdings could not be read
 	for i, c := range ps.clients {
 		if i == ps.self {
 			continue
 		}
 		var err error
-		if held[i], err = c.Held(ctx); err != nil {
-			return nil, err
+		if held[i], err = c.Held(ctx); err != nil && unreadable == nil {
+			unreadable = fmt.Errorf("wire: peer %d: %w", i, err)
 		}
 	}
 
-	type asg struct {
-		code    morton.Code
-		holders []int
-		next    int
-	}
-	pending := make([]*asg, 0, len(codes))
+	holders := make([][]int, len(codes))
 	unheld := 0
-	for _, code := range codes {
-		hs := ps.holdersOf(code, held)
-		if len(hs) == 0 {
+	for i, code := range codes {
+		if holders[i] = ps.holdersOf(code, held); len(holders[i]) == 0 {
 			unheld++
-			continue
 		}
-		pending = append(pending, &asg{code: code, holders: hs})
 	}
 	if unheld > 0 {
+		if unreadable != nil {
+			return nil, fmt.Errorf("wire: %d halo atoms unavailable on every replica peer: %w", unheld, unreadable)
+		}
 		return nil, faulttol.Permanentf("wire: %d halo atoms owned by no peer", unheld)
 	}
 
 	out := make(map[morton.Code][]byte, len(codes))
-	for len(pending) > 0 {
-		byPeer := make(map[int][]*asg)
-		for _, a := range pending {
-			byPeer[a.holders[a.next]] = append(byPeer[a.holders[a.next]], a)
-		}
-		pending = pending[:0]
-		for peer, asgs := range byPeer {
-			c := ps.clients[peer]
-			mine := make([]morton.Code, len(asgs))
-			for i, a := range asgs {
-				mine[i] = a.code
+	spent, _, err := faulttol.Failover(holders, func(groups []faulttol.Group) []error {
+		errs := make([]error, len(groups))
+		for gi, g := range groups {
+			mine := make([]morton.Code, len(g.Keys))
+			for i, k := range g.Keys {
+				mine[i] = codes[k]
 			}
 			var blobs map[morton.Code][]byte
-			err := ps.ft[peer].Do(ctx, func(ctx context.Context) error {
+			err := ps.ft[g.Holder].Do(ctx, func(ctx context.Context) error {
 				var ferr error
-				blobs, ferr = c.FetchAtoms(ctx, p, rawField, step, mine)
+				blobs, ferr = ps.clients[g.Holder].FetchAtoms(ctx, p, rawField, step, mine)
 				return ferr
 			})
 			if err != nil {
 				if !faulttol.Transient(err) {
-					return nil, fmt.Errorf("wire: peer %d: %w", peer, err)
+					err = fmt.Errorf("wire: peer %d: %w", g.Holder, err)
 				}
-				for _, a := range asgs {
-					a.next++
-					if a.next >= len(a.holders) {
-						return nil, fmt.Errorf("wire: halo atom %v unavailable on every replica peer: %w", a.code, err)
-					}
-					pending = append(pending, a)
-				}
+				errs[gi] = err
 				continue
 			}
-			for _, a := range asgs {
-				blob, ok := blobs[a.code]
+			for _, c := range mine {
+				blob, ok := blobs[c]
 				if !ok {
-					return nil, faulttol.Permanentf("wire: peer %d omitted atom %v", peer, a.code)
+					errs[gi] = faulttol.Permanentf("wire: peer %d omitted atom %v", g.Holder, c)
+					break
 				}
-				out[a.code] = blob
+				out[c] = blob
 			}
 		}
+		return errs
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(spent) > 0 {
+		return nil, fmt.Errorf("wire: halo atom %v unavailable on every replica peer: %w", codes[spent[0].Key], spent[0].Err)
 	}
 	return out, nil
 }

@@ -168,12 +168,14 @@ func TestInfoHeldRoundTrip(t *testing.T) {
 // TestPeerSetFailoverToReplica kills one peer's atom path: a halo fetch
 // for atoms it primarily holds fails over to the replica holder instead of
 // failing the query — over the frame halo hop of default servers and the
-// JSON fallback of JSON-only ones alike, with byte-identical blobs.
+// JSON fallback of JSON-only ones alike, with byte-identical blobs. A peer
+// dead on every path, /info included, holds nothing and is routed around
+// the same way.
 func TestPeerSetFailoverToReplica(t *testing.T) {
-	failover := func(opts ...ServerOption) map[morton.Code][]byte {
+	failover := func(match string, opts ...ServerOption) map[morton.Code][]byte {
 		clients, ranges := startReplicatedNodes(t, 3, opts...)
-		// Node 1's atom service is dead; node 0 replicates node 1's range.
-		plan := faultinject.NewPlan(7, &faultinject.Rule{Match: PathAtoms, Mode: faultinject.ModeError})
+		// Node 1 is dead on the matched paths; node 0 replicates node 1's range.
+		plan := faultinject.NewPlan(7, &faultinject.Rule{Match: match, Mode: faultinject.ModeError})
 		clients[1] = NewClient(baseURL(clients[1]), WithTransport(faultinject.NewTransport(nil, plan)))
 		ps := NewPeerSet(clients, 2)
 
@@ -204,8 +206,12 @@ func TestPeerSetFailoverToReplica(t *testing.T) {
 		}
 		return blobs
 	}
-	if framed, fallback := failover(), failover(WithJSONOnly()); !reflect.DeepEqual(framed, fallback) {
+	framed := failover(PathAtoms)
+	if fallback := failover(PathAtoms, WithJSONOnly()); !reflect.DeepEqual(framed, fallback) {
 		t.Error("the frame and the JSON halo hop failed over to different blobs")
+	}
+	if dead := failover(""); !reflect.DeepEqual(framed, dead) {
+		t.Error("a peer dead on every path failed over to different blobs")
 	}
 }
 

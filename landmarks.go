@@ -104,16 +104,13 @@ func (l *LandmarkDB) Count() int { return l.inner.Count() }
 
 // Find returns landmarks matching the filter, most intense first.
 func (l *LandmarkDB) Find(f LandmarkFilter) ([]Landmark, error) {
-	inner, err := l.inner.Query(landmark.Filter{
+	inner := l.inner.Query(landmark.Filter{
 		Dataset: l.dataset,
 		MinPeak: f.MinPeak,
 		MinSize: f.MinSize,
 		Region:  f.Region.internal(),
 		Step:    f.Step,
 	})
-	if err != nil {
-		return nil, err
-	}
 	out := make([]Landmark, len(inner))
 	for i, m := range inner {
 		out[i] = Landmark{

@@ -62,16 +62,17 @@ lane 'go test -race fault-tolerance packages'
 go test -race ./internal/faulttol/... ./internal/faultinject/... ./internal/cluster/... ./internal/wire/...
 lane_done
 
-# Replica-failover chaos lane: membership, placement, and the elastic
-# suites (replica failover, join/leave rebalances, the 64-node DES
-# scenario) by name under the race detector. The packages also run above;
-# naming the suites keeps a future -short or -run filter from silently
-# dropping them, and gives failover its own lane timing. Every rebalance
+# Replica-failover chaos lane: the failover loop itself (TestFailover),
+# membership, placement, and the elastic suites (replica failover,
+# join/leave rebalances, the 64-node DES scenario) by name under the race
+# detector. The packages also run above; naming the suites keeps a future
+# -short or -run filter from silently dropping them, and gives failover its
+# own lane timing. Every rebalance
 # and failover test ends in obs.VerifyNoLeaks, so a leaked goroutine in the
 # fan-out or streaming paths fails this lane.
 lane 'replica failover chaos (-race)'
 go test -race -run 'Failover|Elastic|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath' \
-	./internal/membership/... ./internal/mediator/... ./internal/cluster/... ./internal/wire/...
+	./internal/faulttol/... ./internal/membership/... ./internal/mediator/... ./internal/cluster/... ./internal/wire/...
 lane_done
 
 # Scheduler stress lane: the concurrent-scheduler suites by name under the
