@@ -68,6 +68,15 @@ type Field struct {
 	// expressions (nested differential operators) need multiples of the
 	// stencil half-width.
 	HalfWidthFn func(order int) (int, error)
+	// AxisReach declares that the kernel at p reads only points p ± k·e
+	// along the three grid axes, 0 ≤ k ≤ half-width — true of one centred
+	// finite difference per derivative. A scan then reads a region's six
+	// face bands and leaves out the edge and corner atoms of its halo box.
+	// It describes Eval and EvalRow, it is not a knob: a kernel that reads
+	// off the axes (a nested operator such as div(grad(p)), a mixed
+	// derivative) would see undefined values there. The zero value reads
+	// the whole box, which is right for every kernel.
+	AxisReach bool
 	// Eval computes the derived value (see EvalFunc).
 	Eval EvalFunc
 	// EvalRow, when non-nil, computes a whole x-fastest run of values in
@@ -322,19 +331,19 @@ func standardCatalog() []*Field {
 		{
 			// Vorticity ω = ∇×v: 3 components, examines 6 of the 9 gradient
 			// components in pairs (paper Sec. 5.4).
-			Name: Vorticity, Raws: []RawInput{{Velocity, 3}}, OutComp: 3, NeedsStencil: true,
+			Name: Vorticity, Raws: []RawInput{{Velocity, 3}}, OutComp: 3, NeedsStencil: true, AxisReach: true,
 			Eval: curlEval, EvalRow: curlRow,
 		},
 		{
 			// Electric current j = ∇×B (MHD datasets).
-			Name: Current, Raws: []RawInput{{Magnetic, 3}}, OutComp: 3, NeedsStencil: true,
+			Name: Current, Raws: []RawInput{{Magnetic, 3}}, OutComp: 3, NeedsStencil: true, AxisReach: true,
 			Eval: curlEval, EvalRow: curlRow,
 		},
 		{
 			// Q-criterion: non-linear combination of all 9 gradient
 			// components — the full velocity gradient is computed first,
 			// which is why its compute time exceeds the vorticity's.
-			Name: QCriterion, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true,
+			Name: QCriterion, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true, AxisReach: true,
 			Eval: func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
 				g := mathx.Mat3(st.Gradient(bls[0], p, dx))
 				out[0] = g.QCriterion()
@@ -344,7 +353,7 @@ func standardCatalog() []*Field {
 		},
 		{
 			// Third velocity-gradient invariant R = −det(∇v).
-			Name: RInvariant, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true,
+			Name: RInvariant, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true, AxisReach: true,
 			Eval: func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
 				g := mathx.Mat3(st.Gradient(bls[0], p, dx))
 				_, _, r := g.Invariants()
@@ -355,7 +364,7 @@ func standardCatalog() []*Field {
 		},
 		{
 			// Frobenius norm of the velocity gradient tensor.
-			Name: GradNorm, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true,
+			Name: GradNorm, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true, AxisReach: true,
 			Eval: func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
 				g := mathx.Mat3(st.Gradient(bls[0], p, dx))
 				out[0] = g.FrobeniusNorm()

@@ -199,22 +199,24 @@ func BlockFromBytes(b grid.Box, nc int, blob []byte) (*Block, error) {
 			len(blob), want, b, nc)
 	}
 	bl := NewBlock(b, nc)
-	bl.DecodeFrom(blob, b)
+	bl.DecodeFrom(blob, b, b)
 	return bl, nil
 }
 
-// DecodeFrom decodes into bl the part of a blob that lies inside bl.Bounds,
-// straight from the serialized payload: no intermediate Block and no
-// allocation. blob is the Bytes form of a block over src with bl's
-// component count, and src is given in bl's coordinates — a periodic halo
-// tile passes its unwrapped box. The caller has checked that
-// len(blob) == ByteSize(src, bl.NComp). Rows are 6 to 24 floats long in a
-// slab scan, so the two flat offsets are computed once and then walked by
-// the blocks' y and z strides, not recomputed per row.
+// DecodeFrom decodes into bl the part of a blob that lies inside region and
+// bl.Bounds, straight from the serialized payload: no intermediate Block
+// and no allocation. blob is the Bytes form of a block over src with bl's
+// component count, and src and region are given in bl's coordinates — a
+// periodic halo tile passes its unwrapped box; a slab scan passes as region
+// the part of its block the kernel reads, so the rest stays as it was. The
+// caller has checked that len(blob) == ByteSize(src, bl.NComp). Rows are 6
+// to 24 floats long in a slab scan, so the two flat offsets are computed
+// once and then walked by the blocks' y and z strides, not recomputed per
+// row.
 //
 //turbdb:rowkernel
-func (bl *Block) DecodeFrom(blob []byte, src grid.Box) {
-	r := src.Intersect(bl.Bounds)
+func (bl *Block) DecodeFrom(blob []byte, src, region grid.Box) {
+	r := src.Intersect(region).Intersect(bl.Bounds)
 	if r.Empty() {
 		return
 	}

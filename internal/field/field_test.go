@@ -239,8 +239,8 @@ func TestAppendPartDecodesAsTheWhole(t *testing.T) {
 				t.Fatalf("part %v: %d bytes after a 1-byte prefix, want %d", part, len(cut)-1, ByteSize(part, nc))
 			}
 			got, want := NewBlock(part, nc), NewBlock(part, nc)
-			got.DecodeFrom(cut[1:], part)
-			want.DecodeFrom(blob, src)
+			got.DecodeFrom(cut[1:], part, part)
+			want.DecodeFrom(blob, src, part)
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 					t.Fatalf("part %v × %d: value %d is %v, the whole blob's %v", part, nc, i, got.Data[i], want.Data[i])

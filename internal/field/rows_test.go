@@ -111,9 +111,9 @@ func TestCopyFromRowwiseMatchesReference(t *testing.T) {
 
 // DecodeFrom walks both flat offsets by strides instead of recomputing them
 // per row; decoding a blob straight into a block must equal materializing
-// the source block and copying the intersection, for boxes that overlap in
-// any way (partially, not at all, one inside the other) and leave the rest
-// of the destination untouched.
+// the source block and copying the intersection inside the region, for
+// boxes and regions that overlap in any way (partially, not at all, one
+// inside the other) and leave the rest of the destination untouched.
 func TestDecodeFromMatchesCopyFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	randBox := func() grid.Box {
@@ -132,13 +132,29 @@ func TestDecodeFromMatchesCopyFrom(t *testing.T) {
 			v := float32(rng.NormFloat64())
 			got.Data[i], want.Data[i] = v, v
 		}
-		got.DecodeFrom(src.Bytes(), src.Bounds)
-		if err := want.CopyFrom(src, grid.Point{}); err != nil {
+		region := box
+		if trial%2 == 1 {
+			region = randBox()
+		}
+		got.DecodeFrom(src.Bytes(), src.Bounds, region)
+		copied := NewBlock(box, nc)
+		if err := copied.CopyFrom(src, grid.Point{}); err != nil {
 			t.Fatal(err)
+		}
+		r := src.Bounds.Intersect(region).Intersect(box)
+		var p grid.Point
+		for p.Z = r.Lo.Z; p.Z < r.Hi.Z; p.Z++ {
+			for p.Y = r.Lo.Y; p.Y < r.Hi.Y; p.Y++ {
+				for p.X = r.Lo.X; p.X < r.Hi.X; p.X++ {
+					for c := 0; c < nc; c++ {
+						want.Set(p, c, copied.At(p, c))
+					}
+				}
+			}
 		}
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] { // differential test wants exact copy semantics
-				t.Fatalf("trial %d (%v into %v): Data[%d] = %g, CopyFrom gives %g", trial, src.Bounds, box, i, got.Data[i], want.Data[i])
+				t.Fatalf("trial %d (%v into %v in %v): Data[%d] = %g, CopyFrom gives %g", trial, src.Bounds, box, region, i, got.Data[i], want.Data[i])
 			}
 		}
 	}

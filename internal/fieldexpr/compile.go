@@ -221,6 +221,10 @@ func Compile(name, src string, raws map[string]int) (*derived.Field, error) {
 		Raws:         inputs,
 		OutComp:      root.ncomp(),
 		NeedsStencil: depth > 0,
+		// One operator deep, every derivative is a centred difference of
+		// values at points: it reads along the axes. A second one
+		// differentiates derivatives, whose stencils cross the axes.
+		AxisReach: depth <= 1,
 		HalfWidthFn: func(order int) (int, error) {
 			st, err := stencil.Get(order)
 			if err != nil {

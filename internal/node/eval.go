@@ -127,6 +127,29 @@ func slabROI(g grid.Grid, first morton.Code, side int, qbox grid.Box) grid.Box {
 	return grid.Box{Lo: o, Hi: o.Add(w, w, w)}.Intersect(qbox)
 }
 
+// slabReads returns the disjoint boxes of roi's halo-extended block,
+// roi.Expand(hw), that a kernel reads: the whole block, or for a kernel of
+// axis reach (derived.Field.AxisReach) roi and its six face bands of width
+// hw, without the block's edges and corners. Both the I/O phase's halo
+// cover and the compute phase's assembly take them from here, so what a
+// slab fetches and what it decodes cannot disagree.
+func slabReads(roi grid.Box, hw int, axes bool) (reads [7]grid.Box, n int) {
+	if !axes || hw == 0 {
+		reads[0] = roi.Expand(hw)
+		return reads, 1
+	}
+	lo, hi := roi.Lo, roi.Hi
+	return [7]grid.Box{
+		roi,
+		{Lo: grid.Point{X: lo.X - hw, Y: lo.Y, Z: lo.Z}, Hi: grid.Point{X: lo.X, Y: hi.Y, Z: hi.Z}},
+		{Lo: grid.Point{X: hi.X, Y: lo.Y, Z: lo.Z}, Hi: grid.Point{X: hi.X + hw, Y: hi.Y, Z: hi.Z}},
+		{Lo: grid.Point{X: lo.X, Y: lo.Y - hw, Z: lo.Z}, Hi: grid.Point{X: hi.X, Y: lo.Y, Z: hi.Z}},
+		{Lo: grid.Point{X: lo.X, Y: hi.Y, Z: lo.Z}, Hi: grid.Point{X: hi.X, Y: hi.Y + hw, Z: hi.Z}},
+		{Lo: grid.Point{X: lo.X, Y: lo.Y, Z: lo.Z - hw}, Hi: grid.Point{X: hi.X, Y: hi.Y, Z: lo.Z}},
+		{Lo: grid.Point{X: lo.X, Y: lo.Y, Z: hi.Z}, Hi: grid.Point{X: hi.X, Y: hi.Y, Z: hi.Z + hw}},
+	}, 7
+}
+
 // workerData is the outcome of one worker's I/O phase: per raw input field
 // (in Field.Raws order), the blob of every atom the shard's slabs touch, and
 // per atom the atom-local box the slabs read of it. A peer may answer with
@@ -178,27 +201,30 @@ func (b *bufferPool) admit(fieldName string, codes []morton.Code) (cold, warm []
 	return cold, warm
 }
 
-// gather is the I/O phase of one worker: for every raw input field, fetch
-// the blob of every atom the shard's slabs touch — each slab's region of
-// interest plus a halo band of one kernel half-width, with atoms held by
-// other nodes fetched from peers. It records, per atom, the bounding box of
-// what the slabs read of it, and hands those boxes to the peer fetcher
-// through ctx (WithHaloParts), so a remote peer can ship the band instead of
-// the atom. Nothing is decoded here; the compute phase decodes the rows it
-// needs straight into its slab blocks.
-func (n *Node) gather(ctx context.Context, wp *sim.Proc, rawFields []derived.RawInput, step int, shard []morton.Code, qbox grid.Box, hw int, pool *bufferPool) workerData {
+// gatherReads is the I/O phase of one worker: for every raw input field of
+// f, fetch the blob of every atom the shard's slabs read — each slab's
+// region of interest plus its halo band of one kernel half-width (slabReads:
+// the whole band, or only its face bands for a kernel of axis reach), with
+// atoms held by other nodes fetched from peers. It records, per atom, the
+// bounding box of what the slabs read of it, and hands those boxes to the
+// peer fetcher through ctx (WithHaloParts), so a remote peer can ship the
+// band instead of the atom. Nothing is decoded here; the compute phase
+// decodes the rows it needs straight into its slab blocks.
+func (n *Node) gatherReads(ctx context.Context, wp *sim.Proc, f *derived.Field, step int, shard []morton.Code, qbox grid.Box, hw int, pool *bufferPool) workerData {
 	g := n.store.Grid()
 	out := workerData{parts: make(map[morton.Code]grid.Box)}
 	for rest := shard; len(rest) > 0; {
 		side, count := slabAt(rest)
-		ext := slabROI(g, rest[0], side, qbox).Expand(hw)
-		g.ForEachTile(ext, func(tile grid.Box, c morton.Code) bool {
-			o := tile.Lo
-			r := tile.Intersect(ext)
-			part := grid.Box{Lo: r.Lo.Add(-o.X, -o.Y, -o.Z), Hi: r.Hi.Add(-o.X, -o.Y, -o.Z)}
-			out.parts[c] = unionBox(out.parts[c], part) // neighboring slabs share halo atoms
-			return true
-		})
+		reads, nr := slabReads(slabROI(g, rest[0], side, qbox), hw, f.AxisReach)
+		for _, r := range reads[:nr] {
+			g.ForEachTile(r, func(tile grid.Box, c morton.Code) bool {
+				o := tile.Lo
+				in := tile.Intersect(r)
+				part := grid.Box{Lo: in.Lo.Add(-o.X, -o.Y, -o.Z), Hi: in.Hi.Add(-o.X, -o.Y, -o.Z)}
+				out.parts[c] = unionBox(out.parts[c], part) // neighboring slabs share halo atoms
+				return true
+			})
+		}
 		rest = rest[count:]
 	}
 	needed := make([]morton.Code, 0, len(out.parts))
@@ -208,7 +234,7 @@ func (n *Node) gather(ctx context.Context, wp *sim.Proc, rawFields []derived.Raw
 	slices.Sort(needed)
 	ctx = WithHaloParts(ctx, g.AtomSide, out.parts)
 
-	for _, rf := range rawFields {
+	for _, rf := range f.Raws {
 		err := ctx.Err()
 		if err == nil {
 			err = n.gatherField(ctx, wp, rf, step, needed, pool, &out)
@@ -220,7 +246,7 @@ func (n *Node) gather(ctx context.Context, wp *sim.Proc, rawFields []derived.Raw
 	return out
 }
 
-// gatherField is gather for one raw field over the sorted atom set needed;
+// gatherField is gatherReads for one raw field over the sorted atom set needed;
 // it appends the field's blobs to out and adds its read counts.
 func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInput, step int, needed []morton.Code, pool *bufferPool, out *workerData) error {
 	rawField := rf.Name
@@ -459,31 +485,35 @@ func (s *slabScan) scanSlab(codes []morton.Code, side int) error {
 	return nil
 }
 
-// assemble decodes the blobs covering roi and its halo band — the atoms
-// under roi.Expand(hw), periodically wrapped — into the slab block of every
-// raw field: each tile's rows go straight from its float32 blob to their
-// place in the block. A blob that holds only its atom's part is that part
-// shifted onto the tile. It reports false when a blob is missing.
+// assemble decodes what the kernel reads of roi and its halo band — the
+// boxes of slabReads, over the atoms under them, periodically wrapped —
+// into the slab block of every raw field, a block over roi.Expand(hw): each
+// tile's rows go straight from its float32 blob to their place in the
+// block, and the edges and corners a kernel of axis reach leaves out keep
+// whatever the pooled block held. A blob that holds only its atom's part is
+// that part shifted onto the tile. It reports false when a blob is missing.
 func (s *slabScan) assemble(roi grid.Box) bool {
-	ext := roi.Expand(s.hw)
+	reads, nr := slabReads(roi, s.hw, s.f.AxisReach)
 	for i, rf := range s.f.Raws {
 		bl, blobs := s.slabs[i], s.blobs[i]
-		bl.Reset(ext, rf.NComp)
-		complete := s.g.ForEachTile(ext, func(tile grid.Box, c morton.Code) bool {
-			blob, ok := blobs[c]
-			if !ok {
+		bl.Reset(roi.Expand(s.hw), rf.NComp)
+		for _, r := range reads[:nr] {
+			complete := s.g.ForEachTile(r, func(tile grid.Box, c morton.Code) bool {
+				blob, ok := blobs[c]
+				if !ok {
+					return false
+				}
+				src := tile
+				if len(blob) != field.ByteSize(tile, rf.NComp) {
+					p, o := s.parts[c], tile.Lo
+					src = grid.Box{Lo: p.Lo.Add(o.X, o.Y, o.Z), Hi: p.Hi.Add(o.X, o.Y, o.Z)}
+				}
+				bl.DecodeFrom(blob, src, r)
+				return true
+			})
+			if !complete {
 				return false
 			}
-			src := tile
-			if len(blob) != field.ByteSize(tile, rf.NComp) {
-				p, o := s.parts[c], tile.Lo
-				src = grid.Box{Lo: p.Lo.Add(o.X, o.Y, o.Z), Hi: p.Hi.Add(o.X, o.Y, o.Z)}
-			}
-			bl.DecodeFrom(blob, src)
-			return true
-		})
-		if !complete {
-			return false
 		}
 	}
 	return true
@@ -635,7 +665,7 @@ func (n *Node) evalPhases(ctx context.Context, p *sim.Proc, ps *pass, codes []mo
 	}
 	data := make([]workerData, procs)
 	n.exec.Fork(p, procs, func(i int, wp *sim.Proc) {
-		data[i] = n.gather(ioCtx, wp, ps.f.Raws, ps.step, shards[i], ps.qbox, ps.hw, ps.pool)
+		data[i] = n.gatherReads(ioCtx, wp, ps.f, ps.step, shards[i], ps.qbox, ps.hw, ps.pool)
 	})
 	ioSp.End()
 	bd.IO = n.exec.Now() - ioStart

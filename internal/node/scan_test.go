@@ -3,6 +3,8 @@ package node
 import (
 	"context"
 	"errors"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,8 +12,10 @@ import (
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
+	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
+	"github.com/turbdb/turbdb/internal/stencil"
 )
 
 // memberView is what the scan contract pins of one member's answer.
@@ -135,6 +139,12 @@ func TestScanContract(t *testing.T) {
 	// Node 0 of two: a whole-domain scan reads its 32 atoms and fetches the
 	// 32 halo atoms of node 1's faces above and, wrapped, below.
 	scan := [5]int{32, 32, gridN * gridN * gridN / 2, 0, 0}
+	// The warm rows prune, and a pruned scan reads the face-band cover of
+	// the atoms it keeps: the pins are checked against coverOf over the
+	// atoms brute-force maxima say the synopsis keeps.
+	batchWarm := [5]int{32, 24, 12288, 0, 8}
+	topKWarm := [5]int{24, 8, 4096, 0, 24}
+	checkWarmPins(t, clusterOver(t, gridN, raws, 2, 1)[0], raws, peak, map[string][5]int{"batch": batchWarm, "topk": topKWarm})
 	for _, tc := range []struct {
 		name    string
 		cache   *cache.Config
@@ -203,7 +213,7 @@ func TestScanContract(t *testing.T) {
 			want: []memberView{
 				{tooMany: true},
 				{tooMany: true},
-				{shared: 2, scansSaved: 10, counts: [5]int{32, 32, 12288, 0, 8}, timed: "licu"},
+				{shared: 2, scansSaved: 10, counts: batchWarm, timed: "licu"},
 			},
 			scanned: 24,
 			spans:   "cache_lookup cache_lookup cache_lookup scan_io halo_fetch halo_fetch scan_compute cache_update",
@@ -250,7 +260,7 @@ func TestScanContract(t *testing.T) {
 			// the walk's first round takes the three atoms of largest maximum
 			// and its second the five the k-th value does not outrank.
 			name: "topk/warm", cache: agg, warm: warmTopK, call: runTopK, walk: true,
-			want:  []memberView{{counts: [5]int{32, 32, 4096, 0, 24}, timed: "ic"}},
+			want:  []memberView{{counts: topKWarm, timed: "ic"}},
 			spans: "scan_io halo_fetch halo_fetch scan_compute scan_io halo_fetch halo_fetch scan_compute",
 		},
 	} {
@@ -295,5 +305,73 @@ func TestScanContract(t *testing.T) {
 				t.Errorf("spans %q, want %q", spans, tc.spans)
 			}
 		})
+	}
+}
+
+// checkWarmPins holds TestScanContract's warm pins to what brute force
+// predicts for node n (node 0 of two) from the vorticity at order 4: the
+// batch keeps every atom whose maximum is not below its lowest live
+// threshold, 0.02·peak; the top-10 walk keeps the ⌈10/4⌉ atoms of largest
+// maximum and every other atom the 10th value of their points does not
+// outrank (DESIGN.md §4 decision 16). Each scan reads coverOf its atoms.
+func checkWarmPins(t *testing.T, n *Node, raws map[string]*field.Block, peak float64, pins map[string][5]int) {
+	t.Helper()
+	g := n.Grid()
+	f, err := derived.Standard().Lookup(derived.Vorticity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norms := oracleNorms(t, g, raws, f, query.DefaultFDOrder)
+	codes, err := n.scanAtomsCovering(g.Domain(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointsOf := func(c morton.Code) []query.ResultPoint {
+		var pts []query.ResultPoint
+		b := g.AtomBox(c)
+		var p grid.Point
+		for p.Z = b.Lo.Z; p.Z < b.Hi.Z; p.Z++ {
+			for p.Y = b.Lo.Y; p.Y < b.Hi.Y; p.Y++ {
+				for p.X = b.Lo.X; p.X < b.Hi.X; p.X++ {
+					pts = append(pts, query.PointFor(p, norms[(p.Z*g.N+p.Y)*g.N+p.X]))
+				}
+			}
+		}
+		return pts
+	}
+	maxima := make([]atomMax, len(codes))
+	for i, c := range codes {
+		maxima[i] = atomMax{c, math.Inf(-1)}
+		for _, pt := range pointsOf(c) {
+			maxima[i].max = max(maxima[i].max, float64(pt.Value))
+		}
+	}
+	kept := map[string][]morton.Code{}
+	for _, a := range maxima {
+		if !(a.max < 0.02*peak) {
+			kept["batch"] = append(kept["batch"], a.code)
+		}
+	}
+	const k = 10
+	lead := (k + topKLead - 1) / topKLead
+	sort.SliceStable(maxima, func(i, j int) bool { return maxima[i].max > maxima[j].max })
+	var first []query.ResultPoint
+	for _, a := range maxima[:lead] {
+		kept["topk"] = append(kept["topk"], a.code)
+		first = append(first, pointsOf(a.code)...)
+	}
+	sort.Slice(first, func(i, j int) bool { return query.RanksBefore(first[i], first[j]) })
+	for _, a := range maxima[lead:] {
+		if !query.Outranked(a.max, first[k-1]) {
+			kept["topk"] = append(kept["topk"], a.code)
+		}
+	}
+	hw := stencil.MustGet(query.DefaultFDOrder).HalfWidth
+	for name, pin := range pins {
+		read, halo := coverCounts(n, kept[name], g.Domain(), hw, f.AxisReach)
+		atoms := len(kept[name])
+		if want := [5]int{read, halo, atoms * g.PointsPerAtom(), 0, len(codes) - atoms}; pin != want {
+			t.Errorf("%s/warm pinned %v, brute force and the cover predicate say %v", name, pin, want)
+		}
 	}
 }

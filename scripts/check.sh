@@ -105,10 +105,14 @@ lane_done
 # ScansSaved, AtomsScanned, Breakdown counts, typed member errors, span
 # names) with two workers building and running every member's consumers
 # (-count=10, per the Go guide), and the drop that must forget every cached answer, threshold entries and
-# PDF histograms under any scan routing.
+# PDF histograms under any scan routing; and a kernel's reach — the slab
+# differential and the halo-hole skips against the face-band cover
+# predicate, and every field that declares axis reach evaluating bit for
+# bit with its edge and corner halo regions NaN.
 lane 'node scan (-race)'
 go test -race -count=10 -run 'TestScanContract' ./internal/node/...
 go test -race -run 'TestDropCacheForgetsPDF|TestDropCoversAggregatesAndScanKeys' . ./internal/cache/...
+go test -race -run 'TestSlabScanDifferential|TestPartialHaloHoleDegradesSlabToItsAtoms|TestAxisReach' ./internal/node/... ./internal/derived/... ./internal/fieldexpr/...
 lane_done
 
 # Ordered-hit lane: a cache hit is an ordered read. The cache returns an
@@ -165,12 +169,13 @@ lane_done
 # and the recorded trace of a failed query, and the halo band — a
 # loopback cluster shipping bands against an in-process twin shipping
 # whole atoms, hostile boxes on /atoms, and the node's and field's band
-# decode and length checks — by name, under the race detector. The suites
+# decode and length checks, and nested operators (full-box reach) against
+# brute force in process and over HTTP — by name, under the race detector. The suites
 # also run in the package lanes above; naming them keeps a future filter
 # from silently dropping the protocol's conformance evidence.
 lane 'wire protocol: golden frames and JSON bodies + differential matrix (-race)'
-go test -race -run 'TestGoldenFrames|TestGoldenJSON|TestJSONPoints|TestDifferential|TestFrame|TestSpansAndAtoms|TestFetchAtomsOverWire|TestPeerSetFailoverToReplica|TestFailedQueryTraceRecorded|TestHaloBandDifferential|TestAtomsRejectsHostileBoxes' ./internal/wire/...
-go test -race -run 'TestHaloBand|TestHaloBlob|TestHaloFetchSpan|TestAppendPart' ./internal/node/... ./internal/field/...
+go test -race -run 'TestGoldenFrames|TestGoldenJSON|TestJSONPoints|TestDifferential|TestFrame|TestSpansAndAtoms|TestFetchAtomsOverWire|TestPeerSetFailoverToReplica|TestFailedQueryTraceRecorded|TestHaloBandDifferential|TestAtomsRejectsHostileBoxes|TestNestedOperatorsMatchBruteForce' ./internal/wire/...
+go test -race -run 'TestHaloBand|TestHaloBlob|TestHaloFetchSpan|TestAppendPart|TestDecodeFrom' ./internal/node/... ./internal/field/...
 lane_done
 
 # Fuzz smoke lane: a short coverage-guided run of each fuzz target beyond its
