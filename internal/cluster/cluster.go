@@ -63,17 +63,10 @@ type Config struct {
 	// CachePDF enables the aggregate-cache extension with an LRU budget of
 	// that many PDF entries per node; 0 disables it.
 	CachePDF int
-	// Simulate builds the cluster on a DES kernel with modeled resources.
+	// Simulate builds the cluster on a DES kernel with modeled resources:
+	// per node a RAID HDD, an SSD cache device, simCores cores and fabric
+	// links, and one user WAN link in front of the mediator.
 	Simulate bool
-	// Cores is the simulated CPU core count per node (paper nodes are dual
-	// quad-core → 8). Defaults to 8. Ignored in real mode.
-	Cores int
-	// HDD, SSD, NodeLink, UserLink override the default device/link models;
-	// zero values use the defaults. Ignored in real mode.
-	HDD      diskmodel.Spec
-	SSD      diskmodel.Spec
-	NodeLink netmodel.Spec
-	UserLink netmodel.Spec
 	// Costs is the per-point compute cost model for simulation charging; a
 	// zero model with Simulate=true triggers calibration on this host.
 	Costs node.CostModel
@@ -84,11 +77,10 @@ type Config struct {
 	// coverage accounting), and nodes skip atoms whose halo cannot be
 	// fetched instead of failing their whole shard. Real mode only.
 	AllowPartial bool
-	// Replication is k, the number of nodes holding each Morton range.
-	// 0 and 1 keep the one-owner-per-shard layout (the mediator's k = 1
-	// topology, fixed for the cluster's life); k ≥ 2 enables
-	// membership-driven placement, replica failover in the mediator and
-	// halo fetchers, and Join/Leave elasticity. Clamped to Nodes.
+	// Replication is k, the number of nodes holding each Morton range of
+	// the membership-driven placement. 0 and 1 place one owner per range;
+	// k ≥ 2 adds replica failover in the mediator and halo fetchers. Join
+	// and Leave rebalance at any k. Clamped to Nodes.
 	Replication int
 	// NoSynopsis builds every node without its max-norm synopsis
 	// (node.Config.NoSynopsis): a threshold miss scans its whole box, as in
@@ -109,19 +101,22 @@ type Cluster struct {
 	peerLinks []*netmodel.Link
 	user      *netmodel.Link
 
-	table *membership.Table // nil without replication
+	table *membership.Table
 
-	// Replica placement in effect. Swapped atomically on every rebalance;
-	// in-flight halo fetches keep routing by the placement they snapshot.
+	// Placement in effect. Swapped atomically on every rebalance; in-flight
+	// halo fetches keep routing by the placement they snapshot.
 	//
 	//turbdb:lockrank cluster.placement 14
 	topoMu    sync.Mutex
-	placement *membership.Placement // guarded by topoMu; nil without replication
+	placement *membership.Placement // guarded by topoMu
 	version   uint64                // guarded by topoMu; topology version counter
 }
 
-// placementSnapshot returns the placement in effect (nil without
-// replication).
+// simCores is the simulated CPU core count per node: paper nodes are dual
+// quad-core.
+const simCores = 8
+
+// placementSnapshot returns the placement in effect.
 func (c *Cluster) placementSnapshot() *membership.Placement {
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
@@ -135,28 +130,18 @@ type peerFetcher struct {
 	self int
 }
 
-// holders returns the peers able to serve an atom, in failover order:
-// under replica placement, the code's serving owners (Alive before
-// Suspect/Leaving) excluding self; the unreplicated layout has exactly one.
+// holders returns the peers able to serve an atom, in failover order: the
+// code's serving owners (Alive before Suspect/Leaving) excluding self.
 func (f *peerFetcher) holders(code morton.Code) []int {
-	pl := f.c.placementSnapshot()
-	if pl == nil {
-		for i, n := range f.c.nodes {
-			if i != f.self && n.Owned().Contains(code) {
-				return []int{i}
-			}
-		}
-		return nil
-	}
-	hs := f.c.table.FailoverOrder(pl.OwnersOf(code), nil)
+	hs := f.c.table.FailoverOrder(f.c.placementSnapshot().OwnersOf(code), nil)
 	if i := slices.Index(hs, f.self); i >= 0 {
 		hs = slices.Delete(hs, i, i+1)
 	}
 	return hs
 }
 
-// FetchAtoms implements node.PeerFetcher. Under replication a transient
-// failure of one holder re-routes the affected atoms to the next replica
+// FetchAtoms implements node.PeerFetcher. A transient failure of one
+// holder re-routes the affected atoms to the next replica
 // (faulttol.Failover runs the rounds); the fetch fails when an atom has no
 // live holder left.
 func (f *peerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
@@ -231,25 +216,9 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 	if cfg.Processes == 0 {
 		cfg.Processes = 1
 	}
-	if cfg.Cores == 0 {
-		cfg.Cores = 8
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = derived.Standard()
 	}
-	if cfg.HDD.Name == "" {
-		cfg.HDD = diskmodel.HDDRaid()
-	}
-	if cfg.SSD.Name == "" {
-		cfg.SSD = diskmodel.SSD()
-	}
-	if cfg.NodeLink.Name == "" {
-		cfg.NodeLink = netmodel.ClusterLink("fabric")
-	}
-	if cfg.UserLink.Name == "" {
-		cfg.UserLink = netmodel.UserLink("user-wan")
-	}
-
 	if cfg.Replication > cfg.Nodes {
 		cfg.Replication = cfg.Nodes
 	}
@@ -269,37 +238,28 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 	}
 	c.cfg = cfg
 
-	// Resolve the data layout: the equal split, or k-way replica
-	// placement over the initial membership.
-	ranges := g.AtomRange().Split(cfg.Nodes, 1)
-	replicated := cfg.Replication >= 2
-	var pl membership.Placement
-	if replicated {
-		ids := make([]int, cfg.Nodes)
-		for i := range ids {
-			ids[i] = i
-		}
-		c.table = membership.NewTable(ids...)
-		var err error
-		pl, err = membership.Place(g.AtomRange(), ids, cfg.Replication)
-		if err != nil {
-			return nil, err
-		}
-		ranges = pl.Ranges
+	// The initial membership and its placement; at k = 1 that is the
+	// equal split with one owner per range.
+	ids := make([]int, cfg.Nodes)
+	for i := range ids {
+		ids[i] = i
+	}
+	c.table = membership.NewTable(ids...)
+	pl, err := membership.Place(g.AtomRange(), ids, cfg.Replication)
+	if err != nil {
+		return nil, err
 	}
 
 	var nodeLinks []*netmodel.Link
 	for i := 0; i < cfg.Nodes; i++ {
-		nd, link, err := c.buildNode(i, ranges[i])
+		nd, link, err := c.buildNode(i, pl.Ranges[i])
 		if err != nil {
 			return nil, err
 		}
-		if replicated {
-			// Replica ranges are adopted before ingest so IngestBlock
-			// materializes them alongside the primary.
-			for _, r := range pl.RangesOf(i) {
-				nd.Store().AdoptRange(r)
-			}
+		// Replica ranges are adopted before ingest so IngestBlock
+		// materializes them alongside the primary.
+		for _, r := range pl.RangesOf(i) {
+			nd.Store().AdoptRange(r)
 		}
 		if cfg.Simulate {
 			nodeLinks = append(nodeLinks, link)
@@ -327,8 +287,7 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 	}
 
 	if cfg.Simulate {
-		var err error
-		c.user, err = netmodel.New(c.Kernel, cfg.UserLink)
+		c.user, err = netmodel.New(c.Kernel, netmodel.UserLink("user-wan"))
 		if err != nil {
 			return nil, err
 		}
@@ -337,20 +296,16 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 	for i, nd := range c.nodes {
 		clients[i] = nd
 	}
-	mcfg := mediator.Config{
+	c.topoMu.Lock()
+	c.placement = &pl
+	c.version = 1
+	c.topoMu.Unlock()
+	med, err := mediator.New(mediator.Config{
 		Nodes: clients, Kernel: c.Kernel, NodeLinks: nodeLinks, UserLink: c.user,
 		AllowPartial: cfg.AllowPartial && !cfg.Simulate,
-	}
-	if replicated {
-		p := pl
-		c.topoMu.Lock()
-		c.placement = &p
-		c.version = 1
-		c.topoMu.Unlock()
-		mcfg.Topology = &mediator.Topology{Version: 1, Ranges: pl.Ranges, Owners: pl.Owners}
-		mcfg.Members = c.table
-	}
-	med, err := mediator.New(mcfg)
+		Topology:     &mediator.Topology{Version: 1, Ranges: pl.Ranges, Owners: pl.Owners},
+		Members:      c.table,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -371,15 +326,15 @@ func (c *Cluster) buildNode(i int, primary morton.Range) (*node.Node, *netmodel.
 	if cfg.Simulate {
 		kernel = c.Kernel
 		var err error
-		hdd, err = diskmodel.New(kernel, namedDisk(cfg.HDD, fmt.Sprintf("hdd%d", i)))
+		hdd, err = diskmodel.New(kernel, namedDisk(diskmodel.HDDRaid(), fmt.Sprintf("hdd%d", i)))
 		if err != nil {
 			return nil, nil, err
 		}
-		ssd, err = diskmodel.New(kernel, namedDisk(cfg.SSD, fmt.Sprintf("ssd%d", i)))
+		ssd, err = diskmodel.New(kernel, namedDisk(diskmodel.SSD(), fmt.Sprintf("ssd%d", i)))
 		if err != nil {
 			return nil, nil, err
 		}
-		exec = node.SimExec(kernel, cfg.Cores)
+		exec = node.SimExec(kernel, simCores)
 	}
 	st, err := store.New(store.Config{
 		Grid: c.gen.Grid(), Owned: primary, Kernel: kernel, Device: hdd,
@@ -417,11 +372,11 @@ func (c *Cluster) buildNode(i int, primary morton.Range) (*node.Node, *netmodel.
 	c.ssds = append(c.ssds, ssd)
 	var link *netmodel.Link
 	if cfg.Simulate {
-		link, err = netmodel.New(c.Kernel, namedLink(cfg.NodeLink, fmt.Sprintf("fabric%d", i)))
+		link, err = netmodel.New(c.Kernel, netmodel.ClusterLink(fmt.Sprintf("fabric%d", i)))
 		if err != nil {
 			return nil, nil, err
 		}
-		plink, err := netmodel.New(c.Kernel, namedLink(cfg.NodeLink, fmt.Sprintf("peer%d", i)))
+		plink, err := netmodel.New(c.Kernel, netmodel.ClusterLink(fmt.Sprintf("peer%d", i)))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -436,31 +391,17 @@ func namedDisk(s diskmodel.Spec, name string) diskmodel.Spec {
 	return s
 }
 
-// namedLink copies a link spec with a new name.
-func namedLink(s netmodel.Spec, name string) netmodel.Spec {
-	s.Name = name
-	return s
-}
-
 // Generator returns the dataset source the cluster was built from.
 func (c *Cluster) Generator() Source { return c.gen }
 
-// Membership returns the cluster's membership table (nil without
-// replication).
+// Membership returns the cluster's membership table.
 func (c *Cluster) Membership() *membership.Table { return c.table }
 
-// Placement returns a copy of the replica placement in effect (zero value
-// without replication).
-func (c *Cluster) Placement() membership.Placement {
-	pl := c.placementSnapshot()
-	if pl == nil {
-		return membership.Placement{}
-	}
-	return *pl
-}
+// Placement returns a copy of the placement in effect.
+func (c *Cluster) Placement() membership.Placement { return *c.placementSnapshot() }
 
-// TopologyVersion returns the routing-table version in effect (0 without
-// replication).
+// TopologyVersion returns the routing-table version in effect: 1 after
+// Build, bumped by every Join and Leave.
 func (c *Cluster) TopologyVersion() uint64 {
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()

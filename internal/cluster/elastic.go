@@ -1,11 +1,11 @@
 package cluster
 
-// Elastic membership: nodes join and leave a replicated cluster at
-// runtime. A rebalance computes the next placement, streams every atom a
-// node is newly responsible for from the holders under the old placement,
-// and only then flips the routing table — queries in flight keep using the
-// placement they started on, and data is never deleted (atoms are
-// immutable after ingest, so a stale copy is valid forever).
+// Elastic membership: nodes join and leave a cluster at runtime, at any
+// replication factor k. A rebalance computes the next placement, streams
+// every atom a node is newly responsible for from the holders under the
+// old placement, and only then flips the routing table — queries in flight
+// keep using the placement they started on, and data is never deleted
+// (atoms are immutable after ingest, so a stale copy is valid forever).
 
 import (
 	"context"
@@ -18,15 +18,12 @@ import (
 	"github.com/turbdb/turbdb/internal/sim"
 )
 
-// Join adds a new node to a replicated cluster and returns its id. The
+// Join adds a new node to the cluster and returns its id. The
 // node is built, registered as Joining (it takes no query traffic yet),
 // back-filled with every atom the next placement assigns it, and only then
 // activated and routed to. In simulation mode p must be the calling DES
 // process; in real mode p is nil. ctx bounds the streaming.
 func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
-	if c.table == nil {
-		return 0, fmt.Errorf("cluster: Join requires a replicated cluster (Config.Replication ≥ 2)")
-	}
 	id := len(c.nodes)
 	if err := c.table.Join(id); err != nil {
 		return 0, err
@@ -63,15 +60,12 @@ func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
 	return id, c.flipPlacement(newPl)
 }
 
-// Leave drains node id out of a replicated cluster: the node is marked
+// Leave drains node id out of the cluster: the node is marked
 // Leaving (it still serves reads and acts as a streaming source), the next
 // placement excludes it, survivors are back-filled, the routing table
 // flips, and the node is removed from membership. Its store is kept —
 // atoms are immutable, so the copies are simply unused.
 func (c *Cluster) Leave(ctx context.Context, p *sim.Proc, id int) error {
-	if c.table == nil {
-		return fmt.Errorf("cluster: Leave requires a replicated cluster (Config.Replication ≥ 2)")
-	}
 	if err := c.table.Leave(id); err != nil {
 		return err
 	}

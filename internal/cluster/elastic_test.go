@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -205,73 +206,78 @@ func TestFailoverStrictModeFails(t *testing.T) {
 	}
 }
 
-// TestElasticJoinLeaveReal grows a 3-node k=2 cluster to 4 and back to 3,
-// checking answers stay bit-for-bit identical through both rebalances.
+// TestElasticJoinLeaveReal grows a 3-node cluster to 4 and back to 3, at
+// k = 1 and k = 2, checking answers stay bit-for-bit identical through both
+// rebalances.
 func TestElasticJoinLeaveReal(t *testing.T) {
 	defer obs.VerifyNoLeaks(t)
-	c := buildTest(t, Config{Nodes: 3, Replication: 2}, synth.Isotropic, 16)
-	ctx := context.Background()
-	want, _, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("reference query returned nothing")
-	}
-
-	id, err := c.Join(ctx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 3 {
-		t.Fatalf("joined id = %d, want 3", id)
-	}
-	if st := c.Membership().State(id); st != membership.Alive {
-		t.Fatalf("joined node state = %v, want Alive", st)
-	}
-	pl := c.Placement()
-	if len(pl.Members) != 4 {
-		t.Fatalf("placement has %d members after join, want 4", len(pl.Members))
-	}
-	for i, owners := range pl.Owners {
-		if len(owners) != 2 {
-			t.Fatalf("range %d has %d owners, want 2", i, len(owners))
-		}
-	}
-	got, stats, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Coverage != 1 {
-		t.Errorf("post-join Coverage = %v, want 1", stats.Coverage)
-	}
-	sameBits(t, got, want, "after join")
-
-	if err := c.Leave(ctx, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Membership().State(0); st != membership.Left {
-		t.Fatalf("left node state = %v, want Left", st)
-	}
-	pl = c.Placement()
-	for i, owners := range pl.Owners {
-		for _, o := range owners {
-			if o == 0 {
-				t.Fatalf("range %d still routed to departed node 0", i)
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			c := buildTest(t, Config{Nodes: 3, Replication: k}, synth.Isotropic, 16)
+			ctx := context.Background()
+			want, _, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	got, stats, err = c.Mediator.Threshold(ctx, nil, chaosQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Coverage != 1 {
-		t.Errorf("post-leave Coverage = %v, want 1", stats.Coverage)
-	}
-	sameBits(t, got, want, "after leave")
+			if len(want) == 0 {
+				t.Fatal("reference query returned nothing")
+			}
 
-	if v := c.TopologyVersion(); v != 3 {
-		t.Errorf("topology version = %d after two rebalances, want 3", v)
+			id, err := c.Join(ctx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != 3 {
+				t.Fatalf("joined id = %d, want 3", id)
+			}
+			if st := c.Membership().State(id); st != membership.Alive {
+				t.Fatalf("joined node state = %v, want Alive", st)
+			}
+			pl := c.Placement()
+			if len(pl.Members) != 4 {
+				t.Fatalf("placement has %d members after join, want 4", len(pl.Members))
+			}
+			for i, owners := range pl.Owners {
+				if len(owners) != k {
+					t.Fatalf("range %d has %d owners, want %d", i, len(owners), k)
+				}
+			}
+			got, stats, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Coverage != 1 {
+				t.Errorf("post-join Coverage = %v, want 1", stats.Coverage)
+			}
+			sameBits(t, got, want, "after join")
+
+			if err := c.Leave(ctx, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Membership().State(0); st != membership.Left {
+				t.Fatalf("left node state = %v, want Left", st)
+			}
+			pl = c.Placement()
+			for i, owners := range pl.Owners {
+				for _, o := range owners {
+					if o == 0 {
+						t.Fatalf("range %d still routed to departed node 0", i)
+					}
+				}
+			}
+			got, stats, err = c.Mediator.Threshold(ctx, nil, chaosQuery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Coverage != 1 {
+				t.Errorf("post-leave Coverage = %v, want 1", stats.Coverage)
+			}
+			sameBits(t, got, want, "after leave")
+
+			if v := c.TopologyVersion(); v != 3 {
+				t.Errorf("topology version = %d after two rebalances, want 3", v)
+			}
+		})
 	}
 }
 

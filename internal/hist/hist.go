@@ -42,15 +42,22 @@ func FromCounts(min, width float64, counts []int64) (*Histogram, error) {
 }
 
 // Bin returns the bucket index for a value, clamped into range.
-func (h *Histogram) Bin(v float64) int {
-	if v < h.Min {
+func (h *Histogram) Bin(v float64) int { return Bin(v, h.Min, h.Width, len(h.Counts)) }
+
+// Bin returns the index of v among bins buckets of a positive width
+// starting at min: bucket 0 below min, and the last, open-ended bucket from
+// its lower edge up. The quotient is compared before it is converted, so
+// NaN, +Inf and quotients no int holds land in the last bucket too; the
+// index is always in [0, bins).
+func Bin(v, min, width float64, bins int) int {
+	if v < min {
 		return 0
 	}
-	b := int((v - h.Min) / h.Width)
-	if b >= len(h.Counts) {
-		b = len(h.Counts) - 1
+	x := (v - min) / width
+	if !(x < float64(bins-1)) {
+		return bins - 1
 	}
-	return b
+	return int(x)
 }
 
 // Add records one observation.

@@ -38,6 +38,36 @@ func TestAddAndBin(t *testing.T) {
 	}
 }
 
+// TestBinNeverLeavesRange feeds the binning values whose quotient no int
+// holds: a conversion before the clamp turns them into a negative index.
+func TestBinNeverLeavesRange(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name          string
+		v, min, width float64
+		bins, want    int
+	}{
+		{"NaN value", nan, 0, 1, 4, 3},
+		{"+Inf value", inf, 0, 1, 4, 3},
+		{"-Inf value", -inf, 0, 1, 4, 0},
+		{"+1e300 value", 1e300, 0, 1, 4, 3},
+		{"-1e300 value", -1e300, 0, 1, 4, 0},
+		{"tiny width", 1, 0, 1e-300, 4, 3},
+		{"denormal width", 0.5, 0, math.SmallestNonzeroFloat64, 4, 3},
+		{"min at -1e300", 0, -1e300, 1, 4, 3},
+		{"value at min, tiny width", 0, 0, 1e-300, 4, 0},
+		{"huge width", 1e300, 0, 1e308, 4, 0},
+		{"last bin's lower edge", 3, 0, 1, 4, 3},
+		{"just below it", math.Nextafter(3, 0), 0, 1, 4, 2},
+		{"one bin, NaN", nan, 0, 1, 1, 0},
+	} {
+		h := &Histogram{Min: tc.min, Width: tc.width, Counts: make([]int64, tc.bins)}
+		if got := h.Bin(tc.v); got != tc.want {
+			t.Errorf("%s: Bin(%g) over [%g, +%g)×%d = %d, want %d", tc.name, tc.v, tc.min, tc.width, tc.bins, got, tc.want)
+		}
+	}
+}
+
 func TestMerge(t *testing.T) {
 	a, _ := New(0, 1, 4)
 	b, _ := New(0, 1, 4)

@@ -24,7 +24,8 @@ var (
 // Morton ranges of the current placement and, per range, the nodes holding
 // it (primary first). Derived from membership.Placement by cluster
 // assembly and installed atomically via UpdateTopology on every rebalance,
-// or synthesised by New as the k = 1 table of an unreplicated cluster.
+// or synthesised by New as the k = 1 table of a mediator assembled from
+// nodes alone.
 type Topology struct {
 	// Version identifies the placement (bumped on every rebalance).
 	Version uint64

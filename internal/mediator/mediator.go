@@ -342,71 +342,15 @@ func (s *QueryStats) FromCache() bool { return s.CacheHits == s.NodeAnswers }
 // submitted to the nodes owning the data asynchronously, per-node results
 // are merged and ordered, the global result limit is enforced, and the
 // result is delivered to the user. ctx bounds the whole fan-out, including
-// retries.
+// retries. It is a batch of one through ThresholdBatch's procedure.
 func (m *Mediator) Threshold(ctx context.Context, p *sim.Proc, q query.Threshold) ([]query.ResultPoint, *QueryStats, error) {
 	ctx, qsp := obs.StartSpan(ctx, "threshold")
 	defer qsp.End()
-	_, psp := obs.StartSpan(ctx, "plan")
-	domain := m.grid.Domain()
-	q = q.Normalize(domain)
-	err := q.Validate(domain)
-	psp.End()
-	if err != nil {
-		mQueryErrs.Inc()
+	var a [1]BatchAnswer
+	if err := m.thresholds(ctx, p, []query.Threshold{q}, a[:]); err != nil {
 		return nil, nil, err
 	}
-	stats := &QueryStats{Trace: obs.TraceFrom(ctx)}
-	start := m.exec.Now()
-	results, fanout, err := fanoutReplicated(m, ctx, p, stats, func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (*node.ThresholdResult, int, error) {
-		qq := q
-		qq.Scan = scan
-		r, err := cli.GetThreshold(ctx, wp, qq)
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, query.WireBytes(len(r.Points)), nil
-	})
-	if err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	_, msp := obs.StartSpan(ctx, "merge")
-	pts, err := mergeThreshold(stats, results, q.Limit)
-	msp.End()
-	if err != nil {
-		mQueryErrs.Inc()
-		return nil, nil, err
-	}
-	stats.Points = len(pts)
-	m.deliver(ctx, p, stats, fanout, start, query.WireBytes(len(pts)))
-	return pts, stats, nil
-}
-
-// mergeThreshold folds the node answers to one threshold query into its
-// stats and merges their points, enforcing the global result limit. Each
-// answer covers its Morton ranges exactly once, so no cell is counted
-// twice; re-routed scans make one node's answer span several disjoint
-// ranges, so the k-way merge (merge.go) does real interleaving.
-func mergeThreshold(stats *QueryStats, results []*node.ThresholdResult, limit int) ([]query.ResultPoint, error) {
-	parts := make([][]query.ResultPoint, 0, len(results))
-	total := 0
-	for _, r := range results {
-		parts = append(parts, r.Points)
-		total += len(r.Points)
-		stats.NodeCritical.Max(r.Breakdown)
-		if r.FromCache {
-			stats.CacheHits++
-		}
-		if r.Shared > 1 {
-			stats.SharedScan = true
-		}
-		stats.ScansSaved += r.ScansSaved
-		stats.ResponseBytes += query.WireBytes(len(r.Points))
-	}
-	if total > limit {
-		return nil, &query.ErrTooManyPoints{Limit: limit, Seen: total}
-	}
-	return mergeSortedPoints(parts), nil
+	return a[0].Points, a[0].Stats, a[0].Err
 }
 
 // deliver charges the result's transfer to the user and closes the query's

@@ -16,37 +16,53 @@ import (
 	"github.com/turbdb/turbdb/internal/sim"
 )
 
-// recordingClient records the Scan of every query request it receives, then
-// fails it transiently (fail), answers it empty (hollow — for ranges the
-// wrapped node does not hold) or forwards it.
+// recordingClient records the method and Scan of every query request it
+// receives, then fails it transiently (fail), answers it empty (hollow —
+// for ranges the wrapped node does not hold) or forwards it.
 type recordingClient struct {
 	NodeClient
 	fail, hollow bool
 
 	mu    sync.Mutex
-	scans [][]morton.Range
+	calls []call
 }
 
-func (c *recordingClient) record(scan []morton.Range) error {
+// call is one recorded query request (one per member of a batch request).
+type call struct {
+	method string
+	scan   []morton.Range
+}
+
+func (c *recordingClient) record(method string, scan []morton.Range) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.scans = append(c.scans, scan)
+	c.calls = append(c.calls, call{method, scan})
 	if c.fail {
 		return transientErr{msg: "connection refused"}
 	}
 	return nil
 }
 
-func (c *recordingClient) taken() [][]morton.Range {
+// takenCalls returns the requests recorded since the last take.
+func (c *recordingClient) takenCalls() []call {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := c.scans
-	c.scans = nil
+	out := c.calls
+	c.calls = nil
+	return out
+}
+
+// taken returns the Scans recorded since the last take.
+func (c *recordingClient) taken() [][]morton.Range {
+	var out [][]morton.Range
+	for _, cl := range c.takenCalls() {
+		out = append(out, cl.scan)
+	}
 	return out
 }
 
 func (c *recordingClient) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold) (*node.ThresholdResult, error) {
-	if err := c.record(q.Scan); err != nil {
+	if err := c.record("GetThreshold", q.Scan); err != nil {
 		return nil, err
 	}
 	if c.hollow {
@@ -57,7 +73,7 @@ func (c *recordingClient) GetThreshold(ctx context.Context, p *sim.Proc, q query
 
 func (c *recordingClient) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Threshold) (*node.ThresholdBatchResult, error) {
 	for _, q := range qs {
-		if err := c.record(q.Scan); err != nil {
+		if err := c.record("GetThresholdBatch", q.Scan); err != nil {
 			return nil, err
 		}
 	}
@@ -65,14 +81,14 @@ func (c *recordingClient) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs
 }
 
 func (c *recordingClient) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*node.PDFResult, error) {
-	if err := c.record(q.Scan); err != nil {
+	if err := c.record("GetPDF", q.Scan); err != nil {
 		return nil, err
 	}
 	return c.NodeClient.GetPDF(ctx, p, q)
 }
 
 func (c *recordingClient) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*node.TopKResult, error) {
-	if err := c.record(q.Scan); err != nil {
+	if err := c.record("GetTopK", q.Scan); err != nil {
 		return nil, err
 	}
 	return c.NodeClient.GetTopK(ctx, p, q)
@@ -140,6 +156,13 @@ func TestKOneIsATopology(t *testing.T) {
 		{"topk", func(m *Mediator) (answer, error) {
 			pts, st, err := m.TopK(ctx, nil, query.TopK{Dataset: "isotropic", Field: derived.Vorticity, K: 7})
 			return answer{pts: [][]query.ResultPoint{pts}, stats: []*QueryStats{st}}, err
+		}},
+		{"batch of one", func(m *Mediator) (answer, error) {
+			members, err := m.ThresholdBatch(ctx, nil, []query.Threshold{th(1.0)})
+			if err != nil {
+				return answer{}, err
+			}
+			return answer{pts: [][]query.ResultPoint{members[0].Points}, stats: []*QueryStats{members[0].Stats}}, members[0].Err
 		}},
 		{"batch", func(m *Mediator) (answer, error) {
 			var a answer
@@ -241,6 +264,42 @@ func TestKOneIsATopology(t *testing.T) {
 		}
 		if scans := recs[0].taken(); !reflect.DeepEqual(scans, [][]morton.Range{none}) {
 			t.Errorf("node 0 received %v, want one request without Scan", scans)
+		}
+	})
+
+	// A one-member ThresholdBatch is the lone Threshold: the same requests
+	// (GetThreshold, no Scan) and the same answer.
+	t.Run("batch of one asks like a lone threshold", func(t *testing.T) {
+		run := map[string]func(m *Mediator) (answer, error){}
+		for _, op := range ops {
+			run[op.name] = op.run
+		}
+		m, recs, _ := recorded(t, nodes, nil)
+		var answers [2]answer
+		var calls [2][][]call
+		for i, name := range []string{"threshold", "batch of one"} {
+			a, err := run[name](m)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			answers[i] = a
+			for _, r := range recs {
+				calls[i] = append(calls[i], r.takenCalls())
+			}
+		}
+		sameAnswer(t, "batch of one", answers[1], answers[0])
+		for i, want := range calls[0] {
+			if !reflect.DeepEqual(want, []call{{method: "GetThreshold"}}) {
+				t.Errorf("threshold asked node %d with %+v, want one GetThreshold without Scan", i, want)
+			}
+			if got := calls[1][i]; !reflect.DeepEqual(got, want) {
+				t.Errorf("batch of one asked node %d with %+v, want %+v", i, got, want)
+			}
+		}
+		g, w := answers[1].stats[0], answers[0].stats[0]
+		if g.ResponseBytes != w.ResponseBytes || g.SharedScan != w.SharedScan || g.ScansSaved != w.ScansSaved {
+			t.Errorf("batch of one: ResponseBytes/SharedScan/ScansSaved = %d/%v/%d, want %d/%v/%d",
+				g.ResponseBytes, g.SharedScan, g.ScansSaved, w.ResponseBytes, w.SharedScan, w.ScansSaved)
 		}
 	})
 }

@@ -33,7 +33,8 @@ type Placement struct {
 }
 
 // Place derives the k-way replica placement of domain over members. k is
-// clamped to the member count; k ≤ 1 yields an unreplicated placement.
+// clamped to [1, len(members)]; at k = 1 every range of the equal split has
+// its one owner.
 // members must not outnumber the domain's cells (a node with no atoms
 // cannot hold a store).
 func Place(domain morton.Range, members []int, k int) (Placement, error) {

@@ -36,9 +36,13 @@ func (m CostModel) Cost(fieldName string) time.Duration {
 	return m.Default
 }
 
-// calibrationPoints is how many kernel evaluations Calibrate times per
-// field.
-const calibrationPoints = 20000
+// calibrationPoints is how many kernel evaluations one timing of a field
+// covers; Calibrate keeps the fastest of calibrationRounds timings, so one
+// preempted loop cannot invert the fields' cost order.
+const (
+	calibrationPoints = 20000
+	calibrationRounds = 5
+)
 
 // Calibrate measures the real per-point evaluation cost of every field in
 // the registry on this host and returns the resulting cost model. order is
@@ -94,21 +98,20 @@ func timeEval(f *derived.Field, st stencil.Stencil) time.Duration {
 	for i := 0; i < 1000/side+1; i++ {
 		scanRow(i%side, 0)
 	}
-	start := time.Now()
-	n := 0
-	for n < calibrationPoints {
-		for z := 0; z < side && n < calibrationPoints; z++ {
-			for y := 0; y < side && n < calibrationPoints; y++ {
-				scanRow(y, z)
-				n += side
+	best := time.Duration(math.MaxInt64)
+	for range calibrationRounds {
+		start := time.Now()
+		n := 0
+		for n < calibrationPoints {
+			for z := 0; z < side && n < calibrationPoints; z++ {
+				for y := 0; y < side && n < calibrationPoints; y++ {
+					scanRow(y, z)
+					n += side
+				}
 			}
 		}
+		best = min(best, time.Since(start)/time.Duration(n))
 	}
-	elapsed := time.Since(start)
 	_ = sink
-	per := elapsed / time.Duration(n)
-	if per <= 0 {
-		per = time.Nanosecond
-	}
-	return per
+	return max(best, time.Nanosecond)
 }

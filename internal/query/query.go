@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"github.com/turbdb/turbdb/internal/grid"
+	"github.com/turbdb/turbdb/internal/hist"
 	"github.com/turbdb/turbdb/internal/morton"
 )
 
@@ -122,12 +123,16 @@ func (q Threshold) Validate(domain grid.Box) error {
 	case !domain.ContainsBox(q.Box):
 		return fmt.Errorf("query: box %v outside domain %v", q.Box, domain)
 	}
-	switch q.FDOrder {
+	return checkFDOrder(q.FDOrder)
+}
+
+// checkFDOrder rejects a finite-difference order no stencil implements.
+func checkFDOrder(order int) error {
+	switch order {
 	case 2, 4, 6, 8:
-	default:
-		return fmt.Errorf("query: unsupported finite-difference order %d", q.FDOrder)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("query: unsupported finite-difference order %d", order)
 }
 
 // ResultPoint is one qualifying grid location: the Morton z-index of the
@@ -256,25 +261,20 @@ func (q PDF) Validate(domain grid.Box) error {
 		return fmt.Errorf("query: negative timestep")
 	case q.Bins < 1:
 		return fmt.Errorf("query: PDF needs ≥ 1 bin, got %d", q.Bins)
-	case q.Width <= 0:
-		return fmt.Errorf("query: PDF bin width must be positive, got %g", q.Width)
+	case q.Bins > DefaultLimit:
+		return fmt.Errorf("query: PDF bins %d exceed the %d limit", q.Bins, DefaultLimit)
+	case math.IsNaN(q.Min) || math.IsInf(q.Min, 0):
+		return fmt.Errorf("query: PDF min must be finite, got %g", q.Min)
+	case !(q.Width > 0) || math.IsInf(q.Width, 1):
+		return fmt.Errorf("query: PDF bin width must be positive and finite, got %g", q.Width)
 	case q.Box.Empty() || !domain.ContainsBox(q.Box):
 		return fmt.Errorf("query: bad box %v for domain %v", q.Box, domain)
 	}
-	return nil
+	return checkFDOrder(q.FDOrder)
 }
 
 // Bin returns the bucket index for a norm value (clamped into range).
-func (q PDF) Bin(v float64) int {
-	if v < q.Min {
-		return 0
-	}
-	b := int((v - q.Min) / q.Width)
-	if b >= q.Bins {
-		b = q.Bins - 1
-	}
-	return b
-}
+func (q PDF) Bin(v float64) int { return hist.Bin(v, q.Min, q.Width, q.Bins) }
 
 // TopK asks for the K grid locations with the largest field norms in Box at
 // Timestep.
@@ -318,5 +318,5 @@ func (q TopK) Validate(domain grid.Box) error {
 	case q.Box.Empty() || !domain.ContainsBox(q.Box):
 		return fmt.Errorf("query: bad box %v for domain %v", q.Box, domain)
 	}
-	return nil
+	return checkFDOrder(q.FDOrder)
 }

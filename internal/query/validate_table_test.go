@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,6 +90,17 @@ func TestPDFValidateTable(t *testing.T) {
 		{"negative bins", func(q *PDF) { q.Bins = -1 }, "1 bin"},
 		{"zero width", func(q *PDF) { q.Width = 0 }, "width must be positive"},
 		{"negative width", func(q *PDF) { q.Width = -1 }, "width must be positive"},
+		{"valid bins at limit", func(q *PDF) { q.Bins = DefaultLimit }, ""},
+		{"bins beyond limit", func(q *PDF) { q.Bins = DefaultLimit + 1 }, "exceed"},
+		{"NaN min", func(q *PDF) { q.Min = math.NaN() }, "min must be finite"},
+		{"+Inf min", func(q *PDF) { q.Min = math.Inf(1) }, "min must be finite"},
+		{"-Inf min", func(q *PDF) { q.Min = math.Inf(-1) }, "min must be finite"},
+		{"NaN width", func(q *PDF) { q.Width = math.NaN() }, "positive and finite"},
+		{"+Inf width", func(q *PDF) { q.Width = math.Inf(1) }, "positive and finite"},
+		{"valid tiny width", func(q *PDF) { q.Width = 1e-300 }, ""},
+		{"valid FD order 8", func(q *PDF) { q.FDOrder = 8 }, ""},
+		{"odd FD order", func(q *PDF) { q.FDOrder = 3 }, "finite-difference order"},
+		{"oversized FD order", func(q *PDF) { q.FDOrder = 10 }, "finite-difference order"},
 		{"inverted box", func(q *PDF) { q.Box = grid.Box{Lo: grid.Point{X: 9, Y: 9, Z: 9}, Hi: grid.Point{X: 3, Y: 3, Z: 3}} }, "bad box"},
 		{"box past domain", func(q *PDF) { q.Box = boxOf(0, 65) }, "bad box"},
 	}
@@ -128,6 +140,9 @@ func TestTopKValidateTable(t *testing.T) {
 		{"zero k", func(q *TopK) { q.K = 0 }, "k ≥ 1"},
 		{"negative k", func(q *TopK) { q.K = -5 }, "k ≥ 1"},
 		{"k beyond limit", func(q *TopK) { q.K = DefaultLimit + 1 }, "point limit"},
+		{"valid FD order 2", func(q *TopK) { q.FDOrder = 2 }, ""},
+		{"odd FD order", func(q *TopK) { q.FDOrder = 5 }, "finite-difference order"},
+		{"negative FD order", func(q *TopK) { q.FDOrder = -2 }, "finite-difference order"},
 		{"inverted box", func(q *TopK) { q.Box = grid.Box{Lo: grid.Point{X: 9, Y: 9, Z: 9}, Hi: grid.Point{X: 3, Y: 3, Z: 3}} }, "bad box"},
 		{"box past domain", func(q *TopK) { q.Box = boxOf(60, 70) }, "bad box"},
 	}

@@ -3,12 +3,16 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/turbdb/turbdb/internal/derived"
+	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/mediator"
 	"github.com/turbdb/turbdb/internal/morton"
@@ -229,6 +233,41 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 	if err := clients[0].SetProcesses(context.Background(), -1); err == nil {
 		t.Error("negative processes accepted over wire")
+	}
+
+	// Hostile /v1/pdf bodies get a 400 naming the rule before any scan
+	// worker sizes a histogram by them.
+	for _, tc := range []struct{ body, want string }{
+		{`{"dataset":"mhd","field":"velocity","bins":2000000000,"width":1}`, "exceed"},
+		{`{"dataset":"mhd","field":"velocity","bins":4,"width":1,"fdOrder":3}`, "finite-difference order"},
+		{`{"dataset":"mhd","field":"velocity","bins":4,"width":-1}`, "width must be positive"},
+		{`{"dataset":"mhd","field":"velocity","bins":4,"width":1e999}`, "bad request body"},
+	} {
+		resp, err := http.Post(baseURL(clients[0])+PathPDF, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: HTTP %d, error %q (%v), want a 400 about %q", tc.body, resp.StatusCode, e.Error, derr, tc.want)
+		}
+	}
+	if _, err := clients[0].GetTopK(context.Background(), nil, query.TopK{Dataset: "mhd", Field: derived.Velocity, K: 3, FDOrder: 7}); err == nil || faulttol.Transient(err) {
+		t.Errorf("top-k at FD order 7: %v, want a permanent error", err)
+	}
+	// The node still answers, also a width whose bin quotient no int holds.
+	res, err := clients[0].GetPDF(context.Background(), nil, query.PDF{Dataset: "mhd", Field: derived.Velocity, Bins: 4, Width: 1e-300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, c := range res.Counts {
+		total += c
+	}
+	if total != 16*16*16 {
+		t.Errorf("PDF counts %v sum to %d, want %d", res.Counts, total, 16*16*16)
 	}
 }
 

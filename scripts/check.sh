@@ -1,7 +1,7 @@
 #!/bin/sh
-# check.sh runs the same gate as CI (.github/workflows/ci.yml), in the same
-# order: cheap static checks first, the race-detector lane last. Each lane
-# reports its wall-clock time so slow lanes are visible at a glance.
+# check.sh is the gate; CI (.github/workflows/ci.yml) runs this script and
+# nothing else. Cheap static checks come first. Each lane reports its
+# wall-clock time so slow lanes are visible at a glance.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -34,10 +34,14 @@ lane 'go vet ./...'
 go vet ./...
 lane_done
 
-# The per-analyzer timing table names the analyzer to look at when the
-# lane's time grows.
+# One report for the whole nine-analyzer suite. The -json report (active
+# and suppressed findings with reasons, type errors, and the per-analyzer
+# timings that name the analyzer to look at when the lane's time grows)
+# goes to vet-report.json; the human-readable findings go to stderr.
+# Non-suppressed findings fail the lane. Each analyzer's fixture runs by
+# name as a TestAnalyzers subtest in the go test lane.
 lane 'turbdb-vet ./...'
-go run ./cmd/turbdb-vet -timings ./...
+go run ./cmd/turbdb-vet -json -timings ./... > vet-report.json
 lane_done
 
 lane 'go test ./...'

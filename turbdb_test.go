@@ -162,6 +162,42 @@ func TestPDFAndQuantile(t *testing.T) {
 	}
 }
 
+// TestPDFCountsEveryPointWhateverTheBins histograms with widths and
+// offsets whose bin quotient no int holds: every point still lands in one
+// bin, so the counts sum to the points of the region.
+func TestPDFCountsEveryPointWhateverTheBins(t *testing.T) {
+	db := openTest(t, Config{Nodes: 2})
+	region := Box{Lo: [3]int{2, 3, 4}, Hi: [3]int{11, 16, 9}}
+	for _, tc := range []struct {
+		name       string
+		min, width float64
+	}{
+		{"tiny width", 0, 1e-300},
+		{"denormal width", 0, math.SmallestNonzeroFloat64},
+		{"min at -1e300", -1e300, 1},
+		{"min at +1e300", 1e300, 1},
+		{"width 1e300", 0, 1e300},
+	} {
+		for _, r := range []Box{{}, region} {
+			counts, _, err := db.PDF(PDFQuery{Field: FieldVelocity, Bins: 4, Min: tc.min, Width: tc.width, Region: r})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			var total int64
+			for _, c := range counts {
+				total += c
+			}
+			want := int64(16 * 16 * 16)
+			if r != (Box{}) {
+				want = 9 * 13 * 5
+			}
+			if total != want {
+				t.Errorf("%s over %v: counts %v sum to %d, want %d", tc.name, r, counts, total, want)
+			}
+		}
+	}
+}
+
 func TestTopKQuery(t *testing.T) {
 	db := openTest(t, Config{Seed: 9})
 	top, _, err := db.TopK(TopKQuery{Field: FieldQCriterion, K: 20})
