@@ -1,9 +1,9 @@
 // Command turbdb-vet runs the repository's custom static-analysis suite
-// (internal/lint): lockcheck, droppederr, magicatom, ctxpropagate,
-// rowkernel, the concurrency pair lockorder and goroutinelife, and the
-// protocol pair wirecompat and errclass. It is part of the standard check
-// gate (scripts/check.sh, CI) and exits non-zero when any finding is
-// reported: 1 for findings, 2 for type errors or bad flags.
+// (internal/lint): lockcheck, droppederr, ctxpropagate, rowkernel, the
+// concurrency pair lockorder and goroutinelife, and the protocol pair
+// wirecompat and errclass. It is part of the standard check gate
+// (scripts/check.sh, CI) and exits non-zero when any finding is reported:
+// 1 for findings, 2 for type errors or bad flags.
 //
 // Usage:
 //

@@ -205,47 +205,34 @@ func (e *Env) build(o ClusterOpts, noSynopsis bool) (*cluster.Cluster, error) {
 // RunThreshold executes one threshold query as a simulated user and returns
 // the merged points plus cluster-level stats.
 func RunThreshold(c *cluster.Cluster, q query.Threshold) ([]query.ResultPoint, *mediator.QueryStats, error) {
-	var pts []query.ResultPoint
-	var stats *mediator.QueryStats
-	_, err := c.RunQuery(func(p *sim.Proc) error {
-		var qerr error
-		pts, stats, qerr = c.Mediator.Threshold(context.Background(), p, q)
-		return qerr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pts, stats, nil
+	return runQuery(context.Background(), c, c.Mediator.Threshold, q)
 }
 
 // RunPDF executes one PDF query in the simulation.
 func RunPDF(c *cluster.Cluster, q query.PDF) ([]int64, *mediator.QueryStats, error) {
-	var counts []int64
-	var stats *mediator.QueryStats
-	_, err := c.RunQuery(func(p *sim.Proc) error {
-		var qerr error
-		counts, stats, qerr = c.Mediator.PDF(context.Background(), p, q)
-		return qerr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return counts, stats, nil
+	return runQuery(context.Background(), c, c.Mediator.PDF, q)
 }
 
 // RunTopK executes one top-k query in the simulation.
 func RunTopK(c *cluster.Cluster, q query.TopK) ([]query.ResultPoint, *mediator.QueryStats, error) {
-	var pts []query.ResultPoint
+	return runQuery(context.Background(), c, c.Mediator.TopK, q)
+}
+
+// runQuery runs one mediator query as a simulated user: ask is the
+// mediator method, and its answer comes back with the query's stats.
+func runQuery[Q, A any](ctx context.Context, c *cluster.Cluster, ask func(context.Context, *sim.Proc, Q) (A, *mediator.QueryStats, error), q Q) (A, *mediator.QueryStats, error) {
+	var answer A
 	var stats *mediator.QueryStats
 	_, err := c.RunQuery(func(p *sim.Proc) error {
 		var qerr error
-		pts, stats, qerr = c.Mediator.TopK(context.Background(), p, q)
+		answer, stats, qerr = ask(ctx, p, q)
 		return qerr
 	})
 	if err != nil {
-		return nil, nil, err
+		var none A
+		return none, nil, err
 	}
-	return pts, stats, nil
+	return answer, stats, nil
 }
 
 // Level is one threshold level of the paper's experiments.

@@ -10,7 +10,6 @@ import (
 	"github.com/turbdb/turbdb/internal/mediator"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
-	"github.com/turbdb/turbdb/internal/sim"
 )
 
 // RunThresholdTraced is RunThreshold with a distributed trace attached; the
@@ -19,13 +18,7 @@ import (
 func RunThresholdTraced(c *cluster.Cluster, q query.Threshold) ([]query.ResultPoint, *mediator.QueryStats, *obs.Trace, error) {
 	tr := obs.NewTrace(obs.NewTraceID(), c.Kernel.Now)
 	ctx := obs.ContextWithTrace(context.Background(), tr)
-	var pts []query.ResultPoint
-	var stats *mediator.QueryStats
-	_, err := c.RunQuery(func(p *sim.Proc) error {
-		var qerr error
-		pts, stats, qerr = c.Mediator.Threshold(ctx, p, q)
-		return qerr
-	})
+	pts, stats, err := runQuery(ctx, c, c.Mediator.Threshold, q)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -1,6 +1,6 @@
 // Package lint implements turbdb-vet, the repository's custom static-
 // analysis suite. It is built directly on the standard library's go/parser
-// and go/types (no golang.org/x/tools dependency) and ships nine
+// and go/types (no golang.org/x/tools dependency) and ships eight
 // repo-specific analyzers:
 //
 //	lockcheck    — fields annotated `// guarded by <mu>` may only be accessed
@@ -8,9 +8,6 @@
 //	droppederr   — error results may not be silently discarded (`_ = f()`,
 //	               bare calls, blank assignments, defer/go of error-returning
 //	               calls) outside an explicit allowlist;
-//	magicatom    — hard-coded 8/512 atom-geometry literals outside the
-//	               grid/morton constant definitions, keeping the atom size a
-//	               single source of truth (grid.DefaultAtomSide);
 //	ctxpropagate — functions that receive a context.Context must forward it
 //	               to blocking callees, and exported functions of the
 //	               distributed-path packages that perform I/O must accept one;
@@ -127,7 +124,7 @@ type Analyzer struct {
 
 // Analyzers returns the full turbdb-vet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockCheck, DroppedErr, MagicAtom, CtxPropagate, RowKernel, LockOrder, GoroutineLife, WireCompat, ErrClass}
+	return []*Analyzer{LockCheck, DroppedErr, CtxPropagate, RowKernel, LockOrder, GoroutineLife, WireCompat, ErrClass}
 }
 
 // allowRe matches suppression directives: //lint:allow check1[,check2] reason

@@ -101,7 +101,6 @@ func TestAnalyzers(t *testing.T) {
 		{"lockcheck", "lockcheck"},
 		{"lockcheck", "lockatomic"},
 		{"droppederr", "droppederr"},
-		{"magicatom", "magicatom"},
 		{"ctxpropagate", "ctxpropagate"},
 		{"ctxpropagate", filepath.Join("internal", "wire")},
 		{"rowkernel", "rowkernel"},

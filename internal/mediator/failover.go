@@ -24,8 +24,9 @@ var (
 // Morton ranges of the current placement and, per range, the nodes holding
 // it (primary first). Derived from membership.Placement by cluster
 // assembly and installed atomically via UpdateTopology on every rebalance,
-// or synthesised by New as the k = 1 table of a mediator assembled from
-// nodes alone.
+// or derived by New from what the nodes describe. Its non-empty ranges
+// tile the dataset's atom range exactly, so an answer merged from one
+// owner per range is the whole domain's, each cell once.
 type Topology struct {
 	// Version identifies the placement (bumped on every rebalance).
 	Version uint64
@@ -96,18 +97,14 @@ func (m *Mediator) newPeer(id int, c NodeClient, owned morton.Range, link *netmo
 
 // UpdateTopology atomically installs a new routing table (a rebalance
 // flip). Queries already in flight finish on the placement they started
-// with; every owner must already be registered.
+// with. The table's non-empty ranges must tile the dataset's atom range,
+// and every owner must already be registered.
 func (m *Mediator) UpdateTopology(t Topology) error {
-	if m.members == nil {
-		return faulttol.Permanent("mediator: not assembled with a topology")
-	}
-	return m.setTopology(t)
-}
-
-// setTopology validates t against the registered nodes and publishes it.
-func (m *Mediator) setTopology(t Topology) error {
 	if len(t.Ranges) != len(t.Owners) {
 		return faulttol.Permanentf("mediator: topology has %d ranges but %d owner lists", len(t.Ranges), len(t.Owners))
+	}
+	if err := tiles(t.Ranges, m.grid.AtomRange()); err != nil {
+		return err
 	}
 	m.topoMu.Lock()
 	defer m.topoMu.Unlock()
@@ -126,14 +123,42 @@ func (m *Mediator) setTopology(t Topology) error {
 	return nil
 }
 
-// RegisterNode adds (or replaces) a node client — a joining node is
-// registered before the topology referencing it is installed. In
-// simulation mode link carries its mediator↔node transfers. ctx bounds the
-// validation round-trip to the node.
-func (m *Mediator) RegisterNode(ctx context.Context, id int, c NodeClient, link *netmodel.Link) error {
-	if m.members == nil {
-		return faulttol.Permanent("mediator: not assembled with a topology")
+// tiles checks that the non-empty ranges cover domain exactly once: a gap
+// would answer short and an overlap would answer cells twice, both with
+// Coverage 1.
+func tiles(ranges []morton.Range, domain morton.Range) error {
+	var rs []morton.Range
+	for _, r := range ranges {
+		if !r.Empty() {
+			rs = append(rs, r)
+		}
 	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+	next := domain.Lo
+	for _, r := range rs {
+		if r.Lo > next {
+			return faulttol.Permanentf("mediator: no topology range covers atoms [%d, %d)", next, r.Lo)
+		}
+		if r.Lo < next {
+			return faulttol.Permanentf("mediator: topology ranges overlap at atom %d", r.Lo)
+		}
+		next = r.Hi
+	}
+	if next != domain.Hi {
+		return faulttol.Permanentf("mediator: topology ranges end at atom %d, not at the domain's end %d", next, domain.Hi)
+	}
+	return nil
+}
+
+// Topology returns a copy of the routing table in effect.
+func (m *Mediator) Topology() Topology { return m.routing().topo.clone() }
+
+// RegisterNode adds (or replaces) a node client — a joining node is
+// registered before the topology referencing it is installed, and is
+// routed to once the membership table serves it. In simulation mode link
+// carries its mediator↔node transfers. ctx bounds the validation
+// round-trip to the node.
+func (m *Mediator) RegisterNode(ctx context.Context, id int, c NodeClient, link *netmodel.Link) error {
 	d, err := c.Describe(ctx)
 	if err != nil {
 		return fmt.Errorf("mediator: node %d unreachable: %w", id, err)

@@ -1,13 +1,18 @@
 package mediator
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/morton"
+	"github.com/turbdb/turbdb/internal/node"
+	"github.com/turbdb/turbdb/internal/query"
 )
 
 // transientErr is a minimal availability-class failure for the tables.
@@ -150,13 +155,95 @@ func TestErrReplicasDownIsTransient(t *testing.T) {
 	}
 }
 
-// TestTopologyValidation pins the routing-table install rules.
+// TestTopologyValidation pins the routing-table rules: a mediator assembled
+// from nodes alone routes by the table they describe, and New and
+// UpdateTopology refuse, with a permanent error, every table whose ranges
+// do not tile the domain or that routes to an unregistered node — each
+// would answer short, or twice, with Coverage 1.
 func TestTopologyValidation(t *testing.T) {
 	nodes, _ := buildNodes(t, 2)
+	r0, r1 := nodes[0].Owned(), nodes[1].Owned()
+	kOne := Topology{Version: 1, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {1}}}
 	m := mediatorOver(t, nodes)
-	// A mediator assembled without a topology rejects installs outright.
-	err := m.UpdateTopology(Topology{Version: 2})
-	if err == nil || !strings.Contains(err.Error(), "not assembled with a topology") {
-		t.Fatalf("UpdateTopology on a legacy mediator: %v", err)
+	if got := m.Topology(); !reflect.DeepEqual(got, kOne) {
+		t.Fatalf("Config{Nodes} routes by %+v, want the explicit k = 1 table %+v", got, kOne)
 	}
+
+	permanent := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("accepted")
+		}
+		if faulttol.Transient(err) {
+			t.Fatalf("%v is transient, want a permanent error", err)
+		}
+	}
+	for _, tt := range []struct {
+		name  string
+		nodes []*node.Node
+	}{
+		{"New rejects one node of two", nodes[:1]},
+		{"New rejects a node listed twice", []*node.Node{nodes[0], nodes[0]}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			clients := make([]NodeClient, len(tt.nodes))
+			for i, n := range tt.nodes {
+				clients[i] = n
+			}
+			_, err := New(Config{Nodes: clients})
+			permanent(t, err)
+		})
+	}
+
+	whole := morton.Range{Lo: r0.Lo, Hi: r1.Hi}
+	for _, tt := range []struct {
+		name string
+		topo Topology
+	}{
+		{"UpdateTopology rejects a gap", Topology{Ranges: []morton.Range{r0}, Owners: [][]int{{0}}}},
+		{"UpdateTopology rejects an overlap", Topology{Ranges: []morton.Range{whole, r1}, Owners: [][]int{{0}, {1}}}},
+		{"UpdateTopology rejects a repeated range", Topology{Ranges: []morton.Range{r0, r0, r1}, Owners: [][]int{{0}, {1}, {1}}}},
+		{"UpdateTopology rejects an empty table", Topology{Version: 2}},
+		{"UpdateTopology rejects an unregistered owner", Topology{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {7}}}},
+		{"UpdateTopology rejects mismatched lengths", Topology{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}}}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			permanent(t, m.UpdateTopology(tt.topo))
+			if got := m.Topology(); !reflect.DeepEqual(got, kOne) {
+				t.Fatalf("a rejected table changed the routing to %+v", got)
+			}
+		})
+	}
+
+	// Assembled from nodes alone, the mediator still takes a replacement
+	// client and a new table.
+	t.Run("Config{Nodes} accepts RegisterNode and UpdateTopology", func(t *testing.T) {
+		ctx := context.Background()
+		q := query.Threshold{Dataset: "isotropic", Field: derived.Vorticity, Threshold: 1}
+		want, _, err := m.Threshold(ctx, nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replaced := &recordingClient{NodeClient: nodes[1]}
+		if err := m.RegisterNode(ctx, 1, replaced, nil); err != nil {
+			t.Fatal(err)
+		}
+		kTwo := Topology{Version: 2, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}, {1, 0}}}
+		if err := m.UpdateTopology(kTwo); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Topology(); !reflect.DeepEqual(got, kTwo) {
+			t.Fatalf("routes by %+v after the update, want %+v", got, kTwo)
+		}
+		got, st, err := m.Threshold(ctx, nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(replaced.taken()) != 1 {
+			t.Error("node 1's range was not routed to its replacement client")
+		}
+		if st.Coverage != 1 || !reflect.DeepEqual(got, want) {
+			t.Errorf("after the update: %d points at Coverage %v, want the %d points before it", len(got), st.Coverage, len(want))
+		}
+	})
 }

@@ -101,12 +101,14 @@ type Config struct {
 	// nodes), each range is sent to its first live owner, and a failed
 	// range fails over to the next replica before partial mode is even
 	// considered. Node i of Nodes is registered under id i; further nodes
-	// join via RegisterNode. nil means the k = 1 table the nodes describe:
-	// node i is the sole owner of the range it reports as Owned.
+	// join via RegisterNode. nil means the table the nodes describe: range
+	// i is node i's Owned range, owned by node i and then, in index order,
+	// every other node whose Held ranges cover it — k = 1 when no node
+	// holds a replica. Its non-empty ranges must tile the dataset's domain.
 	Topology *Topology
-	// Members tracks node lifecycle and health for topology routing;
-	// required when Topology is set. Breaker transitions feed back into it
-	// (open marks the node Suspect, closed marks it Alive).
+	// Members tracks node lifecycle and health for topology routing; nil
+	// means a table of Nodes' ids, all Alive. Breaker transitions feed
+	// back into it (open marks the node Suspect, closed marks it Alive).
 	Members *membership.Table
 }
 
@@ -120,8 +122,6 @@ type Mediator struct {
 
 	allowPartial bool
 
-	// members is nil for a mediator assembled without a topology: its
-	// k = 1 table is then fixed for life.
 	members *membership.Table
 	policy  faulttol.Policy // retry/breaker tuning, real mode only
 	bcfg    faulttol.BreakerConfig
@@ -162,9 +162,6 @@ func New(cfg Config) (*Mediator, error) {
 			return nil, faulttol.Permanentf("mediator: nodes serve different datasets (%q vs %q)", ds, d.Dataset)
 		}
 	}
-	if cfg.Topology != nil && cfg.Members == nil {
-		return nil, faulttol.Permanent("mediator: a topology requires a membership table")
-	}
 	if cfg.Kernel != nil {
 		if len(cfg.NodeLinks) != len(cfg.Nodes) {
 			return nil, faulttol.Permanentf("mediator: %d node links for %d nodes", len(cfg.NodeLinks), len(cfg.Nodes))
@@ -172,6 +169,13 @@ func New(cfg Config) (*Mediator, error) {
 		if cfg.UserLink == nil {
 			return nil, faulttol.Permanent("mediator: user link required in simulation mode")
 		}
+	}
+	if cfg.Members == nil {
+		ids := make([]int, len(cfg.Nodes))
+		for i := range ids {
+			ids[i] = i
+		}
+		cfg.Members = membership.NewTable(ids...)
 	}
 	m := &Mediator{
 		grid:         descs[0].Grid,
@@ -207,26 +211,42 @@ func New(cfg Config) (*Mediator, error) {
 	m.topoMu.Unlock()
 	topo := cfg.Topology
 	if topo == nil {
-		// k = 1 is a topology: every node is the sole owner of the range it
-		// describes.
-		topo = &Topology{}
-		for i, d := range descs {
-			topo.Ranges = append(topo.Ranges, d.Owned)
-			topo.Owners = append(topo.Owners, []int{i})
-		}
+		topo = describedTopology(descs)
 	}
-	if err := m.setTopology(*topo); err != nil {
+	if err := m.UpdateTopology(*topo); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
+// describedTopology is the routing table the nodes' descriptions imply:
+// range i is node i's Owned range, owned by node i first and then, in index
+// order, by every other node one of whose Held ranges covers it. Nodes that
+// hold no replicas give the k = 1 table; nodes holding their ring
+// successors' ranges give the k-way one.
+func describedTopology(descs []node.Description) *Topology {
+	t := &Topology{Version: 1, Ranges: make([]morton.Range, len(descs)), Owners: make([][]int, len(descs))}
+	for i, d := range descs {
+		t.Ranges[i] = d.Owned
+		t.Owners[i] = []int{i}
+		for j, dj := range descs {
+			for _, h := range dj.Held {
+				if j != i && h.Lo <= d.Owned.Lo && d.Owned.Hi <= h.Hi {
+					t.Owners[i] = append(t.Owners[i], j)
+					break
+				}
+			}
+		}
+	}
+	return t
+}
+
 // newExecutor builds the retry/breaker executor for one node in real mode.
 // The transition hook keeps the per-node breaker state gauge current
-// (0 = closed, 1 = open, 2 = half-open) and, when a membership table is
-// attached, folds breaker health into it: an opening breaker marks the
-// node Suspect (de-prioritizing it in replica routing), a closing one
-// marks it Alive again.
+// (0 = closed, 1 = open, 2 = half-open) and folds breaker health into the
+// membership table: an opening breaker marks the node Suspect
+// (de-prioritizing it in replica routing), a closing one marks it Alive
+// again.
 func (m *Mediator) newExecutor(id int) *faulttol.Executor {
 	g := obs.Default().Gauge(fmt.Sprintf("turbdb_breaker_state{node=%q}", fmt.Sprint(id)))
 	g.Set(int64(faulttol.Closed))
@@ -234,13 +254,11 @@ func (m *Mediator) newExecutor(id int) *faulttol.Executor {
 	nbcfg := m.bcfg
 	nbcfg.OnTransition = func(from, to faulttol.State) {
 		g.Set(int64(to))
-		if members != nil {
-			switch to {
-			case faulttol.Open:
-				members.MarkSuspect(id)
-			case faulttol.Closed:
-				members.MarkAlive(id)
-			}
+		switch to {
+		case faulttol.Open:
+			members.MarkSuspect(id)
+		case faulttol.Closed:
+			members.MarkAlive(id)
 		}
 	}
 	return &faulttol.Executor{Policy: m.policy, Breaker: faulttol.NewBreaker(nbcfg)}

@@ -201,16 +201,13 @@ func (t *Table) State(id int) State {
 
 // FailoverOrder returns the serving members of owners in failover order:
 // Alive before Suspect/Leaving, placement order within each class, and the
-// members demoted reports true for behind all the others. A nil table
-// counts every owner Alive; a nil demoted demotes no one.
+// members demoted reports true for behind all the others. A nil demoted
+// demotes no one.
 func (t *Table) FailoverOrder(owners []int, demoted func(id int) bool) []int {
 	var buf [8]int
 	ranks := buf[:0] // 0 Alive, 1 Suspect/Leaving, +2 demoted; -1 not serving
 	for _, id := range owners {
-		st := Alive
-		if t != nil {
-			st = t.State(id)
-		}
+		st := t.State(id)
 		r := -1
 		if st.Serving() {
 			r = 0

@@ -195,7 +195,6 @@ func TestFailoverOrder(t *testing.T) {
 		demoted func(int) bool
 		want    []int
 	}{
-		{"no table: every owner Alive, in placement order", nil, []int{5, 0, 4}, nil, []int{5, 0, 4}},
 		{"Alive before Suspect and Leaving, placement order within each", tb, []int{2, 1, 5, 0}, nil, []int{5, 0, 2, 1}},
 		{"Left and Joining members do not serve", tb, []int{3, 6, 0}, nil, []int{0}},
 		{"a demoted member goes behind every other", tb, []int{4, 1, 0}, demote4, []int{0, 1, 4}},

@@ -164,7 +164,9 @@ func TestScanShardSteadyStateZeroAllocsPerSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := n.gather(context.Background(), nil, f.Raws, 0, codes, qbox, hw, newBufferPool())
+	// The whole halo box: a cover every kernel of half-width hw can
+	// assemble from.
+	data := n.gatherReads(context.Background(), nil, &derived.Field{Raws: f.Raws}, 0, codes, qbox, hw, newBufferPool())
 	if data.err != nil {
 		t.Fatal(data.err)
 	}

@@ -1,20 +1,9 @@
 package node
 
 import (
-	"context"
-
-	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/morton"
-	"github.com/turbdb/turbdb/internal/sim"
 )
-
-// gather is gatherReads for a kernel that reads its whole halo box: the
-// cover every kernel of half-width hw over rawFields can assemble from,
-// which the allocation test and the assembly benchmark hand to any field.
-func (n *Node) gather(ctx context.Context, wp *sim.Proc, rawFields []derived.RawInput, step int, shard []morton.Code, qbox grid.Box, hw int, pool *bufferPool) workerData {
-	return n.gatherReads(ctx, wp, &derived.Field{Raws: rawFields}, step, shard, qbox, hw, pool)
-}
 
 // coverOf lists the atoms a scan of codes over qbox reads at half-width
 // hw, by a predicate that shares no code with the scan's: an atom is read
@@ -42,20 +31,34 @@ func coverOf(g grid.Grid, codes []morton.Code, qbox grid.Box, hw int, axes bool)
 		}
 		lo := [3]int{roi.Lo.X, roi.Lo.Y, roi.Lo.Z}
 		hi := [3]int{roi.Hi.X, roi.Hi.Y, roi.Hi.Z}
-		for i := 0; i < na*na*na; i++ {
-			at := [3]int{i % na, i / na % na, i / (na * na)}
-			for stretched := 0; stretched < 3; stretched++ {
-				in := true
-				for k := range at {
-					e := 0
-					if k == stretched || !axes {
-						e = hw
-					}
-					in = in && meets(at[k], lo[k], hi[k], e)
+		// Only atoms meeting the region stretched by hw along every axis
+		// can be read; the predicate decides among them.
+		var near [3][]int
+		for k := range near {
+			for a := 0; a < na; a++ {
+				if meets(a, lo[k], hi[k], hw) {
+					near[k] = append(near[k], a)
 				}
-				if in {
-					read[g.AtomCode(grid.Point{X: at[0] * s, Y: at[1] * s, Z: at[2] * s})] = true
-					break
+			}
+		}
+		for _, z := range near[2] {
+			for _, y := range near[1] {
+				for _, x := range near[0] {
+					at := [3]int{x, y, z}
+					for stretched := 0; stretched < 3; stretched++ {
+						in := true
+						for k := range at {
+							e := 0
+							if k == stretched || !axes {
+								e = hw
+							}
+							in = in && meets(at[k], lo[k], hi[k], e)
+						}
+						if in {
+							read[g.AtomCode(grid.Point{X: at[0] * s, Y: at[1] * s, Z: at[2] * s})] = true
+							break
+						}
+					}
 				}
 			}
 		}

@@ -48,7 +48,13 @@ func noise(n, nc int, seed int64) *field.Block {
 // block.
 func clusterOver(t testing.TB, gridN int, raws map[string]*field.Block, nNodes, procs int) []*Node {
 	t.Helper()
-	g, err := grid.New(gridN, grid.DefaultAtomSide, 0.1)
+	return clusterOfAtoms(t, gridN, grid.DefaultAtomSide, raws, nNodes, procs)
+}
+
+// clusterOfAtoms is clusterOver with atoms of the given side.
+func clusterOfAtoms(t testing.TB, gridN, atomSide int, raws map[string]*field.Block, nNodes, procs int) []*Node {
+	t.Helper()
+	g, err := grid.New(gridN, atomSide, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +260,39 @@ var slabGoldens = [][3]int{
 // boxes × FD orders × fields (raw, curl, gradient tensor, two raw inputs) ×
 // worker counts × scan-range restrictions.
 func TestSlabScanDifferential(t *testing.T) {
+	slabDifferential(t, grid.DefaultAtomSide, slabGoldens, map[string]slabReference{})
+}
+
+// TestSlabScanAtomSides holds the scan to its contract at any atom side:
+// the differential's cases at atoms of side 4 and 16 against brute force
+// and the cover predicate. Only the pinned counts are side 8's.
+func TestSlabScanAtomSides(t *testing.T) {
+	refs := map[string]slabReference{} // the oracle does not depend on the atom side
+	for _, side := range []int{4, 16} {
+		t.Run(fmt.Sprintf("side %d", side), func(t *testing.T) {
+			slabDifferential(t, side, nil, refs)
+		})
+	}
+}
+
+// slabReference is the oracle's answer for one (field, order): the norm of
+// every grid point and the median the differential thresholds at.
+type slabReference struct {
+	norms     []float64
+	threshold float64
+}
+
+// slabDifferential runs slabCases on a 2-node 64³ cluster with atoms of the
+// given side: every answer against brute force, every {AtomsRead,
+// HaloAtoms} against the cover predicate, and, unless goldens is nil, the
+// counts against goldens. refs caches the oracle by field and order.
+func slabDifferential(t *testing.T, atomSide int, goldens [][3]int, refs map[string]slabReference) {
 	const gridN = 64
 	raws := map[string]*field.Block{
 		derived.Velocity: noise(gridN, 3, 1),
 		derived.Magnetic: noise(gridN, 3, 2),
 	}
-	nodes := clusterOver(t, gridN, raws, 2, 1)
+	nodes := clusterOfAtoms(t, gridN, atomSide, raws, 2, 1)
 	g := nodes[0].Grid()
 	reg := derived.NewRegistry()
 	if err := reg.Register(advection); err != nil {
@@ -271,14 +304,9 @@ func TestSlabScanDifferential(t *testing.T) {
 		owned[i] = n.Owned()
 	}
 	cases := slabCases(gridN, owned)
-	if len(slabGoldens) != len(cases) {
-		t.Errorf("%d goldens for %d cases", len(slabGoldens), len(cases))
+	if goldens != nil && len(goldens) != len(cases) {
+		t.Errorf("%d goldens for %d cases", len(goldens), len(cases))
 	}
-	type reference struct {
-		norms     []float64
-		threshold float64
-	}
-	refs := make(map[string]reference)
 	for ci, c := range cases {
 		f, err := reg.Lookup(c.field)
 		if err != nil {
@@ -294,7 +322,7 @@ func TestSlabScanDifferential(t *testing.T) {
 			norms := oracleNorms(t, g, raws, f, c.order)
 			sorted := append([]float64(nil), norms...)
 			sort.Float64s(sorted)
-			refs[key] = reference{norms, sorted[len(sorted)/2]}
+			refs[key] = slabReference{norms, sorted[len(sorted)/2]}
 		}
 		norms, threshold := refs[key].norms, refs[key].threshold
 
@@ -350,8 +378,8 @@ func TestSlabScanDifferential(t *testing.T) {
 		sort.Slice(want, func(i, j int) bool { return want[i].Code < want[j].Code })
 		ctx := fmt.Sprintf("%s %v (%s o%d ×%d scan %v)", c.name, c.box, c.field, c.order, c.procs, c.scan)
 		exactPoints(t, got, want, ctx)
-		if ci < len(slabGoldens) && counts != slabGoldens[ci] {
-			t.Errorf("%s: {AtomsRead, HaloAtoms, PointsExamined} = %v, pinned %v", ctx, counts, slabGoldens[ci])
+		if ci < len(goldens) && counts != goldens[ci] {
+			t.Errorf("%s: {AtomsRead, HaloAtoms, PointsExamined} = %v, pinned %v", ctx, counts, goldens[ci])
 		}
 		if [2]int(counts[:2]) != covered {
 			t.Errorf("%s: {AtomsRead, HaloAtoms} = %v, the cover predicate says %v", ctx, counts[:2], covered)

@@ -11,7 +11,6 @@ import (
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/faultinject"
 	"github.com/turbdb/turbdb/internal/mediator"
-	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/query"
@@ -216,8 +215,8 @@ func TestPeerSetFailoverToReplica(t *testing.T) {
 }
 
 // TestWireReplicatedMediatorFailover runs the full HTTP stack the daemons
-// assemble: node services advertising replica holdings, a mediator whose
-// topology is discovered from /info, and a primary whose query path dies.
+// assemble: node services advertising replica holdings, a mediator routing
+// by what their /info describes, and a primary whose query path dies.
 // The failover re-route (a scan-restricted request over the wire) must
 // keep the answer complete and identical to the healthy cluster's.
 func TestWireReplicatedMediatorFailover(t *testing.T) {
@@ -232,33 +231,6 @@ func TestWireReplicatedMediatorFailover(t *testing.T) {
 		t.Fatal("reference query returned nothing")
 	}
 
-	// Discover the topology exactly as turbdb-mediator -replicas does: range
-	// i is node i's primary, owned by i plus every node whose held ranges
-	// cover it (ring layout → node i-1).
-	topo := mediator.Topology{Version: 1, Ranges: ranges, Owners: make([][]int, len(ranges))}
-	for i := range ranges {
-		owners := []int{i}
-		for j, c := range clients {
-			if j == i {
-				continue
-			}
-			held, err := c.Held(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, h := range held {
-				if h.Lo <= ranges[i].Lo && ranges[i].Hi <= h.Hi {
-					owners = append(owners, j)
-					break
-				}
-			}
-		}
-		if len(owners) != 2 {
-			t.Fatalf("range %d has owners %v, want 2 in the k=2 ring", i, owners)
-		}
-		topo.Owners[i] = owners
-	}
-
 	// Node 1's query paths die; management (/info) stays up for assembly.
 	plan := faultinject.NewPlan(7,
 		&faultinject.Rule{Match: PathThreshold, Mode: faultinject.ModeError})
@@ -269,11 +241,18 @@ func TestWireReplicatedMediatorFailover(t *testing.T) {
 	mcs[1] = NewClient(baseURL(clients[1]), WithTransport(faultinject.NewTransport(nil, plan)))
 	m, err := mediator.New(mediator.Config{
 		Nodes: mcs, AllowPartial: true, Retry: fastRetryPolicy(),
-		Topology: &topo,
-		Members:  membership.NewTable(0, 1, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The nodes advertise the k = 2 ring: range i is node i's primary, held
+	// also by node i-1.
+	wantOwners := make([][]int, len(ranges))
+	for i := range ranges {
+		wantOwners[i] = []int{i, (i - 1 + len(ranges)) % len(ranges)}
+	}
+	if topo := m.Topology(); !reflect.DeepEqual(topo.Ranges, ranges) || !reflect.DeepEqual(topo.Owners, wantOwners) {
+		t.Fatalf("routing table %+v, want ranges %v owned by the ring %v", topo, ranges, wantOwners)
 	}
 
 	pts, stats, err := m.Threshold(ctx, nil, wireChaosQuery())

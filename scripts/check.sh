@@ -34,7 +34,7 @@ lane 'go vet ./...'
 go vet ./...
 lane_done
 
-# One report for the whole nine-analyzer suite. The -json report (active
+# One report for the whole eight-analyzer suite. The -json report (active
 # and suppressed findings with reasons, type errors, and the per-analyzer
 # timings that name the analyzer to look at when the lane's time grows)
 # goes to vet-report.json; the human-readable findings go to stderr.
@@ -110,13 +110,14 @@ lane_done
 # names) with two workers building and running every member's consumers
 # (-count=10, per the Go guide), and the drop that must forget every cached answer, threshold entries and
 # PDF histograms under any scan routing; and a kernel's reach — the slab
-# differential and the halo-hole skips against the face-band cover
-# predicate, and every field that declares axis reach evaluating bit for
-# bit with its edge and corner halo regions NaN.
+# differential (at the default atom side and at sides 4 and 16) and the
+# halo-hole skips against the face-band cover predicate, and every field
+# that declares axis reach evaluating bit for bit with its edge and corner
+# halo regions NaN.
 lane 'node scan (-race)'
 go test -race -count=10 -run 'TestScanContract' ./internal/node/...
 go test -race -run 'TestDropCacheForgetsPDF|TestDropCoversAggregatesAndScanKeys' . ./internal/cache/...
-go test -race -run 'TestSlabScanDifferential|TestPartialHaloHoleDegradesSlabToItsAtoms|TestAxisReach' ./internal/node/... ./internal/derived/... ./internal/fieldexpr/...
+go test -race -run 'TestSlabScanDifferential|TestSlabScanAtomSides|TestPartialHaloHoleDegradesSlabToItsAtoms|TestAxisReach' ./internal/node/... ./internal/derived/... ./internal/fieldexpr/...
 lane_done
 
 # Ordered-hit lane: a cache hit is an ordered read. The cache returns an
