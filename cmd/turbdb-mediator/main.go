@@ -14,13 +14,17 @@
 // nothing. SIGINT/SIGTERM drain in-flight queries for -drain, then cancel
 // them.
 //
-// The mediator routes by what the nodes advertise on /info: range i is
-// node i's primary range, held also by every node started with
-// -replica-shards covering it, and a dead primary's ranges re-route to a
-// live holder — partial answers are a last resort reserved for ranges with
-// every holder down. The -nodes list must cover the dataset exactly once:
-// a missing or repeated node is a startup error. -replicas k is a startup
-// bound: the mediator exits unless every range has at least k holders.
+// The mediator routes by the table membership.Describe reads off what the
+// nodes advertise on /info. Node i is the i-th URL of -nodes; its primary
+// range is owned by it first and then by every node started with
+// -replica-shards covering it, in ring order after node i — the order
+// membership.Place gives replicas. A range that only replica holders list
+// goes to them in -nodes order. A dead primary's ranges re-route to the
+// next live holder — partial answers are a last resort reserved for ranges
+// with every holder down. The held ranges must cover the dataset exactly
+// once: a range no listed node holds, or a node listed twice, is a startup
+// error. -replicas k is a startup bound: the mediator exits unless every
+// range has at least k holders.
 //
 // The concurrent query scheduler (on by default, -sched=false for the bare
 // mediator) adds admission control and shared-scan batching in front of the

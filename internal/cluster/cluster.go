@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/turbdb/turbdb/internal/cache"
@@ -100,28 +99,11 @@ type Cluster struct {
 	ssds      []*diskmodel.Device
 	peerLinks []*netmodel.Link
 	user      *netmodel.Link
-
-	table *membership.Table
-
-	// Placement in effect. Swapped atomically on every rebalance; in-flight
-	// halo fetches keep routing by the placement they snapshot.
-	//
-	//turbdb:lockrank cluster.placement 14
-	topoMu    sync.Mutex
-	placement *membership.Placement // guarded by topoMu
-	version   uint64                // guarded by topoMu; topology version counter
 }
 
 // simCores is the simulated CPU core count per node: paper nodes are dual
 // quad-core.
 const simCores = 8
-
-// placementSnapshot returns the placement in effect.
-func (c *Cluster) placementSnapshot() *membership.Placement {
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-	return c.placement
-}
 
 // peerFetcher routes halo-atom requests to the owning nodes, charging the
 // owner's disks and the inter-node link for the transfer.
@@ -130,24 +112,18 @@ type peerFetcher struct {
 	self int
 }
 
-// holders returns the peers able to serve an atom, in failover order: the
-// code's serving owners (Alive before Suspect/Leaving) excluding self.
-func (f *peerFetcher) holders(code morton.Code) []int {
-	hs := f.c.table.FailoverOrder(f.c.placementSnapshot().OwnersOf(code), nil)
-	if i := slices.Index(hs, f.self); i >= 0 {
-		hs = slices.Delete(hs, i, i+1)
-	}
-	return hs
-}
-
-// FetchAtoms implements node.PeerFetcher. A transient failure of one
+// FetchAtoms implements node.PeerFetcher. Every atom is routed by one
+// snapshot of the mediator's routing table, to its serving owners other
+// than self (Alive before Suspect/Leaving). A transient failure of one
 // holder re-routes the affected atoms to the next replica
 // (faulttol.Failover runs the rounds); the fetch fails when an atom has no
 // live holder left.
 func (f *peerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
+	pl, members := f.c.Mediator.Topology(), f.c.Mediator.Members()
 	holders := make([][]int, len(codes))
 	for i, code := range codes {
-		if holders[i] = f.holders(code); len(holders[i]) == 0 {
+		holders[i] = slices.DeleteFunc(members.FailoverOrder(pl.OwnersOf(code), nil), func(h int) bool { return h == f.self })
+		if len(holders[i]) == 0 {
 			return nil, fmt.Errorf("cluster: atom %v owned by no peer of node %d", code, f.self)
 		}
 	}
@@ -244,7 +220,6 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	c.table = membership.NewTable(ids...)
 	pl, err := membership.Place(g.AtomRange(), ids, cfg.Replication)
 	if err != nil {
 		return nil, err
@@ -296,15 +271,11 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 	for i, nd := range c.nodes {
 		clients[i] = nd
 	}
-	c.topoMu.Lock()
-	c.placement = &pl
-	c.version = 1
-	c.topoMu.Unlock()
+	// The nodes hold exactly pl, so the table the mediator reads off their
+	// holdings is pl, and it owns the membership table of their ids.
 	med, err := mediator.New(mediator.Config{
 		Nodes: clients, Kernel: c.Kernel, NodeLinks: nodeLinks, UserLink: c.user,
 		AllowPartial: cfg.AllowPartial && !cfg.Simulate,
-		Topology:     &mediator.Topology{Version: 1, Ranges: pl.Ranges, Owners: pl.Owners},
-		Members:      c.table,
 	})
 	if err != nil {
 		return nil, err
@@ -394,19 +365,16 @@ func namedDisk(s diskmodel.Spec, name string) diskmodel.Spec {
 // Generator returns the dataset source the cluster was built from.
 func (c *Cluster) Generator() Source { return c.gen }
 
-// Membership returns the cluster's membership table.
-func (c *Cluster) Membership() *membership.Table { return c.table }
+// Membership returns the cluster's membership table, the mediator's.
+func (c *Cluster) Membership() *membership.Table { return c.Mediator.Members() }
 
-// Placement returns a copy of the placement in effect.
-func (c *Cluster) Placement() membership.Placement { return *c.placementSnapshot() }
+// Placement returns the placement in effect, the mediator's routing table.
+// It is shared: callers must not modify it.
+func (c *Cluster) Placement() membership.Placement { return c.Mediator.Topology() }
 
 // TopologyVersion returns the routing-table version in effect: 1 after
 // Build, bumped by every Join and Leave.
-func (c *Cluster) TopologyVersion() uint64 {
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-	return c.version
-}
+func (c *Cluster) TopologyVersion() uint64 { return c.Mediator.Topology().Version }
 
 // Nodes returns the cluster's database nodes.
 func (c *Cluster) Nodes() []*node.Node { return c.nodes }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/turbdb/turbdb/internal/mediator"
 	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/sim"
@@ -25,15 +24,16 @@ import (
 // process; in real mode p is nil. ctx bounds the streaming.
 func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
 	id := len(c.nodes)
-	if err := c.table.Join(id); err != nil {
+	table := c.Membership()
+	if err := table.Join(id); err != nil {
 		return 0, err
 	}
-	members := append(c.table.Serving(), id)
+	members := append(table.Serving(), id)
 	newPl, err := membership.Place(c.gen.Grid().AtomRange(), members, c.cfg.Replication)
 	if err != nil {
 		return 0, err
 	}
-	oldPl := c.placementSnapshot()
+	oldPl := c.Placement()
 
 	nd, link, err := c.buildNode(id, primaryOf(newPl, id))
 	if err != nil {
@@ -46,7 +46,7 @@ func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
 	// re-split shifted onto them. Sources are the old placement's holders,
 	// which all still serve.
 	for _, m := range members {
-		if err := c.syncNode(ctx, p, m, newPl, *oldPl); err != nil {
+		if err := c.syncNode(ctx, p, m, newPl, oldPl); err != nil {
 			return 0, err
 		}
 	}
@@ -54,10 +54,10 @@ func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
 	if err := c.Mediator.RegisterNode(ctx, id, nd, link); err != nil {
 		return 0, err
 	}
-	if err := c.table.Activate(id); err != nil {
+	if err := table.Activate(id); err != nil {
 		return 0, err
 	}
-	return id, c.flipPlacement(newPl)
+	return id, c.Mediator.UpdateTopology(newPl)
 }
 
 // Leave drains node id out of the cluster: the node is marked
@@ -66,11 +66,12 @@ func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
 // flips, and the node is removed from membership. Its store is kept —
 // atoms are immutable, so the copies are simply unused.
 func (c *Cluster) Leave(ctx context.Context, p *sim.Proc, id int) error {
-	if err := c.table.Leave(id); err != nil {
+	table := c.Membership()
+	if err := table.Leave(id); err != nil {
 		return err
 	}
 	var members []int
-	for _, m := range c.table.Serving() {
+	for _, m := range table.Serving() {
 		if m != id {
 			members = append(members, m)
 		}
@@ -82,29 +83,17 @@ func (c *Cluster) Leave(ctx context.Context, p *sim.Proc, id int) error {
 	if err != nil {
 		return err
 	}
-	oldPl := c.placementSnapshot()
+	oldPl := c.Placement()
 	for _, m := range members {
-		if err := c.syncNode(ctx, p, m, newPl, *oldPl); err != nil {
+		if err := c.syncNode(ctx, p, m, newPl, oldPl); err != nil {
 			return err
 		}
 	}
-	if err := c.flipPlacement(newPl); err != nil {
+	if err := c.Mediator.UpdateTopology(newPl); err != nil {
 		return err
 	}
-	c.table.Remove(id)
+	table.Remove(id)
 	return nil
-}
-
-// flipPlacement installs a new placement in the cluster and the mediator.
-func (c *Cluster) flipPlacement(pl membership.Placement) error {
-	c.topoMu.Lock()
-	c.placement = &pl
-	c.version++
-	v := c.version
-	c.topoMu.Unlock()
-	return c.Mediator.UpdateTopology(mediator.Topology{
-		Version: v, Ranges: pl.Ranges, Owners: pl.Owners,
-	})
 }
 
 // primaryOf is PrimaryOf tolerating the not-a-member case (empty range).
@@ -147,7 +136,7 @@ func (c *Cluster) syncNode(ctx context.Context, p *sim.Proc, id int, pl, old mem
 	for _, code := range missing {
 		src := -1
 		for _, h := range old.OwnersOf(code) {
-			if h != id && c.table.State(h).Serving() {
+			if h != id && c.Membership().State(h).Serving() {
 				src = h
 				break
 			}

@@ -96,11 +96,8 @@ func replicatedChaos(t *testing.T, allowPartial bool, kills ...int) (*Cluster, *
 			}
 		}
 	}
-	pl := c.Placement()
 	m, err := mediator.New(mediator.Config{
 		Nodes: clients, AllowPartial: allowPartial, Retry: fastRetry(),
-		Topology: &mediator.Topology{Version: 1, Ranges: pl.Ranges, Owners: pl.Owners},
-		Members:  c.Membership(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -398,11 +395,8 @@ func TestFaultPlanKillPrimaryFailsOver(t *testing.T) {
 	for i, n := range c.Nodes() {
 		clients[i] = faultinject.WrapNode(n, plan, i)
 	}
-	pl := c.Placement()
 	m, err := mediator.New(mediator.Config{
 		Nodes: clients, AllowPartial: true, Retry: fastRetry(),
-		Topology: &mediator.Topology{Version: 1, Ranges: pl.Ranges, Owners: pl.Owners},
-		Members:  c.Membership(),
 	})
 	if err != nil {
 		t.Fatal(err)

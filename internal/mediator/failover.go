@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/turbdb/turbdb/internal/faulttol"
+	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/netmodel"
 	"github.com/turbdb/turbdb/internal/obs"
@@ -19,33 +20,6 @@ var (
 	mReroutes    = obs.Default().Counter("turbdb_failover_reroutes_total")
 	mTopoVersion = obs.Default().Gauge("turbdb_topology_version")
 )
-
-// Topology is the mediator's routing table under k-way placement: the
-// Morton ranges of the current placement and, per range, the nodes holding
-// it (primary first). Derived from membership.Placement by cluster
-// assembly and installed atomically via UpdateTopology on every rebalance,
-// or derived by New from what the nodes describe. Its non-empty ranges
-// tile the dataset's atom range exactly, so an answer merged from one
-// owner per range is the whole domain's, each cell once.
-type Topology struct {
-	// Version identifies the placement (bumped on every rebalance).
-	Version uint64
-	// Ranges are the placement's contiguous Morton ranges.
-	Ranges []morton.Range
-	// Owners[i] lists the node ids holding Ranges[i], primary first.
-	Owners [][]int
-}
-
-// clone deep-copies the topology so callers cannot mutate installed state.
-func (t Topology) clone() Topology {
-	out := Topology{Version: t.Version}
-	out.Ranges = append([]morton.Range(nil), t.Ranges...)
-	out.Owners = make([][]int, len(t.Owners))
-	for i, o := range t.Owners {
-		out.Owners[i] = append([]int(nil), o...)
-	}
-	return out
-}
 
 // errReplicasDown reports a range whose every replica was unavailable
 // before any RPC could be attempted (all owners down or unregistered). It
@@ -74,7 +48,7 @@ type peer struct {
 // is a consistent view for all its rounds and a concurrent rebalance never
 // splits one fan-out across two placements.
 type routing struct {
-	topo  Topology
+	topo  membership.Placement
 	peers map[int]*peer
 }
 
@@ -96,10 +70,13 @@ func (m *Mediator) newPeer(id int, c NodeClient, owned morton.Range, link *netmo
 }
 
 // UpdateTopology atomically installs a new routing table (a rebalance
-// flip). Queries already in flight finish on the placement they started
-// with. The table's non-empty ranges must tile the dataset's atom range,
-// and every owner must already be registered.
-func (m *Mediator) UpdateTopology(t Topology) error {
+// flip), numbered one above the table it replaces. Queries already in
+// flight finish on the table they started with. The table's non-empty
+// ranges must tile the dataset's atom range, so an answer merged from one
+// owner per range is the whole domain's, each cell once; and every owner
+// must already be registered. The table is installed as given: the caller
+// must not modify it afterwards.
+func (m *Mediator) UpdateTopology(t membership.Placement) error {
 	if len(t.Ranges) != len(t.Owners) {
 		return faulttol.Permanentf("mediator: topology has %d ranges but %d owner lists", len(t.Ranges), len(t.Owners))
 	}
@@ -118,7 +95,8 @@ func (m *Mediator) UpdateTopology(t Topology) error {
 			}
 		}
 	}
-	m.route = &routing{topo: t.clone(), peers: m.route.peers}
+	t.Version = m.route.topo.Version + 1
+	m.route = &routing{topo: t, peers: m.route.peers}
 	mTopoVersion.Set(int64(t.Version))
 	return nil
 }
@@ -150,14 +128,20 @@ func tiles(ranges []morton.Range, domain morton.Range) error {
 	return nil
 }
 
-// Topology returns a copy of the routing table in effect.
-func (m *Mediator) Topology() Topology { return m.routing().topo.clone() }
+// Topology returns the routing table in effect. It is shared: callers must
+// not modify it.
+func (m *Mediator) Topology() membership.Placement { return m.routing().topo }
+
+// Members returns the membership table the mediator routes by.
+func (m *Mediator) Members() *membership.Table { return m.members }
 
 // RegisterNode adds (or replaces) a node client — a joining node is
 // registered before the topology referencing it is installed, and is
-// routed to once the membership table serves it. In simulation mode link
-// carries its mediator↔node transfers. ctx bounds the validation
-// round-trip to the node.
+// routed to once the membership table serves it. An id the table does not
+// know (or knows as Left) joins it Alive; an id the caller has already
+// joined keeps its state. In simulation mode link carries its
+// mediator↔node transfers. ctx bounds the validation round-trip to the
+// node.
 func (m *Mediator) RegisterNode(ctx context.Context, id int, c NodeClient, link *netmodel.Link) error {
 	d, err := c.Describe(ctx)
 	if err != nil {
@@ -175,6 +159,9 @@ func (m *Mediator) RegisterNode(ctx context.Context, id int, c NodeClient, link 
 	}
 	peers[id] = pr
 	m.route = &routing{topo: m.route.topo, peers: peers}
+	if m.members.Join(id) == nil {
+		return m.members.Activate(id)
+	}
 	return nil
 }
 
@@ -333,12 +320,7 @@ func (m *Mediator) collectRangeFailures(failures []NodeFailure, total uint64, ra
 	for _, f := range failures {
 		missing += f.Owned.CellCount()
 	}
-	if total > 0 {
-		stats.Coverage = 1 - float64(missing)/float64(total)
-	} else {
-		// Degenerate topology (unknown ranges): fall back to range counts.
-		stats.Coverage = 1 - float64(len(failures))/float64(ranges)
-	}
+	stats.Coverage = 1 - float64(missing)/float64(total)
 	stats.Failures = failures
 	return nil
 }

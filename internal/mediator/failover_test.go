@@ -10,6 +10,7 @@ import (
 
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/faulttol"
+	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/query"
@@ -104,14 +105,6 @@ func TestCollectRangeFailures(t *testing.T) {
 			total: 16, ranges: 2,
 			wantErr: "all 2 ranges failed on every replica",
 		},
-		{
-			name:         "degenerate zero-cell topology falls back to range counts",
-			allowPartial: true,
-			failures:     []NodeFailure{{Node: 1, Owned: r(0, 0), Err: down}},
-			total:        0, ranges: 4,
-			wantCoverage: 0.75,
-			wantFailures: 1,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,7 +156,7 @@ func TestErrReplicasDownIsTransient(t *testing.T) {
 func TestTopologyValidation(t *testing.T) {
 	nodes, _ := buildNodes(t, 2)
 	r0, r1 := nodes[0].Owned(), nodes[1].Owned()
-	kOne := Topology{Version: 1, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {1}}}
+	kOne := membership.Placement{Version: 1, Members: []int{0, 1}, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {1}}}
 	m := mediatorOver(t, nodes)
 	if got := m.Topology(); !reflect.DeepEqual(got, kOne) {
 		t.Fatalf("Config{Nodes} routes by %+v, want the explicit k = 1 table %+v", got, kOne)
@@ -198,14 +191,14 @@ func TestTopologyValidation(t *testing.T) {
 	whole := morton.Range{Lo: r0.Lo, Hi: r1.Hi}
 	for _, tt := range []struct {
 		name string
-		topo Topology
+		topo membership.Placement
 	}{
-		{"UpdateTopology rejects a gap", Topology{Ranges: []morton.Range{r0}, Owners: [][]int{{0}}}},
-		{"UpdateTopology rejects an overlap", Topology{Ranges: []morton.Range{whole, r1}, Owners: [][]int{{0}, {1}}}},
-		{"UpdateTopology rejects a repeated range", Topology{Ranges: []morton.Range{r0, r0, r1}, Owners: [][]int{{0}, {1}, {1}}}},
-		{"UpdateTopology rejects an empty table", Topology{Version: 2}},
-		{"UpdateTopology rejects an unregistered owner", Topology{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {7}}}},
-		{"UpdateTopology rejects mismatched lengths", Topology{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}}}},
+		{"UpdateTopology rejects a gap", membership.Placement{Ranges: []morton.Range{r0}, Owners: [][]int{{0}}}},
+		{"UpdateTopology rejects an overlap", membership.Placement{Ranges: []morton.Range{whole, r1}, Owners: [][]int{{0}, {1}}}},
+		{"UpdateTopology rejects a repeated range", membership.Placement{Ranges: []morton.Range{r0, r0, r1}, Owners: [][]int{{0}, {1}, {1}}}},
+		{"UpdateTopology rejects an empty table", membership.Placement{Version: 2}},
+		{"UpdateTopology rejects an unregistered owner", membership.Placement{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {7}}}},
+		{"UpdateTopology rejects mismatched lengths", membership.Placement{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}}}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			permanent(t, m.UpdateTopology(tt.topo))
@@ -228,7 +221,7 @@ func TestTopologyValidation(t *testing.T) {
 		if err := m.RegisterNode(ctx, 1, replaced, nil); err != nil {
 			t.Fatal(err)
 		}
-		kTwo := Topology{Version: 2, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}, {1, 0}}}
+		kTwo := membership.Placement{Version: 2, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}, {1, 0}}}
 		if err := m.UpdateTopology(kTwo); err != nil {
 			t.Fatal(err)
 		}
@@ -244,6 +237,34 @@ func TestTopologyValidation(t *testing.T) {
 		}
 		if st.Coverage != 1 || !reflect.DeepEqual(got, want) {
 			t.Errorf("after the update: %d points at Coverage %v, want the %d points before it", len(got), st.Coverage, len(want))
+		}
+	})
+	// A node registered under an id the membership table does not know
+	// joins it Alive, so a table routing a range only to it answers that
+	// range.
+	t.Run("RegisterNode of a new id joins the membership table", func(t *testing.T) {
+		ctx := context.Background()
+		m := mediatorOver(t, nodes)
+		q := query.Threshold{Dataset: "isotropic", Field: derived.Vorticity, Threshold: 1}
+		want, _, err := m.Threshold(ctx, nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RegisterNode(ctx, 2, nodes[1], nil); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Members().State(2); st != membership.Alive {
+			t.Errorf("registered node 2 is %v, want Alive", st)
+		}
+		if err := m.UpdateTopology(membership.Placement{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {2}}}); err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := m.Threshold(ctx, nil, q)
+		if err != nil {
+			t.Fatalf("range 1 routed only to node 2: %v", err)
+		}
+		if st.Coverage != 1 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d points at Coverage %v, want the %d points before", len(got), st.Coverage, len(want))
 		}
 	})
 }

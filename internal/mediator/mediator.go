@@ -96,20 +96,6 @@ type Config struct {
 	// DescribeCtx bounds the constructor's Describe round-trips; nil
 	// means context.Background().
 	DescribeCtx context.Context
-
-	// Topology is the routing table: the fan-out targets ranges (not
-	// nodes), each range is sent to its first live owner, and a failed
-	// range fails over to the next replica before partial mode is even
-	// considered. Node i of Nodes is registered under id i; further nodes
-	// join via RegisterNode. nil means the table the nodes describe: range
-	// i is node i's Owned range, owned by node i and then, in index order,
-	// every other node whose Held ranges cover it — k = 1 when no node
-	// holds a replica. Its non-empty ranges must tile the dataset's domain.
-	Topology *Topology
-	// Members tracks node lifecycle and health for topology routing; nil
-	// means a table of Nodes' ids, all Alive. Breaker transitions feed
-	// back into it (open marks the node Suspect, closed marks it Alive).
-	Members *membership.Table
 }
 
 // Mediator is the query front end. Safe for concurrent use in real mode.
@@ -122,6 +108,9 @@ type Mediator struct {
 
 	allowPartial bool
 
+	// members tracks node lifecycle and health for routing. Breaker
+	// transitions feed back into it (open marks the node Suspect, closed
+	// marks it Alive).
 	members *membership.Table
 	policy  faulttol.Policy // retry/breaker tuning, real mode only
 	bcfg    faulttol.BreakerConfig
@@ -135,9 +124,12 @@ type Mediator struct {
 }
 
 // New validates the config, contacts every node for its description
-// (dataset, geometry, owned range) and builds a Mediator. A node that is
-// unreachable at assembly time is a constructor error — queries never
-// panic on an unavailable topology.
+// (dataset, geometry, held ranges) and builds a Mediator. Node i of Nodes
+// is registered under id i; further nodes join via RegisterNode. The
+// mediator routes by the table membership.Describe reads off the nodes'
+// holdings — k = 1 when no node holds a replica — and owns a membership
+// table of the ids, all Alive. A node that is unreachable at assembly time
+// is a constructor error — queries never panic on an unavailable topology.
 //
 //turbdb:ignore ctxpropagate the Describe round-trips are bounded by cfg.DescribeCtx; a ctx parameter would duplicate the config field
 func New(cfg Config) (*Mediator, error) {
@@ -149,12 +141,17 @@ func New(cfg Config) (*Mediator, error) {
 		ctx = context.Background()
 	}
 	descs := make([]node.Description, len(cfg.Nodes))
+	ids := make([]int, len(cfg.Nodes))
+	held := make([][]morton.Range, len(cfg.Nodes)) // what each node holds, primary first
 	for i, n := range cfg.Nodes {
 		d, err := n.Describe(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("mediator: node %d unreachable: %w", i, err)
 		}
-		descs[i] = d
+		descs[i], ids[i], held[i] = d, i, d.Held
+		if len(d.Held) == 0 {
+			held[i] = []morton.Range{d.Owned}
+		}
 	}
 	ds := descs[0].Dataset
 	for _, d := range descs[1:] {
@@ -170,13 +167,6 @@ func New(cfg Config) (*Mediator, error) {
 			return nil, faulttol.Permanent("mediator: user link required in simulation mode")
 		}
 	}
-	if cfg.Members == nil {
-		ids := make([]int, len(cfg.Nodes))
-		for i := range ids {
-			ids[i] = i
-		}
-		cfg.Members = membership.NewTable(ids...)
-	}
 	m := &Mediator{
 		grid:         descs[0].Grid,
 		dataset:      ds,
@@ -184,7 +174,7 @@ func New(cfg Config) (*Mediator, error) {
 		userLink:     cfg.UserLink,
 		exec:         &node.Exec{Kernel: cfg.Kernel},
 		allowPartial: cfg.AllowPartial,
-		members:      cfg.Members,
+		members:      membership.NewTable(ids...),
 	}
 	// Fault tolerance runs in real mode only: the simulation models a
 	// fault-free cluster on a virtual clock, where wall-clock backoff is
@@ -209,36 +199,10 @@ func New(cfg Config) (*Mediator, error) {
 	m.topoMu.Lock()
 	m.route = &routing{peers: peers}
 	m.topoMu.Unlock()
-	topo := cfg.Topology
-	if topo == nil {
-		topo = describedTopology(descs)
-	}
-	if err := m.UpdateTopology(*topo); err != nil {
+	if err := m.UpdateTopology(membership.Describe(held)); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// describedTopology is the routing table the nodes' descriptions imply:
-// range i is node i's Owned range, owned by node i first and then, in index
-// order, by every other node one of whose Held ranges covers it. Nodes that
-// hold no replicas give the k = 1 table; nodes holding their ring
-// successors' ranges give the k-way one.
-func describedTopology(descs []node.Description) *Topology {
-	t := &Topology{Version: 1, Ranges: make([]morton.Range, len(descs)), Owners: make([][]int, len(descs))}
-	for i, d := range descs {
-		t.Ranges[i] = d.Owned
-		t.Owners[i] = []int{i}
-		for j, dj := range descs {
-			for _, h := range dj.Held {
-				if j != i && h.Lo <= d.Owned.Lo && d.Owned.Hi <= h.Hi {
-					t.Owners[i] = append(t.Owners[i], j)
-					break
-				}
-			}
-		}
-	}
-	return t
 }
 
 // newExecutor builds the retry/breaker executor for one node in real mode.

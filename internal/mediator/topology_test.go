@@ -95,30 +95,31 @@ func (c *recordingClient) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK
 }
 
 // recorded wraps nodes in recording clients and assembles a mediator over
-// them; owners == nil means Config{Nodes} alone, otherwise the explicit
-// table Ranges[i] = nodes[i].Owned(), Owners = owners.
+// them; owners == nil means Config{Nodes} alone, otherwise New is followed
+// by UpdateTopology with the table Ranges[i] = nodes[i].Owned(), Owners =
+// owners.
 func recorded(t *testing.T, nodes []*node.Node, owners [][]int) (*Mediator, []*recordingClient, *membership.Table) {
 	t.Helper()
 	cfg := Config{AllowPartial: true, Retry: &faulttol.Policy{MaxAttempts: 1}}
 	recs := make([]*recordingClient, len(nodes))
-	ids := make([]int, len(nodes))
 	for i, n := range nodes {
 		recs[i] = &recordingClient{NodeClient: n}
 		cfg.Nodes = append(cfg.Nodes, recs[i])
-		ids[i] = i
-	}
-	if owners != nil {
-		cfg.Topology = &Topology{Version: 1, Owners: owners}
-		for _, n := range nodes {
-			cfg.Topology.Ranges = append(cfg.Topology.Ranges, n.Owned())
-		}
-		cfg.Members = membership.NewTable(ids...)
 	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, recs, cfg.Members
+	if owners != nil {
+		topo := membership.Placement{Owners: owners}
+		for _, n := range nodes {
+			topo.Ranges = append(topo.Ranges, n.Owned())
+		}
+		if err := m.UpdateTopology(topo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, recs, m.Members()
 }
 
 // answer is what one query shape returned: point sets (one per batch

@@ -208,3 +208,81 @@ func TestFailoverOrder(t *testing.T) {
 		})
 	}
 }
+
+// holdingsOf lists what each member of a placement holds, its primary
+// first and then its replica ranges in range order, as a node's store
+// reports them.
+func holdingsOf(p Placement) [][]morton.Range {
+	held := make([][]morton.Range, len(p.Members))
+	for i, id := range p.Members {
+		held[i] = []morton.Range{p.Ranges[i]}
+		for _, r := range p.RangesOf(id) {
+			if r != p.Ranges[i] {
+				held[i] = append(held[i], r)
+			}
+		}
+	}
+	return held
+}
+
+// TestDescribeInvertsPlace: for n = 1…8 members and k = 1…n, the holdings of
+// Place(domain, ids, k) describe exactly that placement — ranges, members
+// and replica order.
+func TestDescribeInvertsPlace(t *testing.T) {
+	domain := morton.Range{Lo: 0, Hi: 512}
+	for n := 1; n <= 8; n++ {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		for k := 1; k <= n; k++ {
+			p, err := Place(domain, ids, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Describe(holdingsOf(p)); !reflect.DeepEqual(got, p) {
+				t.Errorf("n = %d, k = %d: described %+v, placed %+v", n, k, got, p)
+			}
+		}
+	}
+}
+
+// TestDescribeUnknownHoldings pins Describe on holdings that are not a
+// whole placement: a node whose holdings are unknown loses its primary
+// claim, and its range goes to the nodes holding it as a replica.
+func TestDescribeUnknownHoldings(t *testing.T) {
+	domain := morton.Range{Lo: 0, Hi: 16}
+	p, err := Place(domain, []int{0, 1, 2, 3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 3, 0}; !reflect.DeepEqual(p.Owners[2], want) {
+		t.Fatalf("placed range 2 owners %v, want %v", p.Owners[2], want)
+	}
+	held := holdingsOf(p)
+	held[2] = nil
+	got := Describe(held)
+	if !reflect.DeepEqual(got.Ranges, p.Ranges) {
+		t.Fatalf("ranges %v, want %v", got.Ranges, p.Ranges)
+	}
+	want := [][]int{{0, 1}, {1, 3}, {0, 3}, {3, 0, 1}}
+	if !reflect.DeepEqual(got.Owners, want) {
+		t.Errorf("owners %v, want %v: node 2 unknown, range 2 to its replica holders in id order", got.Owners, want)
+	}
+
+	// At k = 1 an unknown node's range is held by no one: it is missing.
+	p1, err := Place(domain, []int{0, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = Describe([][]morton.Range{nil, {p1.Ranges[1]}})
+	if !reflect.DeepEqual(got.Ranges, p1.Ranges[1:]) || !reflect.DeepEqual(got.Owners, [][]int{{1}}) {
+		t.Errorf("described %+v, want only range 1, owned by node 1", got)
+	}
+
+	// Two nodes claiming one primary keep two ranges: the table overlaps.
+	got = Describe([][]morton.Range{{p1.Ranges[0]}, {p1.Ranges[1]}, {p1.Ranges[0]}})
+	if want := []morton.Range{p1.Ranges[0], p1.Ranges[0], p1.Ranges[1]}; !reflect.DeepEqual(got.Ranges, want) {
+		t.Errorf("ranges %v, want %v", got.Ranges, want)
+	}
+}

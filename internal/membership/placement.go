@@ -1,18 +1,22 @@
 package membership
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/turbdb/turbdb/internal/morton"
 )
 
-// Placement maps contiguous Morton ranges to k owner nodes each. It is a
-// pure function of (domain, sorted member set, k) — every node and the
-// mediator derive the identical placement independently, so no placement
-// state is ever exchanged.
+// Placement is the routing table: contiguous Morton ranges, each with the
+// nodes holding it, primary first. Two functions make one: Place derives it
+// from (domain, member set, k), a pure function every node and the
+// mediator can evaluate alike, and Describe reads it off what nodes hold.
+// A table is shared read-only once made — the mediator installs and hands
+// out its table without copying it.
 //
-// Invariants (relied on by the mediator's failover fan-out and the cluster
+// A placed table keeps these invariants (relied on by the cluster
 // rebalancer):
 //
 //   - Ranges partition the domain: they are disjoint, contiguous, sorted,
@@ -21,12 +25,17 @@ import (
 //     Members[i]; Owners[i][1:] are the replicas, the next members along
 //     the sorted ring.
 //   - len(Owners[i]) == min(k, len(Members)) for every i.
+//
+// A described table only has its ranges sorted; the mediator refuses to
+// install one whose non-empty ranges do not tile the domain.
 type Placement struct {
-	// Members is the sorted serving member set the placement was derived
-	// from.
+	// Version numbers the table among those a mediator installed (1 for
+	// the first); Place and Describe leave it zero.
+	Version uint64
+	// Members is the sorted member set the table was made over.
 	Members []int
-	// Ranges[i] is the i-th contiguous Morton range (member Members[i]'s
-	// primary).
+	// Ranges are the table's contiguous Morton ranges; Place and Describe
+	// sort them.
 	Ranges []morton.Range
 	// Owners[i] lists the nodes holding Ranges[i], primary first.
 	Owners [][]int
@@ -72,7 +81,8 @@ func Place(domain morton.Range, members []int, k int) (Placement, error) {
 	return p, nil
 }
 
-// PrimaryOf returns id's primary range (false if id is not a member).
+// PrimaryOf returns id's primary range in a placed table (false if id is
+// not a member).
 func (p Placement) PrimaryOf(id int) (morton.Range, bool) {
 	for i, m := range p.Members {
 		if m == id {
@@ -110,3 +120,56 @@ func (p Placement) OwnersOf(code morton.Code) []int {
 	}
 	return nil
 }
+
+// Describe reads the routing table off what nodes hold: held[i] lists node
+// i's ranges, its primary first, and nil means node i's holdings are
+// unknown. Every known primary is a range, owned first by its node; every
+// other held range that no primary covers is a range whose primary is
+// unknown. The nodes whose ranges cover a range follow its primary in ring
+// order after it — Place's order, so the holdings of a placed cluster
+// describe exactly that placement — or in id order when its primary is
+// unknown. Members are the ids 0…len(held)−1. Two nodes claiming one
+// primary give two equal ranges, which the mediator's tiling check refuses.
+func Describe(held [][]morton.Range) Placement {
+	type entry struct {
+		r       morton.Range
+		primary int // -1 when unknown
+	}
+	var es []entry
+	for i, hs := range held {
+		if len(hs) > 0 {
+			es = append(es, entry{hs[0], i})
+		}
+	}
+	for _, hs := range held {
+		for _, r := range hs[min(1, len(hs)):] {
+			if !slices.ContainsFunc(es, func(e entry) bool { return covers(e.r, r) }) {
+				es = append(es, entry{r, -1})
+			}
+		}
+	}
+	slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.r.Lo, b.r.Lo) })
+
+	n := len(held)
+	p := Placement{Members: make([]int, n), Ranges: make([]morton.Range, len(es)), Owners: make([][]int, len(es))}
+	for i := range p.Members {
+		p.Members[i] = i
+	}
+	for i, e := range es {
+		p.Ranges[i] = e.r
+		if e.primary >= 0 {
+			p.Owners[i] = []int{e.primary}
+		}
+		// From an unknown primary (-1) the ring walk is 0, 1, …, n−1.
+		for j := 1; j <= n; j++ {
+			h := (e.primary + j) % n
+			if h != e.primary && slices.ContainsFunc(held[h], func(hr morton.Range) bool { return covers(hr, e.r) }) {
+				p.Owners[i] = append(p.Owners[i], h)
+			}
+		}
+	}
+	return p
+}
+
+// covers reports whether a contains every code of b.
+func covers(a, b morton.Range) bool { return a.Lo <= b.Lo && b.Hi <= a.Hi }

@@ -273,6 +273,45 @@ func TestSlabScanAtomSides(t *testing.T) {
 			slabDifferential(t, side, nil, refs)
 		})
 	}
+	// One node and one worker over the whole domain: the shard is one slab
+	// of slabSide³ atoms, so its rows are slabSide·16 = 64 points, the
+	// widest row a scan buffer must hold.
+	t.Run("side 16 whole domain on one worker", func(t *testing.T) {
+		const gridN, order = 64, 4
+		raws := map[string]*field.Block{derived.Velocity: noise(gridN, 3, 1)}
+		n := clusterOfAtoms(t, gridN, 16, raws, 1, 1)[0]
+		f, err := n.registry.Lookup(derived.Vorticity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norms := oracleNorms(t, n.Grid(), raws, f, order)
+		sorted := append([]float64(nil), norms...)
+		sort.Float64s(sorted)
+		threshold := sorted[len(sorted)/2]
+		whole := grid.Box{Hi: grid.Point{X: gridN, Y: gridN, Z: gridN}}
+		res, err := n.GetThreshold(context.Background(), nil, query.Threshold{
+			Dataset: "noise", Field: derived.Vorticity, Threshold: threshold,
+			Box: whole, FDOrder: order, Limit: 1 << 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []query.ResultPoint
+		var p grid.Point
+		for p.Z = 0; p.Z < gridN; p.Z++ {
+			for p.Y = 0; p.Y < gridN; p.Y++ {
+				for p.X = 0; p.X < gridN; p.X++ {
+					if v := norms[(p.Z*gridN+p.Y)*gridN+p.X]; v >= threshold {
+						want = append(want, query.PointFor(p, v))
+					}
+				}
+			}
+		}
+		got := res.Points
+		sort.Slice(got, func(i, j int) bool { return got[i].Code < got[j].Code })
+		sort.Slice(want, func(i, j int) bool { return want[i].Code < want[j].Code })
+		exactPoints(t, got, want, "whole domain, side 16, one worker")
+	})
 }
 
 // slabReference is the oracle's answer for one (field, order): the norm of

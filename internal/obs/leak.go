@@ -17,15 +17,15 @@ type TB interface {
 // leakIgnore marks goroutines the runtime and test harness own; a stack dump
 // containing any of these substrings is never reported as a leak.
 var leakIgnore = []string{
-	"testing.(*T).Run",       // parent test goroutines parked on subtests
-	"testing.(*M).",          // the test main goroutine and its alarms
+	"testing.(*T).Run", // parent test goroutines parked on subtests
+	"testing.(*M).",    // the test main goroutine and its alarms
 	"testing.runTests",
-	"testing.tRunner.func",   // tRunner cleanup watchers
-	"os/signal.signal_recv",  // the runtime's signal-delivery goroutine
+	"testing.tRunner.func",  // tRunner cleanup watchers
+	"os/signal.signal_recv", // the runtime's signal-delivery goroutine
 	"os/signal.loop",
-	"runtime/pprof.",         // active profile collection
+	"runtime/pprof.", // active profile collection
 	"runtime.ReadTrace",
-	"created by runtime",     // GC background workers et al.
+	"created by runtime", // GC background workers et al.
 }
 
 // VerifyNoLeaks asserts that no goroutines beyond the caller's own and the

@@ -40,7 +40,9 @@ func TestThresholdValidateTable(t *testing.T) {
 		{"negative timestep", func(q *Threshold) { q.Timestep = -1 }, "negative timestep"},
 		{"negative threshold", func(q *Threshold) { q.Threshold = -0.5 }, "negative threshold"},
 		{"negative limit", func(q *Threshold) { q.Limit = -3 }, "limit must be positive"},
-		{"inverted box", func(q *Threshold) { q.Box = grid.Box{Lo: grid.Point{X: 8, Y: 8, Z: 8}, Hi: grid.Point{X: 4, Y: 4, Z: 4}} }, "empty box"},
+		{"inverted box", func(q *Threshold) {
+			q.Box = grid.Box{Lo: grid.Point{X: 8, Y: 8, Z: 8}, Hi: grid.Point{X: 4, Y: 4, Z: 4}}
+		}, "empty box"},
 		{"flat box", func(q *Threshold) {
 			q.Box = grid.Box{Lo: grid.Point{X: 4, Y: 4, Z: 4}, Hi: grid.Point{X: 4, Y: 8, Z: 8}}
 		}, "empty box"},

@@ -269,11 +269,8 @@ func failoverMediator(t *testing.T, c *cluster.Cluster, kill int) *mediator.Medi
 	for i, n := range c.Nodes() {
 		clients[i] = faultinject.WrapNode(n, plan, i)
 	}
-	pl := c.Placement()
 	m, err := mediator.New(mediator.Config{
 		Nodes: clients, AllowPartial: true, Retry: fastRetry(),
-		Topology: &mediator.Topology{Version: 1, Ranges: pl.Ranges, Owners: pl.Owners},
-		Members:  c.Membership(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,11 +321,8 @@ func TestSchedulerStressConcurrentNodeDeath(t *testing.T) {
 	for i, n := range c.Nodes() {
 		clients[i] = faultinject.WrapNode(n, plan, i)
 	}
-	pl := c.Placement()
 	m, err := mediator.New(mediator.Config{
 		Nodes: clients, AllowPartial: true, Retry: fastRetry(),
-		Topology: &mediator.Topology{Version: 1, Ranges: pl.Ranges, Owners: pl.Owners},
-		Members:  c.Membership(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -226,13 +226,13 @@ func bandDiff(t *testing.T, where string, cli *Client, tn *node.Node, fieldName 
 // none.
 func TestAtomsRejectsHostileBoxes(t *testing.T) {
 	clients, gen := startNodes(t, 1)
-	owned, err := clients[0].Owned(context.Background())
+	d, err := clients[0].Describe(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	side := gen.Grid().AtomSide
 	s := byte(side)
-	codes := []uint64{uint64(owned.Lo), uint64(owned.Lo) + 1}
+	codes := []uint64{uint64(d.Owned.Lo), uint64(d.Owned.Lo) + 1}
 	valid := []byte{0, 0, 0, s, s, s, 1, 2, 3, 4, 5, 6}
 	post := func(req AtomsRequest) (*http.Response, []byte) {
 		t.Helper()

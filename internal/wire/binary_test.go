@@ -447,7 +447,7 @@ func TestDifferentialReplicatedFailover(t *testing.T) {
 	}
 
 	// k=2 ring topology: range i is owned by node i and its ring predecessor.
-	topo := mediator.Topology{Version: 1, Ranges: ranges, Owners: make([][]int, len(ranges))}
+	topo := membership.Placement{Ranges: ranges, Owners: make([][]int, len(ranges))}
 	for i := range ranges {
 		topo.Owners[i] = []int{i, (i - 1 + len(ranges)) % len(ranges)}
 	}
@@ -462,10 +462,11 @@ func TestDifferentialReplicatedFailover(t *testing.T) {
 		WithTransport(faultinject.NewTransport(nil, plan)))
 	m, err := mediator.New(mediator.Config{
 		Nodes: mcs, AllowPartial: true, Retry: fastRetryPolicy(),
-		Topology: &topo,
-		Members:  membership.NewTable(0, 1, 2),
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UpdateTopology(topo); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,6 +13,7 @@ import (
 
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/grid"
+	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/obs"
@@ -365,12 +366,6 @@ func (c *Client) SetProcesses(ctx context.Context, p int) error {
 	return err
 }
 
-// Owned returns the node's primary atom range (nodes only).
-func (c *Client) Owned(ctx context.Context) (morton.Range, error) {
-	d, err := c.Describe(ctx)
-	return d.Owned, err
-}
-
 // Held returns every atom range the node's store holds — the primary plus
 // any adopted replica ranges (nodes only).
 func (c *Client) Held(ctx context.Context) ([]morton.Range, error) {
@@ -381,10 +376,12 @@ func (c *Client) Held(ctx context.Context) ([]morton.Range, error) {
 // PeerSet routes halo-atom fetches to the holding nodes of a cluster of
 // node services — the node.PeerFetcher for HTTP deployments. Holdings are
 // discovered from each service's /info (primary plus adopted replica
-// ranges), so under k-way replication an atom has several candidate peers
-// and a fetch fails over to the next holder when one is down. Each peer
-// gets its own retry policy and circuit breaker, so one dead peer fails
-// fast instead of stalling every halo exchange behind full timeouts.
+// ranges) and read into a routing table by membership.Describe, the rule
+// the mediator uses, so under k-way replication an atom has several
+// candidate peers, tried primary first and then in ring order, and a fetch
+// fails over to the next holder when one is down. Each peer gets its own
+// retry policy and circuit breaker, so one dead peer fails fast instead of
+// stalling every halo exchange behind full timeouts.
 type PeerSet struct {
 	clients []*Client
 	self    int
@@ -401,33 +398,12 @@ func NewPeerSet(clients []*Client, self int) *PeerSet {
 	return &PeerSet{clients: clients, self: self, ft: ft}
 }
 
-// holdersOf lists the peers holding code, primaries first so replicas only
-// serve when a primary is down. held[i] is peer i's held ranges.
-func (ps *PeerSet) holdersOf(code morton.Code, held [][]morton.Range) []int {
-	var primaries, replicas []int
-	for i, rs := range held {
-		if i == ps.self {
-			continue
-		}
-		for j, r := range rs {
-			if r.Contains(code) {
-				if j == 0 {
-					primaries = append(primaries, i)
-				} else {
-					replicas = append(replicas, i)
-				}
-				break
-			}
-		}
-	}
-	return append(primaries, replicas...)
-}
-
 // FetchAtoms implements node.PeerFetcher over HTTP. Atoms are batched per
 // holder; a transient failure re-routes the holder's batch to each atom's
 // next replica (faulttol.Failover runs the rounds), and only an atom with
 // every holder down fails the fetch. A peer whose holdings cannot be read
-// holds nothing for this fetch.
+// holds nothing for this fetch, and neither does self, whose holdings are
+// not read: its ranges go to the peers holding them as replicas.
 func (ps *PeerSet) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
 	held := make([][]morton.Range, len(ps.clients))
 	var unreadable error // the first peer whose holdings could not be read
@@ -440,11 +416,12 @@ func (ps *PeerSet) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string,
 			unreadable = fmt.Errorf("wire: peer %d: %w", i, err)
 		}
 	}
+	table := membership.Describe(held)
 
 	holders := make([][]int, len(codes))
 	unheld := 0
 	for i, code := range codes {
-		if holders[i] = ps.holdersOf(code, held); len(holders[i]) == 0 {
+		if holders[i] = table.OwnersOf(code); len(holders[i]) == 0 {
 			unheld++
 		}
 	}

@@ -35,12 +35,9 @@ func TestFromCacheAfterPrimaryDeath(t *testing.T) {
 		clients[i] = n
 	}
 	clients[1] = faultinject.WrapNode(c.Nodes()[1], plan, 1)
-	pl := c.Placement()
 	m, err := mediator.New(mediator.Config{
 		Nodes: clients, Retry: fastRetryPolicy(),
-		Breaker:  &faulttol.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour},
-		Topology: &mediator.Topology{Version: 1, Ranges: pl.Ranges, Owners: pl.Owners},
-		Members:  c.Membership(),
+		Breaker: &faulttol.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)

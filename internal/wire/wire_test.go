@@ -82,13 +82,13 @@ func (h *httpPeers) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string
 		if i == h.self {
 			continue
 		}
-		owned, err := c.Owned(context.Background())
+		d, err := c.Describe(context.Background())
 		if err != nil {
 			return nil, err
 		}
 		var mine []morton.Code
 		for _, code := range codes {
-			if owned.Contains(code) {
+			if d.Owned.Contains(code) {
 				mine = append(mine, code)
 			}
 		}
@@ -189,23 +189,23 @@ func TestMediatorService(t *testing.T) {
 func TestFetchAtomsOverWire(t *testing.T) {
 	fetch := func(expectFrames bool, opts ...ServerOption) []byte {
 		clients, gen := startNodes(t, 2, opts...)
-		owned, err := clients[0].Owned(context.Background())
+		d, err := clients[0].Describe(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		peer, hop := recordedClients(clients[:1], ProtoJSON)
-		blobs, err := peer[0].FetchAtoms(context.Background(), nil, derived.Velocity, 0, []morton.Code{owned.Lo})
+		blobs, err := peer[0].FetchAtoms(context.Background(), nil, derived.Velocity, 0, []morton.Code{d.Owned.Lo})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := gen.Grid().PointsPerAtom() * 3 * 4
-		if len(blobs[owned.Lo]) != want {
-			t.Errorf("atom blob %d bytes, want %d", len(blobs[owned.Lo]), want)
+		if len(blobs[d.Owned.Lo]) != want {
+			t.Errorf("atom blob %d bytes, want %d", len(blobs[d.Owned.Lo]), want)
 		}
 		if hop.allFrames(PathAtoms) != expectFrames {
 			t.Errorf("halo hop encodings %v, want frames: %v", hop.seen[PathAtoms], expectFrames)
 		}
-		return blobs[owned.Lo]
+		return blobs[d.Owned.Lo]
 	}
 	if framed, fallback := fetch(true), fetch(false, WithJSONOnly()); !bytes.Equal(framed, fallback) {
 		t.Error("the frame and the JSON halo hop returned different blobs")

@@ -34,6 +34,11 @@ lane 'go vet ./...'
 go vet ./...
 lane_done
 
+# Formatting: every Go file, bench/ included, is gofmt-clean.
+lane 'gofmt -l .'
+test -z "$(gofmt -l .)"
+lane_done
+
 # One report for the whole eight-analyzer suite. The -json report (active
 # and suppressed findings with reasons, type errors, and the per-analyzer
 # timings that name the analyzer to look at when the lane's time grows)
@@ -75,7 +80,7 @@ lane_done
 # and failover test ends in obs.VerifyNoLeaks, so a leaked goroutine in the
 # fan-out or streaming paths fails this lane.
 lane 'replica failover chaos (-race)'
-go test -race -run 'Failover|Elastic|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath' \
+go test -race -run 'Failover|Elastic|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath|DescribeInvertsPlace|DescribeUnknownHoldings' \
 	./internal/faulttol/... ./internal/membership/... ./internal/mediator/... ./internal/cluster/... ./internal/wire/...
 lane_done
 
