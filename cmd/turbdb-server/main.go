@@ -129,22 +129,19 @@ func main() {
 		}
 	}
 
-	var fetcher node.PeerFetcher
+	n, err := node.New(node.Config{
+		ID: *nodeID, Dataset: manifest.Dataset, Store: st, Cache: ca,
+		Processes: *processes, AllowPartialHalo: *partial,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *peers != "" {
 		var clients []*wire.Client
 		for _, url := range strings.Split(*peers, ",") {
 			clients = append(clients, wire.NewClient(strings.TrimSpace(url)))
 		}
-		fetcher = wire.NewPeerSet(clients, *nodeID)
-	}
-
-	n, err := node.New(node.Config{
-		ID: *nodeID, Dataset: manifest.Dataset, Store: st, Cache: ca,
-		Peers: fetcher, Processes: *processes,
-		AllowPartialHalo: *partial,
-	})
-	if err != nil {
-		log.Fatal(err)
+		n.SetPeers(wire.NewPeerSet(clients, *nodeID))
 	}
 
 	fmt.Printf("node %d serving %s shard %v on %s (cache=%v, %d processes)\n",

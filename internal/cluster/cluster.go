@@ -95,9 +95,7 @@ type Cluster struct {
 	gen       Source
 	cfg       Config // defaults resolved; drives buildNode for joiners
 	nodes     []*node.Node
-	hdds      []*diskmodel.Device
-	ssds      []*diskmodel.Device
-	peerLinks []*netmodel.Link
+	peerLinks []*netmodel.Link // one per node, appended by buildNode in simulation
 	user      *netmodel.Link
 }
 
@@ -147,7 +145,7 @@ func (f *peerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField stri
 				total += len(b)
 			}
 			if f.c.Kernel != nil && fp != nil {
-				f.c.peerLink(owner).Transfer(fp, total)
+				f.c.peerLinks[owner].Transfer(fp, total)
 			}
 			results[i] = blobs
 		}
@@ -176,9 +174,6 @@ func (f *peerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField stri
 	}
 	return out, nil
 }
-
-// peerLinks are created lazily per owner node.
-func (c *Cluster) peerLink(owner int) *netmodel.Link { return c.peerLinks[owner] }
 
 // Build assembles a cluster over the source's dataset and ingests every
 // raw field at every time-step into the node stores.
@@ -339,8 +334,6 @@ func (c *Cluster) buildNode(i int, primary morton.Range) (*node.Node, *netmodel.
 		return nil, nil, err
 	}
 	c.nodes = append(c.nodes, nd)
-	c.hdds = append(c.hdds, hdd)
-	c.ssds = append(c.ssds, ssd)
 	var link *netmodel.Link
 	if cfg.Simulate {
 		link, err = netmodel.New(c.Kernel, netmodel.ClusterLink(fmt.Sprintf("fabric%d", i)))
@@ -372,18 +365,8 @@ func (c *Cluster) Membership() *membership.Table { return c.Mediator.Members() }
 // It is shared: callers must not modify it.
 func (c *Cluster) Placement() membership.Placement { return c.Mediator.Topology() }
 
-// TopologyVersion returns the routing-table version in effect: 1 after
-// Build, bumped by every Join and Leave.
-func (c *Cluster) TopologyVersion() uint64 { return c.Mediator.Topology().Version }
-
 // Nodes returns the cluster's database nodes.
 func (c *Cluster) Nodes() []*node.Node { return c.nodes }
-
-// HDD returns node i's data device (nil in real mode).
-func (c *Cluster) HDD(i int) *diskmodel.Device { return c.hdds[i] }
-
-// SSD returns node i's cache device (nil in real mode).
-func (c *Cluster) SSD(i int) *diskmodel.Device { return c.ssds[i] }
 
 // RunQuery executes fn as a simulated user process and returns the virtual
 // time it took; in real mode fn runs inline (p == nil) and wall time is

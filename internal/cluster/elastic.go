@@ -168,7 +168,7 @@ func (c *Cluster) syncNode(ctx context.Context, p *sim.Proc, id int, pl, old mem
 					total += len(b)
 				}
 				if c.Kernel != nil && p != nil {
-					c.peerLink(src).Transfer(p, total)
+					c.peerLinks[src].Transfer(p, total)
 				}
 				for code, b := range blobs {
 					if err := st.Put(rf.Name, step, code, b); err != nil {

@@ -271,7 +271,7 @@ func TestElasticJoinLeaveReal(t *testing.T) {
 			}
 			sameBits(t, got, want, "after leave")
 
-			if v := c.TopologyVersion(); v != 3 {
+			if v := c.Placement().Version; v != 3 {
 				t.Errorf("topology version = %d after two rebalances, want 3", v)
 			}
 		})

@@ -63,18 +63,6 @@ func Bin(v, min, width float64, bins int) int {
 // Add records one observation.
 func (h *Histogram) Add(v float64) { h.Counts[h.Bin(v)]++ }
 
-// Merge accumulates another histogram with identical geometry.
-func (h *Histogram) Merge(o *Histogram) error {
-	// geometry fields are copied verbatim, not recomputed, so exact match is the contract
-	if o.Min != h.Min || o.Width != h.Width || len(o.Counts) != len(h.Counts) {
-		return fmt.Errorf("hist: geometry mismatch")
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	return nil
-}
-
 // Total returns the number of observations.
 func (h *Histogram) Total() int64 {
 	var t int64
@@ -119,18 +107,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return h.Min + float64(len(h.Counts))*h.Width
-}
-
-// CountAbove returns the number of observations in bins entirely ≥ v
-// (a lower bound on the true count above v).
-func (h *Histogram) CountAbove(v float64) int64 {
-	var t int64
-	for i, c := range h.Counts {
-		if h.Min+float64(i)*h.Width >= v {
-			t += c
-		}
-	}
-	return t
 }
 
 // String renders a log-scale bar chart like the paper's Fig. 2.

@@ -68,28 +68,6 @@ func TestBinNeverLeavesRange(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, _ := New(0, 1, 4)
-	b, _ := New(0, 1, 4)
-	a.Add(0.5)
-	b.Add(0.5)
-	b.Add(3.5)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts[0] != 2 || a.Counts[3] != 1 {
-		t.Errorf("merged = %v", a.Counts)
-	}
-	c, _ := New(0, 2, 4)
-	if err := a.Merge(c); err == nil {
-		t.Error("merged mismatched geometry")
-	}
-	d, _ := New(1, 1, 4)
-	if err := a.Merge(d); err == nil {
-		t.Error("merged mismatched min")
-	}
-}
-
 func TestEdgeLabels(t *testing.T) {
 	h, _ := New(0, 10, 3)
 	if h.EdgeLabel(0) != "[0,10)" || h.EdgeLabel(2) != "[20,..)" {
@@ -123,19 +101,6 @@ func TestQuantileEmpty(t *testing.T) {
 	h, _ := New(5, 1, 4)
 	if got := h.Quantile(0.5); got != 5 {
 		t.Errorf("empty quantile = %g", got)
-	}
-}
-
-func TestCountAbove(t *testing.T) {
-	h, _ := New(0, 10, 5)
-	for _, v := range []float64{5, 15, 25, 35, 45, 46} {
-		h.Add(v)
-	}
-	if got := h.CountAbove(20); got != 4 {
-		t.Errorf("CountAbove(20) = %d", got)
-	}
-	if got := h.CountAbove(0); got != 6 {
-		t.Errorf("CountAbove(0) = %d", got)
 	}
 }
 

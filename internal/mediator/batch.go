@@ -35,13 +35,6 @@ type BatchAnswer struct {
 	Err    error
 }
 
-// batchCompatible reports whether two normalized members may share a scan.
-// Scan is not compared: the mediator assigns it per node.
-func batchCompatible(a, b query.Threshold) bool {
-	return a.Dataset == b.Dataset && a.Field == b.Field &&
-		a.FDOrder == b.FDOrder && a.Timestep == b.Timestep
-}
-
 // ThresholdBatch evaluates several threshold queries over the same (field,
 // order, step) in one fan-out: each node sees the whole batch once and
 // shares a scan across the members. Answers come back per member and are
@@ -107,10 +100,10 @@ func (m *Mediator) thresholds(ctx context.Context, p *sim.Proc, qs []query.Thres
 			mQueryErrs.Add(int64(len(qs)))
 			return err
 		}
-		if i > 0 && !batchCompatible(qs[0], qs[i]) {
+		if i > 0 && qs[i].BatchKey() != qs[0].BatchKey() {
 			psp.End()
 			mQueryErrs.Add(int64(len(qs)))
-			return faulttol.Permanentf("mediator: batch member %d disagrees with member 0 on (field, order, step)", i)
+			return faulttol.Permanentf("mediator: batch member %d disagrees with member 0 on (dataset, field, order, step)", i)
 		}
 	}
 	psp.End()

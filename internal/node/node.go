@@ -89,10 +89,6 @@ type Config struct {
 	Cache *cache.Cache
 	// Registry resolves field names; nil uses the standard catalog.
 	Registry *derived.Registry
-	// Peers fetches halo atoms from other nodes; nil is valid for a
-	// single-node cluster (the halo wraps onto the node itself, which is
-	// detected via Store ownership).
-	Peers PeerFetcher
 	// Processes is the number of worker processes used per query (the
 	// paper's scale-up knob, 1–8). Defaults to 1.
 	Processes int
@@ -163,7 +159,6 @@ func New(cfg Config) (*Node, error) {
 		store:       cfg.Store,
 		cache:       cfg.Cache,
 		registry:    cfg.Registry,
-		peers:       cfg.Peers,
 		processes:   cfg.Processes,
 		exec:        cfg.Exec,
 		costs:       cfg.Costs,
@@ -293,6 +288,7 @@ func (n *Node) FetchAtoms(ctx context.Context, _ *sim.Proc, rawField string, ste
 	return n.store.ReadAtoms(nil, rawField, step, codes)
 }
 
-// SetPeers installs the halo-exchange fetcher (done by cluster assembly
-// after all nodes exist).
+// SetPeers installs the halo-exchange fetcher, once all nodes exist and
+// before the node serves. A node with none is valid for a single-node
+// cluster: the halo wraps onto the node itself, detected via Store ownership.
 func (n *Node) SetPeers(p PeerFetcher) { n.peers = p }

@@ -197,8 +197,7 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 		}
 		if i == 0 {
 			q0 = q
-		} else if q.Dataset != q0.Dataset || q.Field != q0.Field || q.FDOrder != q0.FDOrder ||
-			q.Timestep != q0.Timestep || !slices.Equal(q.Scan, q0.Scan) {
+		} else if q.BatchKey() != q0.BatchKey() || !slices.Equal(q.Scan, q0.Scan) {
 			return nil, faulttol.Permanentf("node: batch member %d disagrees with member 0 on (dataset, field, order, step, scan)", i)
 		}
 		ms[i] = &thresholdMember{q: q}

@@ -48,9 +48,6 @@ var disabled atomic.Bool
 // no spans are recorded anywhere.
 func SetDisabled(v bool) { disabled.Store(v) }
 
-// Disabled reports whether observability is globally disabled.
-func Disabled() bool { return disabled.Load() }
-
 // Counter is a monotonically increasing metric. The zero value is usable;
 // obtain registered instances from Registry.Counter.
 type Counter struct {

@@ -267,15 +267,6 @@ func TraceFrom(ctx context.Context) *Trace {
 	return ct.t
 }
 
-// SpanIDFrom returns the current span ID in ctx (0 when none).
-func SpanIDFrom(ctx context.Context) uint64 {
-	if ctx == nil {
-		return 0
-	}
-	ct, _ := ctx.Value(ctxKey{}).(ctxTrace)
-	return ct.parent
-}
-
 // ActiveSpan is a handle to an open span. The zero value (returned when no
 // trace is attached) is a no-op, so instrumentation never branches.
 type ActiveSpan struct {

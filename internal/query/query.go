@@ -104,6 +104,20 @@ func (q Threshold) Normalize(domain grid.Box) Threshold {
 	return q
 }
 
+// BatchKey is what threshold queries must share for one node scan to answer
+// them all: the data the scan reads. Boxes, thresholds, limits and tenants
+// may differ. Scan is left out: the mediator assigns it per node request,
+// so a node compares it too, but a user's Scan never reaches a node.
+type BatchKey struct {
+	Dataset, Field    string
+	FDOrder, Timestep int
+}
+
+// BatchKey returns the key of a normalized query.
+func (q Threshold) BatchKey() BatchKey {
+	return BatchKey{Dataset: q.Dataset, Field: q.Field, FDOrder: q.FDOrder, Timestep: q.Timestep}
+}
+
 // Validate checks the query against a dataset domain.
 func (q Threshold) Validate(domain grid.Box) error {
 	q = q.Normalize(domain)

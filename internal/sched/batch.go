@@ -1,7 +1,7 @@
 package sched
 
 // Shared-scan batching, group-commit shaped: a threshold query whose
-// (dataset, field, order, step, scan) key is idle — no open batch, nothing
+// query.BatchKey (dataset, field, order, step) is idle — no open batch, nothing
 // in flight — runs now, alone, on its caller's goroutine. Queries arriving
 // while the key is in flight open or join a batch, which executes when the
 // key's in-flight work drains to zero (the handoff) or when its
@@ -22,43 +22,10 @@ import (
 	"time"
 
 	"github.com/turbdb/turbdb/internal/mediator"
-	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
 )
-
-// batchKey groups queries that may share a node-side scan. Boxes,
-// thresholds, limits and tenants may differ between members; the scan
-// signature folds replica routing in (queries routed differently must not
-// merge).
-type batchKey struct {
-	dataset string
-	field   string
-	fdOrder int
-	step    int
-	scanSig string
-}
-
-// scanSig serializes a scan restriction for the key.
-func scanSig(scan []morton.Range) string {
-	if len(scan) == 0 {
-		return ""
-	}
-	sig := make([]byte, 0, 16*len(scan))
-	for _, r := range scan {
-		sig = appendUint(sig, uint64(r.Lo))
-		sig = appendUint(sig, uint64(r.Hi))
-	}
-	return string(sig)
-}
-
-func appendUint(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
-}
 
 // memberResult is what the executor hands one member.
 type memberResult struct {
@@ -76,7 +43,7 @@ type member struct {
 
 // batch is one open batching window.
 type batch struct {
-	key    batchKey
+	key    query.BatchKey
 	ctx    context.Context
 	cancel context.CancelFunc
 	trace  *obs.Trace
@@ -103,10 +70,7 @@ func (s *Scheduler) runBatched(ctx context.Context, p *sim.Proc, q query.Thresho
 	if err := nq.Validate(domain); err != nil {
 		return nil, nil, err
 	}
-	key := batchKey{
-		dataset: nq.Dataset, field: nq.Field, fdOrder: nq.FDOrder,
-		step: nq.Timestep, scanSig: scanSig(nq.Scan),
-	}
+	key := nq.BatchKey()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -149,7 +113,7 @@ func (s *Scheduler) runBatched(ctx context.Context, p *sim.Proc, q query.Thresho
 // detaches from the opening member (whose own ctx may be cancelled while
 // other members still want the answer) but carries a fresh trace whose
 // spans are delivered to every member.
-func (s *Scheduler) newBatchLocked(ctx context.Context, key batchKey) *batch {
+func (s *Scheduler) newBatchLocked(ctx context.Context, key query.BatchKey) *batch {
 	btr := obs.NewTrace(obs.NewTraceID(), nil)
 	bctx, cancel := context.WithCancel(obs.ContextWithTrace(context.WithoutCancel(ctx), btr))
 	b := &batch{
@@ -178,7 +142,7 @@ func (s *Scheduler) leaveBatch(b *batch) {
 // drain ends one unit of the key's in-flight work. The last one out hands
 // off to the key's open batch, if any, which then executes without waiting
 // out its window.
-func (s *Scheduler) drain(key batchKey) {
+func (s *Scheduler) drain(key query.BatchKey) {
 	s.mu.Lock()
 	s.inflight[key]--
 	if s.inflight[key] == 0 {

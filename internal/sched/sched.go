@@ -1,7 +1,7 @@
 // Package sched is the mediator-side concurrent query scheduler: an
 // admission queue with per-tenant resource pools (quotas + priorities,
 // modeled on Vertica's resource pools), shared-scan batching of concurrent
-// threshold queries over the same (field, order, step), and the obs wiring
+// threshold queries with one query.BatchKey, and the obs wiring
 // that makes both visible (queue-depth/occupancy gauges, admission-wait and
 // latency histograms, scans-saved counters).
 //
@@ -169,13 +169,13 @@ type Scheduler struct {
 	//
 	//turbdb:lockrank sched.state 11
 	mu       sync.Mutex
-	closed   bool                    // guarded by mu
-	running  int                     // guarded by mu
-	seq      uint64                  // guarded by mu
-	tenants  map[string]*tenantState // guarded by mu
-	queue    []*waiter               // guarded by mu; arrival (seq) order
-	batches  map[batchKey]*batch     // guarded by mu; open, unsealed batches
-	inflight map[batchKey]int        // guarded by mu; running solo scans + sealed batches per key
+	closed   bool                      // guarded by mu
+	running  int                       // guarded by mu
+	seq      uint64                    // guarded by mu
+	tenants  map[string]*tenantState   // guarded by mu
+	queue    []*waiter                 // guarded by mu; arrival (seq) order
+	batches  map[query.BatchKey]*batch // guarded by mu; open, unsealed batches
+	inflight map[query.BatchKey]int    // guarded by mu; running solo scans + sealed batches per key
 
 	wg sync.WaitGroup // batch executors; joined by Close
 }
@@ -203,8 +203,8 @@ func New(b Backend, cfg Config) (*Scheduler, error) {
 		backend:  b,
 		cfg:      cfg,
 		tenants:  make(map[string]*tenantState),
-		batches:  make(map[batchKey]*batch),
-		inflight: make(map[batchKey]int),
+		batches:  make(map[query.BatchKey]*batch),
+		inflight: make(map[query.BatchKey]int),
 	}, nil
 }
 
@@ -409,7 +409,7 @@ func (s *Scheduler) Close() {
 	for _, b := range s.batches {
 		close(b.flush)
 	}
-	s.batches = make(map[batchKey]*batch)
+	s.batches = make(map[query.BatchKey]*batch)
 	s.mu.Unlock()
 	s.wg.Wait()
 }

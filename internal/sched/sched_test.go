@@ -16,6 +16,7 @@ import (
 
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/mediator"
+	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
@@ -595,6 +596,44 @@ func TestSchedWorkConserving(t *testing.T) {
 			t.Fatalf("after the burst: %d keys in flight, %d batches open", inflight, open)
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestSchedUserScanSharesBatch: followers that differ only in a user Scan
+// share one batch. The mediator sets Scan on every node request, so a
+// user's Scan changes no answer and must not split a batch.
+func TestSchedUserScanSharesBatch(t *testing.T) {
+	defer obs.VerifyNoLeaks(t)
+	b := newGated(t)
+	s, err := New(b, Config{MaxConcurrent: 8, BatchWindow: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	leader := goThreshold(s, context.Background(), stubQuery("leader", 1))
+	awaitEntered(t, b)
+	var followers []<-chan answer
+	for i, scan := range [][]morton.Range{{{Lo: 0, Hi: 4}}, {{Lo: 4, Hi: 8}}} {
+		q := stubQuery("viz", float64(2+i))
+		q.Scan = scan
+		followers = append(followers, goThreshold(s, context.Background(), q))
+	}
+	waitParked(t, s, 2)
+	close(b.gate)
+	if r := await(t, leader, "leader never returned"); r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, f := range followers {
+		if r := await(t, f, "follower never returned"); r.err != nil || len(r.pts) != 1 || r.pts[0].Value != float32(2+i) {
+			t.Fatalf("follower %d: %v %v", i, r.pts, r.err)
+		}
+	}
+	b.mu.Lock()
+	batchCalls, members := b.batchCalls, b.batchMembers
+	b.mu.Unlock()
+	if batchCalls != 1 || members != 2 {
+		t.Fatalf("%d batch calls with %d members, want the two followers in one", batchCalls, members)
 	}
 }
 

@@ -278,38 +278,3 @@ func (p *Proc) Wait(l *Latch) {
 	l.waiters = append(l.waiters, p)
 	p.park("latch wait")
 }
-
-// Stopwatch measures virtual-time spans, for phase breakdowns.
-type Stopwatch struct {
-	k       *Kernel
-	started time.Duration
-	total   time.Duration
-	running bool
-}
-
-// NewStopwatch creates a stopped stopwatch.
-func (k *Kernel) NewStopwatch() *Stopwatch { return &Stopwatch{k: k} }
-
-// Start begins (or resumes) timing.
-func (s *Stopwatch) Start() {
-	if !s.running {
-		s.started = s.k.now
-		s.running = true
-	}
-}
-
-// Stop pauses timing, accumulating the elapsed span.
-func (s *Stopwatch) Stop() {
-	if s.running {
-		s.total += s.k.now - s.started
-		s.running = false
-	}
-}
-
-// Total returns the accumulated time (including a running span).
-func (s *Stopwatch) Total() time.Duration {
-	if s.running {
-		return s.total + (s.k.now - s.started)
-	}
-	return s.total
-}

@@ -204,28 +204,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	k := New()
-	var total time.Duration
-	k.Go("p", func(p *Proc) {
-		sw := k.NewStopwatch()
-		sw.Start()
-		p.Delay(4 * time.Millisecond)
-		sw.Stop()
-		p.Delay(10 * time.Millisecond) // not timed
-		sw.Start()
-		p.Delay(6 * time.Millisecond)
-		sw.Stop()
-		total = sw.Total()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if total != 10*time.Millisecond {
-		t.Errorf("stopwatch total %v, want 10ms", total)
-	}
-}
-
 func TestSpawnFromWithinProcess(t *testing.T) {
 	k := New()
 	var childRan bool
@@ -329,27 +307,6 @@ func TestQueueLenAndCapacity(t *testing.T) {
 	}
 	if r.QueueLen() != 0 {
 		t.Error("queue not drained")
-	}
-}
-
-func TestStopwatchWhileRunning(t *testing.T) {
-	k := New()
-	k.Go("p", func(p *Proc) {
-		sw := k.NewStopwatch()
-		sw.Start()
-		sw.Start() // idempotent
-		p.Delay(3 * time.Millisecond)
-		if sw.Total() != 3*time.Millisecond {
-			t.Errorf("running total = %v", sw.Total())
-		}
-		sw.Stop()
-		sw.Stop() // idempotent
-		if sw.Total() != 3*time.Millisecond {
-			t.Errorf("stopped total = %v", sw.Total())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

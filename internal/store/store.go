@@ -48,9 +48,8 @@ type FieldMeta struct {
 // Store is one node's raw-data storage engine. It is safe for concurrent
 // use in real mode; in simulation mode the DES kernel serializes access.
 type Store struct {
-	grid       grid.Grid
-	owned      morton.Range // primary atom-code range (immutable)
-	partitions int          // number of table partitions (files)
+	grid  grid.Grid
+	owned morton.Range // primary atom-code range (immutable)
 
 	//turbdb:lockrank store.shard 30
 	mu     sync.RWMutex
@@ -69,10 +68,6 @@ type Config struct {
 	Grid grid.Grid
 	// Owned is the contiguous atom-code range this node stores.
 	Owned morton.Range
-	// Partitions is the number of table partitions; contiguous sub-ranges of
-	// Owned map to partitions, and partition i stripes to disk array
-	// i % arrays. Defaults to 4 (one per RAID array in the paper's nodes).
-	Partitions int
 	// Kernel and Device enable simulated I/O accounting; both nil for real
 	// mode.
 	Kernel *sim.Kernel
@@ -84,23 +79,16 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Owned.Empty() {
 		return nil, fmt.Errorf("store: empty owned range")
 	}
-	if cfg.Partitions == 0 {
-		cfg.Partitions = 4
-	}
-	if cfg.Partitions < 1 {
-		return nil, fmt.Errorf("store: partitions must be ≥ 1")
-	}
 	if (cfg.Kernel == nil) != (cfg.Device == nil) {
 		return nil, fmt.Errorf("store: kernel and device must be set together")
 	}
 	return &Store{
-		grid:       cfg.Grid,
-		owned:      cfg.Owned,
-		partitions: cfg.Partitions,
-		fields:     make(map[string]FieldMeta),
-		data:       make(map[string]map[Key][]byte),
-		kernel:     cfg.Kernel,
-		dev:        cfg.Device,
+		grid:   cfg.Grid,
+		owned:  cfg.Owned,
+		fields: make(map[string]FieldMeta),
+		data:   make(map[string]map[Key][]byte),
+		kernel: cfg.Kernel,
+		dev:    cfg.Device,
 	}, nil
 }
 
@@ -260,20 +248,25 @@ func (s *Store) get(fieldName string, step int, code morton.Code) ([]byte, error
 	return blob, nil
 }
 
+// partitions is the number of table partitions (files) per node: one per
+// RAID-5 array of the paper's nodes (Sec. 5). Contiguous sub-ranges of the
+// owned range map to partitions, and partition i stripes to disk array
+// i % arrays. It is a property of the modelled hardware, not a setting.
+const partitions = 4
+
 // stripe maps an atom code to the disk array its partition file lives on.
 // Atoms outside the primary range (replica ranges adopted later) stripe by
 // code so replica tables still spread across the arrays.
 func (s *Store) stripe(code morton.Code) uint64 {
 	if !s.owned.Contains(code) {
-		return uint64(code) % uint64(s.partitions)
+		return uint64(code) % partitions
 	}
 	span := uint64(s.owned.Hi - s.owned.Lo)
 	if span == 0 {
 		return 0
 	}
 	off := uint64(code - s.owned.Lo)
-	p := off * uint64(s.partitions) / span
-	return p
+	return off * partitions / span
 }
 
 // ReadAtom fetches one atom blob, charging the disk model when running

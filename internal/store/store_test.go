@@ -43,9 +43,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Grid: g, Owned: morton.Range{}}); err == nil {
 		t.Error("accepted empty range")
 	}
-	if _, err := New(Config{Grid: g, Owned: g.AtomRange(), Partitions: -1}); err == nil {
-		t.Error("accepted negative partitions")
-	}
 	k := sim.New()
 	if _, err := New(Config{Grid: g, Owned: g.AtomRange(), Kernel: k}); err == nil {
 		t.Error("accepted kernel without device")
@@ -136,7 +133,7 @@ func TestPutValidation(t *testing.T) {
 
 func TestStripeSpreadsPartitions(t *testing.T) {
 	g := testGrid(t, 32) // 64 atoms
-	s, err := New(Config{Grid: g, Owned: g.AtomRange(), Partitions: 4})
+	s, err := New(Config{Grid: g, Owned: g.AtomRange()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +199,7 @@ func TestReadAtomsWindowLimitsParallelism(t *testing.T) {
 	g := testGrid(t, 32)
 	k := sim.New()
 	dev, _ := diskmodel.New(k, diskmodel.Spec{Name: "d", Arrays: 4, Seek: time.Millisecond, Bandwidth: 1e12})
-	s, _ := New(Config{Grid: g, Owned: g.AtomRange(), Partitions: 4, Kernel: k, Device: dev})
+	s, _ := New(Config{Grid: g, Owned: g.AtomRange(), Kernel: k, Device: dev})
 	_ = s.CreateField(FieldMeta{Name: "v", NComp: 1})
 	var codes []morton.Code
 	for c := morton.Code(0); c < 12; c++ {

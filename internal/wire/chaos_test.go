@@ -155,7 +155,7 @@ func TestWireTruncatedResponse(t *testing.T) {
 func TestWireStatusErrorClassification(t *testing.T) {
 	srv := httptest.NewServer(nil)
 	srv.Close() // immediately dead: connection refused is a net error
-	c := NewClient(srv.URL, WithRequestTimeout(2*time.Second))
+	c := NewClient(srv.URL)
 	_, err := c.GetThreshold(context.Background(), nil, wireChaosQuery())
 	if err == nil {
 		t.Fatal("dead server answered")

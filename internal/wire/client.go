@@ -72,10 +72,9 @@ var sharedTransport http.RoundTripper = &http.Transport{
 // can be assembled over remote nodes and remote nodes can exchange halos.
 // Safe for concurrent use.
 type Client struct {
-	base       string
-	http       *http.Client
-	reqTimeout time.Duration
-	proto      Proto
+	base  string
+	http  *http.Client
+	proto Proto
 
 	//turbdb:lockrank wire.client 50
 	mu   sync.Mutex
@@ -84,12 +83,6 @@ type Client struct {
 
 // ClientOption customizes a Client.
 type ClientOption func(*Client)
-
-// WithRequestTimeout sets the per-request deadline applied when the
-// caller's context has none (0 disables the default bound).
-func WithRequestTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.reqTimeout = d }
-}
 
 // WithTransport replaces the underlying round tripper — used by chaos
 // tests to inject faults, and by deployments needing custom TLS or
@@ -102,10 +95,9 @@ func WithTransport(rt http.RoundTripper) ClientOption {
 // "http://127.0.0.1:7070").
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
-		base:       base,
-		http:       &http.Client{Transport: sharedTransport},
-		reqTimeout: DefaultRequestTimeout,
-		proto:      ProtoJSON,
+		base:  base,
+		http:  &http.Client{Transport: sharedTransport},
+		proto: ProtoJSON,
 	}
 	for _, o := range opts {
 		o(c)
@@ -113,11 +105,11 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	return c
 }
 
-// withDeadline applies the client's default request timeout when ctx has
-// no deadline of its own. The returned cancel must always be called.
-func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); !ok && c.reqTimeout > 0 {
-		return context.WithTimeout(ctx, c.reqTimeout)
+// withDeadline applies DefaultRequestTimeout when ctx has no deadline of
+// its own. The returned cancel must always be called.
+func withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if _, ok := ctx.Deadline(); !ok {
+		return context.WithTimeout(ctx, DefaultRequestTimeout)
 	}
 	return context.WithCancel(ctx)
 }
@@ -138,7 +130,7 @@ func (c *Client) exchange(ctx context.Context, path string, req any) (*result, e
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal: %w", err)
 	}
-	ctx, cancel := c.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
@@ -195,7 +187,7 @@ func (c *Client) Info(ctx context.Context) (InfoResponse, error) {
 	}
 	c.mu.Unlock()
 
-	ctx, cancel := c.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+PathInfo, nil)
 	if err != nil {

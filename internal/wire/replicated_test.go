@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -267,5 +268,45 @@ func TestWireReplicatedMediatorFailover(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pts, want) {
 		t.Fatalf("failover answer differs from the healthy cluster's (%d vs %d points)", len(pts), len(want))
+	}
+}
+
+// TestUserScanChangesNoAnswer pins the premise of the one batching rule
+// (query.BatchKey leaves Scan out): the mediator sets Scan on every node
+// request, so a threshold query carrying a user's Scan answers exactly as
+// the same query without it, in process and over HTTP, at k = 1 and k = 2.
+func TestUserScanChangesNoAnswer(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			var clients []*Client
+			if k == 1 {
+				clients, _ = startNodes(t, 3)
+			} else {
+				clients, _ = startReplicatedNodes(t, 3)
+			}
+			m := wireMediator(t, clients, false)
+			user := NewClient(serveMediator(t, m))
+			ctx := context.Background()
+			plain := wireChaosQuery()
+			want, _, err := m.Threshold(ctx, nil, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("reference query returned nothing")
+			}
+			scanned := plain
+			scanned.Scan = []morton.Range{{Lo: 0, Hi: 1}, {Lo: 3, Hi: 5}}
+			got, _, err := m.Threshold(ctx, nil, scanned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePoints(t, "in process", got, want)
+			res, err := user.GetThreshold(ctx, nil, scanned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePoints(t, "over HTTP", res.Points, want)
+		})
 	}
 }

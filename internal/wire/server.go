@@ -18,6 +18,11 @@ import (
 	"github.com/turbdb/turbdb/internal/sim"
 )
 
+// maxRequestBody caps every request body, so a hostile client cannot make a
+// node or mediator allocate without limit. It is above the request for every
+// atom of a 1024³ grid (2²¹ codes); a larger body fails as a bad request.
+const maxRequestBody = 64 << 20
+
 // endpoint is the one server pipeline, returned as the (pattern, handler)
 // pair mux.HandleFunc takes: require POST → decode the JSON request →
 // pick the response codec from Accept and the server policy → join or
@@ -35,7 +40,7 @@ func endpoint[R any](cfg serverConfig, path, span string, run func(context.Conte
 		}
 		cd := cfg.codecFor(r)
 		var req R
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 		dec.DisallowUnknownFields()
 		err := dec.Decode(&req)
 		_ = r.Body.Close() //lint:allow droppederr request-body close is best-effort

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -21,6 +22,7 @@ import (
 	"github.com/turbdb/turbdb/internal/sim"
 	"github.com/turbdb/turbdb/internal/store"
 	"github.com/turbdb/turbdb/internal/synth"
+	"github.com/turbdb/turbdb/internal/wire/binproto"
 )
 
 // startNodes builds nNodes database nodes, serves each over httptest, and
@@ -268,6 +270,57 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 	if total != 16*16*16 {
 		t.Errorf("PDF counts %v sum to %d, want %d", res.Counts, total, 16*16*16)
+	}
+}
+
+// streamedBody streams n bytes, an unterminated JSON string, without
+// holding them.
+type streamedBody struct{ n, sent int }
+
+func (b *streamedBody) Read(p []byte) (int, error) {
+	if b.sent == b.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), b.n-b.sent)
+	for i := range p[:k] {
+		p[i] = 'a'
+	}
+	if b.sent == 0 {
+		p[0] = '"'
+	}
+	b.sent += k
+	return k, nil
+}
+
+// TestOversizedRequestBodyRejected streams a request body one byte over
+// the cap: each encoding answers a typed permanent bad request, and the
+// node still serves a normal query after.
+func TestOversizedRequestBodyRejected(t *testing.T) {
+	clients, _ := startNodes(t, 1)
+	for _, cd := range []codec{jsonCodec{}, frameCodec{}} {
+		req, err := http.NewRequest(http.MethodPost, baseURL(clients[0])+PathThreshold, &streamedBody{n: maxRequestBody + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, frames := cd.(frameCodec); frames {
+			req.Header.Set("Accept", binproto.MediaType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cd.decode(PathThreshold, resp.StatusCode, resp.Body)
+		resp.Body.Close()
+		if err == nil || faulttol.Transient(err) || !strings.Contains(err.Error(), "request body too large") {
+			t.Errorf("%T: HTTP %d, error %v; want a permanent bad request about the body size", cd, resp.StatusCode, err)
+		}
+		if _, frames := cd.(frameCodec); !frames && resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("JSON: HTTP %d, want 400", resp.StatusCode)
+		}
+	}
+	res, err := clients[0].GetThreshold(context.Background(), nil, wireChaosQuery())
+	if err != nil || len(res.Points) == 0 {
+		t.Fatalf("normal query after an oversized body: %v", err)
 	}
 }
 

@@ -189,21 +189,22 @@ go test -race -run 'TestHaloBand|TestHaloBlob|TestHaloFetchSpan|TestAppendPart|T
 lane_done
 
 # Fuzz smoke lane: a short coverage-guided run of each fuzz target beyond its
-# seed corpus (the seeds already ran as plain tests above). `go test -fuzz`
-# accepts exactly one matching target per invocation, hence one anchored
-# pattern each. Skippable for quick local iterations: SKIP_FUZZ=1 scripts/check.sh
+# seed corpus (the seeds already ran as plain tests above). The targets are
+# whatever `go test -list` finds in the module, so a new one cannot be left
+# out; an empty list fails the lane. `go test -fuzz` accepts exactly one
+# matching target per invocation, hence one anchored pattern each.
+# Skippable for quick local iterations: SKIP_FUZZ=1 scripts/check.sh
 if [ "${SKIP_FUZZ:-0}" = "1" ]; then
 	echo '>> fuzz smoke: skipped (SKIP_FUZZ=1)'
 else
 	lane 'fuzz smoke (10s per target)'
-	go test -run=NONE -fuzz='^FuzzEncodeDecode$' -fuzztime=10s ./internal/morton
-	go test -run=NONE -fuzz='^FuzzCodeRoundTrip$' -fuzztime=10s ./internal/morton
-	go test -run=NONE -fuzz='^FuzzRequestDecode$' -fuzztime=10s ./internal/wire
-	go test -run=NONE -fuzz='^FuzzResponseDecode$' -fuzztime=10s ./internal/wire
-	go test -run=NONE -fuzz='^FuzzJSONPointsDecode$' -fuzztime=10s ./internal/wire
-	go test -run=NONE -fuzz='^FuzzFrameDecode$' -fuzztime=10s ./internal/wire/binproto
-	go test -run=NONE -fuzz='^FuzzPointsRoundTrip$' -fuzztime=10s ./internal/wire/binproto
-	go test -run=NONE -fuzz='^FuzzMergeSortedPoints$' -fuzztime=10s ./internal/mediator
+	fuzz_list=$(go test -list '^Fuzz' ./...)
+	fuzz_targets=$(echo "$fuzz_list" | awk '/^Fuzz/ { names[++n] = $1; next } /^ok/ { for (i = 1; i <= n; i++) print $2, names[i]; n = 0 }')
+	test -n "$fuzz_targets"
+	echo "$fuzz_targets" | while read -r pkg target; do
+		echo "   $target ($pkg)"
+		go test -run=NONE -fuzz="^$target\$" -fuzztime=10s "$pkg"
+	done
 	lane_done
 fi
 

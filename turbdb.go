@@ -170,12 +170,8 @@ func (db *DB) run(fn func(p *sim.Proc) error) error {
 
 // statsFrom converts mediator stats.
 func (db *DB) statsFrom(s *mediator.QueryStats) Stats {
-	cov := s.Coverage
-	if cov == 0 && len(s.Failures) == 0 {
-		cov = 1
-	}
 	return Stats{
-		Coverage:         cov,
+		Coverage:         s.Coverage,
 		NodesFailed:      len(s.Failures),
 		Total:            s.Total,
 		CacheLookup:      s.NodeCritical.CacheLookup,
