@@ -2,6 +2,7 @@ package cache
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"github.com/turbdb/turbdb/internal/sim"
@@ -22,20 +23,27 @@ type aggEntry struct {
 	lastUsed uint64
 }
 
+// aggBudget bounds the modeled SSD footprint of a cache's aggregates. It is
+// their own budget, outside CapacityBytes: aggregates charged to the
+// threshold capacity evict the threshold entries a workload re-reads
+// (DESIGN.md §4 decision 23). 1 MiB holds hundreds of the few-dozen-bin
+// histograms analysis sessions re-ask; it bounds bytes, not entries,
+// because one legal PDF may have 10⁶ bins.
+const aggBudget = 1 << 20
+
 // aggDiskSize models the SSD footprint of an aggregate entry.
 func aggDiskSize(bins int) int64 { return infoDiskSize + int64(bins)*16 }
 
 // LookupAgg returns a cached aggregate for the exact key, if present.
 func (c *Cache) LookupAgg(p *sim.Proc, dataset, fieldName string, step int, key string) ([]int64, bool) {
-	if c.aggEntries <= 0 {
-		return nil, false
-	}
 	hit := c.findAgg(dataset, fieldName, step, key)
 	c.chargeRead(p, infoDiskSize)
 	if hit == nil {
+		mMisses.Inc()
 		return nil, false
 	}
 	c.chargeRead(p, aggDiskSize(len(hit.counts)))
+	mHits.Inc()
 	c.touch(&hit.lastUsed)
 	return slices.Clone(hit.counts), true
 }
@@ -55,15 +63,19 @@ func (c *Cache) findAgg(dataset, fieldName string, step int, key string) *aggEnt
 }
 
 // StoreAgg records an aggregate result under its exact key, replacing any
-// previous entry and evicting the least recently used aggregates beyond the
-// configured entry budget.
-func (c *Cache) StoreAgg(p *sim.Proc, dataset, fieldName string, step int, key string, counts []int64) {
-	if c.aggEntries <= 0 {
-		return
+// previous entry and evicting the least recently used aggregates until it
+// fits the aggregate budget. The only error is ErrEntryTooLarge: an
+// aggregate larger than the whole budget is not stored.
+func (c *Cache) StoreAgg(p *sim.Proc, dataset, fieldName string, step int, key string, counts []int64) error {
+	size := aggDiskSize(len(counts))
+	if size > aggBudget {
+		return fmt.Errorf("%w: aggregate of %d bytes, budget %d", ErrEntryTooLarge, size, aggBudget)
 	}
 	a := &aggEntry{dataset: dataset, field: fieldName, step: step, key: key, counts: slices.Clone(counts)}
 	c.insertAgg(a)
-	c.chargeWrite(p, aggDiskSize(len(counts)))
+	mStores.Inc()
+	c.chargeWrite(p, size)
+	return nil
 }
 
 // insertAgg adds a, first removing the aggregate it replaces and then
@@ -74,10 +86,17 @@ func (c *Cache) insertAgg(a *aggEntry) {
 	c.aggs = slices.DeleteFunc(c.aggs, func(o *aggEntry) bool {
 		return o.dataset == a.dataset && o.field == a.field && o.step == a.step && o.key == a.key
 	})
-	for len(c.aggs) > 0 && len(c.aggs) >= c.aggEntries {
+	var total int64
+	for _, o := range c.aggs {
+		total += aggDiskSize(len(o.counts))
+	}
+	size := aggDiskSize(len(a.counts))
+	for len(c.aggs) > 0 && total+size > aggBudget {
 		victim := slices.MinFunc(c.aggs, func(x, y *aggEntry) int { return cmp.Compare(x.lastUsed, y.lastUsed) })
 		c.aggs = slices.DeleteFunc(c.aggs, func(o *aggEntry) bool { return o == victim })
+		total -= aggDiskSize(len(victim.counts))
 		c.stats.Evictions++
+		mEvictions.Inc()
 	}
 	c.clock++
 	a.lastUsed = c.clock

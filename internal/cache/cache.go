@@ -34,7 +34,8 @@
 // and writes in snapshot-isolation transactions.
 //
 // Entries are evicted least-recently-used across all quantities when the
-// configured SSD capacity is exceeded. Cached bytes are charged to the
+// configured SSD capacity is exceeded. Aggregates (agg.go) are evicted the
+// same way within their own constant budget. Cached bytes are charged to the
 // node's SSD device model when running inside the cluster simulation.
 package cache
 
@@ -101,16 +102,14 @@ type entry struct {
 
 // Config configures a node's cache.
 type Config struct {
-	// CapacityBytes bounds the cache's modeled SSD footprint; 0 means
-	// unlimited. The paper's nodes have ~200 GB of SSD per node.
+	// CapacityBytes bounds the modeled SSD footprint of the threshold
+	// entries; 0 means unlimited. The paper's nodes have ~200 GB of SSD per
+	// node. Aggregates (PDF histograms) are always cached, under a constant
+	// budget of their own (aggBudget) outside this capacity.
 	CapacityBytes int64
 	// SSD enables simulated I/O charging for calls given a sim.Proc; nil
 	// for real mode.
 	SSD *diskmodel.Device
-	// AggEntries enables the aggregate (PDF) cache extension with an LRU
-	// budget of that many entries; 0 disables it (the production system
-	// caches only threshold results).
-	AggEntries int
 }
 
 // Stats are cumulative cache counters.
@@ -124,9 +123,8 @@ type Stats struct {
 // Cache is one node's application-aware query-result cache. Safe for
 // concurrent use.
 type Cache struct {
-	capacity   int64
-	ssd        *diskmodel.Device
-	aggEntries int
+	capacity int64
+	ssd      *diskmodel.Device
 
 	//turbdb:lockrank cache.entries 40
 	mu      sync.Mutex
@@ -141,10 +139,7 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.CapacityBytes < 0 {
 		return nil, fmt.Errorf("cache: negative capacity")
 	}
-	if cfg.AggEntries < 0 {
-		return nil, fmt.Errorf("cache: negative aggregate entry budget")
-	}
-	return &Cache{capacity: cfg.CapacityBytes, ssd: cfg.SSD, aggEntries: cfg.AggEntries}, nil
+	return &Cache{capacity: cfg.CapacityBytes, ssd: cfg.SSD}, nil
 }
 
 // Stats returns cumulative counters.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -232,10 +233,7 @@ func TestDrop(t *testing.T) {
 // Drop covers aggregates as well as threshold entries, under the key and
 // under its scan-routed "@" variants, and nothing else.
 func TestDropCoversAggregatesAndScanKeys(t *testing.T) {
-	c, err := New(Config{AggEntries: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, 0)
 	region := box(0, 8)
 	keys := []struct {
 		field   string
@@ -246,7 +244,9 @@ func TestDropCoversAggregatesAndScanKeys(t *testing.T) {
 		if err := c.Store(nil, "d", k.field, k.step, 5, region, pointsIn(region, 5, 10)); err != nil {
 			t.Fatal(err)
 		}
-		c.StoreAgg(nil, "d", k.field, k.step, "pdf", []int64{1, 2})
+		if err := c.StoreAgg(nil, "d", k.field, k.step, "pdf", []int64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.Drop("d", "f", 0)
 	for _, k := range keys {
@@ -296,6 +296,9 @@ func TestEmptyResultCached(t *testing.T) {
 func TestConcurrentStoresAndLookups(t *testing.T) {
 	c := newCache(t, 0)
 	region := box(0, 8)
+	// Five histograms of just over a quarter of the aggregate budget: at
+	// most three fit, so stores evict while other goroutines look up.
+	counts := make([]int64, binsOf(aggBudget/4)+1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -312,12 +315,25 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 					t.Errorf("lookup: %v", err)
 					return
 				}
+				if err := c.StoreAgg(nil, "d", "f", step, "pdf", counts); err != nil {
+					t.Errorf("store aggregate: %v", err)
+					return
+				}
+				if got, ok := c.LookupAgg(nil, "d", "f", (step+1)%5, "pdf"); ok && len(got) != len(counts) {
+					t.Errorf("aggregate hit of %d bins, want %d", len(got), len(counts))
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	if len(c.Entries()) != 5 {
 		t.Errorf("expected 5 entries, got %d", len(c.Entries()))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.aggs) != 3 {
+		t.Errorf("%d aggregates resident, want the 3 the budget holds", len(c.aggs))
 	}
 }
 
@@ -412,21 +428,19 @@ func BenchmarkStore(b *testing.B) {
 	}
 }
 
-func TestAggCacheDisabledByDefault(t *testing.T) {
-	c := newCache(t, 0)
-	c.StoreAgg(nil, "d", "f", 0, "k", []int64{1, 2})
-	if _, ok := c.LookupAgg(nil, "d", "f", 0, "k"); ok {
-		t.Error("aggregate cache served entries while disabled")
+// storeAgg stores counts under (d, f, step, key) and fails the test on any
+// error.
+func storeAgg(t *testing.T, c *Cache, step int, key string, counts []int64) {
+	t.Helper()
+	if err := c.StoreAgg(nil, "d", "f", step, key, counts); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestAggCacheRoundTrip(t *testing.T) {
-	c, err := New(Config{AggEntries: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, 0)
 	counts := []int64{10, 20, 30}
-	c.StoreAgg(nil, "d", "f", 2, "pdf/x", counts)
+	storeAgg(t, c, 2, "pdf/x", counts)
 	got, ok := c.LookupAgg(nil, "d", "f", 2, "pdf/x")
 	if !ok {
 		t.Fatal("lookup missed")
@@ -447,7 +461,7 @@ func TestAggCacheRoundTrip(t *testing.T) {
 		t.Error("different field hit")
 	}
 	// replacement under the same key
-	c.StoreAgg(nil, "d", "f", 2, "pdf/x", []int64{7})
+	storeAgg(t, c, 2, "pdf/x", []int64{7})
 	got, ok = c.LookupAgg(nil, "d", "f", 2, "pdf/x")
 	if !ok || len(got) != 1 || got[0] != 7 {
 		t.Errorf("replaced entry = %v", got)
@@ -460,22 +474,113 @@ func TestAggCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// binsOf returns the bin count whose aggregate footprint is size bytes.
+func binsOf(size int64) int { return int((size - infoDiskSize) / 16) }
+
+// Aggregates are evicted least-recently-used by bytes: four histograms of
+// just over a quarter of the budget do not fit, so the fourth evicts the
+// least recently used of the three before it.
 func TestAggCacheLRUEviction(t *testing.T) {
-	c, err := New(Config{AggEntries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.StoreAgg(nil, "d", "f", 0, "a", []int64{1})
-	c.StoreAgg(nil, "d", "f", 1, "b", []int64{2})
+	c := newCache(t, 0)
+	quarter := make([]int64, binsOf(aggBudget/4)+1)
+	storeAgg(t, c, 0, "a", quarter)
+	storeAgg(t, c, 1, "b", quarter)
+	storeAgg(t, c, 2, "c", quarter)
 	// touch "a" so "b" is LRU
 	if _, ok := c.LookupAgg(nil, "d", "f", 0, "a"); !ok {
 		t.Fatal("warm lookup missed")
 	}
-	c.StoreAgg(nil, "d", "f", 2, "c", []int64{3})
-	if _, ok := c.LookupAgg(nil, "d", "f", 1, "b"); ok {
-		t.Error("LRU aggregate survived")
+	storeAgg(t, c, 3, "e", quarter)
+	for _, k := range []struct {
+		step     int
+		key      string
+		resident bool
+	}{{0, "a", true}, {1, "b", false}, {2, "c", true}, {3, "e", true}} {
+		if _, ok := c.LookupAgg(nil, "d", "f", k.step, k.key); ok != k.resident {
+			t.Errorf("aggregate %q resident = %v, want %v", k.key, ok, k.resident)
+		}
 	}
-	if _, ok := c.LookupAgg(nil, "d", "f", 0, "a"); !ok {
-		t.Error("recently used aggregate evicted")
+	if s := c.Stats(); s.Evictions != 1 {
+		t.Errorf("%d evictions, want 1", s.Evictions)
+	}
+	// Small histograms fit by the hundred: the budget bounds bytes, not
+	// entries.
+	small := newCache(t, 0)
+	for i := range 500 {
+		storeAgg(t, small, i, "pdf", make([]int64, 64))
+	}
+	if s := small.Stats(); s.Evictions != 0 {
+		t.Errorf("500 64-bin aggregates evicted %d", s.Evictions)
+	}
+}
+
+// An aggregate larger than the whole budget is refused with
+// ErrEntryTooLarge and not stored — its caller serves it uncached — and
+// evicts nothing; one that exactly fills the budget is stored. A 10⁶-bin
+// histogram, legal as a PDF query, is such an aggregate. Aggregates stay
+// out of the threshold capacity.
+func TestAggCacheBudget(t *testing.T) {
+	c := newCache(t, entrySize(10))
+	region := box(0, 8)
+	if err := c.Store(nil, "d", "f", 0, 5, region, pointsIn(region, 5, 10)); err != nil {
+		t.Fatal(err)
+	}
+	storeAgg(t, c, 0, "small", []int64{1, 2, 3})
+	for _, bins := range []int{binsOf(aggBudget) + 1, 1_000_000} {
+		err := c.StoreAgg(nil, "d", "f", 0, "big", make([]int64, bins))
+		if !errors.Is(err, ErrEntryTooLarge) {
+			t.Errorf("%d-bin aggregate: error %v, want ErrEntryTooLarge", bins, err)
+		}
+		if _, ok := c.LookupAgg(nil, "d", "f", 0, "big"); ok {
+			t.Errorf("%d-bin aggregate over the budget was stored", bins)
+		}
+	}
+	if _, ok := c.LookupAgg(nil, "d", "f", 0, "small"); !ok {
+		t.Error("a refused aggregate evicted a resident one")
+	}
+	if _, ok, _ := c.Lookup(nil, "d", "f", 0, 5, region); !ok {
+		t.Error("an aggregate evicted a threshold entry")
+	}
+	if s := c.Stats(); s.Stores != 2 || s.Evictions != 0 {
+		t.Errorf("stats %+v, want 2 stores and no eviction", s)
+	}
+	storeAgg(t, c, 0, "whole", make([]int64, binsOf(aggBudget)))
+	if _, ok := c.LookupAgg(nil, "d", "f", 0, "whole"); !ok {
+		t.Error("an aggregate of exactly the budget was not stored")
+	}
+	if _, ok := c.LookupAgg(nil, "d", "f", 0, "small"); ok {
+		t.Error("an aggregate filling the budget left another resident")
+	}
+}
+
+// The process-wide turbdb_cache_* counters move exactly as Stats does over
+// threshold entries and aggregates alike: hits, misses, stores and the
+// evictions of both budgets.
+func TestMetricsMatchStats(t *testing.T) {
+	counters := func() Stats {
+		return Stats{Hits: mHits.Value(), Misses: mMisses.Value(), Stores: mStores.Value(), Evictions: mEvictions.Value()}
+	}
+	c := newCache(t, 2*entrySize(10))
+	before, m0 := c.Stats(), counters()
+	region := box(0, 8)
+	half := make([]int64, binsOf(aggBudget/2))
+	for step := range 3 {
+		if err := c.Store(nil, "d", "f", step, 5, region, pointsIn(region, 5, 10)); err != nil {
+			t.Fatal(err)
+		}
+		storeAgg(t, c, step, "pdf", half)
+		for _, s := range []int{step, step + 1} {
+			_, _, _ = c.Lookup(nil, "d", "f", s, 5, region)
+			c.LookupAgg(nil, "d", "f", s, "pdf")
+		}
+	}
+	after, m1 := c.Stats(), counters()
+	want := Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses, Stores: after.Stores - before.Stores, Evictions: after.Evictions - before.Evictions}
+	got := Stats{Hits: m1.Hits - m0.Hits, Misses: m1.Misses - m0.Misses, Stores: m1.Stores - m0.Stores, Evictions: m1.Evictions - m0.Evictions}
+	if got != want {
+		t.Errorf("metric deltas %+v, Stats deltas %+v", got, want)
+	}
+	if want.Hits != 6 || want.Misses != 6 || want.Stores != 6 || want.Evictions != 2 {
+		t.Errorf("Stats deltas %+v, want 6 hits, 6 misses, 6 stores, 2 evictions", want)
 	}
 }

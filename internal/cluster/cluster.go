@@ -56,12 +56,10 @@ type Config struct {
 	Processes int
 	// WithCache enables the per-node semantic cache.
 	WithCache bool
-	// CacheCapacity bounds each node's cache in modeled SSD bytes; 0 =
-	// unlimited.
+	// CacheCapacity bounds each node's cached threshold results in modeled
+	// SSD bytes; 0 = unlimited. PDF histograms have a constant budget of
+	// their own (internal/cache).
 	CacheCapacity int64
-	// CachePDF enables the aggregate-cache extension with an LRU budget of
-	// that many PDF entries per node; 0 disables it.
-	CachePDF int
 	// Simulate builds the cluster on a DES kernel with modeled resources:
 	// per node a RAID HDD, an SSD cache device, simCores cores and fabric
 	// links, and one user WAN link in front of the mediator.
@@ -315,10 +313,7 @@ func (c *Cluster) buildNode(i int, primary morton.Range) (*node.Node, *netmodel.
 	}
 	var ca *cache.Cache
 	if cfg.WithCache {
-		ca, err = cache.New(cache.Config{
-			CapacityBytes: cfg.CacheCapacity, SSD: ssd,
-			AggEntries: cfg.CachePDF,
-		})
+		ca, err = cache.New(cache.Config{CapacityBytes: cfg.CacheCapacity, SSD: ssd})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -131,15 +131,22 @@ type Env struct {
 // costs on this host (so simulated compute/I/O ratios are measured, not
 // guessed).
 func NewEnv(s Setup) (*Env, error) {
+	costs, err := node.Calibrate(derived.Standard(), query.DefaultFDOrder)
+	if err != nil {
+		return nil, err
+	}
+	return newEnv(s, costs)
+}
+
+// newEnv is NewEnv with the compute-cost model given: the shape tests pass
+// one recorded from a calibration, so their figures do not move with the
+// speed of the host that runs them.
+func newEnv(s Setup, costs node.CostModel) (*Env, error) {
 	s = s.withDefaults()
 	gen, err := synth.New(synth.Params{
 		N: s.GridN, AtomSide: s.AtomSide, Seed: s.Seed,
 		Kind: synth.MHD, Steps: s.Steps,
 	})
-	if err != nil {
-		return nil, err
-	}
-	costs, err := node.Calibrate(derived.Standard(), query.DefaultFDOrder)
 	if err != nil {
 		return nil, err
 	}

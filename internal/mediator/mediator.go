@@ -316,8 +316,8 @@ type QueryStats struct {
 // Partial reports whether this answer is missing part of the domain.
 func (s *QueryStats) Partial() bool { return len(s.Failures) > 0 }
 
-// FromCache reports whether every node answer merged into a threshold
-// result was served from the node's semantic cache.
+// FromCache reports whether every node answer merged into a threshold or
+// PDF result was served from the node's semantic cache.
 func (s *QueryStats) FromCache() bool { return s.CacheHits == s.NodeAnswers }
 
 // Threshold evaluates a threshold query across the cluster: the query is
@@ -391,6 +391,9 @@ func (m *Mediator) PDF(ctx context.Context, p *sim.Proc, q query.PDF) ([]int64, 
 			counts[j] += c
 		}
 		stats.NodeCritical.Max(r.Breakdown)
+		if r.FromCache {
+			stats.CacheHits++
+		}
 	}
 	msp.End()
 	m.deliver(ctx, p, stats, fanout, start, 16*q.Bins)

@@ -15,7 +15,9 @@ import (
 type PDFResult struct {
 	// Counts[i] is the number of this node's grid points whose field norm
 	// falls in bin i.
-	Counts    []int64
+	Counts []int64
+	// FromCache reports whether the histogram came from the node's cache.
+	FromCache bool
 	Breakdown Breakdown
 }
 
@@ -27,9 +29,10 @@ func pdfCacheKey(q query.PDF) string {
 
 // pdfMember histograms the norms of its box. The production cache stores
 // only threshold results, but the paper notes it "can easily be extended to
-// cache the results of other query types"; when the node's cache is
-// configured with an aggregate budget (cache.Config.AggEntries), per-node
-// histograms are cached under an exact parameter key.
+// cache the results of other query types"; a node with a cache keeps its
+// histograms too, under an exact parameter key and the cache's own constant
+// aggregate budget (DESIGN.md §4 decision 23). A histogram larger than that
+// budget is served uncached.
 type pdfMember struct {
 	q      query.PDF
 	parts  [][]int64 // per worker
@@ -68,8 +71,7 @@ func (m *pdfMember) lookup(p *sim.Proc, c *cache.Cache, dataset, key string, ste
 }
 
 func (m *pdfMember) store(p *sim.Proc, c *cache.Cache, dataset, key string, step int) error {
-	c.StoreAgg(p, dataset, key, step, pdfCacheKey(m.q), m.counts)
-	return nil
+	return c.StoreAgg(p, dataset, key, step, pdfCacheKey(m.q), m.counts)
 }
 
 // GetPDF histograms the norm of the requested field over this node's shard
@@ -83,9 +85,9 @@ func (n *Node) GetPDF(ctx context.Context, p *sim.Proc, q query.PDF) (*PDFResult
 		return nil, err
 	}
 	m := &pdfMember{q: q, counts: make([]int64, q.Bins)}
-	bd, err := n.scanOne(ctx, p, scanKey{q.Dataset, q.Field, q.FDOrder, q.Timestep, q.Scan}, m)
+	o, err := n.scanOne(ctx, p, scanKey{q.Dataset, q.Field, q.FDOrder, q.Timestep, q.Scan}, m)
 	if err != nil {
 		return nil, err
 	}
-	return &PDFResult{Counts: m.counts, Breakdown: bd}, nil
+	return &PDFResult{Counts: m.counts, FromCache: o.fromCache, Breakdown: o.bd}, nil
 }

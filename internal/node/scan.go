@@ -215,10 +215,10 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 }
 
 // scanOne is scan for a lone member, whose failure is the call's.
-func (n *Node) scanOne(ctx context.Context, p *sim.Proc, k scanKey, m member) (Breakdown, error) {
+func (n *Node) scanOne(ctx context.Context, p *sim.Proc, k scanKey, m member) (scanned, error) {
 	out, _, err := n.scan(ctx, p, k, []member{m})
 	if err != nil {
-		return Breakdown{}, err
+		return scanned{}, err
 	}
-	return out[0].bd, out[0].err
+	return out[0], out[0].err
 }

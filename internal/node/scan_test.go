@@ -119,7 +119,9 @@ func TestScanContract(t *testing.T) {
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{members: []memberView{viewOf(r.Breakdown)}}, nil
+		v := viewOf(r.Breakdown)
+		v.fromCache = r.FromCache
+		return outcome{members: []memberView{v}}, nil
 	}
 	runTopK := func(_ *testing.T, ctx context.Context, n *Node) (outcome, error) {
 		r, err := n.GetTopK(ctx, nil, topK)
@@ -134,8 +136,7 @@ func TestScanContract(t *testing.T) {
 	overLimit := solo
 	overLimit.Limit = 1
 
-	noCache := (*cache.Config)(nil)
-	plain, agg := &cache.Config{}, &cache.Config{AggEntries: 16}
+	noCache, cached := (*cache.Config)(nil), &cache.Config{}
 	// Node 0 of two: a whole-domain scan reads its 32 atoms and fetches the
 	// 32 halo atoms of node 1's faces above and, wrapped, below.
 	scan := [5]int{32, 32, gridN * gridN * gridN / 2, 0, 0}
@@ -165,19 +166,19 @@ func TestScanContract(t *testing.T) {
 			spans: "scan_io halo_fetch halo_fetch scan_compute",
 		},
 		{
-			name: "threshold/cold", cache: plain,
+			name: "threshold/cold", cache: cached,
 			call:  func(_ *testing.T, ctx context.Context, n *Node) (outcome, error) { return runSolo(ctx, n) },
 			want:  []memberView{{counts: scan, timed: "licu"}},
 			spans: "cache_lookup scan_io halo_fetch halo_fetch scan_compute cache_update",
 		},
 		{
-			name: "threshold/warm", cache: plain, warm: warmSolo,
+			name: "threshold/warm", cache: cached, warm: warmSolo,
 			call:  func(_ *testing.T, ctx context.Context, n *Node) (outcome, error) { return runSolo(ctx, n) },
 			want:  []memberView{{fromCache: true, timed: "l"}},
 			spans: "cache_lookup",
 		},
 		{
-			name: "threshold/warm-over-limit", cache: plain, warm: warmSolo,
+			name: "threshold/warm-over-limit", cache: cached, warm: warmSolo,
 			call: func(t *testing.T, ctx context.Context, n *Node) (outcome, error) {
 				_, err := n.GetThreshold(ctx, nil, overLimit)
 				return outcome{members: []memberView{tooManyView(t, err, overLimit.Limit)}}, nil
@@ -196,7 +197,7 @@ func TestScanContract(t *testing.T) {
 			spans:   "scan_io halo_fetch halo_fetch scan_compute",
 		},
 		{
-			name: "batch/cold", cache: plain, call: runBatch(batch),
+			name: "batch/cold", cache: cached, call: runBatch(batch),
 			want: []memberView{
 				{shared: 3, counts: scan, timed: "licu"},
 				{tooMany: true},
@@ -208,7 +209,7 @@ func TestScanContract(t *testing.T) {
 		{
 			// Member 0 hits the cache over its limit; the solo scan that
 			// warmed it taught the synopsis every atom, so the pass prunes.
-			name: "batch/warm", cache: plain, warm: warmSolo,
+			name: "batch/warm", cache: cached, warm: warmSolo,
 			call: runBatch([]query.Threshold{overLimit, batch[1], batch[2]}),
 			want: []memberView{
 				{tooMany: true},
@@ -223,26 +224,16 @@ func TestScanContract(t *testing.T) {
 			want:  []memberView{{counts: scan, timed: "ic"}},
 			spans: "scan_io halo_fetch halo_fetch scan_compute",
 		},
-		// A cached node probes and stores a PDF like a threshold: a lookup
-		// and an update each time, whether or not the cache keeps aggregates.
+		// A cached node probes and stores a PDF like a threshold, and a
+		// repeated PDF is a hit.
 		{
-			name: "pdf/cold", cache: plain, call: runPDF,
+			name: "pdf/cold", cache: cached, call: runPDF,
 			want:  []memberView{{counts: scan, timed: "licu"}},
 			spans: "cache_lookup scan_io halo_fetch halo_fetch scan_compute cache_update",
 		},
 		{
-			name: "pdf/warm", cache: plain, warm: warmPDF, call: runPDF,
-			want:  []memberView{{counts: scan, timed: "licu"}},
-			spans: "cache_lookup scan_io halo_fetch halo_fetch scan_compute cache_update",
-		},
-		{
-			name: "pdf/cold-agg", cache: agg, call: runPDF,
-			want:  []memberView{{counts: scan, timed: "licu"}},
-			spans: "cache_lookup scan_io halo_fetch halo_fetch scan_compute cache_update",
-		},
-		{
-			name: "pdf/warm-agg", cache: agg, warm: warmPDF, call: runPDF,
-			want:  []memberView{{timed: "l"}},
+			name: "pdf/warm", cache: cached, warm: warmPDF, call: runPDF,
+			want:  []memberView{{fromCache: true, timed: "l"}},
 			spans: "cache_lookup",
 		},
 		{
@@ -251,7 +242,7 @@ func TestScanContract(t *testing.T) {
 			spans: "scan_io halo_fetch halo_fetch scan_compute",
 		},
 		{
-			name: "topk/cold", cache: plain, call: runTopK, walk: true,
+			name: "topk/cold", cache: cached, call: runTopK, walk: true,
 			want:  []memberView{{counts: scan, timed: "ic"}},
 			spans: "scan_io halo_fetch halo_fetch scan_compute",
 		},
@@ -259,7 +250,7 @@ func TestScanContract(t *testing.T) {
 			// The top-k that warmed the node taught its synopsis every atom:
 			// the walk's first round takes the three atoms of largest maximum
 			// and its second the five the k-th value does not outrank.
-			name: "topk/warm", cache: agg, warm: warmTopK, call: runTopK, walk: true,
+			name: "topk/warm", cache: cached, warm: warmTopK, call: runTopK, walk: true,
 			want:  []memberView{{counts: topKWarm, timed: "ic"}},
 			spans: "scan_io halo_fetch halo_fetch scan_compute scan_io halo_fetch halo_fetch scan_compute",
 		},

@@ -176,9 +176,9 @@ func (n *Node) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK) (*TopKRes
 		return nil, err
 	}
 	m := &topKMember{q: q}
-	bd, err := n.scanOne(ctx, p, scanKey{q.Dataset, q.Field, q.FDOrder, q.Timestep, q.Scan}, m)
+	o, err := n.scanOne(ctx, p, scanKey{q.Dataset, q.Field, q.FDOrder, q.Timestep, q.Scan}, m)
 	if err != nil {
 		return nil, err
 	}
-	return &TopKResult{Points: m.pts, Breakdown: bd}, nil
+	return &TopKResult{Points: m.pts, Breakdown: o.bd}, nil
 }

@@ -283,7 +283,7 @@ func (c *Client) GetPDF(ctx context.Context, _ *sim.Proc, q query.PDF) (*node.PD
 	if err != nil {
 		return nil, err
 	}
-	return &node.PDFResult{Counts: it.counts, Breakdown: it.Breakdown}, nil
+	return &node.PDFResult{Counts: it.counts, FromCache: it.FromCache, Breakdown: it.Breakdown}, nil
 }
 
 // GetTopK implements mediator.NodeClient over HTTP.

@@ -322,7 +322,8 @@ func jsonBody(path string, res *result) any {
 		case PathPDF:
 			return PDFResponse{
 				Counts: it.counts, Breakdown: breakdownToDTO(it.Breakdown),
-				Coverage: it.coverage, Failed: it.failed, Spans: res.spans, Trace: res.trace,
+				Coverage: it.coverage, Failed: it.failed, FromCache: it.FromCache,
+				Spans: res.spans, Trace: res.trace,
 			}
 		case PathAtoms:
 			atoms := make(map[uint64][]byte, len(it.atoms))
@@ -368,7 +369,7 @@ func (jsonCodec) decode(path string, status int, body io.Reader) (*result, error
 		var in PDFResponse
 		n, err = decodeJSON(body, &in)
 		res = soloResult(item{counts: in.Counts, coverage: in.Coverage, failed: in.Failed})
-		res.items[0].Breakdown = breakdownFromDTO(in.Breakdown)
+		res.items[0].Breakdown, res.items[0].FromCache = breakdownFromDTO(in.Breakdown), in.FromCache
 		res.spans, res.trace = in.Spans, in.Trace
 	case PathAtoms:
 		var in AtomsResponse

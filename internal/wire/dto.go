@@ -381,8 +381,11 @@ type PDFResponse struct {
 	Breakdown BreakdownDTO `json:"breakdown"`
 	Coverage  float64      `json:"coverage,omitempty"`
 	Failed    int          `json:"failedNodes,omitempty"`
-	Spans     []SpanDTO    `json:"spans,omitempty"`
-	Trace     *TraceDTO    `json:"trace,omitempty"`
+	// FromCache marks a histogram served from the node cache (on a
+	// mediator's answer: from every node's).
+	FromCache bool      `json:"fromCache,omitempty"`
+	Spans     []SpanDTO `json:"spans,omitempty"`
+	Trace     *TraceDTO `json:"trace,omitempty"`
 }
 
 // TopKRequest is the wire form of query.TopK.

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,6 +78,58 @@ func TestFromCacheAfterPrimaryDeath(t *testing.T) {
 		samePoints(t, string(tc.proto)+" repeat", again, pts)
 		if !second.FromCache {
 			t.Errorf("%s: repeat of a fully cached query reports fromCache=false", tc.proto)
+		}
+	}
+}
+
+// TestPDFFromCache: a repeated PDF is a cache hit on every node, and the
+// answer says so over HTTP on both encodings, node hop and user hop alike;
+// the first PDF of its parameters does not. Every answer's counts are an
+// uncached twin's. (In process: TestPDFCacheDifferential in
+// internal/cluster.)
+func TestPDFFromCache(t *testing.T) {
+	gen, err := synth.New(synth.Params{N: 16, Seed: 21, Kind: synth.MHD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.Build(gen, cluster.Config{Nodes: 2, WithCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := cluster.Build(gen, cluster.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, proto := range []Proto{ProtoJSON, ProtoFrame} {
+		clients := make([]mediator.NodeClient, len(c.Nodes()))
+		for j, n := range c.Nodes() {
+			srv := httptest.NewServer(NewNodeServer(n).Handler())
+			t.Cleanup(srv.Close)
+			clients[j] = NewClient(srv.URL, WithProto(proto))
+		}
+		m, err := mediator.New(mediator.Config{Nodes: clients})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewMediatorServer(m).Handler())
+		t.Cleanup(srv.Close)
+		user := NewClient(srv.URL, WithProto(proto))
+		// Each encoding asks with its own bin count, so its first PDF is a
+		// miss.
+		q := query.PDF{Dataset: "mhd", Field: derived.Current, Bins: 12 + i, Width: 0.25}
+		want, _, err := twin.Mediator.PDF(ctx, nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call, hit := range []bool{false, true} {
+			res, err := user.GetPDF(ctx, nil, q)
+			if err != nil {
+				t.Fatalf("%s: %v", proto, err)
+			}
+			if !slices.Equal(res.Counts, want) || res.FromCache != hit {
+				t.Errorf("%s call %d: FromCache %v, want %v; counts %v, want %v", proto, call, res.FromCache, hit, res.Counts, want)
+			}
 		}
 	}
 }

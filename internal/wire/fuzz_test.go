@@ -82,6 +82,7 @@ func FuzzResponseDecode(f *testing.F) {
 	f.Add(mustJSON(f, ThresholdResponse{Points: pts, FromCache: true, Breakdown: bd}))
 	f.Add(mustJSON(f, ThresholdResponse{Points: pts, Breakdown: bd, Spans: spans, Trace: &TraceDTO{ID: "t1", Spans: spans}}))
 	f.Add(mustJSON(f, PDFResponse{Counts: []int64{1, 0, 42}, Breakdown: bd, Coverage: 0.75, Failed: 1}))
+	f.Add(mustJSON(f, PDFResponse{Counts: []int64{1, 0, 42}, Breakdown: bd, FromCache: true}))
 	f.Add(mustJSON(f, TopKResponse{Points: pts, Breakdown: bd}))
 	f.Add(mustJSON(f, AtomsResponse{Atoms: map[uint64][]byte{5: []byte("blob")}}))
 	f.Add(mustJSON(f, InfoResponse{Dataset: "mhd", GridN: 1024, AtomSide: 8, Dx: 0.006, OwnedLo: 0, OwnedHi: 1 << 30}))

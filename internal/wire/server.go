@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -45,7 +44,10 @@ func endpoint[R any](cfg serverConfig, path, span string, run func(context.Conte
 		err := dec.Decode(&req)
 		_ = r.Body.Close() //lint:allow droppederr request-body close is best-effort
 		if err != nil {
-			cd.encode(w, path, nil, fmt.Errorf("wire: bad request body: %w", err))
+			// A body that does not decode is the request's fault, however it
+			// failed: a body cut mid-JSON reads as io.ErrUnexpectedEOF, which
+			// must not classify as a retryable transport fault.
+			cd.encode(w, path, nil, faulttol.Permanentf("wire: bad request body: %v", err))
 			return
 		}
 		// A request joins the trace it names, or has one minted when it asks
@@ -146,7 +148,7 @@ func (s *NodeServer) Handler() http.Handler {
 		if err != nil {
 			return nil, err
 		}
-		return soloResult(item{counts: res.Counts, ThresholdResult: node.ThresholdResult{Breakdown: res.Breakdown}}), nil
+		return soloResult(item{counts: res.Counts, ThresholdResult: node.ThresholdResult{FromCache: res.FromCache, Breakdown: res.Breakdown}}), nil
 	}))
 	mux.HandleFunc(endpoint(s.cfg, PathTopK, "topk", func(ctx context.Context, req *TopKRequest) (*result, error) {
 		res, err := s.n.GetTopK(ctx, nil, req.ToQuery())

@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/faulttol"
@@ -321,6 +323,48 @@ func TestOversizedRequestBodyRejected(t *testing.T) {
 	res, err := clients[0].GetThreshold(context.Background(), nil, wireChaosQuery())
 	if err != nil || len(res.Points) == 0 {
 		t.Fatalf("normal query after an oversized body: %v", err)
+	}
+}
+
+// cutBodies forwards every request with its body cut in half — a request
+// that stops mid-JSON — and counts the requests it sent.
+type cutBodies struct{ sent atomic.Int32 }
+
+func (c *cutBodies) RoundTrip(r *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, err
+	}
+	_ = r.Body.Close()
+	r = r.Clone(r.Context())
+	r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body[:len(body)/2])), int64(len(body)/2)
+	c.sent.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// A body cut mid-JSON reads as io.ErrUnexpectedEOF at the server, yet it is
+// the request's fault: the answer is a permanent bad request (HTTP 400 or
+// a permanent error frame), so a retrying caller sends it exactly once.
+func TestMalformedBodySentOnce(t *testing.T) {
+	clients, _ := startNodes(t, 1)
+	retry := faulttol.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	for _, proto := range []Proto{ProtoJSON, ProtoFrame} {
+		rt := &cutBodies{}
+		cli := NewClient(baseURL(clients[0]), WithProto(proto), WithTransport(rt))
+		err := retry.Do(context.Background(), func(ctx context.Context) error {
+			_, err := cli.GetThreshold(ctx, nil, wireChaosQuery())
+			return err
+		})
+		if err == nil || faulttol.Transient(err) || !strings.Contains(err.Error(), "bad request body") {
+			t.Errorf("%s: error %v; want a permanent bad request body", proto, err)
+		}
+		var se *StatusError
+		if proto == ProtoJSON && (!errors.As(err, &se) || se.Status != http.StatusBadRequest) {
+			t.Errorf("JSON: error %v, want HTTP 400", err)
+		}
+		if n := rt.sent.Load(); n != 1 {
+			t.Errorf("%s: the malformed request was sent %d times, want once", proto, n)
+		}
 	}
 }
 

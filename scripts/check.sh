@@ -114,7 +114,10 @@ lane_done
 # ScansSaved, AtomsScanned, Breakdown counts, typed member errors, span
 # names) with two workers building and running every member's consumers
 # (-count=10, per the Go guide), and the drop that must forget every cached answer, threshold entries and
-# PDF histograms under any scan routing; and a kernel's reach — the slab
+# PDF histograms under any scan routing; the PDF cache — a cached cluster's
+# miss and hit against an uncached twin at k = 1 and 2, the aggregate
+# budget's LRU by bytes, a histogram over it served but not stored, and the
+# cache metrics agreeing with its Stats; and a kernel's reach — the slab
 # differential (at the default atom side and at sides 4 and 16) and the
 # halo-hole skips against the face-band cover predicate, and every field
 # that declares axis reach evaluating bit for bit with its edge and corner
@@ -122,6 +125,7 @@ lane_done
 lane 'node scan (-race)'
 go test -race -count=10 -run 'TestScanContract' ./internal/node/...
 go test -race -run 'TestDropCacheForgetsPDF|TestDropCoversAggregatesAndScanKeys' . ./internal/cache/...
+go test -race -run 'TestPDFCacheDifferential|TestPDFOverBudgetServedUncached|TestAggCache|TestMetricsMatchStats|TestRepeatedPDFIsCacheHit' . ./internal/cluster/... ./internal/node/... ./internal/cache/...
 go test -race -run 'TestSlabScanDifferential|TestSlabScanAtomSides|TestPartialHaloHoleDegradesSlabToItsAtoms|TestAxisReach' ./internal/node/... ./internal/derived/... ./internal/fieldexpr/...
 lane_done
 

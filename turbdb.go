@@ -34,15 +34,13 @@ type Config struct {
 	Nodes int
 	// Processes is the per-node worker count for each query (default 1).
 	Processes int
-	// Cache enables the per-node application-aware semantic cache.
+	// Cache enables the per-node application-aware semantic cache, which
+	// keeps threshold results and PDF histograms.
 	Cache bool
-	// CacheCapacity bounds each node's cache in modeled SSD bytes
-	// (0 = unlimited).
+	// CacheCapacity bounds each node's cached threshold results in modeled
+	// SSD bytes (0 = unlimited); PDF histograms have a constant budget of
+	// their own.
 	CacheCapacity int64
-	// CachePDF additionally caches per-node PDF histograms (the aggregate-
-	// cache extension the paper sketches), with an LRU budget of this many
-	// entries per node; 0 disables it.
-	CachePDF int
 	// Simulate runs the cluster on a discrete-event simulation with modeled
 	// disks, CPU cores and network links; Stats then report virtual cluster
 	// time. Results are identical either way.
@@ -84,7 +82,6 @@ func Open(cfg Config) (*DB, error) {
 	c, err := cluster.Build(gen, cluster.Config{
 		Nodes: cfg.Nodes, Processes: cfg.Processes,
 		WithCache: cfg.Cache, CacheCapacity: cfg.CacheCapacity,
-		CachePDF: cfg.CachePDF,
 		Simulate: cfg.Simulate, Registry: registry,
 		AllowPartial: cfg.AllowPartial,
 	})

@@ -513,8 +513,10 @@ func TestBuildLandmarks(t *testing.T) {
 	}
 }
 
-func TestCachePDFExtension(t *testing.T) {
-	db := openTest(t, Config{Kind: MHD, Cache: true, CachePDF: 16, Seed: 41, Simulate: true, GridN: 32})
+// A cached database keeps PDF histograms: a repeated PDF is a full cache
+// hit that pays no I/O or compute, and other binning is another key.
+func TestRepeatedPDFIsCacheHit(t *testing.T) {
+	db := openTest(t, Config{Kind: MHD, Cache: true, Seed: 41, Simulate: true, GridN: 32})
 	q := PDFQuery{Field: FieldVorticity, Bins: 8, Width: 2}
 	cold, coldStats, err := db.PDF(q)
 	if err != nil {
@@ -532,6 +534,11 @@ func TestCachePDFExtension(t *testing.T) {
 	if warmStats.IO != 0 || warmStats.Compute != 0 {
 		t.Errorf("cached PDF still paid I/O %v compute %v", warmStats.IO, warmStats.Compute)
 	}
+	if coldStats.FullCacheHit() || !warmStats.FullCacheHit() {
+		t.Errorf("full cache hit: cold %v (%d of %d nodes), warm %v (%d of %d nodes)",
+			coldStats.FullCacheHit(), coldStats.CacheHits, coldStats.Nodes,
+			warmStats.FullCacheHit(), warmStats.CacheHits, warmStats.Nodes)
+	}
 	if warmStats.Total >= coldStats.Total {
 		t.Errorf("cached PDF %v not faster than cold %v", warmStats.Total, coldStats.Total)
 	}
@@ -548,7 +555,7 @@ func TestCachePDFExtension(t *testing.T) {
 // A dropped cache forgets cached histograms too: the PDF after DropCache is
 // evaluated again, not answered from the aggregate table.
 func TestDropCacheForgetsPDF(t *testing.T) {
-	db := openTest(t, Config{Kind: MHD, Cache: true, CachePDF: 16, Seed: 41, Simulate: true, GridN: 32})
+	db := openTest(t, Config{Kind: MHD, Cache: true, Seed: 41, Simulate: true, GridN: 32})
 	q := PDFQuery{Field: FieldVorticity, Bins: 8, Width: 2}
 	if _, _, err := db.PDF(q); err != nil {
 		t.Fatal(err)
