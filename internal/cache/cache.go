@@ -314,11 +314,18 @@ func (c *Cache) Entries() []InfoRow {
 	return out
 }
 
-// SizeBytes returns the cache's current modeled SSD footprint.
+// SizeBytes returns the cache's current modeled SSD footprint: its
+// threshold entries, which CapacityBytes bounds, plus its aggregates, which
+// sit outside CapacityBytes under their own budget.
 func (c *Cache) SizeBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var total int64
-	for _, e := range c.Entries() {
+	for _, e := range c.entries {
 		total += e.Bytes
+	}
+	for _, a := range c.aggs {
+		total += aggDiskSize(len(a.counts))
 	}
 	return total
 }

@@ -474,6 +474,23 @@ func TestAggCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// SizeBytes counts aggregates beside threshold entries: the modeled
+// footprint is every byte the cache holds, inside CapacityBytes or not.
+func TestSizeBytesCountsAggregates(t *testing.T) {
+	c := newCache(t, 0)
+	if err := c.Store(nil, "d", "f", 0, 5, box(0, 8), pointsIn(box(0, 8), 5, 10)); err != nil {
+		t.Fatal(err)
+	}
+	storeAgg(t, c, 0, "pdf", make([]int64, 32))
+	entries := c.Entries()
+	if len(entries) != 1 {
+		t.Fatalf("%d threshold entries, want 1", len(entries))
+	}
+	if got, want := c.SizeBytes(), entries[0].Bytes+aggDiskSize(32); got != want {
+		t.Errorf("SizeBytes = %d, want entry %d + aggregate %d = %d", got, entries[0].Bytes, aggDiskSize(32), want)
+	}
+}
+
 // binsOf returns the bin count whose aggregate footprint is size bytes.
 func binsOf(size int64) int { return int((size - infoDiskSize) / 16) }
 

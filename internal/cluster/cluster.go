@@ -15,13 +15,11 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/turbdb/turbdb/internal/cache"
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/diskmodel"
-	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/mediator"
@@ -101,76 +99,28 @@ type Cluster struct {
 // quad-core.
 const simCores = 8
 
-// peerFetcher routes halo-atom requests to the owning nodes, charging the
-// owner's disks and the inter-node link for the transfer.
-type peerFetcher struct {
-	c    *Cluster
-	self int
-}
-
-// FetchAtoms implements node.PeerFetcher. Every atom is routed by one
-// snapshot of the mediator's routing table, to its serving owners other
-// than self (Alive before Suspect/Leaving). A transient failure of one
-// holder re-routes the affected atoms to the next replica
-// (faulttol.Failover runs the rounds); the fetch fails when an atom has no
-// live holder left.
-func (f *peerFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	pl, members := f.c.Mediator.Topology(), f.c.Mediator.Members()
-	holders := make([][]int, len(codes))
-	for i, code := range codes {
-		holders[i] = slices.DeleteFunc(members.FailoverOrder(pl.OwnersOf(code), nil), func(h int) bool { return h == f.self })
-		if len(holders[i]) == 0 {
-			return nil, fmt.Errorf("cluster: atom %v owned by no peer of node %d", code, f.self)
-		}
+// haloRouter is node self's halo fetcher: it routes by the mediator's
+// routing and membership tables, reads from the holders' stores in
+// process, and in simulation charges the holder's link for the transfer.
+func (c *Cluster) haloRouter(self int) *node.HaloRouter {
+	return &node.HaloRouter{
+		Table: func(context.Context) (membership.Placement, *membership.Table, error) {
+			return c.Mediator.Topology(), c.Mediator.Members(), nil
+		},
+		Self: self,
+		Fetch: func(ctx context.Context, p *sim.Proc, holder int, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
+			blobs, err := c.nodes[holder].FetchAtoms(ctx, p, rawField, step, codes)
+			if err == nil && c.Kernel != nil && p != nil {
+				total := 0
+				for _, b := range blobs {
+					total += len(b)
+				}
+				c.peerLinks[holder].Transfer(p, total)
+			}
+			return blobs, err
+		},
+		Kernel: c.Kernel,
 	}
-	out := make(map[morton.Code][]byte, len(codes))
-	spent, _, err := faulttol.Failover(holders, func(groups []faulttol.Group) []error {
-		results := make([]map[morton.Code][]byte, len(groups))
-		errs := make([]error, len(groups))
-		fetchOne := func(i int, fp *sim.Proc) {
-			owner := groups[i].Holder
-			want := make([]morton.Code, len(groups[i].Keys))
-			for j, k := range groups[i].Keys {
-				want[j] = codes[k]
-			}
-			blobs, err := f.c.nodes[owner].FetchAtoms(ctx, fp, rawField, step, want)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			total := 0
-			for _, b := range blobs {
-				total += len(b)
-			}
-			if f.c.Kernel != nil && fp != nil {
-				f.c.peerLinks[owner].Transfer(fp, total)
-			}
-			results[i] = blobs
-		}
-		// In simulation, requests to different owners are issued
-		// asynchronously, as the production system submits its boundary
-		// requests.
-		if f.c.Kernel != nil && p != nil {
-			(&node.Exec{Kernel: f.c.Kernel}).Fork(p, len(groups), fetchOne)
-		} else {
-			for i := range groups {
-				fetchOne(i, nil)
-			}
-		}
-		for _, blobs := range results {
-			for code, b := range blobs {
-				out[code] = b
-			}
-		}
-		return errs
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(spent) > 0 {
-		return nil, fmt.Errorf("cluster: atom %v unavailable on every replica peer of node %d: %w", codes[spent[0].Key], f.self, spent[0].Err)
-	}
-	return out, nil
 }
 
 // Build assembles a cluster over the source's dataset and ingests every
@@ -236,7 +186,7 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 
 	// wire peer fetchers
 	for i, nd := range c.nodes {
-		nd.SetPeers(&peerFetcher{c: c, self: i})
+		nd.SetPeers(c.haloRouter(i))
 	}
 
 	// ingest the dataset

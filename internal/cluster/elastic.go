@@ -39,7 +39,7 @@ func (c *Cluster) Join(ctx context.Context, p *sim.Proc) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	nd.SetPeers(&peerFetcher{c: c, self: id})
+	nd.SetPeers(c.haloRouter(id))
 
 	// Back-fill the whole cluster for the new placement: the joiner gets
 	// everything it will hold, and surviving nodes pick up the ranges the

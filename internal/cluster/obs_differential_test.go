@@ -14,17 +14,14 @@ import (
 )
 
 // The obs differential tests prove the observability layer is inert: with
-// instrumentation enabled (and even with a trace attached) a query returns
-// exactly the same points and the same coverage as with the global kill
-// switch thrown. Run under -race they also certify that span recording from
-// concurrent query workers is race-free.
+// a trace attached a query returns exactly the same points and the same
+// coverage as without one. Run under -race they also certify that span
+// recording from concurrent query workers is race-free.
 
 // runObsCase runs one threshold query on a fresh chaos cluster (node 2 dead
-// from the first call, partial mode) with obs enabled or disabled.
-func runObsCase(t *testing.T, disable, trace bool) ([]query.ResultPoint, *mediator.QueryStats) {
+// from the first call, partial mode), traced or not.
+func runObsCase(t *testing.T, trace bool) ([]query.ResultPoint, *mediator.QueryStats) {
 	t.Helper()
-	obs.SetDisabled(disable)
-	defer obs.SetDisabled(false)
 	_, m, _ := chaosMediator(t, true, 2, 0)
 	ctx := context.Background()
 	var tr *obs.Trace
@@ -34,12 +31,10 @@ func runObsCase(t *testing.T, disable, trace bool) ([]query.ResultPoint, *mediat
 	}
 	pts, stats, err := m.Threshold(ctx, nil, chaosQuery())
 	if err != nil {
-		t.Fatalf("threshold (disable=%v trace=%v): %v", disable, trace, err)
+		t.Fatalf("threshold (trace=%v): %v", trace, err)
 	}
-	if trace && !disable {
-		if len(tr.Spans()) == 0 {
-			t.Fatal("traced query recorded no spans; instrumentation path not exercised")
-		}
+	if trace && len(tr.Spans()) == 0 {
+		t.Fatal("traced query recorded no spans; instrumentation path not exercised")
 	}
 	return pts, stats
 }
@@ -61,65 +56,48 @@ func samePoints(a, b []query.ResultPoint) error {
 	return nil
 }
 
-// TestObsDifferentialChaos compares the degraded chaos query across three
-// observability states: disabled, enabled, and enabled-with-tracing. The
-// points and the Coverage annotation must match exactly.
+// TestObsDifferentialChaos compares the degraded chaos query untraced and
+// traced. The points and the Coverage annotation must match exactly.
 func TestObsDifferentialChaos(t *testing.T) {
-	offPts, offStats := runObsCase(t, true, false)
-	onPts, onStats := runObsCase(t, false, false)
-	trPts, trStats := runObsCase(t, false, true)
+	onPts, onStats := runObsCase(t, false)
+	trPts, trStats := runObsCase(t, true)
 
-	if err := samePoints(offPts, onPts); err != nil {
-		t.Fatalf("obs-on answer differs from obs-off: %v", err)
+	if err := samePoints(onPts, trPts); err != nil {
+		t.Fatalf("traced answer differs from untraced: %v", err)
 	}
-	if err := samePoints(offPts, trPts); err != nil {
-		t.Fatalf("traced answer differs from obs-off: %v", err)
+	if onStats.Coverage != trStats.Coverage {
+		t.Fatalf("Coverage diverged: untraced=%v traced=%v", onStats.Coverage, trStats.Coverage)
 	}
-	if offStats.Coverage != onStats.Coverage || offStats.Coverage != trStats.Coverage {
-		t.Fatalf("Coverage diverged: off=%v on=%v traced=%v",
-			offStats.Coverage, onStats.Coverage, trStats.Coverage)
+	if len(onStats.Failures) != len(trStats.Failures) {
+		t.Fatalf("Failures diverged: untraced=%d traced=%d", len(onStats.Failures), len(trStats.Failures))
 	}
-	if len(offStats.Failures) != len(onStats.Failures) || len(offStats.Failures) != len(trStats.Failures) {
-		t.Fatalf("Failures diverged: off=%d on=%d traced=%d",
-			len(offStats.Failures), len(onStats.Failures), len(trStats.Failures))
-	}
-	if offStats.Coverage >= 1 || offStats.Coverage <= 0 {
-		t.Fatalf("Coverage = %v; the chaos scenario did not degrade, differential vacuous", offStats.Coverage)
+	if onStats.Coverage >= 1 || onStats.Coverage <= 0 {
+		t.Fatalf("Coverage = %v; the chaos scenario did not degrade, differential vacuous", onStats.Coverage)
 	}
 }
 
 // TestObsDifferentialHealthy is the same differential on a healthy cluster:
-// complete answers, Coverage 1, bit-for-bit equal with obs on, off, and
-// traced.
+// complete answers, Coverage 1, bit-for-bit equal untraced and traced.
 func TestObsDifferentialHealthy(t *testing.T) {
-	run := func(disable, trace bool) []query.ResultPoint {
-		obs.SetDisabled(disable)
-		defer obs.SetDisabled(false)
+	run := func(trace bool) []query.ResultPoint {
 		c := buildTest(t, Config{Nodes: 4}, synth.Isotropic, 16)
 		ctx := context.Background()
 		if trace {
 			ctx = obs.ContextWithTrace(ctx, obs.NewTrace(obs.NewTraceID(), nil))
 		}
-		pts, stats, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
+		pts, _, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
 		if err != nil {
-			t.Fatalf("threshold (disable=%v trace=%v): %v", disable, trace, err)
-		}
-		if stats.Trace != nil && disable {
-			t.Fatal("stats carry a trace while obs is disabled")
+			t.Fatalf("threshold (trace=%v): %v", trace, err)
 		}
 		return pts
 	}
-	off := run(true, false)
-	on := run(false, false)
-	traced := run(false, true)
-	if len(off) == 0 {
+	on := run(false)
+	traced := run(true)
+	if len(on) == 0 {
 		t.Fatal("reference query returned nothing")
 	}
-	if err := samePoints(off, on); err != nil {
-		t.Fatalf("obs-on answer differs from obs-off: %v", err)
-	}
-	if err := samePoints(off, traced); err != nil {
-		t.Fatalf("traced answer differs from obs-off: %v", err)
+	if err := samePoints(on, traced); err != nil {
+		t.Fatalf("traced answer differs from untraced: %v", err)
 	}
 }
 

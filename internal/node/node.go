@@ -16,12 +16,15 @@ package node
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/turbdb/turbdb/internal/cache"
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/grid"
+	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/sim"
 	"github.com/turbdb/turbdb/internal/store"
@@ -60,6 +63,98 @@ func WithHaloParts(ctx context.Context, atomSide int, boxes map[morton.Code]grid
 func HaloParts(ctx context.Context) (atomSide int, boxes map[morton.Code]grid.Box) {
 	hp, _ := ctx.Value(haloPartsKey{}).(haloParts)
 	return hp.atomSide, hp.boxes
+}
+
+// HaloRouter is the PeerFetcher of a node in a cluster, in process and over
+// HTTP alike. It routes each atom to the nodes holding it other than Self,
+// in the membership table's failover order (Alive before Suspect/Leaving,
+// primary first, then ring order), and asks each holder once for all its
+// atoms. A transient failure of one holder moves its atoms on to their next
+// holder (faulttol.Failover runs the rounds); the fetch fails on a
+// permanent error, or when an atom has no holder left.
+type HaloRouter struct {
+	// Table returns the routing table and the membership table that orders
+	// each atom's holders. A non-nil error says the routing table may lack
+	// holdings that could not be read: an atom with no holder then fails
+	// with that error's class instead of permanently.
+	Table func(ctx context.Context) (membership.Placement, *membership.Table, error)
+	// Self is the fetching node; it is never asked.
+	Self int
+	// Fetch asks one holder for codes.
+	Fetch func(ctx context.Context, p *sim.Proc, holder int, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error)
+	// Kernel is the simulation kernel, nil in real mode. In simulation the
+	// holders of a round are asked concurrently, one child process each,
+	// as the production system submits its boundary requests
+	// asynchronously; in real mode they are asked one after another.
+	Kernel *sim.Kernel
+}
+
+// FetchAtoms implements PeerFetcher.
+func (r *HaloRouter) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
+	pl, members, tableErr := r.Table(ctx)
+	holders := make([][]int, len(codes))
+	for i, code := range codes {
+		holders[i] = slices.DeleteFunc(members.FailoverOrder(pl.OwnersOf(code), nil), func(h int) bool { return h == r.Self })
+		if len(holders[i]) > 0 {
+			continue
+		}
+		if tableErr != nil {
+			return nil, fmt.Errorf("node %d: halo atom %v unavailable on every replica peer: %w", r.Self, code, tableErr)
+		}
+		return nil, faulttol.Permanentf("node %d: halo atom %v owned by no peer", r.Self, code)
+	}
+	out := make(map[morton.Code][]byte, len(codes))
+	spent, _, err := faulttol.Failover(holders, func(groups []faulttol.Group) []error {
+		blobs := make([]map[morton.Code][]byte, len(groups))
+		errs := make([]error, len(groups))
+		serve := func(i int, gp *sim.Proc) {
+			blobs[i], errs[i] = r.fetchGroup(ctx, gp, groups[i], rawField, step, codes)
+		}
+		if r.Kernel != nil && p != nil {
+			(&Exec{Kernel: r.Kernel}).Fork(p, len(groups), serve)
+		} else {
+			for i := range groups {
+				serve(i, p)
+			}
+		}
+		for i, g := range groups {
+			if errs[i] == nil {
+				for _, k := range g.Keys {
+					out[codes[k]] = blobs[i][codes[k]]
+				}
+			}
+		}
+		return errs
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(spent) > 0 {
+		return nil, fmt.Errorf("node %d: halo atom %v unavailable on every replica peer: %w", r.Self, codes[spent[0].Key], spent[0].Err)
+	}
+	return out, nil
+}
+
+// fetchGroup asks g's holder for g's atoms. A holder that leaves out an
+// atom fails the group permanently; a permanent error names the holder.
+func (r *HaloRouter) fetchGroup(ctx context.Context, p *sim.Proc, g faulttol.Group, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
+	want := make([]morton.Code, len(g.Keys))
+	for i, k := range g.Keys {
+		want[i] = codes[k]
+	}
+	blobs, err := r.Fetch(ctx, p, g.Holder, rawField, step, want)
+	if err != nil {
+		if !faulttol.Transient(err) {
+			err = fmt.Errorf("node %d: peer %d: %w", r.Self, g.Holder, err)
+		}
+		return nil, err
+	}
+	for _, c := range want {
+		if _, ok := blobs[c]; !ok {
+			return nil, faulttol.Permanentf("node %d: peer %d omitted atom %v", r.Self, g.Holder, c)
+		}
+	}
+	return blobs, nil
 }
 
 // Description is what a mediator needs to know about a node at assembly

@@ -33,7 +33,7 @@ func Traces() *TraceStore { return defaultTraces }
 // Record stores a completed trace, evicting the oldest past capacity.
 // Recording the same ID again replaces the stored trace.
 func (s *TraceStore) Record(t *Trace) {
-	if t == nil || disabled.Load() {
+	if t == nil {
 		return
 	}
 	s.mu.Lock()

@@ -21,14 +21,6 @@
 // allocation-free, so they are safe to call from the node's per-atom scan
 // loop. The text exposition (Registry.WriteText, served at /metrics) is the
 // only place that allocates.
-//
-// # Kill switch
-//
-// SetDisabled(true) turns every metric update and every trace lookup into a
-// no-op. The switch exists for the obs-on/obs-off differential tests (which
-// prove instrumentation never changes query results) and as an emergency
-// valve; the steady-state cost of leaving obs enabled is one atomic load per
-// update.
 package obs
 
 import (
@@ -40,14 +32,6 @@ import (
 	"sync/atomic"
 )
 
-// disabled is the global kill switch; see SetDisabled.
-var disabled atomic.Bool
-
-// SetDisabled toggles the global observability kill switch: while disabled,
-// counter/gauge/histogram updates are dropped and TraceFrom returns nil, so
-// no spans are recorded anywhere.
-func SetDisabled(v bool) { disabled.Store(v) }
-
 // Counter is a monotonically increasing metric. The zero value is usable;
 // obtain registered instances from Registry.Counter.
 type Counter struct {
@@ -58,9 +42,6 @@ type Counter struct {
 //
 //turbdb:rowkernel
 func (c *Counter) Inc() {
-	if disabled.Load() {
-		return
-	}
 	c.v.Add(1)
 }
 
@@ -68,7 +49,7 @@ func (c *Counter) Inc() {
 //
 //turbdb:rowkernel
 func (c *Counter) Add(n int64) {
-	if disabled.Load() || n < 0 {
+	if n < 0 {
 		return
 	}
 	c.v.Add(n)
@@ -86,9 +67,6 @@ type Gauge struct {
 //
 //turbdb:rowkernel
 func (g *Gauge) Set(n int64) {
-	if disabled.Load() {
-		return
-	}
 	g.v.Store(n)
 }
 
@@ -96,9 +74,6 @@ func (g *Gauge) Set(n int64) {
 //
 //turbdb:rowkernel
 func (g *Gauge) Add(n int64) {
-	if disabled.Load() {
-		return
-	}
 	g.v.Add(n)
 }
 
@@ -133,9 +108,6 @@ func newHistogram(bounds []float64) *Histogram {
 //
 //turbdb:rowkernel
 func (h *Histogram) Observe(v float64) {
-	if disabled.Load() {
-		return
-	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++

@@ -257,10 +257,9 @@ func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, ctxKey{}, ctxTrace{t: t})
 }
 
-// TraceFrom returns the trace attached to ctx, or nil if none is attached
-// or observability is globally disabled.
+// TraceFrom returns the trace attached to ctx, or nil if none is attached.
 func TraceFrom(ctx context.Context) *Trace {
-	if ctx == nil || disabled.Load() {
+	if ctx == nil {
 		return nil
 	}
 	ct, _ := ctx.Value(ctxKey{}).(ctxTrace)

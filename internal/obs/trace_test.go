@@ -72,21 +72,6 @@ func TestStartSpanWithoutTraceIsNoop(t *testing.T) {
 	}
 }
 
-func TestTraceFromDisabled(t *testing.T) {
-	tr := NewTrace("t", nil)
-	ctx := ContextWithTrace(context.Background(), tr)
-	SetDisabled(true)
-	defer SetDisabled(false)
-	if TraceFrom(ctx) != nil {
-		t.Error("TraceFrom should be nil while obs is disabled")
-	}
-	_, sp := StartSpan(ctx, "x")
-	sp.End()
-	if n := len(tr.Spans()); n != 0 {
-		t.Errorf("disabled StartSpan recorded %d spans", n)
-	}
-}
-
 func TestNilTraceSafe(t *testing.T) {
 	var tr *Trace
 	if tr.ID() != "" {
@@ -273,16 +258,6 @@ func TestTraceStoreEvictionAndReplace(t *testing.T) {
 		t.Errorf("replace changed the ring: %v", ids)
 	}
 	s.Record(nil) // must not panic
-}
-
-func TestTraceStoreDisabled(t *testing.T) {
-	s := NewTraceStore(4)
-	SetDisabled(true)
-	defer SetDisabled(false)
-	s.Record(NewTrace("x", nil))
-	if len(s.IDs()) != 0 {
-		t.Error("disabled Record should drop the trace")
-	}
 }
 
 func TestMetricsHandler(t *testing.T) {

@@ -366,101 +366,54 @@ func (c *Client) Held(ctx context.Context) ([]morton.Range, error) {
 }
 
 // PeerSet routes halo-atom fetches to the holding nodes of a cluster of
-// node services — the node.PeerFetcher for HTTP deployments. Holdings are
-// discovered from each service's /info (primary plus adopted replica
-// ranges) and read into a routing table by membership.Describe, the rule
-// the mediator uses, so under k-way replication an atom has several
-// candidate peers, tried primary first and then in ring order, and a fetch
-// fails over to the next holder when one is down. Each peer gets its own
-// retry policy and circuit breaker, so one dead peer fails fast instead of
-// stalling every halo exchange behind full timeouts.
+// node services — the node.PeerFetcher for HTTP deployments, a
+// node.HaloRouter. Holdings are read off each service's /info (primary
+// plus adopted replica ranges) on every fetch and into a routing table by
+// membership.Describe, the rule the mediator uses, so under k-way
+// replication an atom has several candidate peers, tried primary first and
+// then in ring order, and a fetch fails over to the next holder when one is
+// down. A peer whose holdings cannot be read holds nothing for that fetch,
+// and neither does self, whose holdings are not read: its ranges go to the
+// peers holding them as replicas. Each peer gets its own retry policy and
+// circuit breaker, so one dead peer fails fast instead of stalling every
+// halo exchange behind full timeouts.
 type PeerSet struct {
-	clients []*Client
-	self    int
-	ft      []*faulttol.Executor
+	node.HaloRouter
 }
 
 // NewPeerSet builds a peer set for node self among clients (self is
 // excluded from routing).
 func NewPeerSet(clients []*Client, self int) *PeerSet {
 	ft := make([]*faulttol.Executor, len(clients))
+	ids := make([]int, len(clients))
 	for i := range ft {
 		ft[i] = &faulttol.Executor{Policy: faulttol.DefaultPolicy(), Breaker: faulttol.NewBreaker(faulttol.BreakerConfig{})}
+		ids[i] = i
 	}
-	return &PeerSet{clients: clients, self: self, ft: ft}
-}
-
-// FetchAtoms implements node.PeerFetcher over HTTP. Atoms are batched per
-// holder; a transient failure re-routes the holder's batch to each atom's
-// next replica (faulttol.Failover runs the rounds), and only an atom with
-// every holder down fails the fetch. A peer whose holdings cannot be read
-// holds nothing for this fetch, and neither does self, whose holdings are
-// not read: its ranges go to the peers holding them as replicas.
-func (ps *PeerSet) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	held := make([][]morton.Range, len(ps.clients))
-	var unreadable error // the first peer whose holdings could not be read
-	for i, c := range ps.clients {
-		if i == ps.self {
-			continue
-		}
-		var err error
-		if held[i], err = c.Held(ctx); err != nil && unreadable == nil {
-			unreadable = fmt.Errorf("wire: peer %d: %w", i, err)
-		}
-	}
-	table := membership.Describe(held)
-
-	holders := make([][]int, len(codes))
-	unheld := 0
-	for i, code := range codes {
-		if holders[i] = table.OwnersOf(code); len(holders[i]) == 0 {
-			unheld++
-		}
-	}
-	if unheld > 0 {
-		if unreadable != nil {
-			return nil, fmt.Errorf("wire: %d halo atoms unavailable on every replica peer: %w", unheld, unreadable)
-		}
-		return nil, faulttol.Permanentf("wire: %d halo atoms owned by no peer", unheld)
-	}
-
-	out := make(map[morton.Code][]byte, len(codes))
-	spent, _, err := faulttol.Failover(holders, func(groups []faulttol.Group) []error {
-		errs := make([]error, len(groups))
-		for gi, g := range groups {
-			mine := make([]morton.Code, len(g.Keys))
-			for i, k := range g.Keys {
-				mine[i] = codes[k]
+	members := membership.NewTable(ids...) // all Alive: holders in Describe's order
+	return &PeerSet{node.HaloRouter{
+		Table: func(ctx context.Context) (membership.Placement, *membership.Table, error) {
+			held := make([][]morton.Range, len(clients))
+			var unreadable error // the first peer whose holdings could not be read
+			for i, c := range clients {
+				if i == self {
+					continue
+				}
+				var err error
+				if held[i], err = c.Held(ctx); err != nil && unreadable == nil {
+					unreadable = fmt.Errorf("wire: peer %d: %w", i, err)
+				}
 			}
-			var blobs map[morton.Code][]byte
-			err := ps.ft[g.Holder].Do(ctx, func(ctx context.Context) error {
+			return membership.Describe(held), members, unreadable
+		},
+		Self: self,
+		Fetch: func(ctx context.Context, p *sim.Proc, holder int, rawField string, step int, codes []morton.Code) (blobs map[morton.Code][]byte, err error) {
+			err = ft[holder].Do(ctx, func(ctx context.Context) error {
 				var ferr error
-				blobs, ferr = ps.clients[g.Holder].FetchAtoms(ctx, p, rawField, step, mine)
+				blobs, ferr = clients[holder].FetchAtoms(ctx, p, rawField, step, codes)
 				return ferr
 			})
-			if err != nil {
-				if !faulttol.Transient(err) {
-					err = fmt.Errorf("wire: peer %d: %w", g.Holder, err)
-				}
-				errs[gi] = err
-				continue
-			}
-			for _, c := range mine {
-				blob, ok := blobs[c]
-				if !ok {
-					errs[gi] = faulttol.Permanentf("wire: peer %d omitted atom %v", g.Holder, c)
-					break
-				}
-				out[c] = blob
-			}
-		}
-		return errs
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(spent) > 0 {
-		return nil, fmt.Errorf("wire: halo atom %v unavailable on every replica peer: %w", codes[spent[0].Key], spent[0].Err)
-	}
-	return out, nil
+			return blobs, err
+		},
+	}}
 }

@@ -21,7 +21,6 @@ import (
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/query"
-	"github.com/turbdb/turbdb/internal/sim"
 	"github.com/turbdb/turbdb/internal/store"
 	"github.com/turbdb/turbdb/internal/synth"
 	"github.com/turbdb/turbdb/internal/wire/binproto"
@@ -69,45 +68,9 @@ func startNodes(t *testing.T, nNodes int, opts ...ServerOption) ([]*Client, *syn
 	}
 	// halo exchange over HTTP: each node fetches from the peer clients
 	for i, n := range nodes {
-		n.SetPeers(&httpPeers{clients: clients, self: i})
+		n.SetPeers(NewPeerSet(clients, i))
 	}
 	return clients, gen
-}
-
-// httpPeers routes halo requests to owning nodes via their HTTP clients.
-type httpPeers struct {
-	clients []*Client
-	self    int
-}
-
-func (h *httpPeers) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	out := make(map[morton.Code][]byte, len(codes))
-	for i, c := range h.clients {
-		if i == h.self {
-			continue
-		}
-		d, err := c.Describe(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		var mine []morton.Code
-		for _, code := range codes {
-			if d.Owned.Contains(code) {
-				mine = append(mine, code)
-			}
-		}
-		if len(mine) == 0 {
-			continue
-		}
-		blobs, err := c.FetchAtoms(ctx, p, rawField, step, mine)
-		if err != nil {
-			return nil, err
-		}
-		for code, blob := range blobs {
-			out[code] = blob
-		}
-	}
-	return out, nil
 }
 
 func TestNodeServiceEndToEnd(t *testing.T) {

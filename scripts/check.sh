@@ -72,6 +72,7 @@ go test -race ./internal/faulttol/... ./internal/faultinject/... ./internal/clus
 lane_done
 
 # Replica-failover chaos lane: the failover loop itself (TestFailover),
+# the halo router that runs it for node-to-node fetches (TestHaloRouter),
 # membership, placement, and the elastic suites (replica failover,
 # join/leave rebalances, the 64-node DES scenario) by name under the race
 # detector. The packages also run above; naming the suites keeps a future
@@ -80,8 +81,8 @@ lane_done
 # and failover test ends in obs.VerifyNoLeaks, so a leaked goroutine in the
 # fan-out or streaming paths fails this lane.
 lane 'replica failover chaos (-race)'
-go test -race -run 'Failover|Elastic|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath|DescribeInvertsPlace|DescribeUnknownHoldings' \
-	./internal/faulttol/... ./internal/membership/... ./internal/mediator/... ./internal/cluster/... ./internal/wire/...
+go test -race -run 'Failover|Elastic|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath|DescribeInvertsPlace|DescribeUnknownHoldings|HaloRouter' \
+	./internal/faulttol/... ./internal/membership/... ./internal/mediator/... ./internal/cluster/... ./internal/wire/... ./internal/node/...
 lane_done
 
 # Scheduler stress lane: the concurrent-scheduler suites by name under the
