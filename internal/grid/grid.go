@@ -87,6 +87,20 @@ func (b Box) Intersect(o Box) Box {
 	return r
 }
 
+// Union returns the bounding box of two boxes; an empty one adds nothing.
+func (b Box) Union(o Box) Box {
+	if b.Empty() {
+		return o
+	}
+	if o.Empty() {
+		return b
+	}
+	return Box{
+		Lo: Point{min(b.Lo.X, o.Lo.X), min(b.Lo.Y, o.Lo.Y), min(b.Lo.Z, o.Lo.Z)},
+		Hi: Point{max(b.Hi.X, o.Hi.X), max(b.Hi.Y, o.Hi.Y), max(b.Hi.Z, o.Hi.Z)},
+	}
+}
+
 // Expand grows the box by h points on every side (the halo needed by a
 // kernel of half-width h). Negative h shrinks.
 func (b Box) Expand(h int) Box {

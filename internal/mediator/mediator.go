@@ -176,6 +176,7 @@ func New(cfg Config) (*Mediator, error) {
 		allowPartial: cfg.AllowPartial,
 		members:      membership.NewTable(ids...),
 	}
+	m.members.Publish()
 	// Fault tolerance runs in real mode only: the simulation models a
 	// fault-free cluster on a virtual clock, where wall-clock backoff is
 	// meaningless.

@@ -79,9 +79,10 @@ type Member struct {
 // higher-ranked lock.
 type Table struct {
 	//turbdb:lockrank membership.table 15
-	mu      sync.Mutex
-	members map[int]State // guarded by mu
-	version uint64        // guarded by mu
+	mu        sync.Mutex
+	members   map[int]State // guarded by mu
+	version   uint64        // guarded by mu
+	published bool          // guarded by mu; the gauges report this table
 }
 
 // NewTable builds a table with the given members, all Alive.
@@ -94,13 +95,26 @@ func NewTable(ids ...int) *Table {
 		t.members[id] = Alive
 	}
 	t.version = 1
-	t.noteLocked()
 	return t
 }
 
-// noteLocked refreshes the membership gauges from the current state. Called
-// with t.mu held (gauges are atomic, not locked).
+// Publish makes t the table the process-wide membership gauges
+// (turbdb_membership_{serving,suspect,version}) report, from now on. Only
+// the cluster's own table — the mediator's — is published; a table a
+// component keeps for its own routing leaves the gauges alone.
+func (t *Table) Publish() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.published = true
+	t.noteLocked()
+}
+
+// noteLocked refreshes the membership gauges from the current state of a
+// published table. Called with t.mu held (gauges are atomic, not locked).
 func (t *Table) noteLocked() {
+	if !t.published {
+		return
+	}
 	var serving, suspect int64
 	for _, s := range t.members {
 		if s.Serving() {

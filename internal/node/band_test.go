@@ -29,14 +29,13 @@ type bandFetcher struct {
 
 func (f bandFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
 	blobs, err := f.inner.FetchAtoms(ctx, p, rawField, step, codes)
-	side, parts := HaloParts(ctx)
+	side, nc, parts := HaloParts(ctx)
 	if err != nil || parts == nil {
 		return blobs, err
 	}
 	atom := grid.Box{Hi: grid.Point{X: side, Y: side, Z: side}}
 	out := make(map[morton.Code][]byte, len(blobs))
 	for c, b := range blobs {
-		nc := len(b) / 4 / atom.NumPoints()
 		part := field.AppendPart(nil, b, atom, parts[c], nc)
 		out[c] = part[:len(part)-f.trim]
 		f.shipped.Add(int64(len(out[c])))

@@ -30,8 +30,10 @@ type Breakdown struct {
 	Total       time.Duration
 
 	// AtomsRead counts local atom records read (including redundant halo
-	// re-reads across workers); HaloAtoms counts atoms fetched from peers;
-	// PointsExamined counts kernel evaluations.
+	// re-reads across workers); HaloAtoms counts the atoms a scan needed
+	// from peers, whether the peer fetcher asked a peer for them or served
+	// them from a halo store it keeps (wire.PeerSet), so it does not move
+	// with what the fetcher held; PointsExamined counts kernel evaluations.
 	AtomsRead      int
 	HaloAtoms      int
 	PointsExamined int
@@ -221,7 +223,7 @@ func (n *Node) gatherReads(ctx context.Context, wp *sim.Proc, f *derived.Field, 
 				o := tile.Lo
 				in := tile.Intersect(r)
 				part := grid.Box{Lo: in.Lo.Add(-o.X, -o.Y, -o.Z), Hi: in.Hi.Add(-o.X, -o.Y, -o.Z)}
-				out.parts[c] = unionBox(out.parts[c], part) // neighboring slabs share halo atoms
+				out.parts[c] = out.parts[c].Union(part) // neighboring slabs share halo atoms
 				return true
 			})
 		}
@@ -232,12 +234,11 @@ func (n *Node) gatherReads(ctx context.Context, wp *sim.Proc, f *derived.Field, 
 		needed = append(needed, c)
 	}
 	slices.Sort(needed)
-	ctx = WithHaloParts(ctx, g.AtomSide, out.parts)
 
 	for _, rf := range f.Raws {
 		err := ctx.Err()
 		if err == nil {
-			err = n.gatherField(ctx, wp, rf, step, needed, pool, &out)
+			err = n.gatherField(WithHaloParts(ctx, g.AtomSide, rf.NComp, out.parts), wp, rf, step, needed, pool, &out)
 		}
 		if err != nil {
 			return workerData{err: err}
@@ -292,6 +293,9 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInpu
 			if remoteErr == nil && len(remoteWarm) > 0 {
 				warmRemote, remoteErr = n.peers.FetchAtoms(ctx, nil, rawField, step, remoteWarm)
 			}
+			// What the scan needed from peers, however much of it crossed
+			// the network: a fetcher that keeps halo atoms answers from
+			// its store with the same bytes a peer would have shipped.
 			haloBytes := 0
 			for _, more := range []map[morton.Code][]byte{coldRemote, warmRemote} {
 				for _, b := range more {

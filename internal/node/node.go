@@ -41,28 +41,36 @@ type PeerFetcher interface {
 	FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error)
 }
 
+// HaloDropper is a PeerFetcher that keeps halo atoms across fetches. It
+// forgets the atoms of rawField at step when the node drops a key that
+// reads them (DropCacheEntry), so the key's next query fetches its halo
+// again, as a first touch does.
+type HaloDropper interface {
+	DropHalo(rawField string, step int)
+}
+
 type haloPartsKey struct{}
 
 // haloParts is what WithHaloParts puts on a context.
 type haloParts struct {
-	atomSide int
-	boxes    map[morton.Code]grid.Box
+	atomSide, ncomp int
+	boxes           map[morton.Code]grid.Box
 }
 
 // WithHaloParts returns ctx carrying, per atom code, the atom-local box a
 // worker's slabs read of that atom — the halo band, where the atom is not
-// the worker's own — on a grid of the given atom side. A PeerFetcher that
-// ships parts reads it with HaloParts; one that ships whole atoms ignores
-// it.
-func WithHaloParts(ctx context.Context, atomSide int, boxes map[morton.Code]grid.Box) context.Context {
-	return context.WithValue(ctx, haloPartsKey{}, haloParts{atomSide, boxes})
+// the worker's own — on a grid of the given atom side, for a raw field of
+// ncomp components. A PeerFetcher that ships parts reads it with
+// HaloParts; one that ships whole atoms ignores it.
+func WithHaloParts(ctx context.Context, atomSide, ncomp int, boxes map[morton.Code]grid.Box) context.Context {
+	return context.WithValue(ctx, haloPartsKey{}, haloParts{atomSide, ncomp, boxes})
 }
 
 // HaloParts returns what WithHaloParts put on ctx; boxes is nil when
 // nothing was.
-func HaloParts(ctx context.Context) (atomSide int, boxes map[morton.Code]grid.Box) {
+func HaloParts(ctx context.Context) (atomSide, ncomp int, boxes map[morton.Code]grid.Box) {
 	hp, _ := ctx.Value(haloPartsKey{}).(haloParts)
-	return hp.atomSide, hp.boxes
+	return hp.atomSide, hp.ncomp, hp.boxes
 }
 
 // HaloRouter is the PeerFetcher of a node in a cluster, in process and over

@@ -133,7 +133,7 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 	preds := make([]atomPred, len(live))
 	for j, i := range live {
 		preds[j] = ms[i].pred()
-		ub = unionBox(ub, preds[j].box)
+		ub = ub.Union(preds[j].box)
 	}
 	syn := n.openSynopsis(f, st, k.step)
 	atomsScanned := 0

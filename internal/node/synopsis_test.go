@@ -207,7 +207,7 @@ func TestSynopsisDifferential(t *testing.T) {
 				for i := range members {
 					members[i].Scan = scan
 					preds[i] = atomPred{members[i].Box, members[i].Threshold}
-					ub = unionBox(ub, members[i].Box)
+					ub = ub.Union(members[i].Box)
 				}
 				wantAtoms, wantPoints := prunedPoints(t, n, f, c.order, ub, scan, preds)
 				got, gerr := n.GetThresholdBatch(ctx, nil, members)

@@ -88,20 +88,6 @@ func (n *Node) resolveField(fieldName string) (*derived.Field, error) {
 	return f, nil
 }
 
-// unionBox returns the bounding box of two half-open boxes.
-func unionBox(a, b grid.Box) grid.Box {
-	if a.Empty() {
-		return b
-	}
-	if b.Empty() {
-		return a
-	}
-	return grid.Box{
-		Lo: grid.Point{X: min(a.Lo.X, b.Lo.X), Y: min(a.Lo.Y, b.Lo.Y), Z: min(a.Lo.Z, b.Lo.Z)},
-		Hi: grid.Point{X: max(a.Hi.X, b.Hi.X), Y: max(a.Hi.Y, b.Hi.Y), Z: max(a.Hi.Z, b.Hi.Z)},
-	}
-}
-
 // thresholdMember is the paper's threshold query as a scan member: the
 // points of its box whose norm is ≥ its threshold, at most q.Limit of them.
 // The cache entry it looks up and stores is Algorithm 1's: an entry whose
@@ -219,11 +205,12 @@ func (n *Node) GetThresholdBatch(ctx context.Context, p *sim.Proc, qs []query.Th
 }
 
 // DropCacheEntry removes what the node remembers of (field, order, step) —
-// cached results under any scan routing and the max-norm synopsis — so the
-// next query is a first touch; used to force cold runs in experiments. The
-// in-process drop is quick; ctx matters for the mediator.NodeClient
-// contract (the wire implementation blocks on the network) and is still
-// honored if already canceled.
+// cached results under any scan routing, the max-norm synopsis and, when
+// the peer fetcher keeps halo atoms (HaloDropper), the halo atoms of the
+// field's raw inputs at step — so the next query is a first touch; used to
+// force cold runs in experiments. The in-process drop is quick; ctx
+// matters for the mediator.NodeClient contract (the wire implementation
+// blocks on the network) and is still honored if already canceled.
 func (n *Node) DropCacheEntry(ctx context.Context, fieldName string, order, step int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -237,6 +224,13 @@ func (n *Node) DropCacheEntry(ctx context.Context, fieldName string, order, step
 	}
 	if n.cache != nil {
 		n.cache.Drop(n.dataset, base, step)
+	}
+	if d, ok := n.peers.(HaloDropper); ok {
+		if f, err := n.registry.Lookup(fieldName); err == nil {
+			for _, rf := range f.Raws {
+				d.DropHalo(rf.Name, step)
+			}
+		}
 	}
 	return nil
 }

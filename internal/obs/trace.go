@@ -27,8 +27,10 @@ type Span struct {
 	Start time.Duration
 	End   time.Duration
 	// Attr is the one count a stage may attach to its span (scan_io carries
-	// atoms_pruned, halo_fetch halo_bytes); the zero value is none. It stays in the recording
-	// process: the wire's span DTOs do not carry it.
+	// atoms_pruned, halo_fetch halo_bytes: the bytes of the halo a scan
+	// needed from peers, also when a halo store served them); the zero value
+	// is none. It stays in the recording process: the wire's span DTOs do
+	// not carry it.
 	Attr Attr
 }
 

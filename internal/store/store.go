@@ -15,6 +15,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,6 +26,7 @@ import (
 	"sync"
 
 	"github.com/turbdb/turbdb/internal/diskmodel"
+	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/sim"
@@ -214,7 +216,10 @@ func (s *Store) CreateField(meta FieldMeta) error {
 }
 
 // Put stores one atom blob. The code must fall in a held range and the
-// blob length must match the field schema.
+// blob length must match the field schema. A served step never changes:
+// putting an atom the store already holds is a no-op when the bytes are
+// equal (overlapping held ranges after a rebalance) and a permanent error
+// when they differ, so nothing a peer keeps of an atom goes stale.
 func (s *Store) Put(fieldName string, step int, code morton.Code, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,7 +234,14 @@ func (s *Store) Put(fieldName string, step int, code morton.Code, blob []byte) e
 	if len(blob) != want {
 		return fmt.Errorf("store: blob for %q is %d bytes, want %d", fieldName, len(blob), want)
 	}
-	s.data[fieldName][Key{Timestep: step, Code: code}] = blob
+	k := Key{Timestep: step, Code: code}
+	if held, ok := s.data[fieldName][k]; ok {
+		if !bytes.Equal(held, blob) {
+			return faulttol.Permanentf("store: atom %v of %q at step %d is already held with other bytes; a served step never changes", code, fieldName, step)
+		}
+		return nil
+	}
+	s.data[fieldName][k] = blob
 	return nil
 }
 

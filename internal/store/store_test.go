@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/turbdb/turbdb/internal/diskmodel"
+	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/morton"
@@ -128,6 +129,36 @@ func TestPutValidation(t *testing.T) {
 	// out of owned range: grid 16/8 → atoms [0,8)
 	if err := s.Put("v", 0, 8, blobFor(g, 3, 1)); err == nil {
 		t.Error("accepted out-of-range code")
+	}
+}
+
+// TestPutServedStepNeverChanges: putting an atom the store holds again
+// with equal bytes is a no-op, as overlapping held ranges after a
+// rebalance need; with other bytes it is a permanent error and the held
+// bytes stay.
+func TestPutServedStepNeverChanges(t *testing.T) {
+	g := testGrid(t, 16)
+	s := newStore(t, g)
+	if err := s.CreateField(FieldMeta{Name: "v", NComp: 3}); err != nil {
+		t.Fatal(err)
+	}
+	blob := blobFor(g, 3, 1)
+	if err := s.Put("v", 0, 3, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("v", 0, 3, append([]byte(nil), blob...)); err != nil {
+		t.Fatalf("equal bytes again: %v", err)
+	}
+	err := s.Put("v", 0, 3, blobFor(g, 3, 2))
+	var class faulttol.TransientMarker
+	if !errors.As(err, &class) || class.Transient() {
+		t.Fatalf("other bytes for a held atom: err = %v, want a permanent error", err)
+	}
+	if got, err := s.ReadAtom(nil, "v", 0, 3); err != nil || string(got) != string(blob) {
+		t.Fatalf("held bytes changed (err %v)", err)
+	}
+	if err := s.Put("v", 1, 3, blobFor(g, 3, 2)); err != nil {
+		t.Fatalf("the same atom at another step: %v", err)
 	}
 }
 

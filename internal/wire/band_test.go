@@ -313,7 +313,7 @@ func TestAtomsRejectsHostileBoxes(t *testing.T) {
 		http.Error(w, "recorded", http.StatusBadRequest)
 	}))
 	t.Cleanup(rec.Close)
-	ctx := node.WithHaloParts(context.Background(), 256, map[morton.Code]grid.Box{0: {Hi: grid.Point{X: 1, Y: 1, Z: 1}}})
+	ctx := node.WithHaloParts(context.Background(), 256, 3, map[morton.Code]grid.Box{0: {Hi: grid.Point{X: 1, Y: 1, Z: 1}}})
 	_, _ = NewClient(rec.URL).FetchAtoms(ctx, nil, derived.Velocity, 0, []morton.Code{0}) //lint:allow droppederr the recorder always fails the call
 	if got, _ := sent.Load().(string); got == "" || strings.Contains(got, "boxes") {
 		t.Errorf("a client on atoms of side 256 sent %q", got)

@@ -256,6 +256,13 @@ func TestDifferentialTracedMatrix(t *testing.T) {
 			userHop := &ctRecorder{seen: make(map[string][]string)}
 			user := NewClient(serveMediator(t, wireMediator(t, ncs, false)), WithProto(cell.user), WithTransport(userHop))
 
+			// A node keeps the halo it fetched: drop the key, so the traced
+			// scan fetches its halo again and the halo hop shows in the tree.
+			for _, n := range nodes {
+				if err := n.DropCacheEntry(ctx, tq.Field, tq.FDOrder, tq.Timestep); err != nil {
+					t.Fatal(err)
+				}
+			}
 			pts, resp, err := user.ThresholdStats(ctx, tq, true)
 			if err != nil {
 				t.Fatal(err)

@@ -707,14 +707,12 @@ func decodeAtoms(p *payload) *Atoms {
 	// An atom is at least two bytes: its code and its blob length.
 	n := p.count("atoms", 2)
 	f := &Atoms{Codes: make([]uint64, n), Blobs: make([][]byte, n)}
-	// One copy of the frame's blob bytes backs every blob: the payload
-	// buffer is reused by the next frame, and the copy is no larger than it.
-	backing := make([]byte, 0, len(p.b)-p.off)
+	// Every blob is a copy of its own: the payload buffer is reused by the
+	// next frame, and a blob a caller keeps (a halo store's band) must pin
+	// no other blob of the frame.
 	for i := range f.Codes {
 		f.Codes[i] = p.uvarint()
-		blob := p.run("atom blob")
-		backing = append(backing, blob...)
-		f.Blobs[i] = backing[len(backing)-len(blob) : len(backing) : len(backing)]
+		f.Blobs[i] = append([]byte(nil), p.run("atom blob")...)
 	}
 	return f
 }

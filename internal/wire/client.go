@@ -13,7 +13,6 @@ import (
 
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/grid"
-	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/node"
 	"github.com/turbdb/turbdb/internal/obs"
@@ -326,7 +325,7 @@ func (c *Client) FetchAtoms(ctx context.Context, _ *sim.Proc, rawField string, s
 	for i, code := range codes {
 		req.Codes[i] = uint64(code)
 	}
-	if side, parts := node.HaloParts(ctx); parts != nil && side <= maxBoxSide {
+	if side, _, parts := node.HaloParts(ctx); parts != nil && side <= maxBoxSide {
 		whole := grid.Box{Hi: grid.Point{X: side, Y: side, Z: side}}
 		req.Boxes = make([]byte, 0, boxBytes*len(codes))
 		for _, code := range codes {
@@ -363,57 +362,4 @@ func (c *Client) SetProcesses(ctx context.Context, p int) error {
 func (c *Client) Held(ctx context.Context) ([]morton.Range, error) {
 	d, err := c.Describe(ctx)
 	return d.Held, err
-}
-
-// PeerSet routes halo-atom fetches to the holding nodes of a cluster of
-// node services — the node.PeerFetcher for HTTP deployments, a
-// node.HaloRouter. Holdings are read off each service's /info (primary
-// plus adopted replica ranges) on every fetch and into a routing table by
-// membership.Describe, the rule the mediator uses, so under k-way
-// replication an atom has several candidate peers, tried primary first and
-// then in ring order, and a fetch fails over to the next holder when one is
-// down. A peer whose holdings cannot be read holds nothing for that fetch,
-// and neither does self, whose holdings are not read: its ranges go to the
-// peers holding them as replicas. Each peer gets its own retry policy and
-// circuit breaker, so one dead peer fails fast instead of stalling every
-// halo exchange behind full timeouts.
-type PeerSet struct {
-	node.HaloRouter
-}
-
-// NewPeerSet builds a peer set for node self among clients (self is
-// excluded from routing).
-func NewPeerSet(clients []*Client, self int) *PeerSet {
-	ft := make([]*faulttol.Executor, len(clients))
-	ids := make([]int, len(clients))
-	for i := range ft {
-		ft[i] = &faulttol.Executor{Policy: faulttol.DefaultPolicy(), Breaker: faulttol.NewBreaker(faulttol.BreakerConfig{})}
-		ids[i] = i
-	}
-	members := membership.NewTable(ids...) // all Alive: holders in Describe's order
-	return &PeerSet{node.HaloRouter{
-		Table: func(ctx context.Context) (membership.Placement, *membership.Table, error) {
-			held := make([][]morton.Range, len(clients))
-			var unreadable error // the first peer whose holdings could not be read
-			for i, c := range clients {
-				if i == self {
-					continue
-				}
-				var err error
-				if held[i], err = c.Held(ctx); err != nil && unreadable == nil {
-					unreadable = fmt.Errorf("wire: peer %d: %w", i, err)
-				}
-			}
-			return membership.Describe(held), members, unreadable
-		},
-		Self: self,
-		Fetch: func(ctx context.Context, p *sim.Proc, holder int, rawField string, step int, codes []morton.Code) (blobs map[morton.Code][]byte, err error) {
-			err = ft[holder].Do(ctx, func(ctx context.Context) error {
-				var ferr error
-				blobs, ferr = clients[holder].FetchAtoms(ctx, p, rawField, step, codes)
-				return ferr
-			})
-			return blobs, err
-		},
-	}}
 }

@@ -110,6 +110,22 @@ go test -race -run 'TestSynopsis|TestOrderKey|TestTopKWalk' ./internal/node/... 
 go test -race -count=10 -run 'TestSynopsisConcurrentScansOneKey' ./internal/node/...
 lane_done
 
+# Halo store lane: the HTTP halo fetcher keeps the bands it fetched
+# (wire.PeerSet, DESIGN.md §4 decision 25). A long-lived peer set against a
+# twin renewed before every query (threshold, PDF, top-k; aligned and
+# unaligned boxes; orders 4 and 8; k = 1 and 2; pruned revisits cropping
+# held bands; a peer killed after its atoms were held), LRU by bytes, an
+# entry over the budget served but not stored, a failed fetch keeping
+# nothing, a drop that makes the next scan fetch again, the routing table
+# read once, the membership gauges left to the mediator, and a served step
+# that never changes (store.Put). -count=10 on the concurrent suite, per
+# the Go guide.
+lane 'halo store (-race)'
+go test -race -run 'TestHaloStore|TestPeerSet|TestDropFetchesHaloAgain' ./internal/wire/...
+go test -race -run 'TestPutServedStepNeverChanges' ./internal/store/...
+go test -race -count=10 -run 'TestHaloStoreConcurrentHits' ./internal/wire/...
+lane_done
+
 # Node scan lane: the one node query procedure (Node.scan) under the race
 # detector — what each entry point reports per member (FromCache, Shared,
 # ScansSaved, AtomsScanned, Breakdown counts, typed member errors, span
