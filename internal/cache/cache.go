@@ -126,7 +126,6 @@ type Cache struct {
 	capacity int64
 	ssd      *diskmodel.Device
 
-	//turbdb:lockrank cache.entries 40
 	mu      sync.Mutex
 	entries []*entry    // guarded by mu
 	aggs    []*aggEntry // guarded by mu

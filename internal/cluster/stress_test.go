@@ -17,8 +17,8 @@ import (
 // the semantic cache afterwards — while one node dies mid-run. Under -race
 // (the cluster package runs in the race-full CI lane) this exercises the
 // node caches, breakers, retry executors and the partial-merge path on
-// exactly the interleavings the lockorder/goroutinelife analyzers reason
-// about statically.
+// exactly the interleavings the goroutinelife analyzer reasons about
+// statically; a lock-order inversion among them deadlocks here.
 func TestStressConcurrentThresholdQueries(t *testing.T) {
 	c := buildTest(t, Config{Nodes: 4, WithCache: true, AllowPartial: true}, synth.Isotropic, 16)
 	clients := make([]mediator.NodeClient, len(c.Nodes()))

@@ -184,7 +184,6 @@ func (f *Field) NormRow(st stencil.Stencil, bls []*field.Block, p grid.Point, n 
 // Registry maps field names to definitions. The zero value is unusable; use
 // NewRegistry (which pre-populates the standard catalog) or Standard().
 type Registry struct {
-	//turbdb:lockrank derived.registry 45
 	mu     sync.RWMutex
 	fields map[string]*Field // guarded by mu
 }

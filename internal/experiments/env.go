@@ -82,7 +82,6 @@ type memoSource struct {
 	gen *synth.Generator
 	g   grid.Grid // may override the generator's atom side
 
-	//turbdb:lockrank experiments.memo 75
 	mu     *sync.Mutex
 	blocks map[string]*field.Block // guarded by mu
 }

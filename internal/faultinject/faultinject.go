@@ -117,7 +117,6 @@ type Rule struct {
 // randomness source. The same Plan may back several transports and peer
 // fetchers; counts are per rule across all of them.
 type Plan struct {
-	//turbdb:lockrank faultinject.plan 70
 	mu    sync.Mutex
 	rules []*Rule
 	rng   *rand.Rand

@@ -319,7 +319,6 @@ type BreakerConfig struct {
 type Breaker struct {
 	cfg BreakerConfig
 
-	//turbdb:lockrank faulttol.breaker 55
 	mu          sync.Mutex
 	state       State
 	consecFails int

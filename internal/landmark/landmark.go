@@ -50,7 +50,6 @@ func (l Landmark) Lifespan() int { return l.LastStep - l.FirstStep + 1 }
 
 // DB is a landmark database. Safe for concurrent use.
 type DB struct {
-	//turbdb:lockrank landmark.db 42
 	mu        sync.Mutex
 	landmarks []Landmark // guarded by mu
 }

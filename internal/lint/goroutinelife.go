@@ -145,7 +145,7 @@ func bodyLocks(pass *Pass, body *ast.BlockStmt) map[*types.Var]bool {
 		switch {
 		case op.mu != nil && !op.release:
 			locks[op.mu] = true
-		case op.fn != nil && pass.Locks != nil:
+		case op.fn != nil:
 			for mu := range pass.Locks.Acquires[op.fn] {
 				locks[mu] = true
 			}
@@ -241,7 +241,8 @@ type waitEvent struct {
 
 // checkWaitUnderLock merges a function's lock ops and Wait calls in source
 // order, tracking the held set (deferred unlocks hold to function end, as in
-// lockorder) to catch `mu.Lock(); wg.Wait()` joins of goroutines that need mu.
+// the lock model) to catch `mu.Lock(); wg.Wait()` joins of goroutines that
+// need mu.
 func checkWaitUnderLock(pass *Pass, fd *ast.FuncDecl, trackedLocks map[*types.Var]map[*types.Var]bool) {
 	var waits []waitEvent
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -274,11 +275,7 @@ func checkWaitUnderLock(pass *Pass, fd *ast.FuncDecl, trackedLocks map[*types.Va
 		}
 		for _, mu := range held {
 			if trackedLocks[w.wg][mu] {
-				name := mu.Name()
-				if pass.Locks != nil {
-					name = pass.Locks.lockName(mu)
-				}
-				pass.Reportf(w.pos, "wg.Wait on %s while holding %s, which a goroutine tracked by this WaitGroup acquires — deadlock", wgName(w.wg), name)
+				pass.Reportf(w.pos, "wg.Wait on %s while holding %s, which a goroutine tracked by this WaitGroup acquires — deadlock", wgName(w.wg), pass.Locks.lockName(mu))
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package lint implements turbdb-vet, the repository's custom static-
 // analysis suite. It is built directly on the standard library's go/parser
-// and go/types (no golang.org/x/tools dependency) and ships eight
+// and go/types (no golang.org/x/tools dependency) and ships seven
 // repo-specific analyzers:
 //
 //	lockcheck    — fields annotated `// guarded by <mu>` may only be accessed
@@ -15,18 +15,13 @@
 //	               allocation-free: no make/append/new, no map operations, no
 //	               defer, no interface conversions, and direct calls only to
 //	               other annotated kernels (or the math package);
-//	lockorder    — mutexes annotated `//turbdb:lockrank <name> <level>` must
-//	               be acquired in strictly increasing level order; the
-//	               module-wide acquisition graph (propagated through static
-//	               calls) is also checked for re-acquisition and cycles, with
-//	               the full acquisition path in the diagnostic (lockcheck and
-//	               lockorder read the one lock model of locks.go);
 //	goroutinelife — every `go` statement needs a statically provable
 //	               termination/ownership story: the body watches a context
 //	               Done channel or is tracked by a sync.WaitGroup whose Wait
 //	               is called; WaitGroup misuse (Add inside the tracked
 //	               goroutine, Wait under a lock the goroutine needs) is
-//	               flagged too;
+//	               flagged too (lockcheck and goroutinelife read the one lock
+//	               model of locks.go);
 //	wirecompat   — json-tagged DTOs in internal/wire declare their frozen v1
 //	               field set with `//turbdb:wire-baseline <keys>`; fields
 //	               added after the baseline must carry omitempty and a fuzz
@@ -53,7 +48,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -72,11 +66,10 @@ type Package struct {
 	// one Loader loads (dependencies load first), so analyzers can resolve
 	// annotations on callees defined in other packages of the module.
 	RowKernels map[types.Object]bool
-	// Locks is the module-wide lock model (guarded fields, declared
-	// //turbdb:lockrank hierarchy, per-function lock ops and acquisition
-	// summaries, held→acquired edges). Like RowKernels it is shared across
-	// every package one Loader loads and populated sequentially at load
-	// time, so parallel analysis only reads it.
+	// Locks is the module-wide lock model (guarded fields, per-function
+	// lock ops and acquisition summaries). Like RowKernels it is shared
+	// across every package one Loader loads and populated at load time, so
+	// analysis only reads it.
 	Locks *LockGraph
 }
 
@@ -124,7 +117,7 @@ type Analyzer struct {
 
 // Analyzers returns the full turbdb-vet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockCheck, DroppedErr, CtxPropagate, RowKernel, LockOrder, GoroutineLife, WireCompat, ErrClass}
+	return []*Analyzer{LockCheck, DroppedErr, CtxPropagate, RowKernel, GoroutineLife, WireCompat, ErrClass}
 }
 
 // allowRe matches suppression directives: //lint:allow check1[,check2] reason
@@ -198,13 +191,10 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 // findings, which fail the gate (malformed suppression directives — a
 // //turbdb:ignore without a reason — among them); the suppressed ones,
 // silenced by a directive and carried into machine-readable reports with
-// their reasons; and each analyzer's wall-clock time on this package, keyed
-// by check name, which the driver sums across packages for -timings. Both
-// finding slices are sorted by position.
-func Analyze(pkg *Package, analyzers []*Analyzer) (active, suppressed []Diagnostic, timings map[string]time.Duration) {
+// their reasons. Both slices are sorted by position.
+func Analyze(pkg *Package, analyzers []*Analyzer) (active, suppressed []Diagnostic) {
 	sup := collectSuppressions(pkg.Fset, pkg.Files)
 	active = append(active, sup.malformed...)
-	timings = make(map[string]time.Duration, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{
 			Package: pkg,
@@ -219,13 +209,11 @@ func Analyze(pkg *Package, analyzers []*Analyzer) (active, suppressed []Diagnost
 				active = append(active, d)
 			},
 		}
-		start := time.Now()
 		a.Run(pass)
-		timings[a.Name] += time.Since(start)
 	}
 	sortDiags(active)
 	sortDiags(suppressed)
-	return active, suppressed, timings
+	return active, suppressed
 }
 
 func sortDiags(diags []Diagnostic) {

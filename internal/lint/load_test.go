@@ -98,7 +98,7 @@ func TestLoadTypeErrorPackage(t *testing.T) {
 		t.Fatalf("TypeErrors = %v, want one mentioning undefinedIdentifier", pkg.TypeErrors)
 	}
 	// Best-effort analysis over the broken package must not panic.
-	active, suppressed, _ := Analyze(pkg, Analyzers())
+	active, suppressed := Analyze(pkg, Analyzers())
 	if len(suppressed) != 0 {
 		t.Fatalf("unexpected suppressed findings: %v", suppressed)
 	}

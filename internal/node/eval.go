@@ -178,7 +178,6 @@ type poolKey struct {
 }
 
 type bufferPool struct {
-	//turbdb:lockrank node.bufpool 60
 	mu   sync.Mutex
 	seen map[poolKey]bool // guarded by mu
 }
@@ -285,13 +284,13 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInpu
 				warmBlobs, warmErr = n.store.ReadAtoms(nil, rawField, step, warm)
 			}
 		} else if len(remote) > 0 {
-			_, hsp := obs.StartSpan(ctx, "halo_fetch")
+			hctx, hsp := obs.StartSpan(ctx, "halo_fetch")
 			defer hsp.End()
 			if len(remoteCold) > 0 {
-				coldRemote, remoteErr = n.peers.FetchAtoms(ctx, fp, rawField, step, remoteCold)
+				coldRemote, remoteErr = n.peers.FetchAtoms(hctx, fp, rawField, step, remoteCold)
 			}
 			if remoteErr == nil && len(remoteWarm) > 0 {
-				warmRemote, remoteErr = n.peers.FetchAtoms(ctx, nil, rawField, step, remoteWarm)
+				warmRemote, remoteErr = n.peers.FetchAtoms(hctx, nil, rawField, step, remoteWarm)
 			}
 			// What the scan needed from peers, however much of it crossed
 			// the network: a fetcher that keeps halo atoms answers from

@@ -228,7 +228,6 @@ type Node struct {
 	slabPool    sync.Pool // of *field.Block: the workers' slab buffers
 	synopsis    *synopsis // nil with Config.NoSynopsis
 
-	//turbdb:lockrank node.state 20
 	mu sync.Mutex
 }
 

@@ -46,7 +46,6 @@ type synopsis struct {
 	atoms  int // per key: the grid's atom count
 	budget int // synopsisBudget; a field so that tests can shrink it
 
-	//turbdb:lockrank node.synopsis 65
 	mu      sync.Mutex
 	entries map[synKey]*synEntry // guarded by mu
 	clock   uint64               // guarded by mu

@@ -9,7 +9,6 @@ import (
 // TraceStore is a bounded ring of recently completed traces, served at
 // /debug/trace?id=. Both daemons record every traced query here.
 type TraceStore struct {
-	//turbdb:lockrank obs.tracestore 80
 	mu    sync.Mutex
 	cap   int
 	order []string          // oldest first; guarded by mu

@@ -161,7 +161,6 @@ var SizeBuckets = []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6}
 // lookups are register-or-get and take a lock; hold the returned pointer at
 // package init so hot paths never touch the registry.
 type Registry struct {
-	//turbdb:lockrank obs.metrics 90
 	mu    sync.Mutex
 	names []string // registration order; guarded by mu
 	types map[string]string
@@ -186,9 +185,10 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-global registry.
 func Default() *Registry { return defaultRegistry }
 
-// register claims name for kind, panicking on a kind clash (a programming
-// error: two packages registering the same name as different types).
-func (r *Registry) register(name, kind string) {
+// registerLocked claims name for kind, panicking on a kind clash (a
+// programming error: two packages registering the same name as different
+// types). The caller holds r.mu.
+func (r *Registry) registerLocked(name, kind string) {
 	if prev, ok := r.types[name]; ok {
 		if prev != kind {
 			panic(fmt.Sprintf("obs: metric %q registered as both %s and %s", name, prev, kind))
@@ -196,14 +196,14 @@ func (r *Registry) register(name, kind string) {
 		return
 	}
 	r.types[name] = kind
-	r.names = append(r.names, name) //turbdb:ignore lockcheck register is only called from Counter/Gauge/Histogram with r.mu held
+	r.names = append(r.names, name)
 }
 
 // Counter returns the counter registered under name, creating it if needed.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(name, "counter")
+	r.registerLocked(name, "counter")
 	c, ok := r.cs[name]
 	if !ok {
 		c = &Counter{}
@@ -216,7 +216,7 @@ func (r *Registry) Counter(name string) *Counter {
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(name, "gauge")
+	r.registerLocked(name, "gauge")
 	g, ok := r.gs[name]
 	if !ok {
 		g = &Gauge{}
@@ -230,7 +230,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(name, "histogram")
+	r.registerLocked(name, "histogram")
 	h, ok := r.hs[name]
 	if !ok {
 		h = newHistogram(bounds)

@@ -53,7 +53,6 @@ type Trace struct {
 	now   func() time.Duration // time base; monotonic within the trace
 	epoch time.Duration
 
-	//turbdb:lockrank obs.trace 85
 	mu    sync.Mutex
 	next  uint64
 	spans []Span // guarded by mu

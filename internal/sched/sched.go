@@ -164,10 +164,7 @@ type Scheduler struct {
 
 	// All admission and batching state hangs off one mutex: grants, queue
 	// reordering, and batch join/seal are each a few map/slice operations,
-	// so a single rank keeps the hierarchy flat and the seal race
-	// impossible by construction.
-	//
-	//turbdb:lockrank sched.state 11
+	// so one lock keeps the seal race impossible by construction.
 	mu       sync.Mutex
 	closed   bool                      // guarded by mu
 	running  int                       // guarded by mu

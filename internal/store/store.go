@@ -53,7 +53,6 @@ type Store struct {
 	grid  grid.Grid
 	owned morton.Range // primary atom-code range (immutable)
 
-	//turbdb:lockrank store.shard 30
 	mu     sync.RWMutex
 	extras []morton.Range            // replica/rebalance ranges adopted after construction; guarded by mu
 	fields map[string]FieldMeta      // guarded by mu

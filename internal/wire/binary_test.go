@@ -276,8 +276,8 @@ func TestDifferentialTracedMatrix(t *testing.T) {
 			}
 			forest := spanForest(resp.Trace.Spans)
 			// Two hops deep: the node's stages under the mediator's RPC span,
-			// the peer's halo service under the node's.
-			joined := "threshold > node[0] > rpc:" + PathThreshold + " > threshold > scan_io > rpc:" + PathAtoms + " > serve_atoms"
+			// the peer's halo service under the node's halo fetch.
+			joined := "threshold > node[0] > rpc:" + PathThreshold + " > threshold > scan_io > halo_fetch > rpc:" + PathAtoms + " > serve_atoms"
 			if i := sort.SearchStrings(forest, joined); i == len(forest) || forest[i] != joined {
 				t.Errorf("remote spans not grafted under their RPC spans; tree:\n%s", strings.Join(forest, "\n"))
 			}

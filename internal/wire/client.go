@@ -75,7 +75,6 @@ type Client struct {
 	http  *http.Client
 	proto Proto
 
-	//turbdb:lockrank wire.client 50
 	mu   sync.Mutex
 	info *InfoResponse
 }

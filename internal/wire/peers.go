@@ -214,7 +214,6 @@ type haloEntry struct {
 type haloStore struct {
 	budget int
 
-	//turbdb:lockrank wire.halostore 52
 	mu    sync.Mutex
 	bytes int                       // guarded by mu
 	lru   list.List                 // guarded by mu; of *haloEntry, most recently used first

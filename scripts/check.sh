@@ -39,14 +39,14 @@ lane 'gofmt -l .'
 test -z "$(gofmt -l .)"
 lane_done
 
-# One report for the whole eight-analyzer suite. The -json report (active
-# and suppressed findings with reasons, type errors, and the per-analyzer
-# timings that name the analyzer to look at when the lane's time grows)
-# goes to vet-report.json; the human-readable findings go to stderr.
-# Non-suppressed findings fail the lane. Each analyzer's fixture runs by
-# name as a TestAnalyzers subtest in the go test lane.
+# One report for the whole analyzer suite. The -json report (active and
+# suppressed findings with reasons, type errors, and the load and total
+# wall-clock times) goes to vet-report.json; the human-readable findings go
+# to stderr. Non-suppressed findings fail the lane. Each analyzer's fixture
+# runs by name as a TestAnalyzers subtest in the go test lane, and the
+# driver's exit codes and report as TestRun.
 lane 'turbdb-vet ./...'
-go run ./cmd/turbdb-vet -json -timings ./... > vet-report.json
+go run ./cmd/turbdb-vet -json ./... > vet-report.json
 lane_done
 
 lane 'go test ./...'

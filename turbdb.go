@@ -62,8 +62,7 @@ type DB struct {
 	registry *derived.Registry
 	custom   []string // names registered via RegisterField, in order; guarded by mu
 
-	//turbdb:lockrank turbdb.db 10
-	mu sync.Mutex // serializes simulated queries; held across whole queries, so it ranks below every internal lock
+	mu sync.Mutex // serializes simulated queries; held across whole queries, so it is taken before every internal lock
 }
 
 // Open synthesizes a dataset and assembles a cluster over it.
