@@ -9,7 +9,8 @@
 //	    -peers http://127.0.0.1:7070,http://127.0.0.1:7071 -cache
 //
 // -peers lists ALL node URLs in node order (including this node, which is
-// skipped); peers supply the halo band for derived-field kernels.
+// skipped); peers supply the halo band for derived-field kernels. A request
+// whose band cannot be fetched fails; the mediator re-routes or drops it.
 //
 // -replica-shards lists extra shard indexes this node holds as replicas
 // (loaded from the same deployment directory), e.g. node 2 of a k=2 ring
@@ -24,8 +25,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -43,7 +46,7 @@ import (
 // loadReplicaShards adopts each listed shard's range into st and copies
 // its atoms in from the deployment directory, so the node can serve the
 // ranges when their primaries die.
-func loadReplicaShards(st *store.Store, root string, m store.Manifest, self int, list string) error {
+func loadReplicaShards(logf func(string, ...any), st *store.Store, root string, m store.Manifest, self int, list string) error {
 	for _, tok := range strings.Split(list, ",") {
 		j, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil {
@@ -78,7 +81,7 @@ func loadReplicaShards(st *store.Store, root string, m store.Manifest, self int,
 				}
 			}
 		}
-		log.Printf("holding shard %d %v as a replica", j, r)
+		logf("holding shard %d %v as a replica", j, r)
 	}
 	return nil
 }
@@ -86,38 +89,50 @@ func loadReplicaShards(st *store.Store, root string, m store.Manifest, self int,
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("turbdb-server: ")
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole command: it parses args, loads the node's shard and
+// serves it until ctx is done or a signal asks for shutdown. Every mistake
+// in args or in the deployment fails it before it listens.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	logger := log.New(stderr, "turbdb-server: ", 0)
+	fs := flag.NewFlagSet("turbdb-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		data      = flag.String("data", "", "deployment directory written by turbdb-gen (required)")
-		nodeID    = flag.Int("node", 0, "node index within the deployment")
-		addr      = flag.String("addr", ":7070", "listen address")
-		peers     = flag.String("peers", "", "comma-separated URLs of all node services, in node order")
-		replicas  = flag.String("replica-shards", "", "comma-separated shard indexes to also hold as replicas")
-		withCache = flag.Bool("cache", true, "enable the semantic query-result cache")
-		cacheCap  = flag.Int64("cache-capacity", 0, "cache capacity in bytes (0 = unlimited)")
-		processes = flag.Int("processes", 1, "worker processes per query")
-		partial   = flag.Bool("allow-partial-halo", false, "skip atoms whose halo band is unreachable instead of failing the query")
-		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address (off by default)")
-		jsonOnly  = flag.Bool("json-only", false, "answer every response as JSON, ignoring binary-frame negotiation (debug/compat)")
+		data      = fs.String("data", "", "deployment directory written by turbdb-gen (required)")
+		nodeID    = fs.Int("node", 0, "node index within the deployment")
+		addr      = fs.String("addr", ":7070", "listen address")
+		peers     = fs.String("peers", "", "comma-separated URLs of all node services, in node order")
+		replicas  = fs.String("replica-shards", "", "comma-separated shard indexes to also hold as replicas")
+		withCache = fs.Bool("cache", true, "enable the semantic query-result cache")
+		cacheCap  = fs.Int64("cache-capacity", 0, "cache capacity in bytes (0 = unlimited)")
+		processes = fs.Int("processes", 1, "worker processes per query")
+		drain     = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this address (off by default)")
+		jsonOnly  = fs.Bool("json-only", false, "answer every response as JSON, ignoring binary-frame negotiation (debug/compat)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *data == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("-data is required")
 	}
 
 	manifest, err := store.ReadManifest(*data)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st, err := store.OpenShard(*data, manifest, *nodeID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *replicas != "" {
-		if err := loadReplicaShards(st, *data, manifest, *nodeID, *replicas); err != nil {
-			log.Fatal(err)
+		if err := loadReplicaShards(logger.Printf, st, *data, manifest, *nodeID, *replicas); err != nil {
+			return err
 		}
 	}
 
@@ -125,16 +140,16 @@ func main() {
 	if *withCache {
 		ca, err = cache.New(cache.Config{CapacityBytes: *cacheCap})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	n, err := node.New(node.Config{
 		ID: *nodeID, Dataset: manifest.Dataset, Store: st, Cache: ca,
-		Processes: *processes, AllowPartialHalo: *partial,
+		Processes: *processes,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *peers != "" {
 		var clients []*wire.Client
@@ -144,17 +159,14 @@ func main() {
 		n.SetPeers(wire.NewPeerSet(clients, *nodeID))
 	}
 
-	fmt.Printf("node %d serving %s shard %v on %s (cache=%v, %d processes)\n",
+	fmt.Fprintf(stdout, "node %d serving %s shard %v on %s (cache=%v, %d processes)\n",
 		*nodeID, manifest.Dataset, st.Owned(), *addr, *withCache, *processes)
 	var srvOpts []wire.ServerOption
 	if *jsonOnly {
 		srvOpts = append(srvOpts, wire.WithJSONOnly())
 	}
 	srv := &http.Server{Addr: *addr, Handler: wire.NewNodeServer(n, srvOpts...).Handler()}
-	err = wire.RunDaemon(context.Background(), wire.DaemonConfig{
-		Server: srv, DebugAddr: *debugAddr, Drain: *drain,
+	return wire.RunDaemon(ctx, wire.DaemonConfig{
+		Server: srv, DebugAddr: *debugAddr, Drain: *drain, Logf: logger.Printf,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -111,7 +112,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	loader, err := lint.NewLoader(".")
+	wd, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintln(stderr, "turbdb-vet:", err)
+		return 2
+	}
+	loader, err := lint.NewLoader(wd)
 	if err != nil {
 		fmt.Fprintln(stderr, "turbdb-vet:", err)
 		return 2
@@ -143,13 +149,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		active, suppressed := lint.Analyze(pkg, analyzers)
 		for _, d := range active {
 			fmt.Fprintln(humanOut, d)
-			report.Findings = append(report.Findings, toJSON(d))
+			report.Findings = append(report.Findings, toJSON(d, wd))
 			if exit == 0 {
 				exit = 1
 			}
 		}
 		for _, d := range suppressed {
-			report.Suppressed = append(report.Suppressed, toJSON(d))
+			report.Suppressed = append(report.Suppressed, toJSON(d, wd))
 		}
 	}
 	report.LoadMS = float64(loadTime) / float64(time.Millisecond)
@@ -166,9 +172,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
-func toJSON(d lint.Diagnostic) jsonFinding {
+// toJSON reports d with its file relative to dir, the directory the tool
+// runs in, so two checkouts of one commit write equal reports.
+func toJSON(d lint.Diagnostic, dir string) jsonFinding {
+	file := d.Pos.Filename
+	if rel, err := filepath.Rel(dir, file); err == nil {
+		file = rel
+	}
 	return jsonFinding{
-		File:    d.Pos.Filename,
+		File:    file,
 		Line:    d.Pos.Line,
 		Column:  d.Pos.Column,
 		Check:   d.Check,

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,31 +205,106 @@ func (f *fanPeers) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string,
 	return out, nil
 }
 
-// TestChaosHaloDegradation injects peer-fetch failures on one node. With
-// AllowPartial the node skips exactly the shard atoms whose halo stayed
-// incomplete (counted in the breakdown) instead of failing; strict mode
-// fails the query.
-func TestChaosHaloDegradation(t *testing.T) {
-	run := func(allowPartial bool) (*mediator.QueryStats, error) {
-		c := buildTest(t, Config{Nodes: 4, AllowPartial: allowPartial}, synth.Isotropic, 16)
+// TestChaosHaloFailureDropsRange fails every halo fetch of node 0. A node
+// never answers without its halo, so node 0 fails its range with the
+// injected fault and the mediator alone decides what that costs: a strict
+// mediator fails the query, a partial one drops exactly node 0's range with
+// exact Coverage, and at k = 2 a replica answers the range in full.
+func TestChaosHaloFailureDropsRange(t *testing.T) {
+	ctx := context.Background()
+	pq := query.PDF{Dataset: "isotropic", Field: derived.Vorticity, Bins: 16, Width: 0.5}
+	healthy := buildTest(t, Config{Nodes: 4}, synth.Isotropic, 16)
+	full, _, err := healthy.Mediator.Threshold(ctx, nil, chaosQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The healthy twin's nodes 1–3, merged.
+	lost := healthy.Nodes()[0].Owned()
+	g := healthy.Generator().Grid()
+	var want []query.ResultPoint
+	for _, p := range full {
+		if !lost.Contains(g.AtomCode(p.Coords())) {
+			want = append(want, p)
+		}
+	}
+	wantPDF := make([]int64, pq.Bins)
+	for _, n := range healthy.Nodes()[1:] {
+		res, err := n.GetPDF(ctx, nil, pq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, k := range res.Counts {
+			wantPDF[b] += k
+		}
+	}
+	if len(want) == 0 || len(want) == len(full) {
+		t.Fatalf("test geometry: nodes 1–3 hold %d of %d points", len(want), len(full))
+	}
+	samePoints := func(what string, got, want []query.ResultPoint) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d points, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Code != want[i].Code || math.Float32bits(got[i].Value) != math.Float32bits(want[i].Value) {
+				t.Fatalf("%s: point %d is %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	haloDown := func(cfg Config) *Cluster {
+		c := buildTest(t, cfg, synth.Isotropic, 16)
 		plan := faultinject.NewPlan(1, &faultinject.Rule{Mode: faultinject.ModeError})
 		c.Nodes()[0].SetPeers(faultinject.NewPeerFetcher(&fanPeers{nodes: c.Nodes(), self: 0}, plan))
-		_, stats, err := c.Mediator.Threshold(context.Background(), nil, chaosQuery())
-		return stats, err
+		return c
 	}
+	var inj *faultinject.InjectedError
 
-	if _, err := run(false); err == nil {
-		t.Error("strict node evaluated with an unreachable peer")
-	}
+	t.Run("strict", func(t *testing.T) {
+		_, _, err := haloDown(Config{Nodes: 4}).Mediator.Threshold(ctx, nil, chaosQuery())
+		if !errors.As(err, &inj) {
+			t.Fatalf("err = %v, want the injected halo fault wrapped", err)
+		}
+	})
+	t.Run("partial", func(t *testing.T) {
+		c := haloDown(Config{Nodes: 4, AllowPartial: true})
+		pts, stats, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Coverage != 0.75 || len(stats.Failures) != 1 || stats.Failures[0].Node != 0 {
+			t.Errorf("Coverage = %v, Failures = %+v; want 0.75 and node 0", stats.Coverage, stats.Failures)
+		}
+		samePoints("threshold", pts, want)
+		counts, stats, err := c.Mediator.PDF(ctx, nil, pq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Coverage != 0.75 || !slices.Equal(counts, wantPDF) {
+			t.Errorf("PDF = %v at Coverage %v, want %v at 0.75", counts, stats.Coverage, wantPDF)
+		}
 
-	stats, err := run(true)
-	if err != nil {
-		t.Fatalf("partial-halo query failed: %v", err)
-	}
-	if stats.NodeCritical.AtomsSkipped == 0 {
-		t.Error("halo fetches failed but no atoms were skipped")
-	}
-	if stats.Coverage != 1 {
-		t.Errorf("Coverage = %v; halo degradation must not change node coverage", stats.Coverage)
-	}
+		// A strict mediator over the same nodes fails: no node hands it a
+		// short answer it could mistake for a whole one.
+		clients := make([]mediator.NodeClient, len(c.Nodes()))
+		for i, n := range c.Nodes() {
+			clients[i] = n
+		}
+		strict, err := mediator.New(mediator.Config{Nodes: clients, Retry: fastRetry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pts, _, err := strict.Threshold(ctx, nil, chaosQuery()); !errors.As(err, &inj) {
+			t.Fatalf("strict mediator: %d points, err = %v; want the injected halo fault", len(pts), err)
+		}
+	})
+	t.Run("k=2", func(t *testing.T) {
+		pts, stats, err := haloDown(Config{Nodes: 4, Replication: 2}).Mediator.Threshold(ctx, nil, chaosQuery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Coverage != 1 {
+			t.Errorf("Coverage = %v, want 1 through replica failover", stats.Coverage)
+		}
+		samePoints("k=2", pts, full)
+	})
 }

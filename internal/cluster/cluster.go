@@ -67,10 +67,10 @@ type Config struct {
 	Costs node.CostModel
 	// Registry resolves field names; nil uses the standard catalog.
 	Registry *derived.Registry
-	// AllowPartial enables graceful degradation end to end: the mediator
-	// answers from surviving nodes when one stays unreachable (with
-	// coverage accounting), and nodes skip atoms whose halo cannot be
-	// fetched instead of failing their whole shard. Real mode only.
+	// AllowPartial lets the mediator answer from the ranges it could
+	// evaluate, with Coverage the exact fraction of cells covered. A node
+	// whose halo cannot be fetched fails its range like a dead one; it
+	// never answers partially. Real mode only.
 	AllowPartial bool
 	// Replication is k, the number of nodes holding each Morton range of
 	// the membership-driven placement. 0 and 1 place one owner per range;
@@ -272,8 +272,7 @@ func (c *Cluster) buildNode(i int, primary morton.Range) (*node.Node, *netmodel.
 		ID: i, Dataset: c.gen.Name(),
 		Store: st, Cache: ca, Registry: cfg.Registry,
 		Processes: cfg.Processes, Exec: exec, Costs: cfg.Costs,
-		AllowPartialHalo: cfg.AllowPartial && !cfg.Simulate,
-		NoSynopsis:       cfg.NoSynopsis,
+		NoSynopsis: cfg.NoSynopsis,
 	})
 	if err != nil {
 		return nil, nil, err

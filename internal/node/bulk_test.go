@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"runtime/debug"
-	"sort"
 	"testing"
 
 	"github.com/turbdb/turbdb/internal/derived"
@@ -66,77 +65,6 @@ type deadFetcher struct{}
 
 func (deadFetcher) FetchAtoms(context.Context, *sim.Proc, string, int, []morton.Code) (map[morton.Code][]byte, error) {
 	return nil, context.DeadlineExceeded
-}
-
-// Partial-halo degradation differential: with peers down and
-// AllowPartialHalo on, exactly the atoms whose halo band crosses the
-// ownership boundary are skipped, and every point that IS returned still
-// matches the brute-force reference bit for bit.
-func TestPartialHaloSkipPathMatchesBruteForceExactly(t *testing.T) {
-	nodes, gen := buildCluster(t, 2, 16, synth.Isotropic, false, 1)
-	g := gen.Grid()
-	const order = 4
-	hw := stencil.MustGet(order).HalfWidth
-	ref := bruteForce(t, gen, derived.Vorticity, 0, order, 0)
-	byCode := make(map[morton.Code]query.ResultPoint, len(ref))
-	for _, p := range ref {
-		byCode[p.Code] = p
-	}
-
-	var got []query.ResultPoint
-	var wantTotal []query.ResultPoint
-	skippedTotal := 0
-	for _, n := range nodes {
-		n.partialHalo = true
-		n.peers = deadFetcher{}
-		res, err := n.GetThreshold(context.Background(), nil, query.Threshold{
-			Dataset: "isotropic", Field: derived.Vorticity, Timestep: 0,
-			Threshold: 0, FDOrder: order, Limit: 1 << 20,
-		})
-		if err != nil {
-			t.Fatalf("node %d: %v", n.ID(), err)
-		}
-		skippedTotal += res.Breakdown.AtomsSkipped
-		got = append(got, res.Points...)
-
-		// Expected survivors: this node's atoms whose whole halo band is
-		// locally owned.
-		codes, err := n.scanAtomsCovering(g.Domain(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range codes {
-			covers, err := g.AtomsCovering(g.AtomBox(c).Expand(hw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			local := true
-			for _, cc := range covers {
-				if !n.Owned().Contains(cc) {
-					local = false
-					break
-				}
-			}
-			if !local {
-				continue
-			}
-			abox := g.AtomBox(c)
-			var p grid.Point
-			for p.Z = abox.Lo.Z; p.Z < abox.Hi.Z; p.Z++ {
-				for p.Y = abox.Lo.Y; p.Y < abox.Hi.Y; p.Y++ {
-					for p.X = abox.Lo.X; p.X < abox.Hi.X; p.X++ {
-						wantTotal = append(wantTotal, byCode[query.PointFor(p, 0).Code])
-					}
-				}
-			}
-		}
-	}
-	if skippedTotal == 0 {
-		t.Fatal("no atoms skipped — dead peers did not degrade the halo")
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i].Code < got[j].Code })
-	sort.Slice(wantTotal, func(i, j int) bool { return wantTotal[i].Code < wantTotal[j].Code })
-	exactPoints(t, got, wantTotal, "partial-halo survivors")
 }
 
 // Steady-state allocation regression: once the slab pool is warm, scanning

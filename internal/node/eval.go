@@ -37,9 +37,9 @@ type Breakdown struct {
 	AtomsRead      int
 	HaloAtoms      int
 	PointsExamined int
-	// AtomsSkipped counts shard atoms left unevaluated because their halo
-	// band was unreachable (partial-halo degradation). Non-zero means the
-	// result is partial and must not be cached.
+	// AtomsSkipped is frozen wire vocabulary (a JSON field and a frame
+	// slot). Nodes of this build never set it: a node that cannot fetch
+	// a scan's halo fails the request instead.
 	AtomsSkipped int
 	// AtomsPruned counts atoms of the query box a scan left out — not read,
 	// not evaluated, not in PointsExamined — because the node's max-norm
@@ -312,13 +312,9 @@ func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInpu
 		return warmErr
 	}
 	if remoteErr != nil {
-		// Partial-halo degradation: with unreachable peers, proceed with
-		// whatever halo atoms did arrive — the compute phase skips (and
-		// counts) exactly the shard atoms whose band stayed incomplete.
-		// Cancellation is the caller giving up, never a degradation.
-		if !n.partialHalo || ctx.Err() != nil {
-			return fmt.Errorf("node %d: halo fetch: %w", n.id, remoteErr)
-		}
+		// A node never answers without its halo: the request fails with
+		// the fetch's class, and the mediator re-routes or drops the range.
+		return fmt.Errorf("node %d: halo fetch: %w", n.id, remoteErr)
 	}
 	for _, more := range []map[morton.Code][]byte{warmBlobs, coldRemote, warmRemote} {
 		for c, b := range more {
@@ -351,11 +347,10 @@ type atomMax struct {
 
 // shardResult is the outcome of one worker's compute phase. learned lists
 // the atoms the synopsis may record: every point evaluated — not clipped by
-// the query box, not skipped for a halo hole, not in the slab the consumer
-// stopped in.
+// the query box, not in the slab the consumer stopped in.
 type shardResult struct {
-	examined, skipped int
-	learned           []atomMax
+	examined int
+	learned  []atomMax
 }
 
 // slabScan is the compute phase of one worker: it walks the worker's shard
@@ -449,23 +444,7 @@ func (n *Node) getSlab() *field.Block {
 func (s *slabScan) scanSlab(codes []morton.Code, side int) error {
 	roi := slabROI(s.g, codes[0], side, s.qbox)
 	if !s.assemble(roi) {
-		// The halo band stayed incomplete after a degraded peer fetch. A
-		// slab with a hole degrades to its eight half-size slabs and in the
-		// end to its atoms, so exactly the atoms whose own band touches a
-		// missing blob are skipped — not the query, and not the slab.
-		switch {
-		case !s.n.partialHalo:
-			return faulttol.Permanentf("node: atom missing during assembly of %v", roi.Expand(s.hw))
-		case side == 1:
-			s.skipped++
-		default:
-			for sub := len(codes) / 8; len(codes) > 0 && !s.stopped; codes = codes[sub:] {
-				if err := s.scanSlab(codes[:sub], side/2); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return faulttol.Permanentf("node: atom missing during assembly of %v", roi.Expand(s.hw))
 	}
 	// Simulated CPU time keeps its per-atom grain, so virtual-time results
 	// do not depend on how atoms are grouped into slabs.
@@ -652,7 +631,7 @@ func lowestThreshold(preds []atomPred) float64 {
 // not evaluated; pruned, how many the scan leaves out so far, labels the
 // I/O span. A consumer sees only the rows that reach the pass's floor.
 // Every round teaches the synopsis the maxima of the atoms it evaluated
-// whole, unless it failed or had to skip atoms.
+// whole, unless it failed.
 func (n *Node) evalPhases(ctx context.Context, p *sim.Proc, ps *pass, codes []morton.Code, pruned int) (Breakdown, error) {
 	var bd Breakdown
 	procs := len(ps.rows)
@@ -697,9 +676,8 @@ func (n *Node) evalPhases(ctx context.Context, p *sim.Proc, ps *pass, codes []mo
 			return bd, e
 		}
 		bd.PointsExamined += results[i].examined
-		bd.AtomsSkipped += results[i].skipped
 	}
-	if ps.syn != nil && bd.AtomsSkipped == 0 {
+	if ps.syn != nil {
 		for _, r := range results {
 			for _, am := range r.learned {
 				ps.syn.learn(am.code, am.max)
@@ -707,6 +685,5 @@ func (n *Node) evalPhases(ctx context.Context, p *sim.Proc, ps *pass, codes []mo
 		}
 	}
 	mPointsExam.Add(int64(bd.PointsExamined))
-	mAtomsSkipped.Add(int64(bd.AtomsSkipped))
 	return bd, nil
 }

@@ -16,7 +16,6 @@ var (
 	mCacheLookup   = obs.Default().Histogram("turbdb_node_cache_lookup_seconds", obs.DurationBuckets)
 	mCacheUpdate   = obs.Default().Histogram("turbdb_node_cache_update_seconds", obs.DurationBuckets)
 	mPointsExam    = obs.Default().Counter("turbdb_node_points_examined_total")
-	mAtomsSkipped  = obs.Default().Counter("turbdb_node_atoms_skipped_total")
 	mAtomsPruned   = obs.Default().Counter("turbdb_node_atoms_pruned_total")
 	mHaloBytes     = obs.Default().Counter("turbdb_node_halo_bytes_total")
 	mSynopsisBytes = obs.Default().Gauge("turbdb_node_synopsis_bytes")

@@ -195,11 +195,6 @@ type Config struct {
 	// Processes is the number of worker processes used per query (the
 	// paper's scale-up knob, 1–8). Defaults to 1.
 	Processes int
-	// AllowPartialHalo degrades gracefully when peer nodes are
-	// unreachable: atoms whose halo band cannot be fetched are skipped
-	// (counted in Breakdown.AtomsSkipped) instead of failing the whole
-	// shard evaluation. Partial results are never cached.
-	AllowPartialHalo bool
 	// NoSynopsis turns off the max-norm synopsis, with which threshold
 	// scans leave out atoms already known to hold no qualifying point: every
 	// miss then reads and evaluates its whole box, as the paper's system
@@ -215,18 +210,17 @@ type Config struct {
 // Node is one database node. Safe for concurrent queries in real mode; in
 // simulation mode the DES kernel provides the concurrency.
 type Node struct {
-	id          int
-	dataset     string
-	store       *store.Store
-	cache       *cache.Cache
-	registry    *derived.Registry
-	peers       PeerFetcher
-	processes   int // guarded by mu
-	exec        *Exec
-	costs       CostModel
-	partialHalo bool
-	slabPool    sync.Pool // of *field.Block: the workers' slab buffers
-	synopsis    *synopsis // nil with Config.NoSynopsis
+	id        int
+	dataset   string
+	store     *store.Store
+	cache     *cache.Cache
+	registry  *derived.Registry
+	peers     PeerFetcher
+	processes int // guarded by mu
+	exec      *Exec
+	costs     CostModel
+	slabPool  sync.Pool // of *field.Block: the workers' slab buffers
+	synopsis  *synopsis // nil with Config.NoSynopsis
 
 	mu sync.Mutex
 }
@@ -256,16 +250,15 @@ func New(cfg Config) (*Node, error) {
 		syn = newSynopsis(cfg.Store.Grid())
 	}
 	return &Node{
-		id:          cfg.ID,
-		dataset:     cfg.Dataset,
-		store:       cfg.Store,
-		cache:       cfg.Cache,
-		registry:    cfg.Registry,
-		processes:   cfg.Processes,
-		exec:        cfg.Exec,
-		costs:       cfg.Costs,
-		partialHalo: cfg.AllowPartialHalo,
-		synopsis:    syn,
+		id:        cfg.ID,
+		dataset:   cfg.Dataset,
+		store:     cfg.Store,
+		cache:     cfg.Cache,
+		registry:  cfg.Registry,
+		processes: cfg.Processes,
+		exec:      cfg.Exec,
+		costs:     cfg.Costs,
+		synopsis:  syn,
 	}, nil
 }
 

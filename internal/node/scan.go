@@ -195,10 +195,8 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 		o.bd.Add(bd)
 		o.err = ms[i].finish()
 		// Algorithm 1, line 37: update the cache. Caching is best-effort: a
-		// result too large for the cache is simply served uncached. A
-		// degraded (partial-halo) result is never cached — it would poison
-		// later complete queries.
-		if cm, ok := ms[i].(cachedMember); ok && n.cache != nil && o.err == nil && bd.AtomsSkipped == 0 {
+		// result too large for the cache is simply served uncached.
+		if cm, ok := ms[i].(cachedMember); ok && n.cache != nil && o.err == nil {
 			t0 := n.exec.Now()
 			_, sp := obs.StartSpan(ctx, "cache_update")
 			err := cm.store(p, n.cache, k.dataset, ckey, k.step)

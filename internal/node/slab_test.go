@@ -2,12 +2,16 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"github.com/turbdb/turbdb/internal/cache"
 	"github.com/turbdb/turbdb/internal/derived"
+	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/morton"
@@ -427,11 +431,13 @@ func slabDifferential(t *testing.T, atomSide int, goldens [][3]int, refs map[str
 }
 
 // holeFetcher serves halo requests like a healthy peer set except for the
-// atoms in missing, and reports the fetch as failed — a peer that died
-// after answering part of the batch.
+// atoms in missing, and reports err when it left any out: a peer that died
+// after answering part of the batch, or, with a nil err, one that drops
+// atoms without a word.
 type holeFetcher struct {
 	inner   PeerFetcher
 	missing map[morton.Code]bool
+	err     error
 }
 
 func (f holeFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
@@ -443,81 +449,81 @@ func (f holeFetcher) FetchAtoms(ctx context.Context, p *sim.Proc, rawField strin
 	}
 	blobs, err := f.inner.FetchAtoms(ctx, p, rawField, step, rest)
 	if err == nil && len(rest) < len(codes) {
-		err = context.DeadlineExceeded
+		err = f.err
 	}
 	return blobs, err
 }
 
-// A slab whose halo band has a hole is not skipped whole: it degrades to its
-// atoms, and AtomsSkipped counts exactly the atoms whose own face-band cover
-// (coverOf) touches a missing blob. Every other point still matches brute
-// force.
-func TestPartialHaloHoleDegradesSlabToItsAtoms(t *testing.T) {
+// A node never answers without its halo. However the band goes missing —
+// every peer down, a peer that died mid-batch, a peer that dropped atoms
+// without an error — each query kind fails with the fetch's error and its
+// class (or, for the silent drop, the permanent assembly error), stores no
+// cache entry and teaches the synopsis nothing. The mediator alone decides
+// whether the range is re-routed or dropped.
+func TestHaloHoleFailsScan(t *testing.T) {
 	const gridN, order = 64, 4
-	// One worker: a second one would race the first for which of them sees a
-	// shared halo atom cold, and a failed cold fetch drops the warm one too.
 	raws := map[string]*field.Block{derived.Velocity: noise(gridN, 3, 3)}
-	n := clusterOver(t, gridN, raws, 2, 1)[0]
-	g := n.Grid()
-	hw := stencil.MustGet(order).HalfWidth
 	// Node 0 owns the lower half in z. Two of node 1's atoms go missing: one
 	// above the middle of a 4×4×4 slab's top face, and the one that wraps
 	// below the domain corner.
+	g, err := grid.New(gridN, grid.DefaultAtomSide, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	missing := map[morton.Code]bool{
 		g.AtomCode(grid.Point{X: 8, Y: 16, Z: 32}): true,
 		g.AtomCode(grid.Point{X: 0, Y: 0, Z: 56}):  true,
 	}
-	n.partialHalo = true
-	n.peers = holeFetcher{inner: n.peers, missing: missing}
-	res, err := n.GetThreshold(context.Background(), nil, query.Threshold{
-		Dataset: "noise", Field: derived.Vorticity, Timestep: 0,
-		Threshold: 0, FDOrder: order, Limit: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		peers     func(healthy PeerFetcher) PeerFetcher
+		wantErr   error // nil: the permanent assembly error
+		transient bool
+	}{
+		{"dead peers", func(PeerFetcher) PeerFetcher { return deadFetcher{} }, context.DeadlineExceeded, true},
+		{"peer died mid-batch", func(h PeerFetcher) PeerFetcher {
+			return holeFetcher{inner: h, missing: missing, err: context.DeadlineExceeded}
+		}, context.DeadlineExceeded, true},
+		{"peer dropped atoms silently", func(h PeerFetcher) PeerFetcher {
+			return holeFetcher{inner: h, missing: missing}
+		}, nil, false},
 	}
-
-	f, err := derived.Standard().Lookup(derived.Vorticity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norms := oracleNorms(t, g, raws, f, order)
-	codes, err := n.scanAtomsCovering(g.Domain(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []query.ResultPoint
-	wantSkipped := 0
-	for _, c := range codes {
-		abox := g.AtomBox(c)
-		touches := false
-		for cc := range coverOf(g, []morton.Code{c}, abox, hw, f.AxisReach) {
-			touches = touches || missing[cc]
-		}
-		if touches {
-			wantSkipped++
-			continue
-		}
-		var p grid.Point
-		for p.Z = abox.Lo.Z; p.Z < abox.Hi.Z; p.Z++ {
-			for p.Y = abox.Lo.Y; p.Y < abox.Hi.Y; p.Y++ {
-				for p.X = abox.Lo.X; p.X < abox.Hi.X; p.X++ {
-					want = append(want, query.PointFor(p, norms[(p.Z*gridN+p.Y)*gridN+p.X]))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := clusterOver(t, gridN, raws, 2, 2)[0]
+			c, err := cache.New(cache.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.cache = c
+			healthy := n.peers
+			n.peers = tc.peers(healthy)
+			ctx := context.Background()
+			whole := query.Threshold{Dataset: "noise", Field: derived.Vorticity, FDOrder: order, Limit: 1 << 20}
+			_, thErr := n.GetThreshold(ctx, nil, whole)
+			_, pdfErr := n.GetPDF(ctx, nil, query.PDF{Dataset: "noise", Field: derived.Vorticity, FDOrder: order, Bins: 8, Width: 1})
+			_, topErr := n.GetTopK(ctx, nil, query.TopK{Dataset: "noise", Field: derived.Vorticity, FDOrder: order, K: 10})
+			for kind, err := range map[string]error{"threshold": thErr, "pdf": pdfErr, "top-k": topErr} {
+				switch {
+				case err == nil:
+					t.Errorf("%s answered without its halo", kind)
+				case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+					t.Errorf("%s: %v, want it to wrap %v", kind, err, tc.wantErr)
+				case tc.wantErr == nil && !strings.Contains(err.Error(), "atom missing during assembly"):
+					t.Errorf("%s: %v, want the assembly error", kind, err)
+				case faulttol.Transient(err) != tc.transient:
+					t.Errorf("%s: %v is transient = %v, want %v", kind, err, faulttol.Transient(err), tc.transient)
 				}
 			}
-		}
+			if st := n.cache.Stats(); st.Stores != 0 {
+				t.Errorf("failed scans stored %d cache entries", st.Stores)
+			}
+			n.peers = healthy
+			if got := learnedAtoms(t, n, whole); got != 0 {
+				t.Errorf("failed scans taught the synopsis %d atoms", got)
+			}
+		})
 	}
-	// The atom of one slab under the first hole and the atom above the
-	// second, whose lower face band wraps around the domain; the holes'
-	// edge and corner neighbours do not read them.
-	if wantSkipped != 1+1 {
-		t.Fatalf("test geometry: %d atoms touch a missing blob, expected 2", wantSkipped)
-	}
-	if res.Breakdown.AtomsSkipped != wantSkipped {
-		t.Errorf("AtomsSkipped = %d, want %d", res.Breakdown.AtomsSkipped, wantSkipped)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i].Code < want[j].Code })
-	exactPoints(t, res.Points, want, "survivors around the holes")
 }
 
 // GetTopK retains by a total order — value descending, Morton code ascending

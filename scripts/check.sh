@@ -69,6 +69,10 @@ lane_done
 # above can never skip them.
 lane 'go test -race fault-tolerance packages'
 go test -race ./internal/faulttol/... ./internal/faultinject/... ./internal/cluster/... ./internal/wire/...
+# One degradation rule, by name: a node whose halo cannot be fetched fails
+# its range, and the mediator fails the query, drops the range with exact
+# Coverage, or answers it from a replica.
+go test -race -run 'TestChaosHaloFailureDropsRange' ./internal/cluster/...
 lane_done
 
 # Replica-failover chaos lane: the failover loop itself (TestFailover),
@@ -101,7 +105,7 @@ lane_done
 # pruned threshold scans against a twin that never prunes (solo, batch, PDF,
 # top-k; aligned and clipped boxes; three scan routings), what must never
 # reach the table, the filter's rules, budget eviction, concurrent scans
-# learning one key, the degraded-pass / DropCache case through the
+# learning one key, the dropped-range / DropCache case through the
 # mediator, and the top-k walk against a twin that never prunes (ties at
 # the k-th value, NaN and ±Inf, replica routes, a second round). -count=10
 # on the concurrent suite, per the Go guide.
@@ -135,15 +139,15 @@ lane_done
 # miss and hit against an uncached twin at k = 1 and 2, the aggregate
 # budget's LRU by bytes, a histogram over it served but not stored, and the
 # cache metrics agreeing with its Stats; and a kernel's reach — the slab
-# differential (at the default atom side and at sides 4 and 16) and the
-# halo-hole skips against the face-band cover predicate, and every field
-# that declares axis reach evaluating bit for bit with its edge and corner
+# differential (at the default atom side and at sides 4 and 16), a halo
+# hole failing the scan (every query kind, with the fetch's error class, no
+# cache entry, nothing learned), and every field that declares axis reach evaluating bit for bit with its edge and corner
 # halo regions NaN.
 lane 'node scan (-race)'
 go test -race -count=10 -run 'TestScanContract' ./internal/node/...
 go test -race -run 'TestDropCacheForgetsPDF|TestDropCoversAggregatesAndScanKeys' . ./internal/cache/...
 go test -race -run 'TestPDFCacheDifferential|TestPDFOverBudgetServedUncached|TestAggCache|TestMetricsMatchStats|TestRepeatedPDFIsCacheHit' . ./internal/cluster/... ./internal/node/... ./internal/cache/...
-go test -race -run 'TestSlabScanDifferential|TestSlabScanAtomSides|TestPartialHaloHoleDegradesSlabToItsAtoms|TestAxisReach' ./internal/node/... ./internal/derived/... ./internal/fieldexpr/...
+go test -race -run 'TestSlabScanDifferential|TestSlabScanAtomSides|TestHaloHoleFailsScan|TestAxisReach' ./internal/node/... ./internal/derived/... ./internal/fieldexpr/...
 lane_done
 
 # Ordered-hit lane: a cache hit is an ordered read. The cache returns an
