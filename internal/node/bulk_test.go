@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"errors"
 	"math"
 	"runtime/debug"
 	"testing"
@@ -65,6 +66,32 @@ type deadFetcher struct{}
 
 func (deadFetcher) FetchAtoms(context.Context, *sim.Proc, string, int, []morton.Code) (map[morton.Code][]byte, error) {
 	return nil, context.DeadlineExceeded
+}
+
+// Halo-hole differential: with peers down, no node answers short — each
+// fails with the fetch's error where a skip path would have returned the
+// atoms whose band is local. With peers back, the merged answers match the
+// brute-force reference bit for bit: the failed pass left nothing behind
+// (no cache entry, no synopsis bound) that a later scan would read.
+func TestPartialHaloSkipPathMatchesBruteForceExactly(t *testing.T) {
+	nodes, gen := buildCluster(t, 2, 16, synth.Isotropic, true, 1)
+	q := query.Threshold{
+		Dataset: "isotropic", Field: derived.Vorticity, Timestep: 0,
+		Threshold: 0, FDOrder: 4, Limit: 1 << 20,
+	}
+	for i, n := range nodes {
+		n.peers = deadFetcher{}
+		res, err := n.GetThreshold(context.Background(), nil, q)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("node %d with dead peers: %v, want it to wrap %v", i, err, context.DeadlineExceeded)
+		}
+		if res != nil {
+			t.Errorf("node %d answered %d points without its halo", i, len(res.Points))
+		}
+		n.peers = &testFetcher{nodes: nodes, self: i}
+	}
+	got, _ := runThreshold(t, nodes, q)
+	exactPoints(t, got, bruteForce(t, gen, derived.Vorticity, 0, q.FDOrder, 0), "after the peers came back")
 }
 
 // Steady-state allocation regression: once the slab pool is warm, scanning

@@ -308,10 +308,9 @@ func learnedAtoms(t *testing.T, n *Node, q query.Threshold) int {
 }
 
 // What must not reach the table: atoms the query box clips, the slab in
-// which a consumer stopped the scan and everything after it, and a scan
-// that was cancelled (a scan failed by a halo hole: TestHaloHoleFailsScan).
-// A clean scan of the same box then learns every atom, and a drop forgets
-// them again.
+// which a consumer stopped the scan and everything after it, a scan that
+// was cancelled, and a scan failed by a hole in its halo band. A clean scan
+// of the same box then learns every atom, and a drop forgets them again.
 func TestSynopsisNeverFed(t *testing.T) {
 	const gridN = 32 // 64 atoms: one 4×4×4 slab
 	raws := map[string]*field.Block{derived.Velocity: noise(gridN, 3, 9)}
@@ -368,6 +367,18 @@ func TestSynopsisNeverFed(t *testing.T) {
 		}
 		if got := learnedAtoms(t, n, whole); got != 0 {
 			t.Errorf("a cancelled scan taught %d atoms", got)
+		}
+	})
+	t.Run("partial-halo", func(t *testing.T) {
+		nodes := clusterOver(t, gridN, raws, 2, 1)
+		n := nodes[0]
+		n.peers = deadFetcher{}
+		if _, err := n.GetThreshold(context.Background(), nil, whole); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("dead peers: %v, want it to wrap %v", err, context.DeadlineExceeded)
+		}
+		n.peers = &testFetcher{nodes: nodes, self: 0}
+		if got := learnedAtoms(t, n, whole); got != 0 {
+			t.Errorf("a scan failed by a halo hole taught %d atoms", got)
 		}
 	})
 	t.Run("clean-then-drop", func(t *testing.T) {
