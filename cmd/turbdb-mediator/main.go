@@ -43,8 +43,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -90,52 +92,67 @@ func parsePools(spec string) (map[string]sched.Pool, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("turbdb-mediator: ")
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole command: it parses args, reads the routing table off
+// the nodes and serves queries until ctx is done or a signal asks for
+// shutdown. Every mistake in args, and every node set whose holdings do
+// not cover the dataset exactly once with enough copies, fails it before
+// it listens.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	logger := log.New(stderr, "turbdb-mediator: ", 0)
+	fs := flag.NewFlagSet("turbdb-mediator", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr    = flag.String("addr", ":7080", "listen address")
-		nodes   = flag.String("nodes", "", "comma-separated URLs of the node services (required)")
-		partial = flag.Bool("allow-partial", false, "answer from surviving nodes when a node is unreachable (responses carry coverage)")
-		repl    = flag.Int("replicas", 1, "required copies of every range; the mediator exits if the nodes advertise fewer")
-		connTO  = flag.Duration("connect-timeout", 30*time.Second, "deadline for contacting every node at startup")
-		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-		dbgAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address (off by default)")
+		addr    = fs.String("addr", ":7080", "listen address")
+		nodes   = fs.String("nodes", "", "comma-separated URLs of the node services (required)")
+		partial = fs.Bool("allow-partial", false, "answer from surviving nodes when a node is unreachable (responses carry coverage)")
+		repl    = fs.Int("replicas", 1, "required copies of every range; the mediator exits if the nodes advertise fewer")
+		connTO  = fs.Duration("connect-timeout", 30*time.Second, "deadline for contacting every node at startup")
+		drain   = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
+		dbgAddr = fs.String("debug-addr", "", "serve net/http/pprof on this address (off by default)")
 
-		jsonOnly  = flag.Bool("json-only", false, "answer every response as JSON, ignoring binary-frame negotiation (debug/compat)")
-		nodeProto = flag.String("node-proto", "json", `response encoding negotiated with the node services: "json" or "frame"`)
+		jsonOnly  = fs.Bool("json-only", false, "answer every response as JSON, ignoring binary-frame negotiation (debug/compat)")
+		nodeProto = fs.String("node-proto", "json", `response encoding negotiated with the node services: "json" or "frame"`)
 
-		schedOn    = flag.Bool("sched", true, "run the concurrent query scheduler (admission control + shared-scan batching)")
-		schedConc  = flag.Int("sched-concurrent", 0, "global concurrent-query cap (0 = 4×GOMAXPROCS)")
-		schedWin   = flag.Duration("sched-window", 2*time.Millisecond, "longest a follower of an in-flight scan waits to batch; an idle key runs at once (0 disables batching)")
-		schedQueue = flag.Int("sched-queue", 0, "default per-tenant queue quota before shedding (0 = built-in default)")
-		schedPools = flag.String("sched-pools", "", "per-tenant pools, name=running:queued:priority[,...]")
+		schedOn    = fs.Bool("sched", true, "run the concurrent query scheduler (admission control + shared-scan batching)")
+		schedConc  = fs.Int("sched-concurrent", 0, "global concurrent-query cap (0 = 4×GOMAXPROCS)")
+		schedWin   = fs.Duration("sched-window", 2*time.Millisecond, "longest a follower of an in-flight scan waits to batch; an idle key runs at once (0 disables batching)")
+		schedQueue = fs.Int("sched-queue", 0, "default per-tenant queue quota before shedding (0 = built-in default)")
+		schedPools = fs.String("sched-pools", "", "per-tenant pools, name=running:queued:priority[,...]")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *nodes == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("-nodes is required")
 	}
 
 	nproto, err := wire.ParseProto(*nodeProto)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var clients []mediator.NodeClient
 	for _, url := range strings.Split(*nodes, ",") {
 		clients = append(clients, wire.NewClient(strings.TrimSpace(url), wire.WithProto(nproto)))
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *connTO)
+	dctx, cancel := context.WithTimeout(ctx, *connTO)
 	m, err := mediator.New(mediator.Config{
-		Nodes: clients, AllowPartial: *partial, DescribeCtx: ctx,
+		Nodes: clients, AllowPartial: *partial, DescribeCtx: dctx,
 	})
 	cancel()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	topo := m.Topology()
 	for i, owners := range topo.Owners {
 		if len(owners) < *repl {
-			log.Fatalf("range %v has %d holders, need %d — start the nodes with -replica-shards", topo.Ranges[i], len(owners), *repl)
+			return fmt.Errorf("range %v has %d holders, need %d — start the nodes with -replica-shards", topo.Ranges[i], len(owners), *repl)
 		}
 	}
 	var srvOpts []wire.ServerOption
@@ -143,33 +160,27 @@ func main() {
 		srvOpts = append(srvOpts, wire.WithJSONOnly())
 	}
 	handler := wire.NewMediatorServer(m, srvOpts...).Handler()
-	var s *sched.Scheduler
 	if *schedOn {
 		pools, err := parsePools(*schedPools)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		s, err = sched.New(m, sched.Config{
+		s, err := sched.New(m, sched.Config{
 			MaxConcurrent: *schedConc,
 			DefaultPool:   sched.Pool{MaxQueued: *schedQueue},
 			Pools:         pools,
 			BatchWindow:   *schedWin,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		defer s.Close()
 		handler = wire.NewQuerierServer(s, srvOpts...).Handler()
 	}
-	fmt.Printf("mediator for %s (%d nodes, %d³ grid, partial=%v, replicas=%d, sched=%v) on %s\n",
+	fmt.Fprintf(stdout, "mediator for %s (%d nodes, %d³ grid, partial=%v, replicas=%d, sched=%v) on %s\n",
 		m.Dataset(), len(clients), m.Grid().N, *partial, *repl, *schedOn, *addr)
 	srv := &http.Server{Addr: *addr, Handler: handler}
-	err = wire.RunDaemon(context.Background(), wire.DaemonConfig{
-		Server: srv, DebugAddr: *dbgAddr, Drain: *drain,
+	return wire.RunDaemon(ctx, wire.DaemonConfig{
+		Server: srv, DebugAddr: *dbgAddr, Drain: *drain, Logf: logger.Printf,
 	})
-	if s != nil {
-		s.Close()
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -42,6 +42,16 @@ keeps the encoding: the span tree rides a spans frame.
 	os.Exit(2)
 }
 
+// thresholdHeader is the comment line above a threshold answer's points.
+// A partial answer says so, with its coverage and failed-node count.
+func thresholdHeader(points int, field string, value float64, step int, stats turbdb.Stats) string {
+	h := fmt.Sprintf("# %d points with ‖%s‖ ≥ %g at step %d (node time %v", points, field, value, step, stats.Total)
+	if stats.Partial() {
+		h += fmt.Sprintf("; PARTIAL: coverage %.4g, failed nodes %d", stats.Coverage, stats.NodesFailed)
+	}
+	return h + ")"
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("turbdb-query: ")
@@ -96,8 +106,7 @@ func main() {
 		if stats.TraceTree != "" {
 			fmt.Fprint(os.Stderr, stats.TraceTree)
 		}
-		fmt.Printf("# %d points with ‖%s‖ ≥ %g at step %d (node time %v)\n",
-			len(pts), *field, *value, *step, stats.Total)
+		fmt.Println(thresholdHeader(len(pts), *field, *value, *step, stats))
 		for _, p := range pts {
 			fmt.Printf("%d %d %d %.6g\n", p.X, p.Y, p.Z, p.Value)
 		}

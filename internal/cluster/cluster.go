@@ -73,9 +73,8 @@ type Config struct {
 	// never answers partially. Real mode only.
 	AllowPartial bool
 	// Replication is k, the number of nodes holding each Morton range of
-	// the membership-driven placement. 0 and 1 place one owner per range;
-	// k ≥ 2 adds replica failover in the mediator and halo fetchers. Join
-	// and Leave rebalance at any k. Clamped to Nodes.
+	// the placement. 0 and 1 place one owner per range; k ≥ 2 adds replica
+	// failover in the mediator and halo fetchers. Clamped to Nodes.
 	Replication int
 	// NoSynopsis builds every node without its max-norm synopsis
 	// (node.Config.NoSynopsis): a threshold miss scans its whole box, as in
@@ -89,7 +88,6 @@ type Cluster struct {
 	Mediator *mediator.Mediator
 
 	gen       Source
-	cfg       Config // defaults resolved; drives buildNode for joiners
 	nodes     []*node.Node
 	peerLinks []*netmodel.Link // one per node, appended by buildNode in simulation
 	user      *netmodel.Link
@@ -155,10 +153,9 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 			cfg.Costs = costs
 		}
 	}
-	c.cfg = cfg
 
-	// The initial membership and its placement; at k = 1 that is the
-	// equal split with one owner per range.
+	// The membership and its placement; at k = 1 that is the equal split
+	// with one owner per range.
 	ids := make([]int, cfg.Nodes)
 	for i := range ids {
 		ids[i] = i
@@ -170,7 +167,7 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 
 	var nodeLinks []*netmodel.Link
 	for i := 0; i < cfg.Nodes; i++ {
-		nd, link, err := c.buildNode(i, pl.Ranges[i])
+		nd, link, err := c.buildNode(cfg, i, pl.Ranges[i])
 		if err != nil {
 			return nil, err
 		}
@@ -230,10 +227,8 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 // buildNode constructs node i — disks, store (with its raw-field schemas),
 // cache, links — with the given primary range, and appends it to the
 // cluster. The returned link is the mediator↔node fabric link (nil in real
-// mode). Used by Build for the initial membership and by Join for nodes
-// added later.
-func (c *Cluster) buildNode(i int, primary morton.Range) (*node.Node, *netmodel.Link, error) {
-	cfg := c.cfg
+// mode).
+func (c *Cluster) buildNode(cfg Config, i int, primary morton.Range) (*node.Node, *netmodel.Link, error) {
 	var hdd, ssd *diskmodel.Device
 	var kernel *sim.Kernel
 	exec := node.RealExec()
@@ -301,13 +296,6 @@ func namedDisk(s diskmodel.Spec, name string) diskmodel.Spec {
 
 // Generator returns the dataset source the cluster was built from.
 func (c *Cluster) Generator() Source { return c.gen }
-
-// Membership returns the cluster's membership table, the mediator's.
-func (c *Cluster) Membership() *membership.Table { return c.Mediator.Members() }
-
-// Placement returns the placement in effect, the mediator's routing table.
-// It is shared: callers must not modify it.
-func (c *Cluster) Placement() membership.Placement { return c.Mediator.Topology() }
 
 // Nodes returns the cluster's database nodes.
 func (c *Cluster) Nodes() []*node.Node { return c.nodes }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/node"
+	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
 	"github.com/turbdb/turbdb/internal/synth"
@@ -209,37 +210,48 @@ func TestScaleOutSpeedsUpSimulatedQueries(t *testing.T) {
 	}
 }
 
+// TestSimulatedResultsMatchRealResults: a simulated cluster answers what a
+// real one does, bit for bit, whatever its size and replication, and
+// neither leaves a goroutine behind.
 func TestSimulatedResultsMatchRealResults(t *testing.T) {
+	defer obs.VerifyNoLeaks(t)
 	q := query.Threshold{Dataset: "isotropic", Field: derived.QCriterion, Threshold: 0.8}
-	cReal := buildTest(t, Config{Nodes: 2}, synth.Isotropic, 16)
-	cSim := buildTest(t, Config{Nodes: 2, Simulate: true}, synth.Isotropic, 16)
-
-	realPts, _, err := cReal.Mediator.Threshold(context.Background(), nil, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var simPts int
-	var simFirst, realFirst uint64
-	if len(realPts) > 0 {
-		realFirst = uint64(realPts[0].Code)
-	}
-	_, err = cSim.RunQuery(func(p *sim.Proc) error {
-		pts, _, err := cSim.Mediator.Threshold(context.Background(), p, q)
-		if err != nil {
-			return err
-		}
-		simPts = len(pts)
-		if len(pts) > 0 {
-			simFirst = uint64(pts[0].Code)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simPts != len(realPts) || simFirst != realFirst {
-		t.Errorf("sim results (%d, first %d) differ from real (%d, first %d)",
-			simPts, simFirst, len(realPts), realFirst)
+	for _, tc := range []struct {
+		name      string
+		real, sim Config
+		gridN     int
+	}{
+		{"2 nodes", Config{Nodes: 2}, Config{Nodes: 2, Simulate: true}, 16},
+		// 64³ → 512 atoms, eight per node.
+		{"64 nodes k=2", Config{Nodes: 4}, Config{Nodes: 64, Replication: 2, Simulate: true}, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.gridN > 16 && testing.Short() {
+				t.Skip("64³ clusters are not a -short test")
+			}
+			cReal := buildTest(t, tc.real, synth.Isotropic, tc.gridN)
+			cSim := buildTest(t, tc.sim, synth.Isotropic, tc.gridN)
+			want, _, err := cReal.Mediator.Threshold(context.Background(), nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("reference query returned nothing")
+			}
+			var got []query.ResultPoint
+			_, err = cSim.RunQuery(func(p *sim.Proc) error {
+				pts, stats, err := cSim.Mediator.Threshold(context.Background(), p, q)
+				if err == nil && stats.Coverage != 1 {
+					t.Errorf("simulated Coverage = %v, want 1", stats.Coverage)
+				}
+				got = pts
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, got, want, "simulated vs real")
+		})
 	}
 }
 

@@ -2,17 +2,13 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/faultinject"
 	"github.com/turbdb/turbdb/internal/mediator"
-	"github.com/turbdb/turbdb/internal/membership"
-	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
-	"github.com/turbdb/turbdb/internal/sim"
 	"github.com/turbdb/turbdb/internal/synth"
 )
 
@@ -169,7 +165,7 @@ func TestFailoverAbsorbsPrimaryDeath(t *testing.T) {
 // and the failure records the range the answer is missing.
 func TestFailoverAllReplicasDown(t *testing.T) {
 	c, m := replicatedChaos(t, true, 2, 3)
-	pl := c.Placement()
+	pl := c.Mediator.Topology()
 	// Ring placement: range 2 is owned by exactly {2, 3} — both dead.
 	dead := pl.Ranges[2]
 
@@ -201,181 +197,6 @@ func TestFailoverStrictModeFails(t *testing.T) {
 	if _, _, err := m.Threshold(context.Background(), nil, chaosQuery()); err == nil {
 		t.Fatal("strict replicated mediator answered with a range fully down")
 	}
-}
-
-// TestElasticJoinLeaveReal grows a 3-node cluster to 4 and back to 3, at
-// k = 1 and k = 2, checking answers stay bit-for-bit identical through both
-// rebalances.
-func TestElasticJoinLeaveReal(t *testing.T) {
-	defer obs.VerifyNoLeaks(t)
-	for _, k := range []int{1, 2} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			c := buildTest(t, Config{Nodes: 3, Replication: k}, synth.Isotropic, 16)
-			ctx := context.Background()
-			want, _, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) == 0 {
-				t.Fatal("reference query returned nothing")
-			}
-
-			id, err := c.Join(ctx, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id != 3 {
-				t.Fatalf("joined id = %d, want 3", id)
-			}
-			if st := c.Membership().State(id); st != membership.Alive {
-				t.Fatalf("joined node state = %v, want Alive", st)
-			}
-			pl := c.Placement()
-			if len(pl.Members) != 4 {
-				t.Fatalf("placement has %d members after join, want 4", len(pl.Members))
-			}
-			for i, owners := range pl.Owners {
-				if len(owners) != k {
-					t.Fatalf("range %d has %d owners, want %d", i, len(owners), k)
-				}
-			}
-			got, stats, err := c.Mediator.Threshold(ctx, nil, chaosQuery())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Coverage != 1 {
-				t.Errorf("post-join Coverage = %v, want 1", stats.Coverage)
-			}
-			sameBits(t, got, want, "after join")
-
-			if err := c.Leave(ctx, nil, 0); err != nil {
-				t.Fatal(err)
-			}
-			if st := c.Membership().State(0); st != membership.Left {
-				t.Fatalf("left node state = %v, want Left", st)
-			}
-			pl = c.Placement()
-			for i, owners := range pl.Owners {
-				for _, o := range owners {
-					if o == 0 {
-						t.Fatalf("range %d still routed to departed node 0", i)
-					}
-				}
-			}
-			got, stats, err = c.Mediator.Threshold(ctx, nil, chaosQuery())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Coverage != 1 {
-				t.Errorf("post-leave Coverage = %v, want 1", stats.Coverage)
-			}
-			sameBits(t, got, want, "after leave")
-
-			if v := c.Placement().Version; v != 3 {
-				t.Errorf("topology version = %d after two rebalances, want 3", v)
-			}
-		})
-	}
-}
-
-// TestElasticRebalance64NodeSimulated is the DES scenario: a 64-node k=2
-// simulated cluster rebalances through a join and a leave while
-// full-coverage queries run concurrently on the virtual clock. Every
-// answer — before, during and after the rebalances — must be complete and
-// bit-for-bit identical.
-func TestElasticRebalance64NodeSimulated(t *testing.T) {
-	defer obs.VerifyNoLeaks(t)
-	if testing.Short() {
-		t.Skip("64-node DES scenario is not a -short test")
-	}
-	// 64³ grid → 512 atoms, enough for 65 members to each own a range.
-	c := buildTest(t, Config{Nodes: 64, Replication: 2, Simulate: true}, synth.Isotropic, 64)
-	ctx := context.Background()
-
-	var want []query.ResultPoint
-	if _, err := c.RunQuery(func(p *sim.Proc) error {
-		pts, _, err := c.Mediator.Threshold(ctx, p, chaosQuery())
-		want = pts
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("reference query returned nothing")
-	}
-
-	type answer struct {
-		pts   []query.ResultPoint
-		stats *mediator.QueryStats
-		err   error
-	}
-	answers := make([]answer, 6)
-	for i := range answers {
-		i := i
-		c.Kernel.Go("query", func(p *sim.Proc) {
-			a := &answers[i]
-			a.pts, a.stats, a.err = c.Mediator.Threshold(ctx, p, chaosQuery())
-		})
-	}
-	var joinID int
-	var joinErr, leaveErr error
-	c.Kernel.Go("rebalance", func(p *sim.Proc) {
-		joinID, joinErr = c.Join(ctx, p)
-		if joinErr != nil {
-			return
-		}
-		leaveErr = c.Leave(ctx, p, 3)
-	})
-	if err := c.Kernel.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if joinErr != nil {
-		t.Fatalf("join: %v", joinErr)
-	}
-	if leaveErr != nil {
-		t.Fatalf("leave: %v", leaveErr)
-	}
-	if joinID != 64 {
-		t.Fatalf("joined id = %d, want 64", joinID)
-	}
-	for i, a := range answers {
-		if a.err != nil {
-			t.Fatalf("concurrent query %d: %v", i, a.err)
-		}
-		if a.stats.Coverage != 1 || a.stats.Partial() {
-			t.Fatalf("concurrent query %d: Coverage=%v Failures=%+v", i, a.stats.Coverage, a.stats.Failures)
-		}
-		sameBits(t, a.pts, want, "concurrent query during rebalance")
-	}
-
-	// Post-rebalance: placement spans 64 members (65 joined, 1 left), node
-	// 3 takes no traffic, and a fresh query still matches.
-	pl := c.Placement()
-	if len(pl.Members) != 64 {
-		t.Fatalf("placement has %d members, want 64", len(pl.Members))
-	}
-	for i, owners := range pl.Owners {
-		if len(owners) != 2 {
-			t.Fatalf("range %d has %d owners, want 2", i, len(owners))
-		}
-		for _, o := range owners {
-			if o == 3 {
-				t.Fatalf("range %d still routed to departed node 3", i)
-			}
-		}
-	}
-	var got []query.ResultPoint
-	if _, err := c.RunQuery(func(p *sim.Proc) error {
-		pts, stats, err := c.Mediator.Threshold(ctx, p, chaosQuery())
-		if err == nil && stats.Coverage != 1 {
-			t.Errorf("post-rebalance Coverage = %v, want 1", stats.Coverage)
-		}
-		got = pts
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, got, want, "after rebalances")
 }
 
 // TestFaultPlanKillPrimaryFailsOver composes the faultinject membership

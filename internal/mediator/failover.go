@@ -22,8 +22,8 @@ var (
 )
 
 // errReplicasDown reports a range whose every replica was unavailable
-// before any RPC could be attempted (all owners down or unregistered). It
-// is an availability failure, so partial mode may degrade around it.
+// before any RPC could be attempted (no owner left to try). It is an
+// availability failure, so partial mode may degrade around it.
 type errReplicasDown struct{ ri int }
 
 func (e errReplicasDown) Error() string {
@@ -33,8 +33,8 @@ func (e errReplicasDown) Error() string {
 // Transient marks the failure as availability-class.
 func (e errReplicasDown) Transient() bool { return true }
 
-// peer is one registered node: its client, the range it scans when a
-// request carries no Scan, and the transport the fan-out reaches it over.
+// peer is one node: its client, the range it scans when a request carries
+// no Scan, and the transport the fan-out reaches it over.
 type peer struct {
 	client NodeClient
 	owned  morton.Range       // the node's default scan, as it described itself
@@ -43,13 +43,13 @@ type peer struct {
 }
 
 // routing is the state a fan-out routes by: the placement table and the
-// registered nodes. A published value is immutable — UpdateTopology and
-// RegisterNode install a modified copy — so the one pointer a query loads
-// is a consistent view for all its rounds and a concurrent rebalance never
-// splits one fan-out across two placements.
+// nodes, indexed by id. A published value is immutable — UpdateTopology
+// installs a new one — so the one pointer a query loads is a consistent
+// view for all its rounds, and a concurrent flip never splits one fan-out
+// across two placements. The nodes are fixed at New.
 type routing struct {
 	topo  membership.Placement
-	peers map[int]*peer
+	peers []*peer
 }
 
 // routing returns the routing state in effect.
@@ -59,23 +59,13 @@ func (m *Mediator) routing() *routing {
 	return m.route
 }
 
-// newPeer builds the routing entry for node id; in real mode the node gets
-// its own breaker and retry executor.
-func (m *Mediator) newPeer(id int, c NodeClient, owned morton.Range, link *netmodel.Link) *peer {
-	pr := &peer{client: c, owned: owned, link: link}
-	if m.kernel == nil {
-		pr.ft = m.newExecutor(id)
-	}
-	return pr
-}
-
-// UpdateTopology atomically installs a new routing table (a rebalance
-// flip), numbered one above the table it replaces. Queries already in
-// flight finish on the table they started with. The table's non-empty
-// ranges must tile the dataset's atom range, so an answer merged from one
-// owner per range is the whole domain's, each cell once; and every owner
-// must already be registered. The table is installed as given: the caller
-// must not modify it afterwards.
+// UpdateTopology atomically installs a new routing table, numbered one
+// above the table it replaces. Queries already in flight finish on the
+// table they started with. The table's non-empty ranges must tile the
+// dataset's atom range, so an answer merged from one owner per range is the
+// whole domain's, each cell once; and every owner must be one of the
+// mediator's nodes. The table is installed as given: the caller must not
+// modify it afterwards.
 func (m *Mediator) UpdateTopology(t membership.Placement) error {
 	if len(t.Ranges) != len(t.Owners) {
 		return faulttol.Permanentf("mediator: topology has %d ranges but %d owner lists", len(t.Ranges), len(t.Owners))
@@ -90,8 +80,8 @@ func (m *Mediator) UpdateTopology(t membership.Placement) error {
 			return faulttol.Permanentf("mediator: range %d has no owners", ri)
 		}
 		for _, id := range owners {
-			if m.route.peers[id] == nil {
-				return faulttol.Permanentf("mediator: topology owner %d of range %d is not registered", id, ri)
+			if id < 0 || id >= len(m.route.peers) {
+				return faulttol.Permanentf("mediator: topology owner %d of range %d is not a node", id, ri)
 			}
 		}
 	}
@@ -135,57 +125,22 @@ func (m *Mediator) Topology() membership.Placement { return m.routing().topo }
 // Members returns the membership table the mediator routes by.
 func (m *Mediator) Members() *membership.Table { return m.members }
 
-// RegisterNode adds (or replaces) a node client — a joining node is
-// registered before the topology referencing it is installed, and is
-// routed to once the membership table serves it. An id the table does not
-// know (or knows as Left) joins it Alive; an id the caller has already
-// joined keeps its state. In simulation mode link carries its
-// mediator↔node transfers. ctx bounds the validation round-trip to the
-// node.
-func (m *Mediator) RegisterNode(ctx context.Context, id int, c NodeClient, link *netmodel.Link) error {
-	d, err := c.Describe(ctx)
-	if err != nil {
-		return fmt.Errorf("mediator: node %d unreachable: %w", id, err)
-	}
-	if d.Dataset != m.dataset {
-		return faulttol.Permanentf("mediator: node %d serves dataset %q, not %q", id, d.Dataset, m.dataset)
-	}
-	pr := m.newPeer(id, c, d.Owned, link)
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	peers := make(map[int]*peer, len(m.route.peers)+1)
-	for k, v := range m.route.peers {
-		peers[k] = v
-	}
-	peers[id] = pr
-	m.route = &routing{topo: m.route.topo, peers: peers}
-	if m.members.Join(id) == nil {
-		return m.members.Activate(id)
-	}
-	return nil
-}
-
 // clientList returns the management fan-out targets (DropCache,
-// SetProcesses): the registered clients in id order.
+// SetProcesses): the nodes in id order.
 func (m *Mediator) clientList() []NodeClient {
-	rt := m.routing()
-	ids := make([]int, 0, len(rt.peers))
-	for id := range rt.peers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]NodeClient, len(ids))
-	for i, id := range ids {
-		out[i] = rt.peers[id].client
+	peers := m.routing().peers
+	out := make([]NodeClient, len(peers))
+	for i, pr := range peers {
+		out[i] = pr.client
 	}
 	return out
 }
 
-// breakerState reports node id's circuit-breaker state (Closed for an
-// unregistered node and in simulation mode, where breakers are disabled).
+// breakerState reports node id's circuit-breaker state (Closed for an id
+// that is not a node and in simulation mode, where breakers are disabled).
 func (rt *routing) breakerState(id int) faulttol.State {
-	if pr := rt.peers[id]; pr != nil && pr.ft != nil {
-		return pr.ft.Breaker.State()
+	if id >= 0 && id < len(rt.peers) && rt.peers[id].ft != nil {
+		return rt.peers[id].ft.Breaker.State()
 	}
 	return faulttol.Closed
 }

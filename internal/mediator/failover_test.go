@@ -151,7 +151,7 @@ func TestErrReplicasDownIsTransient(t *testing.T) {
 // TestTopologyValidation pins the routing-table rules: a mediator assembled
 // from nodes alone routes by the table they describe, and New and
 // UpdateTopology refuse, with a permanent error, every table whose ranges
-// do not tile the domain or that routes to an unregistered node — each
+// do not tile the domain or that routes to an id that is not a node — each
 // would answer short, or twice, with Coverage 1.
 func TestTopologyValidation(t *testing.T) {
 	nodes, _ := buildNodes(t, 2)
@@ -208,17 +208,12 @@ func TestTopologyValidation(t *testing.T) {
 		})
 	}
 
-	// Assembled from nodes alone, the mediator still takes a replacement
-	// client and a new table.
-	t.Run("Config{Nodes} accepts RegisterNode and UpdateTopology", func(t *testing.T) {
+	// Assembled from nodes alone, the mediator still takes a new table.
+	t.Run("UpdateTopology accepts k = 2", func(t *testing.T) {
 		ctx := context.Background()
 		q := query.Threshold{Dataset: "isotropic", Field: derived.Vorticity, Threshold: 1}
 		want, _, err := m.Threshold(ctx, nil, q)
 		if err != nil {
-			t.Fatal(err)
-		}
-		replaced := &recordingClient{NodeClient: nodes[1]}
-		if err := m.RegisterNode(ctx, 1, replaced, nil); err != nil {
 			t.Fatal(err)
 		}
 		kTwo := membership.Placement{Version: 2, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}, {1, 0}}}
@@ -232,39 +227,8 @@ func TestTopologyValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(replaced.taken()) != 1 {
-			t.Error("node 1's range was not routed to its replacement client")
-		}
 		if st.Coverage != 1 || !reflect.DeepEqual(got, want) {
 			t.Errorf("after the update: %d points at Coverage %v, want the %d points before it", len(got), st.Coverage, len(want))
-		}
-	})
-	// A node registered under an id the membership table does not know
-	// joins it Alive, so a table routing a range only to it answers that
-	// range.
-	t.Run("RegisterNode of a new id joins the membership table", func(t *testing.T) {
-		ctx := context.Background()
-		m := mediatorOver(t, nodes)
-		q := query.Threshold{Dataset: "isotropic", Field: derived.Vorticity, Threshold: 1}
-		want, _, err := m.Threshold(ctx, nil, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.RegisterNode(ctx, 2, nodes[1], nil); err != nil {
-			t.Fatal(err)
-		}
-		if st := m.Members().State(2); st != membership.Alive {
-			t.Errorf("registered node 2 is %v, want Alive", st)
-		}
-		if err := m.UpdateTopology(membership.Placement{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {2}}}); err != nil {
-			t.Fatal(err)
-		}
-		got, st, err := m.Threshold(ctx, nil, q)
-		if err != nil {
-			t.Fatalf("range 1 routed only to node 2: %v", err)
-		}
-		if st.Coverage != 1 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%d points at Coverage %v, want the %d points before", len(got), st.Coverage, len(want))
 		}
 	})
 }

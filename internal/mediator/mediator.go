@@ -108,8 +108,8 @@ type Mediator struct {
 
 	allowPartial bool
 
-	// members tracks node lifecycle and health for routing. Breaker
-	// transitions feed back into it (open marks the node Suspect, closed
+	// members tracks node health for routing. Breaker transitions feed
+	// back into it (open marks the node Suspect, closed
 	// marks it Alive).
 	members *membership.Table
 	policy  faulttol.Policy // retry/breaker tuning, real mode only
@@ -123,8 +123,7 @@ type Mediator struct {
 
 // New validates the config, contacts every node for its description
 // (dataset, geometry, held ranges) and builds a Mediator. Node i of Nodes
-// is registered under id i; further nodes join via RegisterNode. The
-// mediator routes by the table membership.Describe reads off the nodes'
+// is node id i, and the node set is fixed from then on. The mediator routes by the table membership.Describe reads off the nodes'
 // holdings — k = 1 when no node holds a replica — and owns a membership
 // table of the ids, all Alive. A node that is unreachable at assembly time
 // is a constructor error — queries never panic on an unavailable topology.
@@ -187,13 +186,15 @@ func New(cfg Config) (*Mediator, error) {
 			m.bcfg = *cfg.Breaker
 		}
 	}
-	peers := make(map[int]*peer, len(cfg.Nodes))
+	// In real mode every node gets its own breaker and retry executor.
+	peers := make([]*peer, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
-		var link *netmodel.Link
+		peers[i] = &peer{client: n, owned: descs[i].Owned}
 		if cfg.Kernel != nil {
-			link = cfg.NodeLinks[i]
+			peers[i].link = cfg.NodeLinks[i]
+		} else {
+			peers[i].ft = m.newExecutor(i)
 		}
-		peers[i] = m.newPeer(i, n, descs[i].Owned, link)
 	}
 	m.topoMu.Lock()
 	m.route = &routing{peers: peers}
@@ -227,7 +228,7 @@ func (m *Mediator) newExecutor(id int) *faulttol.Executor {
 	return &faulttol.Executor{Policy: m.policy, Breaker: faulttol.NewBreaker(nbcfg)}
 }
 
-// NodeCount returns the number of registered node clients.
+// NodeCount returns the number of nodes.
 func (m *Mediator) NodeCount() int { return len(m.routing().peers) }
 
 // Simulated reports whether the mediator runs on a DES kernel (virtual

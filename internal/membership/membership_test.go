@@ -7,75 +7,37 @@ import (
 	"github.com/turbdb/turbdb/internal/morton"
 )
 
-func TestTableLifecycle(t *testing.T) {
-	tb := NewTable(0, 1, 2)
-	if got := tb.Serving(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("serving = %v", got)
-	}
-	v0 := tb.Version()
-
-	if err := tb.Join(3); err != nil {
-		t.Fatal(err)
-	}
-	if s := tb.State(3); s != Joining {
-		t.Fatalf("state(3) = %v", s)
-	}
-	if got := tb.Serving(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("joining node serves early: %v", got)
-	}
-	if err := tb.Join(1); err == nil {
-		t.Fatal("re-joining a live member should fail")
-	}
-	if err := tb.Activate(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := tb.Serving(); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
-		t.Fatalf("serving after activate = %v", got)
-	}
-	if err := tb.Activate(3); err == nil {
-		t.Fatal("double activate should fail")
-	}
-
-	if err := tb.Leave(2); err != nil {
-		t.Fatal(err)
-	}
-	if s := tb.State(2); s != Leaving || !s.Serving() {
-		t.Fatalf("leaving node must keep serving, state = %v", s)
-	}
-	tb.Remove(2)
-	if got := tb.Serving(); !reflect.DeepEqual(got, []int{0, 1, 3}) {
-		t.Fatalf("serving after remove = %v", got)
-	}
-	if s := tb.State(2); s != Left {
-		t.Fatalf("state(2) = %v", s)
-	}
-	if tb.Version() <= v0 {
-		t.Fatalf("version did not advance: %d -> %d", v0, tb.Version())
-	}
-}
-
 func TestTableHealthTransitions(t *testing.T) {
 	tb := NewTable(0, 1)
+	state := func(id int) State {
+		t.Helper()
+		s, ok := tb.State(id)
+		if !ok {
+			t.Fatalf("node %d is not a member", id)
+		}
+		return s
+	}
 	tb.MarkSuspect(0)
-	if s := tb.State(0); s != Suspect || !s.Serving() {
-		t.Fatalf("suspect must keep serving, state = %v", s)
+	if s := state(0); s != Suspect {
+		t.Fatalf("state(0) = %v, want suspect", s)
+	}
+	tb.MarkSuspect(0) // no-op
+	if s := state(0); s != Suspect {
+		t.Fatalf("a second MarkSuspect left %v", s)
 	}
 	tb.MarkAlive(0)
-	if s := tb.State(0); s != Alive {
-		t.Fatalf("state(0) = %v", s)
+	if s := state(0); s != Alive {
+		t.Fatalf("state(0) = %v, want alive", s)
 	}
-	// Health transitions never touch non-Alive/Suspect states.
-	if err := tb.Leave(1); err != nil {
-		t.Fatal(err)
-	}
-	tb.MarkSuspect(1)
-	if s := tb.State(1); s != Leaving {
-		t.Fatalf("suspect must not override draining, state = %v", s)
-	}
-	v := tb.Version()
 	tb.MarkAlive(1) // no-op
-	if tb.Version() != v {
-		t.Fatal("no-op transition bumped the version")
+	if s := state(1); s != Alive {
+		t.Fatalf("state(1) = %v, want alive", s)
+	}
+	// Health never adds a member.
+	tb.MarkSuspect(7)
+	tb.MarkAlive(7)
+	if s, ok := tb.State(7); ok {
+		t.Fatalf("non-member 7 reads %v", s)
 	}
 }
 
@@ -130,13 +92,6 @@ func TestPlacementLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := p.PrimaryOf(2)
-	if !ok || r != p.Ranges[2] {
-		t.Fatalf("PrimaryOf(2) = %v, %v", r, ok)
-	}
-	if _, ok := p.PrimaryOf(9); ok {
-		t.Fatal("PrimaryOf of a non-member succeeded")
-	}
 	// Node 1 owns its primary (range 1) and replicates range 0.
 	if got := p.RangesOf(1); !reflect.DeepEqual(got, []morton.Range{p.Ranges[0], p.Ranges[1]}) {
 		t.Fatalf("RangesOf(1) = %v", got)
@@ -178,15 +133,9 @@ func TestPlacementErrors(t *testing.T) {
 // TestFailoverOrder pins the one membership-based replica order the
 // mediator's fan-out and the cluster's halo fetcher route by.
 func TestFailoverOrder(t *testing.T) {
-	tb := NewTable(0, 1, 2, 3, 4, 5)
+	tb := NewTable(0, 1, 2, 4, 5)
 	tb.MarkSuspect(1)
-	if err := tb.Leave(2); err != nil {
-		t.Fatal(err)
-	}
-	tb.Remove(3)
-	if err := tb.Join(6); err != nil {
-		t.Fatal(err)
-	}
+	tb.MarkSuspect(2)
 	demote4 := func(id int) bool { return id == 4 }
 	tests := []struct {
 		name    string
@@ -195,8 +144,8 @@ func TestFailoverOrder(t *testing.T) {
 		demoted func(int) bool
 		want    []int
 	}{
-		{"Alive before Suspect and Leaving, placement order within each", tb, []int{2, 1, 5, 0}, nil, []int{5, 0, 2, 1}},
-		{"Left and Joining members do not serve", tb, []int{3, 6, 0}, nil, []int{0}},
+		{"Alive before Suspect, placement order within each", tb, []int{2, 1, 5, 0}, nil, []int{5, 0, 2, 1}},
+		{"an owner that is not a member is left out", tb, []int{3, 6, 0}, nil, []int{0}},
 		{"a demoted member goes behind every other", tb, []int{4, 1, 0}, demote4, []int{0, 1, 4}},
 		{"demotion keeps the class order", tb, []int{1, 2, 0}, func(int) bool { return true }, []int{0, 1, 2}},
 	}

@@ -16,8 +16,7 @@ import (
 // A table is shared read-only once made — the mediator installs and hands
 // out its table without copying it.
 //
-// A placed table keeps these invariants (relied on by the cluster
-// rebalancer):
+// A placed table keeps these invariants:
 //
 //   - Ranges partition the domain: they are disjoint, contiguous, sorted,
 //     and cover [domain.Lo, domain.Hi) with atom granularity.
@@ -79,17 +78,6 @@ func Place(domain morton.Range, members []int, k int) (Placement, error) {
 		}
 	}
 	return p, nil
-}
-
-// PrimaryOf returns id's primary range in a placed table (false if id is
-// not a member).
-func (p Placement) PrimaryOf(id int) (morton.Range, bool) {
-	for i, m := range p.Members {
-		if m == id {
-			return p.Ranges[i], true
-		}
-	}
-	return morton.Range{}, false
 }
 
 // RangesOf returns every non-empty range id owns (primary and replica),

@@ -251,10 +251,10 @@ func (n *Node) gatherReads(ctx context.Context, wp *sim.Proc, f *derived.Field, 
 func (n *Node) gatherField(ctx context.Context, wp *sim.Proc, rf derived.RawInput, step int, needed []morton.Code, pool *bufferPool, out *workerData) error {
 	rawField := rf.Name
 	// Replica ranges count as local: a halo atom this node also holds as a
-	// replica is served from its own store instead of a peer fetch. The
-	// data-presence check matters mid-rebalance — an adopted range whose
-	// atoms are still streaming in is fetched from a peer, not read from
-	// the (empty) local store.
+	// replica is served from its own store instead of a peer fetch. Owns
+	// only says a code falls in a held range, so the data-presence check
+	// sends an adopted atom the store has no data for to a peer instead of
+	// reading it from the (empty) local store.
 	var local, remote []morton.Code
 	for _, c := range needed {
 		if n.store.Owns(c) && n.store.HasAtom(rawField, step, c) {

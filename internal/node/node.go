@@ -75,7 +75,7 @@ func HaloParts(ctx context.Context) (atomSide, ncomp int, boxes map[morton.Code]
 
 // HaloRouter is the PeerFetcher of a node in a cluster, in process and over
 // HTTP alike. It routes each atom to the nodes holding it other than Self,
-// in the membership table's failover order (Alive before Suspect/Leaving,
+// in the membership table's failover order (Alive before Suspect,
 // primary first, then ring order), and asks each holder once for all its
 // atoms. A transient failure of one holder moves its atoms on to their next
 // holder (faulttol.Failover runs the rounds); the fetch fails on a

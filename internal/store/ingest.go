@@ -32,7 +32,7 @@ func (s *Store) IngestBlock(fieldName string, step int, bl *field.Block) (int, e
 	for _, r := range s.Held() {
 		for code := r.Lo; code < r.Hi; code++ {
 			if seen[code] {
-				continue // held ranges may overlap after rebalances
+				continue // held ranges may overlap
 			}
 			seen[code] = true
 			abox := s.grid.AtomBox(code)

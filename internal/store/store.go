@@ -54,7 +54,7 @@ type Store struct {
 	owned morton.Range // primary atom-code range (immutable)
 
 	mu     sync.RWMutex
-	extras []morton.Range            // replica/rebalance ranges adopted after construction; guarded by mu
+	extras []morton.Range            // replica ranges adopted after construction; guarded by mu
 	fields map[string]FieldMeta      // guarded by mu
 	data   map[string]map[Key][]byte // guarded by mu
 
@@ -100,9 +100,9 @@ func (s *Store) Grid() grid.Grid { return s.grid }
 func (s *Store) Owned() morton.Range { return s.owned }
 
 // AdoptRange extends the store to also hold r — a replica range under k-way
-// placement, or a range gained in a rebalance. Adopting a range the store
+// placement. Adopting a range the store
 // already holds in full is a no-op; empty ranges are ignored. Data for the
-// range is not materialized here: callers stream (or ingest) the atoms
+// range is not materialized here: callers ingest or load the atoms
 // separately.
 func (s *Store) AdoptRange(r morton.Range) {
 	if r.Empty() {
@@ -130,7 +130,7 @@ func (s *Store) coversLocked(r morton.Range) bool {
 }
 
 // Held returns every range this store holds: the primary first, then the
-// adopted ranges in adoption order. Ranges may overlap after rebalances.
+// adopted ranges in adoption order. Ranges may overlap.
 func (s *Store) Held() []morton.Range {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -164,8 +164,8 @@ func (s *Store) ownsLocked(code morton.Code) bool {
 }
 
 // HasAtom reports whether the atom's blob is materialized — unlike Owns,
-// which only says the code falls in a held range. A freshly built or
-// still-streaming store owns ranges it has no data for yet.
+// which only says the code falls in a held range. A store owns an adopted
+// range before its atoms are ingested or loaded.
 func (s *Store) HasAtom(fieldName string, step int, code morton.Code) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -217,7 +217,7 @@ func (s *Store) CreateField(meta FieldMeta) error {
 // Put stores one atom blob. The code must fall in a held range and the
 // blob length must match the field schema. A served step never changes:
 // putting an atom the store already holds is a no-op when the bytes are
-// equal (overlapping held ranges after a rebalance) and a permanent error
+// equal (overlapping held ranges) and a permanent error
 // when they differ, so nothing a peer keeps of an atom goes stale.
 func (s *Store) Put(fieldName string, step int, code morton.Code, blob []byte) error {
 	s.mu.Lock()

@@ -77,15 +77,15 @@ lane_done
 
 # Replica-failover chaos lane: the failover loop itself (TestFailover),
 # the halo router that runs it for node-to-node fetches (TestHaloRouter),
-# membership, placement, and the elastic suites (replica failover,
-# join/leave rebalances, the 64-node DES scenario) by name under the race
-# detector. The packages also run above; naming the suites keeps a future
-# -short or -run filter from silently dropping them, and gives failover its
-# own lane timing. Every rebalance
-# and failover test ends in obs.VerifyNoLeaks, so a leaked goroutine in the
-# fan-out or streaming paths fails this lane.
+# membership, placement, and the replication suites (replica failover, the
+# k = 2 answers of a 4-node and a 64-node DES cluster) by name under the
+# race detector. The packages also run above; naming the suites keeps a
+# future -short or -run filter from silently dropping them, and gives
+# failover its own lane timing. TestSimulatedResultsMatchRealResults ends
+# in obs.VerifyNoLeaks, so a goroutine the real-mode fan-out or the DES
+# leaves behind fails this lane.
 lane 'replica failover chaos (-race)'
-go test -race -run 'Failover|Elastic|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath|DescribeInvertsPlace|DescribeUnknownHoldings|HaloRouter' \
+go test -race -run 'Failover|SimulatedResultsMatchRealResults|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath|DescribeInvertsPlace|DescribeUnknownHoldings|HaloRouter' \
 	./internal/faulttol/... ./internal/membership/... ./internal/mediator/... ./internal/cluster/... ./internal/wire/... ./internal/node/...
 lane_done
 
