@@ -12,12 +12,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"github.com/turbdb/turbdb/internal/grid"
+	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/store"
 	"github.com/turbdb/turbdb/internal/synth"
 )
@@ -25,20 +29,32 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("turbdb-gen: ")
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole command: it parses args, synthesizes the dataset and
+// writes the deployment. Every mistake in args fails it before it writes
+// anything; ctx stops the synthesis between blocks.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("turbdb-gen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out      = flag.String("out", "", "output deployment directory (required)")
-		kindName = flag.String("kind", "mhd", `dataset kind: "isotropic" or "mhd"`)
-		gridN    = flag.Int("grid", 64, "grid side (power of two)")
-		atomSide = flag.Int("atom", grid.DefaultAtomSide, "database atom side")
-		steps    = flag.Int("steps", 4, "number of time-steps")
-		nodes    = flag.Int("nodes", 4, "number of database nodes (shards)")
-		seed     = flag.Int64("seed", 2015, "random seed")
+		out      = fs.String("out", "", "output deployment directory (required)")
+		kindName = fs.String("kind", "mhd", `dataset kind: "isotropic" or "mhd"`)
+		gridN    = fs.Int("grid", 64, "grid side (power of two)")
+		atomSide = fs.Int("atom", grid.DefaultAtomSide, "database atom side")
+		steps    = fs.Int("steps", 4, "number of time-steps")
+		nodes    = fs.Int("nodes", 4, "number of database nodes (shards)")
+		seed     = fs.Int64("seed", 2015, "random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *out == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("-out is required")
 	}
 
 	var kind synth.Kind
@@ -48,17 +64,25 @@ func main() {
 	case "mhd":
 		kind = synth.MHD
 	default:
-		log.Fatalf("unknown kind %q", *kindName)
+		return fmt.Errorf("unknown kind %q", *kindName)
+	}
+	// synth reads Steps 0 as one step; the manifest would still say 0.
+	if *steps < 1 {
+		return fmt.Errorf("-steps %d: want at least 1", *steps)
 	}
 
 	gen, err := synth.New(synth.Params{
 		N: *gridN, AtomSide: *atomSide, Seed: *seed, Kind: kind, Steps: *steps,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	g := gen.Grid()
-	ranges := g.AtomRange().Split(*nodes, 1)
+	// The shards are the k = 1 placement: the equal split of the atoms.
+	pl, err := membership.Place(g.AtomRange(), *nodes, 1)
+	if err != nil {
+		return fmt.Errorf("-nodes %d: %w", *nodes, err)
+	}
 
 	manifest := store.Manifest{
 		Dataset: gen.Name(), GridN: g.N, AtomSide: g.AtomSide, Dx: g.Dx,
@@ -67,37 +91,39 @@ func main() {
 	for _, rf := range gen.RawFields() {
 		manifest.Fields = append(manifest.Fields, store.FieldMeta{Name: rf.Name, NComp: rf.NComp})
 	}
-	for _, r := range ranges {
+	for _, r := range pl.Ranges {
 		manifest.Shards = append(manifest.Shards, [2]uint64{uint64(r.Lo), uint64(r.Hi)})
 	}
-	if err := store.WriteManifest(*out, manifest); err != nil {
-		log.Fatal(err)
-	}
-
 	stores := make([]*store.Store, *nodes)
 	for i := range stores {
-		s, err := store.New(store.Config{Grid: g, Owned: ranges[i]})
+		s, err := store.New(store.Config{Grid: g, Owned: pl.Ranges[i]})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, fm := range manifest.Fields {
 			if err := s.CreateField(fm); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		stores[i] = s
 	}
+	if err := store.WriteManifest(*out, manifest); err != nil {
+		return err
+	}
 
 	for _, rf := range gen.RawFields() {
 		for step := 0; step < *steps; step++ {
-			fmt.Printf("synthesizing %-9s step %d/%d\n", rf.Name, step+1, *steps)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "synthesizing %-9s step %d/%d\n", rf.Name, step+1, *steps)
 			bl, err := gen.Field(rf.Name, step)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			for i, s := range stores {
 				if _, err := s.IngestBlock(rf.Name, step, bl); err != nil {
-					log.Fatalf("node %d: %v", i, err)
+					return fmt.Errorf("node %d: %w", i, err)
 				}
 			}
 		}
@@ -105,14 +131,14 @@ func main() {
 
 	var totalAtoms int
 	for i, s := range stores {
-		dir := store.NodeDir(*out, i)
-		if err := s.Save(dir); err != nil {
-			log.Fatal(err)
+		if err := s.Save(store.NodeDir(*out, i)); err != nil {
+			return err
 		}
 		for _, fm := range manifest.Fields {
 			totalAtoms += s.CountAtoms(fm.Name, 0) * *steps
 		}
 	}
-	fmt.Printf("wrote %s: %s dataset, %d³ grid, %d steps, %d nodes, %d atom records\n",
+	fmt.Fprintf(stdout, "wrote %s: %s dataset, %d³ grid, %d steps, %d nodes, %d atom records\n",
 		*out, manifest.Dataset, g.N, *steps, *nodes, totalAtoms)
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,7 +210,9 @@ func (f *fanPeers) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string,
 // never answers without its halo, so node 0 fails its range with the
 // injected fault and the mediator alone decides what that costs: a strict
 // mediator fails the query, a partial one drops exactly node 0's range with
-// exact Coverage, and at k = 2 a replica answers the range in full.
+// exact Coverage, and at k = 2 a replica answers the range in full. A peer
+// that drops atoms silently instead fails node 0's assembly permanently,
+// which no mediator degrades around.
 func TestChaosHaloFailureDropsRange(t *testing.T) {
 	ctx := context.Background()
 	pq := query.PDF{Dataset: "isotropic", Field: derived.Vorticity, Bins: 16, Width: 0.5}
@@ -251,11 +254,25 @@ func TestChaosHaloFailureDropsRange(t *testing.T) {
 			}
 		}
 	}
-	haloDown := func(cfg Config) *Cluster {
+	haloDownWith := func(cfg Config, rule *faultinject.Rule) *Cluster {
 		c := buildTest(t, cfg, synth.Isotropic, 16)
-		plan := faultinject.NewPlan(1, &faultinject.Rule{Mode: faultinject.ModeError})
+		plan := faultinject.NewPlan(1, rule)
 		c.Nodes()[0].SetPeers(faultinject.NewPeerFetcher(&fanPeers{nodes: c.Nodes(), self: 0}, plan))
 		return c
+	}
+	haloDown := func(cfg Config) *Cluster {
+		return haloDownWith(cfg, &faultinject.Rule{Mode: faultinject.ModeError})
+	}
+	strictOver := func(c *Cluster) *mediator.Mediator {
+		clients := make([]mediator.NodeClient, len(c.Nodes()))
+		for i, n := range c.Nodes() {
+			clients[i] = n
+		}
+		m, err := mediator.New(mediator.Config{Nodes: clients, Retry: fastRetry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 	var inj *faultinject.InjectedError
 
@@ -285,15 +302,7 @@ func TestChaosHaloFailureDropsRange(t *testing.T) {
 
 		// A strict mediator over the same nodes fails: no node hands it a
 		// short answer it could mistake for a whole one.
-		clients := make([]mediator.NodeClient, len(c.Nodes()))
-		for i, n := range c.Nodes() {
-			clients[i] = n
-		}
-		strict, err := mediator.New(mediator.Config{Nodes: clients, Retry: fastRetry()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pts, _, err := strict.Threshold(ctx, nil, chaosQuery()); !errors.As(err, &inj) {
+		if pts, _, err := strictOver(c).Threshold(ctx, nil, chaosQuery()); !errors.As(err, &inj) {
 			t.Fatalf("strict mediator: %d points, err = %v; want the injected halo fault", len(pts), err)
 		}
 	})
@@ -306,5 +315,27 @@ func TestChaosHaloFailureDropsRange(t *testing.T) {
 			t.Errorf("Coverage = %v, want 1 through replica failover", stats.Coverage)
 		}
 		samePoints("k=2", pts, full)
+	})
+	// The peer answers without error but keeps no atom (ModePartial): node
+	// 0's assembly finds an atom missing, a permanent failure, so neither a
+	// strict nor a partial mediator answers, and none answers short.
+	t.Run("peer drops atoms silently", func(t *testing.T) {
+		c := haloDownWith(Config{Nodes: 4, AllowPartial: true}, &faultinject.Rule{Mode: faultinject.ModePartial, TruncateTo: 0})
+		for _, m := range []struct {
+			name string
+			med  *mediator.Mediator
+		}{{"partial", c.Mediator}, {"strict", strictOver(c)}} {
+			pts, stats, err := m.med.Threshold(ctx, nil, chaosQuery())
+			switch {
+			case err == nil:
+				t.Fatalf("%s mediator answered %d points at Coverage %v", m.name, len(pts), stats.Coverage)
+			case faulttol.Transient(err):
+				t.Errorf("%s mediator: %v is transient, want a permanent error", m.name, err)
+			case !strings.Contains(err.Error(), "atom missing during assembly"):
+				t.Errorf("%s mediator: err = %v, want the node's missing-atom error", m.name, err)
+			case len(pts) != 0:
+				t.Errorf("%s mediator: %d points with the error", m.name, len(pts))
+			}
+		}
 	})
 }

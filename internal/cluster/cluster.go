@@ -20,6 +20,7 @@ import (
 	"github.com/turbdb/turbdb/internal/cache"
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/diskmodel"
+	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/mediator"
@@ -98,14 +99,15 @@ type Cluster struct {
 const simCores = 8
 
 // haloRouter is node self's halo fetcher: it routes by the mediator's
-// routing and membership tables, reads from the holders' stores in
-// process, and in simulation charges the holder's link for the transfer.
+// routing table and breakers, reads from the holders' stores in process,
+// and in simulation charges the holder's link for the transfer.
 func (c *Cluster) haloRouter(self int) *node.HaloRouter {
 	return &node.HaloRouter{
-		Table: func(context.Context) (membership.Placement, *membership.Table, error) {
-			return c.Mediator.Topology(), c.Mediator.Members(), nil
+		Table: func(context.Context) (membership.Placement, error) {
+			return c.Mediator.Topology(), nil
 		},
-		Self: self,
+		State: func(id int) faulttol.State { return c.Mediator.BreakerState(id) },
+		Self:  self,
 		Fetch: func(ctx context.Context, p *sim.Proc, holder int, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
 			blobs, err := c.nodes[holder].FetchAtoms(ctx, p, rawField, step, codes)
 			if err == nil && c.Kernel != nil && p != nil {
@@ -154,13 +156,9 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// The membership and its placement; at k = 1 that is the equal split
-	// with one owner per range.
-	ids := make([]int, cfg.Nodes)
-	for i := range ids {
-		ids[i] = i
-	}
-	pl, err := membership.Place(g.AtomRange(), ids, cfg.Replication)
+	// The placement; at k = 1 that is the equal split with one owner per
+	// range.
+	pl, err := membership.Place(g.AtomRange(), cfg.Nodes, cfg.Replication)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +210,7 @@ func Build(gen Source, cfg Config) (*Cluster, error) {
 		clients[i] = nd
 	}
 	// The nodes hold exactly pl, so the table the mediator reads off their
-	// holdings is pl, and it owns the membership table of their ids.
+	// holdings is pl.
 	med, err := mediator.New(mediator.Config{
 		Nodes: clients, Kernel: c.Kernel, NodeLinks: nodeLinks, UserLink: c.user,
 		AllowPartial: cfg.AllowPartial && !cfg.Simulate,

@@ -72,3 +72,28 @@ func Failover(holders [][]int, serve func(groups []Group) []error) (spent []Spen
 	}
 	return spent, reroutes, nil
 }
+
+// HealthOrder returns owners, a key's holders in placement order, in the
+// order a failover tries them: Closed breakers before HalfOpen ones before
+// Open ones, placement order within each. state reports a holder's breaker
+// and is asked once per holder; a nil state keeps the placement order. The
+// result is a new slice.
+func HealthOrder(owners []int, state func(id int) State) []int {
+	out := make([]int, 0, len(owners))
+	if state == nil {
+		return append(out, owners...)
+	}
+	var buf [8]State
+	states := buf[:0]
+	for _, id := range owners {
+		states = append(states, state(id))
+	}
+	for _, want := range [...]State{Closed, HalfOpen, Open} {
+		for i, s := range states {
+			if s == want {
+				out = append(out, owners[i])
+			}
+		}
+	}
+	return out
+}

@@ -85,3 +85,49 @@ func TestFailover(t *testing.T) {
 		})
 	}
 }
+
+// TestHealthOrder pins the one replica order the mediator's fan-out and the
+// halo router route by: a holder's breaker state ranks it, its place in the
+// owner list breaks ties.
+func TestHealthOrder(t *testing.T) {
+	breakers := map[int]State{1: HalfOpen, 2: Open, 4: HalfOpen, 5: Open} // absent: Closed
+	state := func(id int) State { return breakers[id] }
+	tests := []struct {
+		name   string
+		owners []int
+		state  func(int) State
+		want   []int
+	}{
+		{"Closed before HalfOpen before Open, placement order within each", []int{2, 1, 5, 0, 4, 3}, state, []int{0, 3, 1, 4, 2, 5}},
+		{"an Open primary goes behind a HalfOpen replica", []int{2, 1}, state, []int{1, 2}},
+		{"Open holders keep their placement order behind the rest", []int{5, 1, 2, 0}, state, []int{0, 1, 5, 2}},
+		{"all Closed keeps the placement order", []int{3, 0, 6}, state, []int{3, 0, 6}},
+		{"nil state keeps the placement order", []int{2, 1, 5, 0}, nil, []int{2, 1, 5, 0}},
+		{"no owners", nil, state, []int{}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			owners := slices.Clone(tt.owners)
+			asked := map[int]int{}
+			st := tt.state
+			if st != nil {
+				st = func(id int) State { asked[id]++; return tt.state(id) }
+			}
+			got := HealthOrder(owners, st)
+			if !reflect.DeepEqual(got, tt.want) {
+				t.Errorf("HealthOrder(%v) = %v, want %v", tt.owners, got, tt.want)
+			}
+			for id, n := range asked {
+				if n != 1 {
+					t.Errorf("state(%d) asked %d times, want once", id, n)
+				}
+			}
+			if len(got) > 0 {
+				got[0] = -1
+			}
+			if !slices.Equal(owners, tt.owners) {
+				t.Errorf("writing the result changed the owners to %v", owners)
+			}
+		})
+	}
+}

@@ -3,7 +3,8 @@
 // jitter, a transient/permanent error classifier for wire errors, a
 // per-node circuit breaker, a deadline budget that keeps retries inside
 // the caller's context deadline, and the replica failover loop
-// (Failover) both hops of a query run.
+// (Failover) both hops of a query run, with the breaker order it tries
+// holders in (HealthOrder).
 //
 // The mediator wraps every node RPC in an Executor (policy + breaker);
 // the wire peer set does the same for halo fetches. All waiting is

@@ -14,12 +14,9 @@ import (
 	"github.com/turbdb/turbdb/internal/sim"
 )
 
-// Failover metrics: how often a Morton range was re-routed to a replica
-// after its primary failed, and the routing-table version in effect.
-var (
-	mReroutes    = obs.Default().Counter("turbdb_failover_reroutes_total")
-	mTopoVersion = obs.Default().Gauge("turbdb_topology_version")
-)
+// mReroutes counts the Morton ranges re-routed to a replica after their
+// primary failed.
+var mReroutes = obs.Default().Counter("turbdb_failover_reroutes_total")
 
 // errReplicasDown reports a range whose every replica was unavailable
 // before any RPC could be attempted (no owner left to try). It is an
@@ -40,55 +37,6 @@ type peer struct {
 	owned  morton.Range       // the node's default scan, as it described itself
 	ft     *faulttol.Executor // retry policy and breaker; nil in simulation mode
 	link   *netmodel.Link     // mediator↔node transfers; nil in real mode
-}
-
-// routing is the state a fan-out routes by: the placement table and the
-// nodes, indexed by id. A published value is immutable — UpdateTopology
-// installs a new one — so the one pointer a query loads is a consistent
-// view for all its rounds, and a concurrent flip never splits one fan-out
-// across two placements. The nodes are fixed at New.
-type routing struct {
-	topo  membership.Placement
-	peers []*peer
-}
-
-// routing returns the routing state in effect.
-func (m *Mediator) routing() *routing {
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	return m.route
-}
-
-// UpdateTopology atomically installs a new routing table, numbered one
-// above the table it replaces. Queries already in flight finish on the
-// table they started with. The table's non-empty ranges must tile the
-// dataset's atom range, so an answer merged from one owner per range is the
-// whole domain's, each cell once; and every owner must be one of the
-// mediator's nodes. The table is installed as given: the caller must not
-// modify it afterwards.
-func (m *Mediator) UpdateTopology(t membership.Placement) error {
-	if len(t.Ranges) != len(t.Owners) {
-		return faulttol.Permanentf("mediator: topology has %d ranges but %d owner lists", len(t.Ranges), len(t.Owners))
-	}
-	if err := tiles(t.Ranges, m.grid.AtomRange()); err != nil {
-		return err
-	}
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	for ri, owners := range t.Owners {
-		if len(owners) == 0 && !t.Ranges[ri].Empty() {
-			return faulttol.Permanentf("mediator: range %d has no owners", ri)
-		}
-		for _, id := range owners {
-			if id < 0 || id >= len(m.route.peers) {
-				return faulttol.Permanentf("mediator: topology owner %d of range %d is not a node", id, ri)
-			}
-		}
-	}
-	t.Version = m.route.topo.Version + 1
-	m.route = &routing{topo: t, peers: m.route.peers}
-	mTopoVersion.Set(int64(t.Version))
-	return nil
 }
 
 // tiles checks that the non-empty ranges cover domain exactly once: a gap
@@ -118,32 +66,9 @@ func tiles(ranges []morton.Range, domain morton.Range) error {
 	return nil
 }
 
-// Topology returns the routing table in effect. It is shared: callers must
-// not modify it.
-func (m *Mediator) Topology() membership.Placement { return m.routing().topo }
-
-// Members returns the membership table the mediator routes by.
-func (m *Mediator) Members() *membership.Table { return m.members }
-
-// clientList returns the management fan-out targets (DropCache,
-// SetProcesses): the nodes in id order.
-func (m *Mediator) clientList() []NodeClient {
-	peers := m.routing().peers
-	out := make([]NodeClient, len(peers))
-	for i, pr := range peers {
-		out[i] = pr.client
-	}
-	return out
-}
-
-// breakerState reports node id's circuit-breaker state (Closed for an id
-// that is not a node and in simulation mode, where breakers are disabled).
-func (rt *routing) breakerState(id int) faulttol.State {
-	if id >= 0 && id < len(rt.peers) && rt.peers[id].ft != nil {
-		return rt.peers[id].ft.Breaker.State()
-	}
-	return faulttol.Closed
-}
+// Topology returns the routing table. It is shared: callers must not
+// modify it.
+func (m *Mediator) Topology() membership.Placement { return m.topo }
 
 // fanoutReplicated runs one query's fan-out: every non-empty topology range
 // is routed to its first live owner, ranges are grouped per node into one
@@ -168,15 +93,12 @@ func fanoutReplicated[T any](
 	call func(ctx context.Context, wp *sim.Proc, cli NodeClient, scan []morton.Range) (T, int, error),
 ) ([]T, time.Duration, error) {
 	start := m.exec.Now()
-	rt := m.routing()
-	t := rt.topo
+	t := m.topo
 
 	var (
 		answers []T
 		total   uint64 // cells across the non-empty ranges
 	)
-	// An owner whose breaker is open is tried after every other.
-	breakerOpen := func(id int) bool { return rt.breakerState(id) == faulttol.Open }
 	ris := make([]int, 0, len(t.Ranges)) // the non-empty ranges, by index into t.Ranges
 	holders := make([][]int, 0, len(t.Ranges))
 	for i, r := range t.Ranges {
@@ -185,7 +107,7 @@ func fanoutReplicated[T any](
 		}
 		total += r.CellCount()
 		ris = append(ris, i)
-		holders = append(holders, m.members.FailoverOrder(t.Owners[i], breakerOpen))
+		holders = append(holders, faulttol.HealthOrder(t.Owners[i], m.BreakerState))
 	}
 
 	round := 0
@@ -194,7 +116,7 @@ func fanoutReplicated[T any](
 		errs := make([]error, len(groups))
 		m.exec.Fork(p, len(groups), func(gi int, wp *sim.Proc) {
 			g := groups[gi]
-			pr := rt.peers[g.Holder]
+			pr := m.peers[g.Holder]
 			name := fmt.Sprintf("node[%d]", g.Holder)
 			if round > 0 {
 				name = fmt.Sprintf("failover[%d]", g.Holder)

@@ -148,87 +148,80 @@ func TestErrReplicasDownIsTransient(t *testing.T) {
 	}
 }
 
-// TestTopologyValidation pins the routing-table rules: a mediator assembled
-// from nodes alone routes by the table they describe, and New and
-// UpdateTopology refuse, with a permanent error, every table whose ranges
-// do not tile the domain or that routes to an id that is not a node — each
-// would answer short, or twice, with Coverage 1.
+// TestTopologyValidation pins the routing-table rules: a mediator routes by
+// the table its nodes describe, and New refuses, with a permanent error,
+// every description whose ranges do not tile the domain — each would answer
+// short, or twice, with Coverage 1.
 func TestTopologyValidation(t *testing.T) {
 	nodes, _ := buildNodes(t, 2)
 	r0, r1 := nodes[0].Owned(), nodes[1].Owned()
-	kOne := membership.Placement{Version: 1, Members: []int{0, 1}, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {1}}}
+	kOne := membership.Placement{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {1}}}
 	m := mediatorOver(t, nodes)
 	if got := m.Topology(); !reflect.DeepEqual(got, kOne) {
-		t.Fatalf("Config{Nodes} routes by %+v, want the explicit k = 1 table %+v", got, kOne)
+		t.Fatalf("Config{Nodes} routes by %+v, want the k = 1 table %+v", got, kOne)
 	}
-
-	permanent := func(t *testing.T, err error) {
-		t.Helper()
-		if err == nil {
-			t.Fatal("accepted")
-		}
-		if faulttol.Transient(err) {
-			t.Fatalf("%v is transient, want a permanent error", err)
-		}
-	}
-	for _, tt := range []struct {
-		name  string
-		nodes []*node.Node
-	}{
-		{"New rejects one node of two", nodes[:1]},
-		{"New rejects a node listed twice", []*node.Node{nodes[0], nodes[0]}},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			clients := make([]NodeClient, len(tt.nodes))
-			for i, n := range tt.nodes {
-				clients[i] = n
+	// describing returns clients over nodes that describe held[i] as node
+	// i's holdings; a nil held describes the nodes as they are.
+	describing := func(nodes []*node.Node, held [][]morton.Range) []NodeClient {
+		clients := make([]NodeClient, len(nodes))
+		for i, n := range nodes {
+			clients[i] = n
+			if held != nil {
+				clients[i] = &recordingClient{NodeClient: n, held: held[i]}
 			}
-			_, err := New(Config{Nodes: clients})
-			permanent(t, err)
-		})
+		}
+		return clients
 	}
 
 	whole := morton.Range{Lo: r0.Lo, Hi: r1.Hi}
+	upper := morton.Range{Lo: (r1.Lo + r1.Hi) / 2, Hi: r1.Hi}
+	var none morton.Range
 	for _, tt := range []struct {
-		name string
-		topo membership.Placement
+		name  string
+		nodes []*node.Node
+		held  [][]morton.Range
 	}{
-		{"UpdateTopology rejects a gap", membership.Placement{Ranges: []morton.Range{r0}, Owners: [][]int{{0}}}},
-		{"UpdateTopology rejects an overlap", membership.Placement{Ranges: []morton.Range{whole, r1}, Owners: [][]int{{0}, {1}}}},
-		{"UpdateTopology rejects a repeated range", membership.Placement{Ranges: []morton.Range{r0, r0, r1}, Owners: [][]int{{0}, {1}, {1}}}},
-		{"UpdateTopology rejects an empty table", membership.Placement{Version: 2}},
-		{"UpdateTopology rejects an unregistered owner", membership.Placement{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0}, {7}}}},
-		{"UpdateTopology rejects mismatched lengths", membership.Placement{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}}}},
+		{"New rejects one node of two", nodes[:1], nil},
+		{"New rejects a node listed twice", []*node.Node{nodes[0], nodes[0]}, nil},
+		{"New rejects a gap", nodes, [][]morton.Range{{r0}, {upper}}},
+		{"New rejects an overlap", nodes, [][]morton.Range{{whole}, {r1}}},
+		{"New rejects a repeated range", nodes, [][]morton.Range{{r0}, {r0, r1}}},
+		{"New rejects an empty table", nodes, [][]morton.Range{{none}, {none}}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			permanent(t, m.UpdateTopology(tt.topo))
-			if got := m.Topology(); !reflect.DeepEqual(got, kOne) {
-				t.Fatalf("a rejected table changed the routing to %+v", got)
+			_, err := New(Config{Nodes: describing(tt.nodes, tt.held)})
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if faulttol.Transient(err) {
+				t.Fatalf("%v is transient, want a permanent error", err)
 			}
 		})
 	}
 
-	// Assembled from nodes alone, the mediator still takes a new table.
-	t.Run("UpdateTopology accepts k = 2", func(t *testing.T) {
+	// Nodes that describe each other's range as a replica give a k = 2
+	// table, which answers what the k = 1 one does.
+	t.Run("New accepts k = 2", func(t *testing.T) {
 		ctx := context.Background()
 		q := query.Threshold{Dataset: "isotropic", Field: derived.Vorticity, Threshold: 1}
 		want, _, err := m.Threshold(ctx, nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kTwo := membership.Placement{Version: 2, Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}, {1, 0}}}
-		if err := m.UpdateTopology(kTwo); err != nil {
+		k2, err := New(Config{Nodes: describing(nodes, [][]morton.Range{{r0, r1}, {r1, r0}})})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Topology(); !reflect.DeepEqual(got, kTwo) {
-			t.Fatalf("routes by %+v after the update, want %+v", got, kTwo)
+		kTwo := membership.Placement{Ranges: []morton.Range{r0, r1}, Owners: [][]int{{0, 1}, {1, 0}}}
+		if got := k2.Topology(); !reflect.DeepEqual(got, kTwo) {
+			t.Fatalf("routes by %+v, want %+v", got, kTwo)
 		}
-		got, st, err := m.Threshold(ctx, nil, q)
+		got, st, err := k2.Threshold(ctx, nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Coverage != 1 || !reflect.DeepEqual(got, want) {
-			t.Errorf("after the update: %d points at Coverage %v, want the %d points before it", len(got), st.Coverage, len(want))
+			t.Errorf("k = 2: %d points at Coverage %v, want the k = 1 table's %d points", len(got), st.Coverage, len(want))
 		}
 	})
 }

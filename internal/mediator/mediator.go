@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/turbdb/turbdb/internal/faulttol"
@@ -108,25 +107,25 @@ type Mediator struct {
 
 	allowPartial bool
 
-	// members tracks node health for routing. Breaker transitions feed
-	// back into it (open marks the node Suspect, closed
-	// marks it Alive).
-	members *membership.Table
-	policy  faulttol.Policy // retry/breaker tuning, real mode only
-	bcfg    faulttol.BreakerConfig
+	policy faulttol.Policy // retry/breaker tuning, real mode only
+	bcfg   faulttol.BreakerConfig
 
-	// route is replaced, never mutated: a query loads the pointer once and
-	// runs every round of its fan-out on that value.
-	topoMu sync.Mutex
-	route  *routing // guarded by topoMu
+	// The routing is set once by New and never changes: the placement
+	// table read off the nodes and the nodes, indexed by id. A node's
+	// health is its breaker (peer.ft), which orders its replicas.
+	topo  membership.Placement
+	peers []*peer
 }
 
 // New validates the config, contacts every node for its description
 // (dataset, geometry, held ranges) and builds a Mediator. Node i of Nodes
-// is node id i, and the node set is fixed from then on. The mediator routes by the table membership.Describe reads off the nodes'
-// holdings — k = 1 when no node holds a replica — and owns a membership
-// table of the ids, all Alive. A node that is unreachable at assembly time
-// is a constructor error — queries never panic on an unavailable topology.
+// is node id i, and the node set is fixed from then on. The mediator routes
+// by the table membership.Describe reads off the nodes' holdings — k = 1
+// when no node holds a replica — for its whole life. Those holdings are
+// outside input, so the table's non-empty ranges must tile the dataset's
+// atom range: an answer merged from one owner per range is then the whole
+// domain's, each cell once. A node that is unreachable at assembly time is
+// a constructor error — queries never panic on an unavailable topology.
 //
 //turbdb:ignore ctxpropagate the Describe round-trips are bounded by cfg.DescribeCtx; a ctx parameter would duplicate the config field
 func New(cfg Config) (*Mediator, error) {
@@ -138,14 +137,13 @@ func New(cfg Config) (*Mediator, error) {
 		ctx = context.Background()
 	}
 	descs := make([]node.Description, len(cfg.Nodes))
-	ids := make([]int, len(cfg.Nodes))
 	held := make([][]morton.Range, len(cfg.Nodes)) // what each node holds, primary first
 	for i, n := range cfg.Nodes {
 		d, err := n.Describe(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("mediator: node %d unreachable: %w", i, err)
 		}
-		descs[i], ids[i], held[i] = d, i, d.Held
+		descs[i], held[i] = d, d.Held
 		if len(d.Held) == 0 {
 			held[i] = []morton.Range{d.Owned}
 		}
@@ -164,6 +162,13 @@ func New(cfg Config) (*Mediator, error) {
 			return nil, faulttol.Permanent("mediator: user link required in simulation mode")
 		}
 	}
+	// Describe gives every range an owner and only ids of Nodes (see
+	// TestDescribeInvertsPlace and TestDescribeUnknownHoldings), so the
+	// tiling is all there is to check.
+	topo := membership.Describe(held)
+	if err := tiles(topo.Ranges, descs[0].Grid.AtomRange()); err != nil {
+		return nil, err
+	}
 	m := &Mediator{
 		grid:         descs[0].Grid,
 		dataset:      ds,
@@ -171,9 +176,9 @@ func New(cfg Config) (*Mediator, error) {
 		userLink:     cfg.UserLink,
 		exec:         &node.Exec{Kernel: cfg.Kernel},
 		allowPartial: cfg.AllowPartial,
-		members:      membership.NewTable(ids...),
+		topo:         topo,
+		peers:        make([]*peer, len(cfg.Nodes)),
 	}
-	m.members.Publish()
 	// Fault tolerance runs in real mode only: the simulation models a
 	// fault-free cluster on a virtual clock, where wall-clock backoff is
 	// meaningless.
@@ -187,49 +192,30 @@ func New(cfg Config) (*Mediator, error) {
 		}
 	}
 	// In real mode every node gets its own breaker and retry executor.
-	peers := make([]*peer, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
-		peers[i] = &peer{client: n, owned: descs[i].Owned}
+		m.peers[i] = &peer{client: n, owned: descs[i].Owned}
 		if cfg.Kernel != nil {
-			peers[i].link = cfg.NodeLinks[i]
+			m.peers[i].link = cfg.NodeLinks[i]
 		} else {
-			peers[i].ft = m.newExecutor(i)
+			m.peers[i].ft = m.newExecutor(i)
 		}
-	}
-	m.topoMu.Lock()
-	m.route = &routing{peers: peers}
-	m.topoMu.Unlock()
-	if err := m.UpdateTopology(membership.Describe(held)); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
 
 // newExecutor builds the retry/breaker executor for one node in real mode.
 // The transition hook keeps the per-node breaker state gauge current
-// (0 = closed, 1 = open, 2 = half-open) and folds breaker health into the
-// membership table: an opening breaker marks the node Suspect
-// (de-prioritizing it in replica routing), a closing one marks it Alive
-// again.
+// (0 = closed, 1 = open, 2 = half-open).
 func (m *Mediator) newExecutor(id int) *faulttol.Executor {
 	g := obs.Default().Gauge(fmt.Sprintf("turbdb_breaker_state{node=%q}", fmt.Sprint(id)))
 	g.Set(int64(faulttol.Closed))
-	members := m.members
 	nbcfg := m.bcfg
-	nbcfg.OnTransition = func(from, to faulttol.State) {
-		g.Set(int64(to))
-		switch to {
-		case faulttol.Open:
-			members.MarkSuspect(id)
-		case faulttol.Closed:
-			members.MarkAlive(id)
-		}
-	}
+	nbcfg.OnTransition = func(_, to faulttol.State) { g.Set(int64(to)) }
 	return &faulttol.Executor{Policy: m.policy, Breaker: faulttol.NewBreaker(nbcfg)}
 }
 
 // NodeCount returns the number of nodes.
-func (m *Mediator) NodeCount() int { return len(m.routing().peers) }
+func (m *Mediator) NodeCount() int { return len(m.peers) }
 
 // Simulated reports whether the mediator runs on a DES kernel (virtual
 // time). The concurrent scheduler refuses simulated mediators: its batching
@@ -242,9 +228,14 @@ func (m *Mediator) Grid() grid.Grid { return m.grid }
 // Dataset returns the dataset name served (cached at assembly time).
 func (m *Mediator) Dataset() string { return m.dataset }
 
-// BreakerState reports node i's circuit-breaker state (Closed in
-// simulation mode, where breakers are disabled).
-func (m *Mediator) BreakerState(i int) faulttol.State { return m.routing().breakerState(i) }
+// BreakerState reports node i's circuit-breaker state (Closed for an id
+// that is not a node and in simulation mode, where breakers are disabled).
+func (m *Mediator) BreakerState(i int) faulttol.State {
+	if i >= 0 && i < len(m.peers) && m.peers[i].ft != nil {
+		return m.peers[i].ft.Breaker.State()
+	}
+	return faulttol.Closed
+}
 
 // NodeFailure records one node the mediator degraded around in a partial
 // answer.
@@ -446,8 +437,8 @@ func (m *Mediator) TopK(ctx context.Context, p *sim.Proc, q query.TopK) ([]query
 // the cold-cache knob of the paper's experiments. ctx bounds the whole
 // fan-out.
 func (m *Mediator) DropCache(ctx context.Context, fieldName string, order, step int) error {
-	for _, n := range m.clientList() {
-		if err := n.DropCacheEntry(ctx, fieldName, order, step); err != nil {
+	for _, pr := range m.peers {
+		if err := pr.client.DropCacheEntry(ctx, fieldName, order, step); err != nil {
 			return err
 		}
 	}
@@ -457,8 +448,8 @@ func (m *Mediator) DropCache(ctx context.Context, fieldName string, order, step 
 // SetProcesses sets the per-query worker count on every node (the scale-up
 // knob of Fig. 7a). ctx bounds the whole fan-out.
 func (m *Mediator) SetProcesses(ctx context.Context, procs int) error {
-	for _, n := range m.clientList() {
-		if err := n.SetProcesses(ctx, procs); err != nil {
+	for _, pr := range m.peers {
+		if err := pr.client.SetProcesses(ctx, procs); err != nil {
 			return err
 		}
 	}

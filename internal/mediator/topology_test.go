@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/faulttol"
@@ -18,10 +19,12 @@ import (
 
 // recordingClient records the method and Scan of every query request it
 // receives, then fails it transiently (fail), answers it empty (hollow —
-// for ranges the wrapped node does not hold) or forwards it.
+// for ranges the wrapped node does not hold) or forwards it. A non-nil held
+// is what it describes as the node's holdings.
 type recordingClient struct {
 	NodeClient
 	fail, hollow bool
+	held         []morton.Range
 
 	mu    sync.Mutex
 	calls []call
@@ -61,6 +64,14 @@ func (c *recordingClient) taken() [][]morton.Range {
 	return out
 }
 
+func (c *recordingClient) Describe(ctx context.Context) (node.Description, error) {
+	d, err := c.NodeClient.Describe(ctx)
+	if c.held != nil {
+		d.Held = c.held
+	}
+	return d, err
+}
+
 func (c *recordingClient) GetThreshold(ctx context.Context, p *sim.Proc, q query.Threshold) (*node.ThresholdResult, error) {
 	if err := c.record("GetThreshold", q.Scan); err != nil {
 		return nil, err
@@ -95,31 +106,42 @@ func (c *recordingClient) GetTopK(ctx context.Context, p *sim.Proc, q query.TopK
 }
 
 // recorded wraps nodes in recording clients and assembles a mediator over
-// them; owners == nil means Config{Nodes} alone, otherwise New is followed
-// by UpdateTopology with the table Ranges[i] = nodes[i].Owned(), Owners =
-// owners.
-func recorded(t *testing.T, nodes []*node.Node, owners [][]int) (*Mediator, []*recordingClient, *membership.Table) {
+// them, its breakers tuned by breaker when that is not nil. With owners ==
+// nil the clients describe the nodes as they are; otherwise node i
+// describes holding every range j = nodes[j].Owned() it is an owner of,
+// its primary first, and the mediator must route by Ranges[j] =
+// nodes[j].Owned(), Owners = owners.
+func recorded(t *testing.T, nodes []*node.Node, owners [][]int, breaker *faulttol.BreakerConfig) (*Mediator, []*recordingClient) {
 	t.Helper()
-	cfg := Config{AllowPartial: true, Retry: &faulttol.Policy{MaxAttempts: 1}}
+	cfg := Config{AllowPartial: true, Retry: &faulttol.Policy{MaxAttempts: 1}, Breaker: breaker}
 	recs := make([]*recordingClient, len(nodes))
 	for i, n := range nodes {
 		recs[i] = &recordingClient{NodeClient: n}
 		cfg.Nodes = append(cfg.Nodes, recs[i])
 	}
+	var want membership.Placement
+	if owners != nil {
+		want.Owners = owners
+		for j, ids := range owners {
+			r := nodes[j].Owned()
+			want.Ranges = append(want.Ranges, r)
+			for k, id := range ids {
+				if k == 0 {
+					recs[id].held = append([]morton.Range{r}, recs[id].held...)
+				} else {
+					recs[id].held = append(recs[id].held, r)
+				}
+			}
+		}
+	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if owners != nil {
-		topo := membership.Placement{Owners: owners}
-		for _, n := range nodes {
-			topo.Ranges = append(topo.Ranges, n.Owned())
-		}
-		if err := m.UpdateTopology(topo); err != nil {
-			t.Fatal(err)
-		}
+	if got := m.Topology(); owners != nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("the nodes describe %+v, want %+v", got, want)
 	}
-	return m, recs, m.Members()
+	return m, recs
 }
 
 // answer is what one query shape returned: point sets (one per batch
@@ -131,11 +153,12 @@ type answer struct {
 }
 
 // TestKOneIsATopology drives the same four nodes through Config{Nodes} and
-// through the explicit k = 1 table and requires the two mediators to be
-// indistinguishable — to the user (bits, coverage, failures) and to the
-// nodes (no request carries a Scan, so cache keys and request bytes are the
-// whole-shard ones). A k = 2 table keeps that for a healthy primary-only
-// route and sends a Scan only with a re-routed group.
+// through clients that describe the k = 1 table explicitly (Held =
+// [Owned]) and requires the two mediators to be indistinguishable — to the
+// user (bits, coverage, failures) and to the nodes (no request carries a
+// Scan, so cache keys and request bytes are the whole-shard ones). A k = 2
+// table keeps that for a healthy primary-only route and sends a Scan only
+// with a re-routed group.
 func TestKOneIsATopology(t *testing.T) {
 	nodes, _ := buildNodes(t, 4)
 	ctx := context.Background()
@@ -185,8 +208,8 @@ func TestKOneIsATopology(t *testing.T) {
 		down int // node failing transiently; -1 = none
 	}{{"healthy", -1}, {"node 2 down under AllowPartial", 2}} {
 		t.Run(row.name, func(t *testing.T) {
-			plain, plainRecs, _ := recorded(t, nodes, nil)
-			table, tableRecs, _ := recorded(t, nodes, kOne)
+			plain, plainRecs := recorded(t, nodes, nil, nil)
+			table, tableRecs := recorded(t, nodes, kOne, nil)
 			if row.down >= 0 {
 				plainRecs[row.down].fail = true
 				tableRecs[row.down].fail = true
@@ -224,7 +247,9 @@ func TestKOneIsATopology(t *testing.T) {
 	}
 
 	t.Run("k = 2", func(t *testing.T) {
-		m, recs, members := recorded(t, nodes, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+		now := time.Unix(0, 0)
+		breaker := &faulttol.BreakerConfig{FailureThreshold: 1, Cooldown: 5 * time.Second, Now: func() time.Time { return now }}
+		m, recs := recorded(t, nodes, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, breaker)
 		for _, r := range recs {
 			r.hollow = true // node i+1 holds no data for range i
 		}
@@ -255,16 +280,53 @@ func TestKOneIsATopology(t *testing.T) {
 			t.Errorf("node 2 received %v, want its own shard without Scan, then Scan [%v]", scans, r1)
 		}
 
-		// Node 1 suspected (what its open breaker does): its range joins
-		// node 2's own in one request, which carries both, sorted.
-		members.MarkSuspect(1)
-		recs[0].taken()
+		// That one failure opened node 1's breaker: its range joins node 2's
+		// own in one request, which carries both, sorted, and node 1 is not
+		// asked.
+		if st := m.BreakerState(1); st != faulttol.Open {
+			t.Fatalf("node 1's breaker is %v after a failure, want open", st)
+		}
+		takeAll := func() {
+			for _, r := range recs {
+				r.taken()
+			}
+		}
+		takeAll()
 		run(0)
 		if scans := recs[2].taken(); !reflect.DeepEqual(scans, [][]morton.Range{{r1, r2}}) {
 			t.Errorf("node 2 received %v, want one request with Scan [%v %v]", scans, r1, r2)
 		}
 		if scans := recs[0].taken(); !reflect.DeepEqual(scans, [][]morton.Range{none}) {
 			t.Errorf("node 0 received %v, want one request without Scan", scans)
+		}
+		if scans := recs[1].taken(); len(scans) != 0 {
+			t.Errorf("node 1 received %v behind its open breaker", scans)
+		}
+
+		// Node 0 fails a second later: its breaker opens, and range 0, whose
+		// other owner is node 1, is dropped (AllowPartial).
+		now = now.Add(time.Second)
+		recs[0].fail = true
+		if _, st, err := m.Threshold(ctx, nil, th(1.0)); err != nil || st.Coverage != 0.75 {
+			t.Fatalf("with nodes 0 and 1 down: Coverage %v, err %v; want 0.75 and none", st.Coverage, err)
+		}
+		// After node 1's cooldown its breaker is half-open and node 0's still
+		// open: range 0 goes to node 1 first, and node 0 is not asked.
+		now = time.Unix(0, 0).Add(breaker.Cooldown)
+		recs[1].fail = false
+		if s0, s1 := m.BreakerState(0), m.BreakerState(1); s0 != faulttol.Open || s1 != faulttol.HalfOpen {
+			t.Fatalf("breakers of nodes 0 and 1 are %v and %v, want open and half-open", s0, s1)
+		}
+		takeAll()
+		run(0)
+		if scans := recs[1].taken(); !reflect.DeepEqual(scans, [][]morton.Range{{nodes[0].Owned()}}) {
+			t.Errorf("node 1 received %v, want one request with Scan [%v]", scans, nodes[0].Owned())
+		}
+		if scans := recs[0].taken(); len(scans) != 0 {
+			t.Errorf("node 0 received %v behind its open breaker", scans)
+		}
+		if st := m.BreakerState(1); st != faulttol.Closed {
+			t.Errorf("node 1's breaker is %v after its probe answered, want closed", st)
 		}
 	})
 
@@ -275,7 +337,7 @@ func TestKOneIsATopology(t *testing.T) {
 		for _, op := range ops {
 			run[op.name] = op.run
 		}
-		m, recs, _ := recorded(t, nodes, nil)
+		m, recs := recorded(t, nodes, nil, nil)
 		var answers [2]answer
 		var calls [2][][]call
 		for i, name := range []string{"threshold", "batch of one"} {

@@ -7,49 +7,11 @@ import (
 	"github.com/turbdb/turbdb/internal/morton"
 )
 
-func TestTableHealthTransitions(t *testing.T) {
-	tb := NewTable(0, 1)
-	state := func(id int) State {
-		t.Helper()
-		s, ok := tb.State(id)
-		if !ok {
-			t.Fatalf("node %d is not a member", id)
-		}
-		return s
-	}
-	tb.MarkSuspect(0)
-	if s := state(0); s != Suspect {
-		t.Fatalf("state(0) = %v, want suspect", s)
-	}
-	tb.MarkSuspect(0) // no-op
-	if s := state(0); s != Suspect {
-		t.Fatalf("a second MarkSuspect left %v", s)
-	}
-	tb.MarkAlive(0)
-	if s := state(0); s != Alive {
-		t.Fatalf("state(0) = %v, want alive", s)
-	}
-	tb.MarkAlive(1) // no-op
-	if s := state(1); s != Alive {
-		t.Fatalf("state(1) = %v, want alive", s)
-	}
-	// Health never adds a member.
-	tb.MarkSuspect(7)
-	tb.MarkAlive(7)
-	if s, ok := tb.State(7); ok {
-		t.Fatalf("non-member 7 reads %v", s)
-	}
-}
-
 func TestPlacementInvariants(t *testing.T) {
 	domain := morton.Range{Lo: 0, Hi: 64}
-	members := []int{4, 0, 2, 1, 3} // unsorted on purpose
-	p, err := Place(domain, members, 2)
+	p, err := Place(domain, 5, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Members, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("members = %v", p.Members)
 	}
 	// Ranges partition the domain.
 	var cells uint64
@@ -69,15 +31,15 @@ func TestPlacementInvariants(t *testing.T) {
 		if len(owners) != 2 {
 			t.Fatalf("range %d has %d owners", i, len(owners))
 		}
-		if owners[0] != p.Members[i] {
-			t.Fatalf("range %d primary = %d, want %d", i, owners[0], p.Members[i])
+		if owners[0] != i {
+			t.Fatalf("range %d primary = %d, want %d", i, owners[0], i)
 		}
-		if owners[1] != p.Members[(i+1)%len(p.Members)] {
+		if owners[1] != (i+1)%len(p.Owners) {
 			t.Fatalf("range %d replica = %d", i, owners[1])
 		}
 	}
 	// Deterministic: same inputs, same placement.
-	p2, err := Place(domain, []int{0, 1, 2, 3, 4}, 2)
+	p2, err := Place(domain, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +50,7 @@ func TestPlacementInvariants(t *testing.T) {
 
 func TestPlacementLookups(t *testing.T) {
 	domain := morton.Range{Lo: 0, Hi: 8}
-	p, err := Place(domain, []int{0, 1, 2, 3}, 2)
+	p, err := Place(domain, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +73,16 @@ func TestPlacementLookups(t *testing.T) {
 
 func TestPlacementErrors(t *testing.T) {
 	domain := morton.Range{Lo: 0, Hi: 4}
-	if _, err := Place(domain, nil, 2); err == nil {
-		t.Fatal("empty member set accepted")
+	for _, n := range []int{0, -1} {
+		if _, err := Place(domain, n, 2); err == nil {
+			t.Fatalf("%d nodes accepted", n)
+		}
 	}
-	if _, err := Place(domain, []int{0, 1, 2, 3, 4}, 2); err == nil {
-		t.Fatal("more members than cells accepted")
+	if _, err := Place(domain, 5, 2); err == nil {
+		t.Fatal("more nodes than cells accepted")
 	}
-	if _, err := Place(domain, []int{0, 1, 1}, 2); err == nil {
-		t.Fatal("duplicate members accepted")
-	}
-	// k clamps to the member count.
-	p, err := Place(domain, []int{0, 1}, 5)
+	// k clamps to the node count.
+	p, err := Place(domain, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,42 +91,14 @@ func TestPlacementErrors(t *testing.T) {
 	}
 }
 
-// TestFailoverOrder pins the one membership-based replica order the
-// mediator's fan-out and the cluster's halo fetcher route by.
-func TestFailoverOrder(t *testing.T) {
-	tb := NewTable(0, 1, 2, 4, 5)
-	tb.MarkSuspect(1)
-	tb.MarkSuspect(2)
-	demote4 := func(id int) bool { return id == 4 }
-	tests := []struct {
-		name    string
-		table   *Table
-		owners  []int
-		demoted func(int) bool
-		want    []int
-	}{
-		{"Alive before Suspect, placement order within each", tb, []int{2, 1, 5, 0}, nil, []int{5, 0, 2, 1}},
-		{"an owner that is not a member is left out", tb, []int{3, 6, 0}, nil, []int{0}},
-		{"a demoted member goes behind every other", tb, []int{4, 1, 0}, demote4, []int{0, 1, 4}},
-		{"demotion keeps the class order", tb, []int{1, 2, 0}, func(int) bool { return true }, []int{0, 1, 2}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.table.FailoverOrder(tt.owners, tt.demoted); !reflect.DeepEqual(got, tt.want) {
-				t.Errorf("FailoverOrder(%v) = %v, want %v", tt.owners, got, tt.want)
-			}
-		})
-	}
-}
-
-// holdingsOf lists what each member of a placement holds, its primary
-// first and then its replica ranges in range order, as a node's store
-// reports them.
+// holdingsOf lists what each node of a placement holds, its primary first
+// and then its replica ranges in range order, as a node's store reports
+// them.
 func holdingsOf(p Placement) [][]morton.Range {
-	held := make([][]morton.Range, len(p.Members))
-	for i, id := range p.Members {
+	held := make([][]morton.Range, len(p.Ranges))
+	for i := range held {
 		held[i] = []morton.Range{p.Ranges[i]}
-		for _, r := range p.RangesOf(id) {
+		for _, r := range p.RangesOf(i) {
 			if r != p.Ranges[i] {
 				held[i] = append(held[i], r)
 			}
@@ -174,18 +107,14 @@ func holdingsOf(p Placement) [][]morton.Range {
 	return held
 }
 
-// TestDescribeInvertsPlace: for n = 1…8 members and k = 1…n, the holdings of
-// Place(domain, ids, k) describe exactly that placement — ranges, members
-// and replica order.
+// TestDescribeInvertsPlace: for n = 1…8 nodes and k = 1…n, the holdings of
+// Place(domain, n, k) describe exactly that placement — ranges and replica
+// order.
 func TestDescribeInvertsPlace(t *testing.T) {
 	domain := morton.Range{Lo: 0, Hi: 512}
 	for n := 1; n <= 8; n++ {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
 		for k := 1; k <= n; k++ {
-			p, err := Place(domain, ids, k)
+			p, err := Place(domain, n, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +130,7 @@ func TestDescribeInvertsPlace(t *testing.T) {
 // claim, and its range goes to the nodes holding it as a replica.
 func TestDescribeUnknownHoldings(t *testing.T) {
 	domain := morton.Range{Lo: 0, Hi: 16}
-	p, err := Place(domain, []int{0, 1, 2, 3}, 3)
+	p, err := Place(domain, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +149,7 @@ func TestDescribeUnknownHoldings(t *testing.T) {
 	}
 
 	// At k = 1 an unknown node's range is held by no one: it is missing.
-	p1, err := Place(domain, []int{0, 1}, 1)
+	p1, err := Place(domain, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,38 +1,39 @@
+// Package membership holds the cluster's routing table: the deterministic
+// k-way replica placement of Morton ranges over a fixed set of nodes, and
+// the table read back off what the nodes hold.
+//
+// A cluster's nodes are the ones it starts with, as in the paper's system,
+// whose Morton partition is set at ingest, so a table is made once and
+// never changes. How healthy a node is lives in its circuit breaker
+// (faulttol.HealthOrder), not here: health never moves data.
 package membership
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/turbdb/turbdb/internal/morton"
 )
 
 // Placement is the routing table: contiguous Morton ranges, each with the
 // nodes holding it, primary first. Two functions make one: Place derives it
-// from (domain, member set, k), a pure function every node and the
+// from (domain, node count, k), a pure function every node and the
 // mediator can evaluate alike, and Describe reads it off what nodes hold.
-// A table is shared read-only once made — the mediator installs and hands
-// out its table without copying it.
+// A table is shared read-only once made — the mediator hands out its table
+// without copying it.
 //
-// A placed table keeps these invariants:
+// A placed table over n nodes keeps these invariants:
 //
 //   - Ranges partition the domain: they are disjoint, contiguous, sorted,
 //     and cover [domain.Lo, domain.Hi) with atom granularity.
-//   - Ranges[i] is member Members[i]'s primary range and Owners[i][0] ==
-//     Members[i]; Owners[i][1:] are the replicas, the next members along
-//     the sorted ring.
-//   - len(Owners[i]) == min(k, len(Members)) for every i.
+//   - Ranges[i] is node i's primary range and Owners[i][0] == i;
+//     Owners[i][1:] are the replicas, the next nodes along the ring.
+//   - len(Owners[i]) == min(k, n) for every i.
 //
-// A described table only has its ranges sorted; the mediator refuses to
-// install one whose non-empty ranges do not tile the domain.
+// A described table only has its ranges sorted; the mediator refuses one
+// whose non-empty ranges do not tile the domain.
 type Placement struct {
-	// Version numbers the table among those a mediator installed (1 for
-	// the first); Place and Describe leave it zero.
-	Version uint64
-	// Members is the sorted member set the table was made over.
-	Members []int
 	// Ranges are the table's contiguous Morton ranges; Place and Describe
 	// sort them.
 	Ranges []morton.Range
@@ -40,41 +41,23 @@ type Placement struct {
 	Owners [][]int
 }
 
-// Place derives the k-way replica placement of domain over members. k is
-// clamped to [1, len(members)]; at k = 1 every range of the equal split has
-// its one owner.
-// members must not outnumber the domain's cells (a node with no atoms
-// cannot hold a store).
-func Place(domain morton.Range, members []int, k int) (Placement, error) {
-	if len(members) == 0 {
-		return Placement{}, fmt.Errorf("membership: placement needs at least one member")
+// Place derives the k-way replica placement of domain over nodes 0…n−1. k
+// is clamped to [1, n]; at k = 1 every range of the equal split has its one
+// owner. n must not exceed the domain's cells (a node with no atoms cannot
+// hold a store).
+func Place(domain morton.Range, n, k int) (Placement, error) {
+	if n < 1 {
+		return Placement{}, fmt.Errorf("membership: placement needs at least one node")
 	}
-	if uint64(len(members)) > domain.CellCount() {
-		return Placement{}, fmt.Errorf("membership: %d members exceed the domain's %d cells",
-			len(members), domain.CellCount())
+	if uint64(n) > domain.CellCount() {
+		return Placement{}, fmt.Errorf("membership: %d nodes exceed the domain's %d cells", n, domain.CellCount())
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > len(members) {
-		k = len(members)
-	}
-	ms := append([]int(nil), members...)
-	sort.Ints(ms)
-	for i := 1; i < len(ms); i++ {
-		if ms[i] == ms[i-1] {
-			return Placement{}, fmt.Errorf("membership: duplicate member %d", ms[i])
-		}
-	}
-	p := Placement{
-		Members: ms,
-		Ranges:  domain.Split(len(ms), 1),
-		Owners:  make([][]int, len(ms)),
-	}
-	for i := range ms {
+	k = min(max(k, 1), n)
+	p := Placement{Ranges: domain.Split(n, 1), Owners: make([][]int, n)}
+	for i := range p.Owners {
 		p.Owners[i] = make([]int, k)
-		for j := 0; j < k; j++ {
-			p.Owners[i][j] = ms[(i+j)%len(ms)]
+		for j := range k {
+			p.Owners[i][j] = (i + j) % n
 		}
 	}
 	return p, nil
@@ -116,8 +99,10 @@ func (p Placement) OwnersOf(code morton.Code) []int {
 // unknown. The nodes whose ranges cover a range follow its primary in ring
 // order after it — Place's order, so the holdings of a placed cluster
 // describe exactly that placement — or in id order when its primary is
-// unknown. Members are the ids 0…len(held)−1. Two nodes claiming one
-// primary give two equal ranges, which the mediator's tiling check refuses.
+// unknown. Every owner is an id in 0…len(held)−1, every range has at least
+// one owner (the node that listed it), and Ranges and Owners have one entry
+// each per range. Two nodes claiming one primary give two equal ranges,
+// which the mediator's tiling check refuses.
 func Describe(held [][]morton.Range) Placement {
 	type entry struct {
 		r       morton.Range
@@ -139,10 +124,7 @@ func Describe(held [][]morton.Range) Placement {
 	slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.r.Lo, b.r.Lo) })
 
 	n := len(held)
-	p := Placement{Members: make([]int, n), Ranges: make([]morton.Range, len(es)), Owners: make([][]int, len(es))}
-	for i := range p.Members {
-		p.Members[i] = i
-	}
+	p := Placement{Ranges: make([]morton.Range, len(es)), Owners: make([][]int, len(es))}
 	for i, e := range es {
 		p.Ranges[i] = e.r
 		if e.primary >= 0 {

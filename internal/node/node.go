@@ -75,17 +75,19 @@ func HaloParts(ctx context.Context) (atomSide, ncomp int, boxes map[morton.Code]
 
 // HaloRouter is the PeerFetcher of a node in a cluster, in process and over
 // HTTP alike. It routes each atom to the nodes holding it other than Self,
-// in the membership table's failover order (Alive before Suspect,
-// primary first, then ring order), and asks each holder once for all its
+// in failover order (faulttol.HealthOrder of the holders' breakers, then
+// primary first and ring order), and asks each holder once for all its
 // atoms. A transient failure of one holder moves its atoms on to their next
 // holder (faulttol.Failover runs the rounds); the fetch fails on a
 // permanent error, or when an atom has no holder left.
 type HaloRouter struct {
-	// Table returns the routing table and the membership table that orders
-	// each atom's holders. A non-nil error says the routing table may lack
-	// holdings that could not be read: an atom with no holder then fails
-	// with that error's class instead of permanently.
-	Table func(ctx context.Context) (membership.Placement, *membership.Table, error)
+	// Table returns the routing table. A non-nil error says the table may
+	// lack holdings that could not be read: an atom with no holder then
+	// fails with that error's class instead of permanently.
+	Table func(ctx context.Context) (membership.Placement, error)
+	// State reports a holder's breaker state, which orders each atom's
+	// holders; nil keeps the table's order.
+	State func(id int) faulttol.State
 	// Self is the fetching node; it is never asked.
 	Self int
 	// Fetch asks one holder for codes.
@@ -99,10 +101,10 @@ type HaloRouter struct {
 
 // FetchAtoms implements PeerFetcher.
 func (r *HaloRouter) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string, step int, codes []morton.Code) (map[morton.Code][]byte, error) {
-	pl, members, tableErr := r.Table(ctx)
+	pl, tableErr := r.Table(ctx)
 	holders := make([][]int, len(codes))
 	for i, code := range codes {
-		holders[i] = slices.DeleteFunc(members.FailoverOrder(pl.OwnersOf(code), nil), func(h int) bool { return h == r.Self })
+		holders[i] = slices.DeleteFunc(faulttol.HealthOrder(pl.OwnersOf(code), r.State), func(h int) bool { return h == r.Self })
 		if len(holders[i]) > 0 {
 			continue
 		}

@@ -49,15 +49,15 @@ func (s *stubHolders) fetch(_ context.Context, p *sim.Proc, holder int, _ string
 	return out, nil
 }
 
-// routerTable places 32 codes on members 0–3 at k = 3: range i is codes
+// routerTable places 32 codes on nodes 0–3 at k = 3: range i is codes
 // 8i…8i+7, held by i, then i+1 and i+2 in ring order.
-func routerTable(t *testing.T) (membership.Placement, *membership.Table) {
+func routerTable(t *testing.T) membership.Placement {
 	t.Helper()
-	pl, err := membership.Place(morton.Range{Lo: 0, Hi: 32}, []int{0, 1, 2, 3}, 3)
+	pl, err := membership.Place(morton.Range{Lo: 0, Hi: 32}, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pl, membership.NewTable(0, 1, 2, 3)
+	return pl
 }
 
 func TestHaloRouter(t *testing.T) {
@@ -66,7 +66,7 @@ func TestHaloRouter(t *testing.T) {
 		name     string
 		codes    []morton.Code
 		down     map[int]string
-		suspect  []int
+		open     []int // holders whose breaker is open
 		tableErr error
 		want     map[morton.Code]int // code → holder that served it
 		calls    []int
@@ -80,11 +80,11 @@ func TestHaloRouter(t *testing.T) {
 			calls: []int{0, 2, 3},
 		},
 		{
-			name:    "suspect primary after the alive replicas",
-			codes:   []morton.Code{0},
-			suspect: []int{0},
-			want:    map[morton.Code]int{0: 2},
-			calls:   []int{2},
+			name:  "suspect primary after the alive replicas",
+			codes: []morton.Code{0},
+			open:  []int{0},
+			want:  map[morton.Code]int{0: 2},
+			calls: []int{2},
 		},
 		{
 			name:  "transient failure moves to the next replica, skipping self",
@@ -133,14 +133,17 @@ func TestHaloRouter(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pl, members := routerTable(t)
-			for _, id := range tc.suspect {
-				members.MarkSuspect(id)
-			}
+			pl := routerTable(t)
 			stub := &stubHolders{down: tc.down}
 			r := &HaloRouter{
-				Table: func(context.Context) (membership.Placement, *membership.Table, error) {
-					return pl, members, tc.tableErr
+				Table: func(context.Context) (membership.Placement, error) {
+					return pl, tc.tableErr
+				},
+				State: func(id int) faulttol.State {
+					if slices.Contains(tc.open, id) {
+						return faulttol.Open
+					}
+					return faulttol.Closed
 				},
 				Self:  1,
 				Fetch: stub.fetch,
@@ -188,12 +191,12 @@ func TestHaloRouter(t *testing.T) {
 // round are asked as concurrent child processes, so two groups of 10 ms
 // each take 10 ms of virtual time, not 20 ms.
 func TestHaloRouterForksSimulatedGroups(t *testing.T) {
-	pl, members := routerTable(t)
+	pl := routerTable(t)
 	k := sim.New()
 	stub := &stubHolders{delay: 10 * time.Millisecond}
 	r := &HaloRouter{
-		Table: func(context.Context) (membership.Placement, *membership.Table, error) {
-			return pl, members, nil
+		Table: func(context.Context) (membership.Placement, error) {
+			return pl, nil
 		},
 		Self:   1,
 		Fetch:  stub.fetch,

@@ -30,7 +30,6 @@ import (
 	"github.com/turbdb/turbdb/internal/faultinject"
 	"github.com/turbdb/turbdb/internal/faulttol"
 	"github.com/turbdb/turbdb/internal/mediator"
-	"github.com/turbdb/turbdb/internal/membership"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
@@ -439,24 +438,19 @@ func TestDifferentialPartialCoverage(t *testing.T) {
 }
 
 // TestDifferentialReplicatedFailover runs the k=2 kill-the-primary scenario
-// with frame-proto node clients: the scan-restricted re-route rides the
-// binary encoding and the answer must stay complete and identical to the
-// healthy JSON cluster's.
+// with frame-proto node clients over nodes that describe the k=2 ring (range
+// i held by node i and its ring predecessor): the scan-restricted re-route
+// rides the binary encoding and the answer must stay complete and identical
+// to the healthy JSON cluster's.
 func TestDifferentialReplicatedFailover(t *testing.T) {
 	ctx := context.Background()
-	clients, ranges := startReplicatedNodes(t, 3)
+	clients, _ := startReplicatedNodes(t, 3)
 	want, _, err := wireMediator(t, clients, false).Threshold(ctx, nil, wireChaosQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("reference query returned nothing")
-	}
-
-	// k=2 ring topology: range i is owned by node i and its ring predecessor.
-	topo := membership.Placement{Ranges: ranges, Owners: make([][]int, len(ranges))}
-	for i := range ranges {
-		topo.Owners[i] = []int{i, (i - 1 + len(ranges)) % len(ranges)}
 	}
 
 	plan := faultinject.NewPlan(7, &faultinject.Rule{Match: PathThreshold, Mode: faultinject.ModeError})
@@ -471,9 +465,6 @@ func TestDifferentialReplicatedFailover(t *testing.T) {
 		Nodes: mcs, AllowPartial: true, Retry: fastRetryPolicy(),
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.UpdateTopology(topo); err != nil {
 		t.Fatal(err)
 	}
 

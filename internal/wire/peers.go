@@ -47,18 +47,18 @@ type peer interface {
 // table by membership.Describe, the rule the mediator uses: under k-way
 // replication an atom has several candidate peers, tried primary first and
 // then in ring order, and a fetch fails over to the next holder when one is
-// down. The table is built once every peer's holdings have been read; while
-// a peer's cannot be, it is rebuilt on every fetch, and that peer holds
-// nothing for it. Self's holdings are never read: its ranges go to the peers
-// holding them as replicas. Each peer gets its own retry policy and circuit
-// breaker, so one dead peer fails fast instead of stalling every halo
-// exchange behind full timeouts.
+// down. The router keeps that order: a peer's breaker fails it fast while
+// open, but does not reorder its holders. The table is built once every
+// peer's holdings have been read; while a peer's cannot be, it is rebuilt on
+// every fetch, and that peer holds nothing for it. Self's holdings are never
+// read: its ranges go to the peers holding them as replicas. Each peer gets
+// its own retry policy and circuit breaker, so one dead peer fails fast
+// instead of stalling every halo exchange behind full timeouts.
 //
 // The halo store keeps what arrives, so a node fetches each band of a step
 // once (DESIGN.md §4 decision 25).
 type PeerSet struct {
 	peers     []peer
-	members   *membership.Table
 	placement atomic.Pointer[membership.Placement] // set once every peer's holdings were read
 	atomSide  atomic.Int64                         // of the grid, once any peer was described
 	router    node.HaloRouter
@@ -77,16 +77,10 @@ func NewPeerSet(clients []*Client, self int) *PeerSet {
 
 func newPeerSet(peers []peer, self, budget int) *PeerSet {
 	ft := make([]*faulttol.Executor, len(peers))
-	ids := make([]int, len(peers))
 	for i := range ft {
 		ft[i] = &faulttol.Executor{Policy: faulttol.DefaultPolicy(), Breaker: faulttol.NewBreaker(faulttol.BreakerConfig{})}
-		ids[i] = i
 	}
-	ps := &PeerSet{
-		peers:   peers,
-		members: membership.NewTable(ids...), // all Alive: holders in Describe's order
-		halo:    newHaloStore(budget),
-	}
+	ps := &PeerSet{peers: peers, halo: newHaloStore(budget)}
 	ps.router = node.HaloRouter{
 		Table: ps.table,
 		Self:  self,
@@ -104,9 +98,9 @@ func newPeerSet(peers []peer, self, budget int) *PeerSet {
 
 // table is the router's table source: the routing table of the peers'
 // holdings, read once they all could be.
-func (ps *PeerSet) table(ctx context.Context) (membership.Placement, *membership.Table, error) {
+func (ps *PeerSet) table(ctx context.Context) (membership.Placement, error) {
 	if pl := ps.placement.Load(); pl != nil {
-		return *pl, ps.members, nil
+		return *pl, nil
 	}
 	held := make([][]morton.Range, len(ps.peers))
 	var unreadable error // the first peer whose holdings could not be read
@@ -128,7 +122,7 @@ func (ps *PeerSet) table(ctx context.Context) (membership.Placement, *membership
 	if unreadable == nil {
 		ps.placement.Store(&pl)
 	}
-	return pl, ps.members, unreadable
+	return pl, unreadable
 }
 
 // FetchAtoms implements node.PeerFetcher. Each atom whose held box contains
@@ -142,7 +136,7 @@ func (ps *PeerSet) FetchAtoms(ctx context.Context, p *sim.Proc, rawField string,
 	side, nc, parts := node.HaloParts(ctx)
 	if parts == nil {
 		if ps.atomSide.Load() == 0 {
-			_, _, _ = ps.table(ctx) //lint:allow droppederr only the atom side is wanted here; the router reports the table's error
+			_, _ = ps.table(ctx) //lint:allow droppederr only the atom side is wanted here; the router reports the table's error
 		}
 		side = int(ps.atomSide.Load())
 	}

@@ -20,7 +20,6 @@ import (
 	"github.com/turbdb/turbdb/internal/mediator"
 	"github.com/turbdb/turbdb/internal/morton"
 	"github.com/turbdb/turbdb/internal/node"
-	"github.com/turbdb/turbdb/internal/obs"
 	"github.com/turbdb/turbdb/internal/query"
 	"github.com/turbdb/turbdb/internal/sim"
 	"github.com/turbdb/turbdb/internal/synth"
@@ -290,22 +289,6 @@ func TestHaloStoreConcurrentHits(t *testing.T) {
 	}
 	if ps.halo.bytes > ps.halo.budget {
 		t.Fatalf("resident %d bytes over the budget %d", ps.halo.bytes, ps.halo.budget)
-	}
-}
-
-// TestPeerSetLeavesMembershipGauges: the membership gauges report the
-// mediator's table; a peer set's own routing table does not overwrite them.
-func TestPeerSetLeavesMembershipGauges(t *testing.T) {
-	clients, _ := startNodes(t, 3)
-	m := wireMediator(t, clients, false)
-	m.Members().MarkSuspect(1)
-	suspect := obs.Default().Gauge("turbdb_membership_suspect")
-	if got := suspect.Value(); got != 1 {
-		t.Fatalf("turbdb_membership_suspect = %d after the mediator marked a node suspect, want 1", got)
-	}
-	_ = NewPeerSet(clients, 0)
-	if got := suspect.Value(); got != 1 {
-		t.Fatalf("turbdb_membership_suspect = %d after a peer set was built, want the mediator's 1", got)
 	}
 }
 

@@ -71,13 +71,15 @@ lane 'go test -race fault-tolerance packages'
 go test -race ./internal/faulttol/... ./internal/faultinject/... ./internal/cluster/... ./internal/wire/...
 # One degradation rule, by name: a node whose halo cannot be fetched fails
 # its range, and the mediator fails the query, drops the range with exact
-# Coverage, or answers it from a replica.
+# Coverage, or answers it from a replica; a peer that drops atoms silently
+# fails the node's assembly permanently, which no mediator degrades around.
 go test -race -run 'TestChaosHaloFailureDropsRange' ./internal/cluster/...
 lane_done
 
-# Replica-failover chaos lane: the failover loop itself (TestFailover),
-# the halo router that runs it for node-to-node fetches (TestHaloRouter),
-# membership, placement, and the replication suites (replica failover, the
+# Replica-failover chaos lane: the failover loop itself (TestFailover)
+# and the breaker order it tries holders in (TestHealthOrder), the halo
+# router that runs it for node-to-node fetches (TestHaloRouter),
+# placement, and the replication suites (replica failover, the
 # k = 2 answers of a 4-node and a 64-node DES cluster) by name under the
 # race detector. The packages also run above; naming the suites keeps a
 # future -short or -run filter from silently dropping them, and gives
@@ -85,7 +87,7 @@ lane_done
 # in obs.VerifyNoLeaks, so a goroutine the real-mode fan-out or the DES
 # leaves behind fails this lane.
 lane 'replica failover chaos (-race)'
-go test -race -run 'Failover|SimulatedResultsMatchRealResults|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath|DescribeInvertsPlace|DescribeUnknownHoldings|HaloRouter' \
+go test -race -run 'Failover|HealthOrder|SimulatedResultsMatchRealResults|Replicated|FaultPlan|Scan|Held|Table|Placement|Topology|RangeFailures|ReplicasDown|KOneIsATopology|FromCacheAfterPrimaryDeath|DescribeInvertsPlace|DescribeUnknownHoldings|HaloRouter' \
 	./internal/faulttol/... ./internal/membership/... ./internal/mediator/... ./internal/cluster/... ./internal/wire/... ./internal/node/...
 lane_done
 
@@ -121,9 +123,8 @@ lane_done
 # held bands; a peer killed after its atoms were held), LRU by bytes, an
 # entry over the budget served but not stored, a failed fetch keeping
 # nothing, a drop that makes the next scan fetch again, the routing table
-# read once, the membership gauges left to the mediator, and a served step
-# that never changes (store.Put). -count=10 on the concurrent suite, per
-# the Go guide.
+# read once, and a served step that never changes (store.Put). -count=10
+# on the concurrent suite, per the Go guide.
 lane 'halo store (-race)'
 go test -race -run 'TestHaloStore|TestPeerSet|TestDropFetchesHaloAgain' ./internal/wire/...
 go test -race -run 'TestPutServedStepNeverChanges' ./internal/store/...
