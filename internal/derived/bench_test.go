@@ -14,9 +14,9 @@ import (
 const benchSide = 16
 
 // BenchmarkNorm measures ns/point of every standard-catalog field at every
-// FD order, on both evaluation paths: "perpoint" is the pre-bulk-engine
-// baseline (one Eval closure call per grid point), "row" is the bulk kernel
-// path scanShard uses. scripts/bench.sh records the pairs in BENCH_*.json;
+// FD order, on both evaluation paths: "perpoint" is the float32 reference
+// (one Eval closure call per grid point), "row" is the bulk kernel path over
+// float64 slabs that scanShard uses. scripts/bench.sh records the pairs in BENCH_*.json;
 // the row path is the one whose regressions matter.
 func BenchmarkNorm(b *testing.B) {
 	r := Standard()
@@ -41,6 +41,7 @@ func BenchmarkNorm(b *testing.B) {
 				bls[i] = field.NewBlock(box.Expand(hw), rf.NComp)
 				fillRandom(rng, bls[i])
 			}
+			sls := slabsOf(bls)
 			const dx = 0.01
 			points := float64(benchSide * benchSide * benchSide)
 
@@ -75,7 +76,7 @@ func BenchmarkNorm(b *testing.B) {
 					for p.Z = 0; p.Z < benchSide; p.Z++ {
 						for p.Y = 0; p.Y < benchSide; p.Y++ {
 							p.X = 0
-							f.NormRow(st, bls, p, benchSide, dx, norms, vals, scratch)
+							f.SlabNormRow(st, sls, p, benchSide, dx, norms, vals, scratch)
 							sink += norms[0]
 						}
 					}

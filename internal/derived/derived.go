@@ -32,23 +32,75 @@ type RawInput struct {
 }
 
 // EvalFunc computes the derived value at point p from the halo-extended raw
-// blocks bls — one per entry of Field.Raws, in order, each guaranteed to
+// inputs in — one per entry of Field.Raws, in order, each guaranteed to
 // contain p with the field's kernel half-width margin — and writes OutComp
 // values into out. dx is the grid spacing, st the finite-difference stencil
-// to use.
-type EvalFunc func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64)
+// to use. It is written once and reads either kind of input: float32 blocks
+// on the reference path (Norm), float64 slabs in a scan of a field with no
+// row kernel.
+type EvalFunc func(st stencil.Stencil, in Inputs, p grid.Point, dx float64, out []float64)
 
 // EvalRowFunc is the bulk form of EvalFunc: it computes the derived value
-// at the n x-consecutive points p, p+(1,0,0), …, writing OutComp values per
-// point into out[:n·OutComp] (point-major, components interleaved). scratch
-// is caller-provided working space of at least n·Field.RowScratchPerPoint
-// float64s; implementations may scribble on it freely. The blocks must
-// contain the whole run with the kernel half-width margin.
+// at the n x-consecutive points p, p+(1,0,0), … of the float64 slabs sls,
+// writing OutComp values per point into out[:n·OutComp] (point-major,
+// components interleaved). scratch is caller-provided working space of at
+// least n·Field.RowScratchPerPoint float64s; implementations may scribble on
+// it freely. The slabs must contain the whole run with the kernel
+// half-width margin.
 //
 // Row kernels must be arithmetically identical to n calls of the per-point
-// Eval — the engine treats the two paths as interchangeable and the
-// differential tests assert bit-for-bit equality.
-type EvalRowFunc func(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx float64, out, scratch []float64)
+// Eval over the float32 blocks the slabs were decoded from — the engine
+// treats the two paths as interchangeable and the differential tests
+// assert bit-for-bit equality.
+type EvalRowFunc func(st stencil.Stencil, sls []*field.Slab, p grid.Point, n int, dx float64, out, scratch []float64)
+
+// Inputs are the raw inputs of one per-point evaluation: the float32 blocks
+// of the reference path or the float64 slabs of a scan, never both. The two
+// hold the same values — float64 of a float32 is exact — and a derivative
+// takes Stencil.Deriv's operations in Deriv's order on either, so an
+// EvalFunc returns the same bits from both.
+type Inputs struct {
+	blocks []*field.Block
+	slabs  []*field.Slab
+}
+
+// Blocks returns the inputs of the reference path.
+func Blocks(bls ...*field.Block) Inputs { return Inputs{blocks: bls} }
+
+// Slabs returns the inputs of a scan.
+//
+//turbdb:rowkernel
+func Slabs(sls ...*field.Slab) Inputs { return Inputs{slabs: sls} }
+
+// At returns component c of input i at p.
+func (in Inputs) At(i int, p grid.Point, c int) float64 {
+	if in.slabs != nil {
+		return in.slabs[i].At(p, c)
+	}
+	return in.blocks[i].At(p, c)
+}
+
+// Deriv is Stencil.Deriv of component c of input i: on a slab, the one-point
+// run of DerivRow.
+func (in Inputs) Deriv(st stencil.Stencil, i int, p grid.Point, c int, axis stencil.Axis, dx float64) float64 {
+	if in.slabs != nil {
+		var d [1]float64
+		st.DerivRow(in.slabs[i], p, 1, c, axis, dx, d[:])
+		return d[0]
+	}
+	return st.Deriv(in.blocks[i], p, c, axis, dx)
+}
+
+// Gradient is Stencil.Gradient of the 3-component input i: on a slab, the
+// one-point run of GradientRow.
+func (in Inputs) Gradient(st stencil.Stencil, i int, p grid.Point, dx float64) [3][3]float64 {
+	if in.slabs != nil {
+		var g [9]float64
+		st.GradientRow(in.slabs[i], p, 1, dx, g[:])
+		return [3][3]float64{{g[0], g[1], g[2]}, {g[3], g[4], g[5]}, {g[6], g[7], g[8]}}
+	}
+	return st.Gradient(in.blocks[i], p, dx)
+}
 
 // Field describes one queryable field.
 type Field struct {
@@ -112,9 +164,10 @@ func (f *Field) HalfWidth(order int) (int, error) {
 }
 
 // Norm evaluates the field at p and returns the Euclidean norm (or absolute
-// value for scalars). scratch must have length ≥ OutComp.
+// value for scalars). scratch must have length ≥ OutComp. It is the float32
+// reference every scan answer is checked against.
 func (f *Field) Norm(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, scratch []float64) float64 {
-	f.Eval(st, bls, p, dx, scratch)
+	f.Eval(st, Blocks(bls...), p, dx, scratch)
 	switch f.OutComp {
 	case 1:
 		v := scratch[0]
@@ -123,7 +176,8 @@ func (f *Field) Norm(st stencil.Stencil, bls []*field.Block, p grid.Point, dx fl
 		}
 		return v
 	case 3:
-		return mathx.Vec3{X: scratch[0], Y: scratch[1], Z: scratch[2]}.Norm()
+		v := scratch[:3]
+		return mathx.Vec3{X: v[0], Y: v[1], Z: v[2]}.Norm()
 	default:
 		var s float64
 		for c := 0; c < f.OutComp; c++ {
@@ -133,21 +187,36 @@ func (f *Field) Norm(st stencil.Stencil, bls []*field.Block, p grid.Point, dx fl
 	}
 }
 
-// NormRow evaluates the field's norm at the n x-consecutive points starting
-// at p, writing norms[:n]. vals must have length ≥ n·OutComp and scratch
-// length ≥ n·RowScratchPerPoint; both are overwritten. Fields without a row
-// kernel fall back to per-point Eval, so NormRow is always available and
-// always bit-for-bit identical to n calls of Norm.
+// NormRow is n calls of Norm at the x-consecutive points starting at p:
+// norms[i] is the i-th point's norm and vals[i·OutComp:(i+1)·OutComp] its
+// value. It is the float32 reference of SlabNormRow, the form a scan runs;
+// scratch is not used.
+func (f *Field) NormRow(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx float64, norms, vals, _ []float64) {
+	oc := f.OutComp
+	norms = norms[:n]
+	for i := range norms {
+		norms[i] = f.Norm(st, bls, p.Add(i, 0, 0), dx, vals[i*oc:(i+1)*oc])
+	}
+}
+
+// SlabNormRow evaluates the field's norm at the n x-consecutive points of
+// the float64 slabs sls starting at p, writing norms[:n]. vals must have
+// length ≥ n·OutComp and scratch length ≥ n·RowScratchPerPoint; both are
+// overwritten. Fields without a row kernel are evaluated point by point
+// through Eval over the slabs, so SlabNormRow is always available and always
+// bit-for-bit identical to NormRow over the blocks the slabs were decoded
+// from.
 //
 //turbdb:rowkernel
-func (f *Field) NormRow(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx float64, norms, vals, scratch []float64) {
+func (f *Field) SlabNormRow(st stencil.Stencil, sls []*field.Slab, p grid.Point, n int, dx float64, norms, vals, scratch []float64) {
 	if f.EvalRow != nil {
-		f.EvalRow(st, bls, p, n, dx, vals, scratch)
+		f.EvalRow(st, sls, p, n, dx, vals, scratch)
 	} else {
 		oc := f.OutComp
+		in := Slabs(sls...)
 		q := p
 		for i := 0; i < n; i++ {
-			f.Eval(st, bls, q, dx, vals[i*oc:(i+1)*oc])
+			f.Eval(st, in, q, dx, vals[i*oc:(i+1)*oc])
 			q.X++
 		}
 	}
@@ -258,44 +327,40 @@ const (
 
 // rawEval copies the stored components through unchanged.
 func rawEval(nc int) EvalFunc {
-	return func(_ stencil.Stencil, bls []*field.Block, p grid.Point, _ float64, out []float64) {
-		for c := 0; c < nc; c++ {
-			out[c] = bls[0].At(p, c)
+	return func(_ stencil.Stencil, in Inputs, p grid.Point, _ float64, out []float64) {
+		out = out[:nc]
+		for c := range out {
+			out[c] = in.At(0, p, c)
 		}
 	}
 }
 
 // curlEval computes ∇×(raw field) per the paper's Eq. (1).
-func curlEval(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
-	bl := bls[0]
+func curlEval(st stencil.Stencil, in Inputs, p grid.Point, dx float64, out []float64) {
 	// (∇×u)_x = ∂u_z/∂y − ∂u_y/∂z, and cyclic permutations.
-	out[0] = st.Deriv(bl, p, 2, stencil.AxisY, dx) - st.Deriv(bl, p, 1, stencil.AxisZ, dx)
-	out[1] = st.Deriv(bl, p, 0, stencil.AxisZ, dx) - st.Deriv(bl, p, 2, stencil.AxisX, dx)
-	out[2] = st.Deriv(bl, p, 1, stencil.AxisX, dx) - st.Deriv(bl, p, 0, stencil.AxisY, dx)
+	out[0] = in.Deriv(st, 0, p, 2, stencil.AxisY, dx) - in.Deriv(st, 0, p, 1, stencil.AxisZ, dx)
+	out[1] = in.Deriv(st, 0, p, 0, stencil.AxisZ, dx) - in.Deriv(st, 0, p, 2, stencil.AxisX, dx)
+	out[2] = in.Deriv(st, 0, p, 1, stencil.AxisX, dx) - in.Deriv(st, 0, p, 0, stencil.AxisY, dx)
 }
 
-// rawEvalRow copies a contiguous run of stored components through unchanged
-// (the run is one memcpy-shaped loop thanks to the x-fastest layout).
+// rawEvalRow copies a contiguous run of stored components through unchanged:
+// with the x-fastest layout the run is one copy out of the slab.
 //
 //turbdb:rowkernel
 func rawEvalRow(nc int) EvalRowFunc {
-	return func(_ stencil.Stencil, bls []*field.Block, p grid.Point, n int, _ float64, out, _ []float64) {
-		bl := bls[0]
-		base := bl.Offset(p, 0)
-		src := bl.Data[base : base+n*nc]
-		out = out[:len(src)]
-		for i, v := range src {
-			out[i] = float64(v)
-		}
+	return func(_ stencil.Stencil, sls []*field.Slab, p grid.Point, n int, _ float64, out, _ []float64) {
+		sl := sls[0]
+		base := sl.Offset(p, 0)
+		copy(out[:n*nc], sl.Data[base:base+n*nc])
 	}
 }
 
 // curlRow is the row kernel for ∇×(raw field): one pass of Stencil.CurlRow,
-// which writes the three components where NormRow reads them.
+// which writes the three components where SlabNormRow reads them.
 //
 //turbdb:rowkernel
-func curlRow(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx float64, out, _ []float64) {
-	st.CurlRow(bls[0], p, n, dx, out)
+func curlRow(st stencil.Stencil, sls []*field.Slab, p grid.Point, n int, dx float64, out, _ []float64) {
+	st.CurlRow(sls[0], p, n, dx, out)
 }
 
 // gradScalarRow builds the row kernel for the scalar gradient-tensor fields
@@ -305,9 +370,9 @@ func curlRow(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx flo
 //
 //turbdb:rowkernel
 func gradScalarRow(reduce func(grad, out []float64)) EvalRowFunc {
-	return func(st stencil.Stencil, bls []*field.Block, p grid.Point, n int, dx float64, out, scratch []float64) {
+	return func(st stencil.Stencil, sls []*field.Slab, p grid.Point, n int, dx float64, out, scratch []float64) {
 		grad := scratch[:9*n]
-		st.GradientRow(bls[0], p, n, dx, grad)
+		st.GradientRow(sls[0], p, n, dx, grad)
 		reduce(grad, out[:n])
 	}
 }
@@ -343,8 +408,8 @@ func standardCatalog() []*Field {
 			// components — the full velocity gradient is computed first,
 			// which is why its compute time exceeds the vorticity's.
 			Name: QCriterion, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true, AxisReach: true,
-			Eval: func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
-				g := mathx.Mat3(st.Gradient(bls[0], p, dx))
+			Eval: func(st stencil.Stencil, in Inputs, p grid.Point, dx float64, out []float64) {
+				g := mathx.Mat3(in.Gradient(st, 0, p, dx))
 				out[0] = g.QCriterion()
 			},
 			EvalRow:            gradScalarRow(mathx.QCriterionRow),
@@ -353,8 +418,8 @@ func standardCatalog() []*Field {
 		{
 			// Third velocity-gradient invariant R = −det(∇v).
 			Name: RInvariant, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true, AxisReach: true,
-			Eval: func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
-				g := mathx.Mat3(st.Gradient(bls[0], p, dx))
+			Eval: func(st stencil.Stencil, in Inputs, p grid.Point, dx float64, out []float64) {
+				g := mathx.Mat3(in.Gradient(st, 0, p, dx))
 				_, _, r := g.Invariants()
 				out[0] = r
 			},
@@ -364,8 +429,8 @@ func standardCatalog() []*Field {
 		{
 			// Frobenius norm of the velocity gradient tensor.
 			Name: GradNorm, Raws: []RawInput{{Velocity, 3}}, OutComp: 1, NeedsStencil: true, AxisReach: true,
-			Eval: func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
-				g := mathx.Mat3(st.Gradient(bls[0], p, dx))
+			Eval: func(st stencil.Stencil, in Inputs, p grid.Point, dx float64, out []float64) {
+				g := mathx.Mat3(in.Gradient(st, 0, p, dx))
 				out[0] = g.FrobeniusNorm()
 			},
 			EvalRow:            gradScalarRow(mathx.FrobeniusNormRow),

@@ -58,8 +58,8 @@ func TestRegisterValidation(t *testing.T) {
 		t.Error("Register without Eval accepted")
 	}
 	f := &Field{Name: "custom", Raws: []RawInput{{Velocity, 3}}, OutComp: 1,
-		Eval: func(_ stencil.Stencil, bls []*field.Block, p grid.Point, _ float64, out []float64) {
-			out[0] = bls[0].At(p, 0)
+		Eval: func(_ stencil.Stencil, in Inputs, p grid.Point, _ float64, out []float64) {
+			out[0] = in.At(0, p, 0)
 		}}
 	if err := r.Register(f); err != nil {
 		t.Fatalf("Register valid field: %v", err)
@@ -109,7 +109,7 @@ func TestVorticityAnalytic(t *testing.T) {
 	vort, _ := Standard().Lookup(Vorticity)
 	out := make([]float64, 3)
 	for _, p := range []grid.Point{{X: 3, Y: 5, Z: 7}, {X: 10, Y: 2, Z: 0}, {X: 31, Y: 31, Z: 16}} {
-		vort.Eval(st, []*field.Block{bl}, p, dx, out)
+		vort.Eval(st, Blocks(bl), p, dx, out)
 		x := float64(p.X) * dx
 		y := float64(p.Y) * dx
 		wantZ := 2 * math.Sin(x) * math.Sin(y)
@@ -136,7 +136,7 @@ func TestCurlOfABCFlowIsIdentity(t *testing.T) {
 	out := make([]float64, 3)
 	want := make([]float64, 3)
 	for _, p := range []grid.Point{{X: 1, Y: 2, Z: 3}, {X: 20, Y: 40, Z: 60}, {X: 63, Y: 0, Z: 31}} {
-		cur.Eval(st, []*field.Block{bl}, p, dx, out)
+		cur.Eval(st, Blocks(bl), p, dx, out)
 		abc(float64(p.X)*dx, float64(p.Y)*dx, float64(p.Z)*dx, want)
 		for c := 0; c < 3; c++ {
 			if math.Abs(out[c]-want[c]) > 1e-3 {
@@ -167,12 +167,12 @@ func TestQCriterionRigidRotation(t *testing.T) {
 	r, _ := Standard().Lookup(RInvariant)
 	out := make([]float64, 1)
 	p := grid.Point{X: 4, Y: 4, Z: 4}
-	q.Eval(st, []*field.Block{bl}, p, dx, out)
+	q.Eval(st, Blocks(bl), p, dx, out)
 	wantQ := w[0]*w[0] + w[1]*w[1] + w[2]*w[2]
 	if math.Abs(out[0]-wantQ) > 1e-4 {
 		t.Errorf("Q of rigid rotation = %g, want %g", out[0], wantQ)
 	}
-	r.Eval(st, []*field.Block{bl}, p, dx, out)
+	r.Eval(st, Blocks(bl), p, dx, out)
 	if math.Abs(out[0]) > 1e-6 {
 		t.Errorf("R of rigid rotation = %g, want 0", out[0])
 	}
@@ -192,7 +192,7 @@ func TestGradNormLinearShear(t *testing.T) {
 	})
 	gn, _ := Standard().Lookup(GradNorm)
 	out := make([]float64, 1)
-	gn.Eval(st, []*field.Block{bl}, grid.Point{X: 1, Y: 1, Z: 1}, 1.0, out)
+	gn.Eval(st, Blocks(bl), grid.Point{X: 1, Y: 1, Z: 1}, 1.0, out)
 	if math.Abs(out[0]-gamma) > 1e-5 {
 		t.Errorf("gradnorm = %g, want %g", out[0], gamma)
 	}
@@ -205,7 +205,7 @@ func TestRawEvalPassThrough(t *testing.T) {
 	bl.SetVec3(p, mathx.Vec3{X: 1.5, Y: -2, Z: 4})
 	vel, _ := Standard().Lookup(Velocity)
 	out := make([]float64, 3)
-	vel.Eval(st, []*field.Block{bl}, p, 1, out)
+	vel.Eval(st, Blocks(bl), p, 1, out)
 	if out[0] != 1.5 || out[1] != -2 || out[2] != 4 {
 		t.Errorf("raw eval = %v", out)
 	}
@@ -239,7 +239,7 @@ func BenchmarkVorticityEval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vort.Eval(st, []*field.Block{bl}, p, 0.1, out)
+		vort.Eval(st, Blocks(bl), p, 0.1, out)
 	}
 }
 
@@ -254,6 +254,6 @@ func BenchmarkQCriterionEval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Eval(st, []*field.Block{bl}, p, 0.1, out)
+		q.Eval(st, Blocks(bl), p, 0.1, out)
 	}
 }

@@ -38,10 +38,11 @@ func poisonOffAxes(bl *field.Block, roi grid.Box) {
 
 // A field that declares AxisReach reads nothing off the axes: for every
 // such field of the standard catalog — every field with a stencil — and
-// every FD order, Eval and EvalRow over blocks whose edge and corner halo
-// regions are NaN give, bit for bit, what they give over the clean blocks.
-// A read of a diagonal neighbour would see NaN (the control checks it): in
-// a slab scan those regions hold whatever the pooled block held before.
+// every FD order, Eval and EvalRow over blocks (and the slabs decoded from
+// them) whose edge and corner halo regions are NaN give, bit for bit, what
+// Eval gives over the clean blocks. A read of a diagonal neighbour would see
+// NaN (the control checks it): in a slab scan those regions hold whatever
+// the pooled slab held before.
 func TestAxisReachReadsNoEdgeOrCorner(t *testing.T) {
 	r := Standard()
 	rng := rand.New(rand.NewSource(34))
@@ -76,6 +77,7 @@ func TestAxisReachReadsNoEdgeOrCorner(t *testing.T) {
 					copy(dirty[i].Data, clean[i].Data)
 					poisonOffAxes(dirty[i], roi)
 				}
+				dirtySlabs := slabsOf(dirty)
 				oc := f.OutComp
 				want, got := make([]float64, oc), make([]float64, oc)
 				vals := make([]float64, nx*oc)
@@ -83,11 +85,11 @@ func TestAxisReachReadsNoEdgeOrCorner(t *testing.T) {
 				p := roi.Lo
 				for p.Z = roi.Lo.Z; p.Z < roi.Hi.Z; p.Z++ {
 					for p.Y = roi.Lo.Y; p.Y < roi.Hi.Y; p.Y++ {
-						f.EvalRow(st, dirty, p, nx, dx, vals, scratch)
+						f.EvalRow(st, dirtySlabs, p, nx, dx, vals, scratch)
 						for i := 0; i < nx; i++ {
 							q := p.Add(i, 0, 0)
-							f.Eval(st, clean, q, dx, want)
-							f.Eval(st, dirty, q, dx, got)
+							f.Eval(st, Blocks(clean...), q, dx, want)
+							f.Eval(st, Blocks(dirty...), q, dx, got)
 							for c := range want {
 								w := math.Float64bits(want[c])
 								if g := math.Float64bits(got[c]); g != w {

@@ -18,10 +18,23 @@ func fillRandom(rng *rand.Rand, bl *field.Block) {
 	}
 }
 
+// slabsOf decodes blocks into float64 slabs over the same boxes, through
+// the serialized form a scan decodes from.
+func slabsOf(bls []*field.Block) []*field.Slab {
+	sls := make([]*field.Slab, len(bls))
+	for i, bl := range bls {
+		sls[i] = &field.Slab{}
+		sls[i].Reset(bl.Bounds, bl.NComp)
+		sls[i].DecodeFrom(bl.Bytes(), bl.Bounds, bl.Bounds)
+	}
+	return sls
+}
+
 // Differential property: for every standard-catalog field and every FD
-// order, the bulk path (EvalRow/NormRow) must reproduce the per-point path
-// (Eval/Norm) bit for bit over randomized fields, box geometries and row
-// lengths — including single-point rows and rows whose boxes sit at
+// order, the scan's path over float64 slabs (EvalRow/SlabNormRow, and Eval
+// over Slabs) must reproduce the float32 reference (Eval/Norm over the
+// blocks, and NormRow) bit for bit over randomized fields, box geometries
+// and row lengths — including single-point rows and rows whose boxes sit at
 // negative coordinates, as boundary-clipped ROIs do.
 func TestRowPathMatchesPerPointBitwise(t *testing.T) {
 	r := Standard()
@@ -53,26 +66,33 @@ func TestRowPathMatchesPerPointBitwise(t *testing.T) {
 					bls[i] = field.NewBlock(roi.Expand(hw), rf.NComp)
 					fillRandom(rng, bls[i])
 				}
-				norms := make([]float64, nx)
-				vals := make([]float64, nx*f.OutComp)
+				sls := slabsOf(bls)
+				norms, refNorms := make([]float64, nx), make([]float64, nx)
+				vals, refVals := make([]float64, nx*f.OutComp), make([]float64, nx*f.OutComp)
 				scratch := make([]float64, nx*f.RowScratchPerPoint)
-				ref := make([]float64, f.OutComp)
+				ref, slab := make([]float64, f.OutComp), make([]float64, f.OutComp)
 				var p grid.Point
 				for p.Z = roi.Lo.Z; p.Z < roi.Hi.Z; p.Z++ {
 					for p.Y = roi.Lo.Y; p.Y < roi.Hi.Y; p.Y++ {
 						p.X = roi.Lo.X
-						f.NormRow(st, bls, p, nx, dx, norms, vals, scratch)
+						f.SlabNormRow(st, sls, p, nx, dx, norms, vals, scratch)
+						f.NormRow(st, bls, p, nx, dx, refNorms, refVals, nil)
 						for i := 0; i < nx; i++ {
 							q := grid.Point{X: roi.Lo.X + i, Y: p.Y, Z: p.Z}
 							want := f.Norm(st, bls, q, dx, ref)
-							if math.Float64bits(norms[i]) != math.Float64bits(want) {
-								t.Fatalf("%s order %d: NormRow at %v = %x, Norm = %x",
-									name, order, q, math.Float64bits(norms[i]), math.Float64bits(want))
+							f.Eval(st, Slabs(sls...), q, dx, slab)
+							for _, got := range []float64{norms[i], refNorms[i]} {
+								if math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("%s order %d: SlabNormRow or NormRow at %v = %x, Norm = %x",
+										name, order, q, math.Float64bits(got), math.Float64bits(want))
+								}
 							}
 							for c := 0; c < f.OutComp; c++ {
-								if math.Float64bits(vals[i*f.OutComp+c]) != math.Float64bits(ref[c]) {
-									t.Fatalf("%s order %d: EvalRow at %v comp %d = %g, Eval = %g",
-										name, order, q, c, vals[i*f.OutComp+c], ref[c])
+								for _, got := range []float64{vals[i*f.OutComp+c], refVals[i*f.OutComp+c], slab[c]} {
+									if math.Float64bits(got) != math.Float64bits(ref[c]) {
+										t.Fatalf("%s order %d: EvalRow, NormRow or Eval over slabs at %v comp %d = %g, Eval = %g",
+											name, order, q, c, got, ref[c])
+									}
 								}
 							}
 						}
@@ -84,13 +104,13 @@ func TestRowPathMatchesPerPointBitwise(t *testing.T) {
 }
 
 // Fields registered without a row kernel must still evaluate through
-// NormRow (per-point fallback), identically to Norm.
+// SlabNormRow (per-point Eval over the slabs), identically to Norm.
 func TestNormRowFallbackWithoutRowKernel(t *testing.T) {
 	r := NewRegistry()
 	f := &Field{
 		Name: "custom-sum", Raws: []RawInput{{Velocity, 3}}, OutComp: 1,
-		Eval: func(_ stencil.Stencil, bls []*field.Block, p grid.Point, _ float64, out []float64) {
-			out[0] = bls[0].At(p, 0) + bls[0].At(p, 1) + bls[0].At(p, 2)
+		Eval: func(_ stencil.Stencil, in Inputs, p grid.Point, _ float64, out []float64) {
+			out[0] = in.At(0, p, 0) + in.At(0, p, 1) + in.At(0, p, 2)
 		},
 	}
 	if err := r.Register(f); err != nil {
@@ -101,6 +121,7 @@ func TestNormRowFallbackWithoutRowKernel(t *testing.T) {
 	bl := field.NewBlock(box, 3)
 	fillRandom(rng, bl)
 	bls := []*field.Block{bl}
+	sls := slabsOf(bls)
 	st := stencil.MustGet(4)
 	nx := 8
 	norms := make([]float64, nx)
@@ -109,11 +130,11 @@ func TestNormRowFallbackWithoutRowKernel(t *testing.T) {
 	for z := box.Lo.Z; z < box.Hi.Z; z++ {
 		for y := box.Lo.Y; y < box.Hi.Y; y++ {
 			p := grid.Point{X: box.Lo.X, Y: y, Z: z}
-			f.NormRow(st, bls, p, nx, 1.0, norms, vals, nil)
+			f.SlabNormRow(st, sls, p, nx, 1.0, norms, vals, nil)
 			for i := 0; i < nx; i++ {
 				want := f.Norm(st, bls, grid.Point{X: box.Lo.X + i, Y: y, Z: z}, 1.0, ref)
 				if math.Float64bits(norms[i]) != math.Float64bits(want) {
-					t.Fatalf("fallback NormRow[%d] = %g, Norm = %g", i, norms[i], want)
+					t.Fatalf("fallback SlabNormRow[%d] = %g, Norm = %g", i, norms[i], want)
 				}
 			}
 		}
@@ -124,7 +145,7 @@ func TestRegisterRejectsNegativeScratch(t *testing.T) {
 	r := NewRegistry()
 	f := &Field{
 		Name: "bad", Raws: []RawInput{{Velocity, 3}}, OutComp: 1,
-		Eval:               func(stencil.Stencil, []*field.Block, grid.Point, float64, []float64) {},
+		Eval:               func(stencil.Stencil, Inputs, grid.Point, float64, []float64) {},
 		RowScratchPerPoint: -1,
 	}
 	if err := r.Register(f); err == nil {

@@ -36,8 +36,8 @@ func sameOrBothNaN(got, want float64) bool {
 // and MaxFloat32 at several densities (down to a lone special value among
 // ordinary data, up to nothing but specials, and last nothing but signed
 // zeros, where every tap sum is a sum of zeros and only its sign is left to
-// get wrong), evaluates through NormRow to what per-point Norm and Eval
-// give.
+// get wrong), evaluates through SlabNormRow over the slabs decoded from
+// those blocks to what per-point Norm and Eval give over the blocks.
 func TestRowPathMatchesPerPointOnSpecialValues(t *testing.T) {
 	r := Standard()
 	rng := rand.New(rand.NewSource(23))
@@ -69,24 +69,30 @@ func TestRowPathMatchesPerPointOnSpecialValues(t *testing.T) {
 						}
 					}
 				}
+				sls := slabsOf(bls)
 				norms := make([]float64, nx)
 				vals := make([]float64, nx*f.OutComp)
 				scratch := make([]float64, nx*f.RowScratchPerPoint)
-				ref := make([]float64, f.OutComp)
+				ref, slab := make([]float64, f.OutComp), make([]float64, f.OutComp)
 				p := roi.Lo
 				for p.Z = roi.Lo.Z; p.Z < roi.Hi.Z; p.Z++ {
 					for p.Y = roi.Lo.Y; p.Y < roi.Hi.Y; p.Y++ {
-						f.NormRow(st, bls, p, nx, 0.25, norms, vals, scratch)
+						f.SlabNormRow(st, sls, p, nx, 0.25, norms, vals, scratch)
 						for i := 0; i < nx; i++ {
 							q := p.Add(i, 0, 0)
 							want := f.Norm(st, bls, q, 0.25, ref)
+							f.Eval(st, Slabs(sls...), q, 0.25, slab)
 							if !sameOrBothNaN(norms[i], want) {
-								t.Fatalf("%s order %d density %g: NormRow at %v = %x (%g), Norm = %x (%g)",
+								t.Fatalf("%s order %d density %g: SlabNormRow at %v = %x (%g), Norm = %x (%g)",
 									name, order, seed.density, q, math.Float64bits(norms[i]), norms[i], math.Float64bits(want), want)
 							}
 							for c, w := range ref {
 								if got := vals[i*f.OutComp+c]; !sameOrBothNaN(got, w) {
 									t.Fatalf("%s order %d density %g: EvalRow at %v comp %d = %x (%g), Eval = %x (%g)",
+										name, order, seed.density, q, c, math.Float64bits(got), got, math.Float64bits(w), w)
+								}
+								if got := slab[c]; !sameOrBothNaN(got, w) {
+									t.Fatalf("%s order %d density %g: Eval over slabs at %v comp %d = %x (%g), over blocks %x (%g)",
 										name, order, seed.density, q, c, math.Float64bits(got), got, math.Float64bits(w), w)
 								}
 							}
@@ -98,7 +104,7 @@ func TestRowPathMatchesPerPointOnSpecialValues(t *testing.T) {
 	}
 }
 
-// The scan's zero-allocation-per-slab guarantee rests on NormRow itself
+// The scan's zero-allocation-per-slab guarantee rests on SlabNormRow itself
 // allocating nothing: the fused kernels and the row reducers work in the
 // caller's buffers only.
 func TestNormRowDoesNotAllocate(t *testing.T) {
@@ -112,14 +118,14 @@ func TestNormRowDoesNotAllocate(t *testing.T) {
 		}
 		bl := field.NewBlock(grid.Box{Hi: grid.Point{X: n, Y: 1, Z: 1}}.Expand(st.HalfWidth), 3)
 		fillRandom(rng, bl)
-		bls := []*field.Block{bl}
+		sls := slabsOf([]*field.Block{bl})
 		norms := make([]float64, n)
 		vals := make([]float64, n*f.OutComp)
 		scratch := make([]float64, n*f.RowScratchPerPoint)
 		if allocs := testing.AllocsPerRun(100, func() {
-			f.NormRow(st, bls, grid.Point{}, n, 0.01, norms, vals, scratch)
+			f.SlabNormRow(st, sls, grid.Point{}, n, 0.01, norms, vals, scratch)
 		}); allocs != 0 {
-			t.Errorf("%s: NormRow over %d points allocates %v times per call, want 0", name, n, allocs)
+			t.Errorf("%s: SlabNormRow over %d points allocates %v times per call, want 0", name, n, allocs)
 		}
 	}
 }

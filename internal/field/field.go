@@ -1,10 +1,13 @@
-// Package field provides the dense float32 data containers that raw and
-// derived simulation fields are held in while they move through the system:
-// atom blobs read from the store, halo-extended computation blocks, and
-// whole-time-step fields produced by the synthesizer.
+// Package field provides the dense data containers that raw and derived
+// simulation fields are held in while they move through the system: float32
+// blocks for atom blobs read from the store, halo exchange and whole-time-step
+// fields produced by the synthesizer, and the float64 slabs a scan's row
+// kernels read.
 //
 // Simulation data are stored in single precision (as in the JHTDB); all
-// kernel arithmetic is performed in float64 and truncated on store.
+// kernel arithmetic is performed in float64 and truncated on store. A slab
+// widens each stored value once, while it is decoded; float64 of a float32
+// is exact, so a kernel reading a slab sees the values a Block holds.
 package field
 
 import (
@@ -36,12 +39,29 @@ func NewBlock(b grid.Box, nc int) *Block {
 // index returns the flat offset of (p, c); p must lie inside Bounds.
 //
 //turbdb:rowkernel
-func (bl *Block) index(p grid.Point, c int) int {
-	nx, ny, _ := bl.Bounds.Size()
-	dx := p.X - bl.Bounds.Lo.X
-	dy := p.Y - bl.Bounds.Lo.Y
-	dz := p.Z - bl.Bounds.Lo.Z
-	return ((dz*ny+dy)*nx+dx)*bl.NComp + c
+func (bl *Block) index(p grid.Point, c int) int { return offset(bl.Bounds, bl.NComp, p, c) }
+
+// offset is the flat offset of (p, c) in the x-fastest, component-interleaved
+// layout of Block and Slab over box b with nc components.
+//
+//turbdb:rowkernel
+func offset(b grid.Box, nc int, p grid.Point, c int) int {
+	nx, ny, _ := b.Size()
+	dx := p.X - b.Lo.X
+	dy := p.Y - b.Lo.Y
+	dz := p.Z - b.Lo.Z
+	return ((dz*ny+dy)*nx+dx)*nc + c
+}
+
+// strides is the flat step of a unit move along x, y and z in that layout.
+//
+//turbdb:rowkernel
+func strides(b grid.Box, nc int) (sx, sy, sz int) {
+	nx, ny, _ := b.Size()
+	sx = nc
+	sy = nx * nc
+	sz = ny * sy
+	return sx, sy, sz
 }
 
 // Offset returns the flat offset of (p, c) in Data; p must lie inside
@@ -55,29 +75,26 @@ func (bl *Block) Offset(p grid.Point, c int) int { return bl.index(p, c) }
 // step along x, y and z: sx = NComp, sy = nx·NComp, sz = ny·nx·NComp.
 //
 //turbdb:rowkernel
-func (bl *Block) Strides() (sx, sy, sz int) {
-	nx, ny, _ := bl.Bounds.Size()
-	sx = bl.NComp
-	sy = nx * bl.NComp
-	sz = ny * sy
-	return sx, sy, sz
-}
+func (bl *Block) Strides() (sx, sy, sz int) { return strides(bl.Bounds, bl.NComp) }
 
 // Reset re-shapes the block over box b with nc components, reusing the
 // existing Data allocation when it is large enough (growing it otherwise).
-// Contents are left undefined; callers overwrite every point. This is the
-// reuse hook for pooled extended blocks in the evaluation hot path.
+// Contents are left undefined; callers overwrite every point.
 func (bl *Block) Reset(b grid.Box, nc int) {
+	bl.Bounds, bl.NComp, bl.Data = b, nc, resize(bl.Data, b, nc)
+}
+
+// resize returns data re-sliced to hold a box b of nc components, reusing
+// its allocation when it is large enough.
+func resize[T float32 | float64](data []T, b grid.Box, nc int) []T {
 	if nc <= 0 {
 		panic(fmt.Sprintf("field: invalid component count %d", nc))
 	}
 	n := b.NumPoints() * nc
-	if cap(bl.Data) < n {
-		bl.Data = make([]float32, n)
+	if cap(data) < n {
+		return make([]T, n)
 	}
-	bl.Bounds = b
-	bl.NComp = nc
-	bl.Data = bl.Data[:n]
+	return data[:n]
 }
 
 // At returns component c at point p. p must lie inside Bounds and c within
@@ -207,46 +224,101 @@ func BlockFromBytes(b grid.Box, nc int, blob []byte) (*Block, error) {
 // bl.Bounds, straight from the serialized payload: no intermediate Block
 // and no allocation. blob is the Bytes form of a block over src with bl's
 // component count, and src and region are given in bl's coordinates — a
-// periodic halo tile passes its unwrapped box; a slab scan passes as region
-// the part of its block the kernel reads, so the rest stays as it was. The
-// caller has checked that len(blob) == ByteSize(src, bl.NComp). Rows are 6
-// to 24 floats long in a slab scan, so the two flat offsets are computed
-// once and then walked by the blocks' y and z strides, not recomputed per
-// row.
+// periodic halo tile passes its unwrapped box. The caller has checked that
+// len(blob) == ByteSize(src, bl.NComp).
 //
 //turbdb:rowkernel
 func (bl *Block) DecodeFrom(blob []byte, src, region grid.Box) {
-	r := src.Intersect(region).Intersect(bl.Bounds)
+	decode(bl.Data, bl.Bounds, bl.NComp, blob, src, region)
+}
+
+// decode is DecodeFrom for Block and Slab: it writes into data, the flat
+// layout of a box dst of nc components, each float32 of the blob inside
+// src ∩ region ∩ dst, converted to T as it is read. Rows are 6 to 24 floats
+// long in a slab scan, so the two flat offsets are computed once and then
+// walked by the boxes' y and z strides, not recomputed per row.
+//
+//turbdb:rowkernel
+func decode[T float32 | float64](data []T, dst grid.Box, nc int, blob []byte, src, region grid.Box) {
+	r := src.Intersect(region).Intersect(dst)
 	if r.Empty() {
 		return
 	}
 	nx, ny, nz := r.Size()
 	snx, sny, _ := src.Size()
-	_, dsy, dsz := bl.Strides()
-	ssy := snx * bl.NComp
+	_, dsy, dsz := strides(dst, nc)
+	ssy := snx * nc
 	ssz := sny * ssy
-	rowLen := nx * bl.NComp
-	dz := bl.index(r.Lo, 0)
-	sz := (r.Lo.Z-src.Lo.Z)*ssz + (r.Lo.Y-src.Lo.Y)*ssy + (r.Lo.X-src.Lo.X)*bl.NComp
+	rowLen := nx * nc
+	dz := offset(dst, nc, r.Lo, 0)
+	sz := (r.Lo.Z-src.Lo.Z)*ssz + (r.Lo.Y-src.Lo.Y)*ssy + (r.Lo.X-src.Lo.X)*nc
 	for z := 0; z < nz; z, dz, sz = z+1, dz+dsz, sz+ssz {
 		for y, di, si := 0, dz, sz; y < ny; y, di, si = y+1, di+dsy, si+ssy {
-			dst := bl.Data[di : di+rowLen]
-			row := blob[4*si : 4*(si+rowLen)]
-			// Two floats per step: the eight ORs below compile to one
-			// 64-bit load, where a float at a time pays a load and a
-			// bounds check each.
-			for len(dst) >= 2 && len(row) >= 8 {
-				w := uint64(row[0]) | uint64(row[1])<<8 | uint64(row[2])<<16 | uint64(row[3])<<24 |
-					uint64(row[4])<<32 | uint64(row[5])<<40 | uint64(row[6])<<48 | uint64(row[7])<<56
-				dst[0] = math.Float32frombits(uint32(w))
-				dst[1] = math.Float32frombits(uint32(w >> 32))
-				dst, row = dst[2:], row[8:]
-			}
-			if len(dst) == 1 && len(row) >= 4 {
-				dst[0] = math.Float32frombits(uint32(row[0]) | uint32(row[1])<<8 | uint32(row[2])<<16 | uint32(row[3])<<24)
-			}
+			decodeRow(data[di:di+rowLen], blob[4*si:4*(si+rowLen)])
 		}
 	}
+}
+
+// decodeRow writes into out the float32s of row, converted to T.
+//
+//turbdb:rowkernel
+func decodeRow[T float32 | float64](out []T, row []byte) {
+	// Two floats per step: the eight ORs below compile to one 64-bit
+	// load, where a float at a time pays a load and a bounds check each.
+	for len(out) >= 2 && len(row) >= 8 {
+		w := uint64(row[0]) | uint64(row[1])<<8 | uint64(row[2])<<16 | uint64(row[3])<<24 |
+			uint64(row[4])<<32 | uint64(row[5])<<40 | uint64(row[6])<<48 | uint64(row[7])<<56
+		out[0] = T(math.Float32frombits(uint32(w)))
+		out[1] = T(math.Float32frombits(uint32(w >> 32)))
+		out, row = out[2:], row[8:]
+	}
+	if len(out) == 1 && len(row) >= 4 {
+		out[0] = T(math.Float32frombits(uint32(row[0]) | uint32(row[1])<<8 | uint32(row[2])<<16 | uint32(row[3])<<24))
+	}
+}
+
+// Slab is the float64 form of a Block for computation: the halo-extended
+// box a scan's row kernels read, decoded from the stored float32 blobs once
+// (DecodeFrom) instead of widened at every tap. Bounds, NComp and the
+// layout of Data are a Block's.
+type Slab struct {
+	Bounds grid.Box
+	NComp  int
+	Data   []float64
+}
+
+// Reset re-shapes the slab as Block.Reset does: the existing allocation is
+// reused when it is large enough, and the contents are left undefined. It
+// is the reuse hook of the scan's pooled slabs.
+func (s *Slab) Reset(b grid.Box, nc int) {
+	s.Bounds, s.NComp, s.Data = b, nc, resize(s.Data, b, nc)
+}
+
+// Offset returns the flat offset of (p, c) in Data; p must lie inside
+// Bounds.
+//
+//turbdb:rowkernel
+func (s *Slab) Offset(p grid.Point, c int) int { return offset(s.Bounds, s.NComp, p, c) }
+
+// Strides returns the flat Data strides, in float64 elements, of a unit
+// step along x, y and z.
+//
+//turbdb:rowkernel
+func (s *Slab) Strides() (sx, sy, sz int) { return strides(s.Bounds, s.NComp) }
+
+// At returns component c at point p, which must lie inside Bounds.
+//
+//turbdb:rowkernel
+func (s *Slab) At(p grid.Point, c int) float64 { return s.Data[s.Offset(p, c)] }
+
+// DecodeFrom is Block.DecodeFrom into a slab: each float32 of the blob is
+// widened to float64 as it is decoded, the one conversion a stored value
+// pays in a scan. A scan passes as region the part of its slab the kernel
+// reads, so the rest stays as it was.
+//
+//turbdb:rowkernel
+func (s *Slab) DecodeFrom(blob []byte, src, region grid.Box) {
+	decode(s.Data, s.Bounds, s.NComp, blob, src, region)
 }
 
 // AppendPart appends to dst the Bytes form of the block over part cut out

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/turbdb/turbdb/internal/derived"
-	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/mathx"
 	"github.com/turbdb/turbdb/internal/stencil"
@@ -19,14 +18,17 @@ import (
 const maxDepth = 3
 
 // eval computes the node's value at p into out (length ≥ node.ncomp()).
-func eval(n node, st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
+//
+// in is the float32 blocks of the reference path or the float64 slabs of a
+// scan: the same values, so the same bits.
+func eval(n node, st stencil.Stencil, in derived.Inputs, p grid.Point, dx float64, out []float64) {
 	switch t := n.(type) {
 	case numberNode:
 		out[0] = t.v
 
 	case rawNode:
 		for c := 0; c < t.nc; c++ {
-			out[c] = bls[t.idx].At(p, c)
+			out[c] = in.At(t.idx, p, c)
 		}
 
 	case unaryNode:
@@ -34,53 +36,53 @@ func eval(n node, st stencil.Stencil, bls []*field.Block, p grid.Point, dx float
 		arg := buf[:t.arg.ncomp()]
 		switch t.kind {
 		case opCurl:
-			out[0] = derivExpr(t.arg, st, bls, p, stencil.AxisY, dx, 2) - derivExpr(t.arg, st, bls, p, stencil.AxisZ, dx, 1)
-			out[1] = derivExpr(t.arg, st, bls, p, stencil.AxisZ, dx, 0) - derivExpr(t.arg, st, bls, p, stencil.AxisX, dx, 2)
-			out[2] = derivExpr(t.arg, st, bls, p, stencil.AxisX, dx, 1) - derivExpr(t.arg, st, bls, p, stencil.AxisY, dx, 0)
+			out[0] = derivExpr(t.arg, st, in, p, stencil.AxisY, dx, 2) - derivExpr(t.arg, st, in, p, stencil.AxisZ, dx, 1)
+			out[1] = derivExpr(t.arg, st, in, p, stencil.AxisZ, dx, 0) - derivExpr(t.arg, st, in, p, stencil.AxisX, dx, 2)
+			out[2] = derivExpr(t.arg, st, in, p, stencil.AxisX, dx, 1) - derivExpr(t.arg, st, in, p, stencil.AxisY, dx, 0)
 		case opGrad:
 			nc := t.arg.ncomp()
 			for i := 0; i < nc; i++ {
-				out[i*3+0] = derivExpr(t.arg, st, bls, p, stencil.AxisX, dx, i)
-				out[i*3+1] = derivExpr(t.arg, st, bls, p, stencil.AxisY, dx, i)
-				out[i*3+2] = derivExpr(t.arg, st, bls, p, stencil.AxisZ, dx, i)
+				out[i*3+0] = derivExpr(t.arg, st, in, p, stencil.AxisX, dx, i)
+				out[i*3+1] = derivExpr(t.arg, st, in, p, stencil.AxisY, dx, i)
+				out[i*3+2] = derivExpr(t.arg, st, in, p, stencil.AxisZ, dx, i)
 			}
 		case opDiv:
-			out[0] = derivExpr(t.arg, st, bls, p, stencil.AxisX, dx, 0) +
-				derivExpr(t.arg, st, bls, p, stencil.AxisY, dx, 1) +
-				derivExpr(t.arg, st, bls, p, stencil.AxisZ, dx, 2)
+			out[0] = derivExpr(t.arg, st, in, p, stencil.AxisX, dx, 0) +
+				derivExpr(t.arg, st, in, p, stencil.AxisY, dx, 1) +
+				derivExpr(t.arg, st, in, p, stencil.AxisZ, dx, 2)
 		case opNorm:
-			eval(t.arg, st, bls, p, dx, arg)
+			eval(t.arg, st, in, p, dx, arg)
 			var s float64
 			for _, v := range arg {
 				s += v * v
 			}
 			out[0] = math.Sqrt(s)
 		case opAbs:
-			eval(t.arg, st, bls, p, dx, arg)
+			eval(t.arg, st, in, p, dx, arg)
 			out[0] = math.Abs(arg[0])
 		case opTrace:
-			eval(t.arg, st, bls, p, dx, arg)
+			eval(t.arg, st, in, p, dx, arg)
 			out[0] = arg[0] + arg[4] + arg[8]
 		case opDet:
-			eval(t.arg, st, bls, p, dx, arg)
+			eval(t.arg, st, in, p, dx, arg)
 			out[0] = mat3Of(arg).Det()
 		case opSym:
-			eval(t.arg, st, bls, p, dx, arg)
+			eval(t.arg, st, in, p, dx, arg)
 			m := mat3Of(arg).Sym()
 			storeMat3(m, out)
 		case opAntisym:
-			eval(t.arg, st, bls, p, dx, arg)
+			eval(t.arg, st, in, p, dx, arg)
 			m := mat3Of(arg).Antisym()
 			storeMat3(m, out)
 		case opQCrit:
-			eval(t.arg, st, bls, p, dx, arg)
+			eval(t.arg, st, in, p, dx, arg)
 			out[0] = mat3Of(arg).QCriterion()
 		case opRInv:
-			eval(t.arg, st, bls, p, dx, arg)
+			eval(t.arg, st, in, p, dx, arg)
 			_, _, r := mat3Of(arg).Invariants()
 			out[0] = r
 		case opNeg:
-			eval(t.arg, st, bls, p, dx, out[:t.nc])
+			eval(t.arg, st, in, p, dx, out[:t.nc])
 			for c := 0; c < t.nc; c++ {
 				out[c] = -out[c]
 			}
@@ -92,46 +94,46 @@ func eval(n node, st stencil.Stencil, bls []*field.Block, p grid.Point, dx float
 		b := bufB[:t.b.ncomp()]
 		switch t.kind {
 		case opAdd:
-			eval(t.a, st, bls, p, dx, a)
-			eval(t.b, st, bls, p, dx, b)
+			eval(t.a, st, in, p, dx, a)
+			eval(t.b, st, in, p, dx, b)
 			for c := 0; c < t.nc; c++ {
 				out[c] = a[c] + b[c]
 			}
 		case opSub:
-			eval(t.a, st, bls, p, dx, a)
-			eval(t.b, st, bls, p, dx, b)
+			eval(t.a, st, in, p, dx, a)
+			eval(t.b, st, in, p, dx, b)
 			for c := 0; c < t.nc; c++ {
 				out[c] = a[c] - b[c]
 			}
 		case opMul: // a is the scalar side (normalized by typeBinary)
-			eval(t.a, st, bls, p, dx, a)
-			eval(t.b, st, bls, p, dx, b)
+			eval(t.a, st, in, p, dx, a)
+			eval(t.b, st, in, p, dx, b)
 			for c := 0; c < t.nc; c++ {
 				out[c] = a[0] * b[c]
 			}
 		case opDivide:
-			eval(t.a, st, bls, p, dx, a)
-			eval(t.b, st, bls, p, dx, b)
+			eval(t.a, st, in, p, dx, a)
+			eval(t.b, st, in, p, dx, b)
 			for c := 0; c < t.nc; c++ {
 				out[c] = a[c] / b[0]
 			}
 		case opDot:
-			eval(t.a, st, bls, p, dx, a)
-			eval(t.b, st, bls, p, dx, b)
+			eval(t.a, st, in, p, dx, a)
+			eval(t.b, st, in, p, dx, b)
 			var s float64
 			for c := range a {
 				s += a[c] * b[c]
 			}
 			out[0] = s
 		case opCross:
-			eval(t.a, st, bls, p, dx, a)
-			eval(t.b, st, bls, p, dx, b)
+			eval(t.a, st, in, p, dx, a)
+			eval(t.b, st, in, p, dx, b)
 			va := mathx.Vec3{X: a[0], Y: a[1], Z: a[2]}
 			vb := mathx.Vec3{X: b[0], Y: b[1], Z: b[2]}
 			v := va.Cross(vb)
 			out[0], out[1], out[2] = v.X, v.Y, v.Z
 		case opComp:
-			eval(t.a, st, bls, p, dx, a)
+			eval(t.a, st, in, p, dx, a)
 			out[0] = a[int(t.b.(numberNode).v)]
 		}
 	}
@@ -139,7 +141,7 @@ func eval(n node, st stencil.Stencil, bls []*field.Block, p grid.Point, dx float
 
 // derivExpr differentiates component comp of subexpression n along axis at
 // p, by evaluating n at the stencil's neighbor points.
-func derivExpr(n node, st stencil.Stencil, bls []*field.Block, p grid.Point, axis stencil.Axis, dx float64, comp int) float64 {
+func derivExpr(n node, st stencil.Stencil, in derived.Inputs, p grid.Point, axis stencil.Axis, dx float64, comp int) float64 {
 	var plusBuf, minusBuf [9]float64
 	plus := plusBuf[:n.ncomp()]
 	minus := minusBuf[:n.ncomp()]
@@ -154,8 +156,8 @@ func derivExpr(n node, st stencil.Stencil, bls []*field.Block, p grid.Point, axi
 		default:
 			pp, pm = p.Add(0, 0, k), p.Add(0, 0, -k)
 		}
-		eval(n, st, bls, pp, dx, plus)
-		eval(n, st, bls, pm, dx, minus)
+		eval(n, st, in, pp, dx, plus)
+		eval(n, st, in, pm, dx, minus)
 		sum += st.Coeffs[k-1] * (plus[comp] - minus[comp])
 	}
 	return sum / dx
@@ -232,8 +234,8 @@ func Compile(name, src string, raws map[string]int) (*derived.Field, error) {
 			}
 			return depth * st.HalfWidth, nil
 		},
-		Eval: func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
-			eval(root, st, bls, p, dx, out)
+		Eval: func(st stencil.Stencil, in derived.Inputs, p grid.Point, dx float64, out []float64) {
+			eval(root, st, in, p, dx, out)
 		},
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/stencil"
@@ -139,7 +140,7 @@ func TestCurlExpressionOnABCFlow(t *testing.T) {
 	}
 	out := make([]float64, 3)
 	for _, p := range []grid.Point{{X: 5, Y: 9, Z: 31}, {X: 0, Y: 63, Z: 2}} {
-		f.Eval(st, []*field.Block{bl}, p, dx, out)
+		f.Eval(st, derived.Blocks(bl), p, dx, out)
 		for c := 0; c < 3; c++ {
 			if math.Abs(out[c]-bl.At(p, c)) > 1e-3 {
 				t.Errorf("curl at %v comp %d = %g, want %g", p, c, out[c], bl.At(p, c))
@@ -160,7 +161,7 @@ func TestLambVectorOfBeltramiIsZero(t *testing.T) {
 	}
 	out := make([]float64, 3)
 	p := grid.Point{X: 17, Y: 40, Z: 8}
-	f.Eval(st, []*field.Block{bl}, p, dx, out)
+	f.Eval(st, derived.Blocks(bl), p, dx, out)
 	for c := 0; c < 3; c++ {
 		if math.Abs(out[c]) > 1e-3 {
 			t.Errorf("lamb vector comp %d = %g, want ≈0", c, out[c])
@@ -188,7 +189,7 @@ func TestLaplacianByComposition(t *testing.T) {
 	bl := scalarBlock(n, hw, dx)
 	out := make([]float64, 1)
 	p := grid.Point{X: 13, Y: 27, Z: 44}
-	f.Eval(st, []*field.Block{bl}, p, dx, out)
+	f.Eval(st, derived.Blocks(bl), p, dx, out)
 	// ∇²[sin x · cos 2y · sin z] = −(1+4+1)·f = −6f
 	want := -6 * bl.At(p, 0)
 	if math.Abs(out[0]-want) > 2e-2 {
@@ -208,7 +209,7 @@ func TestQCritExpressionMatchesBuiltin(t *testing.T) {
 	}
 	out := make([]float64, 1)
 	p := grid.Point{X: 7, Y: 21, Z: 3}
-	f.Eval(st, []*field.Block{bl}, p, dx, out)
+	f.Eval(st, derived.Blocks(bl), p, dx, out)
 	// reference via stencil.Gradient
 	g := st.Gradient(bl, p, dx)
 	var m [3][3]float64 = g
@@ -256,7 +257,7 @@ func TestArithmetic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", c.src, err)
 		}
-		f.Eval(st, []*field.Block{bl}, p, dx, out)
+		f.Eval(st, derived.Blocks(bl), p, dx, out)
 		if math.Abs(out[0]-c.want) > 1e-9 {
 			t.Errorf("%q = %g, want %g", c.src, out[0], c.want)
 		}
@@ -278,7 +279,7 @@ func TestTensorOps(t *testing.T) {
 	// trace(grad(u)) = div(u) = 0 for the incompressible ABC flow
 	f, _ := Compile("t", "trace(grad(velocity))", testRaws)
 	out := make([]float64, 9)
-	f.Eval(st, []*field.Block{bl}, p, dx, out)
+	f.Eval(st, derived.Blocks(bl), p, dx, out)
 	if math.Abs(out[0]) > 1e-9 {
 		t.Errorf("trace(grad(u)) = %g, want 0", out[0])
 	}
@@ -287,8 +288,8 @@ func TestTensorOps(t *testing.T) {
 	fg, _ := Compile("g", "grad(velocity)", testRaws)
 	sum := make([]float64, 9)
 	gr := make([]float64, 9)
-	fs.Eval(st, []*field.Block{bl}, p, dx, sum)
-	fg.Eval(st, []*field.Block{bl}, p, dx, gr)
+	fs.Eval(st, derived.Blocks(bl), p, dx, sum)
+	fg.Eval(st, derived.Blocks(bl), p, dx, gr)
 	for c := 0; c < 9; c++ {
 		if math.Abs(sum[c]-gr[c]) > 1e-12 {
 			t.Errorf("sym+antisym comp %d = %g, want %g", c, sum[c], gr[c])
@@ -299,8 +300,8 @@ func TestTensorOps(t *testing.T) {
 	fr, _ := Compile("r", "rinv(grad(velocity))", testRaws)
 	d := make([]float64, 1)
 	r := make([]float64, 1)
-	fd.Eval(st, []*field.Block{bl}, p, dx, d)
-	fr.Eval(st, []*field.Block{bl}, p, dx, r)
+	fd.Eval(st, derived.Blocks(bl), p, dx, d)
+	fr.Eval(st, derived.Blocks(bl), p, dx, r)
 	if math.Abs(d[0]+r[0]) > 1e-12 {
 		t.Errorf("rinv %g != -det %g", r[0], d[0])
 	}
@@ -315,7 +316,7 @@ func TestNumbersAndWhitespace(t *testing.T) {
 	st := stencil.MustGet(2)
 	out := make([]float64, 1)
 	p := grid.Point{X: 1, Y: 2, Z: 3}
-	f.Eval(st, []*field.Block{bl}, p, 1, out)
+	f.Eval(st, derived.Blocks(bl), p, 1, out)
 	want := 17 * bl.At(p, 0)
 	if math.Abs(out[0]-want) > 1e-9 {
 		t.Errorf("got %g, want %g", out[0], want)
@@ -333,7 +334,7 @@ func BenchmarkCompiledVorticity(b *testing.B) {
 	p := grid.Point{X: 8, Y: 8, Z: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Eval(st, []*field.Block{bl}, p, 0.1, out)
+		f.Eval(st, derived.Blocks(bl), p, 0.1, out)
 	}
 }
 
@@ -353,7 +354,7 @@ func TestMultiFieldExpression(t *testing.T) {
 	}
 	out := make([]float64, 1)
 	p := grid.Point{X: 3, Y: 5, Z: 2}
-	f.Eval(st, []*field.Block{mag, vel}, p, dx, out)
+	f.Eval(st, derived.Blocks(mag, vel), p, dx, out)
 	want := vel.At(p, 0)*mag.At(p, 0) + vel.At(p, 1)*mag.At(p, 1) + vel.At(p, 2)*mag.At(p, 2)
 	if math.Abs(out[0]-want) > 1e-9 {
 		t.Errorf("cross-helicity = %g, want %g", out[0], want)

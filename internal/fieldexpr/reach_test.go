@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/turbdb/turbdb/internal/derived"
 	"github.com/turbdb/turbdb/internal/field"
 	"github.com/turbdb/turbdb/internal/grid"
 	"github.com/turbdb/turbdb/internal/stencil"
@@ -62,8 +63,8 @@ func TestAxisReachStopsAtDepthOne(t *testing.T) {
 		for p.Z = roi.Lo.Z; p.Z < roi.Hi.Z; p.Z++ {
 			for p.Y = roi.Lo.Y; p.Y < roi.Hi.Y; p.Y++ {
 				for p.X = roi.Lo.X; p.X < roi.Hi.X; p.X++ {
-					f.Eval(st, clean, p, 0.3, want)
-					f.Eval(st, dirty, p, 0.3, got)
+					f.Eval(st, derived.Blocks(clean...), p, 0.3, want)
+					f.Eval(st, derived.Blocks(dirty...), p, 0.3, got)
 					for k := range want {
 						differs = differs || math.Float64bits(got[k]) != math.Float64bits(want[k])
 					}

@@ -214,7 +214,12 @@ func (g Grid) AtomRange() morton.Range {
 //
 // The box extent must not exceed the domain size on any axis, otherwise the
 // wrapped box would self-overlap.
-func (g Grid) AtomsCovering(b Box) ([]morton.Code, error) {
+func (g Grid) AtomsCovering(b Box) ([]morton.Code, error) { return g.AtomsCoveringWhere(b, nil) }
+
+// AtomsCoveringWhere is AtomsCovering of the atoms keep accepts; a nil keep
+// accepts every atom. keep sees a code once per tile, before the sort, so a
+// caller that keeps a fraction of the box sorts only that fraction.
+func (g Grid) AtomsCoveringWhere(b Box, keep func(morton.Code) bool) ([]morton.Code, error) {
 	if b.Empty() {
 		return nil, nil
 	}
@@ -224,7 +229,9 @@ func (g Grid) AtomsCovering(b Box) ([]morton.Code, error) {
 	}
 	var out []morton.Code
 	g.ForEachTile(b, func(_ Box, c morton.Code) bool {
-		out = append(out, c)
+		if keep == nil || keep(c) {
+			out = append(out, c)
+		}
 		return true
 	})
 	// Tiles come x-fastest, and a box that leaves the domain can reach one

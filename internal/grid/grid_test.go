@@ -2,7 +2,10 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/turbdb/turbdb/internal/morton"
 )
 
 func mustGrid(t testing.TB, n, atom int) Grid {
@@ -283,5 +286,40 @@ func TestAtomsCoveringWrappedDuplicatesAscending(t *testing.T) {
 		if codes[i] <= codes[i-1] {
 			t.Fatalf("codes not strictly ascending: %v", codes)
 		}
+	}
+}
+
+// AtomsCoveringWhere filters before it sorts: it must return exactly the
+// atoms of AtomsCovering that keep accepts, sorted and unique, for boxes
+// that wrap (where one atom is reached through two tiles) and boxes that
+// do not.
+func TestAtomsCoveringWhereFiltersTheCover(t *testing.T) {
+	g := mustGrid(t, 32, 8)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		lo := Point{X: rng.Intn(40) - 8, Y: rng.Intn(40) - 8, Z: rng.Intn(40) - 8}
+		b := Box{Lo: lo, Hi: lo.Add(1+rng.Intn(32), 1+rng.Intn(32), 1+rng.Intn(32))}
+		mod := morton.Code(1 + rng.Intn(4))
+		keep := func(c morton.Code) bool { return c%mod == 0 }
+		all, err := g.AtomsCovering(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []morton.Code
+		for _, c := range all {
+			if keep(c) {
+				want = append(want, c)
+			}
+		}
+		got, err := g.AtomsCoveringWhere(b, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("box %v, codes ≡ 0 mod %d: %v, want %v", b, mod, got, want)
+		}
+	}
+	if _, err := g.AtomsCoveringWhere(g.Domain().Expand(1), func(morton.Code) bool { return false }); err == nil {
+		t.Error("a box wider than the domain is refused whatever keep accepts")
 	}
 }

@@ -105,6 +105,7 @@ func TestAnalyzers(t *testing.T) {
 		{"ctxpropagate", filepath.Join("internal", "wire")},
 		{"rowkernel", "rowkernel"},
 		{"rowkernel", filepath.Join("internal", "stencil")},
+		{"rowkernel", filepath.Join("internal", "field")},
 		{"rowkernel", filepath.Join("internal", "obs")},
 		{"goroutinelife", "goroutinelife"},
 		{"wirecompat", filepath.Join("internal", "wire", "compat")},

@@ -50,12 +50,15 @@ var mustAnnotateRowKernels = map[string][]string{
 		"Stencil.DerivRow", "Stencil.GradientRow", "Stencil.CurlRow", "Stencil.row",
 		"row1", "row2", "row3", "row4", "tap1", "tap2", "tap3", "tap4", "rows3",
 	},
-	"internal/derived": {"rawEvalRow", "curlRow", "gradScalarRow", "Field.NormRow"},
+	"internal/derived": {"rawEvalRow", "curlRow", "gradScalarRow", "Field.SlabNormRow", "Slabs"},
 	"internal/mathx":   {"QCriterionRow", "RInvariantRow", "FrobeniusNormRow", "symSq", "antiSq"},
-	"internal/field":   {"Block.At", "Block.Offset", "Block.Strides", "Block.index", "Block.DecodeFrom"},
-	"internal/grid":    {"Box.Size", "Box.Intersect"},
-	"internal/node":    {"slabScan.rows"},
-	"internal/obs":     {"Counter.Inc", "Counter.Add", "Gauge.Set", "Gauge.Add", "Histogram.Observe"},
+	"internal/field": {
+		"Block.At", "Block.Offset", "Block.Strides", "Block.index", "Block.DecodeFrom",
+		"Slab.At", "Slab.Offset", "Slab.Strides", "Slab.DecodeFrom", "offset", "strides", "decode", "decodeRow",
+	},
+	"internal/grid": {"Box.Size", "Box.Intersect"},
+	"internal/node": {"slabScan.rows"},
+	"internal/obs":  {"Counter.Inc", "Counter.Add", "Gauge.Set", "Gauge.Add", "Histogram.Observe"},
 }
 
 func runRowKernel(pass *Pass) {
@@ -170,7 +173,7 @@ func checkKernelCall(pass *Pass, call *ast.CallExpr, key string) {
 	// Conversions: fine between concrete types, but converting to an
 	// interface boxes the value.
 	if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type.Underlying()) {
+		if boxes(tv.Type) {
 			pass.Reportf(call.Pos(), "row kernel %s converts to interface type %s; interface conversions allocate", key, tv.Type)
 		}
 		return
@@ -203,6 +206,48 @@ func checkKernelCall(pass *Pass, call *ast.CallExpr, key string) {
 		return
 	}
 	pass.Reportf(call.Pos(), "row kernel %s calls %s, which is not annotated //turbdb:rowkernel", key, calleeName(call))
+}
+
+// boxes reports whether a conversion to t may box its operand: t is an
+// interface, or a type parameter that an interface can instantiate. A type
+// parameter constrained to a union of concrete types (float32 | float64)
+// converts between concrete types in every instantiation.
+func boxes(t types.Type) bool {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return types.IsInterface(t.Underlying())
+	}
+	return !concreteTypeSet(tp.Constraint())
+}
+
+// concreteTypeSet reports whether every type of constraint c's type set is
+// a non-interface type: c embeds a union of such terms, directly or through
+// a named constraint.
+func concreteTypeSet(c types.Type) bool {
+	iface, ok := c.Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		switch e := iface.EmbeddedType(i).(type) {
+		case *types.Union:
+			for j := 0; j < e.Len(); j++ {
+				if types.IsInterface(e.Term(j).Type().Underlying()) {
+					return false
+				}
+			}
+			return true
+		default:
+			if types.IsInterface(e.Underlying()) {
+				if concreteTypeSet(e) {
+					return true
+				}
+			} else {
+				return true // a single concrete type
+			}
+		}
+	}
+	return false
 }
 
 // isResetSlice reports whether e has the shape s[:0] (or s[0:0]) — an append

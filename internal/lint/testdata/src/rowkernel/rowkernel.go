@@ -48,6 +48,16 @@ func badBox(x float64) any {
 	return any(x) // want `converts to interface type`
 }
 
+// badBoxGeneric converts to a type parameter that an interface type can
+// instantiate: that conversion may box.
+//
+//turbdb:rowkernel
+func badBoxGeneric[T any](x float64) T {
+	var zero T
+	_ = T(zero) // want `converts to interface type`
+	return zero
+}
+
 //turbdb:rowkernel
 func badClosure(dst []float64) {
 	f := func(i int) { dst[i] = 0 } // want `builds a function literal`
@@ -116,6 +126,17 @@ func goodAtomic(c *atomic.Int64, dst []float64) {
 		dst[i] = 0
 	}
 	c.Add(int64(len(dst)))
+}
+
+// goodWiden converts to a type parameter whose type set holds only
+// concrete float types: every instantiation converts between concrete
+// types, as a float32 slab decoded to float64 does.
+//
+//turbdb:rowkernel
+func goodWiden[T float32 | float64](dst []T, src []float32) {
+	for i, v := range src {
+		dst[i] = T(v)
+	}
 }
 
 // notAnnotated is an ordinary function: free to allocate.

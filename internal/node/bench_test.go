@@ -67,7 +67,7 @@ func BenchmarkAssembleSlab(b *testing.B) {
 	if data.err != nil {
 		b.Fatal(data.err)
 	}
-	s := slabScan{g: g, f: f, hw: hw, blobs: data.blobs, slabs: []*field.Block{n.getSlab()}}
+	s := slabScan{g: g, f: f, hw: hw, blobs: data.blobs, slabs: []*field.Slab{n.getSlab()}}
 	side, _ := slabAt(codes)
 	roi := slabROI(g, codes[0], side, g.Domain())
 	b.ReportAllocs()

@@ -64,8 +64,8 @@ func Calibrate(reg *derived.Registry, order int) (CostModel, error) {
 }
 
 // timeEval measures one field's per-point kernel cost. It times the same
-// row-wise NormRow path scanShard executes, so simulated compute charges
-// track the bulk kernel engine, not the slower per-point fallback.
+// SlabNormRow call over float64 slabs that scanShard executes, so simulated
+// compute charges track the kernels a scan runs, not the float32 reference.
 func timeEval(f *derived.Field, st stencil.Stencil) time.Duration {
 	h := st.HalfWidth
 	side := 16
@@ -73,7 +73,7 @@ func timeEval(f *derived.Field, st stencil.Stencil) time.Duration {
 		Lo: grid.Point{X: -h, Y: -h, Z: -h},
 		Hi: grid.Point{X: side + h, Y: side + h, Z: side + h},
 	}
-	bls := make([]*field.Block, len(f.Raws))
+	sls := make([]*field.Slab, len(f.Raws))
 	for i, rf := range f.Raws {
 		bl := field.NewBlock(b, rf.NComp)
 		bl.Fill(func(p grid.Point, vals []float64) {
@@ -81,7 +81,9 @@ func timeEval(f *derived.Field, st stencil.Stencil) time.Duration {
 				vals[c] = math.Sin(float64(p.X+2*p.Y+3*p.Z+c+i) * 0.1)
 			}
 		})
-		bls[i] = bl
+		sls[i] = &field.Slab{}
+		sls[i].Reset(b, rf.NComp)
+		sls[i].DecodeFrom(bl.Bytes(), b, b)
 	}
 	norms := make([]float64, side)
 	vals := make([]float64, side*f.OutComp)
@@ -91,7 +93,7 @@ func timeEval(f *derived.Field, st stencil.Stencil) time.Duration {
 	}
 	var sink float64
 	scanRow := func(y, z int) {
-		f.NormRow(st, bls, grid.Point{Y: y, Z: z}, side, 0.1, norms, vals, scratch)
+		f.SlabNormRow(st, sls, grid.Point{Y: y, Z: z}, side, 0.1, norms, vals, scratch)
 		sink += norms[0]
 	}
 	// warm up

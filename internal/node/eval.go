@@ -90,13 +90,13 @@ func (b *Breakdown) Max(o Breakdown) {
 
 // slabSide is the edge, in atoms, of the largest slab the scan assembles at
 // once: 4×4×4 atoms are 64 consecutive Morton codes, a 32³ region of
-// interest inside a (32+2hw)³ halo-extended block — 1.42× the useful points
+// interest inside a (32+2hw)³ halo-extended slab — 1.42× the useful points
 // at order 4 where a lone atom's (8+2hw)³ is 3.4× — and rows of 32 points
 // for the kernels. A constant, not a knob: BenchmarkThresholdScan reads
-// 53 / 39 / 31 ns per vorticity point at sides 1 / 2 / 4 (93 / 51 / 38 on
-// the same host before the row kernels were fused into one pass; the
-// ordering did not move), and side 8 would hold 3.8 MB per raw field and
-// worker to reach 1.2×.
+// 51 / 37 / 31 ns per vorticity point at sides 1 / 2 / 4 (medians of six
+// alternating rounds on a 2-vCPU host), and a float64 slab of side 4 holds
+// 1.1 MB per raw field and worker at order 4, where side 8 would hold
+// 7.5 MB to reach 1.2×.
 const slabSide = 4
 
 // rowConsumer receives the norms of one x-run of grid points: norms[i]
@@ -210,7 +210,7 @@ func (b *bufferPool) admit(fieldName string, codes []morton.Code) (cold, warm []
 // bounding box of what the slabs read of it, and hands those boxes to the
 // peer fetcher through ctx (WithHaloParts), so a remote peer can ship the
 // band instead of the atom. Nothing is decoded here; the compute phase
-// decodes the rows it needs straight into its slab blocks.
+// decodes the rows it needs straight into its float64 slabs.
 func (n *Node) gatherReads(ctx context.Context, wp *sim.Proc, f *derived.Field, step int, shard []morton.Code, qbox grid.Box, hw int, pool *bufferPool) workerData {
 	g := n.store.Grid()
 	out := workerData{parts: make(map[morton.Code]grid.Box)}
@@ -355,11 +355,11 @@ type shardResult struct {
 
 // slabScan is the compute phase of one worker: it walks the worker's shard
 // slab by slab, decodes each slab's blobs into one pooled halo-extended
-// block per raw field, evaluates the derived field's norm over whole rows
-// of the slab's region of interest, folds the norms into per-atom maxima
-// and hands the consumer each row whose maximum reaches floor. Its buffers
-// are sized once per worker, so the walk performs zero heap allocations per
-// slab in steady state.
+// float64 slab per raw field, evaluates the derived field's norm over whole
+// rows of the slab's region of interest, folds the norms into per-atom
+// maxima and hands the consumer each row whose maximum reaches floor. Its
+// buffers are sized once per worker, so the walk performs zero heap
+// allocations per slab in steady state.
 type slabScan struct {
 	n        *Node
 	wp       *sim.Proc
@@ -371,7 +371,7 @@ type slabScan struct {
 	perPoint time.Duration
 	blobs    []map[morton.Code][]byte
 	parts    map[morton.Code]grid.Box // what a blob shorter than its atom holds
-	slabs    []*field.Block           // one per raw field, re-shaped for every slab
+	slabs    []*field.Slab            // one per raw field, re-shaped for every slab
 	consume  rowConsumer
 	floor    float64 // no consumer wants a point below it
 
@@ -398,7 +398,7 @@ func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st
 	s := slabScan{
 		n: n, wp: wp, g: g, f: f, st: st, qbox: qbox, hw: hw,
 		perPoint: n.costs.Cost(f.Name), blobs: data.blobs, parts: data.parts, consume: consume, floor: floor,
-		slabs:   make([]*field.Block, len(f.Raws)),
+		slabs:   make([]*field.Slab, len(f.Raws)),
 		norms:   make([]float64, rowW),
 		vals:    make([]float64, rowW*f.OutComp),
 		scratch: make([]float64, rowW*f.RowScratchPerPoint),
@@ -412,9 +412,9 @@ func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st
 		s.slabs[i] = n.getSlab()
 	}
 	defer func() {
-		for _, bl := range s.slabs {
+		for _, sl := range s.slabs {
 			mPoolPuts.Inc()
-			n.slabPool.Put(bl)
+			n.slabPool.Put(sl)
 		}
 	}()
 	var err error
@@ -428,15 +428,15 @@ func (n *Node) scanShard(ctx context.Context, wp *sim.Proc, f *derived.Field, st
 	return s.shardResult, err
 }
 
-// getSlab draws a slab block from the node's pool; its shape and contents
-// are undefined until assemble resets and fills it.
-func (n *Node) getSlab() *field.Block {
+// getSlab draws a slab from the node's pool; its shape and contents are
+// undefined until assemble resets and fills it.
+func (n *Node) getSlab() *field.Slab {
 	mPoolGets.Inc()
-	if bl, ok := n.slabPool.Get().(*field.Block); ok {
-		return bl
+	if sl, ok := n.slabPool.Get().(*field.Slab); ok {
+		return sl
 	}
 	mPoolNews.Inc()
-	return &field.Block{}
+	return &field.Slab{}
 }
 
 // scanSlab evaluates one aligned slab: codes are its side³ atoms. A lone
@@ -469,16 +469,17 @@ func (s *slabScan) scanSlab(codes []morton.Code, side int) error {
 
 // assemble decodes what the kernel reads of roi and its halo band — the
 // boxes of slabReads, over the atoms under them, periodically wrapped —
-// into the slab block of every raw field, a block over roi.Expand(hw): each
-// tile's rows go straight from its float32 blob to their place in the
-// block, and the edges and corners a kernel of axis reach leaves out keep
-// whatever the pooled block held. A blob that holds only its atom's part is
-// that part shifted onto the tile. It reports false when a blob is missing.
+// into the slab of every raw field, a float64 slab over roi.Expand(hw):
+// each tile's rows go straight from its float32 blob to their place in the
+// slab, widened once on the way, and the edges and corners a kernel of axis
+// reach leaves out keep whatever the pooled slab held. A blob that holds
+// only its atom's part is that part shifted onto the tile. It reports false
+// when a blob is missing.
 func (s *slabScan) assemble(roi grid.Box) bool {
 	reads, nr := slabReads(roi, s.hw, s.f.AxisReach)
 	for i, rf := range s.f.Raws {
-		bl, blobs := s.slabs[i], s.blobs[i]
-		bl.Reset(roi.Expand(s.hw), rf.NComp)
+		sl, blobs := s.slabs[i], s.blobs[i]
+		sl.Reset(roi.Expand(s.hw), rf.NComp)
 		for _, r := range reads[:nr] {
 			complete := s.g.ForEachTile(r, func(tile grid.Box, c morton.Code) bool {
 				blob, ok := blobs[c]
@@ -490,7 +491,7 @@ func (s *slabScan) assemble(roi grid.Box) bool {
 					p, o := s.parts[c], tile.Lo
 					src = grid.Box{Lo: p.Lo.Add(o.X, o.Y, o.Z), Hi: p.Hi.Add(o.X, o.Y, o.Z)}
 				}
-				bl.DecodeFrom(blob, src, r)
+				sl.DecodeFrom(blob, src, r)
 				return true
 			})
 			if !complete {
@@ -520,7 +521,7 @@ func normOf(k int64) float64 { return math.Float64frombits(uint64(flipNegative(k
 func flipNegative(k int64) int64 { return k ^ int64(uint64(k>>63)>>1) }
 
 // rows evaluates the norm over every x-run of roi — a region of the slab
-// at origin — in one NormRow call each, folds the run into the maxima of
+// at origin — in one SlabNormRow call each, folds the run into the maxima of
 // the atoms it crosses and feeds the consumer the runs that hold a norm of
 // at least floor: the fold's one compare per point is the only one a run
 // with no candidate pays. false means the consumer stopped the scan.
@@ -536,7 +537,7 @@ func (s *slabScan) rows(roi grid.Box, origin grid.Point) bool {
 	for p.Z = roi.Lo.Z; p.Z < roi.Hi.Z; p.Z++ {
 		iz := s.spread[p.Z-origin.Z] << 2
 		for p.Y = roi.Lo.Y; p.Y < roi.Hi.Y; p.Y++ {
-			s.f.NormRow(s.st, s.slabs, p, nx, s.g.Dx, norms, s.vals, s.scratch)
+			s.f.SlabNormRow(s.st, s.slabs, p, nx, s.g.Dx, norms, s.vals, s.scratch)
 			if s.fold(norms, x0, first, iz|s.spread[p.Y-origin.Y]<<1) >= floor && !s.consume(p, norms) {
 				return false
 			}

@@ -221,7 +221,7 @@ type Node struct {
 	processes int // guarded by mu
 	exec      *Exec
 	costs     CostModel
-	slabPool  sync.Pool // of *field.Block: the workers' slab buffers
+	slabPool  sync.Pool // of *field.Slab: the workers' slab buffers
 	synopsis  *synopsis // nil with Config.NoSynopsis
 
 	mu sync.Mutex
@@ -323,32 +323,30 @@ func (n *Node) Processes() int {
 // sorted: the node's primary range by default, or exactly the requested
 // scan ranges under the mediator's replica routing. Every scanned atom must
 // be held locally — a scan range this node does not hold is a routing bug
-// and fails loudly rather than answering from missing data.
+// and fails loudly rather than answering from missing data. Atoms are
+// filtered before they are sorted: a node keeps a fraction of a large box.
 func (n *Node) scanAtomsCovering(b grid.Box, scan []morton.Range) ([]morton.Code, error) {
-	all, err := n.store.Grid().AtomsCovering(b)
+	keep := n.store.Owned().Contains
+	var stray error
+	if len(scan) > 0 {
+		keep = func(c morton.Code) bool {
+			for _, r := range scan {
+				if r.Contains(c) {
+					if stray == nil && !n.store.Owns(c) {
+						stray = faulttol.Permanentf("node %d: routed atom %v outside held ranges", n.id, c)
+					}
+					return true
+				}
+			}
+			return false
+		}
+	}
+	out, err := n.store.Grid().AtomsCoveringWhere(b, keep)
+	if err == nil {
+		err = stray
+	}
 	if err != nil {
 		return nil, err
-	}
-	out := all[:0]
-	if len(scan) == 0 {
-		owned := n.store.Owned()
-		for _, c := range all {
-			if owned.Contains(c) {
-				out = append(out, c)
-			}
-		}
-		return out, nil
-	}
-	for _, c := range all {
-		for _, r := range scan {
-			if r.Contains(c) {
-				if !n.store.Owns(c) {
-					return nil, faulttol.Permanentf("node %d: routed atom %v outside held ranges", n.id, c)
-				}
-				out = append(out, c)
-				break
-			}
-		}
 	}
 	return out, nil
 }

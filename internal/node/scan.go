@@ -136,6 +136,17 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 		ub = ub.Union(preds[j].box)
 	}
 	syn := n.openSynopsis(f, st, k.step)
+	// The pass's atoms are planned once, for the sharing accounting and the
+	// pass alike; a lone top-k on a synopsis plans its own rounds.
+	tk, walk := ms[live[0]].(*topKMember)
+	walk = walk && len(live) == 1 && syn != nil
+	var codes []morton.Code
+	pruned := 0
+	if !walk || len(ms) > 1 {
+		if codes, pruned, err = n.scanSet(syn, ub, k.scan, preds); err != nil {
+			return nil, 0, err
+		}
+	}
 	atomsScanned := 0
 	if len(ms) > 1 {
 		// Scan-cost accounting: what each member would have scanned alone, to
@@ -144,17 +155,13 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 		// sharing saved and not what pruning did. The union pass is charged
 		// to the first member; everyone else saves their whole solo scan.
 		for j, i := range live {
-			codes, _, err := n.scanSet(syn, preds[j].box, k.scan, preds[j:j+1])
+			solo, _, err := n.scanSet(syn, preds[j].box, k.scan, preds[j:j+1])
 			if err != nil {
 				return nil, 0, err
 			}
-			out[i].shared, out[i].scansSaved = len(live), len(codes)
+			out[i].shared, out[i].scansSaved = len(live), len(solo)
 		}
-		union, _, err := n.scanSet(syn, ub, k.scan, preds)
-		if err != nil {
-			return nil, 0, err
-		}
-		atomsScanned = len(union)
+		atomsScanned = len(codes)
 		out[live[0]].scansSaved = max(out[live[0]].scansSaved-atomsScanned, 0)
 	}
 	// evalPhases asks for the workers' consumers concurrently: build them
@@ -177,10 +184,8 @@ func (n *Node) scan(ctx context.Context, p *sim.Proc, k scanKey, ms []member) ([
 		}
 	}
 	var bd Breakdown
-	if tk, ok := ms[live[0]].(*topKMember); ok && len(live) == 1 && syn != nil {
+	if walk {
 		bd, err = n.topKWalk(ctx, p, ps, k.scan, tk)
-	} else if codes, pruned, serr := n.scanSet(syn, ub, k.scan, preds); serr != nil {
-		err = serr
 	} else {
 		bd, err = n.evalPhases(ctx, p, ps, codes, pruned)
 		bd.AtomsPruned = pruned

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -364,5 +365,48 @@ func checkWarmPins(t *testing.T, n *Node, raws map[string]*field.Block, peak flo
 		if want := [5]int{read, halo, atoms * g.PointsPerAtom(), 0, len(codes) - atoms}; pin != want {
 			t.Errorf("%s/warm pinned %v, brute force and the cover predicate say %v", name, pin, want)
 		}
+	}
+}
+
+// scanAtomsCovering filters a box's atoms before it sorts them: it returns
+// exactly the sorted atoms of the box the node owns, or under replica
+// routing those in the scan ranges, and a scan range the node does not hold
+// fails the plan rather than answering from missing data.
+func TestScanAtomsCoveringKeepsOwnedOrRouted(t *testing.T) {
+	const gridN = 32
+	nodes := clusterOver(t, gridN, map[string]*field.Block{derived.Velocity: noise(gridN, 3, 8)}, 2, 1)
+	n := nodes[0]
+	g := n.Grid()
+	owned := n.store.Owned()
+	boxes := []grid.Box{g.Domain(), {Lo: grid.Point{X: -3, Y: 5, Z: 30}, Hi: grid.Point{X: 9, Y: 20, Z: 40}}}
+	routes := [][]morton.Range{nil, {{Lo: owned.Lo + 3, Hi: owned.Lo + 9}, {Lo: owned.Hi - 5, Hi: owned.Hi}}}
+	for _, b := range boxes {
+		for _, scan := range routes {
+			all, err := g.AtomsCovering(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []morton.Code
+			for _, c := range all {
+				in := owned.Contains(c)
+				if scan != nil {
+					in = scan[0].Contains(c) || scan[1].Contains(c)
+				}
+				if in {
+					want = append(want, c)
+				}
+			}
+			got, err := n.scanAtomsCovering(b, scan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("box %v, scan %v: %v, want %v (not empty)", b, scan, got, want)
+			}
+		}
+	}
+	other := nodes[1].store.Owned()
+	if _, err := n.scanAtomsCovering(g.Domain(), []morton.Range{other}); err == nil || !strings.Contains(err.Error(), "outside held ranges") {
+		t.Errorf("a scan range held by the other node: err = %v, want a routing failure", err)
 	}
 }

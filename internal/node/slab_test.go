@@ -28,10 +28,10 @@ var advection = &derived.Field{
 	Name:    "advection",
 	Raws:    []derived.RawInput{{Name: derived.Velocity, NComp: 3}, {Name: derived.Magnetic, NComp: 3}},
 	OutComp: 1, NeedsStencil: true,
-	Eval: func(st stencil.Stencil, bls []*field.Block, p grid.Point, dx float64, out []float64) {
-		out[0] = bls[0].At(p, 0)*st.Deriv(bls[1], p, 0, stencil.AxisX, dx) +
-			bls[0].At(p, 1)*st.Deriv(bls[1], p, 1, stencil.AxisY, dx) +
-			bls[0].At(p, 2)*st.Deriv(bls[1], p, 2, stencil.AxisZ, dx)
+	Eval: func(st stencil.Stencil, in derived.Inputs, p grid.Point, dx float64, out []float64) {
+		out[0] = in.At(0, p, 0)*in.Deriv(st, 1, p, 0, stencil.AxisX, dx) +
+			in.At(0, p, 1)*in.Deriv(st, 1, p, 1, stencil.AxisY, dx) +
+			in.At(0, p, 2)*in.Deriv(st, 1, p, 2, stencil.AxisZ, dx)
 	},
 }
 

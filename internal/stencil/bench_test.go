@@ -22,6 +22,7 @@ func BenchmarkDerivRow(b *testing.B) {
 		s := MustGet(order)
 		inner := grid.Box{Hi: grid.Point{X: benchRun, Y: 1, Z: 1}}
 		bl := randomBlock(rng, inner.Expand(s.HalfWidth), 3)
+		sl := slabOf(bl)
 		out := make([]float64, benchRun)
 		b.Run(fmt.Sprintf("o%d/perpoint", order), func(b *testing.B) {
 			b.ReportAllocs()
@@ -35,7 +36,7 @@ func BenchmarkDerivRow(b *testing.B) {
 		b.Run(fmt.Sprintf("o%d/row", order), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.DerivRow(bl, grid.Point{}, benchRun, 0, AxisX, 0.01, out)
+				s.DerivRow(sl, grid.Point{}, benchRun, 0, AxisX, 0.01, out)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*benchRun), "ns/point")
 		})
@@ -50,12 +51,12 @@ func BenchmarkGradientRow(b *testing.B) {
 	for _, order := range Orders() {
 		s := MustGet(order)
 		inner := grid.Box{Hi: grid.Point{X: benchRun, Y: 1, Z: 1}}
-		bl := randomBlock(rng, inner.Expand(s.HalfWidth), 3)
+		sl := slabOf(randomBlock(rng, inner.Expand(s.HalfWidth), 3))
 		out := make([]float64, 9*benchRun)
 		b.Run(fmt.Sprintf("o%d", order), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.GradientRow(bl, grid.Point{}, benchRun, 0.01, out)
+				s.GradientRow(sl, grid.Point{}, benchRun, 0.01, out)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*benchRun), "ns/point")
 		})
@@ -70,12 +71,12 @@ func BenchmarkCurlRow(b *testing.B) {
 	for _, order := range Orders() {
 		s := MustGet(order)
 		inner := grid.Box{Hi: grid.Point{X: benchRun, Y: 1, Z: 1}}
-		bl := randomBlock(rng, inner.Expand(s.HalfWidth), 3)
+		sl := slabOf(randomBlock(rng, inner.Expand(s.HalfWidth), 3))
 		out := make([]float64, 3*benchRun)
 		b.Run(fmt.Sprintf("o%d", order), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.CurlRow(bl, grid.Point{}, benchRun, 0.01, out)
+				s.CurlRow(sl, grid.Point{}, benchRun, 0.01, out)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*benchRun), "ns/point")
 		})

@@ -111,17 +111,19 @@ func (s Stencil) Gradient(bl *field.Block, p grid.Point, dx float64) [3][3]float
 	return g
 }
 
-// The row kernels evaluate one x-run of n grid points in a single loop. Per
-// row they slice the 2·HalfWidth tap rows of each axis out of Block.Data
-// once, all to the run's length, so the loop indexes them without bounds
-// checks; per point every derivative comes from one of the tap helpers
-// below, so each value is bit-for-bit what Deriv returns at that point.
+// The row kernels evaluate one x-run of n grid points of a float64 slab in
+// a single loop. Per row they slice the 2·HalfWidth tap rows of each axis
+// out of Slab.Data once, all to the run's length, so the loop indexes them
+// without bounds checks; per point every derivative comes from one of the
+// tap helpers below, so each value is bit-for-bit what Deriv returns at
+// that point of the Block the slab was decoded from (float64 of a float32
+// is exact, and Deriv widens each operand before it subtracts).
 
 // rows3 returns, per axis, the two tap rows at distance tx, ty, tz on either
 // side of the run of w elements that starts at flat offset b of d.
 //
 //turbdb:rowkernel
-func rows3(d []float32, b, w, tx, ty, tz int) (xp, xm, yp, ym, zp, zm []float32) {
+func rows3(d []float64, b, w, tx, ty, tz int) (xp, xm, yp, ym, zp, zm []float64) {
 	return d[b+tx:][:w], d[b-tx:][:w], d[b+ty:][:w], d[b-ty:][:w], d[b+tz:][:w], d[b-tz:][:w]
 }
 
@@ -133,36 +135,36 @@ func rows3(d []float32, b, w, tx, ty, tz int) (xp, xm, yp, ym, zp, zm []float32)
 // final division by dx.
 //
 //turbdb:rowkernel
-func tap1(c *[1]float64, dx float64, j int, p1, m1 []float32) float64 {
+func tap1(c *[1]float64, dx float64, j int, p1, m1 []float64) float64 {
 	sum := 0.0
-	sum += float64(c[0] * (float64(p1[j]) - float64(m1[j])))
+	sum += float64(c[0] * (p1[j] - m1[j]))
 	return sum / dx
 }
 
 //turbdb:rowkernel
-func tap2(c *[2]float64, dx float64, j int, p1, m1, p2, m2 []float32) float64 {
+func tap2(c *[2]float64, dx float64, j int, p1, m1, p2, m2 []float64) float64 {
 	sum := 0.0
-	sum += float64(c[0] * (float64(p1[j]) - float64(m1[j])))
-	sum += float64(c[1] * (float64(p2[j]) - float64(m2[j])))
+	sum += float64(c[0] * (p1[j] - m1[j]))
+	sum += float64(c[1] * (p2[j] - m2[j]))
 	return sum / dx
 }
 
 //turbdb:rowkernel
-func tap3(c *[3]float64, dx float64, j int, p1, m1, p2, m2, p3, m3 []float32) float64 {
+func tap3(c *[3]float64, dx float64, j int, p1, m1, p2, m2, p3, m3 []float64) float64 {
 	sum := 0.0
-	sum += float64(c[0] * (float64(p1[j]) - float64(m1[j])))
-	sum += float64(c[1] * (float64(p2[j]) - float64(m2[j])))
-	sum += float64(c[2] * (float64(p3[j]) - float64(m3[j])))
+	sum += float64(c[0] * (p1[j] - m1[j]))
+	sum += float64(c[1] * (p2[j] - m2[j]))
+	sum += float64(c[2] * (p3[j] - m3[j]))
 	return sum / dx
 }
 
 //turbdb:rowkernel
-func tap4(c *[4]float64, dx float64, j int, p1, m1, p2, m2, p3, m3, p4, m4 []float32) float64 {
+func tap4(c *[4]float64, dx float64, j int, p1, m1, p2, m2, p3, m3, p4, m4 []float64) float64 {
 	sum := 0.0
-	sum += float64(c[0] * (float64(p1[j]) - float64(m1[j])))
-	sum += float64(c[1] * (float64(p2[j]) - float64(m2[j])))
-	sum += float64(c[2] * (float64(p3[j]) - float64(m3[j])))
-	sum += float64(c[3] * (float64(p4[j]) - float64(m4[j])))
+	sum += float64(c[0] * (p1[j] - m1[j]))
+	sum += float64(c[1] * (p2[j] - m2[j]))
+	sum += float64(c[2] * (p3[j] - m3[j]))
+	sum += float64(c[3] * (p4[j] - m4[j]))
 	return sum / dx
 }
 
@@ -175,7 +177,7 @@ func tap4(c *[4]float64, dx float64, j int, p1, m1, p2, m2, p3, m3, p4, m4 []flo
 // out[:3·w].
 //
 //turbdb:rowkernel
-func row1(d []float32, b, w, sx, sy, sz int, c *[1]float64, dx float64, out []float64, curl bool) {
+func row1(d []float64, b, w, sx, sy, sz int, c *[1]float64, dx float64, out []float64, curl bool) {
 	xp1, xm1, yp1, ym1, zp1, zm1 := rows3(d, b, w, sx, sy, sz)
 	if curl {
 		out = out[:w]
@@ -193,7 +195,7 @@ func row1(d []float32, b, w, sx, sy, sz int, c *[1]float64, dx float64, out []fl
 }
 
 //turbdb:rowkernel
-func row2(d []float32, b, w, sx, sy, sz int, c *[2]float64, dx float64, out []float64, curl bool) {
+func row2(d []float64, b, w, sx, sy, sz int, c *[2]float64, dx float64, out []float64, curl bool) {
 	xp1, xm1, yp1, ym1, zp1, zm1 := rows3(d, b, w, sx, sy, sz)
 	xp2, xm2, yp2, ym2, zp2, zm2 := rows3(d, b, w, 2*sx, 2*sy, 2*sz)
 	if curl {
@@ -212,7 +214,7 @@ func row2(d []float32, b, w, sx, sy, sz int, c *[2]float64, dx float64, out []fl
 }
 
 //turbdb:rowkernel
-func row3(d []float32, b, w, sx, sy, sz int, c *[3]float64, dx float64, out []float64, curl bool) {
+func row3(d []float64, b, w, sx, sy, sz int, c *[3]float64, dx float64, out []float64, curl bool) {
 	xp1, xm1, yp1, ym1, zp1, zm1 := rows3(d, b, w, sx, sy, sz)
 	xp2, xm2, yp2, ym2, zp2, zm2 := rows3(d, b, w, 2*sx, 2*sy, 2*sz)
 	xp3, xm3, yp3, ym3, zp3, zm3 := rows3(d, b, w, 3*sx, 3*sy, 3*sz)
@@ -232,7 +234,7 @@ func row3(d []float32, b, w, sx, sy, sz int, c *[3]float64, dx float64, out []fl
 }
 
 //turbdb:rowkernel
-func row4(d []float32, b, w, sx, sy, sz int, c *[4]float64, dx float64, out []float64, curl bool) {
+func row4(d []float64, b, w, sx, sy, sz int, c *[4]float64, dx float64, out []float64, curl bool) {
 	xp1, xm1, yp1, ym1, zp1, zm1 := rows3(d, b, w, sx, sy, sz)
 	xp2, xm2, yp2, ym2, zp2, zm2 := rows3(d, b, w, 2*sx, 2*sy, 2*sz)
 	xp3, xm3, yp3, ym3, zp3, zm3 := rows3(d, b, w, 3*sx, 3*sy, 3*sz)
@@ -255,14 +257,14 @@ func row4(d []float32, b, w, sx, sy, sz int, c *[4]float64, dx float64, out []fl
 // row runs the loop of the stencil's half-width over the n points at p.
 //
 //turbdb:rowkernel
-func (s Stencil) row(bl *field.Block, p grid.Point, n int, dx float64, out []float64, curl bool) {
+func (s Stencil) row(sl *field.Slab, p grid.Point, n int, dx float64, out []float64, curl bool) {
 	if n <= 0 {
 		return
 	}
-	sx, sy, sz := bl.Strides()
-	// Capacity clipped to length: a tap row that would leave the block
-	// panics when sliced, and never reads a pooled block's stale tail.
-	d, b, w := bl.Data[:len(bl.Data):len(bl.Data)], bl.Offset(p, 0), 3*n
+	sx, sy, sz := sl.Strides()
+	// Capacity clipped to length: a tap row that would leave the slab
+	// panics when sliced, and never reads a pooled slab's stale tail.
+	d, b, w := sl.Data[:len(sl.Data):len(sl.Data)], sl.Offset(p, 0), 3*n
 	switch s.HalfWidth {
 	case 1:
 		row1(d, b, w, sx, sy, sz, (*[1]float64)(s.Coeffs), dx, out, curl)
@@ -275,43 +277,43 @@ func (s Stencil) row(bl *field.Block, p grid.Point, n int, dx float64, out []flo
 	}
 }
 
-// GradientRow evaluates the gradient tensor of a 3-component block at the n
+// GradientRow evaluates the gradient tensor of a 3-component slab at the n
 // x-consecutive points starting at p, writing G[r][c] = ∂u_r/∂x_c into
 // out[9·i + 3·r + c] for the i-th point, each entry bit-for-bit Gradient's.
-// out must have length ≥ 9·n, and the block must contain the run with a
+// out must have length ≥ 9·n, and the slab must contain the run with a
 // HalfWidth margin on every axis.
 //
 //turbdb:rowkernel
-func (s Stencil) GradientRow(bl *field.Block, p grid.Point, n int, dx float64, out []float64) {
-	s.row(bl, p, n, dx, out, false)
+func (s Stencil) GradientRow(sl *field.Slab, p grid.Point, n int, dx float64, out []float64) {
+	s.row(sl, p, n, dx, out, false)
 }
 
-// CurlRow evaluates ∇×u of a 3-component block at the n x-consecutive
+// CurlRow evaluates ∇×u of a 3-component slab at the n x-consecutive
 // points starting at p, writing the i-th point's components to
 // out[3·i : 3·i+3]: (∇×u)_x = ∂u_z/∂y − ∂u_y/∂z and cyclic permutations,
 // each Deriv's minuend minus Deriv's subtrahend. out must have length
 // ≥ 3·n; the margin is GradientRow's.
 //
 //turbdb:rowkernel
-func (s Stencil) CurlRow(bl *field.Block, p grid.Point, n int, dx float64, out []float64) {
-	s.row(bl, p, n, dx, out, true)
+func (s Stencil) CurlRow(sl *field.Slab, p grid.Point, n int, dx float64, out []float64) {
+	s.row(sl, p, n, dx, out, true)
 }
 
 // DerivRow evaluates ∂(component c)/∂(axis) at the n x-consecutive grid
 // points p, p+(1,0,0), …, p+(n−1,0,0), writing the results into out[:n],
-// bit-for-bit what n calls of Deriv return. The block may have any
+// bit-for-bit what n calls of Deriv return. The slab may have any
 // component count and must contain the whole run with a HalfWidth margin
 // along the axis.
 //
 //turbdb:rowkernel
-func (s Stencil) DerivRow(bl *field.Block, p grid.Point, n, c int, axis Axis, dx float64, out []float64) {
+func (s Stencil) DerivRow(sl *field.Slab, p grid.Point, n, c int, axis Axis, dx float64, out []float64) {
 	if n <= 0 {
 		return
 	}
-	sx, sy, sz := bl.Strides()
+	sx, sy, sz := sl.Strides()
 	t := [...]int{AxisX: sx, AxisY: sy, AxisZ: sz}[axis]
 	// The tap rows reach from the first point's element to the last's.
-	d, b, w := bl.Data[:len(bl.Data):len(bl.Data)], bl.Offset(p, c), (n-1)*sx+1
+	d, b, w := sl.Data[:len(sl.Data):len(sl.Data)], sl.Offset(p, c), (n-1)*sx+1
 	switch out = out[:n]; s.HalfWidth {
 	case 1:
 		p1, m1, cf := d[b+t:][:w], d[b-t:][:w], (*[1]float64)(s.Coeffs)

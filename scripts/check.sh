@@ -149,6 +149,7 @@ go test -race -count=10 -run 'TestScanContract' ./internal/node/...
 go test -race -run 'TestDropCacheForgetsPDF|TestDropCoversAggregatesAndScanKeys' . ./internal/cache/...
 go test -race -run 'TestPDFCacheDifferential|TestPDFOverBudgetServedUncached|TestAggCache|TestMetricsMatchStats|TestRepeatedPDFIsCacheHit' . ./internal/cluster/... ./internal/node/... ./internal/cache/...
 go test -race -run 'TestSlabScanDifferential|TestSlabScanAtomSides|TestHaloHoleFailsScan|TestAxisReach' ./internal/node/... ./internal/derived/... ./internal/fieldexpr/...
+go test -race -run 'TestSlabDecodeFromWidensBlockDecode|TestCurlRowMatchesDerivBitwise|TestRowPathMatchesPerPoint|TestScanAtomsCoveringKeepsOwnedOrRouted|TestAtomsCoveringWhereFiltersTheCover' ./internal/field/... ./internal/stencil/... ./internal/derived/... ./internal/node/... ./internal/grid/...
 lane_done
 
 # Ordered-hit lane: a cache hit is an ordered read. The cache returns an
